@@ -114,8 +114,6 @@ from repro.core.executor import (
     PlanProfile,
     ProbeOp,
     ProjectDedupOp,
-    ViewProbeOp,
-    ViewScanOp,
     build_pipeline,
     delta_fanout_bound,
     execute_plan,
@@ -210,8 +208,6 @@ __all__ = [
     "ViewDef",
     "ViewSet",
     "ViewState",
-    "ViewScanOp",
-    "ViewProbeOp",
     # deciders
     "QDSIResult",
     "decide_qdsi",
@@ -229,4 +225,4 @@ __all__ = [
     "Report",
 ]
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"

@@ -160,14 +160,16 @@ class ResultSet:
 
 class ExplainAnalyze:
     """The payload of ``explain_analyze``: the executed :class:`ResultSet`
-    plus one per-operator :class:`~repro.core.executor.PlanProfile` per
-    disjunct, with measured row counts and access accounting.
+    plus one :class:`~repro.core.executor.PlanProfile` per disjunct --
+    measured row counts, access accounting and wall time of each compiled
+    step of that very execution (the per-step accounting sums to
+    ``result.stats``).
 
     Also the payload of
     :meth:`~repro.incremental.IncrementalResult.explain_analyze`, where
-    the profiled operators are the refresh path's delta pipeline
-    (``Δ[level]`` slice joins, ``new[level]`` prefix fetches,
-    ``old[level]`` snapshot fetches)."""
+    the profiled steps are the faces the refresh applied (``Δ[level]``
+    slice joins, ``new[level]`` prefix fetches, ``old[level]`` snapshot
+    fetches)."""
 
     __slots__ = ("result", "profiles")
 
@@ -354,11 +356,12 @@ class PreparedQuery:
         parameters: Mapping[object, object] | None = None,
         **kwargs: object,
     ) -> ExplainAnalyze:
-        """Execute like :meth:`execute`, but additionally record per-operator
-        row counts and access accounting through the physical pipeline
-        (:mod:`repro.core.executor`).  Returns an :class:`ExplainAnalyze`
-        whose ``result`` is the :class:`ResultSet` and whose ``profiles``
-        hold one :class:`~repro.core.executor.PlanProfile` per disjunct."""
+        """Execute like :meth:`execute` -- the same compiled closures, in
+        the same order -- while recording each step's row counts, access
+        accounting and wall time (:func:`repro.core.executor.profile_plan`).
+        Returns an :class:`ExplainAnalyze` whose ``result`` is that run's
+        :class:`ResultSet` and whose ``profiles`` hold one
+        :class:`~repro.core.executor.PlanProfile` per disjunct."""
         values = merge_parameter_values(parameters, kwargs)
         database = self._engine.require_database()
         plans = self._engine._plans_for(self.query, frozenset(values))

@@ -18,10 +18,8 @@ from repro.core.controllability import (
     is_controlled,
 )
 from repro.core.columnar import (
-    ColumnarBatch,
     PipelineCache,
     PipelineCacheStats,
-    SignedColumnarBatch,
     SlotTable,
 )
 from repro.core.executor import (
@@ -67,8 +65,6 @@ __all__ = [
     "PlanProfile",
     "Pipeline",
     "SlotTable",
-    "ColumnarBatch",
-    "SignedColumnarBatch",
     "PipelineCache",
     "PipelineCacheStats",
     "build_pipeline",

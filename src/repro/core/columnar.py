@@ -1,29 +1,18 @@
-"""The columnar batch representation of the physical executor.
+"""The columnar representation the physical executor lowers to.
 
-Up to PR 7 the executor's unit of work was a ``list[dict[Variable,
-object]]`` -- one dict per partial assignment, copied at every level.
-Profiles (``explain_analyze`` with per-operator wall time) show that on
-the bounded workloads the paper targets, where *tuples accessed* is flat
-by construction, nearly all remaining wall time is that dict churn: per
-row the old pipeline allocated a dict, rehashed every variable, and
-threw the dict away one level later.
-
-This module replaces the representation.  A :class:`ColumnarBatch`
-stores one Python list per *variable slot* -- parallel columns, all of
-:attr:`~ColumnarBatch.length` -- with the variable-to-slot mapping
+The executor's unit of work is a batch of partial assignments stored
+column-wise: one Python list per *variable slot* -- parallel columns of
+one length -- with ``None`` for a slot that is unbound (not yet fetched)
+or dead (no later operator reads it).  The variable-to-slot mapping is
 compiled once per plan into a :class:`SlotTable` (during pipeline
-lowering, see :func:`repro.core.executor.build_pipeline`).  Operators
-then work column-at-a-time: a fetch builds its key column with one
-``zip``, expands matches into a ``take`` list of source indices plus
-fresh columns for newly bound variables, and gathers only the columns a
-*live* downstream operator still reads (dead-column elimination -- the
-keep-sets are computed at lowering time).  No per-row dict exists
-anywhere on the hot path.
-
-:class:`SignedColumnarBatch` pairs a batch with per-row derivation signs
-(+1 gained, -1 lost) -- the delta faces (``run_delta``/``run_old``) of
-:mod:`repro.incremental` run over it, so the telescoping delta rule is
-vectorized over the same representation as the standard path.
+lowering, see :func:`repro.core.executor.build_pipeline`), so the
+compiled closures address columns by integer index and never hash a
+variable per row: a fetch builds its key column with one ``zip``, expands
+matches into a ``take`` list of source indices plus fresh columns for
+newly bound variables, and gathers only live columns.  There is no batch
+*class*: the closures thread a bare ``(columns, n)`` pair, and derivation
+signs (+1 gained, -1 lost, for :mod:`repro.incremental`) ride as one more
+column in the trailing slot.
 
 :class:`PipelineCache` is the LRU home of lowered pipelines: bounded,
 stats-instrumented, keyed by plan identity -- the same cache discipline
@@ -36,17 +25,14 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable
 
 from repro.logic.terms import Variable
 
 Row = tuple[object, ...]
-Assignment = dict[Variable, object]
 
 __all__ = [
     "SlotTable",
-    "ColumnarBatch",
-    "SignedColumnarBatch",
     "PipelineCache",
     "PipelineCacheStats",
 ]
@@ -54,9 +40,8 @@ __all__ = [
 
 class SlotTable:
     """An immutable variable -> column-slot mapping, compiled once per
-    plan: the schema every :class:`ColumnarBatch` of one pipeline shares,
-    so operators resolve a variable to a list index instead of hashing it
-    per row."""
+    plan: the schema every batch of one pipeline shares, so closures
+    resolve a variable to a list index instead of hashing it per row."""
 
     __slots__ = ("variables", "index")
 
@@ -78,14 +63,6 @@ class SlotTable:
     def slot(self, variable: Variable) -> int:
         return self.index[variable]
 
-    def extend(self, variables: Iterable[Variable]) -> "SlotTable":
-        """A table with ``variables`` appended (ignoring ones already
-        present); ``self`` when nothing is new."""
-        fresh = [v for v in variables if v not in self.index]
-        if not fresh:
-            return self
-        return SlotTable(self.variables + tuple(fresh))
-
     def __repr__(self) -> str:
         names = ", ".join(f"?{v}" for v in self.variables)
         return f"SlotTable({names})"
@@ -94,166 +71,6 @@ class SlotTable:
 #: Shared empty-key singleton: a keyless fetch broadcasts one () key per
 #: source row, so the key column is the same object for every batch.
 EMPTY_KEY: Row = ()
-
-
-class ColumnarBatch:
-    """A batch of partial assignments in columnar form.
-
-    ``columns`` is aligned with ``slots.variables``: entry ``i`` is a
-    list of :attr:`length` values for variable ``slots.variables[i]``, or
-    ``None`` when that variable is unbound (not yet fetched) or dead
-    (eliminated because no later operator reads it).  Row ``r`` of the
-    batch is the classic assignment ``{v: columns[slot(v)][r]}`` over the
-    non-``None`` columns -- :meth:`to_assignments` materializes exactly
-    that view for interop and tests; the hot path never does.
-    """
-
-    __slots__ = ("slots", "columns", "length")
-
-    def __init__(
-        self,
-        slots: SlotTable,
-        columns: list[list | None],
-        length: int,
-    ):
-        self.slots = slots
-        self.columns = columns
-        self.length = length
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def seed(cls, slots: SlotTable, assignment: Mapping[Variable, object]):
-        """The length-1 batch an execution starts from: parameter values
-        in their slots, every other column unbound."""
-        return cls(
-            slots,
-            [[assignment[v]] if v in assignment else None for v in slots.variables],
-            1,
-        )
-
-    @classmethod
-    def empty(cls, slots: SlotTable) -> "ColumnarBatch":
-        return cls(slots, [None] * len(slots.variables), 0)
-
-    @classmethod
-    def from_assignments(
-        cls,
-        assignments: Sequence[Mapping[Variable, object]],
-        slots: SlotTable | None = None,
-    ) -> "ColumnarBatch":
-        """Transpose row-major assignments into a batch (slots inferred
-        in first-seen key order unless given) -- the interop path for
-        tests and hand-built operators, not the pipeline."""
-        if slots is None:
-            seen: dict[Variable, None] = {}
-            for a in assignments:
-                seen.update(dict.fromkeys(a))
-            slots = SlotTable(seen)
-        columns: list[list | None] = []
-        for v in slots.variables:
-            if all(v in a for a in assignments) and assignments:
-                columns.append([a[v] for a in assignments])
-            elif any(v in a for a in assignments):
-                raise ValueError(
-                    f"ragged batch: ?{v} is bound in some assignments "
-                    f"but not others (a column is all-or-nothing)"
-                )
-            else:
-                columns.append(None)
-        return cls(slots, columns, len(assignments))
-
-    # -- row-major views ---------------------------------------------------
-
-    def to_assignments(self) -> list[Assignment]:
-        """The batch as classic per-row assignment dicts (bound columns
-        only) -- the inverse of :meth:`from_assignments`."""
-        bound = [
-            (v, col)
-            for v, col in zip(self.slots.variables, self.columns)
-            if col is not None
-        ]
-        return [
-            {v: col[r] for v, col in bound} for r in range(self.length)
-        ]
-
-    # -- column access -----------------------------------------------------
-
-    def column(self, variable: Variable) -> list:
-        """The bound column of ``variable``; KeyError when the variable is
-        absent or unbound (mirrors the old per-dict ``assignment[var]``)."""
-        col = self.columns[self.slots.index[variable]]
-        if col is None:
-            raise KeyError(variable)
-        return col
-
-    def column_or_none(self, variable: Variable) -> list | None:
-        idx = self.slots.index.get(variable)
-        return None if idx is None else self.columns[idx]
-
-    def bound_variables(self) -> tuple[Variable, ...]:
-        return tuple(
-            v
-            for v, col in zip(self.slots.variables, self.columns)
-            if col is not None
-        )
-
-    def select(self, rows: Sequence[int]) -> "ColumnarBatch":
-        """The sub-batch at ``rows`` (a gather over every bound column)."""
-        return ColumnarBatch(
-            self.slots,
-            [
-                None if col is None else [col[r] for r in rows]
-                for col in self.columns
-            ],
-            len(rows),
-        )
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __repr__(self) -> str:
-        bound = ", ".join(f"?{v}" for v in self.bound_variables())
-        return f"ColumnarBatch({self.length} rows; bound: {bound or 'none'})"
-
-
-class SignedColumnarBatch:
-    """A :class:`ColumnarBatch` whose rows carry derivation signs -- the
-    vectorized twin of the old ``list[(assignment, sign)]`` that the
-    delta operator faces (``run_delta`` / ``run_old``) consume and
-    produce."""
-
-    __slots__ = ("batch", "signs")
-
-    def __init__(self, batch: ColumnarBatch, signs: list[int]):
-        self.batch = batch
-        self.signs = signs
-
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Sequence[tuple[Mapping[Variable, object], int]],
-        slots: SlotTable | None = None,
-    ) -> "SignedColumnarBatch":
-        batch = ColumnarBatch.from_assignments([a for a, _ in pairs], slots)
-        return cls(batch, [sign for _, sign in pairs])
-
-    def to_pairs(self) -> list[tuple[Assignment, int]]:
-        return list(zip(self.batch.to_assignments(), self.signs))
-
-    @classmethod
-    def empty(cls, slots: SlotTable) -> "SignedColumnarBatch":
-        return cls(ColumnarBatch.empty(slots), [])
-
-    def __len__(self) -> int:
-        return self.batch.length
-
-    def __repr__(self) -> str:
-        gained = sum(1 for s in self.signs if s > 0)
-        return (
-            f"SignedColumnarBatch({self.batch.length} rows, "
-            f"+{gained}/-{self.batch.length - gained})"
-        )
 
 
 @dataclass(frozen=True)

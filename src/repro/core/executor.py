@@ -2,90 +2,76 @@
 
 :mod:`repro.core.plans` is the *planner*: :func:`~repro.core.plans.compile_plan`
 turns a controlled conjunctive query into an ordered sequence of
-fetch/probe steps plus a head projection.  This module is the *executor*:
-it lowers those steps into a pipeline of physical operators over a
-**columnar** batch representation (:class:`~repro.core.columnar.ColumnarBatch`:
-one Python list per variable slot, the variable-to-slot mapping compiled
-once per plan into a :class:`~repro.core.columnar.SlotTable`).  No
-per-row dict exists on the hot path: operators resolve variables to list
-indexes at lowering time, build whole key columns with one ``zip``, and
-expand join matches as a ``take`` list of source indices plus fresh
-columns for newly bound variables.  Constants are interned at lowering
-time (:mod:`repro.relational.interning`) so every lookup key hashes once
-and compares by identity first.
+fetch/probe steps plus a head projection.  This module is the *executor*,
+and it has exactly one way to run a plan: **one lowering, three faces,
+one read source**.
 
-The operators:
+**One lowering.**  :func:`build_pipeline` turns the steps into operator
+*descriptions* -- :class:`FilterOp`, :class:`FetchOp`, :class:`ProbeOp`,
+:class:`ProjectDedupOp`: plain data (which positions key the lookup,
+which are residual checks, which bind new variables) with no behaviour of
+their own -- and lowers each description once into *slot closures*.  The
+batch schema at every pipeline position is static, so all variable
+hashing happens here: a closure works on a bare ``(columns, n)`` pair,
+``columns`` being one Python list per variable slot of the plan's
+:class:`~repro.core.columnar.SlotTable` (``None`` for unbound or dead
+slots) plus one trailing *sign* slot.  Constants are interned at lowering
+time (:mod:`repro.relational.interning`), a backward liveness pass drops
+columns no later operator reads, and a trailing fetch-then-project pair
+fuses into one terminal closure that emits head rows straight from the
+fetched row groups.
 
-* :class:`FilterOp` -- enforce the compile-time equality constraints that
-  involve plan parameters (a parameter equated to a constant or to another
-  parameter) and propagate parameter values onto their equality-class
-  representatives.  Only appears when the query's equalities demand it,
-  and is fused into the seed on the hot path (:func:`execute_plan`
-  evaluates it on the parameter dict before the first batch exists).
-* :class:`FetchOp` -- one :meth:`lookup_keys` for the whole batch, keyed on
-  the positions that are statically known to be bound at this point of the
-  pipeline, then join each group of rows back to its source row
-  (consistency-checked for repeated variables; embedded access rules
-  additionally filter on residual bound positions and deduplicate output
-  projections, mirroring their ``R(X -> Y, N)`` semantics).
-* :class:`ProbeOp` -- verify a fully-bound atom for the whole batch with
-  one :meth:`contains_rows` call.
-* :class:`ProjectDedupOp` -- project the surviving rows onto the head
-  terms and deduplicate, preserving first-derivation order.
+**Three faces.**  Every data operator has the same three faces, generated
+from the same key-builder, check and bind specs:
 
-Two lowering-time optimizations ride on the columnar form (both are
-profile-driven: ``profile_plan`` / ``explain_analyze`` record per-operator
-wall time, and the pre-columnar profiles showed the terminal
-fetch-then-project pair dominated by row materialization):
+* *new* -- read the current state (what :func:`execute_plan` runs);
+* *old* -- the very same closure, handed the pre-delta snapshot of its
+  source (:class:`OldState`: live answers rewound in memory by the change
+  slice);
+* *delta* -- join the in-memory change slice of the operator's relation
+  instead of stored data (zero tuples accessed), multiplying each slice
+  row's sign into the batch.
 
-* **dead-column elimination** -- a backward liveness pass assigns every
-  operator the ``keep`` set of variables some later operator still reads;
-  gathers skip dead columns entirely.
-* **terminal fusion** -- a pipeline ending in fetch-then-project lowers to
-  one :class:`_FusedFetchProject` on the hot path: head rows are emitted
-  straight from the fetch's row groups, so the final batch is never
-  materialized.  The unfused operator sequence is what :func:`pipeline_for`
-  returns (tests, profiles and the delta driver see individual operators);
-  the fused sequence lives on the :class:`Pipeline`'s ``fused`` attribute
-  and is what :func:`execute_plan` runs.
+Derivation signs ride as one more gathered column (the sign slot), so the
+new and old faces carry them for free.  :func:`execute_plan_delta`
+composes the faces into the standard delta rule of incremental scale
+independence (:mod:`repro.incremental`, Section 5): for each operator
+level ``i`` with changes, levels ``< i`` run on the new state, level ``i``
+joins the change slice, levels ``> i`` run on the old state -- so each
+affected derivation is produced (with its sign) exactly once, one bulk
+read per level, within :func:`delta_fanout_bound`.
+:func:`execute_plan_counting` is the matching initial pass (new faces,
+all signs ``+1``): per-answer derivation multiplicities, the state that
+makes signed deltas composable under deletion.  The signed faces are
+lowered on first counting/delta use; plans that are only ever executed
+never pay for them.  :func:`profile_plan` times those same closures --
+a profile *is* the run it reports.
 
-Because the bulk access methods resolve each *distinct* key once per
-batch, batched execution touches at most -- and on skewed workloads far
-fewer than -- the tuples the per-assignment reference path touches; both
-stay within the plan's :attr:`~repro.core.plans.Plan.fanout_bound`.
+**One read source.**  A closure reads through exactly two charged calls,
+the :class:`~repro.relational.backends.base.StorageBackend` pair
+``lookup_keys(relation, positions, keys, stats)`` /
+``contains_rows(relation, rows, stats)``.  The driver resolves each
+step's source: the database for a base relation, or -- for a relation in
+``plan.view_relations`` -- the store of the materialized view
+(:mod:`repro.views`), which is itself a backend and is charged to the
+per-execution stats only.  Because the bulk reads resolve each *distinct*
+key once per batch, batched execution touches at most -- and on skewed
+workloads far fewer than -- the tuples the per-assignment reference path
+touches; both stay within the plan's
+:attr:`~repro.core.plans.Plan.fanout_bound`.
 
-:func:`execute_per_tuple` keeps the pre-pipeline recursive per-assignment
-executor alive as the reference semantics: differential tests assert the
-pipeline agrees with it, and :mod:`repro.bench` measures the speedup of
-batched over per-tuple execution.
+:func:`execute_per_tuple` keeps the recursive per-assignment executor
+alive as the reference semantics (differential tests assert the pipeline
+agrees with it, and :mod:`repro.bench` measures batched against it); it
+issues the same two charged reads, one single-key batch per assignment.
 
 Every execution runs inside an :class:`ExecutionContext` -- the database
 handle, a private per-execution :class:`AccessStats` (charged alongside
 the database's cumulative counters, so concurrent executions never
-contaminate each other's deltas), a change-log watermark and, for
-refreshes, the net change slice past it.  All entry points accept either
-a raw :class:`~repro.relational.instance.Database` (a fresh context is
-opened) or an existing context.
-
-On top of the standard path, every data operator has a *delta* face for
-incremental scale independence (:mod:`repro.incremental`, Section 5),
-vectorized over :class:`~repro.core.columnar.SignedColumnarBatch` (a
-batch plus per-row derivation signs):
-
-* ``run_delta`` joins a batch against the in-memory change slice of the
-  operator's relation instead of the stored data (zero tuples accessed);
-* ``run_old`` evaluates against the pre-delta snapshot -- live lookups,
-  corrected in memory by the slice.
-
-:func:`execute_plan_delta` composes them into the standard delta rule:
-for each operator level ``i`` with changes, levels ``< i`` run on the new
-state, level ``i`` joins the change slice, levels ``> i`` run on the old
-state -- so each affected derivation is produced (with its sign) exactly
-once, one bulk database call per level, and the tuples accessed stay
-within :func:`delta_fanout_bound`, a function of the slice size and the
-access-rule bounds only.  :func:`execute_plan_counting` is the matching
-initial pass: it returns per-answer derivation multiplicities, the state
-that makes signed deltas composable under deletion.
+contaminate each other's deltas), the view states, a change-log watermark
+and, for refreshes, the net change slice past it.  All entry points
+accept either a raw :class:`~repro.relational.instance.Database` (a fresh
+context is opened) or an existing context.
 """
 
 from __future__ import annotations
@@ -98,95 +84,20 @@ from typing import Iterator, Mapping, Sequence
 from repro.core.access_schema import AccessRule, EmbeddedAccessRule
 from repro.core.columnar import (
     EMPTY_KEY,
-    ColumnarBatch,
     PipelineCache,
     PipelineCacheStats,
-    SignedColumnarBatch,
     SlotTable,
 )
 from repro.core.plans import FetchStep, Plan, ProbeStep
 from repro.errors import IncrementalError, SchemaError
 from repro.logic.ast import Atom, _as_variable
-from repro.logic.evaluation import _bound_pattern, _extend, row_matches
+from repro.logic.evaluation import _bound_pattern, _extend, _term_value, row_matches
 from repro.logic.terms import Constant, Term, Variable
-from repro.relational.instance import AccessStats, NetDelta, _plain
+from repro.relational.instance import AccessStats, NetDelta
 from repro.relational.interning import intern_value
 
 Row = tuple[object, ...]
 Assignment = dict[Variable, object]
-
-
-def _rewind_groups(
-    groups: Sequence[tuple[Row, ...]],
-    patterns: Sequence[Mapping[int, object]],
-    net: Mapping[Row, int],
-) -> tuple[tuple[Row, ...], ...]:
-    """Correct current-state lookup ``groups`` back to the pre-delta
-    snapshot: rows inserted since the watermark are dropped, rows deleted
-    since it (and matching the pattern) are restored."""
-    if not net:
-        return tuple(groups)
-    deleted = [row for row, sign in net.items() if sign < 0]
-    adjusted: list[tuple[Row, ...]] = []
-    for pattern, rows in zip(patterns, groups):
-        rows = tuple(row for row in rows if net.get(row, 0) <= 0)
-        restored = tuple(
-            row
-            for row in deleted
-            if all(row[p] == _plain(v) for p, v in pattern.items())
-        )
-        adjusted.append(rows + restored)
-    return tuple(adjusted)
-
-
-def _rewind_key_groups(
-    groups: Sequence[tuple[Row, ...]],
-    positions: tuple[int, ...],
-    keys: Sequence[Row],
-    net: Mapping[Row, int],
-) -> Sequence[tuple[Row, ...]]:
-    """:func:`_rewind_groups` for the columnar key form: one shared
-    ``positions`` tuple, one key per group."""
-    if not net:
-        return groups
-    deleted = [row for row, sign in net.items() if sign < 0]
-    adjusted: list[tuple[Row, ...]] = []
-    for key, rows in zip(keys, groups):
-        rows = tuple(row for row in rows if net.get(row, 0) <= 0)
-        restored = tuple(
-            row
-            for row in deleted
-            if all(row[p] == v for p, v in zip(positions, key))
-        )
-        adjusted.append(rows + restored)
-    return adjusted
-
-
-def _rewind_membership(
-    rows: Sequence[Sequence[object]],
-    net: Mapping[Row, int],
-    probe,
-) -> tuple[bool, ...]:
-    """Pre-delta membership verdicts: rows the slice says nothing about
-    are probed against the current state via ``probe``; the rest are
-    answered from the slice alone (deleted since the watermark -> present
-    then; inserted since -> absent then)."""
-    if not net:
-        return tuple(probe([tuple(row) for row in rows]))
-    verdicts: list[bool | None] = []
-    unknown: list[Row] = []
-    for row in rows:
-        row = tuple(row)
-        sign = net.get(row)
-        if sign is None:
-            verdicts.append(None)
-            unknown.append(row)
-        else:
-            verdicts.append(sign < 0)
-    if unknown:
-        probed = iter(probe(unknown))
-        verdicts = [next(probed) if v is None else v for v in verdicts]
-    return tuple(verdicts)
 
 
 class ExecutionContext:
@@ -201,13 +112,13 @@ class ExecutionContext:
     makes per-execution accounting exact under concurrent traffic.
 
     ``views`` maps materialized-view names to their states
-    (:class:`repro.views.ViewState` or anything with the same
-    ``lookup``/``lookup_keys``/``contains_rows`` surface): view-assisted
-    plans (:mod:`repro.views`) read views through the ``view_*`` methods
-    below, charged to this execution's :attr:`stats` only -- the database
-    cumulative counters see base-table traffic exclusively.  For delta
-    executions, view answer changes ride in :attr:`delta` under the view
-    name, exactly like a base relation's slice.
+    (:class:`repro.views.ViewState`, or anything whose ``store`` attribute
+    offers the backend read pair ``lookup_keys`` / ``contains_rows``):
+    view-assisted plans (:mod:`repro.views`) read a view through
+    :meth:`store`, charged to this execution's :attr:`stats` only -- the
+    database's cumulative counters see base-table traffic exclusively.
+    For delta executions, view answer changes ride in :attr:`delta` under
+    the view name, exactly like a base relation's slice.
     """
 
     __slots__ = (
@@ -265,43 +176,20 @@ class ExecutionContext:
             f"delta={delta} rows, {self.stats.tuples_accessed} tuples accessed)"
         )
 
-    # -- live reads (charged to this execution and the database) ---------
-
-    def lookup(self, relation: str, pattern: Mapping[int, object]) -> tuple[Row, ...]:
-        return self.db.lookup(relation, pattern, self.stats)
-
-    def lookup_many(
-        self, relation: str, patterns: Sequence[Mapping[int, object]]
-    ) -> tuple[tuple[Row, ...], ...]:
-        return self.db.lookup_many(relation, patterns, self.stats)
-
-    def lookup_keys(
-        self, relation: str, positions: tuple[int, ...], keys: Sequence[Row]
-    ) -> Sequence[tuple[Row, ...]]:
-        """Bulk lookup in the columnar executor's native form: every key
-        constrains the same (sorted) ``positions``, so the index is
-        resolved once for the batch; distinct keys are fetched -- and
-        accounted -- once, exactly like :meth:`lookup_many`."""
-        return self.db.lookup_keys(relation, positions, keys, self.stats)
-
-    def contains(self, relation: str, row: Sequence[object]) -> bool:
-        return self.db.contains(relation, row, self.stats)
-
-    def contains_many(
-        self, relation: str, rows: Sequence[Sequence[object]]
-    ) -> tuple[bool, ...]:
-        return self.db.contains_many(relation, rows, self.stats)
-
-    def contains_rows(
-        self, relation: str, rows: Sequence[Row]
-    ) -> tuple[bool, ...]:
-        """Bulk membership for pre-shaped row tuples (the columnar probe
-        builds them straight from batch columns); distinct rows are probed
-        -- and accounted -- once, exactly like :meth:`contains_many`."""
-        return self.db.contains_rows(relation, rows, self.stats)
-
-    def scan(self, relation: str) -> tuple[Row, ...]:
-        return self.db.scan(relation, self.stats)
+    def store(self, name: str):
+        """The read source of materialized view ``name`` (its backend
+        store), or a clear error when the context was opened without view
+        states (a view-assisted plan must be executed through the Engine,
+        which prepares them)."""
+        try:
+            return self.views[name].store
+        except (KeyError, TypeError):  # no state for it / no states at all
+            raise SchemaError(
+                f"plan reads materialized view {name!r} but the execution "
+                f"context carries no state for it; execute view-assisted "
+                f"plans through the Engine (or pass views= when opening "
+                f"the ExecutionContext)"
+            ) from None
 
     # -- the change slice ------------------------------------------------
 
@@ -325,8 +213,8 @@ class ExecutionContext:
     ) -> dict[Row, list[tuple[Row, int]]]:
         """The slice of ``relation`` hash-indexed on ``positions`` -- the
         in-memory twin of the database's per-position indexes, so a delta
-        join costs O(batch + slice) instead of their product (memoized per
-        (relation, positions))."""
+        join (and the old-state rewind) costs O(batch + slice) instead of
+        their product (memoized per (relation, positions))."""
         key = (relation, positions)
         cache = self._delta_index
         if cache is None:
@@ -341,135 +229,72 @@ class ExecutionContext:
             self._delta_index[key] = index
         return index
 
-    # -- pre-delta snapshot reads ----------------------------------------
 
-    def lookup_many_old(
-        self, relation: str, patterns: Sequence[Mapping[int, object]]
-    ) -> tuple[tuple[Row, ...], ...]:
-        """Bulk lookup against the *pre-delta* snapshot: the live index
-        answers (accounted as usual), corrected in memory by the change
-        slice -- tuples inserted since the watermark are dropped, tuples
-        deleted since it are restored."""
-        groups = self.db.lookup_many(relation, patterns, self.stats)
-        return _rewind_groups(groups, patterns, self.delta_net(relation))
+class OldState:
+    """The *pre-delta snapshot* of any read source: the same two charged
+    reads, answered by ``source`` on the current state (accounted as
+    usual) and rewound in memory by ``ctx``'s change slice -- tuples
+    inserted since the watermark are dropped, tuples deleted since it are
+    restored.  The one implementation of "old state", over the database
+    and over view stores alike."""
 
-    def lookup_keys_old(
-        self, relation: str, positions: tuple[int, ...], keys: Sequence[Row]
-    ) -> Sequence[tuple[Row, ...]]:
-        """:meth:`lookup_keys` against the pre-delta snapshot (live index
-        answers corrected in memory by the change slice)."""
-        groups = self.db.lookup_keys(relation, positions, keys, self.stats)
-        return _rewind_key_groups(groups, positions, keys, self.delta_net(relation))
+    __slots__ = ("source", "ctx")
 
-    def contains_many_old(
-        self, relation: str, rows: Sequence[Row]
+    def __init__(self, source, ctx: ExecutionContext):
+        self.source = source
+        self.ctx = ctx
+
+    def lookup_keys(
+        self,
+        relation: str,
+        positions: tuple[int, ...],
+        keys: Sequence[Row],
+        stats: AccessStats | None = None,
+    ) -> Sequence[Sequence[Row]]:
+        groups = self.source.lookup_keys(relation, positions, keys, stats)
+        net = self.ctx.delta_net(relation)
+        if not net:
+            return groups
+        # Only keys the slice touches need rewinding, and the slice index
+        # (shared with the delta face) finds them in O(1) each.
+        changed = self.ctx.delta_index(relation, positions)
+        rewound: dict[Row, list[Row]] = {}
+        out: list[Sequence[Row]] = []
+        for key, rows in zip(keys, groups):
+            entries = changed.get(key)
+            if entries is not None:
+                old = rewound.get(key)
+                if old is None:
+                    old = [row for row in rows if net.get(row, 0) <= 0]
+                    old += [row for row, sign in entries if sign < 0]
+                    rewound[key] = old
+                rows = old
+            out.append(rows)
+        return out
+
+    def contains_rows(
+        self,
+        relation: str,
+        rows: Sequence[Row],
+        stats: AccessStats | None = None,
     ) -> tuple[bool, ...]:
-        """Bulk membership against the pre-delta snapshot: rows the slice
-        says nothing about are probed live; the rest are answered from the
-        slice without touching the database."""
-        return _rewind_membership(
-            rows,
-            self.delta_net(relation),
-            lambda unknown: self.db.contains_many(relation, unknown, self.stats),
+        """Rows the slice says nothing about are probed against the
+        current state; the rest are answered from the slice alone (deleted
+        since the watermark -> present then; inserted since -> absent
+        then) without touching the source."""
+        net = self.ctx.delta_net(relation)
+        if not net:
+            return self.source.contains_rows(relation, rows, stats)
+        unknown = [row for row in rows if row not in net]
+        probed = iter(
+            self.source.contains_rows(relation, unknown, stats) if unknown else ()
         )
-
-    def contains_rows_old(
-        self, relation: str, rows: Sequence[Row]
-    ) -> tuple[bool, ...]:
-        """:meth:`contains_rows` against the pre-delta snapshot."""
-        return _rewind_membership(
-            rows,
-            self.delta_net(relation),
-            lambda unknown: self.db.contains_rows(relation, unknown, self.stats),
-        )
-
-    # -- materialized-view reads ------------------------------------------
-
-    def _view(self, name: str):
-        """The state of the materialized view ``name``, or a clear error
-        when the context was opened without view states (a view-assisted
-        plan must be executed through the Engine, which prepares them)."""
-        state = (self.views or {}).get(name)
-        if state is None:
-            raise SchemaError(
-                f"plan reads materialized view {name!r} but the execution "
-                f"context carries no state for it; execute view-assisted "
-                f"plans through the Engine (or pass views= when opening "
-                f"the ExecutionContext)"
-            )
-        return state
-
-    def view_lookup(
-        self, name: str, pattern: Mapping[int, object]
-    ) -> tuple[Row, ...]:
-        """All rows of view ``name`` matching ``pattern``, charged to this
-        execution's stats (views live outside the database, so its
-        cumulative counters are untouched)."""
-        return self._view(name).lookup(pattern, self.stats)
-
-    def view_lookup_many(
-        self, name: str, patterns: Sequence[Mapping[int, object]]
-    ) -> tuple[tuple[Row, ...], ...]:
-        return self._view(name).lookup_many(patterns, self.stats)
-
-    def view_lookup_keys(
-        self, name: str, positions: tuple[int, ...], keys: Sequence[Row]
-    ) -> Sequence[tuple[Row, ...]]:
-        return self._view(name).lookup_keys(positions, keys, self.stats)
-
-    def view_contains(self, name: str, row: Sequence[object]) -> bool:
-        return self._view(name).contains(row, self.stats)
-
-    def view_contains_many(
-        self, name: str, rows: Sequence[Sequence[object]]
-    ) -> tuple[bool, ...]:
-        return self._view(name).contains_many(rows, self.stats)
-
-    def view_contains_rows(
-        self, name: str, rows: Sequence[Row]
-    ) -> tuple[bool, ...]:
-        return self._view(name).contains_rows(rows, self.stats)
-
-    def view_lookup_many_old(
-        self, name: str, patterns: Sequence[Mapping[int, object]]
-    ) -> tuple[tuple[Row, ...], ...]:
-        """Bulk view lookup against the pre-delta snapshot: the current
-        view store, corrected in memory by the view's answer slice."""
-        groups = self._view(name).lookup_many(patterns, self.stats)
-        return _rewind_groups(groups, patterns, self.delta_net(name))
-
-    def view_lookup_keys_old(
-        self, name: str, positions: tuple[int, ...], keys: Sequence[Row]
-    ) -> Sequence[tuple[Row, ...]]:
-        groups = self._view(name).lookup_keys(positions, keys, self.stats)
-        return _rewind_key_groups(groups, positions, keys, self.delta_net(name))
-
-    def view_contains_many_old(
-        self, name: str, rows: Sequence[Row]
-    ) -> tuple[bool, ...]:
-        return _rewind_membership(
-            rows,
-            self.delta_net(name),
-            lambda unknown: self._view(name).contains_many(unknown, self.stats),
-        )
-
-    def view_contains_rows_old(
-        self, name: str, rows: Sequence[Row]
-    ) -> tuple[bool, ...]:
-        return _rewind_membership(
-            rows,
-            self.delta_net(name),
-            lambda unknown: self._view(name).contains_rows(unknown, self.stats),
-        )
+        return tuple(net[row] < 0 if row in net else next(probed) for row in rows)
 
 
 def _as_context(db) -> ExecutionContext:
     """Open a fresh context over ``db``, or pass an existing one through."""
     return db if isinstance(db, ExecutionContext) else ExecutionContext(db)
-
-
-def _term_value(term: Term, assignment: Mapping[Variable, object]) -> object:
-    return term.value if isinstance(term, Constant) else assignment[term]
 
 
 def _resolve(term: Term) -> tuple[bool, object]:
@@ -480,42 +305,20 @@ def _resolve(term: Term) -> tuple[bool, object]:
     return (False, term)
 
 
-def _gather(batch: ColumnarBatch, rows: list[int], keep) -> ColumnarBatch:
-    """``batch.select(rows)`` with dead-column elimination: columns whose
-    variable is outside ``keep`` (when given) are dropped instead of
-    gathered -- no later operator reads them."""
-    columns: list[list | None] = []
-    for v, col in zip(batch.slots.variables, batch.columns):
-        if col is None or (keep is not None and v not in keep):
-            columns.append(None)
-        else:
-            columns.append([col[r] for r in rows])
-    return ColumnarBatch(batch.slots, columns, len(rows))
-
-
-def _drop_dead(batch: ColumnarBatch, keep) -> ColumnarBatch:
-    """``batch`` with dead columns dropped (no row copies)."""
-    if keep is None:
-        return batch
-    columns = [
-        col if col is None or v in keep else None
-        for v, col in zip(batch.slots.variables, batch.columns)
-    ]
-    return ColumnarBatch(batch.slots, columns, batch.length)
+# -- operator descriptions -------------------------------------------------
+#
+# Pure data: what build_pipeline decided about each step.  They carry no
+# run methods -- the _compile_* functions below lower them to closures.
 
 
 @dataclass(frozen=True)
 class FilterOp:
-    """Filter a batch on compile-time-known equality ``conditions`` (pairs
-    of terms whose values must agree) and copy parameter values onto their
-    equality-class representatives (``binds``: source -> target variable).
-
-    On the hot path this operator is fused away: :func:`execute_plan`
-    evaluates the conditions and binds directly on the length-1 seed
-    assignment before the first batch is built (see
-    :attr:`Pipeline.prefilter`).  The columnar :meth:`run` face remains
-    for the unfused paths (profiles, counting, the delta driver).
-    """
+    """Enforce the compile-time-known equality ``conditions`` (pairs of
+    terms whose values must agree) that involve plan parameters, and copy
+    parameter values onto their equality-class representatives (``binds``:
+    source -> target variable).  Only appears when the query's equalities
+    demand it, and runs on the parameter assignment before the first
+    batch exists (:meth:`check_seed`)."""
 
     conditions: tuple[tuple[Term, Term], ...] = ()
     binds: tuple[tuple[Variable, Variable], ...] = ()
@@ -534,8 +337,7 @@ class FilterOp:
 
     def check_seed(self, seed: Assignment) -> bool:
         """Evaluate the conditions on a seed assignment and apply the
-        binds in place -- the fused form of :meth:`run` for the length-1
-        entry batch."""
+        binds in place."""
         for (a_const, a_ref), (b_const, b_ref) in self._cond_items:
             a = a_ref if a_const else seed[a_ref]
             b = b_ref if b_const else seed[b_ref]
@@ -545,40 +347,12 @@ class FilterOp:
             seed[target] = seed[source]
         return True
 
-    def run(self, ctx: ExecutionContext, batch: ColumnarBatch) -> ColumnarBatch:
-        n = batch.length
-        if not n:
-            return batch
-        sel: list[int] | None = None
-        for (a_const, a_ref), (b_const, b_ref) in self._cond_items:
-            sa = [a_ref] * n if a_const else batch.column(a_ref)
-            sb = [b_ref] * n if b_const else batch.column(b_ref)
-            if sel is None:
-                sel = [i for i in range(n) if sa[i] == sb[i]]
-            else:
-                sel = [i for i in sel if sa[i] == sb[i]]
-        if sel is not None and len(sel) != n:
-            batch = batch.select(sel)
-        if self.binds and batch.length:
-            slots = batch.slots
-            columns = list(batch.columns)
-            for source, target in self.binds:
-                col = batch.column(source)
-                idx = slots.index.get(target)
-                if idx is None:
-                    slots = slots.extend([target])
-                    columns.append(col)
-                else:
-                    columns[idx] = col
-            batch = ColumnarBatch(slots, columns, batch.length)
-        return batch
-
 
 @dataclass(frozen=True)
 class FetchOp:
     """Fetch ``atom``'s matching tuples for a whole batch with one
-    :meth:`lookup_keys` call keyed on ``key_positions``, then join each
-    row group back to its source row.
+    ``lookup_keys`` call keyed on ``key_positions``, then join each row
+    group back to its source row.
 
     ``check_positions`` are bound positions outside the lookup key (they
     arise under embedded access rules, whose access path is keyed on the
@@ -593,7 +367,9 @@ class FetchOp:
     but lets diagnostics and error messages name the exact rule behind an
     operator.  ``keep`` (assigned by the lowering's liveness pass; ``None``
     keeps everything) names the variables still read downstream -- output
-    columns outside it are dropped instead of gathered.
+    columns outside it are dropped instead of gathered.  ``view`` marks
+    an atom over a materialized view: the only difference is the read
+    source (the view's store instead of the database).
     """
 
     atom: Atom
@@ -603,32 +379,20 @@ class FetchOp:
     dedup_positions: tuple[int, ...] | None = None
     rule: AccessRule | None = None
     keep: frozenset[Variable] | None = None
+    view: bool = False
 
     def __post_init__(self):
-        # Pre-resolve every term access so the per-row loops below touch
-        # no Atom/Term machinery (frozen dataclass: set via object).
+        # Pre-resolve every term access so lowering touches no Atom/Term
+        # machinery twice (frozen dataclass: set via object).  The lookup
+        # key is in sorted-position order -- the form every read source
+        # (and the in-memory slice index) is keyed on.
         terms = self.atom.terms
-        # The lookup key in sorted-position order (the form the database
-        # indexes on) and in declared order (the form the in-memory delta
-        # index of run_delta is keyed on, shared across executors).
+        positions = tuple(sorted(self.key_positions))
+        object.__setattr__(self, "_sorted_positions", positions)
         object.__setattr__(
-            self,
-            "_sorted_positions",
-            tuple(sorted(self.key_positions)),
+            self, "_sorted_key", tuple(_resolve(terms[p]) for p in positions)
         )
-        object.__setattr__(
-            self,
-            "_sorted_key",
-            tuple(_resolve(terms[p]) for p in self._sorted_positions),
-        )
-        object.__setattr__(
-            self,
-            "_key_items",
-            tuple(_resolve(terms[p]) for p in self.key_positions),
-        )
-        check_items = [
-            (p, *_resolve(terms[p])) for p in self.check_positions
-        ]
+        check_items = [(p, *_resolve(terms[p])) for p in self.check_positions]
         # A constant at a bind position is a residual equality check, not
         # a binding (the planner never emits one; hand-built operators
         # get the per-tuple semantics).
@@ -648,393 +412,30 @@ class FetchOp:
 
     def __str__(self) -> str:
         binds = ", ".join(f"?{self.atom.terms[p]}" for p in self.bind_positions)
-        return f"fetch {self.atom} [key {self.key_positions}]" + (
+        name = "view scan" if self.view else "fetch"
+        return f"{name} {self.atom} [key {self.key_positions}]" + (
             f" binding {binds}" if binds else ""
         )
-
-    # The lookup source, overridden by ViewScanOp to read a view store
-    # instead of the database; every other line of run/run_old/run_delta
-    # is shared.
-
-    def _lookup_keys(self, ctx: ExecutionContext, positions, keys):
-        return ctx.lookup_keys(self.atom.relation, positions, keys)
-
-    def _lookup_keys_old(self, ctx: ExecutionContext, positions, keys):
-        return ctx.lookup_keys_old(self.atom.relation, positions, keys)
-
-    def _keys(self, batch: ColumnarBatch) -> list[Row]:
-        """The batch's lookup-key column (sorted-position order)."""
-        n = batch.length
-        skey = self._sorted_key
-        if not skey:
-            return [EMPTY_KEY] * n
-        if len(skey) == 1:
-            is_const, ref = skey[0]
-            if is_const:
-                return [(ref,)] * n
-            return [(v,) for v in batch.column(ref)]
-        seqs = [
-            [ref] * n if is_const else batch.column(ref) for is_const, ref in skey
-        ]
-        return list(zip(*seqs))
-
-    def _resolve_checks(self, batch: ColumnarBatch) -> list[tuple]:
-        """``check_positions`` resolved against this batch: ``(position,
-        column-or-None, constant)`` triples."""
-        return [
-            (p, None, ref) if is_const else (p, batch.column(ref), None)
-            for p, is_const, ref in self._check_items
-        ]
-
-    def _resolve_binds(self, batch: ColumnarBatch, *, stores: bool) -> list[tuple]:
-        """``bind_positions`` resolved against this batch: ``(store,
-        positions, prebound-column, variable)`` per distinct variable.
-        ``store`` is the fresh output column to fill (``None`` when the
-        variable is already bound -- consistency check only -- or dead)."""
-        keep = self.keep
-        specs = []
-        for term, ps in self._bind_groups:
-            col = batch.column_or_none(term)
-            store = (
-                []
-                if stores and col is None and (keep is None or term in keep)
-                else None
-            )
-            specs.append((store, ps, col, term))
-        return specs
-
-    def _walk(
-        self,
-        groups,
-        check_specs,
-        bind_specs,
-        take: list[int],
-        signs_in=None,
-        signs_out=None,
-        signed_rows: bool = False,
-        dedup: tuple[int, ...] | None = None,
-    ) -> None:
-        """The general expansion loop shared by every face: per source row
-        ``i`` and fetched row, apply residual checks, per-source dedup and
-        bind-consistency, then record the match (source index into
-        ``take``, signed multiplicity into ``signs_out``, fresh bind
-        values into the bind stores)."""
-        append = take.append
-        row_sign = 1
-        for i, rows in enumerate(groups):
-            if not rows:
-                continue
-            seen: set[Row] | None = set() if dedup is not None else None
-            for entry in rows:
-                if signed_rows:
-                    row, row_sign = entry
-                else:
-                    row = entry
-                ok = True
-                for p, col, const in check_specs:
-                    if (const if col is None else col[i]) != row[p]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if seen is not None:
-                    projection = tuple(row[p] for p in dedup)
-                    if projection in seen:
-                        continue
-                    seen.add(projection)
-                pending = None
-                for store, ps, col, _ in bind_specs:
-                    if col is None:
-                        v = row[ps[0]]
-                        rest = ps[1:]
-                    else:
-                        v = col[i]
-                        rest = ps
-                    for q in rest:
-                        if row[q] != v:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                    if store is not None:
-                        if pending is None:
-                            pending = []
-                        pending.append((store, v))
-                if not ok:
-                    continue
-                append(i)
-                if signs_out is not None:
-                    signs_out.append(
-                        signs_in[i] * row_sign if signed_rows else signs_in[i]
-                    )
-                if pending is not None:
-                    for store, v in pending:
-                        store.append(v)
-
-    def _finish(
-        self, batch: ColumnarBatch, take: list[int], bind_specs
-    ) -> ColumnarBatch:
-        """Assemble the output batch: gather the surviving (live) input
-        columns at ``take`` and install the freshly bound columns."""
-        out = _gather(batch, take, self.keep)
-        fresh = [(term, store) for store, _, _, term in bind_specs if store is not None]
-        if not fresh:
-            return out
-        slots = out.slots
-        columns = out.columns
-        missing = [term for term, _ in fresh if term not in slots.index]
-        if missing:
-            slots = slots.extend(missing)
-            columns = columns + [None] * (len(slots) - len(columns))
-        for term, store in fresh:
-            columns[slots.index[term]] = store
-        return ColumnarBatch(slots, columns, out.length)
-
-    def run(self, ctx: ExecutionContext, batch: ColumnarBatch) -> ColumnarBatch:
-        if not batch.length:
-            return _drop_dead(batch, self.keep)
-        groups = self._lookup_keys(ctx, self._sorted_positions, self._keys(batch))
-        check_specs = self._resolve_checks(batch)
-        bind_specs = self._resolve_binds(batch, stores=True)
-        take: list[int] = []
-        if (
-            not check_specs
-            and self.dedup_positions is None
-            and all(col is None and len(ps) == 1 for _, ps, col, _ in bind_specs)
-        ):
-            # Fast path (every planner-emitted plain fetch): no residual
-            # checks, no per-source dedup, each bind variable fresh at a
-            # single position -- the join is a pure expansion.
-            append = take.append
-            stores = [
-                (store, ps[0]) for store, ps, _, _ in bind_specs if store is not None
-            ]
-            if len(stores) == 1:
-                (store, p0) = stores[0]
-                push = store.append
-                for i, rows in enumerate(groups):
-                    for row in rows:
-                        append(i)
-                        push(row[p0])
-            elif not stores:
-                for i, rows in enumerate(groups):
-                    for row in rows:
-                        append(i)
-            else:
-                for i, rows in enumerate(groups):
-                    for row in rows:
-                        append(i)
-                        for store, p0 in stores:
-                            store.append(row[p0])
-        else:
-            self._walk(
-                groups,
-                check_specs,
-                bind_specs,
-                take,
-                dedup=self.dedup_positions,
-            )
-        return self._finish(batch, take, bind_specs)
-
-    def _check_delta_supported(self) -> None:
-        # An embedded-rule fetch deduplicates output projections *per
-        # source row*, so its derivation count is not a product of
-        # per-level multiplicities and signed deltas cannot be exact.
-        if self.dedup_positions is not None:
-            rule = f" '{self.rule}'" if self.rule is not None else ""
-            raise IncrementalError(
-                f"delta execution does not support embedded-rule fetches: "
-                f"relation {self.atom.relation!r} is fetched through embedded "
-                f"access rule{rule} ({self}); declare a plain rule on "
-                f"{self.atom.relation!r} to refresh this query incrementally"
-            )
-
-    def run_delta(
-        self, ctx: ExecutionContext, batch: SignedColumnarBatch
-    ) -> SignedColumnarBatch:
-        """Join a signed batch against the net change slice of ``atom``'s
-        relation -- the delta face of :meth:`run`.  The slice lives in
-        memory, so this accesses zero stored tuples."""
-        self._check_delta_supported()
-        source = batch.batch
-        n = source.length
-        if not n or not ctx.delta_net(self.atom.relation):
-            return SignedColumnarBatch.empty(source.slots)
-        if self.key_positions:
-            index = ctx.delta_index(self.atom.relation, self.key_positions)
-            key_items = self._key_items
-            if len(key_items) == 1:
-                is_const, ref = key_items[0]
-                keys = (
-                    [(ref,)] * n if is_const else [(v,) for v in source.column(ref)]
-                )
-            else:
-                seqs = [
-                    [ref] * n if is_const else source.column(ref)
-                    for is_const, ref in key_items
-                ]
-                keys = list(zip(*seqs))
-            get = index.get
-            groups = [get(key, ()) for key in keys]
-        else:
-            # A keyless fetch (full-relation rule): every slice row joins
-            # with every source row.
-            groups = [ctx.delta_rows(self.atom.relation)] * n
-        bind_specs = self._resolve_binds(source, stores=True)
-        take: list[int] = []
-        signs_out: list[int] = []
-        self._walk(
-            groups, (), bind_specs, take, batch.signs, signs_out, signed_rows=True
-        )
-        return SignedColumnarBatch(self._finish(source, take, bind_specs), signs_out)
-
-    def run_old(
-        self, ctx: ExecutionContext, batch: SignedColumnarBatch
-    ) -> SignedColumnarBatch:
-        """:meth:`run` against the pre-delta snapshot, preserving signs:
-        one live :meth:`lookup_keys` (accounted as usual), corrected in
-        memory by the change slice."""
-        self._check_delta_supported()
-        source = batch.batch
-        if not source.length:
-            return SignedColumnarBatch.empty(source.slots)
-        groups = self._lookup_keys_old(
-            ctx, self._sorted_positions, self._keys(source)
-        )
-        check_specs = self._resolve_checks(source)
-        bind_specs = self._resolve_binds(source, stores=True)
-        take: list[int] = []
-        signs_out: list[int] = []
-        self._walk(groups, check_specs, bind_specs, take, batch.signs, signs_out)
-        return SignedColumnarBatch(self._finish(source, take, bind_specs), signs_out)
 
 
 @dataclass(frozen=True)
 class ProbeOp:
     """Verify the fully-bound ``atom`` for a whole batch with one
-    :meth:`contains_rows` membership call.  ``keep`` is the liveness
-    pass's surviving-variable set (``None`` keeps everything)."""
+    ``contains_rows`` membership call.  ``keep`` is the liveness pass's
+    surviving-variable set (``None`` keeps everything); ``view`` marks a
+    probe of a materialized view's store."""
 
     atom: Atom
     keep: frozenset[Variable] | None = None
+    view: bool = False
 
     def __post_init__(self):
         object.__setattr__(
-            self,
-            "_items",
-            tuple(_resolve(t) for t in self.atom.terms),
+            self, "_items", tuple(_resolve(t) for t in self.atom.terms)
         )
 
     def __str__(self) -> str:
-        return f"probe {self.atom}"
-
-    # The membership source, overridden by ViewProbeOp to probe a view
-    # store instead of the database.
-
-    def _contains_rows(self, ctx: ExecutionContext, rows):
-        return ctx.contains_rows(self.atom.relation, rows)
-
-    def _contains_rows_old(self, ctx: ExecutionContext, rows):
-        return ctx.contains_rows_old(self.atom.relation, rows)
-
-    def _rows(self, batch: ColumnarBatch) -> list[Row]:
-        """The batch's probe-row column (one pre-shaped tuple per row)."""
-        n = batch.length
-        items = self._items
-        if len(items) == 1:
-            is_const, ref = items[0]
-            if is_const:
-                return [(ref,)] * n
-            return [(v,) for v in batch.column(ref)]
-        seqs = [
-            [ref] * n if is_const else batch.column(ref) for is_const, ref in items
-        ]
-        return list(zip(*seqs))
-
-    def run(self, ctx: ExecutionContext, batch: ColumnarBatch) -> ColumnarBatch:
-        if not batch.length:
-            return _drop_dead(batch, self.keep)
-        verdicts = self._contains_rows(ctx, self._rows(batch))
-        if all(verdicts):
-            return _drop_dead(batch, self.keep)
-        sel = [i for i, present in enumerate(verdicts) if present]
-        return _gather(batch, sel, self.keep)
-
-    def run_delta(
-        self, ctx: ExecutionContext, batch: SignedColumnarBatch
-    ) -> SignedColumnarBatch:
-        """Probe the change slice instead of the database: a row survives
-        only if its fully-bound tuple effectively changed, carrying the
-        change's sign.  Accesses zero stored tuples."""
-        net = ctx.delta_net(self.atom.relation)
-        source = batch.batch
-        if not net or not source.length:
-            return SignedColumnarBatch.empty(source.slots)
-        get = net.get
-        signs = batch.signs
-        sel: list[int] = []
-        signs_out: list[int] = []
-        for i, row in enumerate(self._rows(source)):
-            row_sign = get(row, 0)
-            if row_sign:
-                sel.append(i)
-                signs_out.append(signs[i] * row_sign)
-        return SignedColumnarBatch(_gather(source, sel, self.keep), signs_out)
-
-    def run_old(
-        self, ctx: ExecutionContext, batch: SignedColumnarBatch
-    ) -> SignedColumnarBatch:
-        """:meth:`run` against the pre-delta snapshot, preserving signs."""
-        source = batch.batch
-        if not source.length:
-            return SignedColumnarBatch.empty(source.slots)
-        verdicts = self._contains_rows_old(ctx, self._rows(source))
-        signs = batch.signs
-        sel = [i for i, present in enumerate(verdicts) if present]
-        return SignedColumnarBatch(
-            _gather(source, sel, self.keep), [signs[i] for i in sel]
-        )
-
-
-@dataclass(frozen=True)
-class ViewScanOp(FetchOp):
-    """A :class:`FetchOp` whose atom names a materialized view
-    (:mod:`repro.views`): only the lookup source differs -- batches are
-    answered from the execution context's view store, indexed on the key
-    positions and charged to the per-execution stats only, instead of
-    the database.  ``run``/``run_old``/``run_delta`` are inherited: a
-    view's answer changes ride in ``ctx.delta`` under the view's name,
-    so the delta face joins them exactly like a base relation's slice,
-    and the old face rewinds the current view store by that slice."""
-
-    def __str__(self) -> str:
-        binds = ", ".join(f"?{self.atom.terms[p]}" for p in self.bind_positions)
-        return f"view scan {self.atom} [key {self.key_positions}]" + (
-            f" binding {binds}" if binds else ""
-        )
-
-    def _lookup_keys(self, ctx: ExecutionContext, positions, keys):
-        return ctx.view_lookup_keys(self.atom.relation, positions, keys)
-
-    def _lookup_keys_old(self, ctx: ExecutionContext, positions, keys):
-        return ctx.view_lookup_keys_old(self.atom.relation, positions, keys)
-
-
-@dataclass(frozen=True)
-class ViewProbeOp(ProbeOp):
-    """A :class:`ProbeOp` whose membership source is a materialized
-    view's store instead of the database; everything else -- including
-    the delta face, which reads the view's answer changes from
-    ``ctx.delta`` under the view's name -- is inherited."""
-
-    def __str__(self) -> str:
-        return f"view probe {self.atom}"
-
-    def _contains_rows(self, ctx: ExecutionContext, rows):
-        return ctx.view_contains_rows(self.atom.relation, rows)
-
-    def _contains_rows_old(self, ctx: ExecutionContext, rows):
-        return ctx.view_contains_rows_old(self.atom.relation, rows)
+        return f"{'view probe' if self.view else 'probe'} {self.atom}"
 
 
 @dataclass(frozen=True)
@@ -1047,9 +448,7 @@ class ProjectDedupOp:
 
     def __post_init__(self):
         object.__setattr__(
-            self,
-            "_items",
-            tuple(_resolve(t) for t in self.head_terms),
+            self, "_items", tuple(_resolve(t) for t in self.head_terms)
         )
 
     def __str__(self) -> str:
@@ -1058,196 +457,28 @@ class ProjectDedupOp:
         )
         return f"project/dedup ({head})"
 
-    def _row_iter(self, batch: ColumnarBatch):
-        """The head projection of every batch row, in order."""
-        n = batch.length
-        items = self._items
-        if len(items) == 1:
-            is_const, ref = items[0]
-            col = [ref] * n if is_const else batch.column(ref)
-            return ((v,) for v in col)
-        seqs = [
-            [ref] * n if is_const else batch.column(ref) for is_const, ref in items
-        ]
-        return zip(*seqs)
 
-    def run(self, ctx: ExecutionContext, batch: ColumnarBatch) -> list[Row]:
-        if not batch.length:
-            return []
-        if not self._items:
-            return [()]
-        return list(dict.fromkeys(self._row_iter(batch)))
-
-    def counts(self, batch: ColumnarBatch) -> dict[Row, int]:
-        """Project like :meth:`run` but return per-answer derivation
-        multiplicities (first-derivation order) instead of deduplicating --
-        the materialized state of :mod:`repro.incremental`."""
-        counts: dict[Row, int] = {}
-        if not batch.length:
-            return counts
-        if not self._items:
-            counts[EMPTY_KEY] = batch.length
-            return counts
-        get = counts.get
-        for row in self._row_iter(batch):
-            counts[row] = get(row, 0) + 1
-        return counts
-
-    def accumulate_signed(
-        self, batch: SignedColumnarBatch, into: dict[Row, int]
-    ) -> None:
-        """Fold a signed batch's head projections into ``into`` -- the
-        delta face of :meth:`counts`."""
-        source = batch.batch
-        if not source.length:
-            return
-        get = into.get
-        if not self._items:
-            into[EMPTY_KEY] = get(EMPTY_KEY, 0) + sum(batch.signs)
-            return
-        for row, sign in zip(self._row_iter(source), batch.signs):
-            into[row] = get(row, 0) + sign
+Operator = FilterOp | FetchOp | ProbeOp | ProjectDedupOp
 
 
-class _FusedFetchProject:
-    """The fused terminal operator: a trailing :class:`FetchOp` (or
-    :class:`ViewScanOp`) and the :class:`ProjectDedupOp` collapsed into
-    one pass that emits deduplicated head rows straight from the fetched
-    row groups -- the final batch (its gathers, fresh bind columns and
-    per-row bookkeeping) is never materialized.  Lowering applies it on
-    the :attr:`Pipeline.fused` sequence only; the unfused operators stay
-    addressable for profiles, tests and the delta driver."""
-
-    __slots__ = ("fetch", "project")
-
-    def __init__(self, fetch: FetchOp, project: ProjectDedupOp):
-        self.fetch = fetch
-        self.project = project
-
-    def __str__(self) -> str:
-        return f"fused[{self.fetch}; {self.project}]"
-
-    def run(self, ctx: ExecutionContext, batch: ColumnarBatch) -> list[Row]:
-        if not batch.length:
-            return []
-        fetch = self.fetch
-        groups = fetch._lookup_keys(ctx, fetch._sorted_positions, fetch._keys(batch))
-        check_specs = fetch._resolve_checks(batch)
-        bind_specs = fetch._resolve_binds(batch, stores=False)
-        # Lower each head term to its source: a constant, a column of the
-        # input batch, or a position of the fetched row.
-        specs: list[tuple[int, object]] = []
-        for is_const, ref in self.project._items:
-            if is_const:
-                specs.append((0, ref))
-                continue
-            col = batch.column_or_none(ref)
-            if col is not None:
-                specs.append((1, col))
-                continue
-            for term, ps in fetch._bind_groups:
-                if term == ref:
-                    specs.append((2, ps[0]))
-                    break
-            else:
-                raise KeyError(ref)
-        answers: dict[Row, None] = {}
-        setd = answers.setdefault
-        simple = (
-            not check_specs
-            and fetch.dedup_positions is None
-            and all(col is None and len(ps) == 1 for _, ps, col, _ in bind_specs)
-        )
-        if simple and len(specs) == 1:
-            kind, x = specs[0]
-            if kind == 2:
-                for rows in groups:
-                    for row in rows:
-                        setd((row[x],), None)
-            elif kind == 1:
-                # Same head value for every row of a group: record each
-                # non-empty group once.
-                for i, rows in enumerate(groups):
-                    if rows:
-                        setd((x[i],), None)
-            else:
-                for rows in groups:
-                    if rows:
-                        setd((x,), None)
-                        break
-        elif simple:
-            for i, rows in enumerate(groups):
-                for row in rows:
-                    setd(
-                        tuple(
-                            x if kind == 0 else (x[i] if kind == 1 else row[x])
-                            for kind, x in specs
-                        ),
-                        None,
-                    )
-        else:
-            dedup = fetch.dedup_positions
-            for i, rows in enumerate(groups):
-                if not rows:
-                    continue
-                seen: set[Row] | None = set() if dedup is not None else None
-                for row in rows:
-                    ok = True
-                    for p, col, const in check_specs:
-                        if (const if col is None else col[i]) != row[p]:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    if seen is not None:
-                        projection = tuple(row[p] for p in dedup)
-                        if projection in seen:
-                            continue
-                        seen.add(projection)
-                    for _, ps, col, _ in bind_specs:
-                        if col is None:
-                            v = row[ps[0]]
-                            rest = ps[1:]
-                        else:
-                            v = col[i]
-                            rest = ps
-                        for q in rest:
-                            if row[q] != v:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        continue
-                    setd(
-                        tuple(
-                            x if kind == 0 else (x[i] if kind == 1 else row[x])
-                            for kind, x in specs
-                        ),
-                        None,
-                    )
-        return list(answers)
-
-
-Operator = FilterOp | FetchOp | ProbeOp | ViewScanOp | ViewProbeOp | ProjectDedupOp
-
-
-# -- compiled hot-path steps ---------------------------------------------
+# -- the lowering ------------------------------------------------------------
 #
-# The batch schema at every pipeline position is static: which slots are
-# bound, which are live, which positions key each lookup -- all of it is
-# known at lowering time.  So the hot path does not interpret operators:
-# build_pipeline additionally compiles each fused operator into a closure
-# over integer slot indexes, and execute_plan threads a bare
-# (columns, length) pair through those closures.  No Variable is hashed
-# and no batch object is allocated per execution.  The operator classes
-# above remain the addressable form of the same pipeline (tests,
-# profiles, counting and the delta driver run them; differential tests
-# pin the compiled path to them).
+# Every closure has the shape ``(source, stats, columns, n) -> (columns,
+# n)`` (terminals return answer rows instead).  ``source`` is whatever
+# answers the two charged reads: the database or a view store for the new
+# face, an OldState around either for the old face, and -- for the delta
+# face, whose rows come from the in-memory slice -- the execution context
+# itself.  ``columns`` has one entry per slot plus the trailing sign slot,
+# which a signed lowering gathers like any other live column.
+
+
+def _slot_specs(items, sidx) -> list[tuple[bool, object]]:
+    """``(is_const, ref)`` items with variables resolved to slot indexes."""
+    return [(True, ref) if is_const else (False, sidx[ref]) for is_const, ref in items]
 
 
 def _compile_row_builder(specs):
-    """A closure building the per-row key/probe tuple column from
+    """A closure building the per-row key/probe/head tuple column from
     ``specs`` (``(True, constant)`` / ``(False, slot)`` items)."""
     if not specs:
         return lambda columns, n: [EMPTY_KEY] * n
@@ -1266,29 +497,45 @@ def _compile_row_builder(specs):
     return rows_fn
 
 
-def _compile_fetch(op: FetchOp, slots: SlotTable, bound_slots: set[int]):
-    """Compile a non-terminal fetch into a ``(ctx, columns, n) ->
-    (columns, n)`` closure; returns it plus the slot set bound after."""
+def _take(columns, gather, rows, width):
+    """The live columns (``gather`` slots) of a batch at row indexes
+    ``rows``; every other slot is dropped."""
+    out = [None] * width
+    for s in gather:
+        col = columns[s]
+        out[s] = [col[i] for i in rows]
+    return out
+
+
+def _live_slots(slots: SlotTable, bound: set[int], keep, signed: bool) -> tuple:
+    """The bound slots some later operator still reads, plus the sign
+    slot under a signed lowering."""
     variables = slots.variables
+    live = tuple(s for s in bound if keep is None or variables[s] in keep)
+    return live + (len(variables),) if signed else live
+
+
+def _compile_fetch(op: FetchOp, slots: SlotTable, bound: set[int], signed: bool):
+    """Lower a fetch to its faces: ``(step, delta, bound_after)``.  ``step``
+    is the new *and* old face (they differ only in the source they are
+    handed); ``delta`` joins the change slice, multiplying signs in."""
     sidx = slots.index
-    nslots = len(variables)
+    sign = len(slots.variables)
+    width = sign + 1
+    relation = op.atom.relation
     spos = op._sorted_positions
-    keys_fn = _compile_row_builder(
-        [
-            (True, ref) if is_const else (False, sidx[ref])
-            for is_const, ref in op._sorted_key
-        ]
-    )
-    check_specs = tuple(
+    keys_fn = _compile_row_builder(_slot_specs(op._sorted_key, sidx))
+    checks = tuple(
         (p, None, ref) if is_const else (p, sidx[ref], None)
         for p, is_const, ref in op._check_items
     )
+    dedup = op.dedup_positions
     keep = op.keep
     consist: list[tuple[int, tuple[int, ...]]] = []
     fresh: list[tuple[int | None, tuple[int, ...]]] = []
     for term, ps in op._bind_groups:
         s = sidx[term]
-        if s in bound_slots:
+        if s in bound:
             consist.append((s, ps))
         elif keep is None or term in keep:
             fresh.append((s, ps))
@@ -1296,30 +543,116 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound_slots: set[int]):
             # Dead but repeated: the within-row consistency check still
             # filters, only the column is unneeded.
             fresh.append((None, ps))
-    gather = tuple(s for s in bound_slots if keep is None or variables[s] in keep)
-    out_bound = set(gather) | {s for s, _ in fresh if s is not None}
-    relation = op.atom.relation
-    from_view = isinstance(op, ViewScanOp)
-    dedup = op.dedup_positions
-    stores_spec = tuple((s, ps[0]) for s, ps in fresh if s is not None)
-    fast = (
-        not check_specs
+    gather = _live_slots(slots, bound, keep, signed)
+    bound_after = {s for s in gather if s != sign} | {
+        s for s, _ in fresh if s is not None
+    }
+
+    # A pure expansion: no residual check, dedup or consistency test can
+    # reject a fetched row, so every face is a flat gather.
+    pure = (
+        not checks
         and dedup is None
         and not consist
         and all(len(ps) == 1 for _, ps in fresh)
     )
-    if fast and len(stores_spec) == 1:
-        # The planner's common case: a plain fetch binding one variable.
-        (s_out, p0) = stores_spec[0]
 
-        def step(ctx, columns, n):
-            keys = keys_fn(columns, n)
-            groups = (
-                ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-                if from_view
-                else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-            )
-            out = [None] * nslots
+    def expand(groups, columns, paired):
+        """The join shared by every face: per source row ``i`` and fetched
+        row, apply residual checks, per-source dedup and bind consistency,
+        then record the match.  ``paired`` groups hold ``(row, sign)``
+        slice entries whose signs multiply into the batch's sign column."""
+        if pure:
+            take = [i for i, rows in enumerate(groups) for _ in rows]
+            out = _take(columns, gather, take, width)
+            fetched = [row for rows in groups for row in rows]
+            if paired:
+                out[sign] = [a * entry[1] for a, entry in zip(out[sign], fetched)]
+                fetched = [entry[0] for entry in fetched]
+            for s, ps in fresh:
+                p = ps[0]
+                out[s] = [row[p] for row in fetched]
+            return out, len(take)
+        cks = [(p, None if s is None else columns[s], c) for p, s, c in checks]
+        ccols = [(columns[s], ps) for s, ps in consist]
+        stores = [None if s is None else [] for s, _ in fresh]
+        take: list[int] = []
+        signs: list[int] = []
+        for i, rows in enumerate(groups):
+            if not rows:
+                continue
+            seen = set() if dedup is not None else None
+            for row in rows:
+                if paired:
+                    row, row_sign = row
+                ok = True
+                for p, col, const in cks:
+                    if (const if col is None else col[i]) != row[p]:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                # Dedup consumes the projection even when a later
+                # consistency check rejects the row (the embedded rule's
+                # "at most N distinct projections" budget is spent by the
+                # fetch, not the join).
+                if seen is not None:
+                    projection = tuple(row[p] for p in dedup)
+                    if projection in seen:
+                        continue
+                    seen.add(projection)
+                for col, ps in ccols:
+                    v = col[i]
+                    for q in ps:
+                        if row[q] != v:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if not ok:
+                    continue
+                for _, ps in fresh:
+                    v = row[ps[0]]
+                    for q in ps[1:]:
+                        if row[q] != v:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if not ok:
+                    continue
+                take.append(i)
+                if paired:
+                    signs.append(row_sign)
+                for store, (_, ps) in zip(stores, fresh):
+                    if store is not None:
+                        store.append(row[ps[0]])
+        out = _take(columns, gather, take, width)
+        if paired:
+            out[sign] = [a * b for a, b in zip(out[sign], signs)]
+        for store, (s, _) in zip(stores, fresh):
+            if store is not None:
+                out[s] = store
+        return out, len(take)
+
+    def delta(ctx, stats, columns, n):
+        if spos:
+            get = ctx.delta_index(relation, spos).get
+            groups = [get(key, ()) for key in keys_fn(columns, n)]
+        else:
+            # A keyless fetch (full-relation rule): every slice row joins
+            # with every source row.
+            groups = [ctx.delta_rows(relation)] * n
+        return expand(groups, columns, True)
+
+    if pure and len(fresh) == 1:
+        # The planner's common case, specialised: a plain fetch binding
+        # one fresh variable at one position.
+        s_out, (p0,) = fresh[0]
+
+        def step(source, stats, columns, n):
+            groups = source.lookup_keys(relation, spos, keys_fn(columns, n), stats)
+            out = [None] * width
             if n == 1:
                 rows = groups[0]
                 k = len(rows)
@@ -1342,410 +675,185 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound_slots: set[int]):
             out[s_out] = store
             return out, len(take)
 
-        return step, out_bound
-    if fast:
+    else:
 
-        def step(ctx, columns, n):
+        def step(source, stats, columns, n):
             keys = keys_fn(columns, n)
-            groups = (
-                ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-                if from_view
-                else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-            )
-            take = []
-            t_append = take.append
-            stores = [[] for _ in stores_spec]
-            for i, rows in enumerate(groups):
-                for row in rows:
-                    t_append(i)
-                    for store, (_, p) in zip(stores, stores_spec):
-                        store.append(row[p])
-            out = [None] * nslots
-            for s in gather:
-                col = columns[s]
-                out[s] = [col[i] for i in take]
-            for store, (s, _) in zip(stores, stores_spec):
-                out[s] = store
-            return out, len(take)
+            groups = source.lookup_keys(relation, spos, keys, stats)
+            return expand(groups, columns, False)
 
-        return step, out_bound
-
-    fresh_t = tuple(fresh)
-    consist_t = tuple(consist)
-
-    def step(ctx, columns, n):
-        keys = keys_fn(columns, n)
-        groups = (
-            ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-            if from_view
-            else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-        )
-        checks = [
-            (p, None if s is None else columns[s], const)
-            for p, s, const in check_specs
-        ]
-        consist_cols = [(columns[s], ps) for s, ps in consist_t]
-        stores = [None if s is None else [] for s, _ in fresh_t]
-        take = []
-        t_append = take.append
-        for i, rows in enumerate(groups):
-            if not rows:
-                continue
-            seen = set() if dedup is not None else None
-            for row in rows:
-                ok = True
-                for p, col, const in checks:
-                    if (const if col is None else col[i]) != row[p]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                # Dedup consumes the projection even when a later
-                # consistency check rejects the row (the embedded rule's
-                # "at most N distinct projections" budget is spent by the
-                # fetch, not the join).
-                if seen is not None:
-                    projection = tuple(row[p] for p in dedup)
-                    if projection in seen:
-                        continue
-                    seen.add(projection)
-                for col, ps in consist_cols:
-                    v = col[i]
-                    for q in ps:
-                        if row[q] != v:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                pending = None
-                for store, (_, ps) in zip(stores, fresh_t):
-                    v = row[ps[0]]
-                    for q in ps[1:]:
-                        if row[q] != v:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                    if store is not None:
-                        if pending is None:
-                            pending = []
-                        pending.append((store, v))
-                if not ok:
-                    continue
-                t_append(i)
-                if pending is not None:
-                    for store, v in pending:
-                        store.append(v)
-        out = [None] * nslots
-        for s in gather:
-            col = columns[s]
-            out[s] = [col[i] for i in take]
-        for store, (s, _) in zip(stores, fresh_t):
-            if store is not None:
-                out[s] = store
-        return out, len(take)
-
-    return step, out_bound
+    return step, delta, bound_after
 
 
-def _compile_probe(op: ProbeOp, slots: SlotTable, bound_slots: set[int]):
-    """Compile a probe into a ``(ctx, columns, n) -> (columns, n)``
-    closure; returns it plus the slot set bound after."""
-    variables = slots.variables
-    sidx = slots.index
-    nslots = len(variables)
-    rows_fn = _compile_row_builder(
-        [
-            (True, ref) if is_const else (False, sidx[ref])
-            for is_const, ref in op._items
-        ]
-    )
+def _compile_probe(op: ProbeOp, slots: SlotTable, bound: set[int], signed: bool):
+    """Lower a probe to its faces: ``(step, delta, bound_after)``, shaped
+    like :func:`_compile_fetch`'s."""
+    sign = len(slots.variables)
+    width = sign + 1
+    rows_fn = _compile_row_builder(_slot_specs(op._items, slots.index))
     relation = op.atom.relation
-    from_view = isinstance(op, ViewProbeOp)
-    keep = op.keep
-    gather = tuple(s for s in bound_slots if keep is None or variables[s] in keep)
-    dead = len(gather) != len(bound_slots)
+    gather = _live_slots(slots, bound, op.keep, signed)
+    dead = len(gather) != len(bound) + signed
 
-    def step(ctx, columns, n):
-        rows = rows_fn(columns, n)
-        verdicts = (
-            ctx._view(relation).contains_rows(rows, ctx.stats)
-            if from_view
-            else ctx.db.contains_rows(relation, rows, ctx.stats)
-        )
+    def step(source, stats, columns, n):
+        verdicts = source.contains_rows(relation, rows_fn(columns, n), stats)
         if all(verdicts):
             if not dead:
                 return columns, n
-            out = [None] * nslots
+            out = [None] * width
             for s in gather:
                 out[s] = columns[s]
             return out, n
         sel = [i for i, present in enumerate(verdicts) if present]
-        out = [None] * nslots
-        for s in gather:
-            col = columns[s]
-            out[s] = [col[i] for i in sel]
+        return _take(columns, gather, sel, width), len(sel)
+
+    def delta(ctx, stats, columns, n):
+        # A row survives only if its fully-bound tuple effectively
+        # changed, carrying the change's sign.
+        get = ctx.delta_net(relation).get
+        sel: list[int] = []
+        signs: list[int] = []
+        for i, row in enumerate(rows_fn(columns, n)):
+            row_sign = get(row)
+            if row_sign:
+                sel.append(i)
+                signs.append(row_sign)
+        out = _take(columns, gather, sel, width)
+        out[sign] = [a * b for a, b in zip(out[sign], signs)]
         return out, len(sel)
 
-    return step, set(gather)
+    return step, delta, {s for s in gather if s != sign}
 
 
-def _compile_project(op: ProjectDedupOp, slots: SlotTable, bound_slots: set[int]):
-    """Compile the terminal projection into a ``(ctx, columns, n) ->
-    list[Row]`` closure (first-derivation order preserved by the dedup
-    dict)."""
-    sidx = slots.index
-    specs = [
-        (True, ref) if is_const else (False, sidx[ref])
-        for is_const, ref in op._items
-    ]
-    if not specs:
-        return lambda ctx, columns, n: [()] if n else []
-    if len(specs) == 1:
-        is_const, x = specs[0]
-        if is_const:
-            row = (x,)
-            return lambda ctx, columns, n: [row] if n else []
+def _compile_project(op: ProjectDedupOp, slots: SlotTable, signed: bool):
+    """Lower the projection to its terminal: unsigned, the deduplicated
+    head rows (first-derivation order); signed, ``accumulate(columns, n,
+    into)``, folding the signed head rows into a ``row -> count`` dict --
+    derivation multiplicities for the counting pass, signed changes for a
+    delta."""
+    rows_fn = _compile_row_builder(_slot_specs(op._items, slots.index))
+    if not signed:
+        return lambda source, stats, columns, n: list(
+            dict.fromkeys(rows_fn(columns, n))
+        )
+    sign = len(slots.variables)
 
-        def terminal(ctx, columns, n):
-            if not n:
-                return []
-            return list(dict.fromkeys((v,) for v in columns[x]))
+    def accumulate(columns, n, into):
+        get = into.get
+        for row, row_sign in zip(rows_fn(columns, n), columns[sign]):
+            into[row] = get(row, 0) + row_sign
 
-        return terminal
-    specs_t = tuple(specs)
-
-    def terminal(ctx, columns, n):
-        if not n:
-            return []
-        seqs = [[x] * n if is_const else columns[x] for is_const, x in specs_t]
-        return list(dict.fromkeys(zip(*seqs)))
-
-    return terminal
+    return accumulate
 
 
 def _compile_fused(
-    fused_op: "_FusedFetchProject", slots: SlotTable, bound_slots: set[int]
+    fetch: FetchOp, project: ProjectDedupOp, slots: SlotTable, bound: set[int]
 ):
-    """Compile the fused fetch+project tail into a ``(ctx, columns, n) ->
-    list[Row]`` closure emitting deduplicated head rows straight from the
-    fetched row groups."""
-    fetch = fused_op.fetch
-    project = fused_op.project
+    """Lower a trailing fetch+project pair into one terminal emitting
+    deduplicated head rows straight from the fetched row groups -- the
+    final batch is never materialized.  Returns ``None`` when the fetch
+    needs the general join loop (residual checks, dedup, consistency);
+    the pair then lowers unfused."""
     sidx = slots.index
-    spos = fetch._sorted_positions
-    keys_fn = _compile_row_builder(
-        [
-            (True, ref) if is_const else (False, sidx[ref])
-            for is_const, ref in fetch._sorted_key
-        ]
-    )
-    check_specs = tuple(
-        (p, None, ref) if is_const else (p, sidx[ref], None)
-        for p, is_const, ref in fetch._check_items
-    )
-    consist: list[tuple[int, tuple[int, ...]]] = []
-    fresh_pos: dict[Variable, tuple[int, ...]] = {}
+    if fetch._check_items or fetch.dedup_positions is not None:
+        return None
+    fresh: dict[Variable, int] = {}
     for term, ps in fetch._bind_groups:
-        s = sidx.get(term)
-        if s is not None and s in bound_slots:
-            consist.append((s, ps))
-        else:
-            fresh_pos[term] = ps
+        if sidx[term] in bound or len(ps) > 1:
+            return None
+        fresh[term] = ps[0]
     # Each head term lowers to a constant (0), an input column (1), or a
     # position of the fetched row (2).
     specs: list[tuple[int, object]] = []
     for is_const, ref in project._items:
         if is_const:
             specs.append((0, ref))
-            continue
-        s = sidx.get(ref)
-        if s is not None and s in bound_slots:
-            specs.append((1, s))
+        elif sidx[ref] in bound:
+            specs.append((1, sidx[ref]))
         else:
-            specs.append((2, fresh_pos[ref][0]))
+            specs.append((2, fresh[ref]))
     relation = fetch.atom.relation
-    from_view = isinstance(fetch, ViewScanOp)
-    dedup = fetch.dedup_positions
-    fresh_consist = tuple(ps for ps in fresh_pos.values() if len(ps) > 1)
-    simple = not check_specs and dedup is None and not consist and not fresh_consist
-    if simple and len(specs) == 1:
-        kind, x = specs[0]
-        if kind == 2:
+    spos = fetch._sorted_positions
+    keys_fn = _compile_row_builder(_slot_specs(fetch._sorted_key, sidx))
+    kind, x = specs[0] if len(specs) == 1 else (None, None)
+    if kind == 2:
 
-            def terminal(ctx, columns, n):
-                keys = keys_fn(columns, n)
-                groups = (
-                    ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-                    if from_view
-                    else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-                )
-                answers: dict[Row, None] = {}
-                setd = answers.setdefault
-                for rows in groups:
-                    for row in rows:
-                        setd((row[x],), None)
-                return list(answers)
+        def terminal(source, stats, columns, n):
+            groups = source.lookup_keys(relation, spos, keys_fn(columns, n), stats)
+            answers: dict[Row, None] = {}
+            setd = answers.setdefault
+            for rows in groups:
+                for row in rows:
+                    setd((row[x],), None)
+            return list(answers)
 
-        elif kind == 1:
+    elif kind == 1:
 
-            def terminal(ctx, columns, n):
-                # Same head value for every row of a group: record each
-                # non-empty group once.
-                keys = keys_fn(columns, n)
-                groups = (
-                    ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-                    if from_view
-                    else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-                )
-                col = columns[x]
-                answers: dict[Row, None] = {}
-                setd = answers.setdefault
-                for i, rows in enumerate(groups):
-                    if rows:
-                        setd((col[i],), None)
-                return list(answers)
+        def terminal(source, stats, columns, n):
+            # Same head value for every row of a group: record each
+            # non-empty group once.
+            groups = source.lookup_keys(relation, spos, keys_fn(columns, n), stats)
+            col = columns[x]
+            answers: dict[Row, None] = {}
+            setd = answers.setdefault
+            for i, rows in enumerate(groups):
+                if rows:
+                    setd((col[i],), None)
+            return list(answers)
 
-        else:
-            row0 = (x,)
-
-            def terminal(ctx, columns, n):
-                keys = keys_fn(columns, n)
-                groups = (
-                    ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-                    if from_view
-                    else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-                )
-                for rows in groups:
-                    if rows:
-                        return [row0]
-                return []
-
-        return terminal
-    if simple:
+    else:
         specs_t = tuple(specs)
 
-        def terminal(ctx, columns, n):
-            keys = keys_fn(columns, n)
-            groups = (
-                ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-                if from_view
-                else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-            )
+        def terminal(source, stats, columns, n):
+            groups = source.lookup_keys(relation, spos, keys_fn(columns, n), stats)
             answers: dict[Row, None] = {}
             setd = answers.setdefault
             for i, rows in enumerate(groups):
                 for row in rows:
                     setd(
                         tuple(
-                            x
-                            if kind == 0
-                            else (columns[x][i] if kind == 1 else row[x])
+                            x if kind == 0 else (columns[x][i] if kind == 1 else row[x])
                             for kind, x in specs_t
                         ),
                         None,
                     )
             return list(answers)
 
-        return terminal
-    consist_t = tuple(consist)
-    specs_g = tuple(specs)
-
-    def terminal(ctx, columns, n):
-        keys = keys_fn(columns, n)
-        groups = (
-            ctx._view(relation).lookup_keys(spos, keys, ctx.stats)
-            if from_view
-            else ctx.db.lookup_keys(relation, spos, keys, ctx.stats)
-        )
-        checks = [
-            (p, None if s is None else columns[s], const)
-            for p, s, const in check_specs
-        ]
-        consist_cols = [(columns[s], ps) for s, ps in consist_t]
-        answers: dict[Row, None] = {}
-        setd = answers.setdefault
-        for i, rows in enumerate(groups):
-            if not rows:
-                continue
-            seen = set() if dedup is not None else None
-            for row in rows:
-                ok = True
-                for p, col, const in checks:
-                    if (const if col is None else col[i]) != row[p]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if seen is not None:
-                    projection = tuple(row[p] for p in dedup)
-                    if projection in seen:
-                        continue
-                    seen.add(projection)
-                for col, ps in consist_cols:
-                    v = col[i]
-                    for q in ps:
-                        if row[q] != v:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    for ps in fresh_consist:
-                        v = row[ps[0]]
-                        for q in ps[1:]:
-                            if row[q] != v:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                if not ok:
-                    continue
-                setd(
-                    tuple(
-                        x if kind == 0 else (columns[x][i] if kind == 1 else row[x])
-                        for kind, x in specs_g
-                    ),
-                    None,
-                )
-        return list(answers)
-
     return terminal
 
 
 class Pipeline(tuple):
-    """The lowered physical form of one plan: a tuple of the *unfused*
-    operators (what tests, profiles and the delta driver address), plus
-    the compiled execution extras as attributes --
+    """The lowered physical form of one plan: a tuple of the operator
+    descriptions (what tests, diagnostics and profiles name), plus the
+    compiled execution extras as attributes --
 
     * ``slots`` -- the plan's :class:`~repro.core.columnar.SlotTable`;
     * ``params`` -- the declared parameter set (fast seed validation);
-    * ``prefilter`` -- the leading :class:`FilterOp`, fused onto the seed
-      assignment by :func:`execute_plan` (``None`` when absent);
-    * ``fused`` -- the hot-path operator sequence: the unfused data
-      operators minus the prefilter, with a trailing fetch+project pair
-      collapsed into one :class:`_FusedFetchProject`;
-    * ``seed_slots`` / ``body`` / ``terminal`` -- the compiled form of the
-      fused sequence :func:`execute_plan` actually runs: the parameter
-      slot assignments, the ``(ctx, columns, n) -> (columns, n)`` step
-      closures, and the terminal ``-> list[Row]`` closure;
-    * ``width`` -- the slot count (the length of each column list).
+    * ``prefilter`` -- the leading :class:`FilterOp`, evaluated on the
+      seed assignment before the first batch exists (``None`` when
+      absent);
+    * ``seed_slots`` -- the ``(slot, variable)`` parameter assignments;
+    * ``width`` -- the length of each column list: one entry per slot
+      plus the trailing sign slot;
+    * ``body`` / ``terminal`` -- what :func:`execute_plan` runs:
+      ``(view, step, delta, ops)`` levels (``view`` names the view store
+      to read, ``None`` for the database; ``delta`` is ``None`` here;
+      ``ops`` are the descriptions the closure was lowered from) and the
+      terminal level whose closure returns answer rows -- a trailing
+      fetch+project pair fused when the fetch is a pure expansion;
+    * :meth:`signed` -- the signed lowering, built on first use.
 
-    Comparing a ``Pipeline`` to a plain tuple compares the unfused
-    operators (tuple semantics), so an unsatisfiable plan's pipeline
-    equals ``()``.
+    Comparing a ``Pipeline`` to a plain tuple compares the descriptions
+    (tuple semantics), so an unsatisfiable plan's pipeline equals ``()``.
     """
 
     slots: SlotTable
     params: frozenset
     width: int
     prefilter: FilterOp | None
-    fused: tuple
     seed_slots: tuple
     body: tuple
-    terminal: object
+    terminal: tuple | None
 
     def __new__(
         cls,
@@ -1753,21 +861,71 @@ class Pipeline(tuple):
         slots: SlotTable | None = None,
         params: frozenset = frozenset(),
         prefilter: FilterOp | None = None,
-        fused: Sequence | None = None,
         seed_slots: Sequence = (),
-        body: Sequence = (),
-        terminal=None,
     ):
         self = super().__new__(cls, ops)
         self.slots = SlotTable(()) if slots is None else slots
         self.params = params
-        self.width = len(self.slots.variables)
+        self.width = len(self.slots.variables) + 1
         self.prefilter = prefilter
-        self.fused = tuple(ops) if fused is None else tuple(fused)
         self.seed_slots = tuple(seed_slots)
-        self.body = tuple(body)
-        self.terminal = terminal
+        self.body = ()
+        self.terminal = None
+        self._signed = None
+        if ops:
+            self.body, self.terminal = _lower(self, signed=False)
         return self
+
+    def signed(self) -> tuple[tuple, object]:
+        """The signed lowering ``(levels, accumulate)``: every data
+        operator unfused, as ``(view, step, delta, ops)`` with the sign
+        slot live, plus the accumulating terminal.  Built on first
+        counting/delta use (lowering is pure, so a racing build is
+        redundant work, never a hazard) -- a plan that is only ever
+        executed never pays for it."""
+        lowered = self._signed
+        if lowered is None:
+            lowered = self._signed = _lower(self, signed=True)
+        return lowered
+
+    def seed(self, values: Mapping[Variable, object], signed: bool = False):
+        """The length-1 column lists an execution starts from."""
+        columns: list[list | None] = [None] * self.width
+        for slot, var in self.seed_slots:
+            columns[slot] = [values[var]]
+        if signed:
+            columns[-1] = [1]
+        return columns
+
+
+def _lower(pipe: Pipeline, signed: bool):
+    """Lower ``pipe``'s data operators to closures: ``(body, terminal
+    level)`` unsigned -- the trailing fetch fused into the terminal when
+    it can be -- or ``(levels, accumulate)`` signed.  The boundness of
+    every slot at every position is static, so all variable hashing
+    happens here, once per plan."""
+    slots = pipe.slots
+    bound = {slot for slot, _ in pipe.seed_slots}
+    *data, project = (op for op in pipe if op is not pipe.prefilter)
+    levels = []
+    terminal = None
+    for op in data:
+        view = op.atom.relation if op.view else None
+        if isinstance(op, ProbeOp):
+            step, delta, bound = _compile_probe(op, slots, bound, signed)
+        else:
+            if not signed and op is data[-1]:
+                fused = _compile_fused(op, project, slots, bound)
+                if fused is not None:
+                    terminal = (view, fused, None, (op, project))
+                    break
+            step, delta, bound = _compile_fetch(op, slots, bound, signed)
+        levels.append((view, step, delta if signed else None, (op,)))
+    if signed:
+        return tuple(levels), _compile_project(project, slots, True)
+    if terminal is None:
+        terminal = (None, _compile_project(project, slots, False), None, (project,))
+    return tuple(levels), terminal
 
 
 def _parameter_constraints(
@@ -1829,11 +987,11 @@ def _assign_keep_sets(ops: list[Operator], head_terms: tuple[Term, ...]) -> None
 
 
 def build_pipeline(plan: Plan) -> Pipeline:
-    """Lower ``plan``'s fetch/probe steps into the physical operator
-    pipeline.  The set of bound variables before each step is known at
-    compile time, so every operator's key/check/bind positions, its
-    variable slots and its live-column set are all static; the returned
-    :class:`Pipeline` additionally carries the fused hot-path sequence.
+    """Lower ``plan``'s fetch/probe steps into the physical pipeline.  The
+    set of bound variables before each step is known at compile time, so
+    every operator's key/check/bind positions, its variable slots and its
+    live-column set are all static; the returned :class:`Pipeline` holds
+    the operator descriptions and the closures compiled from them.
     """
     params = frozenset(plan.parameters)
     if not plan.satisfiable:
@@ -1848,7 +1006,7 @@ def build_pipeline(plan: Plan) -> Pipeline:
     for step in plan.steps:
         is_view = step.atom.relation in view_relations
         if isinstance(step, ProbeStep):
-            ops.append(ViewProbeOp(step.atom) if is_view else ProbeOp(step.atom))
+            ops.append(ProbeOp(step.atom, view=is_view))
             continue
         terms = step.atom.terms
         determined = tuple(
@@ -1871,8 +1029,9 @@ def build_pipeline(plan: Plan) -> Pipeline:
             for p in bindable
             if isinstance(terms[p], Variable) and terms[p] not in bound
         )
-        op_type = ViewScanOp if is_view else FetchOp
-        ops.append(op_type(step.atom, key, check, bind, dedup, step.rule))
+        ops.append(
+            FetchOp(step.atom, key, check, bind, dedup, step.rule, view=is_view)
+        )
         bound.update(step.binds)
     ops.append(ProjectDedupOp(plan.head_terms))
     _assign_keep_sets(ops, plan.head_terms)
@@ -1884,42 +1043,14 @@ def build_pipeline(plan: Plan) -> Pipeline:
     for step in plan.steps:
         slot_vars.extend(t for t in step.atom.terms if isinstance(t, Variable))
     slot_vars.extend(t for t in plan.head_terms if isinstance(t, Variable))
-
-    # The fused hot-path sequence: the prefilter is evaluated on the seed
-    # by execute_plan, and a trailing fetch+project pair emits head rows
-    # directly.
-    fused: list = [op for op in ops if op is not prefilter]
-    if len(fused) >= 2 and isinstance(fused[-2], FetchOp):
-        fused[-2:] = [_FusedFetchProject(fused[-2], fused[-1])]
-
-    # Compile the fused sequence down to slot-index closures (what
-    # execute_plan runs); the boundness of every slot at every position
-    # is static, so all variable hashing happens here, once per plan.
     slots = SlotTable(slot_vars)
-    sidx = slots.index
-    seed_vars = tuple(
-        dict.fromkeys([*plan.parameters, *(target for _, target in binds)])
-    )
-    seed_slots = tuple((sidx[v], v) for v in seed_vars)
-    bound_slots = {slot for slot, _ in seed_slots}
-    body = []
-    for op in fused[:-1]:
-        if isinstance(op, FetchOp):
-            step, bound_slots = _compile_fetch(op, slots, bound_slots)
-        else:
-            step, bound_slots = _compile_probe(op, slots, bound_slots)
-        body.append(step)
-    tail = fused[-1]
-    if isinstance(tail, _FusedFetchProject):
-        terminal = _compile_fused(tail, slots, bound_slots)
-    else:
-        terminal = _compile_project(tail, slots, bound_slots)
-    return Pipeline(ops, slots, params, prefilter, fused, seed_slots, body, terminal)
+    seed_vars = dict.fromkeys([*plan.parameters, *(target for _, target in binds)])
+    seed_slots = tuple((slots.index[v], v) for v in seed_vars)
+    return Pipeline(ops, slots, params, prefilter, seed_slots)
 
 
-#: The process-wide LRU of lowered pipelines (satellite of PR 8: the old
-#: per-plan memo attribute grew without bound and had no stats; this is
-#: the same cache discipline as the Engine's PlanCache).
+#: The process-wide LRU of lowered pipelines (the same cache discipline as
+#: the Engine's PlanCache: bounded, with hit/miss/eviction counters).
 pipeline_cache = PipelineCache(maxsize=256)
 
 
@@ -2007,8 +1138,8 @@ def execute_plan(
     **kwargs: object,
 ) -> tuple[Row, ...]:
     """Run ``plan`` on ``db`` (a Database or an :class:`ExecutionContext`)
-    through the columnar operator pipeline (the fused hot-path sequence)
-    and return the deduplicated answer tuples.
+    through its lowered pipeline and return the deduplicated answer
+    tuples.
 
     Parameter values may be passed as a mapping (keys are variables or
     their names) and/or as keyword arguments.
@@ -2030,23 +1161,25 @@ def _execute_merged(plan: Plan, db, values: Assignment) -> tuple[Row, ...]:
     prefilter = pipe.prefilter
     if prefilter is not None and not prefilter.check_seed(values):
         return ()
-    columns: list[list | None] = [None] * pipe.width
-    for slot, var in pipe.seed_slots:
-        columns[slot] = [values[var]]
-    n = 1
-    for step in pipe.body:
-        columns, n = step(ctx, columns, n)
+    database = ctx.db
+    stats = ctx.stats
+    columns, n = pipe.seed(values), 1
+    for view, step, _, _ in pipe.body:
+        columns, n = step(
+            database if view is None else ctx.store(view), stats, columns, n
+        )
         if not n:
             return ()
-    return tuple(pipe.terminal(ctx, columns, n))
+    view, terminal, _, _ = pipe.terminal
+    return tuple(
+        terminal(database if view is None else ctx.store(view), stats, columns, n)
+    )
 
 
 def execute_plan_counting(
     plan: Plan,
     db,
     parameters: Mapping[object, object] | None = None,
-    *,
-    profiles: list["OperatorProfile"] | None = None,
     **kwargs: object,
 ) -> dict[Row, int]:
     """Like :func:`execute_plan`, but return ``{answer row: derivation
@@ -2055,8 +1188,8 @@ def execute_plan_counting(
     The multiplicities are the materialized state incremental maintenance
     needs: an answer row is in the result exactly while its count is
     positive, and :func:`execute_plan_delta` produces the signed count
-    changes a batch of updates causes.  Pass ``profiles`` (a list) to
-    collect one :class:`OperatorProfile` per operator along the way.
+    changes a batch of updates causes.  Runs the new faces of the signed
+    lowering with every sign ``+1``.
 
     Raises :class:`~repro.errors.IncrementalError` (eagerly, whatever the
     data) for plans that fetch through an embedded access rule: their
@@ -2065,36 +1198,21 @@ def execute_plan_counting(
     """
     check_delta_supported(plan)
     seed = _seed_assignment(plan, parameters, kwargs)
+    counts: dict[Row, int] = {}
     if not plan.satisfiable:
-        return {}
+        return counts
     ctx = _as_context(db)
     pipe = pipeline_for(plan)
-    batch = ColumnarBatch.seed(pipe.slots, seed)
-    for op in pipe[:-1]:
-        if profiles is None:
-            batch = op.run(ctx, batch)
-            continue
-        before = ctx.stats.snapshot()
-        start = perf_counter()
-        out = op.run(ctx, batch)
-        elapsed = perf_counter() - start
-        _profile(
-            profiles, str(op), len(batch), len(out), ctx.stats.since(before), elapsed
-        )
-        batch = out
-    project = pipe[-1]
-    if profiles is None:
-        return project.counts(batch)
-    start = perf_counter()
-    counts = project.counts(batch)
-    _profile(
-        profiles,
-        str(project),
-        len(batch),
-        len(counts),
-        AccessStats(),
-        perf_counter() - start,
-    )
+    if pipe.prefilter is not None and not pipe.prefilter.check_seed(seed):
+        return counts
+    levels, accumulate = pipe.signed()
+    columns, n = pipe.seed(seed, signed=True), 1
+    for view, step, _, _ in levels:
+        source = ctx.db if view is None else ctx.store(view)
+        columns, n = step(source, ctx.stats, columns, n)
+        if not n:
+            return counts
+    accumulate(columns, n, counts)
     return counts
 
 
@@ -2114,25 +1232,25 @@ def execute_plan_delta(
     For each operator level ``i`` whose relation effectively changed,
     levels before ``i`` run on the new state (shared across levels via one
     incrementally extended prefix batch), level ``i`` joins the in-memory
-    slice (``run_delta``, zero tuples accessed), and levels after ``i``
-    run on the pre-delta snapshot (``run_old``) -- so every derivation
-    gained or lost is produced exactly once however many levels changed,
-    with one bulk database call per level.  The joins are vectorized over
-    :class:`~repro.core.columnar.SignedColumnarBatch`, the same columnar
-    representation the standard path uses.  Levels whose relation did not
-    change cost nothing beyond the prefix they already share; an empty
-    slice costs zero accesses.  Applying the result to the counts of
-    :func:`execute_plan_counting` reproduces a from-scratch run on the
-    new state.
+    slice (the delta face, zero tuples accessed), and levels after ``i``
+    run on the pre-delta snapshot (the same closures over
+    :class:`OldState`) -- so every derivation gained or lost is produced
+    exactly once however many levels changed, with one bulk read per
+    level.  Levels whose relation did not change cost nothing beyond the
+    prefix they already share; an empty slice costs zero accesses.
+    Applying the result to the counts of :func:`execute_plan_counting`
+    reproduces a from-scratch run on the new state.
 
     Raises :class:`~repro.errors.IncrementalError` for plans that fetch
     through an embedded access rule (no exact counting semantics) --
     eagerly, whichever relations changed, so an unsupported plan can
     never sometimes succeed depending on the slice.
 
-    ``seed`` is the refresh hot path's escape hatch: a pre-validated
-    parameter assignment (variable-keyed, e.g. kept from the initial
-    counting execution) that skips per-call validation.
+    Pass ``profiles`` (a list) to collect one :class:`OperatorProfile`
+    per face applied (``new[i]`` / ``Δ[i]`` / ``old[i]``).  ``seed`` is
+    the refresh hot path's escape hatch: a pre-validated parameter
+    assignment (variable-keyed, e.g. kept from the initial counting
+    execution) that skips per-call validation.
     """
     check_delta_supported(plan)
     if seed is None:
@@ -2143,62 +1261,59 @@ def execute_plan_delta(
     if not plan.satisfiable:
         return changes
     pipe = pipeline_for(plan)
-    prefix = ColumnarBatch.seed(pipe.slots, seed)
-    for op in pipe[:-1]:
-        if isinstance(op, FilterOp):
-            prefix = op.run(ctx, prefix)
-            _profile(profiles, op, 1, len(prefix), AccessStats())
-    if not prefix.length:
-        return changes
-    levels = [op for op in pipe[:-1] if not isinstance(op, FilterOp)]
-    project = pipe[-1]
+    prefilter = pipe.prefilter
+    if prefilter is not None:
+        passed = prefilter.check_seed(seed)
+        if profiles is not None:
+            profiles.append(OperatorProfile(str(prefilter), 1, int(passed), 0, 0, 0))
+        if not passed:
+            return changes
+    levels, accumulate = pipe.signed()
     relevant = {
-        i for i, level in enumerate(levels) if ctx.delta_rows(level.atom.relation)
+        i
+        for i, (_, _, _, ops) in enumerate(levels)
+        if ctx.delta_net(ops[0].atom.relation)
     }
     if not relevant:
         return changes
     last = max(relevant)
+    stats = ctx.stats
 
-    def run_measured(op, label: str, batch, method):
-        """One operator application, profiled only when asked to be."""
+    def apply(face: str, i: int, columns, n):
+        """One face of level ``i``, profiled only when asked to be."""
+        view, step, delta, ops = levels[i]
+        if face == "Δ":
+            step, source = delta, ctx
+        else:
+            source = ctx.db if view is None else ctx.store(view)
+            if face == "old":
+                source = OldState(source, ctx)
         if profiles is None:
-            return method(ctx, batch)
-        before = ctx.stats.snapshot()
-        start = perf_counter()
-        out = method(ctx, batch)
-        elapsed = perf_counter() - start
-        _profile(
-            profiles,
-            f"{label} {op}",
-            len(batch),
-            len(out),
-            ctx.stats.since(before),
-            elapsed,
+            return step(source, stats, columns, n)
+        return _measured(
+            profiles, f"{face}[{i + 1}] {ops[0]}", step, source, stats, columns, n
         )
-        return out
 
-    for i, level in enumerate(levels):
+    prefix, n = pipe.seed(seed, signed=True), 1
+    for i in range(last + 1):
         if i in relevant:
-            signed = run_measured(
-                level,
-                f"Δ[{i + 1}]",
-                SignedColumnarBatch(prefix, [1] * prefix.length),
-                level.run_delta,
-            )
+            columns, m = apply("Δ", i, prefix, n)
             for j in range(i + 1, len(levels)):
-                if not len(signed):
+                if not m:
                     break
-                signed = run_measured(
-                    levels[j], f"old[{j + 1}]", signed, levels[j].run_old
-                )
-            project.accumulate_signed(signed, changes)
-        if i >= last:
+                columns, m = apply("old", j, columns, m)
+            if m:
+                accumulate(columns, m, changes)
+        if i == last:
             break
-        prefix = run_measured(level, f"new[{i + 1}]", prefix, level.run)
-        if not prefix.length:
+        prefix, n = apply("new", i, prefix, n)
+        if not n:
             break
     changes = {row: change for row, change in changes.items() if change}
-    _profile(profiles, project, len(changes), len(changes), AccessStats())
+    if profiles is not None:
+        profiles.append(
+            OperatorProfile(str(pipe[-1]), len(changes), len(changes), 0, 0, 0)
+        )
     return changes
 
 
@@ -2243,8 +1358,10 @@ def delta_fanout_bound(plan: Plan, delta_sizes: Mapping[str, int]) -> int:
 
 def check_delta_supported(plan: Plan) -> None:
     """Raise :class:`~repro.errors.IncrementalError` unless every fetch of
-    ``plan`` goes through a plain or full access rule (embedded rules have
-    no exact counting semantics -- see :meth:`FetchOp.run_delta`)."""
+    ``plan`` goes through a plain or full access rule.  An embedded-rule
+    fetch deduplicates output projections *per source row*, so its
+    derivation count is not a product of per-level multiplicities and
+    signed deltas cannot be exact."""
     for step in plan.steps:
         if isinstance(step, FetchStep) and isinstance(step.rule, EmbeddedAccessRule):
             raise IncrementalError(
@@ -2259,11 +1376,11 @@ def check_delta_supported(plan: Plan) -> None:
 
 @dataclass(frozen=True)
 class OperatorProfile:
-    """Measured behaviour of one operator during one execution.
+    """Measured behaviour of one compiled step during one execution.
 
-    ``wall_time_s`` is the operator's measured wall-clock time (seconds);
-    it is ``0.0`` on paths that account rows without timing (e.g. the
-    pure-bookkeeping projection line of the delta driver)."""
+    ``wall_time_s`` is the step's measured wall-clock time (seconds); it
+    is ``0.0`` on lines that account rows without timing (the seed filter
+    and the pure-bookkeeping projection line of the delta driver)."""
 
     operator: str
     rows_in: int
@@ -2274,34 +1391,31 @@ class OperatorProfile:
     wall_time_s: float = 0.0
 
 
-def _profile(
-    profiles: list[OperatorProfile] | None,
-    operator: object,
-    rows_in: int,
-    rows_out: int,
-    delta: AccessStats,
-    wall_time_s: float = 0.0,
-) -> None:
-    """Append one operator's measurements to ``profiles`` (when given);
-    ``operator`` is stringified only then, keeping the unprofiled hot
-    path free of rendering work."""
-    if profiles is not None:
-        profiles.append(
-            OperatorProfile(
-                str(operator),
-                rows_in,
-                rows_out,
-                delta.tuples_accessed,
-                delta.indexed_lookups,
-                delta.full_scans,
-                wall_time_s,
-            )
+def _measured(profiles: list[OperatorProfile], label: str, fn, source, stats, columns, n):
+    """Run one compiled closure and append its measurements (rows in and
+    out, the accesses it charged, wall time) to ``profiles``."""
+    before = stats.snapshot()
+    start = perf_counter()
+    out = fn(source, stats, columns, n)
+    elapsed = perf_counter() - start
+    spent = stats.since(before)
+    profiles.append(
+        OperatorProfile(
+            label,
+            n,
+            out[1] if type(out) is tuple else len(out),
+            spent.tuples_accessed,
+            spent.indexed_lookups,
+            spent.full_scans,
+            elapsed,
         )
+    )
+    return out
 
 
 @dataclass(frozen=True)
 class PlanProfile:
-    """One plan execution's answers plus per-operator row counts, access
+    """One plan execution's answers plus per-step row counts, access
     accounting and wall time (the payload of ``explain_analyze``)."""
 
     plan: Plan
@@ -2341,39 +1455,44 @@ def profile_plan(
     plan: Plan,
     db,
     parameters: Mapping[object, object] | None = None,
-    *,
-    fused: bool = False,
     **kwargs: object,
 ) -> PlanProfile:
-    """Like :func:`execute_plan`, but record per-operator row counts,
-    access-statistics deltas and wall time along the way.
-
-    By default the *unfused* operator sequence is profiled -- one entry
-    per logical operator, the form fusion decisions are made from.  Pass
-    ``fused=True`` to profile the hot-path sequence :func:`execute_plan`
-    actually runs (prefilter + fused tail).
+    """:func:`execute_plan`, measured: the same compiled closures run in
+    the same order with the same early exit, each one's row counts,
+    access-statistics delta and wall time recorded along the way -- one
+    entry per compiled step, so a fused fetch+project tail is one entry
+    naming both operators.  The profile's rows *are* the execution's.
     """
     seed = _seed_assignment(plan, parameters, kwargs)
     if not plan.satisfiable:
         return PlanProfile(plan, (), ())
     ctx = _as_context(db)
     pipe = pipeline_for(plan)
-    if fused:
-        ops = pipe.fused if pipe.prefilter is None else (pipe.prefilter, *pipe.fused)
-    else:
-        ops = tuple(pipe)
     profiles: list[OperatorProfile] = []
-    batch = ColumnarBatch.seed(pipe.slots, seed)
-    for op in ops:
-        before = ctx.stats.snapshot()
+    prefilter = pipe.prefilter
+    if prefilter is not None:
         start = perf_counter()
-        out = op.run(ctx, batch)
-        elapsed = perf_counter() - start
-        _profile(
-            profiles, str(op), len(batch), len(out), ctx.stats.since(before), elapsed
+        passed = prefilter.check_seed(seed)
+        profiles.append(
+            OperatorProfile(
+                str(prefilter), 1, int(passed), 0, 0, 0, perf_counter() - start
+            )
         )
-        batch = out
-    return PlanProfile(plan, tuple(batch), tuple(profiles))
+        if not passed:
+            return PlanProfile(plan, (), tuple(profiles))
+    columns, n = pipe.seed(seed), 1
+    rows: Sequence[Row] = ()
+    for view, step, _, ops in (*pipe.body, pipe.terminal):
+        source = ctx.db if view is None else ctx.store(view)
+        label = "; ".join(map(str, ops))
+        out = _measured(profiles, label, step, source, ctx.stats, columns, n)
+        if type(out) is not tuple:
+            rows = out
+            break
+        columns, n = out
+        if not n:
+            break
+    return PlanProfile(plan, tuple(rows), tuple(profiles))
 
 
 # -- the per-tuple reference path ----------------------------------------
@@ -2385,8 +1504,9 @@ def execute_per_tuple(
     parameters: Mapping[object, object] | None = None,
     **kwargs: object,
 ) -> tuple[Row, ...]:
-    """The pre-pipeline reference executor: a recursive generator that
-    issues one :meth:`lookup`/:meth:`contains` per partial assignment.
+    """The reference executor: a recursive generator that issues the two
+    charged reads with one single-key (single-row) batch per partial
+    assignment.
 
     Semantically identical to :func:`execute_plan`; kept as the baseline
     for differential tests and for :mod:`repro.bench`'s batched-vs-
@@ -2417,64 +1537,47 @@ def _run_per_tuple(
         yield assignment
         return
     step = plan.steps[i]
-    is_view = step.atom.relation in plan.view_relations
+    atom = step.atom
+    relation = atom.relation
+    source = ctx.store(relation) if relation in plan.view_relations else ctx.db
     if isinstance(step, ProbeStep):
-        row = tuple(_term_value(t, assignment) for t in step.atom.terms)
-        present = (
-            ctx.view_contains(step.atom.relation, row)
-            if is_view
-            else ctx.contains(step.atom.relation, row)
-        )
-        if present:
+        row = tuple(_term_value(t, assignment) for t in atom.terms)
+        if source.contains_rows(relation, (row,), ctx.stats)[0]:
             yield from _run_per_tuple(plan, ctx, i + 1, assignment)
         return
-
-    atom = step.atom
-    if is_view:
-        # View rules are always plain: key on every bound position and
-        # read the view store (charged to the per-execution stats only).
-        pattern = _bound_pattern(atom, assignment)
-        for row in ctx.view_lookup(atom.relation, pattern):
-            extended = _extend(atom, row, assignment)
-            if extended is not None:
-                yield from _run_per_tuple(plan, ctx, i + 1, extended)
-        return
-    if isinstance(step.rule, EmbeddedAccessRule):
-        # The access path is keyed on the rule's inputs only; other bound
-        # positions are filtered after the fetch, and only the rule's
-        # outputs become bound (deduplicated projections).
+    # A plain (or full, or view) rule keys the lookup on every position
+    # that is already bound -- a superset of the rule's inputs, so the
+    # declared bound still applies.  An embedded rule's access path is
+    # keyed on the rule's inputs only; other bound positions are filtered
+    # after the fetch, and only the rule's outputs become bound
+    # (deduplicated projections).
+    embedded = isinstance(step.rule, EmbeddedAccessRule)
+    if embedded:
         pattern = {
-            p: _term_value(atom.terms[p], assignment)
-            for p in step.input_positions
+            p: _term_value(atom.terms[p], assignment) for p in step.input_positions
         }
-        seen: set[Row] = set()
-        for row in ctx.lookup(atom.relation, pattern):
-            if not row_matches(atom, row, assignment):
-                continue
+    else:
+        pattern = _bound_pattern(atom, assignment)
+    positions = tuple(sorted(pattern))
+    key = tuple(pattern[p] for p in positions)
+    seen: set[Row] = set()
+    for row in source.lookup_keys(relation, positions, (key,), ctx.stats)[0]:
+        if not embedded:
+            extended = _extend(atom, row, assignment)
+        elif row_matches(atom, row, assignment):
             projection = tuple(row[p] for p in step.output_positions)
             if projection in seen:
                 continue
             seen.add(projection)
             extended = dict(assignment)
-            consistent = True
             for p in step.output_positions:
                 term = atom.terms[p]
                 if isinstance(term, Constant):
                     continue
-                if term in extended and extended[term] != row[p]:
-                    consistent = False
+                if extended.setdefault(term, row[p]) != row[p]:
+                    extended = None
                     break
-                extended[term] = row[p]
-            if consistent:
-                yield from _run_per_tuple(plan, ctx, i + 1, extended)
-        return
-
-    # Plain (or full) access rule: key the lookup on every position that
-    # is already bound -- a superset of the rule's inputs, so the declared
-    # bound still applies and the lookup is at least as selective as the
-    # access path guarantees.
-    pattern = _bound_pattern(atom, assignment)
-    for row in ctx.lookup(atom.relation, pattern):
-        extended = _extend(atom, row, assignment)
+        else:
+            continue
         if extended is not None:
             yield from _run_per_tuple(plan, ctx, i + 1, extended)

@@ -19,8 +19,9 @@ cardinality bounds -- independent of the database size, which is the whole
 point.
 
 This module only *plans*.  Physical execution lives in
-:mod:`repro.core.executor`, which lowers the steps into a batched
-operator pipeline; :meth:`Plan.execute` is a convenience wrapper around
+:mod:`repro.core.executor`, which lowers the steps once into slot
+closures -- the single form every entry point (execute, counting, delta,
+profile) runs; :meth:`Plan.execute` is a convenience wrapper around
 :func:`repro.core.executor.execute_plan`.
 
 If the query is not controlled by the given parameters,
@@ -100,11 +101,10 @@ class Plan:
 
     ``view_relations`` names the relations of the plan's atoms that are
     *materialized views* rather than base tables (:mod:`repro.views`):
-    their steps lower to view-store operators
-    (:class:`~repro.core.executor.ViewScanOp` /
-    :class:`~repro.core.executor.ViewProbeOp`) instead of database
-    fetches, and executing the plan requires an execution context that
-    carries the corresponding view states.
+    their steps lower to the same fetch/probe closures as any other step
+    but read the view's store instead of the database, so executing the
+    plan requires an execution context that carries the corresponding
+    view states.
     """
 
     __slots__ = (

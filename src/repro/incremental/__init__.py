@@ -8,12 +8,13 @@ refresh path, built on three pieces of machinery:
 * the :class:`~repro.relational.instance.ChangeLog` every
   :class:`~repro.relational.instance.Database` keeps -- a monotonic log of
   effective inserts and deletes, sliced by watermark;
-* the delta faces of the physical operators
-  (:meth:`~repro.core.executor.FetchOp.run_delta` /
-  :meth:`~repro.core.executor.FetchOp.run_old`), composed by
-  :func:`~repro.core.executor.execute_plan_delta` into the standard delta
-  rule: per changed operator level, new-state prefix |x| in-memory change
-  slice |x| old-state suffix, one bulk database call per level;
+* the three faces every lowered operator has (:mod:`repro.core.executor`)
+  -- *new* (read the current state), *delta* (join the in-memory change
+  slice, multiplying signs in) and *old* (the new-face closure over
+  :class:`~repro.core.executor.OldState`, the pre-delta snapshot) --
+  composed by :func:`~repro.core.executor.execute_plan_delta` into the
+  standard delta rule: per changed operator level, new-state prefix |x|
+  in-memory change slice |x| old-state suffix, one bulk read per level;
 * derivation *counting*: the initial execution
   (:func:`~repro.core.executor.execute_plan_counting`) materializes how
   many derivations support each answer row, so signed deltas compose
@@ -304,8 +305,8 @@ class IncrementalResult:
         """The current answers plus the profiles of the last
         ``refresh(analyze=True)`` as an
         :class:`~repro.api.engine.ExplainAnalyze`: per-operator row counts
-        and access accounting for the delta pipeline's ``Δ[level]`` /
-        ``new[level]`` / ``old[level]`` operators (profiles are empty
+        and access accounting for the faces the refresh applied, labelled
+        ``Δ[level]`` / ``new[level]`` / ``old[level]`` (profiles are empty
         unless the last pass was an analyzing refresh -- profiling is
         opt-in everywhere on the incremental path)."""
         from repro.api.engine import ExplainAnalyze, ResultSet

@@ -13,16 +13,18 @@ composite.  The backend's bulk methods (``lookup_keys``,
 the executor's compiled closures dispatch straight into the backend with
 no facade frame in between -- swapping backends never recompiles a plan.
 
-Every read goes through :meth:`Database.lookup`, :meth:`Database.scan`,
-:meth:`Database.contains` or their bulk forms and is recorded in
-:class:`AccessStats` -- this accounting is the empirical measuring stick
-for scale independence: a plan is scale independent precisely when the
-number of tuples it accesses is bounded regardless of the database size.
+Every read goes through the backend's charged bulk reads --
+``lookup_keys``, ``contains_rows``, ``scan`` -- or the single-pattern
+conveniences over them (:meth:`Database.lookup`,
+:meth:`Database.contains`) and is recorded in :class:`AccessStats` --
+this accounting is the empirical measuring stick for scale independence:
+a plan is scale independent precisely when the number of tuples it
+accesses is bounded regardless of the database size.
 
-The bulk forms exist for the batch-at-a-time executor
-(:mod:`repro.core.executor`): one call serves a whole batch of patterns,
-resolving each *distinct* key (and accounting it) exactly once, however
-many patterns in the batch share it.
+The bulk reads are what the batch-at-a-time executor
+(:mod:`repro.core.executor`) runs on: one call serves a whole batch of
+keys, resolving each *distinct* key (and accounting it) exactly once,
+however many rows in the batch share it.
 
 Accounting is two-level.  :attr:`Database.stats` is the cumulative,
 engine-wide view: every read charges it, forever.  Each read method also
@@ -413,7 +415,7 @@ class Database:
     #
     # ``lookup_keys``, ``contains_rows`` and ``scan`` are the backend's
     # own bound methods (see __init__); the signatures and accounting
-    # contract are documented on StorageBackend.  The dict-shaped
+    # contract are documented on StorageBackend.  The single-pattern
     # conveniences below normalize into those three.
 
     def lookup(
@@ -437,64 +439,6 @@ class Database:
         groups = self.lookup_keys(relation, positions, (key,), stats)
         return tuple(groups[0])
 
-    def lookup_many(
-        self,
-        relation: str,
-        patterns: Sequence[Mapping[int, object]],
-        stats: AccessStats | None = None,
-    ) -> tuple[tuple[Row, ...], ...]:
-        """Bulk :meth:`lookup`: one result group per pattern, aligned with
-        ``patterns``.
-
-        Each *distinct* ``(positions, key)`` pair is resolved against the
-        backend -- and counted in :attr:`stats` -- exactly once, however
-        many patterns in the batch share it; this is what makes
-        batch-at-a-time execution touch strictly fewer tuples than one
-        :meth:`lookup` per pattern.  An empty pattern degenerates to one
-        (shared, counted-once) full scan.
-        """
-        patterns = list(patterns)
-        if not patterns:
-            return ()
-        self.schema.relation(relation)
-        # Shape every pattern into (sorted positions, plain key), batching
-        # the distinct keys per position set so each set costs the backend
-        # one bulk call.  Patterns in one batch almost always share their
-        # position set (the executor's lookup keys are static per
-        # operator), so the sort is re-run only when positions change.
-        shaped: list[tuple[tuple[int, ...], Row] | None] = []
-        by_positions: dict[tuple[int, ...], dict[Row, None]] = {}
-        last_keys = None
-        positions: tuple[int, ...] = ()
-        for pattern in patterns:
-            if not pattern:
-                shaped.append(None)
-                continue
-            keys = pattern.keys()
-            if keys != last_keys:
-                positions = tuple(sorted(keys))
-                last_keys = keys
-            key = tuple([_plain(pattern[p]) for p in positions])
-            shaped.append((positions, key))
-            by_positions.setdefault(positions, {})[key] = None
-        fetched: dict[tuple[tuple[int, ...], Row], tuple[Row, ...]] = {}
-        for pos, keyset in by_positions.items():
-            distinct = list(keyset)
-            for key, group in zip(
-                distinct, self.lookup_keys(relation, pos, distinct, stats)
-            ):
-                fetched[pos, key] = tuple(group)
-        scanned: tuple[Row, ...] | None = None
-        groups: list[tuple[Row, ...]] = []
-        for shape in shaped:
-            if shape is None:
-                if scanned is None:
-                    scanned = self.scan(relation, stats)
-                groups.append(scanned)
-            else:
-                groups.append(fetched[shape])
-        return tuple(groups)
-
     def contains(
         self,
         relation: str,
@@ -506,22 +450,6 @@ class Database:
         rel = self.schema.relation(relation)
         row = rel.validate_tuple(tuple(_plain(v) for v in row))
         return self.contains_rows(relation, (row,), stats)[0]
-
-    def contains_many(
-        self,
-        relation: str,
-        rows: Sequence[Sequence[object]],
-        stats: AccessStats | None = None,
-    ) -> tuple[bool, ...]:
-        """Bulk :meth:`contains`: one verdict per row, aligned with
-        ``rows``.  Each *distinct* row is probed (and accounted) once,
-        however often it recurs in the batch."""
-        rel = self.schema.relation(relation)
-        validate = rel.validate_tuple
-        shaped = [validate(tuple(map(_plain, row))) for row in rows]
-        if not shaped:
-            return ()
-        return self.contains_rows(relation, shaped, stats)
 
     # -- unaccounted metadata --------------------------------------------
 

@@ -20,8 +20,11 @@ The package in three pieces:
 * :class:`ViewState` -- one view's materialization: answer rows with
   derivation counts (via
   :func:`~repro.core.executor.execute_plan_counting` under a permissive
-  access schema), lazily built hash indexes, and incremental maintenance
-  by :func:`~repro.core.executor.execute_plan_delta` over the database's
+  access schema), held in a private
+  :class:`~repro.relational.backends.memory.MemoryBackend` (``state.store``)
+  so a view is read through the same ``lookup_keys`` / ``contains_rows``
+  pair as a base relation, and incremental maintenance by
+  :func:`~repro.core.executor.execute_plan_delta` over the database's
   change-log slice past the view's watermark -- a refresh costs
   O(changes), not O(database), and a single-atom view refreshes without
   touching stored tuples at all.  Every refresh appends the set-level
@@ -30,9 +33,9 @@ The package in three pieces:
 * the rewriter (:mod:`repro.views.rewrite`) -- homomorphism-based
   augmentation: every view whose body maps into the query contributes an
   implied view atom, and the ordinary planner then compiles the
-  augmented query against the extended schema, lowering view steps to
-  :class:`~repro.core.executor.ViewScanOp` /
-  :class:`~repro.core.executor.ViewProbeOp`.
+  augmented query against the extended schema.  A view step lowers to
+  the same fetch/probe closure as a base step; only its read source is
+  the view's store instead of the database.
 
 Reached through the facade::
 

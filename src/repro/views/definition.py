@@ -38,7 +38,7 @@ result watermarks.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator
 
 from repro.core.access_schema import (
     AccessRule,
@@ -56,7 +56,8 @@ from repro.core.plans import Plan, compile_plan
 from repro.errors import RewritingError, SchemaError
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_query
-from repro.relational.instance import AccessStats, Database, _plain
+from repro.relational.backends.memory import MemoryBackend
+from repro.relational.instance import AccessStats, Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 Row = tuple[object, ...]
@@ -198,17 +199,19 @@ class ViewDef:
 
 class ViewState:
     """One view's materialization against one database: the answer rows
-    (with derivation counts), lazily built per-position hash indexes, the
-    change-log watermark the answers are valid at, and the answer ledger
-    refreshes append to.
+    (with derivation counts), the change-log watermark the answers are
+    valid at, and the answer ledger refreshes append to.
 
-    The read surface mirrors :class:`~repro.relational.instance.Database`
-    (``lookup`` / ``lookup_many`` / ``contains`` / ``contains_many`` with
-    distinct-key accounting) so the view operators in
-    :mod:`repro.core.executor` treat a view store exactly like an indexed
-    relation -- but accesses are charged only to the stats object the
-    caller passes (the per-execution context), never to the database's
-    cumulative counters: view reads are not base-table accesses.
+    The rows live in :attr:`store`, a private
+    :class:`~repro.relational.backends.memory.MemoryBackend` over the
+    view's one-relation schema -- so a view is read exactly like a base
+    relation, through the backend pair ``store.lookup_keys(name,
+    positions, keys, stats)`` / ``store.contains_rows(name, rows,
+    stats)``, with the backend's lazily built, in-place maintained
+    indexes and distinct-key accounting.  The store's cumulative counters
+    are its own: a view read is charged to the stats object the caller
+    passes (the per-execution context) and never to the database's
+    counters -- view reads are not base-table accesses.
     """
 
     __slots__ = (
@@ -219,8 +222,7 @@ class ViewState:
         "origin",
         "counts",
         "last_stats",
-        "_order",
-        "_indexes",
+        "store",
         "_ledger",
     )
 
@@ -236,23 +238,25 @@ class ViewState:
         ctx = ExecutionContext(db, watermark=self.watermark)
         self.counts: dict[Row, int] = execute_plan_counting(self.plan, ctx, {})
         self.last_stats = ctx.stats
-        self._order: dict[Row, None] = dict.fromkeys(self.counts)
-        self._indexes: dict[tuple[int, ...], dict[Row, list[Row]]] = {}
+        self.store = MemoryBackend()
+        self.store.attach(DatabaseSchema([view.relation]), AccessStats())
+        self.store.insert_rows(view.name, list(self.counts))
         self._ledger: list[tuple[int, int, dict[Row, int]]] = []
 
     def __repr__(self) -> str:
         return (
-            f"ViewState({self.view.name!r}, {len(self._order)} rows, "
+            f"ViewState({self.view.name!r}, {len(self)} rows, "
             f"watermark={self.watermark})"
         )
 
     def __len__(self) -> int:
-        return len(self._order)
+        return self.store.count(self.view.name)
 
     @property
     def rows(self) -> tuple[Row, ...]:
-        """The current answer rows, in first-derivation order."""
-        return tuple(self._order)
+        """The current answer rows, in first-derivation order (a row that
+        left and re-entered the view comes last)."""
+        return tuple(self.store.iter_rows(self.view.name))
 
     # -- maintenance -----------------------------------------------------
 
@@ -294,7 +298,10 @@ class ViewState:
                 elif new <= 0 < old:
                     net[row] = -1
             if net:
-                self._apply_net(net)
+                # The backend maintains every index it has built, in place.
+                name = self.view.name
+                self.store.delete_rows(name, [r for r, sign in net.items() if sign < 0])
+                self.store.insert_rows(name, [r for r, sign in net.items() if sign > 0])
                 self._ledger.append((from_w, now, net))
             self.last_stats = ctx.stats
         self.watermark = now
@@ -324,226 +331,6 @@ class ViewState:
                 # span: its net cannot be split after the fact.
                 return None
         return net
-
-    def _apply_net(self, net: Mapping[Row, int]) -> None:
-        """Fold set-level changes into the ordered row set and every
-        already-built index (mirroring the database's in-place index
-        maintenance)."""
-        for row, sign in net.items():
-            if sign > 0:
-                self._order[row] = None
-                for positions, index in self._indexes.items():
-                    key = tuple(row[p] for p in positions)
-                    index.setdefault(key, []).append(row)
-            else:
-                self._order.pop(row, None)
-                for positions, index in self._indexes.items():
-                    key = tuple(row[p] for p in positions)
-                    group = index.get(key)
-                    if group is not None:
-                        group.remove(row)
-                        if not group:
-                            del index[key]
-
-    # -- reads (charged to the caller's stats only) ----------------------
-
-    def lookup(
-        self, pattern: Mapping[int, object], stats: AccessStats | None = None
-    ) -> tuple[Row, ...]:
-        """All view rows matching ``pattern`` (positions -> values); an
-        empty pattern is a full view scan, counted as such."""
-        if not pattern:
-            rows = tuple(self._order)
-            self._charge(stats, tuples=len(rows), scans=1)
-            return rows
-        positions = tuple(sorted(pattern))
-        self._check_positions(positions)
-        index = self._index_for(positions)
-        key = tuple(_plain(pattern[p]) for p in positions)
-        rows = tuple(index.get(key, ()))
-        self._charge(stats, tuples=len(rows), lookups=1)
-        return rows
-
-    def lookup_many(
-        self,
-        patterns: Sequence[Mapping[int, object]],
-        stats: AccessStats | None = None,
-    ) -> tuple[tuple[Row, ...], ...]:
-        """Bulk :meth:`lookup`: each distinct ``(positions, key)`` pair is
-        resolved and accounted once, however many patterns share it."""
-        patterns = list(patterns)
-        if not patterns:
-            return ()
-        tuples = 0
-        lookups = 0
-        scans = 0
-        groups: list[tuple[Row, ...]] = []
-        fetched: dict[tuple[tuple[int, ...], Row], tuple[Row, ...]] = {}
-        scanned: tuple[Row, ...] | None = None
-        last_keys = None
-        positions: tuple[int, ...] = ()
-        index: dict[Row, list[Row]] = {}
-        for pattern in patterns:
-            if not pattern:
-                if scanned is None:
-                    scanned = tuple(self._order)
-                    tuples += len(scanned)
-                    scans += 1
-                groups.append(scanned)
-                continue
-            keys = pattern.keys()
-            if keys != last_keys:
-                positions = tuple(sorted(keys))
-                self._check_positions(positions)
-                index = self._index_for(positions)
-                last_keys = keys
-            key = tuple([_plain(pattern[p]) for p in positions])
-            rows = fetched.get((positions, key))
-            if rows is None:
-                rows = tuple(index.get(key, ()))
-                lookups += 1
-                tuples += len(rows)
-                fetched[positions, key] = rows
-            groups.append(rows)
-        self._charge(stats, tuples=tuples, lookups=lookups, scans=scans)
-        return tuple(groups)
-
-    def lookup_keys(
-        self,
-        positions: tuple[int, ...],
-        keys: Sequence[Row],
-        stats: AccessStats | None = None,
-    ) -> Sequence[Sequence[Row]]:
-        """Bulk :meth:`lookup` in the columnar executor's native shape
-        (every key constrains the same sorted ``positions``); the same
-        accounting contract as :meth:`lookup_many` -- distinct keys
-        resolved and counted once, empty ``positions`` one shared scan.
-        Like the database's ``lookup_keys``, the returned groups may be
-        live index buckets: read-only, consume before mutating."""
-        if not keys:
-            return ()
-        if not positions:
-            rows = tuple(self._order)
-            self._charge(stats, tuples=len(rows), scans=1)
-            return [rows] * len(keys)
-        # Per-operator-per-execution call: one dict probe resolves an
-        # already-built index (refresh maintains built indexes), with the
-        # validated build path only on first sight of ``positions``.
-        index = self._indexes.get(positions)
-        if index is None:
-            self._check_positions(positions)
-            index = self._index_for(positions)
-        if len(keys) == 1:
-            rows = index.get(keys[0], ())
-            if stats is not None:
-                stats.tuples_accessed += len(rows)
-                stats.indexed_lookups += 1
-            return [rows]
-        tuples = 0
-        lookups = 0
-        fetched: dict[Row, Sequence[Row]] = {}
-        groups: list[Sequence[Row]] = []
-        get_cached = fetched.get
-        get_indexed = index.get
-        for key in keys:
-            rows = get_cached(key)
-            if rows is None:
-                rows = get_indexed(key, ())
-                lookups += 1
-                tuples += len(rows)
-                fetched[key] = rows
-            groups.append(rows)
-        self._charge(stats, tuples=tuples, lookups=lookups)
-        return groups
-
-    def contains(
-        self, row: Sequence[object], stats: AccessStats | None = None
-    ) -> bool:
-        row = self.view.relation.validate_tuple(tuple(_plain(v) for v in row))
-        present = row in self._order
-        self._charge(stats, tuples=1 if present else 0, lookups=1)
-        return present
-
-    def contains_many(
-        self,
-        rows: Sequence[Sequence[object]],
-        stats: AccessStats | None = None,
-    ) -> tuple[bool, ...]:
-        validate = self.view.relation.validate_tuple
-        tuples = 0
-        lookups = 0
-        verdicts: list[bool] = []
-        probed: dict[Row, bool] = {}
-        for row in rows:
-            row = validate(tuple(_plain(v) for v in row))
-            present = probed.get(row)
-            if present is None:
-                lookups += 1
-                present = row in self._order
-                if present:
-                    tuples += 1
-                probed[row] = present
-            verdicts.append(present)
-        self._charge(stats, tuples=tuples, lookups=lookups)
-        return tuple(verdicts)
-
-    def contains_rows(
-        self,
-        rows: Sequence[Row],
-        stats: AccessStats | None = None,
-    ) -> tuple[bool, ...]:
-        """Bulk :meth:`contains` for pre-shaped row tuples; distinct rows
-        probed and accounted once, like :meth:`contains_many`."""
-        tuples = 0
-        lookups = 0
-        verdicts: list[bool] = []
-        probed: dict[Row, bool] = {}
-        get_cached = probed.get
-        store = self._order
-        for row in rows:
-            present = get_cached(row)
-            if present is None:
-                lookups += 1
-                present = row in store
-                if present:
-                    tuples += 1
-                probed[row] = present
-            verdicts.append(present)
-        self._charge(stats, tuples=tuples, lookups=lookups)
-        return tuple(verdicts)
-
-    # -- internals -------------------------------------------------------
-
-    def _charge(
-        self,
-        stats: AccessStats | None,
-        *,
-        tuples: int = 0,
-        lookups: int = 0,
-        scans: int = 0,
-    ) -> None:
-        if stats is not None:
-            stats.tuples_accessed += tuples
-            stats.indexed_lookups += lookups
-            stats.full_scans += scans
-
-    def _check_positions(self, positions: tuple[int, ...]) -> None:
-        arity = self.view.relation.arity
-        for p in positions:
-            if not 0 <= p < arity:
-                raise SchemaError(
-                    f"position {p} out of range for view {self.view.name!r} "
-                    f"of arity {arity}"
-                )
-
-    def _index_for(self, positions: tuple[int, ...]) -> dict[Row, list[Row]]:
-        index = self._indexes.get(positions)
-        if index is None:
-            index = {}
-            for row in self._order:
-                index.setdefault(tuple(row[p] for p in positions), []).append(row)
-            self._indexes[positions] = index
-        return index
 
 
 class ViewCatalog:

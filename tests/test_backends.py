@@ -61,6 +61,9 @@ def test_lookup_keys_charges_each_distinct_key_once(backend_factory):
         db.stats.full_scans,
     ) == (3, 3, 0)
     assert extra == db.stats  # the extra stats mirror the cumulative charge
+    # An empty batch is answered without touching the store.
+    assert len(db.lookup_keys("friend", (0,), [], extra)) == 0
+    assert extra == db.stats and db.stats.indexed_lookups == 3
 
 
 def test_empty_positions_share_one_counted_scan(backend_factory):

@@ -1,11 +1,10 @@
 """Tests for the columnar executor layer (repro.core.columnar and the
 compiled pipeline built on it).
 
-Covers the five pillars of the PR-8 representation change: slot-table
-compilation (variable -> column index, fixed per plan), constant
-interning identity, fused-vs-unfused equivalence on seeded workloads,
-delta-join vectorization under mixed churn, and the pipeline LRU cache's
-eviction/stats discipline.
+Covers slot-table compilation (variable -> column index, fixed per
+plan), constant interning identity, fused-vs-unfused lowering equivalence
+on seeded workloads, delta-join vectorization under mixed churn, and the
+pipeline LRU cache's eviction/stats discipline.
 """
 
 from sys import intern as sys_intern
@@ -22,21 +21,16 @@ from repro import (
     RelationSchema,
     compile_plan,
 )
-from repro.core.columnar import (
-    ColumnarBatch,
-    PipelineCache,
-    PipelineCacheStats,
-    SignedColumnarBatch,
-    SlotTable,
-)
+from repro.core.columnar import PipelineCache, PipelineCacheStats, SlotTable
 from repro.core.executor import (
     ExecutionContext,
     FetchOp,
+    OldState,
     ProjectDedupOp,
-    _FusedFetchProject,
     build_pipeline,
     execute_per_tuple,
     execute_plan,
+    execute_plan_counting,
     merge_parameter_values,
     pipeline_cache_stats,
     pipeline_for,
@@ -65,16 +59,6 @@ class TestSlotTable:
         assert P in table and N not in table
         assert list(table) == [P, X]
 
-    def test_extend_returns_self_when_nothing_new(self):
-        table = SlotTable([P, X])
-        assert table.extend([X, P]) is table
-
-    def test_extend_appends_fresh_variables_stably(self):
-        table = SlotTable([P, X])
-        grown = table.extend([X, N])
-        assert grown.variables == (P, X, N)
-        assert grown.slot(P) == table.slot(P)  # existing slots unmoved
-
 
 class TestSlotCompilation:
     """The per-plan slot table compiled at lowering time."""
@@ -90,7 +74,8 @@ class TestSlotCompilation:
         pipe = build_pipeline(self.q1_plan(social_access))
         assert set(pipe.slots.variables) == {P, X, N}
         assert pipe.slots.variables[0] == P  # parameters lead
-        assert pipe.width == len(pipe.slots.variables)
+        # One column per variable slot plus the trailing sign slot.
+        assert pipe.width == len(pipe.slots.variables) + 1
 
     def test_seed_slots_are_the_declared_parameters(self, social_access):
         pipe = build_pipeline(self.q1_plan(social_access))
@@ -114,42 +99,7 @@ class TestSlotCompilation:
         plan = compile_plan(q, social_access, ["p"])
         pipe = build_pipeline(plan)
         assert pipe == ()
-        assert pipe.width == 0 and pipe.terminal is None
-
-
-class TestColumnarBatch:
-    def test_roundtrip_from_and_to_assignments(self):
-        assignments = [{P: 1, X: 2}, {P: 1, X: 3}, {P: 4, X: 5}]
-        batch = ColumnarBatch.from_assignments(assignments)
-        assert batch.length == 3
-        assert batch.to_assignments() == assignments
-
-    def test_ragged_assignments_rejected(self):
-        with pytest.raises(ValueError, match="ragged"):
-            ColumnarBatch.from_assignments([{P: 1, X: 2}, {P: 3}])
-
-    def test_seed_binds_parameters_only(self):
-        slots = SlotTable([P, X, N])
-        batch = ColumnarBatch.seed(slots, {P: 7})
-        assert batch.length == 1
-        assert batch.column(P) == [7]
-        assert batch.column_or_none(X) is None
-        with pytest.raises(KeyError):
-            batch.column(X)
-
-    def test_select_gathers_bound_columns(self):
-        batch = ColumnarBatch.from_assignments(
-            [{P: 1, X: 10}, {P: 2, X: 20}, {P: 3, X: 30}]
-        )
-        sub = batch.select([2, 0])
-        assert sub.to_assignments() == [{P: 3, X: 30}, {P: 1, X: 10}]
-        assert sub.slots is batch.slots
-
-    def test_signed_batch_pairs_roundtrip(self):
-        pairs = [({P: 1}, 1), ({P: 2}, -1)]
-        signed = SignedColumnarBatch.from_pairs(pairs)
-        assert len(signed) == 2
-        assert signed.to_pairs() == pairs
+        assert pipe.body == () and pipe.terminal is None
 
 
 class TestInterningIdentity:
@@ -194,33 +144,17 @@ class TestFusion:
             [Atom("friend", ["?p", "?x"]), Atom("person", ["?x", "?n", "NYC"])],
         )
         pipe = build_pipeline(compile_plan(q, social_access, ["p"]))
-        # The unfused face keeps the addressable operators...
+        # The descriptions stay addressable one by one...
         assert isinstance(pipe[-2], FetchOp)
         assert isinstance(pipe[-1], ProjectDedupOp)
-        # ...while the hot-path sequence collapses the pair.
-        assert isinstance(pipe.fused[-1], _FusedFetchProject)
-        assert pipe.fused[-1].fetch is pipe[-2]
-        assert pipe.fused[-1].project is pipe[-1]
-
-    @staticmethod
-    def run_unfused(plan, db, values):
-        """Execute via the unfused operator objects one batch at a time --
-        the semantic reference for the compiled fused closures."""
-        pipe = build_pipeline(plan)
-        if pipe == ():
-            return []
-        ctx = ExecutionContext(db)
-        merged = merge_parameter_values(values, {})
-        batch = ColumnarBatch.seed(
-            pipe.slots, {v: merged[v] for v in plan.parameters}
-        )
-        *body, terminal = list(pipe)
-        for op in body:
-            batch = op.run(ctx, batch)
-        return terminal.run(ctx, batch)
+        # ...while the compiled terminal is lowered from the pair.
+        assert pipe.terminal[3] == (pipe[-2], pipe[-1])
+        assert len(pipe.body) == len(pipe) - 2
 
     @pytest.mark.parametrize("bundle", RUNNING_QUERIES, ids=lambda b: b.name)
     def test_fused_equals_unfused_on_seeded_workload(self, bundle):
+        """The fused lowering (execute_plan) against the unfused one (the
+        signed levels the counting pass runs) and the per-tuple reference."""
         engine = social_engine(60, seed=1)
         db = engine.require_database()
         prepared = bundle.prepare(engine)
@@ -228,16 +162,15 @@ class TestFusion:
         param = bundle.parameters[0]
         for pid in range(0, 60, 7):
             values = {param: pid}
-            fused = set(execute_plan(plan, db, values))
-            unfused = set(self.run_unfused(plan, db, values))
+            fused = execute_plan(plan, db, values)
+            unfused = execute_plan_counting(plan, db, values)
             reference = set(execute_per_tuple(plan, db, values))
-            assert fused == unfused == reference, (
-                f"{bundle.name} diverges at pid={pid}"
-            )
+            assert list(unfused) == list(fused), f"{bundle.name} at pid={pid}"
+            assert set(fused) == reference, f"{bundle.name} diverges at pid={pid}"
 
-    def test_fused_terminal_respects_consistency_checks(self, social_db):
-        # Repeated variable in the terminal atom: the fused path must
-        # apply the same fetched-row check the unfused FetchOp does.
+    def test_fused_terminal_keys_on_every_bound_position(self, social_db):
+        # ?c is a parameter at a non-input position of the terminal atom:
+        # the fused terminal must constrain it exactly like the reference.
         schema = social_db.schema
         access = AccessSchema(
             schema,
@@ -262,9 +195,9 @@ class TestFusion:
 
 
 class TestDeltaVectorization:
-    """run_delta over a many-row signed batch must equal the row-at-a-time
-    decomposition -- vectorization changes the batching, never the
-    multiset of signed derivations."""
+    """The delta face over a many-row signed batch must equal the
+    row-at-a-time decomposition -- vectorization changes the batching,
+    never the multiset of signed derivations."""
 
     def _delta_ctx(self, persons=50, seed=2):
         engine = social_engine(persons, seed=seed)
@@ -284,63 +217,54 @@ class TestDeltaVectorization:
         return engine, db, delta
 
     @staticmethod
-    def _signed_multiset(signed):
-        return sorted(
-            (tuple(sorted((str(v), val) for v, val in a.items())), s)
-            for a, s in signed.to_pairs()
-        )
-
-    def test_batched_run_delta_equals_row_at_a_time(self):
-        engine, db, delta = self._delta_ctx()
-        q = ConjunctiveQuery(["x"], [Atom("friend", ["?p", "?x"])])
+    def _friends_level(engine):
+        """The single signed level of ``Q(x) :- friend(p, x)`` plus a
+        helper applying one of its faces to ``(pid, sign)`` pairs and
+        returning the signed multiset of ``(pid, x, sign)`` derivations."""
+        q = ConjunctiveQuery(["p", "x"], [Atom("friend", ["?p", "?x"])])
         plan = compile_plan(q, engine.access, ["p"])
-        fetch = next(op for op in pipeline_for(plan) if isinstance(op, FetchOp))
-        pairs = [({P: pid}, 1 if pid % 2 else -1) for pid in range(12)]
+        pipe = pipeline_for(plan)
+        ((_, step, delta, _),), _ = pipe.signed()
+        p_slot, x_slot = pipe.slots.slot(P), pipe.slots.slot(X)
 
+        def apply(face, source, stats, pairs):
+            columns = [None] * pipe.width
+            columns[p_slot] = [pid for pid, _ in pairs]
+            columns[-1] = [sign for _, sign in pairs]
+            out, n = face(source, stats, columns, len(pairs))
+            if not n:
+                return []
+            return sorted(zip(out[p_slot], out[x_slot], out[-1]))
+
+        return step, delta, apply
+
+    def test_batched_delta_equals_row_at_a_time(self):
+        engine, db, delta = self._delta_ctx()
+        _, delta_face, apply = self._friends_level(engine)
+        pairs = [(pid, 1 if pid % 2 else -1) for pid in range(12)]
         ctx = ExecutionContext(db, delta=delta)
-        vectorized = fetch.run_delta(ctx, SignedColumnarBatch.from_pairs(pairs))
-
+        vectorized = apply(delta_face, ctx, ctx.stats, pairs)
         one_by_one = []
         for pair in pairs:
             ctx1 = ExecutionContext(db, delta=delta)
-            out = fetch.run_delta(ctx1, SignedColumnarBatch.from_pairs([pair]))
-            one_by_one.extend(out.to_pairs())
-        combined = SignedColumnarBatch.from_pairs(one_by_one or [({}, 1)][:0])
-        assert self._signed_multiset(vectorized) == sorted(
-            (tuple(sorted((str(v), val) for v, val in a.items())), s)
-            for a, s in one_by_one
-        )
+            one_by_one.extend(apply(delta_face, ctx1, ctx1.stats, [pair]))
+        assert vectorized and vectorized == sorted(one_by_one)
+        assert ctx.stats.tuples_accessed == 0  # the slice lives in memory
 
-    def test_run_old_and_run_delta_telescope_to_the_new_state(self):
+    def test_old_and_delta_telescope_to_the_new_state(self):
         """old + delta == new, as multisets of derivations, for a fetch
         over the mutated relation -- the telescoping identity the
-        incremental driver relies on, checked at the operator level."""
+        incremental driver relies on, checked at the level closures."""
         engine, db, delta = self._delta_ctx()
-        q = ConjunctiveQuery(["x"], [Atom("friend", ["?p", "?x"])])
-        plan = compile_plan(q, engine.access, ["p"])
-        fetch = next(op for op in pipeline_for(plan) if isinstance(op, FetchOp))
-        x = next(t for t in fetch.atom.terms if t == Variable("x"))
-
+        step, delta_face, apply = self._friends_level(engine)
         for pid in range(0, 50, 11):
-            seed = [({P: pid}, 1)]
-            new_ctx = ExecutionContext(db)
-            new_rows = sorted(
-                a[x]
-                for a in fetch.run(
-                    new_ctx, ColumnarBatch.from_assignments([{P: pid}])
-                ).to_assignments()
-            )
-            old_ctx = ExecutionContext(db, delta=delta)
+            seed = [(pid, 1)]
+            ctx = ExecutionContext(db, delta=delta)
+            new_rows = sorted(x for _, x, _ in apply(step, db, ctx.stats, seed))
             counts: dict = {}
-            for a, s in fetch.run_old(
-                old_ctx, SignedColumnarBatch.from_pairs(seed)
-            ).to_pairs():
-                counts[a[x]] = counts.get(a[x], 0) + s
-            for a, s in fetch.run_delta(
-                ExecutionContext(db, delta=delta),
-                SignedColumnarBatch.from_pairs(seed),
-            ).to_pairs():
-                counts[a[x]] = counts.get(a[x], 0) + s
+            for face, source in ((step, OldState(db, ctx)), (delta_face, ctx)):
+                for _, x, sign in apply(face, source, ctx.stats, seed):
+                    counts[x] = counts.get(x, 0) + sign
             telescoped = sorted(v for v, c in counts.items() for _ in range(c))
             assert telescoped == new_rows, f"telescoping fails at pid={pid}"
 

@@ -83,8 +83,6 @@ EXPECTED_EXPORTS = {
     "ViewDef",
     "ViewSet",
     "ViewState",
-    "ViewScanOp",
-    "ViewProbeOp",
     # deciders
     "QDSIResult",
     "decide_qdsi",

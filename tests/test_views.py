@@ -15,8 +15,9 @@ from repro import (
 )
 from repro.core.executor import (
     ExecutionContext,
-    ViewProbeOp,
-    ViewScanOp,
+    FetchOp,
+    OldState,
+    ProbeOp,
     execute_per_tuple,
     execute_plan,
     pipeline_for,
@@ -163,22 +164,35 @@ class TestViewState:
         naive = set(view.query.evaluate(db))
         assert set(state.rows) == naive == {(1, 2), (1, 3), (2, 1), (3, 4)}
 
-    def test_lookup_contains_and_accounting(self, engine):
+    def test_store_reads_and_accounting(self, engine):
         from repro import AccessStats
 
         engine.views.register(v1_def())
         db = engine.require_database()
-        state = engine.views.prepare(db, ["V1"])["V1"]
+        store = engine.views.prepare(db, ["V1"])["V1"].store
         stats = AccessStats()
-        rows = state.lookup({0: 1}, stats)
+        (rows,) = store.lookup_keys("V1", (0,), [(1,)], stats)
         assert set(rows) == {(1, 2), (1, 3)}
         assert (stats.tuples_accessed, stats.indexed_lookups) == (2, 1)
-        assert state.contains((1, 2), stats)
-        assert not state.contains((9, 9), stats)
-        groups = state.lookup_many([{0: 1}, {0: 1}, {0: 9}], stats)
+        assert store.contains_rows("V1", [(1, 2), (9, 9)], stats) == (True, False)
+        groups = store.lookup_keys("V1", (0,), [(1,), (1,), (9,)], stats)
         assert [set(g) for g in groups] == [{(1, 2), (1, 3)}, {(1, 2), (1, 3)}, set()]
         # distinct-key accounting: the repeated key is charged once
         assert stats.indexed_lookups == 1 + 2 + 2
+
+    def test_view_reads_charge_the_execution_only(self, engine):
+        """Fetch and probe, new face and old: a view read is charged to
+        the execution's stats and never to the database's counters."""
+        engine.views.register(v1_def())
+        db = engine.require_database()
+        store = engine.views.prepare(db, ["V1"])["V1"].store
+        ctx = ExecutionContext(db, delta={"V1": {(1, 2): -1, (1, 9): 1}})
+        before = db.stats.snapshot()
+        for source in (store, OldState(store, ctx)):
+            source.lookup_keys("V1", (0,), [(1,), (2,)], ctx.stats)
+            source.contains_rows("V1", [(1, 3), (9, 9)], ctx.stats)
+        assert db.stats == before
+        assert (ctx.stats.tuples_accessed, ctx.stats.indexed_lookups) == (8, 8)
 
     def test_full_view_scan_is_counted_as_scan(self, engine):
         from repro import AccessStats
@@ -186,7 +200,7 @@ class TestViewState:
         engine.views.register(v1_def())
         state = engine.views.prepare(engine.require_database(), ["V1"])["V1"]
         stats = AccessStats()
-        rows = state.lookup({}, stats)
+        (rows,) = state.store.lookup_keys("V1", (), [()], stats)
         assert len(rows) == 4
         assert stats.full_scans == 1
 
@@ -202,15 +216,53 @@ class TestViewState:
         assert net == {(1, 4): 1, (3, 2): 1, (1, 2): -1}
         assert set(state.rows) == set(v1_def().query.evaluate(db))
 
-    def test_refresh_maintains_built_indexes(self, engine):
+    def test_index_built_before_a_refresh_stream_stays_current(self, engine):
+        """In-place index maintenance is the backend's job now: an index
+        built before a mixed refresh stream must answer exactly like one
+        built after it."""
         engine.views.register(v1_def())
         db = engine.require_database()
         state = engine.views.prepare(db, ["V1"])["V1"]
-        assert set(state.lookup({0: 1})) == {(1, 2), (1, 3)}  # builds the index
-        db.insert_many("friend", [(4, 1)])
+        (before,) = state.store.lookup_keys("V1", (0,), [(1,)])  # builds (0,)
+        assert set(before) == {(1, 2), (1, 3)}
+        for inserts, deletes in [
+            ([(4, 1)], [(2, 1)]),
+            ([(2, 1), (4, 2)], [(3, 1)]),
+            ([(3, 1)], [(4, 1), (1, 2)]),
+        ]:
+            db.insert_many("friend", inserts)
+            db.delete_many("friend", deletes)
+            state.refresh()
+        keys = [(pid,) for pid in range(1, 5)]
+        early = state.store.lookup_keys("V1", (0,), keys)
+        rows = state.rows
+        assert set(rows) == set(v1_def().query.evaluate(db))
+        for key, group in zip(keys, early):
+            assert list(group) == [row for row in rows if row[0] == key[0]]
+        # An index on other positions, first built now, agrees row for row.
+        late = state.store.lookup_keys("V1", (0, 1), list(rows))
+        assert [list(g) for g in late] == [[row] for row in rows]
+
+    def test_len_rows_order_and_changes_since(self, engine):
+        engine.views.register(v1_def())
+        db = engine.require_database()
+        state = engine.views.prepare(db, ["V1"])["V1"]
+        origin = state.watermark
+        assert len(state) == 4 and state.rows[0] == (1, 2)
         db.delete_many("friend", [(2, 1)])
         state.refresh()
-        assert set(state.lookup({0: 1})) == {(1, 3), (1, 4)}
+        middle = state.watermark
+        db.insert_many("friend", [(2, 1), (4, 1)])
+        state.refresh()
+        # First-derivation order; a re-entered row queues up like a new one.
+        assert state.rows == ((1, 3), (2, 1), (3, 4), (1, 2), (1, 4))
+        assert len(state) == 5
+        assert state.changes_since(origin) == {(1, 4): 1}
+        assert state.changes_since(middle) == {(1, 2): 1, (1, 4): 1}
+        assert state.changes_since(state.watermark) == {}
+        assert state.changes_since(middle + 1) is None  # inside a refresh's span
+        assert state.changes_since(origin - 1) is None  # predates the state
+        assert "ViewState('V1', 5 rows" in repr(state)
 
     def test_multi_atom_view_materializes_and_refreshes(self, engine):
         view = ViewDef(
@@ -363,7 +415,7 @@ class TestEngineViews:
         engine.views.register(v1_def())
         plan = engine.query(FOLLOWERS_NYC).plan(["p"])
         ops = pipeline_for(plan)
-        assert any(isinstance(op, ViewScanOp) for op in ops)
+        assert any(isinstance(op, FetchOp) and op.view for op in ops)
         assert "V1" in plan.view_relations
         explained = engine.explain(FOLLOWERS_NYC, ["p"])
         assert "V1" in explained
@@ -604,8 +656,8 @@ def test_view_probe_operator_appears_for_fully_bound_view_atoms():
     q = engine.query(text)
     plan = q.plan(["u", "p"])
     ops = pipeline_for(plan)
-    assert any(isinstance(op, ViewScanOp) for op in ops)
-    assert any(isinstance(op, ViewProbeOp) for op in ops)
+    assert any(isinstance(op, FetchOp) and op.view for op in ops)
+    assert any(isinstance(op, ProbeOp) and op.view for op in ops)
     result = q.execute(u="url1", p=1)
     naive = parse_query(text, schema=engine.schema).evaluate(
         engine.require_database(), {"u": "url1", "p": 1}
