@@ -59,6 +59,7 @@ The most frequently used names are re-exported here for convenience.
 
 from repro.errors import (
     CertificationError,
+    CompactedError,
     IncrementalError,
     NotControlledError,
     ParseError,
@@ -140,6 +141,7 @@ __all__ = [
     "ParseError",
     "IncrementalError",
     "CertificationError",
+    "CompactedError",
     # terms and formulas
     "Variable",
     "Constant",

@@ -33,13 +33,16 @@ from the same key-builder, check and bind specs:
   row's sign into the batch.
 
 Derivation signs ride as one more gathered column (the sign slot), so the
-new and old faces carry them for free.  :func:`execute_plan_delta`
-composes the faces into the standard delta rule of incremental scale
-independence (:mod:`repro.incremental`, Section 5): for each operator
-level ``i`` with changes, levels ``< i`` run on the new state, level ``i``
-joins the change slice, levels ``> i`` run on the old state -- so each
-affected derivation is produced (with its sign) exactly once, one bulk
-read per level, within :func:`delta_fanout_bound`.
+new and old faces carry them for free.  A plan's :class:`DeltaProgram`
+(:func:`delta_program`: built once, beside the signed lowering) composes
+the faces into the standard delta rule of incremental scale independence
+(:mod:`repro.incremental`, Section 5): for each operator level ``i`` with
+changes, levels ``< i`` run on the new state, level ``i`` joins the
+change slice, levels ``> i`` run on the old state -- so each affected
+derivation is produced (with its sign) exactly once, one bulk read per
+level, within :func:`delta_fanout_bound`.  :meth:`DeltaProgram.run` is
+the only delta driver; :func:`execute_plan_delta` is that runner behind
+per-call parameter validation.
 :func:`execute_plan_counting` is the matching initial pass (new faces,
 all signs ``+1``): per-answer derivation multiplicities, the state that
 makes signed deltas composable under deletion.  The signed faces are
@@ -93,7 +96,7 @@ from repro.errors import IncrementalError, SchemaError
 from repro.logic.ast import Atom, _as_variable
 from repro.logic.evaluation import _bound_pattern, _extend, _term_value, row_matches
 from repro.logic.terms import Constant, Term, Variable
-from repro.relational.instance import AccessStats, NetDelta
+from repro.relational.instance import AccessStats, LogSlice, NetDelta
 from repro.relational.interning import intern_value
 
 Row = tuple[object, ...]
@@ -117,47 +120,33 @@ class ExecutionContext:
     view-assisted plans (:mod:`repro.views`) read a view through
     :meth:`store`, charged to this execution's :attr:`stats` only -- the
     database's cumulative counters see base-table traffic exclusively.
-    For delta executions, view answer changes ride in :attr:`delta` under
-    the view name, exactly like a base relation's slice.
+
+    ``delta`` is the change slice a delta execution joins: the shared
+    :class:`~repro.relational.instance.LogSlice` a
+    :meth:`~repro.relational.instance.ChangeLog.slice_since` call handed
+    out, or a plain ``{relation: {row: sign}}`` mapping (wrapped into a
+    private slice).  It is kept as :attr:`slice` -- ``None`` on the
+    standard execute path, which never touches it.  View answer changes
+    ride in the slice under the view name, exactly like a base relation's.
     """
 
-    __slots__ = (
-        "db",
-        "stats",
-        "_watermark",
-        "delta",
-        "views",
-        "_delta_rows",
-        "_delta_index",
-    )
+    __slots__ = ("db", "stats", "_watermark", "slice", "views")
 
     def __init__(
         self,
         db,
         stats: AccessStats | None = None,
         watermark: int | None = None,
-        delta: NetDelta | None = None,
-        caches: tuple[dict, dict] | None = None,
+        delta: LogSlice | NetDelta | None = None,
         views: Mapping[str, object] | None = None,
     ):
         self.db = db
         self.stats = AccessStats() if stats is None else stats
         self._watermark = watermark
-        self.delta = delta
+        if delta is not None and type(delta) is not LogSlice:
+            delta = LogSlice(delta)
+        self.slice = delta
         self.views = views
-        # Derived views of the slice (row tuples, per-position indexes).
-        # ``caches`` lets consumers of one identical slice share them
-        # across contexts (see ChangeLog.slice_caches); by default they
-        # are private to this context and allocated lazily -- the
-        # standard execute path never touches the slice.
-        if caches is None:
-            self._delta_rows: dict[str, tuple[tuple[Row, int], ...]] | None = None
-            self._delta_index: (
-                dict[tuple, dict[Row, list[tuple[Row, int]]]] | None
-            ) = None
-        else:
-            self._delta_rows = caches[0]
-            self._delta_index = caches[1]
 
     @property
     def watermark(self) -> int:
@@ -170,7 +159,7 @@ class ExecutionContext:
         return mark
 
     def __repr__(self) -> str:
-        delta = sum(len(rows) for rows in (self.delta or {}).values())
+        delta = sum(self.slice.sizes.values()) if self.slice is not None else 0
         return (
             f"ExecutionContext(watermark={self.watermark}, "
             f"delta={delta} rows, {self.stats.tuples_accessed} tuples accessed)"
@@ -191,58 +180,20 @@ class ExecutionContext:
                 f"the ExecutionContext)"
             ) from None
 
-    # -- the change slice ------------------------------------------------
-
-    def delta_net(self, relation: str) -> Mapping[Row, int]:
-        """The net signed changes of ``relation`` in this context's slice."""
-        return (self.delta or {}).get(relation) or {}
-
-    def delta_rows(self, relation: str) -> tuple[tuple[Row, int], ...]:
-        """The slice of ``relation`` as ``(row, sign)`` pairs (memoized)."""
-        cache = self._delta_rows
-        if cache is None:
-            cache = self._delta_rows = {}
-        rows = cache.get(relation)
-        if rows is None:
-            rows = tuple(self.delta_net(relation).items())
-            cache[relation] = rows
-        return rows
-
-    def delta_index(
-        self, relation: str, positions: tuple[int, ...]
-    ) -> dict[Row, list[tuple[Row, int]]]:
-        """The slice of ``relation`` hash-indexed on ``positions`` -- the
-        in-memory twin of the database's per-position indexes, so a delta
-        join (and the old-state rewind) costs O(batch + slice) instead of
-        their product (memoized per (relation, positions))."""
-        key = (relation, positions)
-        cache = self._delta_index
-        if cache is None:
-            cache = self._delta_index = {}
-        index = cache.get(key)
-        if index is None:
-            index = {}
-            for row, sign in self.delta_rows(relation):
-                index.setdefault(tuple(row[p] for p in positions), []).append(
-                    (row, sign)
-                )
-            self._delta_index[key] = index
-        return index
-
 
 class OldState:
     """The *pre-delta snapshot* of any read source: the same two charged
     reads, answered by ``source`` on the current state (accounted as
-    usual) and rewound in memory by ``ctx``'s change slice -- tuples
+    usual) and rewound in memory by the change ``slice`` -- tuples
     inserted since the watermark are dropped, tuples deleted since it are
     restored.  The one implementation of "old state", over the database
     and over view stores alike."""
 
-    __slots__ = ("source", "ctx")
+    __slots__ = ("source", "slice")
 
-    def __init__(self, source, ctx: ExecutionContext):
+    def __init__(self, source, slice: LogSlice):
         self.source = source
-        self.ctx = ctx
+        self.slice = slice
 
     def lookup_keys(
         self,
@@ -252,12 +203,12 @@ class OldState:
         stats: AccessStats | None = None,
     ) -> Sequence[Sequence[Row]]:
         groups = self.source.lookup_keys(relation, positions, keys, stats)
-        net = self.ctx.delta_net(relation)
+        net = self.slice.net.get(relation)
         if not net:
             return groups
         # Only keys the slice touches need rewinding, and the slice index
         # (shared with the delta face) finds them in O(1) each.
-        changed = self.ctx.delta_index(relation, positions)
+        changed = self.slice.index(relation, positions)
         rewound: dict[Row, list[Row]] = {}
         out: list[Sequence[Row]] = []
         for key, rows in zip(keys, groups):
@@ -282,7 +233,7 @@ class OldState:
         current state; the rest are answered from the slice alone (deleted
         since the watermark -> present then; inserted since -> absent
         then) without touching the source."""
-        net = self.ctx.delta_net(relation)
+        net = self.slice.net.get(relation)
         if not net:
             return self.source.contains_rows(relation, rows, stats)
         unknown = [row for row in rows if row not in net]
@@ -467,9 +418,10 @@ Operator = FilterOp | FetchOp | ProbeOp | ProjectDedupOp
 # n)`` (terminals return answer rows instead).  ``source`` is whatever
 # answers the two charged reads: the database or a view store for the new
 # face, an OldState around either for the old face, and -- for the delta
-# face, whose rows come from the in-memory slice -- the execution context
-# itself.  ``columns`` has one entry per slot plus the trailing sign slot,
-# which a signed lowering gathers like any other live column.
+# face, whose rows come from memory -- the LogSlice itself.  ``columns``
+# has one entry per slot plus the trailing sign slot, which a signed
+# lowering gathers like any other live column.  A face that matches
+# nothing returns ``(None, 0)``.
 
 
 def _slot_specs(items, sidx) -> list[tuple[bool, object]]:
@@ -635,14 +587,17 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound: set[int], signed: bool)
                 out[s] = store
         return out, len(take)
 
-    def delta(ctx, stats, columns, n):
+    def delta(slice, stats, columns, n):
         if spos:
-            get = ctx.delta_index(relation, spos).get
+            get = slice.index(relation, spos).get
             groups = [get(key, ()) for key in keys_fn(columns, n)]
+            # Most delta joins match nothing: say so before any gather.
+            if not any(groups):
+                return None, 0
         else:
             # A keyless fetch (full-relation rule): every slice row joins
             # with every source row.
-            groups = [ctx.delta_rows(relation)] * n
+            groups = [slice.rows(relation)] * n
         return expand(groups, columns, True)
 
     if pure and len(fresh) == 1:
@@ -707,10 +662,13 @@ def _compile_probe(op: ProbeOp, slots: SlotTable, bound: set[int], signed: bool)
         sel = [i for i, present in enumerate(verdicts) if present]
         return _take(columns, gather, sel, width), len(sel)
 
-    def delta(ctx, stats, columns, n):
+    def delta(slice, stats, columns, n):
         # A row survives only if its fully-bound tuple effectively
         # changed, carrying the change's sign.
-        get = ctx.delta_net(relation).get
+        net = slice.net.get(relation)
+        if not net:
+            return None, 0
+        get = net.get
         sel: list[int] = []
         signs: list[int] = []
         for i, row in enumerate(rows_fn(columns, n)):
@@ -718,6 +676,8 @@ def _compile_probe(op: ProbeOp, slots: SlotTable, bound: set[int], signed: bool)
             if row_sign:
                 sel.append(i)
                 signs.append(row_sign)
+        if not sel:
+            return None, 0
         out = _take(columns, gather, sel, width)
         out[sign] = [a * b for a, b in zip(out[sign], signs)]
         return out, len(sel)
@@ -841,7 +801,9 @@ class Pipeline(tuple):
       ``ops`` are the descriptions the closure was lowered from) and the
       terminal level whose closure returns answer rows -- a trailing
       fetch+project pair fused when the fetch is a pure expansion;
-    * :meth:`signed` -- the signed lowering, built on first use.
+    * :meth:`signed` -- the signed lowering, built on first use (and,
+      beside it, the plan's :class:`DeltaProgram` -- see
+      :func:`delta_program`).
 
     Comparing a ``Pipeline`` to a plain tuple compares the descriptions
     (tuple semantics), so an unsatisfiable plan's pipeline equals ``()``.
@@ -872,6 +834,7 @@ class Pipeline(tuple):
         self.body = ()
         self.terminal = None
         self._signed = None
+        self._program = None
         if ops:
             self.body, self.terminal = _lower(self, signed=False)
         return self
@@ -1176,6 +1139,128 @@ def _execute_merged(plan: Plan, db, values: Assignment) -> tuple[Row, ...]:
     )
 
 
+class DeltaProgram:
+    """Everything about refreshing one plan that does not depend on the
+    slice, compiled once: the signed :attr:`levels` and the
+    :attr:`accumulate` terminal of the plan's pipeline, the
+    :attr:`relations` each level reads (what decides, per slice, which
+    levels changed), the seed :attr:`prefilter` -- and the fact that the
+    plan passed :func:`check_delta_supported`, which building a program
+    asserts.  :meth:`run` is the one delta driver: ``execute_plan_delta``,
+    ``IncrementalResult.refresh`` and ``ViewState.refresh`` all end up
+    there.  Obtain programs through :func:`delta_program`."""
+
+    __slots__ = ("plan", "pipe", "levels", "accumulate", "relations", "prefilter")
+
+    def __init__(self, plan: Plan, pipe: Pipeline):
+        check_delta_supported(plan)
+        self.plan = plan
+        self.pipe = pipe
+        # An unsatisfiable plan lowers to no levels: it never runs.
+        self.levels, self.accumulate = pipe.signed() if pipe else ((), None)
+        self.relations = tuple(ops[0].atom.relation for _, _, _, ops in self.levels)
+        self.prefilter = pipe.prefilter
+
+    def run(
+        self,
+        ctx: ExecutionContext,
+        seed: Assignment,
+        profiles: list["OperatorProfile"] | None = None,
+    ) -> dict[Row, int]:
+        """The standard delta rule over ``ctx``'s slice, from a validated
+        ``seed`` (see :func:`execute_plan_delta` for the contract).
+
+        For each level ``i`` whose relation the slice changed, levels
+        before ``i`` run on the new state (one prefix batch, extended
+        level by level and shared by every changed level), level ``i``
+        joins the slice, levels after ``i`` run on the old state."""
+        changes: dict[Row, int] = {}
+        slice = ctx.slice
+        prefilter = self.prefilter
+        if prefilter is not None:
+            seed = dict(seed)  # check_seed applies the binds in place
+            passed = prefilter.check_seed(seed)
+            if profiles is not None:
+                profiles.append(OperatorProfile(str(prefilter), 1, int(passed), 0, 0, 0))
+            if not passed:
+                return changes
+        if slice is None:
+            return changes
+        net = slice.net
+        relevant = [i for i, relation in enumerate(self.relations) if relation in net]
+        if not relevant:
+            return changes
+        last = relevant[-1]
+        levels = self.levels
+        depth = len(levels)
+        accumulate = self.accumulate
+        db = ctx.db
+        stats = ctx.stats
+        olds: dict[str | None, OldState] = {}  # per read source, on first use
+        prefix, n = self.pipe.seed(seed, signed=True), 1
+        for i in range(last + 1):
+            view, step, delta, ops = levels[i]
+            if i in relevant:
+                if profiles is None:
+                    columns, m = delta(slice, stats, prefix, n)
+                else:
+                    columns, m = _measured(
+                        profiles, f"Δ[{i + 1}] {ops[0]}", delta, slice, stats, prefix, n
+                    )
+                j = i + 1
+                while m and j < depth:
+                    old_view, old_step, _, old_ops = levels[j]
+                    j += 1
+                    old = olds.get(old_view)
+                    if old is None:
+                        old = olds[old_view] = OldState(
+                            db if old_view is None else ctx.store(old_view), slice
+                        )
+                    if profiles is None:
+                        columns, m = old_step(old, stats, columns, m)
+                    else:
+                        columns, m = _measured(
+                            profiles, f"old[{j}] {old_ops[0]}", old_step, old, stats, columns, m
+                        )
+                if m:
+                    accumulate(columns, m, changes)
+                if i == last:
+                    break
+            source = db if view is None else ctx.store(view)
+            if profiles is None:
+                prefix, n = step(source, stats, prefix, n)
+            else:
+                prefix, n = _measured(
+                    profiles, f"new[{i + 1}] {ops[0]}", step, source, stats, prefix, n
+                )
+            if not n:
+                break
+        if changes:
+            changes = {row: change for row, change in changes.items() if change}
+        if profiles is not None:
+            profiles.append(
+                OperatorProfile(str(self.pipe[-1]), len(changes), len(changes), 0, 0, 0)
+            )
+        return changes
+
+
+def delta_program(plan: Plan) -> DeltaProgram:
+    """``plan``'s :class:`DeltaProgram`, built on first use and kept on
+    the plan's cached pipeline beside its signed lowering (building is
+    pure, so a racing build is redundant work, never a hazard).
+
+    Raises :class:`~repro.errors.IncrementalError` (eagerly, whatever the
+    data) for plans that fetch through an embedded access rule: their
+    per-row projection dedup makes derivation multiplicities
+    non-compositional, so neither counts nor signed deltas would be
+    exact."""
+    pipe = pipeline_for(plan)
+    program = pipe._program
+    if program is None:
+        program = pipe._program = DeltaProgram(plan, pipe)
+    return program
+
+
 def execute_plan_counting(
     plan: Plan,
     db,
@@ -1191,28 +1276,25 @@ def execute_plan_counting(
     changes a batch of updates causes.  Runs the new faces of the signed
     lowering with every sign ``+1``.
 
-    Raises :class:`~repro.errors.IncrementalError` (eagerly, whatever the
-    data) for plans that fetch through an embedded access rule: their
-    per-row projection dedup makes the multiplicities non-compositional,
-    so the counts would be unusable as incremental state.
+    Raises :class:`~repro.errors.IncrementalError` (see
+    :func:`delta_program`) for plans that fetch through an embedded
+    access rule: the counts would be unusable as incremental state.
     """
-    check_delta_supported(plan)
+    program = delta_program(plan)
     seed = _seed_assignment(plan, parameters, kwargs)
     counts: dict[Row, int] = {}
     if not plan.satisfiable:
         return counts
     ctx = _as_context(db)
-    pipe = pipeline_for(plan)
-    if pipe.prefilter is not None and not pipe.prefilter.check_seed(seed):
+    if program.prefilter is not None and not program.prefilter.check_seed(seed):
         return counts
-    levels, accumulate = pipe.signed()
-    columns, n = pipe.seed(seed, signed=True), 1
-    for view, step, _, _ in levels:
+    columns, n = program.pipe.seed(seed, signed=True), 1
+    for view, step, _, _ in program.levels:
         source = ctx.db if view is None else ctx.store(view)
         columns, n = step(source, ctx.stats, columns, n)
         if not n:
             return counts
-    accumulate(columns, n, counts)
+    program.accumulate(columns, n, counts)
     return counts
 
 
@@ -1222,7 +1304,6 @@ def execute_plan_delta(
     parameters: Mapping[object, object] | None = None,
     *,
     profiles: list["OperatorProfile"] | None = None,
-    seed: Assignment | None = None,
     **kwargs: object,
 ) -> dict[Row, int]:
     """Evaluate the standard delta rule for ``plan`` over ``ctx``'s change
@@ -1247,74 +1328,15 @@ def execute_plan_delta(
     never sometimes succeed depending on the slice.
 
     Pass ``profiles`` (a list) to collect one :class:`OperatorProfile`
-    per face applied (``new[i]`` / ``Δ[i]`` / ``old[i]``).  ``seed`` is
-    the refresh hot path's escape hatch: a pre-validated parameter
-    assignment (variable-keyed, e.g. kept from the initial counting
-    execution) that skips per-call validation.
+    per face applied (``new[i]`` / ``Δ[i]`` / ``old[i]``).
+
+    This is :meth:`DeltaProgram.run` behind per-call parameter validation;
+    a caller that refreshes one plan repeatedly keeps
+    ``delta_program(plan)`` and its validated seed and calls ``run``
+    directly, as :mod:`repro.incremental` and :mod:`repro.views` do.
     """
-    check_delta_supported(plan)
-    if seed is None:
-        seed = _seed_assignment(plan, parameters, kwargs)
-    else:
-        seed = dict(seed)
-    changes: dict[Row, int] = {}
-    if not plan.satisfiable:
-        return changes
-    pipe = pipeline_for(plan)
-    prefilter = pipe.prefilter
-    if prefilter is not None:
-        passed = prefilter.check_seed(seed)
-        if profiles is not None:
-            profiles.append(OperatorProfile(str(prefilter), 1, int(passed), 0, 0, 0))
-        if not passed:
-            return changes
-    levels, accumulate = pipe.signed()
-    relevant = {
-        i
-        for i, (_, _, _, ops) in enumerate(levels)
-        if ctx.delta_net(ops[0].atom.relation)
-    }
-    if not relevant:
-        return changes
-    last = max(relevant)
-    stats = ctx.stats
-
-    def apply(face: str, i: int, columns, n):
-        """One face of level ``i``, profiled only when asked to be."""
-        view, step, delta, ops = levels[i]
-        if face == "Δ":
-            step, source = delta, ctx
-        else:
-            source = ctx.db if view is None else ctx.store(view)
-            if face == "old":
-                source = OldState(source, ctx)
-        if profiles is None:
-            return step(source, stats, columns, n)
-        return _measured(
-            profiles, f"{face}[{i + 1}] {ops[0]}", step, source, stats, columns, n
-        )
-
-    prefix, n = pipe.seed(seed, signed=True), 1
-    for i in range(last + 1):
-        if i in relevant:
-            columns, m = apply("Δ", i, prefix, n)
-            for j in range(i + 1, len(levels)):
-                if not m:
-                    break
-                columns, m = apply("old", j, columns, m)
-            if m:
-                accumulate(columns, m, changes)
-        if i == last:
-            break
-        prefix, n = apply("new", i, prefix, n)
-        if not n:
-            break
-    changes = {row: change for row, change in changes.items() if change}
-    if profiles is not None:
-        profiles.append(
-            OperatorProfile(str(pipe[-1]), len(changes), len(changes), 0, 0, 0)
-        )
-    return changes
+    program = delta_program(plan)
+    return program.run(ctx, _seed_assignment(plan, parameters, kwargs), profiles)
 
 
 def delta_fanout_bound(plan: Plan, delta_sizes: Mapping[str, int]) -> int:

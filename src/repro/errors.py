@@ -16,6 +16,13 @@ class UpdateError(ReproError):
     disjoint from it."""
 
 
+class CompactedError(ReproError):
+    """A change-log span was requested from below the log's floor: pinned
+    compaction (:class:`repro.relational.instance.ChangeLog`) has dropped
+    those entries, so the slice cannot be answered -- hold a pin to keep
+    a watermark sliceable across appends."""
+
+
 class UndecidableError(ReproError):
     """The requested decision problem is undecidable for the given input
     class (e.g. QSI or VQSI for full first-order logic)."""

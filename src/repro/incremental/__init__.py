@@ -7,14 +7,22 @@ refresh path, built on three pieces of machinery:
 
 * the :class:`~repro.relational.instance.ChangeLog` every
   :class:`~repro.relational.instance.Database` keeps -- a monotonic log of
-  effective inserts and deletes, sliced by watermark;
+  effective inserts and deletes, sliced by watermark.  One span of it is
+  one :class:`~repro.relational.instance.LogSlice` (net delta, sizes and
+  the in-memory indexes joins probe), memoised by the log: the many
+  results that refresh over the identical span share a single slice.
+  Every result *pins* its watermark, which is what lets the log drop
+  what lies below the oldest pin instead of growing without bound;
 * the three faces every lowered operator has (:mod:`repro.core.executor`)
   -- *new* (read the current state), *delta* (join the in-memory change
   slice, multiplying signs in) and *old* (the new-face closure over
   :class:`~repro.core.executor.OldState`, the pre-delta snapshot) --
-  composed by :func:`~repro.core.executor.execute_plan_delta` into the
+  composed by :class:`~repro.core.executor.DeltaProgram` into the
   standard delta rule: per changed operator level, new-state prefix |x|
-  in-memory change slice |x| old-state suffix, one bulk read per level;
+  in-memory change slice |x| old-state suffix, one bulk read per level.
+  A plan's program holds everything about that composition that no slice
+  changes and is compiled once (at materialization); a refresh does only
+  slice-dependent work;
 * derivation *counting*: the initial execution
   (:func:`~repro.core.executor.execute_plan_counting`) materializes how
   many derivations support each answer row, so signed deltas compose
@@ -24,10 +32,11 @@ refresh path, built on three pieces of machinery:
 
 :class:`IncrementalResult` packages the materialized answers together
 with the watermark they are valid at.  :meth:`IncrementalResult.refresh`
-reads the log slice past the watermark, applies the delta pipeline for
-every compiled plan (one per disjunct for a union), folds the signed
-changes into the counts and advances the watermark.  The tuples a refresh
-accesses are bounded by :func:`~repro.core.executor.delta_fanout_bound`
+reads the log slice past the watermark, runs the delta program of every
+compiled plan (one per disjunct for a union), and only when all of them
+succeeded folds the signed changes into the counts and advances the
+watermark -- a refresh that fails half way leaves the result as it was.
+The tuples a refresh accesses are bounded by :func:`~repro.core.executor.delta_fanout_bound`
 -- a function of the change-slice size and the access-rule bounds, never
 of the database size.
 
@@ -57,10 +66,10 @@ from repro.core.executor import (
     OperatorProfile,
     PlanProfile,
     delta_fanout_bound,
+    delta_program,
     execute_plan_counting,
-    execute_plan_delta,
 )
-from repro.core.plans import Plan
+from repro.relational.instance import LogSlice
 
 Row = tuple[object, ...]
 
@@ -88,13 +97,15 @@ class IncrementalResult:
         "_engine",
         "_query",
         "_values",
-        "_plans",
+        "_programs",
         "_seeds",
+        "_view_names",
         "_access_version",
         "_views_version",
         "_counts",
         "_order",
         "_delta_sizes",
+        "__weakref__",  # the change log pins its consumers weakly
     )
 
     def __init__(self, engine, query, values: Mapping, columns: tuple[str, ...]):
@@ -148,7 +159,8 @@ class IncrementalResult:
         if self._delta_sizes is None:
             return None
         return sum(
-            delta_fanout_bound(plan, self._delta_sizes) for plan in self._plans
+            delta_fanout_bound(program.plan, self._delta_sizes)
+            for program in self._programs
         )
 
     # -- maintenance -----------------------------------------------------
@@ -180,18 +192,15 @@ class IncrementalResult:
             self.last_mode = "rebase"
             return self
         db = engine.require_database()
-        log = db.change_log
-        now = log.watermark
-        delta = log.net_since(self.watermark)
+        slice = db.change_log.slice_since(self.watermark)
         # View-assisted plans: bring the views up to date first, then ride
         # their answer changes in the slice under the view names -- the
         # delta pipeline joins them exactly like base-relation changes.
-        states = engine._prepare_views(self._plans)
-        if states is not None:
+        states = None
+        if self._view_names:
+            states = engine.views.prepare(db, self._view_names)
             view_delta: dict[str, dict[Row, int]] = {}
-            for name in sorted(
-                {n for plan in self._plans for n in plan.view_relations}
-            ):
+            for name in self._view_names:
                 net = states[name].changes_since(self.watermark)
                 if net is None:
                     # The view cannot replay its answer changes back to
@@ -203,37 +212,43 @@ class IncrementalResult:
                 if net:
                     view_delta[name] = net
             if view_delta:
-                delta = {**delta, **view_delta}
-        ctx = ExecutionContext(
-            db,
-            watermark=self.watermark,
-            delta=delta,
-            caches=log.slice_caches(self.watermark) if delta else None,
-            views=states,
-        )
-        profiles: list[PlanProfile] = []
-        self._delta_sizes = {relation: len(rows) for relation, rows in delta.items()}
-        if delta:
-            measured: list[tuple[Plan, tuple[OperatorProfile, ...]]] = []
-            touched = False
-            for plan, seed, counts in zip(self._plans, self._seeds, self._counts):
-                ops: list[OperatorProfile] | None = [] if analyze else None
-                changes = execute_plan_delta(plan, ctx, profiles=ops, seed=seed)
-                touched = touched or bool(changes)
-                for row, change in changes.items():
-                    count = counts.get(row, 0) + change
+                slice = LogSlice({**slice.net, **view_delta}, slice.start, slice.stop)
+        ctx = ExecutionContext(db, watermark=self.watermark, delta=slice, views=states)
+        profiles: tuple[PlanProfile, ...] = ()
+        if slice.net:
+            measured: list[list[OperatorProfile] | None] = [
+                [] if analyze else None for _ in self._programs
+            ]
+            # Every disjunct's changes first: a backend error in a later
+            # one must leave counts and watermark as they were, so the
+            # retry does not apply the earlier ones twice.
+            changes = [
+                program.run(ctx, seed, ops)
+                for program, seed, ops in zip(self._programs, self._seeds, measured)
+            ]
+            crossed = False
+            for counts, changed in zip(self._counts, changes):
+                for row, change in changed.items():
+                    before = counts.get(row, 0)
+                    count = before + change
                     if count > 0:
                         counts[row] = count
                     else:
                         counts.pop(row, None)
-                if ops is not None:
-                    measured.append((plan, tuple(ops)))
-            if touched:
+                    if (before > 0) != (count > 0):
+                        crossed = True
+            if crossed:  # otherwise the answer set, and its order, stand
                 self._reorder()
-            profiles = [PlanProfile(plan, self.rows, ops) for plan, ops in measured]
-        self.watermark = now
+            if analyze:
+                rows = self.rows
+                profiles = tuple(
+                    PlanProfile(program.plan, rows, tuple(ops))
+                    for program, ops in zip(self._programs, measured)
+                )
+        self._delta_sizes = slice.sizes
+        self.watermark = slice.stop
         self.stats = ctx.stats
-        self.profiles = tuple(profiles)
+        self.profiles = profiles
         self.last_mode = "delta"
         return self
 
@@ -246,9 +261,7 @@ class IncrementalResult:
         db = engine.require_database()
         version, _ = engine._access_state
         views_version = engine.views.version
-        plans: tuple[Plan, ...] = engine._plans_for(
-            self._query, frozenset(self._values)
-        )
+        plans = engine._plans_for(self._query, frozenset(self._values))
         # Classify statically before materializing anything: unlike the
         # executor's per-plan check, the classifier's error carries every
         # blocker's causal trace.  Imported lazily -- repro.analysis sits
@@ -261,7 +274,8 @@ class IncrementalResult:
         # base state at that watermark (mutations are single-writer, so
         # nothing moves in between).
         states = engine._prepare_views(plans)
-        watermark = db.change_log.watermark
+        log = db.change_log
+        watermark = log.watermark
         ctx = ExecutionContext(db, watermark=watermark, views=states)
         # Like refresh(), the initial pass skips profile bookkeeping --
         # profiles come from refresh(analyze=True) on demand.
@@ -269,19 +283,24 @@ class IncrementalResult:
             execute_plan_counting(plan, ctx, self._values) for plan in plans
         ]
         self._delta_sizes = None
-        self._plans = plans
-        # Validated per-plan seed assignments, so refreshes skip per-call
-        # parameter validation (the counting pass above already did it).
+        # What every refresh needs and no slice changes: the compiled
+        # delta programs, the validated per-plan seed assignments (the
+        # counting pass above already checked them) and the views read.
+        self._programs = tuple(delta_program(plan) for plan in plans)
         self._seeds = [
             {variable: self._values[variable] for variable in plan.parameters}
             for plan in plans
         ]
+        self._view_names = tuple(
+            sorted({name for plan in plans for name in plan.view_relations})
+        )
         self._access_version = version
         self._views_version = views_version
         self._counts = counts
         self._order: dict[Row, None] = {}
         self._reorder()
         self.watermark = watermark
+        log.pin(self)  # hold the log at our watermark while we live
         self.stats = ctx.stats
         self.fanout_bound = sum(plan.fanout_bound for plan in plans)
         self.profiles = ()

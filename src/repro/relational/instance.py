@@ -43,11 +43,15 @@ hands the batch to the backend, and appends each *effective* change (an
 insert of a genuinely new tuple, a delete of a genuinely present one) to
 the database's monotonic :class:`ChangeLog` -- the substrate of
 incremental scale independence (:mod:`repro.incremental`, Section 5 of
-the paper): a refresh replays only the log suffix past its watermark.
+the paper): a refresh replays only the log suffix past its watermark,
+handed out as one shared :class:`LogSlice` per span.  The log is bounded
+by *pinned compaction*: consumers that hold a watermark pin it, and
+appends drop what lies below the oldest pin (see :class:`ChangeLog` for
+what an un-pinned watermark may rely on).
 :meth:`Database.bulk_load` is the one escape hatch: an *unlogged*
 streaming load for populating an empty database at out-of-core scale,
-permitted only while the change log is empty so no watermark can be
-bypassed.  Mutations are single-writer: interleaving them with
+permitted only while nothing has ever been logged so no watermark can
+be bypassed.  Mutations are single-writer: interleaving them with
 concurrent executions is undefined.
 """
 
@@ -56,8 +60,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
+from weakref import WeakSet
 
-from repro.errors import UpdateError
+from repro.errors import CompactedError, UpdateError
 from repro.logic.terms import Constant
 from repro.relational.backends.base import StorageBackend
 from repro.relational.backends.memory import MemoryBackend
@@ -100,7 +105,7 @@ class AccessStats:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChangeEntry:
     """One effective mutation: transaction id, ``"+"``/``"-"``, relation,
     tuple."""
@@ -114,66 +119,202 @@ class ChangeEntry:
         return f"[{self.tid}] {self.op}{self.relation}{self.row!r}"
 
 
-#: How many memoized slices (``net_since`` results and their derived-view
-#: caches) a ChangeLog retains; one per *live* watermark is enough, so
-#: this bounds memory while letting many refresh cadences coexist.
+class LogSlice:
+    """The net effect of one span ``[start, stop)`` of a change log, with
+    everything the delta pipeline derives from it memoised on the one
+    object: :attr:`net` (signed rows per changed relation -- cancelled
+    tuples and unchanged relations are omitted), :attr:`sizes` (net rows
+    per relation, what :func:`~repro.core.executor.delta_fanout_bound`
+    is charged against), and the lazily built per-position hash indexes
+    the delta and old faces join against.  A
+    span names one immutable stretch of an append-only log, so every
+    consumer refreshing over it shares one slice
+    (:meth:`ChangeLog.slice_since`)."""
+
+    __slots__ = ("start", "stop", "net", "sizes", "_index")
+
+    def __init__(self, net: NetDelta, start: int = 0, stop: int = 0):
+        self.start = start
+        self.stop = stop
+        self.net = net
+        self.sizes = {relation: len(rows) for relation, rows in net.items()}
+        self._index: dict[tuple, dict[Row, list[tuple[Row, int]]]] = {}
+
+    def __repr__(self) -> str:
+        return f"LogSlice([{self.start}, {self.stop}), {sum(self.sizes.values())} rows)"
+
+    def rows(self, relation: str) -> tuple[tuple[Row, int], ...]:
+        """The net changes of ``relation`` as ``(row, sign)`` pairs."""
+        return tuple(self.net.get(relation, {}).items())
+
+    def index(
+        self, relation: str, positions: tuple[int, ...]
+    ) -> dict[Row, list[tuple[Row, int]]]:
+        """The net changes of ``relation`` hash-indexed on ``positions``
+        -- the in-memory twin of the database's per-position indexes, so
+        a delta join (and the old-state rewind) costs O(batch + slice)
+        instead of their product."""
+        key = (relation, positions)
+        index = self._index.get(key)
+        if index is None:
+            index = {}
+            for entry in self.rows(relation):
+                row = entry[0]
+                index.setdefault(tuple(row[p] for p in positions), []).append(entry)
+            self._index[key] = index
+        return index
+
+
+#: How many memoized slices a ChangeLog retains; one per *live* watermark
+#: is enough, so this bounds memory while letting many refresh cadences
+#: coexist.
 SLICE_CACHE_SIZE = 8
+
+#: The compaction trigger: :meth:`ChangeLog.append` looks at the pins once
+#: per this many appends, and drops the dead prefix when it is longer than
+#: this *and* longer than the live suffix (so the copy a truncation costs
+#: is always paid for by the entries it frees).
+COMPACT_MIN_DEAD = 1024
 
 
 class ChangeLog:
-    """A monotonic, append-only log of effective database mutations.
+    """A monotonic, append-only log of effective database mutations,
+    bounded by *pinned compaction*.
 
-    Transaction ids are dense and 0-based, so the :attr:`watermark` --
-    the id the *next* entry will get -- doubles as a position: the slice
-    ``entries_since(w)`` is exactly the changes a reader holding
-    watermark ``w`` has not yet seen.  The log never forgets; truncation
-    would invalidate outstanding watermarks.
+    Transaction ids are dense, 0-based and absolute for the life of the
+    log, so the :attr:`watermark` -- the id the *next* entry will get --
+    doubles as a position: the slice past ``w`` is exactly the changes a
+    reader holding watermark ``w`` has not yet seen.
+
+    The log forgets what no reader can ask for again.  A consumer that
+    holds a watermark across mutations -- an
+    :class:`~repro.incremental.IncrementalResult`, a
+    :class:`~repro.views.ViewState` -- registers with :meth:`pin` (weakly:
+    dropping the consumer releases the pin).  :meth:`append`, and nothing
+    else, occasionally truncates every entry below the oldest live pin
+    (all of them when nobody pins), raising :attr:`floor`.  So:
+
+    * a pinned consumer can always slice from its own watermark;
+    * a raw watermark held *without* a pin stays sliceable only while it
+      is at or above the floor -- it survives any number of reads and pin
+      movements (nothing but ``append`` compacts), and may be gone after
+      any append;
+    * slicing or indexing below the floor raises
+      :class:`~repro.errors.CompactedError` -- never a wrong answer.
     """
 
-    __slots__ = ("_entries", "_net_cache", "_slice_caches")
+    __slots__ = ("_entries", "_base", "_pins", "_check_at", "_slices")
 
     def __init__(self) -> None:
         self._entries: list[ChangeEntry] = []
-        # Memoized net_since slices keyed by (from, to): many incremental
-        # results refreshing off one log hit the identical slice, and the
-        # log is append-only so an entry can never go stale.  Both memos
-        # evict least-recently-used entries past SLICE_CACHE_SIZE -- a
-        # reader's hot slice survives however many cold watermarks other
-        # readers probe in between.
-        self._net_cache: OrderedDict[tuple[int, int], NetDelta] = OrderedDict()
-        self._slice_caches: OrderedDict[tuple[int, int], tuple[dict, dict]] = (
-            OrderedDict()
-        )
+        self._base = 0  # the tid of _entries[0]: everything below is gone
+        self._pins: WeakSet = WeakSet()
+        self._check_at = COMPACT_MIN_DEAD  # retained length that triggers a look
+        # Memoized slices keyed by (start, stop): many incremental results
+        # refreshing off one log hit the identical span, and the log is
+        # append-only so a slice can never go stale.  Least-recently-used
+        # eviction past SLICE_CACHE_SIZE -- a reader's hot slice survives
+        # however many cold watermarks other readers probe in between.
+        self._slices: OrderedDict[tuple[int, int], LogSlice] = OrderedDict()
 
     @property
     def watermark(self) -> int:
         """The id the next appended entry will receive."""
-        return len(self._entries)
+        return self._base + len(self._entries)
+
+    @property
+    def floor(self) -> int:
+        """The oldest tid still retained: the lowest sliceable watermark."""
+        return self._base
+
+    def pin(self, consumer) -> None:
+        """Hold the log at ``consumer.watermark``: no entry at or above it
+        is dropped while ``consumer`` is alive (the reference is weak)."""
+        self._pins.add(consumer)
 
     def append(self, op: str, relation: str, row: Row) -> ChangeEntry:
         if op not in ("+", "-"):
             raise ValueError(f"change op must be '+' or '-', got {op!r}")
-        entry = ChangeEntry(len(self._entries), op, relation, row)
-        self._entries.append(entry)
+        entries = self._entries
+        entry = ChangeEntry(self._base + len(entries), op, relation, row)
+        entries.append(entry)
+        if len(entries) > self._check_at:
+            self._compact()
         return entry
 
+    def _compact(self) -> None:
+        """Drop every entry below the oldest live pin, if that prefix is
+        long enough to be worth the copy; then schedule the next look."""
+        entries = self._entries
+        floor = min([self.watermark, *(pin.watermark for pin in self._pins)])
+        dead = floor - self._base
+        if dead > COMPACT_MIN_DEAD and dead > len(entries) - dead:
+            del entries[:dead]
+            self._base = floor
+            for key in [key for key in self._slices if key[0] < floor]:
+                del self._slices[key]
+        self._check_at = len(entries) + COMPACT_MIN_DEAD
+
     def __len__(self) -> int:
+        """The number of *retained* entries (``watermark - floor``)."""
         return len(self._entries)
 
     def __iter__(self) -> Iterator[ChangeEntry]:
+        """The retained entries, in log order."""
         return iter(self._entries)
 
-    def __getitem__(self, index: int) -> ChangeEntry:
-        return self._entries[index]
+    def __getitem__(self, tid: int) -> ChangeEntry:
+        """The entry with transaction id ``tid`` (negative: counted back
+        from the watermark)."""
+        watermark = self.watermark
+        if tid < 0:
+            tid += watermark
+        if not 0 <= tid < watermark:
+            raise IndexError(f"no entry {tid}: the watermark is {watermark}")
+        return self._entries[self._offset(tid)]
 
     def __repr__(self) -> str:
-        return f"ChangeLog({len(self._entries)} entries)"
+        floor = f" from tid {self._base}" if self._base else ""
+        return f"ChangeLog({len(self._entries)} entries{floor})"
+
+    def _offset(self, watermark: int) -> int:
+        """``watermark`` as a position in the retained entries."""
+        if watermark < 0:
+            raise ValueError(f"watermark must be >= 0, got {watermark}")
+        if watermark < self._base:
+            raise CompactedError(
+                f"the change log was compacted up to tid {self._base}; entries "
+                f"from {watermark} are gone -- hold a pin (ChangeLog.pin) to "
+                f"keep a watermark sliceable across appends"
+            )
+        return watermark - self._base
 
     def entries_since(self, watermark: int) -> tuple[ChangeEntry, ...]:
         """Every entry with ``tid >= watermark``, in log order."""
-        if watermark < 0:
-            raise ValueError(f"watermark must be >= 0, got {watermark}")
-        return tuple(self._entries[watermark:])
+        return tuple(self._entries[self._offset(watermark) :])
+
+    def slice_since(self, watermark: int) -> LogSlice:
+        """The (memoised, shared) :class:`LogSlice` of the span from
+        ``watermark`` to now."""
+        key = (watermark, self._base + len(self._entries))
+        slices = self._slices
+        found = slices.get(key)
+        if found is not None:
+            slices.move_to_end(key)
+            return found
+        net: NetDelta = {}
+        for entry in self._entries[self._offset(watermark) :]:
+            rows = net.setdefault(entry.relation, {})
+            sign = rows.get(entry.row, 0) + (1 if entry.op == "+" else -1)
+            if sign:
+                rows[entry.row] = sign
+            else:
+                del rows[entry.row]
+        found = LogSlice({r: rows for r, rows in net.items() if rows}, *key)
+        slices[key] = found
+        if len(slices) > SLICE_CACHE_SIZE:
+            slices.popitem(last=False)
+        return found
 
     def net_since(self, watermark: int) -> NetDelta:
         """The net signed delta of the slice past ``watermark``.
@@ -183,43 +324,7 @@ class ChangeLog:
         entirely; cancelled tuples and unchanged relations are omitted,
         so an empty mapping means "nothing effectively changed".
         """
-        if watermark < 0:
-            raise ValueError(f"watermark must be >= 0, got {watermark}")
-        key = (watermark, len(self._entries))
-        cached = self._net_cache.get(key)
-        if cached is not None:
-            self._net_cache.move_to_end(key)
-            return cached
-        net: NetDelta = {}
-        for entry in self._entries[watermark:]:
-            rows = net.setdefault(entry.relation, {})
-            sign = rows.get(entry.row, 0) + (1 if entry.op == "+" else -1)
-            if sign:
-                rows[entry.row] = sign
-            else:
-                del rows[entry.row]
-        net = {relation: rows for relation, rows in net.items() if rows}
-        self._net_cache[key] = net
-        while len(self._net_cache) > SLICE_CACHE_SIZE:
-            self._net_cache.popitem(last=False)
-        return net
-
-    def slice_caches(self, watermark: int) -> tuple[dict, dict]:
-        """Shared derived-view memos (row tuples, per-position indexes) for
-        the slice from ``watermark`` to now, handed to the execution
-        context so every consumer refreshing off the identical slice
-        reuses one set of in-memory delta indexes.  Safe because the log
-        is append-only: a (from, to) pair names one immutable slice."""
-        key = (watermark, len(self._entries))
-        caches = self._slice_caches.get(key)
-        if caches is None:
-            caches = ({}, {})
-            self._slice_caches[key] = caches
-            while len(self._slice_caches) > SLICE_CACHE_SIZE:
-                self._slice_caches.popitem(last=False)
-        else:
-            self._slice_caches.move_to_end(key)
-        return caches
+        return self.slice_since(watermark).net
 
 
 def _plain(value: object) -> object:
@@ -353,16 +458,16 @@ class Database:
         Rows are validated and interned like any insert, but applied in
         backend chunks and never recorded in :attr:`change_log`, so a
         million-row load does not pin a million tuples in the Python
-        heap.  Only permitted while the change log is empty: once any
-        logged mutation exists, an unlogged load would slip past
-        outstanding incremental watermarks, so it raises
-        :class:`UpdateError`.  Returns the number of tuples actually
-        inserted (set semantics).
+        heap.  Only permitted while the log's watermark is 0: once any
+        mutation was logged (compacted away since or not), an unlogged
+        load would slip past outstanding incremental watermarks, so it
+        raises :class:`UpdateError`.  Returns the number of tuples
+        actually inserted (set semantics).
         """
         rel = self.schema.relation(relation)
-        if len(self.change_log):
+        if self.change_log.watermark:
             raise UpdateError(
-                f"bulk_load into {relation!r}: the change log is not empty; "
+                f"bulk_load into {relation!r}: the change log has recorded mutations; "
                 f"unlogged loads are only sound on a pristine database -- "
                 f"use insert_many for logged mutations"
             )

@@ -23,9 +23,9 @@ The package in three pieces:
   access schema), held in a private
   :class:`~repro.relational.backends.memory.MemoryBackend` (``state.store``)
   so a view is read through the same ``lookup_keys`` / ``contains_rows``
-  pair as a base relation, and incremental maintenance by
-  :func:`~repro.core.executor.execute_plan_delta` over the database's
-  change-log slice past the view's watermark -- a refresh costs
+  pair as a base relation, and incremental maintenance by the plan's
+  compiled :class:`~repro.core.executor.DeltaProgram` over the database's
+  change-log slice past the view's (pinned) watermark -- a refresh costs
   O(changes), not O(database), and a single-atom view refreshes without
   touching stored tuples at all.  Every refresh appends the set-level
   answer change to a ledger, so incremental *query* results can consume

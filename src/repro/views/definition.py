@@ -16,12 +16,15 @@ end to end:
   fill is one :func:`~repro.core.executor.execute_plan_counting` pass --
   per-answer derivation multiplicities, the state signed deltas compose
   against;
-* a *refresh* reads the database's change-log slice past the view's
-  watermark and runs :func:`~repro.core.executor.execute_plan_delta` --
-  the standard telescoping delta rule -- folding the signed changes into
-  the counts instead of recomputing the join.  For the common
-  single-atom view (an inverted edge index, say) this touches zero
-  stored tuples: the whole refresh is an in-memory join against the
+* a *refresh* takes the database's change-log slice past the view's
+  watermark -- the one shared :class:`~repro.relational.instance.LogSlice`
+  of that span, the same object every incremental result refreshing over
+  it joins -- and runs the maintenance plan's
+  :class:`~repro.core.executor.DeltaProgram` (compiled once, when the
+  state is built): the standard telescoping delta rule, folding the
+  signed changes into the counts instead of recomputing the join.  For
+  the common single-atom view (an inverted edge index, say) this touches
+  zero stored tuples: the whole refresh is an in-memory join against the
   slice.
 
 Every refresh that changes the answer appends the set-level net (rows
@@ -30,9 +33,11 @@ base change-log watermarks it spans.  :meth:`ViewState.changes_since`
 replays that ledger so incremental query results over view-assisted
 plans can treat a view exactly like a base relation: its answer delta
 rides in the execution context's change slice under the view's name.
-Like the database's :class:`~repro.relational.instance.ChangeLog`, the
-ledger never truncates -- compaction would invalidate outstanding
-result watermarks.
+A state pins its watermark in the database's
+:class:`~repro.relational.instance.ChangeLog`, and its ledger is bounded
+by the same floor: spans ending at or below the oldest pin are dropped
+(no pinned consumer can ask for them), and a reader from below that
+point is told to recompute.
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ from repro.core.access_schema import (
 )
 from repro.core.executor import (
     ExecutionContext,
+    delta_program,
     execute_plan_counting,
-    execute_plan_delta,
 )
 from repro.core.plans import Plan, compile_plan
 from repro.errors import RewritingError, SchemaError
@@ -218,18 +223,21 @@ class ViewState:
         "view",
         "db",
         "plan",
+        "program",
         "watermark",
         "origin",
         "counts",
         "last_stats",
         "store",
         "_ledger",
+        "__weakref__",  # the change log pins its consumers weakly
     )
 
     def __init__(self, view: ViewDef, db: Database, plan: Plan | None = None):
         self.view = view
         self.db = db
         self.plan = view.maintenance_plan(db.schema) if plan is None else plan
+        self.program = delta_program(self.plan)
         # Snapshot the watermark before executing: mutations are
         # single-writer by contract, so the counting pass sees exactly
         # the state at this watermark.
@@ -242,6 +250,7 @@ class ViewState:
         self.store.attach(DatabaseSchema([view.relation]), AccessStats())
         self.store.insert_rows(view.name, list(self.counts))
         self._ledger: list[tuple[int, int, dict[Row, int]]] = []
+        db.change_log.pin(self)  # hold the log at our watermark while we live
 
     def __repr__(self) -> str:
         return (
@@ -272,27 +281,24 @@ class ViewState:
         changed level, never a recompute.
         """
         log = self.db.change_log
-        now = log.watermark
-        if now == self.watermark:
+        if log.watermark == self.watermark:
             return {}
-        from_w = self.watermark
-        delta = log.net_since(from_w)
+        slice = log.slice_since(self.watermark)
         net: dict[Row, int] = {}
-        if delta:
-            ctx = ExecutionContext(
-                self.db,
-                watermark=from_w,
-                delta=delta,
-                caches=log.slice_caches(from_w),
-            )
-            changes = execute_plan_delta(self.plan, ctx, seed={})
+        if slice.net:
+            ctx = ExecutionContext(self.db, watermark=slice.start, delta=slice)
+            # Nothing below moves before the delta ran to completion: a
+            # failed refresh leaves counts, store, ledger and watermark
+            # as they were, so a retry starts from consistent state.
+            changes = self.program.run(ctx, {})
+            counts = self.counts
             for row, change in changes.items():
-                old = self.counts.get(row, 0)
+                old = counts.get(row, 0)
                 new = old + change
                 if new > 0:
-                    self.counts[row] = new
+                    counts[row] = new
                 else:
-                    self.counts.pop(row, None)
+                    counts.pop(row, None)
                 if old <= 0 < new:
                     net[row] = 1
                 elif new <= 0 < old:
@@ -302,10 +308,24 @@ class ViewState:
                 name = self.view.name
                 self.store.delete_rows(name, [r for r, sign in net.items() if sign < 0])
                 self.store.insert_rows(name, [r for r, sign in net.items() if sign > 0])
-                self._ledger.append((from_w, now, net))
+                self._append_ledger(slice.start, slice.stop, net, log.floor)
             self.last_stats = ctx.stats
-        self.watermark = now
+        self.watermark = slice.stop
         return net
+
+    def _append_ledger(self, start: int, stop: int, net: dict[Row, int], floor: int) -> None:
+        """Record one refresh's answer net, and forget the spans that end
+        at or below the change log's ``floor``: every pinned consumer is
+        at or past it, so none can ask for them again (one asking anyway
+        falls below :attr:`origin` and is told to recompute)."""
+        ledger = self._ledger
+        dead = 0
+        while dead < len(ledger) and ledger[dead][1] <= floor:
+            dead += 1
+        if dead:
+            self.origin = ledger[dead - 1][1]
+            del ledger[:dead]
+        ledger.append((start, stop, net))
 
     def changes_since(self, watermark: int) -> dict[Row, int] | None:
         """The view's net answer change between base-log ``watermark`` and

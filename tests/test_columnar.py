@@ -243,11 +243,11 @@ class TestDeltaVectorization:
         _, delta_face, apply = self._friends_level(engine)
         pairs = [(pid, 1 if pid % 2 else -1) for pid in range(12)]
         ctx = ExecutionContext(db, delta=delta)
-        vectorized = apply(delta_face, ctx, ctx.stats, pairs)
+        vectorized = apply(delta_face, ctx.slice, ctx.stats, pairs)
         one_by_one = []
         for pair in pairs:
             ctx1 = ExecutionContext(db, delta=delta)
-            one_by_one.extend(apply(delta_face, ctx1, ctx1.stats, [pair]))
+            one_by_one.extend(apply(delta_face, ctx1.slice, ctx1.stats, [pair]))
         assert vectorized and vectorized == sorted(one_by_one)
         assert ctx.stats.tuples_accessed == 0  # the slice lives in memory
 
@@ -262,7 +262,7 @@ class TestDeltaVectorization:
             ctx = ExecutionContext(db, delta=delta)
             new_rows = sorted(x for _, x, _ in apply(step, db, ctx.stats, seed))
             counts: dict = {}
-            for face, source in ((step, OldState(db, ctx)), (delta_face, ctx)):
+            for face, source in ((step, OldState(db, ctx.slice)), (delta_face, ctx.slice)):
                 for _, x, sign in apply(face, source, ctx.stats, seed):
                     counts[x] = counts.get(x, 0) + sign
             telescoped = sorted(v for v, c in counts.items() for _ in range(c))

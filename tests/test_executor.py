@@ -389,15 +389,17 @@ class TestExecutionContext:
     def test_delta_index_groups_by_positions(self, social_db):
         delta = {"friend": {(1, 9): 1, (1, 8): -1, (2, 9): 1}}
         ctx = ExecutionContext(social_db, delta=delta)
-        index = ctx.delta_index("friend", (0,))
+        index = ctx.slice.index("friend", (0,))
         assert set(index) == {(1,), (2,)}
         assert set(index[(1,)]) == {((1, 9), 1), ((1, 8), -1)}
-        assert ctx.delta_index("friend", (0,)) is index  # memoized
+        assert ctx.slice.index("friend", (0,)) is index  # memoized
+        assert ctx.slice.sizes == {"friend": 3}
 
     def test_empty_slice(self, social_db):
-        ctx = ExecutionContext(social_db)
-        assert ctx.delta_net("friend") == {}
-        assert ctx.delta_rows("friend") == ()
+        assert ExecutionContext(social_db).slice is None  # never touched
+        ctx = ExecutionContext(social_db, delta={})
+        assert ctx.slice.net == {}
+        assert ctx.slice.rows("friend") == ()
         assert "ExecutionContext" in repr(ctx)
 
     def test_the_only_reads_are_the_backend_pair(self):
@@ -417,7 +419,7 @@ class TestOldState:
         social_db.delete_many("friend", [(1, 2)])
         delta = social_db.change_log.net_since(mark)
         ctx = ExecutionContext(social_db, delta=delta)
-        return ctx, OldState(social_db, ctx)
+        return ctx, OldState(social_db, ctx.slice)
 
     def test_drops_inserts_and_restores_deletes_under_their_key_only(self, social_db):
         ctx, old = self._mutated(social_db)
@@ -435,7 +437,7 @@ class TestOldState:
         (new,) = social_db.lookup_keys("friend", (0,), [(1,)])
         assert sorted(new) == [(1, 3), (1, 9)]
         # Rewinding probed the slice index, not every deleted row per key.
-        assert ("friend", (0,)) in ctx._delta_index
+        assert ("friend", (0,)) in ctx.slice._index
 
     def test_live_reads_are_accounted_as_usual(self, social_db):
         ctx, old = self._mutated(social_db)
@@ -451,7 +453,7 @@ class TestOldState:
         db.delete_many("r", [(None, 1), (3, None)])
         db.insert_many("r", [(None, 7)])
         ctx = ExecutionContext(db, delta=db.change_log.net_since(mark))
-        old = OldState(db, ctx)
+        old = OldState(db, ctx.slice)
         (by_a,) = old.lookup_keys("r", (0,), [(None,)])
         assert sorted(by_a, key=str) == [(None, 1), (None, 2)]
         (by_b,) = old.lookup_keys("r", (1,), [(None,)])
@@ -473,14 +475,14 @@ class TestOldState:
         assert ctx.stats.indexed_lookups == 2
 
     def test_empty_slice_passes_live_answers_through_untouched(self, social_db):
-        ctx = ExecutionContext(social_db)
-        old = OldState(social_db, ctx)
+        ctx = ExecutionContext(social_db, delta={})
+        old = OldState(social_db, ctx.slice)
         live = social_db.lookup_keys("friend", (0,), [(1,), (2,)])
         rewound = old.lookup_keys("friend", (0,), [(1,), (2,)])
         # The memory backend hands out its live buckets; no copy was made.
         assert all(a is b for a, b in zip(live, rewound))
         assert old.contains_rows("friend", [(1, 2), (9, 9)]) == (True, False)
-        assert ctx._delta_index is None  # the slice index was never built
+        assert not ctx.slice._index  # the slice index was never built
 
 
 class TestDeltaFaces:
@@ -565,11 +567,11 @@ class TestDeltaFaces:
             return into
 
         # Signs multiply: a -1 input row joined with a +1 slice row is -1.
-        assert folded(delta, ctx, [1, 2, 3], [-1, 1, 1]) == {(9,): 0, (2,): 1}
-        assert folded(delta, ctx, [1], [-1]) == {(9,): -1, (2,): 1}
+        assert folded(delta, ctx.slice, [1, 2, 3], [-1, 1, 1]) == {(9,): 0, (2,): 1}
+        assert folded(delta, ctx.slice, [1], [-1]) == {(9,): -1, (2,): 1}
         for pid in (1, 2, 3):
             new = folded(step, social_db, [pid], [1])
-            old = folded(step, OldState(social_db, ctx), [pid], [1])
-            change = folded(delta, ctx, [pid], [1])
+            old = folded(step, OldState(social_db, ctx.slice), [pid], [1])
+            change = folded(delta, ctx.slice, [pid], [1])
             telescoped = {r: old.get(r, 0) + change.get(r, 0) for r in {*old, *change}}
             assert {r: c for r, c in telescoped.items() if c} == new

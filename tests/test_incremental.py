@@ -9,15 +9,32 @@ watermark/no-op semantics, the delta access bound, unions, embedded-rule
 rejection and the access-schema-change rebase.
 """
 
+import copy
+import gc
+
 import pytest
 
-from repro import IncrementalError, IncrementalResult, delta_fanout_bound
+from repro import (
+    CompactedError,
+    Engine,
+    IncrementalError,
+    IncrementalResult,
+    MemoryBackend,
+    ViewState,
+    delta_fanout_bound,
+)
 from repro.core.executor import execute_per_tuple, execute_plan
 from repro.logic.parser import parse_query
+from repro.relational.instance import COMPACT_MIN_DEAD
 from repro.workloads import (
     RUNNING_QUERIES,
+    SOCIAL_ACCESS,
+    SOCIAL_SCHEMA,
+    ChurnBatch,
     generate_churn,
     generate_social_network,
+    register_workload_views,
+    sample_pids,
     social_engine,
 )
 
@@ -286,3 +303,146 @@ def test_constant_wrapped_parameter_values_refresh_correctly():
     live.refresh()
     assert (29,) in live.rows
     assert set(live.rows) == set(prepared.execute(p=Constant(1)).rows)
+
+
+# -- a failed refresh applies nothing ----------------------------------------
+
+
+class FaultyBackend(MemoryBackend):
+    """A memory backend whose ``lookup_keys`` raises once ``fuse`` more
+    calls went through (``None``: never) -- a backend error in the middle
+    of a refresh."""
+
+    fuse: int | None = None
+
+    def lookup_keys(self, relation, positions, keys, stats=None):
+        if self.fuse is not None:
+            if not self.fuse:
+                raise OSError("injected backend fault")
+            self.fuse -= 1
+        return super().lookup_keys(relation, positions, keys, stats)
+
+
+def test_refresh_that_fails_in_a_later_disjunct_applies_nothing():
+    backend = FaultyBackend()
+    engine = social_engine(2, seed=0, backend=backend)
+    db = engine.require_database()
+    db.delete_many("friend", db.scan("friend"))
+    db.delete_many("person", db.scan("person"))
+    db.insert_many("person", [(0, "a", "NYC"), (1, "b", "NYC"), (2, "c", "SF")])
+    db.insert_many("friend", [(0, 2)])
+    prepared = engine.query(
+        "Q(y) :- friend(p, y), person(y, n, 'NYC') ; "
+        "Q(y) :- friend(p, y), person(y, n, 'SF')"
+    )
+    live = prepared.execute_incremental(p=0)
+    rows, counts, watermark = live.rows, copy.deepcopy(live._counts), live.watermark
+    assert rows == ((2,),)
+    db.insert_many("friend", [(0, 1)])
+    # Each disjunct joins the new edge in memory, then looks the person
+    # up: let the first disjunct's lookup through, fail the second's.
+    backend.fuse = 1
+    with pytest.raises(OSError, match="injected"):
+        live.refresh()
+    backend.fuse = None
+    assert (live.rows, live._counts, live.watermark) == (rows, counts, watermark)
+    live.refresh()  # the retry starts from the untouched state
+    assert live.last_mode == "delta"
+    assert set(live.rows) == set(prepared.execute(p=0).rows) == {(1,), (2,)}
+    # Had the failed pass left the first disjunct's +1 behind, the retry
+    # would have counted (1,) twice and this delete could not remove it.
+    db.delete_many("friend", [(0, 1)])
+    assert live.refresh().rows == ((2,),)
+
+
+def test_view_refresh_that_fails_moves_nothing():
+    backend = FaultyBackend()
+    engine = social_engine(30, seed=1, backend=backend)
+    db = engine.require_database()
+    engine.views.register("FoF", "FoF(a, c) :- friend(a, b), friend(b, c)")
+    state = engine.views.prepare(db, ["FoF"])["FoF"]
+    before = (state.rows, dict(state.counts), state.watermark, list(state._ledger))
+    source, target = next(iter(db.scan("friend")))
+    db.insert_many("friend", [(target, 29), (29, source)])
+    backend.fuse = 0  # the delta joins the slice, then reads old state
+    with pytest.raises(OSError, match="injected"):
+        state.refresh()
+    backend.fuse = None
+    assert (state.rows, state.counts, state.watermark, state._ledger) == before
+    assert state.refresh()
+    assert state.watermark == db.change_log.watermark
+    rebuilt = ViewState(state.view, db)
+    assert state.counts == rebuilt.counts and set(state.rows) == set(rebuilt.rows)
+
+
+# -- the change log stays bounded under churn --------------------------------
+
+
+def test_a_loaded_database_nobody_refreshes_retains_almost_nothing():
+    engine = social_engine(1000, seed=0)
+    db = engine.require_database()
+    log = db.change_log
+    assert log.watermark == db.size() > 4 * COMPACT_MIN_DEAD
+    assert len(log) <= COMPACT_MIN_DEAD  # nobody pins: appends drop it all
+    assert log.floor == log.watermark - len(log)
+    with pytest.raises(CompactedError, match="compacted"):
+        log.net_since(0)
+
+
+def test_sustained_churn_holds_a_steady_state_log_and_ledgers():
+    """200k effective mutations in 16-row batches, every consumer
+    refreshed every batch: the log and the view ledgers stay under a
+    constant however long the run; a lagging result holds the floor until
+    it is dropped."""
+    persons, seed, batch_size = 300, 2, 16
+    data = generate_social_network(persons, seed=seed)
+    engine = Engine(SOCIAL_SCHEMA, SOCIAL_ACCESS, data)
+    register_workload_views(engine)
+    db = engine.require_database()
+    log = db.change_log
+    states = engine.views.refresh(db)
+    forward = generate_churn(data, batches=64, batch_size=batch_size, seed=seed)
+    # Replaying the inverses last-first walks back to the initial state,
+    # so the period can repeat for ever with every operation effective.
+    period = [*forward, *(ChurnBatch(b.inserts, b.deletes) for b in reversed(forward))]
+    maintained = [
+        (bundle.prepare(engine), pid)
+        for bundle in RUNNING_QUERIES
+        for pid in sample_pids(persons, 2, seed=seed)
+    ]
+    live = [prepared.execute_incremental(p=pid) for prepared, pid in maintained]
+
+    def churn(batches: int) -> int:
+        """Run ``batches`` batches, everything refreshed after each one;
+        returns the most entries the log held after a refresh round."""
+        most = 0
+        for i in range(batches):
+            period[i % len(period)].apply(db)
+            for result in live:
+                result.refresh()
+            engine.views.refresh(db)
+            most = max(most, len(log))
+        return most
+
+    start = log.watermark
+    limit = 4 * COMPACT_MIN_DEAD
+    assert churn(len(period) * 98) < limit
+    assert log.watermark - start >= 200_000
+    assert all(len(state._ledger) < limit // batch_size for state in states.values())
+    for (prepared, pid), result in zip(maintained, live):
+        assert result.last_mode == "delta"
+        assert set(result.rows) == set(prepared.execute(p=pid).rows)
+
+    # A result that stops refreshing holds the floor at its watermark ...
+    prepared, pid = maintained[0]
+    lagging = prepared.execute_incremental(p=pid)
+    held = lagging.watermark
+    churn(len(period) * 3)
+    assert log.floor <= held and len(log) >= log.watermark - held > limit
+    assert lagging.refresh().last_mode == "delta"  # ... and still refreshes exactly
+    assert set(lagging.rows) == set(prepared.execute(p=pid).rows)
+    # ... and dropping it releases the pin.
+    del lagging
+    gc.collect()
+    churn(len(period))
+    assert log.floor > held and len(log) < limit

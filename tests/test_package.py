@@ -15,6 +15,7 @@ EXPECTED_EXPORTS = {
     "ParseError",
     "IncrementalError",
     "CertificationError",
+    "CompactedError",
     # terms and formulas
     "Variable",
     "Constant",

@@ -3,7 +3,7 @@ and access accounting."""
 
 import pytest
 
-from repro import Database, DatabaseSchema, RelationSchema, SchemaError
+from repro import Database, DatabaseSchema, RelationSchema, SchemaError, UpdateError
 from repro.logic.ast import Atom
 
 
@@ -248,26 +248,71 @@ class TestChangeLog:
             log.net_since(cold)  # cold watermarks, each a distinct slice
             assert log.net_since(0) is hot  # the hot memo survived
 
-    def test_net_since_cache_is_bounded(self, social_schema):
+    def test_one_bounded_slice_memo_serves_net_and_indexes(self, social_schema):
         from repro.relational.instance import SLICE_CACHE_SIZE
 
         db = Database(social_schema)
         for i in range(SLICE_CACHE_SIZE * 3):
             db.add("friend", (i, i + 1))
         log = db.change_log
-        for w in range(SLICE_CACHE_SIZE * 2):
-            log.net_since(w)
-        assert len(log._net_cache) == SLICE_CACHE_SIZE
-
-    def test_slice_caches_evict_lru_not_wholesale(self, social_schema):
-        from repro.relational.instance import SLICE_CACHE_SIZE
-
-        db = Database(social_schema)
-        for i in range(SLICE_CACHE_SIZE * 3):
-            db.add("friend", (i, i + 1))
-        log = db.change_log
-        hot = log.slice_caches(0)
+        hot = log.slice_since(0)
+        assert log.net_since(0) is hot.net
+        assert (hot.start, hot.stop) == (0, log.watermark)
+        assert hot.sizes == {"friend": SLICE_CACHE_SIZE * 3}
         for cold in range(1, 2 * SLICE_CACHE_SIZE):
-            log.slice_caches(cold)
-            assert log.slice_caches(0) is hot
-        assert len(log._slice_caches) <= SLICE_CACHE_SIZE
+            log.slice_since(cold)
+            assert log.slice_since(0) is hot
+        assert len(log._slices) == SLICE_CACHE_SIZE
+
+    def test_entries_have_no_instance_dict(self, social_schema):
+        db = Database(social_schema, {"friend": [(1, 2)]})
+        entry = db.change_log[0]
+        assert not hasattr(entry, "__dict__")
+        with pytest.raises(AttributeError):
+            entry.tid = 7  # still frozen
+
+    def test_sequence_protocol_under_a_raised_floor(self, social_schema, monkeypatch):
+        """After compaction: tids stay absolute, ``len`` counts what is
+        retained, and everything below the floor is a defined error."""
+        from repro import CompactedError
+        from repro.relational import instance
+
+        monkeypatch.setattr(instance, "COMPACT_MIN_DEAD", 4)
+        db = Database(social_schema)
+        log = db.change_log
+
+        class Pin:
+            watermark = 0
+
+        pin = Pin()
+        log.pin(pin)
+        for i in range(20):
+            db.add("friend", (i, i + 1))
+        assert (log.floor, len(log), log.watermark) == (0, 20, 20)  # held at 0
+        pin.watermark = 13
+        assert log.floor == 0  # moving a pin compacts nothing ...
+        for i in range(20, 25):
+            db.add("friend", (i, i + 1))
+        assert log.floor == 13  # ... the next look, on append, does
+        assert (len(log), log.watermark) == (12, 25)
+        assert [entry.tid for entry in log] == list(range(13, 25))
+        assert log[13].row == (13, 14) and log[-1].tid == 24
+        assert "12 entries from tid 13" in repr(log)
+        assert [e.tid for e in log.entries_since(23)] == [23, 24]
+        assert log.net_since(13) == {"friend": {(i, i + 1): 1 for i in range(13, 25)}}
+        assert log.entries_since(25) == () and log.net_since(25) == {}
+        for below in (lambda: log[12], lambda: log.entries_since(12),
+                      lambda: log.net_since(0), lambda: log.slice_since(12)):
+            with pytest.raises(CompactedError, match="compacted up to tid 13"):
+                below()
+        with pytest.raises(IndexError):
+            log[25]
+        with pytest.raises(IndexError):
+            log[-26]
+        # Nobody pins any more: the log drops everything it holds.
+        del pin
+        for i in range(30, 40):
+            db.add("friend", (i, i + 1))
+        assert len(log) < 10 and log.watermark == 35
+        with pytest.raises(UpdateError, match="change log"):
+            db.bulk_load("friend", [(50, 51)])

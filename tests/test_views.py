@@ -188,7 +188,7 @@ class TestViewState:
         store = engine.views.prepare(db, ["V1"])["V1"].store
         ctx = ExecutionContext(db, delta={"V1": {(1, 2): -1, (1, 9): 1}})
         before = db.stats.snapshot()
-        for source in (store, OldState(store, ctx)):
+        for source in (store, OldState(store, ctx.slice)):
             source.lookup_keys("V1", (0,), [(1,), (2,)], ctx.stats)
             source.contains_rows("V1", [(1, 3), (9, 9)], ctx.stats)
         assert db.stats == before
