@@ -45,14 +45,6 @@ The package is organised as follows:
   under ``Engine(certify=True)`` / ``REPRO_CERTIFY=1`` -- binding-
   pattern dataflow explanations, and the CI gate keeping the Q1-Q5
   workload bundles warning-clean and certified.
-* :mod:`repro.bench` -- the experiment harness (also ``python -m
-  repro.bench``): batched vs per-tuple wall time, tuples accessed vs the
-  fanout bound, refresh-vs-recompute under churn, view-assisted vs
-  base-only execution and view refresh-vs-rematerialize, and plan-cache
-  hit rates, written to ``BENCH_<n>.json`` -- plus a ``--backend`` axis
-  and an out-of-core scale scenario (``--large``) that streams
-  million-row instances into the SQLite store and shows tuples accessed
-  staying exactly flat.
 
 The most frequently used names are re-exported here for convenience.
 """
@@ -227,4 +219,4 @@ __all__ = [
     "Report",
 ]
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"

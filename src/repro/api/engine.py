@@ -618,11 +618,6 @@ class Engine:
         -- materialized answers that ``refresh()`` from the change log."""
         return self.query(query).execute_incremental(parameters, **kwargs)
 
-    def refresh(self, result: "IncrementalResult") -> "IncrementalResult":
-        """Refresh an :class:`~repro.incremental.IncrementalResult`
-        obtained from this engine (sugar for ``result.refresh()``)."""
-        return result.refresh()
-
     def explain(self, query: str | Query, parameters: Iterable[object] = ()) -> str:
         """One-shot convenience: ``engine.query(q).explain(...)``."""
         return self.query(query).explain(parameters)

@@ -64,9 +64,9 @@ touches; both stay within the plan's
 :attr:`~repro.core.plans.Plan.fanout_bound`.
 
 :func:`execute_per_tuple` keeps the recursive per-assignment executor
-alive as the reference semantics (differential tests assert the pipeline
-agrees with it, and :mod:`repro.bench` measures batched against it); it
-issues the same two charged reads, one single-key batch per assignment.
+alive as the reference semantics (differential and property tests assert
+the pipeline agrees with it); it issues the same two charged reads, one
+single-key batch per assignment.
 
 Every execution runs inside an :class:`ExecutionContext` -- the database
 handle, a private per-execution :class:`AccessStats` (charged alongside
@@ -1530,9 +1530,9 @@ def execute_per_tuple(
     charged reads with one single-key (single-row) batch per partial
     assignment.
 
-    Semantically identical to :func:`execute_plan`; kept as the baseline
-    for differential tests and for :mod:`repro.bench`'s batched-vs-
-    per-tuple comparison.  Not the production path.
+    Semantically identical to :func:`execute_plan`; kept as the reference
+    the differential and property tests compare that pipeline against.
+    Not the production path.
     """
     seed = _seed_assignment(plan, parameters, kwargs)
     if not plan.satisfiable:

@@ -22,9 +22,10 @@ File lifecycle: pass ``path`` to put the store on disk (the file is
 created on attach and left in place -- callers own deletion; pass the
 same path to a *new* backend to reopen existing tables), or no path for
 a private in-memory SQLite database.  ``close()`` releases the
-connection.  Durability pragmas are relaxed (``journal_mode=OFF``,
-``synchronous=OFF``): this is a query-engine store, not a system of
-record.
+connection; every primitive called afterwards (or before ``attach``)
+raises :class:`~repro.errors.SchemaError` naming the path.  Durability
+pragmas are relaxed (``journal_mode=OFF``, ``synchronous=OFF``): this is
+a query-engine store, not a system of record.
 
 ``None`` is a first-class value: SQL ``NULL`` neither matches ``=`` nor
 deduplicates under a UNIQUE index, so every read/write path routes
@@ -42,6 +43,7 @@ from __future__ import annotations
 import sqlite3
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from repro.errors import SchemaError
 from repro.relational.backends.base import Row, StorageBackend, check_positions
 from repro.relational.interning import intern_row
 
@@ -65,7 +67,7 @@ class SqliteBackend(StorageBackend):
     def __init__(self, path: str | None = None):
         super().__init__()
         self.path = path
-        self._conn: sqlite3.Connection | None = None
+        self._handle: sqlite3.Connection | None = None
         self._arity: dict[str, int] = {}
         self._indexed: dict[str, set[tuple[int, ...]]] = {}
 
@@ -85,7 +87,7 @@ class SqliteBackend(StorageBackend):
         conn.execute("PRAGMA synchronous=OFF")
         conn.execute("PRAGMA temp_store=MEMORY")
         conn.execute("PRAGMA cache_size=-131072")  # 128 MiB of page cache
-        self._conn = conn
+        self._handle = conn
         for name in schema.names:
             arity = schema.relation(name).arity
             self._arity[name] = arity
@@ -106,9 +108,23 @@ class SqliteBackend(StorageBackend):
         """Release the connection (idempotent).  A file-backed store stays
         on disk; reopen it by constructing a new backend with the same
         path."""
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    @property
+    def _conn(self) -> sqlite3.Connection:
+        """The open connection every primitive reads and writes through;
+        on a closed or never-attached store, the lifecycle misuse error."""
+        handle = self._handle
+        if handle is None:
+            if self._schema is None:
+                raise SchemaError(f"{self!r} is not attached to a database")
+            raise SchemaError(
+                f"{self!r} is closed; construct a new backend with the same "
+                f"path to reopen the store"
+            )
+        return handle
 
     # -- charged reads ---------------------------------------------------
 
@@ -311,6 +327,7 @@ class SqliteBackend(StorageBackend):
     def _require(self, relation: str) -> int:
         arity = self._arity.get(relation)
         if arity is None:
+            self._conn  # an unattached store says so, naming its path
             self.schema.relation(relation)  # raises the proper SchemaError
             raise KeyError(relation)  # pragma: no cover - schema raised
         return arity

@@ -12,9 +12,10 @@ query)`` triple that builds a ready-to-run
 of mixed edge inserts/deletes (:class:`ChurnBatch`) that keep the degree
 caps honored, the traffic :mod:`repro.incremental` refreshes against.
 
-:mod:`repro.bench` drives these workloads at increasing database sizes to
-demonstrate the paper's central claim: tuples accessed stay flat while the
-database grows -- and, under churn, that refreshing beats recomputing.
+The repository benchmark (``benchmarks/``) drives these workloads at
+increasing database sizes to demonstrate the paper's central claim: tuples
+accessed stay flat while the database grows -- and, under churn, that
+refreshing beats recomputing.
 """
 
 from repro.workloads.churn import CHURN_RELATIONS, ChurnBatch, generate_churn

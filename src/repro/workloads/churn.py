@@ -21,8 +21,8 @@ depends on:
 
 Everything is driven by one :class:`random.Random` seed: the same
 ``(data, seed, ...)`` arguments always produce the identical stream,
-which is what makes the differential refresh tests and
-:mod:`repro.bench`'s refresh-vs-recompute measurements reproducible.
+which is what makes the differential refresh tests and the repository
+benchmark's refresh-vs-recompute measurements reproducible.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from repro import (
     AccessStats,
     Database,
     DatabaseSchema,
+    Engine,
     MemoryBackend,
     RelationSchema,
     SchemaError,
@@ -27,13 +28,18 @@ from repro import (
 )
 from repro.logic.parser import parse_query
 from repro.workloads import (
+    Q1,
     RUNNING_QUERIES,
+    SOCIAL_SCHEMA,
     VIEW_QUERIES,
     generate_churn,
     generate_social_network,
     register_workload_views,
+    sample_pids,
     sample_urls,
+    social_access_text,
     social_engine,
+    stream_social_network,
 )
 
 SCHEMA = DatabaseSchema([RelationSchema("friend", ["a", "b"])])
@@ -324,6 +330,84 @@ def test_sqlite_reopens_by_path(tmp_path):
     reopened = Database(SCHEMA, backend=SqliteBackend(path))
     assert set(reopened.backend.iter_rows("friend")) == set(DATA["friend"])
     reopened.backend.close()
+
+
+def test_closed_or_unattached_sqlite_raises_schema_error_naming_path(tmp_path):
+    """A released handle is a defined failure on every primitive -- the
+    lifecycle-misuse class ``attach`` raises -- not an ``AttributeError``
+    on ``None``."""
+    path = str(tmp_path / "store.sqlite3")
+    unattached = SqliteBackend(path)
+    engine = social_engine(50, seed=1, backend=SqliteBackend(path))
+    closed = engine.database.backend
+    closed.close()
+    closed.close()  # still idempotent
+    for backend, state in ((closed, "closed"), (unattached, "not attached")):
+        for primitive in (
+            lambda: backend.lookup_keys("friend", (0,), [(3,)]),
+            lambda: backend.contains_rows("friend", [(3, 4)]),
+            lambda: backend.scan("friend"),
+            lambda: backend.probe_rows("friend", [(3, 4)]),
+            lambda: backend.count("friend"),
+            lambda: list(backend.iter_rows("friend")),
+            lambda: backend.insert_rows("friend", [(3, 4)]),
+            lambda: backend.delete_rows("friend", [(3, 4)]),
+            lambda: backend.load_rows("friend", [(3, 4)]),
+        ):
+            with pytest.raises(SchemaError, match=state) as caught:
+                primitive()
+            assert path in str(caught.value)
+    with pytest.raises(SchemaError, match="closed") as caught:
+        engine.execute(Q1.query, {"p": 3})
+    assert path in str(caught.value)
+    with pytest.raises(SchemaError, match="closed"):
+        engine.database.add("friend", (3, 4))
+
+
+def test_streamed_sqlite_load_is_flat_across_sizes(tmp_path):
+    """The out-of-core path end to end: ``stream_social_network`` chunks
+    go through ``Database.bulk_load`` into SQLite files of two sizes;
+    block 0 is the same community in both, so Q1-Q5 on block-0
+    parameters return equal rows for *equal* tuples accessed -- flat in
+    database size, not merely bounded."""
+    block, params = 50, 4
+    observed = {}
+    streams = {}
+    for persons in (50, 200):
+        engine = Engine(
+            SOCIAL_SCHEMA,
+            social_access_text(),
+            backend=SqliteBackend(str(tmp_path / f"social_{persons}.sqlite3")),
+        )
+        db = engine.require_database()
+        observed[persons] = {}
+        streams[persons] = list(stream_social_network(persons, seed=1, block=block))
+        loaded = sum(db.bulk_load(rel, rows) for rel, rows in streams[persons])
+        assert loaded == db.size() > 0
+        assert len(db.change_log) == 0
+        register_workload_views(engine)
+        block0 = dict(streams[persons][:3])
+        values = {
+            "p": sample_pids(block, params, seed=1),
+            "u": sample_urls(block0, params, seed=1),
+        }
+        for bundle in RUNNING_QUERIES + VIEW_QUERIES:
+            prepared = bundle.prepare(engine)
+            name = bundle.parameters[0]
+            for value in values[name]:
+                result = prepared.execute({name: value})
+                assert result.stats.full_scans == 0
+                assert result.stats.tuples_accessed <= result.fanout_bound
+                observed[persons][bundle.name, value] = (
+                    frozenset(result.rows),
+                    result.stats.tuples_accessed,
+                )
+        db.backend.close()
+    assert observed[50] == observed[200]
+    assert any(rows for rows, _ in observed[50].values())
+    # Block 0 of the larger stream is the smaller stream, row for row.
+    assert streams[200][:3] == streams[50]
+    assert len(streams[200]) == 3 * (200 // block)
 
 
 # -- None (NULL) rows behave identically everywhere -----------------------

@@ -137,7 +137,7 @@ def test_rebased_plans_after_churn_certify(monkeypatch):
     compiled_before = len(calls)
     assert compiled_before > 0
     engine.access = engine.access  # version bump strands the cached plans
-    refreshed = engine.refresh(result)
+    refreshed = result.refresh()
     assert len(calls) > compiled_before  # the rebase was certified too
     fresh = engine.execute("Q(u) :- friend(p, y), visits(y, u)", {"p": 3})
     assert set(refreshed.rows) == set(fresh)

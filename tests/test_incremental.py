@@ -257,7 +257,7 @@ def test_engine_one_shot_and_refresh_sugar():
     live = engine.execute_incremental("Q(y) :- friend(p, y)", p=1)
     assert isinstance(live, IncrementalResult)
     engine.database.insert_many("friend", [(1, 39)])
-    assert engine.refresh(live) is live
+    assert live.refresh() is live
     assert (39,) in live
 
 

@@ -161,7 +161,6 @@ def test_subpackages_import():
         "repro.views.rewrite",
         "repro.workloads",
         "repro.workloads.churn",
-        "repro.bench",
         "repro.analysis",
         "repro.analysis.diagnostics",
         "repro.analysis.queries",
