@@ -6,7 +6,9 @@ parameterized queries the Engine is built for, that work is identical on
 every call.  The cache memoizes compiled plans keyed by ``(query,
 parameter-name set)`` -- parameter *values* do not affect the plan -- and
 is invalidated wholesale whenever the access schema changes, since every
-plan embeds the rules it fetches through.
+plan embeds the rules it fetches through.  A second instance of the same
+class is the engine's text memo (query text -> ``PreparedQuery``), which
+is never invalidated.
 
 The cache is shared mutable state on the concurrent-traffic hot path, so
 every operation (get/put/invalidate/stats) takes an internal lock: the
@@ -100,10 +102,6 @@ class PlanCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
 
     def get(self, key: Hashable) -> object | None:
         """The cached value for ``key`` (refreshing its recency), or None."""

@@ -17,11 +17,21 @@ compilation, bounded execution) as a method call::
     print(q.explain(["p"]))       # the bounded fetch/join plan
     result = q.execute(p=42)      # ResultSet: rows + access statistics
 
-Compiled plans are memoized in an LRU cache keyed by ``(query, parameter
-set)`` (:mod:`repro.api.cache`), so a repeated ``execute`` with the same
-parameter names -- the hot path of a parameterized workload -- skips
-:func:`~repro.core.plans.compile_plan` entirely.  Replacing the access
-schema invalidates the cache, since plans embed access rules.
+A request passes two LRU caches in order (:mod:`repro.api.cache`), both
+bounded by ``plan_cache_size``.  The *text memo* maps query text to its
+:class:`PreparedQuery`, so ``engine.query(t)`` parses and schema-validates
+a text once and may hand back the same ``PreparedQuery`` object for the
+same text afterwards; a text that fails to parse is never stored.  The
+*plan cache* maps ``(access version, view-registry version, cost-stats
+version, query, parameter set)`` to compiled plans, so a repeated
+``execute`` with the same parameter names -- the hot path of a
+parameterized workload -- skips :func:`~repro.core.plans.compile_plan`
+entirely.  Only the plan cache is ever invalidated: the engine's schema is
+immutable, so a text means the same query forever, and a ``PreparedQuery``
+resolves its plans through the versioned key at call time -- replacing the
+access schema, registering or dropping a view and refreshing cost
+statistics strand stale *plans* whichever way the query was obtained.
+``clear_plan_cache()`` likewise leaves the memo alone.
 
 Every execution runs in its own
 :class:`~repro.core.executor.ExecutionContext`: the ``ResultSet.stats``
@@ -441,6 +451,7 @@ class Engine:
         "_access_lock",
         "_database",
         "_cache",
+        "_texts",
         "_views",
         "_certify",
         "_cost_state",
@@ -462,6 +473,7 @@ class Engine:
             raise SchemaError(f"{schema!r} is not a DatabaseSchema or schema text")
         self._schema = schema
         self._cache = PlanCache(plan_cache_size)
+        self._texts = PlanCache(plan_cache_size)  # text -> PreparedQuery
         # (version, schema) in one slot so concurrent readers always see a
         # matching pair; the version is part of every plan-cache key.
         # Writers serialize on _access_lock so versions are never reused.
@@ -587,10 +599,19 @@ class Engine:
 
     def query(self, query: str | Query) -> PreparedQuery:
         """Parse (if textual) and schema-validate ``query``, returning a
-        :class:`PreparedQuery` bound to this engine."""
+        :class:`PreparedQuery` bound to this engine.
+
+        Text goes through the engine's text memo: each distinct text is
+        parsed once (single-flight under concurrency) and later calls may
+        return the same :class:`PreparedQuery` object; a text that raises
+        is not remembered, so it raises identically every time."""
         if isinstance(query, str):
-            parsed = parse_query(query, schema=self._schema)
-            return PreparedQuery(self, parsed, query)
+            return self._texts.get_or_compute(
+                query,
+                lambda: PreparedQuery(
+                    self, parse_query(query, schema=self._schema), query
+                ),
+            )
         if not isinstance(query, (ConjunctiveQuery, UnionOfConjunctiveQueries)):
             raise TypeError(
                 f"expected query text, a ConjunctiveQuery or a "
@@ -678,13 +699,20 @@ class Engine:
             version, _ = self._cost_state
             self._cost_state = (version + 1, None)
 
-    # -- plan cache ------------------------------------------------------
+    # -- caches ----------------------------------------------------------
 
     def cache_stats(self) -> CacheStats:
         """Hit/miss/eviction counters and current size of the plan cache."""
         return self._cache.stats()
 
+    def text_cache_stats(self) -> CacheStats:
+        """The same counters for the text -> :class:`PreparedQuery` memo
+        (a miss is a parse; the memo is never invalidated)."""
+        return self._texts.stats()
+
     def clear_plan_cache(self) -> None:
+        """Drop every compiled plan.  The text memo is left alone: parsed
+        queries do not depend on anything that can change."""
         self._cache.invalidate()
 
     def _plans_for(

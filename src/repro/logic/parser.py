@@ -1,8 +1,8 @@
 """Datalog-style concrete syntax for the paper's queries.
 
-This module is the textual front door to :mod:`repro.logic`: a hand-written
-tokenizer and recursive-descent parser for conjunctive queries and unions
-thereof, in the rule syntax used throughout the literature::
+This module is the textual front door to :mod:`repro.logic`: a one-pass
+regex tokenizer and a recursive-descent parser for conjunctive queries and
+unions thereof, in the rule syntax used throughout the literature::
 
     Q(x, y) :- Person(x, 'NYC'), Friend(x, y)
     Q(x) :- Employee(x, _) ; Q(x) :- Contractor(x)
@@ -32,10 +32,11 @@ are identifiers and whose constants are strings, numbers, booleans or
 ``None``, ``parse_query(str(q)) == q``; the same holds for every such
 :class:`UnionOfConjunctiveQueries` with two or more disjuncts (a
 one-disjunct union renders, and hence parses back, as its single CQ).
-The one numeric exception is NaN: ``'nan'`` parses to a *fresh*
-``Constant(float('nan'))``, which compares unequal to every other NaN
-constant because :class:`~repro.logic.terms.Constant` equality is
-identity-or-equality.
+The same text always parses to an equal query: ``nan`` and ``-nan`` each
+parse to one float object shared by every parse, which the
+identity-or-equality comparison of :class:`~repro.logic.terms.Constant`
+accepts.  (A NaN constant built elsewhere equals neither, so the round
+trip above does not extend to it.)
 
 The token stream (:func:`tokenize` / :class:`TokenStream`) is shared with
 the schema DSL of :meth:`repro.relational.schema.DatabaseSchema.parse` and
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import ast as _pyast
 import re
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.errors import ParseError
@@ -84,18 +84,34 @@ _PUNCT = {
     "=": EQUALS,
     ":": COLON,
     "*": STAR,
+    ":-": RULE_ARROW,
+    "<-": RULE_ARROW,
+    "->": ARROW,
 }
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(
-    r"-?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\.\d+(?:[eE][+-]?\d+)?|\d+)"
+# One alternative per lexeme class, tried in this order at every offset;
+# whitespace and comments match without a group and are skipped.  'plain'
+# strings need no unescaping; every other quoted literal goes through
+# ``ast.literal_eval``.  'inf' and 'nan' are keyword constants (below), but
+# their negative forms need the tokenizer's help since a lone '-' is not
+# part of any other token.  'bad' catches whatever nothing else matched.
+_TOKEN_RE = re.compile(
+    r"""[ \t\r\n]+|\#[^\n]*
+    |(?P<punct>:-|<-|->|[(){},;=:*])
+    |(?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<variable>\?[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<plain>'[^'\\\n\r\0\ud800-\udfff]*'|"[^"\\\n\r\0\ud800-\udfff]*")
+    |(?P<string>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
+    |(?P<float>-?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\.\d+(?:[eE][+-]?\d+)?))
+    |(?P<int>-?\d+)
+    |(?P<nonfinite>-(?:inf|nan)(?![A-Za-z0-9_]))
+    |(?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
 )
-# repr() of non-finite floats: 'inf' and 'nan' are keyword constants (below),
-# but their negative forms need the tokenizer's help since a lone '-' is not
-# part of any other token.
-_NEGATIVE_NONFINITE_RE = re.compile(r"-(?:inf|nan)(?![A-Za-z0-9_])")
 
 # Keyword constants, rendered by ``repr`` and so by ``Constant.__str__``.
+# One shared object per spelling: Constant equality is identity-or-equality,
+# so a NaN must be the *same* float for two parses to compare equal.
 _KEYWORD_CONSTANTS = {
     "True": True,
     "False": False,
@@ -103,17 +119,39 @@ _KEYWORD_CONSTANTS = {
     "inf": float("inf"),
     "nan": float("nan"),
 }
+_NEGATIVE_NONFINITE = {"-inf": float("-inf"), "-nan": float("-nan")}
 
 
-@dataclass(frozen=True)
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of ``offset`` in ``source`` (``rfind``'s
+    -1 on the first line is exactly the column's 1-based correction)."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
 class Token:
-    """One lexeme: its kind, source text, position and (for literals) value."""
+    """One lexeme: its kind, source text, offset and (for literals) value.
 
-    kind: str
-    text: str
-    line: int
-    column: int
-    value: object = field(default=None, compare=False)
+    Tokens carry only their 0-based ``offset`` into the source; the 1-based
+    ``line``/``column`` are derived from it on demand (error paths and
+    spans), never during the scan.
+    """
+
+    __slots__ = ("kind", "text", "offset", "value", "_source")
+
+    def __init__(self, kind: str, text: str, offset: int, source: str, value: object = None):
+        self.kind = kind
+        self.text = text
+        self.offset = offset
+        self.value = value
+        self._source = source
+
+    @property
+    def line(self) -> int:
+        return _position(self._source, self.offset)[0]
+
+    @property
+    def column(self) -> int:
+        return _position(self._source, self.offset)[1]
 
     def describe(self) -> str:
         if self.kind is END:
@@ -124,16 +162,11 @@ class Token:
 
 
 def _span(start: Token, end: Token) -> Span:
-    """The source range from ``start``'s first character to ``end``'s last.
-
-    Multi-line string literals keep their start position, so the end
-    column is computed on the token's final line.
-    """
-    text = end.text
-    if "\n" in text:
-        tail = text.rsplit("\n", 1)[1]
-        return Span(start.line, start.column, end.line + text.count("\n"), len(tail))
-    return Span(start.line, start.column, end.line, end.column + max(len(text), 1) - 1)
+    """The source range from ``start``'s first character to ``end``'s last
+    (for a multi-line string literal, its closing quote)."""
+    source = start._source
+    last = end.offset + max(len(end.text), 1) - 1
+    return Span(*_position(source, start.offset), *_position(source, last))
 
 
 def tokenize(text: str) -> tuple[Token, ...]:
@@ -143,90 +176,51 @@ def tokenize(text: str) -> tuple[Token, ...]:
     unterminated string literals.
     """
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    line, line_start = 1, 0
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group is None:  # whitespace or a comment
             continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        column = i - line_start + 1
-        two = text[i : i + 2]
-        if two in (":-", "<-"):
-            tokens.append(Token(RULE_ARROW, two, line, column))
-            i += 2
-            continue
-        if two == "->":
-            tokens.append(Token(ARROW, two, line, column))
-            i += 2
-            continue
-        if ch == "?":
-            m = _IDENT_RE.match(text, i + 1)
-            if m is None:
-                raise ParseError("expected a variable name after '?'", line, column)
-            tokens.append(Token(VARIABLE, text[i : m.end()], line, column))
-            i = m.end()
-            continue
-        if ch in "'\"":
-            j = i + 1
-            while j < n and text[j] != ch:
-                j += 2 if text[j] == "\\" else 1
-            if j >= n:
-                raise ParseError("unterminated string literal", line, column)
-            literal = text[i : j + 1]
+        lexeme = m.group()
+        if group == "punct":
+            append(Token(_PUNCT[lexeme], lexeme, m.start(), text))
+        elif group == "ident":
+            append(Token(IDENT, lexeme, m.start(), text))
+        elif group == "variable":
+            append(Token(VARIABLE, lexeme, m.start(), text))
+        elif group == "plain":
+            append(Token(STRING, lexeme, m.start(), text, lexeme[1:-1]))
+        elif group == "int":
+            append(Token(NUMBER, lexeme, m.start(), text, int(lexeme)))
+        elif group == "float":
+            append(Token(NUMBER, lexeme, m.start(), text, float(lexeme)))
+        elif group == "nonfinite":
+            append(Token(NUMBER, lexeme, m.start(), text, _NEGATIVE_NONFINITE[lexeme]))
+        elif group == "string":
             try:
-                value = _pyast.literal_eval(literal)
+                value = _pyast.literal_eval(lexeme)
             except (ValueError, SyntaxError):
                 raise ParseError(
-                    f"malformed string literal {literal}", line, column
+                    f"malformed string literal {lexeme}", *_position(text, m.start())
                 ) from None
-            tokens.append(Token(STRING, literal, line, column, value))
-            # Backslash line-continuations let a literal span source lines;
-            # keep the line accounting right for every later token.
-            if "\n" in literal:
-                line += literal.count("\n")
-                line_start = i + literal.rfind("\n") + 1
-            i = j + 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m is not None:
-            literal = m.group()
-            is_float = any(c in literal for c in ".eE")
-            tokens.append(
-                Token(NUMBER, literal, line, column, float(literal) if is_float else int(literal))
-            )
-            i = m.end()
-            continue
-        m = _NEGATIVE_NONFINITE_RE.match(text, i)
-        if m is not None:
-            tokens.append(Token(NUMBER, m.group(), line, column, float(m.group())))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m is not None:
-            tokens.append(Token(IDENT, m.group(), line, column))
-            i = m.end()
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, line, column))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token(END, "", line, (n - line_start) + 1))
+            append(Token(STRING, lexeme, m.start(), text, value))
+        else:  # 'bad': one character that starts no lexeme
+            if lexeme == "?":
+                message = "expected a variable name after '?'"
+            elif lexeme in "'\"":
+                message = "unterminated string literal"
+            else:
+                message = f"unexpected character {lexeme!r}"
+            raise ParseError(message, *_position(text, m.start()))
+    append(Token(END, "", len(text), text))
     return tuple(tokens)
 
 
 class TokenStream:
-    """A cursor over a token tuple with the usual peek/take/expect helpers."""
+    """A cursor over a token tuple with the usual peek/take/expect helpers.
+
+    The tuple ends with the END token, and the cursor never moves past it.
+    """
 
     __slots__ = ("tokens", "_pos")
 
@@ -235,33 +229,32 @@ class TokenStream:
         self._pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        index = min(self._pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        if ahead:
+            return self.tokens[min(self._pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self._pos]
 
-    def at(self, kind: str, ahead: int = 0) -> bool:
-        return self.peek(ahead).kind == kind
+    def at(self, kind: str) -> bool:
+        return self.tokens[self._pos].kind == kind
 
     def at_end(self) -> bool:
-        return self.at(END)
+        return self.tokens[self._pos].kind is END
 
     def take(self) -> Token:
-        token = self.peek()
+        token = self.tokens[self._pos]
         if token.kind is not END:
             self._pos += 1
         return token
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        token = self.peek()
+        token = self.tokens[self._pos]
         if token.kind != kind:
             if what is None:
                 what = kind if kind in (IDENT, VARIABLE, STRING, NUMBER, END) else f"'{kind}'"
-            raise ParseError(
-                f"expected {what}, got {token.describe()}", token.line, token.column
-            )
+            raise self.error(f"expected {what}, got {token.describe()}", token)
         return self.take()
 
     def error(self, message: str, token: Token | None = None) -> ParseError:
-        token = token or self.peek()
+        token = token or self.tokens[self._pos]
         return ParseError(message, token.line, token.column)
 
 
@@ -272,17 +265,19 @@ class _QueryParser:
     def __init__(self, stream: TokenStream, schema=None):
         self.stream = stream
         self.schema = schema
-        # Wildcards become fresh variables named _1, _2, ...; pre-collect
-        # every name in the input so a fresh name never collides with one
-        # the user wrote explicitly.
-        self._used_names = {
-            t.text[1:] if t.kind is VARIABLE else t.text
-            for t in stream.tokens
-            if t.kind in (VARIABLE, IDENT)
-        }
+        self._used_names: set[str] | None = None
         self._wildcards = 0
 
     def _fresh_wildcard(self) -> Variable:
+        # Wildcards become fresh variables named _1, _2, ...; at the first
+        # one, collect every name in the input so a fresh name never
+        # collides with one the user wrote explicitly.
+        if self._used_names is None:
+            self._used_names = {
+                t.text[1:] if t.kind is VARIABLE else t.text
+                for t in self.stream.tokens
+                if t.kind in (VARIABLE, IDENT)
+            }
         while True:
             self._wildcards += 1
             name = f"_{self._wildcards}"
@@ -306,7 +301,7 @@ class _QueryParser:
         try:
             return UnionOfConjunctiveQueries(disjuncts)
         except ValueError as exc:
-            raise ParseError(str(exc), first_token.line, first_token.column) from None
+            raise stream.error(str(exc), first_token) from None
 
     def _at_union_separator(self) -> bool:
         token = self.stream.peek()
@@ -327,7 +322,7 @@ class _QueryParser:
         try:
             return ConjunctiveQuery(head, body, equalities)
         except ValueError as exc:
-            raise ParseError(str(exc), start.line, start.column) from None
+            raise stream.error(str(exc), start) from None
 
     def _head_terms(self) -> list[Variable]:
         stream = self.stream
@@ -351,10 +346,10 @@ class _QueryParser:
 
     def _conjunct(self, body: list[Atom], equalities: list[Equality]) -> None:
         stream = self.stream
-        if stream.at(IDENT) and stream.at(LPAREN, ahead=1):
+        start = stream.peek()
+        if start.kind is IDENT and stream.peek(1).kind is LPAREN:
             body.append(self._atom())
             return
-        start = stream.peek()
         left = self._term()
         stream.expect(EQUALS, "'=' (or a relational atom)")
         end = stream.peek()
@@ -375,33 +370,30 @@ class _QueryParser:
         atom = Atom(name.text, terms, span=_span(name, rparen))
         if self.schema is not None:
             if name.text not in self.schema:
-                raise ParseError(f"unknown relation {name.text!r}", name.line, name.column)
+                raise stream.error(f"unknown relation {name.text!r}", name)
             rel = self.schema.relation(name.text)
             if atom.arity != rel.arity:
-                raise ParseError(
+                raise stream.error(
                     f"relation {name.text!r} has arity {rel.arity}, "
                     f"but the atom {atom} has arity {atom.arity}",
-                    name.line,
-                    name.column,
+                    name,
                 )
         return atom
 
     def _term(self) -> Term:
         stream = self.stream
-        token = stream.peek()
-        if token.kind is VARIABLE:
-            stream.take()
-            return Variable(token.text[1:])
-        if token.kind in (STRING, NUMBER):
-            stream.take()
-            return Constant(token.value)
-        if token.kind is IDENT:
-            stream.take()
-            if token.text == "_":
+        token = stream.take()
+        kind, text = token.kind, token.text
+        if kind is IDENT:
+            if text == "_":
                 return self._fresh_wildcard()
-            if token.text in _KEYWORD_CONSTANTS:
-                return Constant(_KEYWORD_CONSTANTS[token.text])
-            return Variable(token.text)
+            if text in _KEYWORD_CONSTANTS:
+                return Constant(_KEYWORD_CONSTANTS[text])
+            return Variable(text)
+        if kind is VARIABLE:
+            return Variable(text[1:])
+        if kind is STRING or kind is NUMBER:
+            return Constant(token.value)
         raise stream.error(f"expected a term, got {token.describe()}", token)
 
 

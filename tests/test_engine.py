@@ -622,3 +622,164 @@ class TestPerExecutionStatsIsolation:
             for profile in analyzed.profiles
             for op in profile.operators
         )
+
+
+# -- the text memo ---------------------------------------------------------
+
+
+def counting_parse(monkeypatch, delay=0.0):
+    import time
+
+    calls = []
+    real = engine_module.parse_query
+
+    def wrapper(text, schema=None):
+        calls.append(text)
+        time.sleep(delay)
+        return real(text, schema)
+
+    monkeypatch.setattr(engine_module, "parse_query", wrapper)
+    return calls
+
+
+def test_repeated_texts_are_parsed_once_each(engine, monkeypatch):
+    calls = counting_parse(monkeypatch)
+    texts = [f"Q(y{i}) :- friend(p, y{i}), person(y{i}, n, 'NYC')" for i in range(40)]
+    for i in range(4096):
+        assert engine.execute(texts[i % 40], p=1).rows == ((2,),)
+    assert sorted(calls) == sorted(texts)
+    stats = engine.text_cache_stats()
+    assert (stats.hits, stats.misses, stats.size) == (4096 - 40, 40, 40)
+    assert (stats.evictions, stats.invalidations, stats.maxsize) == (0, 0, 128)
+    assert engine.query(texts[0]) is engine.query(texts[0])
+    assert engine.query(texts[0]).text == texts[0]
+
+
+def test_text_memo_is_bounded_by_plan_cache_size_and_evicts_lru(monkeypatch):
+    engine = Engine(SCHEMA_TEXT, ACCESS_TEXT, data=DATA, plan_cache_size=2)
+    calls = counting_parse(monkeypatch)
+    a, b, c = ("Q(y) :- friend(p, y)", "Q(x) :- friend(p, x)", "Q(z) :- friend(p, z)")
+    first_a = engine.query(a)
+    engine.query(b)
+    assert engine.query(a) is first_a  # a is now the most recently used
+    engine.query(c)  # evicts b
+    stats = engine.text_cache_stats()
+    assert (stats.size, stats.maxsize, stats.evictions) == (2, 2, 1)
+    assert engine.query(a) is first_a and calls == [a, b, c]
+    engine.query(b)
+    assert calls == [a, b, c, b]
+
+
+def test_plan_cache_size_zero_disables_the_text_memo(monkeypatch):
+    engine = Engine(SCHEMA_TEXT, ACCESS_TEXT, data=DATA, plan_cache_size=0)
+    calls = counting_parse(monkeypatch)
+    first, second = engine.query(NYC_FRIENDS), engine.query(NYC_FRIENDS)
+    assert first is not second and first.query == second.query
+    assert calls == [NYC_FRIENDS, NYC_FRIENDS]
+    stats = engine.text_cache_stats()
+    assert (stats.hits, stats.misses, stats.size) == (0, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "text, error, position",
+    [
+        ("Q(y) :-\n  friend(p, y", ParseError, (2, 14)),
+        ("Q(y) :-\n  enemy(p, y)", ParseError, (2, 3)),
+        ("Q(y) :- friend(p, y), person(y)", ParseError, (1, 23)),
+        ("Q(x) :- friend(x, y) ; Q(y) :- friend(x, y)", ValueError, None),
+    ],
+)
+def test_failing_texts_are_never_memoised(engine, monkeypatch, text, error, position):
+    calls = counting_parse(monkeypatch)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as excinfo:
+            engine.query(text)
+        if position is not None:
+            assert (excinfo.value.line, excinfo.value.column) == position
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+    assert calls == [text, text]  # parsed (and rejected) afresh each time
+    assert engine.text_cache_stats().size == 0
+
+
+def test_concurrent_first_sight_of_a_text_parses_once(engine, monkeypatch):
+    import threading
+
+    calls = counting_parse(monkeypatch, delay=0.05)
+    barrier = threading.Barrier(8)
+    prepared = []
+
+    def worker():
+        barrier.wait(timeout=10)
+        prepared.append(engine.query(NYC_FRIENDS))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert calls == [NYC_FRIENDS]
+    assert len(prepared) == 8 and all(p is prepared[0] for p in prepared)
+    stats = engine.text_cache_stats()
+    assert (stats.hits, stats.misses) == (7, 1)
+
+
+def test_memoised_text_never_serves_a_stale_plan():
+    engine = Engine(SCHEMA_TEXT, "friend(pid1 -> 5000); person(pid -> 1)", data=DATA)
+    followers = "Q(x) :- friend(x, p)"
+    assert engine.execute(NYC_FRIENDS, p=1).rows == ((2,),)
+    with pytest.raises(NotControlledError):
+        engine.execute(followers, p=4)
+    memoised = engine.query(followers)
+
+    # The rule NYC_FRIENDS was planned through goes away: the memo still
+    # knows the text, the plan is gone with the access-schema version.
+    engine.access = "person(pid -> 1)"
+    assert engine.query(NYC_FRIENDS) is engine.query(NYC_FRIENDS)
+    with pytest.raises(NotControlledError):
+        engine.execute(NYC_FRIENDS, p=1)
+
+    # A view makes the uncontrolled text executable -- through the very
+    # PreparedQuery memoised while it was not.
+    engine.views.register(
+        "followers", "followers(pid, follower) :- friend(follower, pid)", "followers(pid -> 64)"
+    )
+    assert engine.query(followers) is memoised
+    assert sorted(engine.execute(followers, p=4).rows) == [(2,), (3,)]
+    engine.views.drop("followers")
+    with pytest.raises(NotControlledError):
+        engine.execute(followers, p=4)
+    assert engine.text_cache_stats().invalidations == 0
+
+
+def test_clear_plan_cache_leaves_the_text_memo_alone(engine, monkeypatch):
+    parses, compiles = counting_parse(monkeypatch), counting_compile(monkeypatch)
+    engine.execute(NYC_FRIENDS, p=1)
+    engine.clear_plan_cache()
+    engine.execute(NYC_FRIENDS, p=1)
+    assert (len(parses), len(compiles)) == (1, 2)
+
+
+def test_memoised_text_still_reports_source_spans(engine):
+    text = "Q(y) :-\n  friend(p, y),\n  person(y, n, 'NYC')"
+    for _ in range(2):  # the second round is served from the memo
+        (finding,) = engine.query(text).diagnostics(["p"]).by_code("QRY001")
+        assert "?n" in finding.message
+        assert (finding.span.line, finding.span.column) == (3, 3)
+    assert engine.text_cache_stats().hits == 1
+
+
+@pytest.mark.parametrize("spelling", ["nan", "-nan"])
+def test_nan_texts_hit_the_plan_cache(spelling, monkeypatch):
+    # One shared NaN object per spelling: two texts the memo keeps apart
+    # parse to equal queries, so the second finds the first one's plan.
+    engine = Engine("r(a, b)", "r(a -> 3)", data={"r": [(1, 2.0)]})
+    calls = counting_compile(monkeypatch)
+    for comment in ("", "  # again"):
+        text = f"Q(b) :- r(a, b), r(a, {spelling}){comment}"
+        assert engine.execute(text, a=1).rows == ()
+    assert engine.text_cache_stats().misses == 2
+    stats = engine.cache_stats()
+    assert len(calls) == 1 and (stats.hits, stats.misses, stats.size) == (1, 1, 1)

@@ -1,12 +1,18 @@
 """The Datalog-style parser: queries, schemas, access rules, round-trips."""
 
+import ast as pyast
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AccessRule,
     AccessSchema,
     Atom,
     ConjunctiveQuery,
+    Constant,
     DatabaseSchema,
     EmbeddedAccessRule,
     Equality,
@@ -15,11 +21,14 @@ from repro import (
     RelationSchema,
     ReproError,
     UnionOfConjunctiveQueries,
+    Variable,
     parse_access_schema,
     parse_cq,
     parse_query,
     parse_schema,
 )
+from repro.logic import parser
+from repro.logic.ast import Span
 from repro.logic.parser import tokenize
 
 
@@ -413,3 +422,515 @@ def test_tokenize_positions():
         (")", 2, 9),
         ("", 2, 10),
     ]
+
+
+# -- the same text always parses to an equal query -------------------------
+
+
+@pytest.mark.parametrize("spelling", ["nan", "-nan"])
+def test_nan_spellings_parse_to_equal_queries(spelling):
+    text = f"Q(x) :- R(x, {spelling})"
+    first, second = parse_query(text), parse_query(text)
+    assert first == second and hash(first) == hash(second)
+    value = first.body[0].terms[1].value
+    assert value != value  # still a genuine NaN
+
+
+# -- every ParseError site, with its exact message and position ------------
+
+SOCIAL_TEXT = "person(pid, name, city); friend(pid1, pid2)"
+
+PARSE_ERROR_SITES = [
+    # tokenize
+    ("query", "Q(x) :- R(x, '\\x')", "malformed string literal '\\x'", 1, 14),
+    ("query", "Q(x) :-\n R(x, 'a\nb')", "malformed string literal 'a\nb'", 2, 7),
+    ("query", "Q(x) :- R(?)", "expected a variable name after '?'", 1, 11),
+    ("query", "Q(x) :- R(? x)", "expected a variable name after '?'", 1, 11),
+    ("query", "Q(x) :-\n  R(x, 'oops)", "unterminated string literal", 2, 8),
+    ("query", 'Q(x) :- R(x, "oops\\")', "unterminated string literal", 1, 14),
+    ("query", "Q(x) :- R(x) @", "unexpected character '@'", 1, 14),
+    ("query", "Q(x) :- R(x, -)", "unexpected character '-'", 1, 14),
+    ("query", "Q(x) :- R(x, -infx)", "unexpected character '-'", 1, 14),
+    ("query", "Q(x) < R(x)", "unexpected character '<'", 1, 6),
+    ("query", "Q(x) :- R(x)\x0c", "unexpected character '\\x0c'", 1, 13),
+    # TokenStream.expect, through every reachable caller in the query grammar
+    ("query", "", "expected a rule head, got end of input", 1, 1),
+    ("query", "# only a comment\n", "expected a rule head, got end of input", 2, 1),
+    ("query", "(x) :- R(x)", "expected a rule head, got '('", 1, 1),
+    ("query", "Q(x) :- R(x) ; ", "expected a rule head, got end of input", 1, 16),
+    ("query", "Q x", "expected '(', got identifier 'x'", 1, 3),
+    ("query", "Q(x :- R(x)", "expected ')', got ':-'", 1, 5),
+    ("query", "Q(x) :- R(x", "expected ')', got end of input", 1, 12),
+    ("query", "Q(x) :- R(x), x", "expected '=' (or a relational atom), got end of input", 1, 16),
+    (
+        "query",
+        "Q(x) :- R(x), x R(x)",
+        "expected '=' (or a relational atom), got identifier 'R'",
+        1,
+        17,
+    ),
+    # _QueryParser
+    ("query", "Q(x) :- R(x,, y)", "expected a term, got ','", 1, 13),
+    ("query", "Q(x) :- R(x), 'a' =", "expected a term, got end of input", 1, 20),
+    ("query", "Q(x) :- R(x), = x", "expected a term, got '='", 1, 15),
+    ("query", "Q(x) :- ", "expected a term, got end of input", 1, 9),
+    ("query", "Q(x) :- R(x), S(:- )", "expected a term, got ':-'", 1, 17),
+    ("query", "Q(x) :- R(x, ->)", "expected a term, got '->'", 1, 14),
+    (
+        "query",
+        "Q(x) :-\n  R(x) extra",
+        "expected ';', 'UNION' or end of input, got identifier 'extra'",
+        2,
+        8,
+    ),
+    (
+        "query",
+        "Q(x) :- R(x) ;\n Q(x, y) :- S(x, y)",
+        "disjuncts have different arities: [1, 2]",
+        1,
+        1,
+    ),
+    ("query", "Q(x) :- R(x) UNION\nQ(x) :- S(y)", "unsafe head variables (not in body): x", 2, 1),
+    ("query", "Q(x) :- R(y)", "unsafe head variables (not in body): x", 1, 1),
+    (
+        "query",
+        "Q(x, 'NYC') :- R(x)",
+        "head terms must be named variables, got string \"'NYC'\"",
+        1,
+        6,
+    ),
+    ("query", "Q(_) :- R(_)", "head terms must be named variables, got identifier '_'", 1, 3),
+    ("query", "Q(x, 1) :- R(x)", "head terms must be named variables, got number '1'", 1, 6),
+    ("query+schema", "Q(x) :- nope(x)", "unknown relation 'nope'", 1, 9),
+    (
+        "query+schema",
+        "Q(x) :-\n   person(x)",
+        "relation 'person' has arity 3, but the atom person(?x) has arity 1",
+        2,
+        4,
+    ),
+    (
+        "query+schema",
+        "Q(x) :- friend(x, y), friend(x)",
+        "relation 'friend' has arity 2, but the atom friend(?x) has arity 1",
+        1,
+        23,
+    ),
+    (
+        "cq",
+        "Q(x) :- R(x) ; Q(x) :- S(x)",
+        "expected a single conjunctive query, got a union of 2 disjuncts",
+        None,
+        None,
+    ),
+    # relational/schema.py
+    ("schema", "(a)", "expected a relation name, got '('", 1, 1),
+    ("schema", "r(a) 5", "expected a relation name, got number '5'", 1, 6),
+    ("schema", "r(a, _x); ;", "expected a relation name, got ';'", 1, 11),
+    ("schema", "r", "expected '(', got end of input", 1, 2),
+    ("schema", "r(a", "expected ')', got end of input", 1, 4),
+    ("schema", "r(a b)", "expected ')', got identifier 'b'", 1, 5),
+    ("schema", "r(1)", "expected an attribute name, got number '1'", 1, 3),
+    ("schema", "r(a,)", "expected an attribute name, got ')'", 1, 5),
+    ("schema", "r(a); r(b)", "duplicate relation 'r'", 1, 7),
+    ("schema", "r(a);\n s(b, a, b)", "relation 's' repeats attribute 'b'", 2, 10),
+    ("schema", "r(a);\n  s()", "relation 's' must have at least one attribute", 2, 3),
+    ("schema", "r(a)\n @", "unexpected character '@'", 2, 2),
+    # core/access_schema.py
+    ("access", "{ friend(pid1 -> 5)", "expected '}', got end of input", 1, 20),
+    (
+        "access",
+        "{ friend(pid1 -> 5) } x",
+        "expected end of input after '}', got identifier 'x'",
+        1,
+        23,
+    ),
+    ("access", "5", "expected a relation name, got number '5'", 1, 1),
+    ("access", "nope(a -> 1)", "unknown relation 'nope'", 1, 1),
+    ("access", "friend pid1", "expected '(', got identifier 'pid1'", 1, 8),
+    ("access", "friend({ -> 5)", "expected '}', got '->'", 1, 10),
+    ("access", "friend({} 5)", "expected '->', got number '5'", 1, 11),
+    ("access", "friend(pid1 5)", "expected '->', got number '5'", 1, 13),
+    ("access", "friend(1 -> 5)", "expected an attribute name, got number '1'", 1, 8),
+    (
+        "access",
+        "person(pid -> 1)\nperson(zip -> 5)",
+        "relation 'person' has no attribute 'zip' (attributes: pid, name, city)",
+        2,
+        8,
+    ),
+    (
+        "access",
+        "friend(pid1 -> pid2 5)",
+        "expected ',' and then the numeric bound, got number '5'",
+        1,
+        21,
+    ),
+    ("access", "friend(pid1 -> pid2, )", "expected an attribute name, got ')'", 1, 22),
+    ("access", "friend(pid1 -> 5", "expected ')', got end of input", 1, 17),
+    (
+        "access",
+        "friend(pid1 -> 2.5)",
+        "access rule bound must be a positive integer, got 2.5",
+        1,
+        16,
+    ),
+    ("access", "friend(pid1 -> -1)", "access rule bound must be a positive integer, got -1", 1, 16),
+    ("access", "friend(pid1, pid1 -> 5)", "duplicate input attributes: ('pid1', 'pid1')", 1, 1),
+    (
+        "access",
+        "friend(pid1 -> 5);\nfriend(pid1 -> pid1, 5)",
+        "embedded access rule inputs and outputs overlap: ['pid1']",
+        2,
+        1,
+    ),
+    ("access", "friend: 0 -> * bound 5", "expected '(', got number '0'", 1, 9),
+    (
+        "access",
+        "friend: (x) -> * bound 5",
+        "expected a 0-based attribute position, got identifier 'x'",
+        1,
+        10,
+    ),
+    (
+        "access",
+        "friend: (7) -> * bound 5",
+        "position 7 is out of range for relation 'friend' of arity 2",
+        1,
+        10,
+    ),
+    (
+        "access",
+        "friend: (0.5) -> * bound 5",
+        "position 0.5 is out of range for relation 'friend' of arity 2",
+        1,
+        10,
+    ),
+    ("access", "friend: (0 1) -> * bound 5", "expected ')', got number '1'", 1, 12),
+    ("access", "friend: (0) * bound 5", "expected '->', got '*'", 1, 13),
+    (
+        "access",
+        "friend: (0) -> () bound 5",
+        "embedded rule needs at least one output position",
+        1,
+        19,
+    ),
+    ("access", "friend: (0) -> (1) 5", "expected the keyword 'bound', got number '5'", 1, 20),
+    ("access", "friend: (0) -> (1) limit 5", "expected the keyword 'bound', got 'limit'", 1, 20),
+    ("access", "friend: (0) -> * bound x", "expected a numeric bound, got identifier 'x'", 1, 24),
+    (
+        "access",
+        "friend: (0) -> * bound 0",
+        "access rule bound must be a positive integer, got 0",
+        1,
+        24,
+    ),
+]
+
+
+@pytest.mark.parametrize("dsl, text, message, line, column", PARSE_ERROR_SITES)
+def test_every_parse_error_site(dsl, text, message, line, column):
+    parse = {
+        "query": parse_query,
+        "query+schema": lambda t: parse_query(t, parse_schema(SOCIAL_TEXT)),
+        "cq": parse_cq,
+        "schema": parse_schema,
+        "access": lambda t: parse_access_schema(SOCIAL_TEXT, t),
+    }[dsl]
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    err = excinfo.value
+    assert (err.line, err.column) == (line, column)
+    assert str(err) == str(ParseError(message, line, column))
+
+
+# -- generated inputs: a slow reference scanner and the round trip ---------
+
+PROPERTY = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+
+_NUMBER = re.compile(
+    r"-?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\.\d+(?:[eE][+-]?\d+)?|\d+)"
+)
+_WORD = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
+_PUNCTUATION = "(){},;=:*"  # each is its own token kind
+
+
+def positions_of(text):
+    """The 1-based (line, column) of every offset of ``text``, and of the
+    offset one past its end, by walking the characters."""
+    positions, line, column = [], 1, 1
+    for ch in text:
+        positions.append((line, column))
+        line, column = (line + 1, 1) if ch == "\n" else (line, column + 1)
+    positions.append((line, column))
+    return positions
+
+
+def reference_scan(text):
+    """The language of :func:`tokenize`, one character class at a time:
+    ``(kind, text, offset, value)`` per token, END included."""
+    where = positions_of(text)
+    tokens, i, n = [], 0, len(text)
+
+    def word_end(j):
+        while j < n and text[j] in _WORD:
+            j += 1
+        return j
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif text[i : i + 2] in (":-", "<-", "->"):
+            two = text[i : i + 2]
+            tokens.append((parser.ARROW if two == "->" else parser.RULE_ARROW, two, i, None))
+            i += 2
+        elif ch == "?":
+            j = word_end(i + 1)
+            if j == i + 1 or text[i + 1].isdigit():
+                raise ParseError("expected a variable name after '?'", *where[i])
+            tokens.append((parser.VARIABLE, text[i:j], i, None))
+            i = j
+        elif ch in "'\"":
+            j = i + 1
+            while j < n and text[j] != ch:
+                j += 2 if text[j] == "\\" else 1
+            if j >= n:
+                raise ParseError("unterminated string literal", *where[i])
+            literal = text[i : j + 1]
+            try:
+                value = pyast.literal_eval(literal)
+            except (ValueError, SyntaxError):
+                raise ParseError(f"malformed string literal {literal}", *where[i]) from None
+            tokens.append((parser.STRING, literal, i, value))
+            i = j + 1
+        elif _NUMBER.match(text, i):
+            literal = _NUMBER.match(text, i).group()
+            value = float(literal) if any(c in literal for c in ".eE") else int(literal)
+            tokens.append((parser.NUMBER, literal, i, value))
+            i += len(literal)
+        elif text[i : i + 4] in ("-inf", "-nan") and word_end(i + 4) == i + 4:
+            tokens.append((parser.NUMBER, text[i : i + 4], i, float(text[i : i + 4])))
+            i += 4
+        elif ch in _WORD:  # a digit would have matched as a number
+            j = word_end(i)
+            tokens.append((parser.IDENT, text[i:j], i, None))
+            i = j
+        elif ch in _PUNCTUATION:
+            tokens.append((ch, ch, i, None))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", *where[i])
+    tokens.append((parser.END, "", n, None))
+    return tokens
+
+
+def outcome(scan, text):
+    try:
+        return scan(text)
+    except ParseError as err:
+        return ("error", str(err), err.line, err.column)
+
+
+INNER_SEPARATORS = ["", "", " ", "  ", "\t", "\r", "\n", "\n\n", " \n  ", "#\n", " # ' \" ?x @\n"]
+SEPARATORS = st.sampled_from(INNER_SEPARATORS + ["# swallows the rest of the line"])
+STRING_LITERALS = st.one_of(
+    st.text(max_size=6).map(repr),
+    st.sampled_from(
+        [
+            "'a\\\nb'",  # a backslash-continued literal spanning two lines
+            '"x\\\n\\\ny"',
+            "'it\\'s'",
+            '"O\'Hare"',
+            "'\\x'",  # malformed escape
+            "'a\nb'",  # raw newline, CR, NUL or a lone surrogate: malformed
+            "'a\rb'",
+            "'nul\x00'",
+            "'\ud800'",
+            "'form\x0cfeed\u2028'",  # other raw control characters are fine
+            "'oops",  # unterminated
+            '"back\\',
+        ]
+    ),
+)
+LEXEMES = st.one_of(
+    st.sampled_from(
+        "Q x _ _1 UNION inf nan True None e5 ?x ?_ ?9 ? ( ) { } , ; = : * :- <- -> - < @ . "
+        "0 42 -1 007 2.5 1. .5 1e3 1E-3 -2.5e+7 1.e -inf -nan -infx -.5".split()
+    ),
+    STRING_LITERALS,
+)
+
+
+@pytest.mark.filterwarnings("ignore:invalid escape sequence")  # fused soup, both scanners
+@PROPERTY
+@given(st.lists(st.tuples(LEXEMES, SEPARATORS), max_size=12))
+def test_tokenize_agrees_with_the_reference_scanner(pieces):
+    text = "".join(lexeme + separator for lexeme, separator in pieces)
+    where = positions_of(text)
+
+    def expected(text):
+        return [
+            (kind, lexeme, *where[offset], repr(value))
+            for kind, lexeme, offset, value in reference_scan(text)
+        ]
+
+    def actual(text):
+        return [(t.kind, t.text, t.line, t.column, repr(t.value)) for t in tokenize(text)]
+
+    assert outcome(actual, text) == outcome(expected, text)
+
+
+TERM_LEXEMES = st.sampled_from(
+    ["x", "?y", "z1", "_", "1", "-2.5", "'NYC'", "'a\\\nb'", '"q\\"q"', "None", "inf", "-inf"]
+)
+CONJUNCTS = st.one_of(
+    st.tuples(st.sampled_from(["R", "friend", "_s"]), st.lists(TERM_LEXEMES, max_size=3)),
+    st.tuples(st.none(), st.tuples(TERM_LEXEMES, TERM_LEXEMES)),
+)
+
+
+@PROPERTY
+@given(st.data())
+def test_spans_agree_with_the_reference_scanner(data):
+    # Lay the query out as lexemes, remembering which lexeme opens and
+    # closes every atom and equality; then let the separators fall
+    # wherever they may and read the expected spans off the reference.
+    lexemes, atoms, equalities = [], [], []
+    for d in range(data.draw(st.integers(1, 3))):
+        if d:
+            lexemes.append(data.draw(st.sampled_from([";", "UNION"])))
+        lexemes += ["Q", "(", data.draw(st.sampled_from(["h", "?h"])), ")"]
+        lexemes.append(data.draw(st.sampled_from([":-", "<-"])))
+        conjuncts = [("H", ["h"])] + data.draw(st.lists(CONJUNCTS, max_size=3))
+        for c, (relation, terms) in enumerate(conjuncts):
+            if c:
+                lexemes.append(",")
+            start = len(lexemes)
+            if relation is None:
+                lexemes += [terms[0], "=", terms[1]]
+                equalities.append((start, len(lexemes) - 1))
+            else:
+                lexemes += [relation, "("]
+                for k, term in enumerate(terms):
+                    lexemes += [",", term] if k else [term]
+                lexemes.append(")")
+                atoms.append((start, len(lexemes) - 1))
+    text = ""
+    for lexeme in lexemes:
+        separator = data.draw(st.sampled_from(INNER_SEPARATORS))
+        if not separator and text and text[-1] in _WORD and lexeme[0] in _WORD:
+            separator = " "  # or the two lexemes would fuse into one
+        text += separator + lexeme
+    reference = reference_scan(text)
+    assert [lexeme for _, lexeme, _, _ in reference[:-1]] == lexemes
+    where = positions_of(text)
+
+    def span(first, last):
+        end = reference[last][2] + len(reference[last][1]) - 1
+        return Span(*where[reference[first][2]], *where[end])
+
+    parsed = parse_query(text)
+    disjuncts = parsed.disjuncts if isinstance(parsed, UnionOfConjunctiveQueries) else [parsed]
+    assert [a.span for q in disjuncts for a in q.body] == [span(*r) for r in atoms]
+    assert [e.span for q in disjuncts for e in q.equalities] == [span(*r) for r in equalities]
+
+
+NAMES = st.sampled_from(["x", "y", "z", "p", "X9", "_1", "_", "True", "inf", "nan", "UNION"])
+CONSTANTS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["NYC", "it's", 'say "hi"', "back\\slash", "line\nbreak", "?x", "\x00"]),
+    st.integers(),
+    st.floats(allow_nan=False),  # a NaN built outside the parser equals no other
+    st.sampled_from([float("inf"), float("-inf"), -0.0, 1e-5, 1e16]),
+    st.booleans(),
+    st.none(),
+).map(Constant)
+TERMS = st.one_of(NAMES.map(Variable), CONSTANTS)
+ATOMS = st.builds(Atom, st.sampled_from(["R", "friend", "_s", "T_1"]), st.lists(TERMS, max_size=4))
+EQUALITIES = st.builds(Equality, TERMS, TERMS)
+BARE_UNSAFE = {"_", "UNION", "True", "False", "None", "inf", "nan"}
+
+
+@st.composite
+def conjunctive_queries(draw, arity=None):
+    body = draw(st.lists(ATOMS, max_size=3))
+    variables = sorted({t for a in body for t in a.terms if isinstance(t, Variable)})
+    if arity is None:
+        arity = draw(st.integers(0, 2)) if variables else 0
+    if arity and not variables:
+        body.append(Atom("R", [draw(NAMES.map(Variable))]))
+        variables = [body[-1].terms[0]]
+    head = [draw(st.sampled_from(variables)) for _ in range(arity)]
+    equalities = draw(st.lists(EQUALITIES, max_size=2))
+    try:
+        return ConjunctiveQuery(head, body, equalities)
+    except ValueError:  # an equality made a head variable unsafe
+        return ConjunctiveQuery(head, body)
+
+
+@st.composite
+def queries(draw):
+    arity = draw(st.integers(0, 2))
+    disjuncts = draw(st.lists(conjunctive_queries(arity=arity), min_size=1, max_size=3))
+    return disjuncts[0] if len(disjuncts) == 1 else UnionOfConjunctiveQueries(disjuncts)
+
+
+@PROPERTY
+@given(queries(), st.data())
+def test_generated_queries_round_trip(query, data):
+    assert parse_query(str(query)) == query
+    assert hash(parse_query(str(query))) == hash(query)
+
+    # The same query written by hand: '?x' or bare 'x' per occurrence, ':-'
+    # or '<-', ';' or 'UNION'.
+    def term(t):
+        bare = isinstance(t, Variable) and t.name not in BARE_UNSAFE and data.draw(st.booleans())
+        return t.name if bare else (f"?{t}" if isinstance(t, Variable) else str(t))
+
+    def rule(q):
+        parts = [f"{a.relation}({', '.join(map(term, a.terms))})" for a in q.body]
+        parts += [f"{term(e.left)} = {term(e.right)}" for e in q.equalities]
+        head = f"Q({', '.join(map(term, q.head))})"
+        return f"{head} {data.draw(st.sampled_from([':-', '<-']))} {', '.join(parts)}" if parts else head
+
+    disjuncts = query.disjuncts if isinstance(query, UnionOfConjunctiveQueries) else [query]
+    text = rule(disjuncts[0])
+    for q in disjuncts[1:]:
+        text += data.draw(st.sampled_from([" ; ", " UNION ", ";\n"])) + rule(q)
+    assert parse_query(text) == query
+
+
+@PROPERTY
+@given(conjunctive_queries())
+def test_generated_wildcards_are_fresh_and_round_trip(query):
+    # Rewrite every variable that occurs once, in the body only, as '_'.
+    occurrences = [t for a in query.body for t in a.terms if isinstance(t, Variable)]
+    used = occurrences + list(query.head)
+    used += [t for e in query.equalities for t in (e.left, e.right) if isinstance(t, Variable)]
+    lonely = {v for v in occurrences if used.count(v) == 1}
+    parts = [
+        f"{a.relation}({', '.join('_' if t in lonely else f'?{t}' if isinstance(t, Variable) else str(t) for t in a.terms)})"
+        for a in query.body
+    ] + [str(e) for e in query.equalities]
+    head = f"Q({', '.join(f'?{v}' for v in query.head)})"
+    parsed = parse_query(f"{head} :- {', '.join(parts)}" if parts else head)
+    assert parse_query(str(parsed)) == parsed
+    fresh = [
+        (mine, theirs)
+        for a, b in zip(parsed.body, query.body)
+        for mine, theirs in zip(a.terms, b.terms)
+        if theirs in lonely
+    ]
+    names = {mine.name for mine, _ in fresh}
+    assert len(names) == len(fresh)  # one fresh variable per wildcard
+    assert not names & {v.name for v in used if v not in lonely}  # never a name the text used
+    renamed = ConjunctiveQuery(
+        parsed.head,
+        [a.substitute(dict(fresh)) for a in parsed.body],
+        parsed.equalities,
+    )
+    assert renamed == query
