@@ -119,7 +119,7 @@ from repro.analysis.views import (
     analyze_views,
 )
 from repro.errors import NotControlledError
-from repro.logic.cq import ConjunctiveQuery
+from repro.logic.ucq import disjuncts_of
 
 if TYPE_CHECKING:
     from repro.api.engine import Engine, PreparedQuery
@@ -191,10 +191,7 @@ def analyze_prepared(
     report = analyze_query(
         prepared.query, engine.access, parameters, source=source
     )
-    if isinstance(prepared.query, ConjunctiveQuery):
-        disjuncts: tuple[ConjunctiveQuery, ...] = (prepared.query,)
-    else:
-        disjuncts = prepared.query.disjuncts
+    disjuncts = disjuncts_of(prepared.query)
     try:
         plans = prepared.plan(parameters)
     except NotControlledError:

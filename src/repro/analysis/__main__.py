@@ -68,6 +68,7 @@ from repro.errors import NotControlledError, ParseError, ReproError
 from repro.logic.ast import Span, _as_variable
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_query
+from repro.logic.ucq import disjuncts_of
 from repro.relational.schema import DatabaseSchema
 
 
@@ -125,10 +126,7 @@ def _lint_file(
             report.add(diag.shifted(shift))
         if access is None:
             continue
-        disjuncts = (
-            (query,) if isinstance(query, ConjunctiveQuery) else query.disjuncts
-        )
-        for disjunct in disjuncts:
+        for disjunct in disjuncts_of(query):
             usable = _usable(params, disjunct)
             try:
                 plan = compile_plan(disjunct, access, usable)

@@ -61,7 +61,7 @@ from repro.logic.ast import Atom, Span, _as_variable
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.homomorphism import body_homomorphisms
 from repro.logic.terms import Variable
-from repro.logic.ucq import UnionOfConjunctiveQueries
+from repro.logic.ucq import disjuncts_of
 from repro.views.definition import ViewCatalog, ViewDef
 from repro.views.rewrite import compile_with_views
 
@@ -174,10 +174,7 @@ def advise_views(
                 entry, params = entry
         prepared = entry if hasattr(entry, "diagnostics") else engine.query(entry)
         query = prepared.query
-        if isinstance(query, UnionOfConjunctiveQueries):
-            disjuncts: tuple[ConjunctiveQuery, ...] = query.disjuncts
-        else:
-            disjuncts = (query,)
+        disjuncts = disjuncts_of(query)
         param_vars = tuple(dict.fromkeys(_as_variable(p) for p in params))
         for disjunct in disjuncts:
             for advice in _advise_disjunct(
@@ -292,7 +289,7 @@ def _advise_disjunct(
     base_cost: float | None = None
     if cov.controlled:
         try:
-            base = engine._plans_for(query, frozenset(params))
+            base = engine._plans_for(engine.query(query), frozenset(params))
         except ReproError:
             return []
         # Declared-bound pricing: the advisor trades in certifiable

@@ -33,7 +33,7 @@ from repro.logic.cq import ConjunctiveQuery
 from repro.logic.homomorphism import are_equivalent
 from repro.logic.parser import parse_query
 from repro.logic.terms import Constant, Variable
-from repro.logic.ucq import UnionOfConjunctiveQueries
+from repro.logic.ucq import UnionOfConjunctiveQueries, disjuncts_of
 from repro.relational.schema import DatabaseSchema
 
 Query = ConjunctiveQuery | UnionOfConjunctiveQueries
@@ -68,12 +68,6 @@ class FixResult:
     @property
     def changed(self) -> bool:
         return bool(self.fixes) and self.verified
-
-
-def _disjuncts(query: Query) -> tuple[ConjunctiveQuery, ...]:
-    if isinstance(query, ConjunctiveQuery):
-        return (query,)
-    return query.disjuncts
 
 
 def _fix_disjunct(
@@ -144,8 +138,8 @@ def verify_fix(
         reparsed = parse_query(str(fixed), schema=schema)
     except ReproError:
         return False
-    first = _disjuncts(original)
-    second = _disjuncts(reparsed)
+    first = disjuncts_of(original)
+    second = disjuncts_of(reparsed)
     if len(first) != len(second):
         return False
     return all(are_equivalent(a, b) for a, b in zip(first, second))
@@ -163,7 +157,7 @@ def fix_query(
     params = tuple(dict.fromkeys(_as_variable(p) for p in parameters))
     fixed_disjuncts: list[ConjunctiveQuery] = []
     fixes: list[AppliedFix] = []
-    for disjunct in _disjuncts(query):
+    for disjunct in disjuncts_of(query):
         usable = tuple(p for p in params if p in set(disjunct.variables()))
         fixed, applied = _fix_disjunct(disjunct, usable)
         fixed_disjuncts.append(fixed)

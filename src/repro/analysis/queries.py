@@ -44,7 +44,7 @@ from repro.errors import NotControlledError, ReproError
 from repro.logic.ast import Atom, _as_variable
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Constant, Variable
-from repro.logic.ucq import UnionOfConjunctiveQueries
+from repro.logic.ucq import UnionOfConjunctiveQueries, disjuncts_of
 
 Query = ConjunctiveQuery | UnionOfConjunctiveQueries
 
@@ -69,11 +69,7 @@ def analyze_query(
     """
     report = Report()
     params = tuple(dict.fromkeys(_as_variable(p) for p in parameters))
-    if isinstance(query, UnionOfConjunctiveQueries):
-        disjuncts: tuple[ConjunctiveQuery, ...] = query.disjuncts
-    else:
-        disjuncts = (query,)
-    for disjunct in disjuncts:
+    for disjunct in disjuncts_of(query):
         _check_unsatisfiable(disjunct, report, source)
         _check_single_use(disjunct, params, report, source)
         _check_cartesian(disjunct, report, source)

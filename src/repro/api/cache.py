@@ -3,24 +3,31 @@
 Compiling a scale-independent plan (:func:`repro.core.plans.compile_plan`)
 walks the controllability fixpoint once per body atom; for the repeated
 parameterized queries the Engine is built for, that work is identical on
-every call.  The cache memoizes compiled plans keyed by ``(query,
-parameter-name set)`` -- parameter *values* do not affect the plan -- and
-is invalidated wholesale whenever the access schema changes, since every
-plan embeds the rules it fetches through.  A second instance of the same
-class is the engine's text memo (query text -> ``PreparedQuery``), which
-is never invalidated.
+every call.  The cache memoizes compiled plans keyed by ``(canonical
+query, parameter-name set)`` plus the engine's state versions: the
+canonical query (:mod:`repro.logic.canonical`) is the query with its
+non-parameter variables renamed by first occurrence and its body atoms
+sorted, so every renaming and reordering of one query *shape* shares one
+entry; parameter *values* do not affect the plan.  An entry's value is
+``(the key's canonical query, plans)``, which lets a caller that probed
+with an equal canonical query adopt the cached object and be compared by
+identity from then on.  The cache is invalidated wholesale whenever the
+access schema changes, since every plan embeds the rules it fetches
+through.  A second instance of the same class is the engine's memo of
+query sources (text or query object -> ``PreparedQuery``), which is never
+invalidated.
 
 The cache is shared mutable state on the concurrent-traffic hot path, so
-every operation (get/put/invalidate/stats) takes an internal lock: the
-cache's own structure and hit/miss/eviction/invalidation counters stay
-consistent under concurrent executes against one
+every operation (get_or_compute, invalidate, stats) takes an internal
+lock: the cache's own structure and hit/miss/eviction/invalidation
+counters stay consistent under concurrent executes against one
 :class:`~repro.api.engine.Engine`.  (Per-execution *database* access
 deltas are isolated separately: each execution charges its own
 :class:`~repro.core.executor.ExecutionContext` stats, so concurrent
 ``ResultSet.stats`` never contaminate each other.)
 
 Compilation itself is *single-flight* (:meth:`PlanCache.get_or_compute`):
-when N threads cold-start the same ``(query, parameter set)``
+when N threads cold-start the same shape and parameter set
 concurrently, exactly one of them runs the compile -- the controllability
 fixpoint is pure CPU work that would otherwise burn N times over -- and
 the rest wait on a per-key in-flight marker and are served the leader's
@@ -99,37 +106,6 @@ class PlanCache:
         self._evictions = 0
         self._invalidations = 0
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: Hashable) -> object | None:
-        """The cached value for ``key`` (refreshing its recency), or None."""
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return value
-
-    def put(self, key: Hashable, value: object) -> None:
-        with self._lock:
-            self._store(key, value)
-
-    def _store(self, key: Hashable, value: object) -> None:
-        """Insert ``value`` under ``key`` and evict LRU overflow.  The lock
-        must already be held."""
-        if self.maxsize == 0:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while self.maxsize is not None and len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self._evictions += 1
-
     def get_or_compute(
         self, key: Hashable, compute: Callable[[], object]
     ) -> object:
@@ -177,7 +153,11 @@ class PlanCache:
             raise
         flight.value = value
         with self._lock:
-            self._store(key, value)
+            if self.maxsize != 0:
+                self._entries[key] = value
+                if self.maxsize is not None and len(self._entries) > self.maxsize:
+                    self._entries.popitem(last=False)  # least recently used
+                    self._evictions += 1
             self._inflight.pop(key, None)
         flight.done.set()
         return value

@@ -18,20 +18,23 @@ compilation, bounded execution) as a method call::
     result = q.execute(p=42)      # ResultSet: rows + access statistics
 
 A request passes two LRU caches in order (:mod:`repro.api.cache`), both
-bounded by ``plan_cache_size``.  The *text memo* maps query text to its
-:class:`PreparedQuery`, so ``engine.query(t)`` parses and schema-validates
-a text once and may hand back the same ``PreparedQuery`` object for the
-same text afterwards; a text that fails to parse is never stored.  The
-*plan cache* maps ``(access version, view-registry version, cost-stats
-version, query, parameter set)`` to compiled plans, so a repeated
-``execute`` with the same parameter names -- the hot path of a
-parameterized workload -- skips :func:`~repro.core.plans.compile_plan`
-entirely.  Only the plan cache is ever invalidated: the engine's schema is
-immutable, so a text means the same query forever, and a ``PreparedQuery``
-resolves its plans through the versioned key at call time -- replacing the
-access schema, registering or dropping a view and refreshing cost
-statistics strand stale *plans* whichever way the query was obtained.
-``clear_plan_cache()`` likewise leaves the memo alone.
+bounded by ``plan_cache_size``.  The *source memo* maps a query text or
+query object to its :class:`PreparedQuery`, so ``engine.query(q)`` parses,
+schema-validates and (per parameter set) canonicalises a source once and
+may hand back the same ``PreparedQuery`` afterwards; a source that fails
+is never stored.  The *plan cache* maps ``(access version, view-registry
+version, cost-stats version, canonical query, parameter set)`` to compiled
+plans.  The canonical query (:mod:`repro.logic.canonical`) forgets the
+names of non-parameter variables and the order of body atoms, so every
+writing of one query *shape* compiles once and executes one shared plan;
+the defined consequence is that ties between equally selective fetches
+break by canonical atom order, not written order (``R(p,y), S(p,y)`` and
+``S(p,y), R(p,y)`` get the same plan).  Only the plan cache is ever
+invalidated: the schema is immutable, so a source means the same query
+forever, and a ``PreparedQuery`` resolves its plans through the versioned
+key at call time -- replacing the access schema, registering or dropping a
+view and refreshing cost statistics strand stale *plans* however the query
+was obtained.  ``clear_plan_cache()`` likewise leaves the memo alone.
 
 Every execution runs in its own
 :class:`~repro.core.executor.ExecutionContext`: the ``ResultSet.stats``
@@ -79,10 +82,11 @@ from repro.core.qdsi import QDSIResult, decide_qdsi
 from repro.core.qsi import QSIResult, decide_qsi
 from repro.errors import NotControlledError, SchemaError
 from repro.logic.ast import _as_variable
+from repro.logic.canonical import WayBack, canonical_form
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_query
 from repro.logic.terms import Variable
-from repro.logic.ucq import UnionOfConjunctiveQueries
+from repro.logic.ucq import UnionOfConjunctiveQueries, disjuncts_of
 from repro.relational.backends.base import StorageBackend
 from repro.relational.instance import AccessStats, Database
 from repro.relational.schema import DatabaseSchema
@@ -210,21 +214,40 @@ class ExplainAnalyze:
         return "\n\n".join(sections)
 
 
+class _Shape:
+    """What a :class:`PreparedQuery` remembers per parameter-name set: its
+    canonical query (``key``; swapped for the plan cache's own equal object
+    on the first hit, so later probes compare by identity), the way ``back``
+    to its own variables and atoms, and ``named``: the last shared plans it
+    put into those names, paired with the result."""
+
+    __slots__ = ("key", "back", "named")
+
+    def __init__(self, key: Query, back: tuple[WayBack, ...]):
+        self.key, self.back, self.named = key, back, (None, ())
+
+
 class PreparedQuery:
     """A parsed, schema-validated query bound to an :class:`Engine`.
 
-    All plan-producing methods go through the engine's plan cache; the
-    parameter argument is an iterable of variable names (``"p"`` or
-    ``"?p"``) or :class:`~repro.logic.terms.Variable` objects.
+    All plan-producing methods go through the engine's plan cache, which
+    holds one entry per query *shape* (:mod:`repro.logic.canonical`):
+    queries that differ only in the names of their non-parameter variables
+    and the order of their body atoms execute the same plans;
+    :meth:`plan`, :meth:`explain` and :meth:`diagnostics` show them in this
+    query's own variables and atoms.  The parameter argument is an
+    iterable of variable names (``"p"`` or ``"?p"``) or
+    :class:`~repro.logic.terms.Variable` objects.
     """
 
-    __slots__ = ("query", "text", "_engine", "_columns")
+    __slots__ = ("query", "text", "_engine", "_columns", "_shapes")
 
     def __init__(self, engine: "Engine", query: Query, text: str | None = None):
         self._engine = engine
         self.query = query
         self.text = text if text is not None else str(query)
         self._columns: tuple[str, ...] | None = None
+        self._shapes: dict[frozenset[Variable], _Shape] = {}
         if isinstance(query, UnionOfConjunctiveQueries):
             # The answer columns are named after the head variables, so a
             # union whose disjunct heads disagree on names would silently
@@ -256,11 +279,8 @@ class PreparedQuery:
         union, all disjunct heads agree -- enforced at prepare time)."""
         columns = self._columns
         if columns is None:
-            if isinstance(self.query, ConjunctiveQuery):
-                columns = tuple(v.name for v in self.query.head)
-            else:
-                columns = tuple(v.name for v in self.query.disjuncts[0].head)
-            self._columns = columns
+            head = disjuncts_of(self.query)[0].head
+            columns = self._columns = tuple(v.name for v in head)
         return columns
 
     def is_controlled(self, parameters: Iterable[object] = ()) -> bool:
@@ -291,15 +311,34 @@ class PreparedQuery:
         """The compiled scale-independent plan (one per disjunct for a
         union), via the engine's plan cache.
 
+        It is the shared plan of this query's shape in this query's own
+        variables and atoms: same steps, same order, so ``execute_plan`` on
+        it returns :meth:`execute`'s rows in :meth:`execute`'s order.
+
         Raises :class:`repro.errors.NotControlledError` if the query is
         not controlled by ``parameters``.
         """
-        plans = self._engine._plans_for(self.query, _parameter_names(parameters))
+        params = _parameter_names(parameters)
+        plans = self._named(params, self._engine._plans_for(self, params))
         return plans[0] if isinstance(self.query, ConjunctiveQuery) else plans
+
+    def _named(
+        self, parameters: frozenset[Variable], shared: tuple[Plan, ...]
+    ) -> tuple[Plan, ...]:
+        """``shared`` (this query's plans from ``Engine._plans_for``) in
+        this query's own names -- renamed once per shared tuple."""
+        shape = self._shapes[parameters]
+        source, named = shape.named
+        if source is not shared:
+            ways = zip(shared, disjuncts_of(self.query), shape.back)
+            named = tuple([plan.renamed(own, *back) for plan, own, back in ways])
+            shape.named = (shared, named)
+        return named
 
     def explain(self, parameters: Iterable[object] = ()) -> str:
         """A human-readable rendering of the plan(s) for ``parameters``."""
-        plans = self._engine._plans_for(self.query, _parameter_names(parameters))
+        params = _parameter_names(parameters)
+        plans = self._named(params, self._engine._plans_for(self, params))
         if len(plans) == 1:
             return plans[0].explain()
         sections = [
@@ -323,7 +362,7 @@ class PreparedQuery:
         """
         values = merge_parameter_values(parameters, kwargs)
         database = self._engine.require_database()
-        plans = self._engine._plans_for(self.query, frozenset(values))
+        plans = self._engine._plans_for(self, frozenset(values))
         ctx = ExecutionContext(database, views=self._engine._prepare_views(plans))
         if len(plans) == 1:
             # Hot path of a parameterized workload: one plan, whose
@@ -359,7 +398,7 @@ class PreparedQuery:
         from repro.incremental import build_incremental
 
         values = merge_parameter_values(parameters, kwargs)
-        return build_incremental(self._engine, self.query, values, self.columns)
+        return build_incremental(self._engine, self, values, self.columns)
 
     def explain_analyze(
         self,
@@ -371,10 +410,12 @@ class PreparedQuery:
         accounting and wall time (:func:`repro.core.executor.profile_plan`).
         Returns an :class:`ExplainAnalyze` whose ``result`` is that run's
         :class:`ResultSet` and whose ``profiles`` hold one
-        :class:`~repro.core.executor.PlanProfile` per disjunct."""
+        :class:`~repro.core.executor.PlanProfile` per disjunct -- of the
+        shared plan that ran, so operator labels name its canonical
+        variables (``?v0``, ...); :meth:`explain` has the caller's."""
         values = merge_parameter_values(parameters, kwargs)
         database = self._engine.require_database()
-        plans = self._engine._plans_for(self.query, frozenset(values))
+        plans = self._engine._plans_for(self, frozenset(values))
         ctx = ExecutionContext(database, views=self._engine._prepare_views(plans))
         rows: dict[Row, None] = {}
         profiles = []
@@ -403,11 +444,7 @@ class PreparedQuery:
         :func:`compile_plan` applies, so the QSI verdict and the
         plan-producing methods always agree on which parameter sets are
         valid."""
-        if isinstance(self.query, ConjunctiveQuery):
-            disjuncts: tuple[ConjunctiveQuery, ...] = (self.query,)
-        else:
-            disjuncts = self.query.disjuncts
-        for disjunct in disjuncts:
+        for disjunct in disjuncts_of(self.query):
             missing = parameters - set(disjunct.variables())
             if missing:
                 raise ValueError(
@@ -473,7 +510,7 @@ class Engine:
             raise SchemaError(f"{schema!r} is not a DatabaseSchema or schema text")
         self._schema = schema
         self._cache = PlanCache(plan_cache_size)
-        self._texts = PlanCache(plan_cache_size)  # text -> PreparedQuery
+        self._texts = PlanCache(plan_cache_size)  # text or query -> PreparedQuery
         # (version, schema) in one slot so concurrent readers always see a
         # matching pair; the version is part of every plan-cache key.
         # Writers serialize on _access_lock so versions are never reused.
@@ -601,10 +638,11 @@ class Engine:
         """Parse (if textual) and schema-validate ``query``, returning a
         :class:`PreparedQuery` bound to this engine.
 
-        Text goes through the engine's text memo: each distinct text is
-        parsed once (single-flight under concurrency) and later calls may
-        return the same :class:`PreparedQuery` object; a text that raises
-        is not remembered, so it raises identically every time."""
+        Text and query objects alike go through the engine's memo: each
+        distinct source is parsed or validated -- and later canonicalised
+        -- once (single-flight under concurrency) and later calls may
+        return the same :class:`PreparedQuery` object; a source that
+        raises is not remembered, so it raises identically every time."""
         if isinstance(query, str):
             return self._texts.get_or_compute(
                 query,
@@ -617,8 +655,12 @@ class Engine:
                 f"expected query text, a ConjunctiveQuery or a "
                 f"UnionOfConjunctiveQueries, got {type(query).__name__}"
             )
-        self._schema.validate_query(query)
-        return PreparedQuery(self, query)
+
+        def prepare() -> PreparedQuery:
+            self._schema.validate_query(query)
+            return PreparedQuery(self, query)
+
+        return self._texts.get_or_compute(query, prepare)
 
     def execute(
         self,
@@ -706,8 +748,9 @@ class Engine:
         return self._cache.stats()
 
     def text_cache_stats(self) -> CacheStats:
-        """The same counters for the text -> :class:`PreparedQuery` memo
-        (a miss is a parse; the memo is never invalidated)."""
+        """The same counters for the memo of query sources, text and query
+        objects alike (a miss is a parse or a validation; the memo is
+        never invalidated)."""
         return self._texts.stats()
 
     def clear_plan_cache(self) -> None:
@@ -715,91 +758,109 @@ class Engine:
         queries do not depend on anything that can change."""
         self._cache.invalidate()
 
-    def _plans_for(
-        self, query: Query, parameters: frozenset[Variable]
-    ) -> tuple[Plan, ...]:
-        # Capture the access schema and its version in one atomic read:
-        # the version is part of the cache key, so a compile racing a
-        # concurrent ``engine.access = ...`` can only populate a key
-        # belonging to the schema it compiled against -- it can never be
-        # served after the replacement.  The view-registry version rides
-        # in the key for the same reason: registering or dropping a view
-        # changes what a query may compile to, so stale view plans are
-        # stranded on unreachable keys.
+    def _plan_key(self, canonical: Query, parameters: frozenset[Variable]):
+        """The plan-cache key of a canonical query under the engine's
+        current state, and the state itself ``(access schema, view
+        catalog, cost statistics)``, each read together with its version.
+        """
+        # Each component and its version come from one atomic read, and
+        # the versions ride in the key: a compile racing ``engine.access =
+        # ...``, a view register/drop or a statistics refresh can only
+        # populate a key of the state it compiled against, which is never
+        # served afterwards.  The catalog is one immutable snapshot, so the
+        # rewrite and the extended schema can never disagree.
         version, access = self._access_state
-        # One immutable catalog for the whole compile: a register/drop
-        # racing us bumps the version (stranding this key) but can never
-        # make the rewrite and the extended schema disagree.
         catalog = self._views.snapshot()
-        # Observed statistics steer plan choice, so their version rides
-        # in the key too: refreshed stats strand previous choices.
         cost_version, cost_stats = self._cost_state
-        key = (version, catalog.version, cost_version, query, parameters)
+        key = (version, catalog.version, cost_version, canonical, parameters)
+        return key, (access, catalog, cost_stats)
 
-        def compile_all() -> tuple[Plan, ...]:
-            def compile_one(disjunct: ConjunctiveQuery, params) -> Plan:
-                try:
-                    base = compile_plan(disjunct, access, params)
-                except NotControlledError as exc:
-                    if not len(catalog):
-                        raise
-                    # Not controlled over base data alone: try rewriting
-                    # over the registered views (Section 6).  Raises a
-                    # combined NotControlledError -- carrying the base
-                    # failure's diagnostic -- if the views do not help
-                    # either.
-                    return compile_with_views(
-                        disjunct, access, catalog, params, base_error=exc
-                    )
-                if not len(catalog):
-                    return base
-                # Controlled over base data: selection is cost-based, not
-                # augmentation-only.  Price the view-augmented candidate
-                # too and keep the cheaper plan (ties keep the base plan:
-                # it needs no view freshness pass before executing).
-                try:
-                    augmented = compile_with_views(
-                        disjunct, access, catalog, params
-                    )
-                except NotControlledError:
-                    return base
-                from repro.analysis.cost import check_selection, estimate_plan
-
-                estimates = [
-                    estimate_plan(candidate, cost_stats)
-                    for candidate in (base, augmented)
-                ]
-                chosen, rejected = (
-                    (0, 1) if estimates[0].total <= estimates[1].total else (1, 0)
-                )
-                # The optimizer's own must-fail check (CST001): the
-                # chosen estimate can never exceed the rejected one.
-                check_selection(estimates[chosen], (estimates[rejected],))
-                return (base, augmented)[chosen]
-
-            # Compile with a deterministic parameter order; values are
-            # matched by name at execution time, so order is cosmetic.
-            params = tuple(sorted(parameters, key=lambda v: v.name))
-            if isinstance(query, ConjunctiveQuery):
-                plans = (compile_one(query, params),)
-            else:
-                plans = tuple(
-                    compile_one(disjunct, params) for disjunct in query.disjuncts
-                )
-            if self._certify:
-                # Inside the single-flight compute: each cached plan is
-                # certified exactly once, and a failing plan never enters
-                # the cache (the CertificationError propagates to every
-                # waiter and the key is cleared).
-                from repro.analysis.certify import check_plan
-
-                for plan in plans:
-                    check_plan(plan, access, catalog.definitions())
+    def _plans_for(
+        self, prepared: PreparedQuery, parameters: frozenset[Variable]
+    ) -> tuple[Plan, ...]:
+        """The plans that execute ``prepared`` under ``parameters``: those
+        of its canonical query, shared with every renaming and atom
+        reordering of it (``PreparedQuery._named`` leads back)."""
+        shape = prepared._shapes.get(parameters)
+        if shape is None:  # canonicalised once per query and parameter set
+            shape = _Shape(*canonical_form(prepared.query, parameters))
+            prepared._shapes[parameters] = shape
+        canonical = shape.key
+        key, state = self._plan_key(canonical, parameters)
+        try:
+            # Single-flight: N concurrent cold starts of one shape run the
+            # controllability fixpoint once; the others wait and share.
+            cached, plans = self._cache.get_or_compute(
+                key, lambda: (canonical, self._compile(canonical, parameters, *state))
+            )
+        except NotControlledError:
+            # Failures are never cached, so say it in the caller's words:
+            # the same compile of the query as written fails the same way.
+            pass
+        else:
+            if cached is not canonical:
+                shape.key = cached  # an equal key's entry: probe by identity next
             return plans
+        return self._compile(prepared.query, parameters, *state)
 
-        # Single-flight: N concurrent cold starts of the same key run the
-        # controllability fixpoint once; the others wait and share.
-        return self._cache.get_or_compute(key, compile_all)
+    def _compile(
+        self, query: Query, parameters: frozenset[Variable], access, catalog, cost_stats
+    ) -> tuple[Plan, ...]:
+        """Compile, price and (when certifying) certify ``query``: one
+        plan per disjunct."""
+
+        def compile_one(disjunct: ConjunctiveQuery) -> Plan:
+            try:
+                base = compile_plan(disjunct, access, params)
+            except NotControlledError as exc:
+                if not len(catalog):
+                    raise
+                # Not controlled over base data alone: try rewriting
+                # over the registered views (Section 6).  Raises a
+                # combined NotControlledError -- carrying the base
+                # failure's diagnostic -- if the views do not help
+                # either.
+                return compile_with_views(
+                    disjunct, access, catalog, params, base_error=exc
+                )
+            if not len(catalog):
+                return base
+            # Controlled over base data: selection is cost-based, not
+            # augmentation-only.  Price the view-augmented candidate
+            # too and keep the cheaper plan (ties keep the base plan:
+            # it needs no view freshness pass before executing).
+            try:
+                augmented = compile_with_views(disjunct, access, catalog, params)
+            except NotControlledError:
+                return base
+            from repro.analysis.cost import check_selection, estimate_plan
+
+            estimates = [
+                estimate_plan(candidate, cost_stats)
+                for candidate in (base, augmented)
+            ]
+            chosen, rejected = (
+                (0, 1) if estimates[0].total <= estimates[1].total else (1, 0)
+            )
+            # The optimizer's own must-fail check (CST001): the
+            # chosen estimate can never exceed the rejected one.
+            check_selection(estimates[chosen], (estimates[rejected],))
+            return (base, augmented)[chosen]
+
+        # Compile with a deterministic parameter order; values are
+        # matched by name at execution time, so order is cosmetic.
+        params = tuple(sorted(parameters, key=lambda v: v.name))
+        plans = tuple(compile_one(disjunct) for disjunct in disjuncts_of(query))
+        if self._certify:
+            # Inside the single-flight compute: each cached plan is
+            # certified exactly once, and a failing plan never enters
+            # the cache (the CertificationError propagates to every
+            # waiter and the key is cleared).
+            from repro.analysis.certify import check_plan
+
+            for plan in plans:
+                check_plan(plan, access, catalog.definitions())
+        return plans
 
     def _prepare_views(
         self, plans: Sequence[Plan]

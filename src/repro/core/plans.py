@@ -205,6 +205,49 @@ class Plan:
             branches = fanned
         return tuple(costs)
 
+    def renamed(
+        self, query: ConjunctiveQuery, renaming: Mapping[str, Variable], atoms
+    ) -> "Plan":
+        """This plan written for ``query``, of which ``self.query`` is a
+        renaming and reordering: ``renaming`` maps the names of this plan's
+        variables to ``query``'s, ``atoms`` are ``query``'s body atoms in
+        the order of ``self.query``'s.  Steps keep their order and shape,
+        so the result executes exactly like this plan; it reads in
+        ``query``'s own atoms, source spans included."""
+
+        def term(t: Term) -> Term:
+            return renaming.get(t.name, t) if type(t) is Variable else t
+
+        def atom(a: Atom) -> Atom:
+            return own.get(a) or Atom._trusted(a.relation, tuple(map(term, a.terms)))
+
+        if self.steps and query.equalities:
+            subst = query.equality_substitution()
+            atoms = [a.substitute(subst) for a in atoms]
+        # zip stops at query's atoms: a view-assisted plan's query carries
+        # the implied view atoms after the body it was rewritten from.
+        own = dict(zip(self.query.normalized_body() or (), atoms))
+        implied = tuple(map(atom, self.query.body[len(query.body) :]))
+        if implied:
+            query = ConjunctiveQuery._trusted(
+                query.head, query.body + implied, query.equalities
+            )
+        steps = [
+            ProbeStep(atom(s.atom))
+            if type(s) is ProbeStep
+            else FetchStep(
+                atom(s.atom),
+                s.rule,
+                s.input_positions,
+                s.output_positions,
+                tuple(map(term, s.binds)),
+            )
+            for s in self.steps
+        ]
+        head = tuple(map(term, self.head_terms))
+        views = self.view_relations
+        return Plan(query, self.parameters, tuple(steps), head, self.satisfiable, views)
+
     def explain(self) -> str:
         """A human-readable rendering of the plan, with each step's static
         worst-case access estimate (see :meth:`step_costs`)."""

@@ -95,7 +95,7 @@ class IncrementalResult:
         "last_mode",
         "profiles",
         "_engine",
-        "_query",
+        "_prepared",
         "_values",
         "_programs",
         "_seeds",
@@ -108,9 +108,9 @@ class IncrementalResult:
         "__weakref__",  # the change log pins its consumers weakly
     )
 
-    def __init__(self, engine, query, values: Mapping, columns: tuple[str, ...]):
+    def __init__(self, engine, prepared, values: Mapping, columns: tuple[str, ...]):
         self._engine = engine
-        self._query = query
+        self._prepared = prepared
         self._values = dict(values)
         self.columns = columns
         self._delta_sizes: dict[str, int] | None = None
@@ -261,14 +261,16 @@ class IncrementalResult:
         db = engine.require_database()
         version, _ = engine._access_state
         views_version = engine.views.version
-        plans = engine._plans_for(self._query, frozenset(self._values))
+        prepared, parameters = self._prepared, frozenset(self._values)
+        plans = engine._plans_for(prepared, parameters)
         # Classify statically before materializing anything: unlike the
         # executor's per-plan check, the classifier's error carries every
-        # blocker's causal trace.  Imported lazily -- repro.analysis sits
-        # above repro.incremental in the layering.
+        # blocker's causal trace -- read off the plans in the caller's own
+        # atoms, for their source spans.  Imported lazily -- repro.analysis
+        # sits above repro.incremental in the layering.
         from repro.analysis.maintain import check_maintainable
 
-        check_maintainable(plans)
+        check_maintainable(prepared._named(parameters, plans))
         # Refresh any views the plans read *before* snapshotting the
         # watermark: the counting pass must see views that agree with the
         # base state at that watermark (mutations are single-writer, so
@@ -334,7 +336,8 @@ class IncrementalResult:
         return ExplainAnalyze(result, self.profiles)
 
 
-def build_incremental(engine, query, values: Mapping, columns) -> IncrementalResult:
-    """Construct an :class:`IncrementalResult` for ``query`` on ``engine``
-    (the implementation behind ``PreparedQuery.execute_incremental``)."""
-    return IncrementalResult(engine, query, values, columns)
+def build_incremental(engine, prepared, values: Mapping, columns) -> IncrementalResult:
+    """Construct an :class:`IncrementalResult` for the ``PreparedQuery``
+    ``prepared`` on ``engine`` (the implementation behind
+    ``PreparedQuery.execute_incremental``)."""
+    return IncrementalResult(engine, prepared, values, columns)

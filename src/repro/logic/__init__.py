@@ -3,7 +3,9 @@
 The abstract syntax lives in :mod:`repro.logic.ast`, conjunctive queries in
 :mod:`repro.logic.cq`, and evaluation with active-domain semantics in
 :mod:`repro.logic.evaluation`.  Homomorphism-based reasoning (containment,
-equivalence, minimisation, witnesses) is in :mod:`repro.logic.homomorphism`.
+equivalence, minimisation, witnesses) is in :mod:`repro.logic.homomorphism`;
+the renaming- and reordering-invariant form plans are cached by is in
+:mod:`repro.logic.canonical`.
 The Datalog-style concrete syntax (``Q(x) :- Person(x, 'NYC')``) is parsed
 by :mod:`repro.logic.parser`.
 """

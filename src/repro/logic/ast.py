@@ -147,7 +147,7 @@ class Atom(Formula):
     unaffected; :meth:`substitute` preserves it.
     """
 
-    __slots__ = ("relation", "terms", "span")
+    __slots__ = ("relation", "terms", "span", "_hash")
     _fields = ("relation", "terms")
 
     def __init__(
@@ -158,6 +158,30 @@ class Atom(Formula):
         self.relation = relation
         self.terms = tuple(make_term(t) for t in terms)
         self.span = span
+
+    @classmethod
+    def _trusted(cls, relation: str, terms: tuple[Term, ...]) -> "Atom":
+        """An atom over a ready tuple of terms (another atom's, renamed):
+        skips ``__init__``'s coercion."""
+        self = object.__new__(cls)
+        self.relation, self.terms, self.span = relation, terms, None
+        return self
+
+    # Atoms sit inside every plan-cache key: compare the two fields
+    # directly and hash once (an atom is immutable after construction).
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is Atom
+            and self.relation == other.relation
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = self._hash = hash((self.relation, self.terms))
+            return value
 
     @property
     def arity(self) -> int:

@@ -104,6 +104,14 @@ class ConjunctiveQuery:
                     f"unsafe head variables (not in body): {', '.join(map(str, unsafe))}"
                 )
 
+    @classmethod
+    def _trusted(cls, head, body, equalities) -> "ConjunctiveQuery":
+        """A query from tuples known to be well-typed and safe (a renaming
+        or reordering of a constructed query): skips ``__init__``'s checks."""
+        self = object.__new__(cls)
+        self.head, self.body, self.equalities = head, body, equalities
+        return self
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ConjunctiveQuery)
@@ -176,6 +184,8 @@ class ConjunctiveQuery:
     def normalized_body(self) -> tuple[Atom, ...] | None:
         """The body atoms with the equality substitution applied, or None if
         the equalities are unsatisfiable."""
+        if not self.equalities:
+            return self.body
         subst = self.equality_substitution()
         if subst is None:
             return None

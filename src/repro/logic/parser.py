@@ -32,11 +32,12 @@ are identifiers and whose constants are strings, numbers, booleans or
 ``None``, ``parse_query(str(q)) == q``; the same holds for every such
 :class:`UnionOfConjunctiveQueries` with two or more disjuncts (a
 one-disjunct union renders, and hence parses back, as its single CQ).
-The same text always parses to an equal query: ``nan`` and ``-nan`` each
-parse to one float object shared by every parse, which the
-identity-or-equality comparison of :class:`~repro.logic.terms.Constant`
-accepts.  (A NaN constant built elsewhere equals neither, so the round
-trip above does not extend to it.)
+The same text always parses to an equal query: ``nan`` and ``-nan`` (a
+NaN's sign means nothing, and both render as ``nan``) parse to one float
+object shared by every parse, which the identity-or-equality comparison
+of :class:`~repro.logic.terms.Constant` accepts.  (A NaN constant built
+elsewhere does not equal it, so the round trip above does not extend to
+it.)
 
 The token stream (:func:`tokenize` / :class:`TokenStream`) is shared with
 the schema DSL of :meth:`repro.relational.schema.DatabaseSchema.parse` and
@@ -110,8 +111,9 @@ _TOKEN_RE = re.compile(
 )
 
 # Keyword constants, rendered by ``repr`` and so by ``Constant.__str__``.
-# One shared object per spelling: Constant equality is identity-or-equality,
-# so a NaN must be the *same* float for two parses to compare equal.
+# One shared NaN object: Constant equality is identity-or-equality, so a
+# NaN must be the *same* float for two parses -- or the two spellings
+# 'nan' and '-nan' -- to compare equal.
 _KEYWORD_CONSTANTS = {
     "True": True,
     "False": False,
@@ -119,7 +121,7 @@ _KEYWORD_CONSTANTS = {
     "inf": float("inf"),
     "nan": float("nan"),
 }
-_NEGATIVE_NONFINITE = {"-inf": float("-inf"), "-nan": float("-nan")}
+_NEGATIVE_NONFINITE = {"-inf": float("-inf"), "-nan": _KEYWORD_CONSTANTS["nan"]}
 
 
 def _position(source: str, offset: int) -> tuple[int, int]:

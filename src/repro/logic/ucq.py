@@ -13,6 +13,11 @@ from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Variable
 
 
+def disjuncts_of(query) -> tuple[ConjunctiveQuery, ...]:
+    """The disjuncts of a CQ or UCQ: a conjunctive query is a union of one."""
+    return (query,) if isinstance(query, ConjunctiveQuery) else query.disjuncts
+
+
 class UnionOfConjunctiveQueries:
     """A union ``Q1 UNION ... UNION Qn`` of same-arity conjunctive queries."""
 

@@ -520,21 +520,22 @@ def test_cache_stats_count_invalidations(engine):
 
 
 def test_stale_plans_cached_in_flight_are_never_served_after_access_change(engine):
-    # Simulate a compile that raced an access replacement: it stored its
-    # plans under the access-schema version it compiled against. After
-    # the replacement bumps the version, that key must be unreachable --
-    # so replay the losing side of the race by hand: grab the plans and
-    # key from before the change, swap the access schema, then re-insert
-    # the stale entry behind the engine's back.
+    # Simulate a compile that raced an access replacement: it stores its
+    # plans under the key it built from the access-schema version it
+    # compiled against. After the replacement bumps the version, that key
+    # must be unreachable -- so replay the losing side of the race by
+    # hand: build the key with the engine's own key function before the
+    # change, swap the access schema, then let the stale flight land.
     from repro.logic.terms import Variable
 
     q = engine.query(NYC_FRIENDS)
     params = frozenset({Variable("p")})
-    old_version, _ = engine._access_state
-    views_version = engine.views.version
-    stale_plans = engine._plans_for(q.query, params)
+    stale_plans = engine._plans_for(q, params)
+    canonical = q._shapes[params].key
+    stale_key, _ = engine._plan_key(canonical, params)
     engine.access = "friend(pid1 -> 7); friend(pid2 -> 7); person(pid -> 1)"
-    engine._cache.put((old_version, views_version, q.query, params), stale_plans)
+    landed = engine._cache.get_or_compute(stale_key, lambda: (canonical, stale_plans))
+    assert landed[1] is stale_plans  # the entry is really in the cache
     assert q.execute(p=1).fanout_bound == 7 + 7 * 1  # not the stale 5005
 
 
@@ -783,3 +784,238 @@ def test_nan_texts_hit_the_plan_cache(spelling, monkeypatch):
     assert engine.text_cache_stats().misses == 2
     stats = engine.cache_stats()
     assert len(calls) == 1 and (stats.hits, stats.misses, stats.size) == (1, 1, 1)
+
+
+# -- one plan per query shape ----------------------------------------------
+
+# NYC_FRIENDS with its variables renamed and its atoms swapped (and a line
+# break, so the spans differ too).
+NYC_TWIN = "Q(who) :- person(who, called, 'NYC'),\n  friend(p, who)"
+
+
+def counting_canonical(monkeypatch):
+    calls = []
+    real = engine_module.canonical_form
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine_module, "canonical_form", wrapper)
+    return calls
+
+
+def test_renamed_and_reordered_texts_share_one_plan_and_one_pipeline(engine, monkeypatch):
+    from repro.core.executor import pipeline_cache_stats
+
+    calls = counting_compile(monkeypatch)
+    lowered = pipeline_cache_stats().misses
+    first, twin = engine.query(NYC_FRIENDS), engine.query(NYC_TWIN)
+    assert first is not twin and first.query != twin.query
+    assert first.execute(p=1).rows == twin.execute(p=1).rows == ((2,),)
+    assert len(calls) == 1 and pipeline_cache_stats().misses == lowered + 1
+    stats = engine.cache_stats()
+    assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
+    params = frozenset({engine_module.Variable("p")})
+    (plan,), (same,) = engine._plans_for(first, params), engine._plans_for(twin, params)
+    assert plan is same
+    # The twin probed with an equal key once, then adopted the cached
+    # entry's key object: from now on the probe is an identity compare.
+    assert twin._shapes[params].key is first._shapes[params].key
+    # A different constant, head or parameter is a different shape.
+    engine.execute("Q(y) :- friend(p, y), person(y, n, 'SF')", p=1)
+    engine.execute("Q(n) :- friend(p, y), person(y, n, 'NYC')", p=1)
+    engine.execute("Q(y) :- friend(p, y), person(y, n, 'NYC')", y=2)
+    assert len(calls) == 4
+
+
+def test_ties_between_equal_fetches_break_by_canonical_atom_order():
+    engine = Engine("r(a, b); s(a, b)", "r(a -> 4); s(a -> 4)", data={"r": [(1, 2)], "s": [(1, 2)]})
+    plans = [
+        engine.query(text).plan(["p"])
+        for text in ("Q(y) :- r(p, y), s(p, y)", "Q(y) :- s(p, y), r(p, y)")
+    ]
+    assert [[str(s) for s in plan.steps] for plan in plans] == [
+        ["fetch r(?p, ?y) via r(a -> 4), binding ?y", "probe s(?p, ?y)"]
+    ] * 2
+    assert engine.cache_stats().misses == 1
+
+
+def test_plan_explain_and_diagnostics_speak_the_callers_text(engine):
+    from repro.analysis import check_plan
+    from repro.core.executor import execute_plan
+
+    engine.execute(NYC_FRIENDS, p=1)  # the shape is compiled under other names
+    twin = engine.query(NYC_TWIN)
+    plan = twin.plan(["p"])
+    assert plan.query == twin.query and plan is twin.plan(["p"])
+    assert [str(step.atom) for step in plan.steps] == [
+        "friend(?p, ?who)",
+        "person(?who, ?called, 'NYC')",
+    ]
+    assert [(s.atom.span.line, s.atom.span.column) for s in plan.steps] == [(2, 3), (1, 11)]
+    assert plan.head_terms == twin.query.head
+    explained = twin.explain(["p"])
+    assert "?who" in explained and "?called" in explained and "?v0" not in explained
+    assert explained == engine.query(NYC_FRIENDS).explain(["p"]).replace("?y", "?who").replace(
+        "?n", "?called"
+    )
+    (finding,) = twin.diagnostics(["p"]).by_code("QRY001")
+    assert "?called" in finding.message
+    assert (finding.span.line, finding.span.column) == (1, 11)
+    # The plan in the caller's names is a certified-quality plan that
+    # executes exactly like the shared one.
+    check_plan(plan, engine.access)
+    for pid in range(1, 6):
+        assert execute_plan(plan, engine.database, p=pid) == twin.execute(p=pid).rows
+
+
+def test_union_plans_come_back_per_disjunct_in_the_callers_names(engine):
+    engine.execute("Q(y) :- friend(p, y) ; Q(y) :- friend(y, p)", p=1)
+    twin = engine.query("Q(b) :- friend(p, b) ;\nQ(b) :- friend(b, p)")
+    assert engine.cache_stats().size == 1
+    first, second = twin.plan(["p"])
+    assert (str(first.steps[0].atom), str(second.steps[0].atom)) == (
+        "friend(?p, ?b)",
+        "friend(?b, ?p)",
+    )
+    assert second.steps[0].atom.span.line == 2
+    assert "disjunct 2: Q(?b) <- friend(?b, ?p)" in twin.explain(["p"])
+    assert twin.execute(p=1).rows == engine.execute(
+        "Q(y) :- friend(p, y) ; Q(y) :- friend(y, p)", p=1
+    ).rows
+    assert engine.cache_stats().misses == 1
+
+
+def test_not_controlled_is_reported_in_the_callers_words(engine):
+    engine.access = "person(pid -> 1)"
+    for text, variable in ((NYC_FRIENDS, "?y"), (NYC_TWIN, "?who")):
+        with pytest.raises(NotControlledError) as failure:
+            engine.execute(text, p=1)
+        message = str(failure.value)
+        assert variable in message and "?v0" not in message
+        assert failure.value.__context__ is None  # not chained to the shared attempt
+    assert engine.cache_stats().size == 0  # failures are never cached
+
+
+def test_view_assisted_plans_come_back_with_the_view_atoms_renamed():
+    from repro.analysis import check_plan
+    from repro.core.executor import ExecutionContext, execute_plan
+
+    engine = Engine(SCHEMA_TEXT, "friend(pid1 -> 5000); person(pid -> 1)", data=DATA)
+    engine.views.register(
+        "followers", "followers(pid, follower) :- friend(follower, pid)", "followers(pid -> 64)"
+    )
+    engine.execute("Q(x) :- friend(x, p)", p=4)
+    twin = engine.query("Q(fan) :- friend(fan, p)")
+    plan = twin.plan(["p"])
+    assert engine.cache_stats().misses == 1 and plan.view_relations == {"followers"}
+    assert str(plan.query) == "Q(?fan) <- friend(?fan, ?p), followers(?p, ?fan)"
+    assert [str(step.atom) for step in plan.steps] == ["followers(?p, ?fan)", "friend(?fan, ?p)"]
+    assert plan.steps[1].atom.span is not None and plan.steps[0].atom.span is None
+    check_plan(plan, engine.access, engine.views.snapshot().definitions())
+    ctx = ExecutionContext(engine.database, views=engine._prepare_views((plan,)))
+    assert execute_plan(plan, ctx, p=4) == twin.execute(p=4).rows == ((2,), (3,))
+
+
+def test_eight_threads_on_eight_renamings_compile_once(engine, monkeypatch):
+    import threading
+    import time
+
+    real = engine_module.compile_plan
+    calls = []
+
+    def slow_counted_compile(*args, **kwargs):
+        calls.append(args)
+        time.sleep(0.05)  # hold the flight open so every thread piles up
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "compile_plan", slow_counted_compile)
+    texts = [
+        f"Q(y{i}) :- person(y{i}, n{i}, 'NYC'), friend(p, y{i})"
+        if i % 2
+        else f"Q(y{i}) :- friend(p, y{i}), person(y{i}, n{i}, 'NYC')"
+        for i in range(8)
+    ]
+    barrier = threading.Barrier(len(texts), timeout=10)
+    results, errors = [], []
+
+    def hammer(text):
+        try:
+            barrier.wait()
+            results.append(engine.execute(text, p=1).rows)
+        except Exception as exc:  # pragma: no cover - only on regression
+            errors.append(exc)
+
+    threads = [threading.Thread(target=hammer, args=(text,)) for text in texts]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert len(calls) == 1 and results == [((2,),)] * 8
+    stats = engine.cache_stats()
+    assert (stats.misses, stats.hits, stats.size) == (1, 7, 1)
+    assert engine.text_cache_stats().misses == 8
+
+
+def test_no_stale_plan_reaches_the_twin_of_the_query_that_compiled_it():
+    engine = Engine(SCHEMA_TEXT, "friend(pid1 -> 5000); person(pid -> 1)", data=DATA)
+    followers, twin = "Q(x) :- friend(x, p)", "Q(fan) :- friend(fan, p)"
+    assert engine.execute(NYC_FRIENDS, p=1).fanout_bound == 10000
+
+    # access replacement: the twin must be planned under the new bounds
+    engine.access = "friend(pid1 -> 7); person(pid -> 1)"
+    assert engine.execute(NYC_TWIN, p=1).fanout_bound == 14
+    assert engine.execute(NYC_FRIENDS, p=1).fanout_bound == 14
+
+    # view register / drop: executable for the twin exactly while the view is there
+    with pytest.raises(NotControlledError):
+        engine.execute(followers, p=4)
+    engine.views.register(
+        "followers", "followers(pid, follower) :- friend(follower, pid)", "followers(pid -> 64)"
+    )
+    assert sorted(engine.execute(twin, p=4).rows) == [(2,), (3,)]
+    engine.views.drop("followers")
+    for text in (followers, twin):
+        with pytest.raises(NotControlledError):
+            engine.execute(text, p=4)
+
+    # refreshed cost statistics: the shape is planned again, for whoever asks
+    misses = engine.cache_stats().misses
+    engine.refresh_cost_stats()
+    engine.execute(NYC_TWIN, p=1)
+    engine.execute(NYC_FRIENDS, p=1)
+    stats = engine.cache_stats()
+    assert stats.misses == misses + 1 and stats.invalidations == 1
+
+
+def test_a_held_query_object_is_validated_and_canonicalised_once(engine, monkeypatch):
+    forms = counting_canonical(monkeypatch)
+    validated = []
+    real = type(engine.schema).validate_query
+
+    def counting_validate(schema, query):
+        validated.append(query)
+        return real(schema, query)
+
+    monkeypatch.setattr(type(engine.schema), "validate_query", counting_validate)
+    held = ConjunctiveQuery(
+        ["y"], [Atom("friend", ["?p", "?y"]), Atom("person", ["?y", "?n", "NYC"])]
+    )
+    for pid in (1, 2, 1):
+        engine.execute(held, p=pid)
+    assert engine.query(held) is engine.query(held)
+    # one validation by the engine, one by compile_plan on the one miss
+    assert validated.count(held) == 1 and len(forms) == 1
+    # text and query objects go through the same memo, counted together
+    engine.execute(NYC_FRIENDS, p=1)
+    stats = engine.text_cache_stats()
+    assert (stats.misses, stats.size) == (2, 2) and stats.hits == 4
+    assert engine.cache_stats().misses == 1  # ... and through the same plan
+    # a query object that fails validation is never remembered
+    bad = ConjunctiveQuery(["y"], [Atom("nope", ["?y"])])
+    for _ in range(2):
+        with pytest.raises(SchemaError):
+            engine.query(bad)
+    assert engine.text_cache_stats().size == 2
