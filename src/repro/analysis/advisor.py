@@ -289,7 +289,7 @@ def _advise_disjunct(
     base_cost: float | None = None
     if cov.controlled:
         try:
-            base = engine._plans_for(engine.query(query), frozenset(params))
+            base = engine._compiled_for(engine.query(query), frozenset(params)).plans
         except ReproError:
             return []
         # Declared-bound pricing: the advisor trades in certifiable

@@ -9,8 +9,9 @@ canonical query (:mod:`repro.logic.canonical`) is the query with its
 non-parameter variables renamed by first occurrence and its body atoms
 sorted, so every renaming and reordering of one query *shape* shares one
 entry; parameter *values* do not affect the plan.  An entry's value is
-``(the key's canonical query, plans)``, which lets a caller that probed
-with an equal canonical query adopt the cached object and be compared by
+what an execution needs (the plans, their lowered pipelines, the views
+they read, their bound) and carries the key's canonical query, so a caller
+that probed with an equal one adopts the cached object and is compared by
 identity from then on.  The cache is invalidated wholesale whenever the
 access schema changes, since every plan embeds the rules it fetches
 through.  A second instance of the same class is the engine's memo of

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import os
 import threading
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.api.cache import CacheStats, PlanCache
@@ -73,9 +74,10 @@ from repro.core.access_schema import AccessSchema
 from repro.core.executor import (
     ExecutionContext,
     PlanProfile,
-    _execute_merged,
     merge_parameter_values,
-    profile_plan,
+    pipeline_for,
+    profile_pipeline,
+    run_pipeline,
 )
 from repro.core.plans import Plan, compile_plan
 from repro.core.qdsi import QDSIResult, decide_qdsi
@@ -94,7 +96,6 @@ from repro.views import ViewSet, compile_with_views
 
 if TYPE_CHECKING:
     from repro.incremental import IncrementalResult
-    from repro.views import ViewState
 
 Row = tuple[object, ...]
 Query = ConjunctiveQuery | UnionOfConjunctiveQueries
@@ -214,6 +215,29 @@ class ExplainAnalyze:
         return "\n\n".join(sections)
 
 
+class _Compiled:
+    """A plan-cache entry: what executing one query shape needs, built
+    once inside the single-flight compute.  ``key`` is the canonical query
+    it is filed under (a prober with an equal key adopts this object and
+    is compared by identity from then on), ``plans`` one plan per
+    disjunct, ``pipes`` their lowered pipelines, ``view_names`` the views
+    they read and ``fanout_bound`` their summed a-priori access bound."""
+
+    __slots__ = ("key", "plans", "pipes", "view_names", "fanout_bound")
+
+    def __init__(self, key: Query, plans: tuple[Plan, ...]):
+        self.key, self.plans = key, plans
+        self.pipes = tuple([pipeline_for(plan) for plan in plans])
+        self.view_names = frozenset().union(*[plan.view_relations for plan in plans])
+        self.fanout_bound = sum(plan.fanout_bound for plan in plans)
+
+
+def _union(answers: list[Sequence[Row]]) -> Iterable[Row]:
+    """The answer of a union from its disjuncts' (each already distinct):
+    a row several disjuncts derive appears once, where first derived."""
+    return answers[0] if len(answers) == 1 else dict.fromkeys(chain(*answers))
+
+
 class _Shape:
     """What a :class:`PreparedQuery` remembers per parameter-name set: its
     canonical query (``key``; swapped for the plan cache's own equal object
@@ -319,13 +343,13 @@ class PreparedQuery:
         not controlled by ``parameters``.
         """
         params = _parameter_names(parameters)
-        plans = self._named(params, self._engine._plans_for(self, params))
+        plans = self._named(params, self._engine._compiled_for(self, params).plans)
         return plans[0] if isinstance(self.query, ConjunctiveQuery) else plans
 
     def _named(
         self, parameters: frozenset[Variable], shared: tuple[Plan, ...]
     ) -> tuple[Plan, ...]:
-        """``shared`` (this query's plans from ``Engine._plans_for``) in
+        """``shared`` (this query's plans from ``Engine._compiled_for``) in
         this query's own names -- renamed once per shared tuple."""
         shape = self._shapes[parameters]
         source, named = shape.named
@@ -338,7 +362,7 @@ class PreparedQuery:
     def explain(self, parameters: Iterable[object] = ()) -> str:
         """A human-readable rendering of the plan(s) for ``parameters``."""
         params = _parameter_names(parameters)
-        plans = self._named(params, self._engine._plans_for(self, params))
+        plans = self._named(params, self._engine._compiled_for(self, params).plans)
         if len(plans) == 1:
             return plans[0].explain()
         sections = [
@@ -347,6 +371,19 @@ class PreparedQuery:
         ]
         total = sum(plan.fanout_bound for plan in plans)
         return "\n\n".join(sections) + f"\n\ntotal access bound: {total} tuples"
+
+    def _begin(self, parameters: Mapping[object, object] | None, kwargs):
+        """What an execution starts from: the normalized parameter values,
+        the plan-cache entry for their names and a fresh context whose
+        views -- those the plans read -- are materialized and current at
+        the change-log watermark (no plan ever sees a stale view)."""
+        values = merge_parameter_values(parameters, kwargs)
+        engine = self._engine
+        database = engine.require_database()
+        compiled = engine._compiled_for(self, frozenset(values))
+        names = compiled.view_names
+        views = engine.views.prepare(database, names) if names else None
+        return values, compiled, ExecutionContext(database, views=views)
 
     def execute(
         self,
@@ -360,24 +397,9 @@ class PreparedQuery:
         Parameter values may be passed as a mapping and/or as keyword
         arguments: ``q.execute(p=42)``.
         """
-        values = merge_parameter_values(parameters, kwargs)
-        database = self._engine.require_database()
-        plans = self._engine._plans_for(self, frozenset(values))
-        ctx = ExecutionContext(database, views=self._engine._prepare_views(plans))
-        if len(plans) == 1:
-            # Hot path of a parameterized workload: one plan, whose
-            # pipeline already emits deduplicated rows in order.
-            plan = plans[0]
-            rows: dict[Row, None] = dict.fromkeys(
-                _execute_merged(plan, ctx, values)
-            )
-            return ResultSet(rows, self.columns, ctx.stats, plan.fanout_bound)
-        rows = {}
-        for plan in plans:
-            for row in _execute_merged(plan, ctx, values):
-                rows.setdefault(row, None)
-        fanout = sum(plan.fanout_bound for plan in plans)
-        return ResultSet(rows, self.columns, ctx.stats, fanout)
+        values, compiled, ctx = self._begin(parameters, kwargs)
+        answers = [run_pipeline(pipe, ctx, values) for pipe in compiled.pipes]
+        return ResultSet(_union(answers), self.columns, ctx.stats, compiled.fanout_bound)
 
     def execute_incremental(
         self,
@@ -413,20 +435,11 @@ class PreparedQuery:
         :class:`~repro.core.executor.PlanProfile` per disjunct -- of the
         shared plan that ran, so operator labels name its canonical
         variables (``?v0``, ...); :meth:`explain` has the caller's."""
-        values = merge_parameter_values(parameters, kwargs)
-        database = self._engine.require_database()
-        plans = self._engine._plans_for(self, frozenset(values))
-        ctx = ExecutionContext(database, views=self._engine._prepare_views(plans))
-        rows: dict[Row, None] = {}
-        profiles = []
-        for plan in plans:
-            profile = profile_plan(plan, ctx, values)
-            profiles.append(profile)
-            for row in profile.rows:
-                rows.setdefault(row, None)
-        fanout = sum(plan.fanout_bound for plan in plans)
-        result = ResultSet(rows, self.columns, ctx.stats, fanout)
-        return ExplainAnalyze(result, tuple(profiles))
+        values, compiled, ctx = self._begin(parameters, kwargs)
+        profiles = tuple([profile_pipeline(pipe, ctx, values) for pipe in compiled.pipes])
+        rows = _union([profile.rows for profile in profiles])
+        result = ResultSet(rows, self.columns, ctx.stats, compiled.fanout_bound)
+        return ExplainAnalyze(result, profiles)
 
     def diagnostics(self, parameters: Iterable[object] = ()):
         """Statically analyze this query under the engine's access schema
@@ -775,12 +788,13 @@ class Engine:
         key = (version, catalog.version, cost_version, canonical, parameters)
         return key, (access, catalog, cost_stats)
 
-    def _plans_for(
+    def _compiled_for(
         self, prepared: PreparedQuery, parameters: frozenset[Variable]
-    ) -> tuple[Plan, ...]:
-        """The plans that execute ``prepared`` under ``parameters``: those
-        of its canonical query, shared with every renaming and atom
-        reordering of it (``PreparedQuery._named`` leads back)."""
+    ) -> _Compiled:
+        """What executes ``prepared`` under ``parameters``: the plan-cache
+        entry of its canonical query, shared with every renaming and atom
+        reordering of it (``PreparedQuery._named`` leads back) -- the one
+        probe an execution makes."""
         shape = prepared._shapes.get(parameters)
         if shape is None:  # canonicalised once per query and parameter set
             shape = _Shape(*canonical_form(prepared.query, parameters))
@@ -789,19 +803,21 @@ class Engine:
         key, state = self._plan_key(canonical, parameters)
         try:
             # Single-flight: N concurrent cold starts of one shape run the
-            # controllability fixpoint once; the others wait and share.
-            cached, plans = self._cache.get_or_compute(
-                key, lambda: (canonical, self._compile(canonical, parameters, *state))
+            # controllability fixpoint (and the lowering) once; the others
+            # wait and share.
+            compiled = self._cache.get_or_compute(
+                key,
+                lambda: _Compiled(canonical, self._compile(canonical, parameters, *state)),
             )
         except NotControlledError:
             # Failures are never cached, so say it in the caller's words:
             # the same compile of the query as written fails the same way.
             pass
         else:
-            if cached is not canonical:
-                shape.key = cached  # an equal key's entry: probe by identity next
-            return plans
-        return self._compile(prepared.query, parameters, *state)
+            if compiled.key is not canonical:
+                shape.key = compiled.key  # an equal key's entry: probe by identity next
+            return compiled
+        return _Compiled(prepared.query, self._compile(prepared.query, parameters, *state))
 
     def _compile(
         self, query: Query, parameters: frozenset[Variable], access, catalog, cost_stats
@@ -861,21 +877,6 @@ class Engine:
             for plan in plans:
                 check_plan(plan, access, catalog.definitions())
         return plans
-
-    def _prepare_views(
-        self, plans: Sequence[Plan]
-    ) -> "dict[str, ViewState] | None":
-        """Materialized-and-fresh view states for every view any of
-        ``plans`` reads, or None when they read none.  Called right
-        before execution, so view-assisted plans always run against
-        views that reflect the current change-log watermark."""
-        if len(plans) == 1:
-            names: frozenset[str] = plans[0].view_relations
-        else:
-            names = frozenset().union(*(plan.view_relations for plan in plans))
-        if not names:
-            return None
-        return self._views.prepare(self.require_database(), names)
 
 
 def _parameter_names(parameters: Iterable[object]) -> frozenset[Variable]:

@@ -787,6 +787,7 @@ class Pipeline(tuple):
     descriptions (what tests, diagnostics and profiles name), plus the
     compiled execution extras as attributes --
 
+    * ``plan`` -- the plan this is the lowering of;
     * ``slots`` -- the plan's :class:`~repro.core.columnar.SlotTable`;
     * ``params`` -- the declared parameter set (fast seed validation);
     * ``prefilter`` -- the leading :class:`FilterOp`, evaluated on the
@@ -802,13 +803,13 @@ class Pipeline(tuple):
       terminal level whose closure returns answer rows -- a trailing
       fetch+project pair fused when the fetch is a pure expansion;
     * :meth:`signed` -- the signed lowering, built on first use (and,
-      beside it, the plan's :class:`DeltaProgram` -- see
-      :func:`delta_program`).
+      beside it, :meth:`program`: the plan's :class:`DeltaProgram`).
 
     Comparing a ``Pipeline`` to a plain tuple compares the descriptions
     (tuple semantics), so an unsatisfiable plan's pipeline equals ``()``.
     """
 
+    plan: Plan
     slots: SlotTable
     params: frozenset
     width: int
@@ -819,15 +820,16 @@ class Pipeline(tuple):
 
     def __new__(
         cls,
+        plan: Plan,
         ops: Sequence = (),
         slots: SlotTable | None = None,
-        params: frozenset = frozenset(),
         prefilter: FilterOp | None = None,
         seed_slots: Sequence = (),
     ):
         self = super().__new__(cls, ops)
+        self.plan = plan
         self.slots = SlotTable(()) if slots is None else slots
-        self.params = params
+        self.params = frozenset(plan.parameters)
         self.width = len(self.slots.variables) + 1
         self.prefilter = prefilter
         self.seed_slots = tuple(seed_slots)
@@ -850,6 +852,18 @@ class Pipeline(tuple):
         if lowered is None:
             lowered = self._signed = _lower(self, signed=True)
         return lowered
+
+    def program(self) -> "DeltaProgram":
+        """The plan's :class:`DeltaProgram`, built on first use like
+        :meth:`signed`.  Raises :class:`~repro.errors.IncrementalError`
+        (eagerly, whatever the data) for plans that fetch through an
+        embedded access rule: their per-row projection dedup makes
+        derivation multiplicities non-compositional, so neither counts nor
+        signed deltas would be exact."""
+        program = self._program
+        if program is None:
+            program = self._program = DeltaProgram(self)
+        return program
 
     def seed(self, values: Mapping[Variable, object], signed: bool = False):
         """The length-1 column lists an execution starts from."""
@@ -956,9 +970,8 @@ def build_pipeline(plan: Plan) -> Pipeline:
     live-column set are all static; the returned :class:`Pipeline` holds
     the operator descriptions and the closures compiled from them.
     """
-    params = frozenset(plan.parameters)
     if not plan.satisfiable:
-        return Pipeline((), None, params)
+        return Pipeline(plan)
     conditions, binds, bound = _parameter_constraints(plan)
     ops: list[Operator] = []
     prefilter: FilterOp | None = None
@@ -1009,7 +1022,7 @@ def build_pipeline(plan: Plan) -> Pipeline:
     slots = SlotTable(slot_vars)
     seed_vars = dict.fromkeys([*plan.parameters, *(target for _, target in binds)])
     seed_slots = tuple((slots.index[v], v) for v in seed_vars)
-    return Pipeline(ops, slots, params, prefilter, seed_slots)
+    return Pipeline(plan, ops, slots, prefilter, seed_slots)
 
 
 #: The process-wide LRU of lowered pipelines (the same cache discipline as
@@ -1107,36 +1120,53 @@ def execute_plan(
     Parameter values may be passed as a mapping (keys are variables or
     their names) and/or as keyword arguments.
     """
-    return _execute_merged(plan, db, merge_parameter_values(parameters, kwargs))
+    values = merge_parameter_values(parameters, kwargs)
+    return tuple(run_pipeline(pipeline_for(plan), _as_context(db), values))
 
 
-def _execute_merged(plan: Plan, db, values: Assignment) -> tuple[Row, ...]:
-    """:func:`execute_plan` after parameter normalization: ``values`` must
-    already be a variable-keyed, Constant-unwrapped, interned assignment.
-    The Engine facade calls this directly so a value dict it normalized
-    once is not re-walked per plan."""
-    pipe = pipeline_for(plan)
+def run_pipeline(
+    pipe: Pipeline,
+    ctx: ExecutionContext,
+    values: Assignment,
+    profiles: list["OperatorProfile"] | None = None,
+) -> Sequence[Row]:
+    """The one pipeline runner, behind :func:`execute_plan`,
+    :func:`profile_plan` and the Engine facade (whose plan-cache entries
+    hold the pipelines): ``pipe``'s distinct answer rows in
+    first-derivation order.  ``values`` is a :func:`merge_parameter_values`
+    assignment and is left as it was, so a union's disjuncts can share it.
+    Pass ``profiles`` (a list) to collect one :class:`OperatorProfile` per
+    compiled step run."""
     if values.keys() != pipe.params:
-        _reject_seed(plan, values)
-    if not plan.satisfiable:
+        _reject_seed(pipe.plan, values)
+    if not pipe:  # an unsatisfiable plan lowers to nothing
         return ()
-    ctx = db if isinstance(db, ExecutionContext) else ExecutionContext(db)
     prefilter = pipe.prefilter
-    if prefilter is not None and not prefilter.check_seed(values):
-        return ()
+    if prefilter is not None:
+        values = dict(values)  # check_seed applies the binds in place
+        passed = prefilter.check_seed(values)
+        if profiles is not None:
+            profiles.append(OperatorProfile(str(prefilter), 1, int(passed), 0, 0, 0))
+        if not passed:
+            return ()
     database = ctx.db
     stats = ctx.stats
     columns, n = pipe.seed(values), 1
-    for view, step, _, _ in pipe.body:
-        columns, n = step(
-            database if view is None else ctx.store(view), stats, columns, n
-        )
+    for view, step, _, ops in pipe.body:
+        source = database if view is None else ctx.store(view)
+        if profiles is None:
+            columns, n = step(source, stats, columns, n)
+        else:
+            label = "; ".join(map(str, ops))
+            columns, n = _measured(profiles, label, step, source, stats, columns, n)
         if not n:
             return ()
-    view, terminal, _, _ = pipe.terminal
-    return tuple(
-        terminal(database if view is None else ctx.store(view), stats, columns, n)
-    )
+    view, terminal, _, ops = pipe.terminal
+    source = database if view is None else ctx.store(view)
+    if profiles is None:
+        return terminal(source, stats, columns, n)
+    label = "; ".join(map(str, ops))
+    return _measured(profiles, label, terminal, source, stats, columns, n)
 
 
 class DeltaProgram:
@@ -1148,18 +1178,39 @@ class DeltaProgram:
     plan passed :func:`check_delta_supported`, which building a program
     asserts.  :meth:`run` is the one delta driver: ``execute_plan_delta``,
     ``IncrementalResult.refresh`` and ``ViewState.refresh`` all end up
-    there.  Obtain programs through :func:`delta_program`."""
+    there; :meth:`count` is the matching initial pass.  Obtain programs
+    through :func:`delta_program` (or :meth:`Pipeline.program`)."""
 
     __slots__ = ("plan", "pipe", "levels", "accumulate", "relations", "prefilter")
 
-    def __init__(self, plan: Plan, pipe: Pipeline):
-        check_delta_supported(plan)
-        self.plan = plan
+    def __init__(self, pipe: Pipeline):
+        check_delta_supported(pipe.plan)
+        self.plan = pipe.plan
         self.pipe = pipe
         # An unsatisfiable plan lowers to no levels: it never runs.
         self.levels, self.accumulate = pipe.signed() if pipe else ((), None)
         self.relations = tuple(ops[0].atom.relation for _, _, _, ops in self.levels)
         self.prefilter = pipe.prefilter
+
+    def count(self, ctx: ExecutionContext, seed: Assignment) -> dict[Row, int]:
+        """``{answer row: derivation multiplicity}`` in first-derivation
+        order from a validated ``seed``: the new faces of the signed
+        lowering, every sign ``+1`` (:func:`execute_plan_counting`)."""
+        counts: dict[Row, int] = {}
+        if not self.pipe:  # an unsatisfiable plan never runs
+            return counts
+        if self.prefilter is not None:
+            seed = dict(seed)  # check_seed applies the binds in place
+            if not self.prefilter.check_seed(seed):
+                return counts
+        columns, n = self.pipe.seed(seed, signed=True), 1
+        for view, step, _, _ in self.levels:
+            source = ctx.db if view is None else ctx.store(view)
+            columns, n = step(source, ctx.stats, columns, n)
+            if not n:
+                return counts
+        self.accumulate(columns, n, counts)
+        return counts
 
     def run(
         self,
@@ -1245,20 +1296,9 @@ class DeltaProgram:
 
 
 def delta_program(plan: Plan) -> DeltaProgram:
-    """``plan``'s :class:`DeltaProgram`, built on first use and kept on
-    the plan's cached pipeline beside its signed lowering (building is
-    pure, so a racing build is redundant work, never a hazard).
-
-    Raises :class:`~repro.errors.IncrementalError` (eagerly, whatever the
-    data) for plans that fetch through an embedded access rule: their
-    per-row projection dedup makes derivation multiplicities
-    non-compositional, so neither counts nor signed deltas would be
-    exact."""
-    pipe = pipeline_for(plan)
-    program = pipe._program
-    if program is None:
-        program = pipe._program = DeltaProgram(plan, pipe)
-    return program
+    """``plan``'s :class:`DeltaProgram`, kept on its cached pipeline
+    (:meth:`Pipeline.program`, which also says which plans have none)."""
+    return pipeline_for(plan).program()
 
 
 def execute_plan_counting(
@@ -1273,29 +1313,15 @@ def execute_plan_counting(
     The multiplicities are the materialized state incremental maintenance
     needs: an answer row is in the result exactly while its count is
     positive, and :func:`execute_plan_delta` produces the signed count
-    changes a batch of updates causes.  Runs the new faces of the signed
-    lowering with every sign ``+1``.
+    changes a batch of updates causes.  This is :meth:`DeltaProgram.count`
+    behind per-call parameter validation.
 
     Raises :class:`~repro.errors.IncrementalError` (see
-    :func:`delta_program`) for plans that fetch through an embedded
+    :meth:`Pipeline.program`) for plans that fetch through an embedded
     access rule: the counts would be unusable as incremental state.
     """
     program = delta_program(plan)
-    seed = _seed_assignment(plan, parameters, kwargs)
-    counts: dict[Row, int] = {}
-    if not plan.satisfiable:
-        return counts
-    ctx = _as_context(db)
-    if program.prefilter is not None and not program.prefilter.check_seed(seed):
-        return counts
-    columns, n = program.pipe.seed(seed, signed=True), 1
-    for view, step, _, _ in program.levels:
-        source = ctx.db if view is None else ctx.store(view)
-        columns, n = step(source, ctx.stats, columns, n)
-        if not n:
-            return counts
-    program.accumulate(columns, n, counts)
-    return counts
+    return program.count(_as_context(db), _seed_assignment(plan, parameters, kwargs))
 
 
 def execute_plan_delta(
@@ -1401,7 +1427,7 @@ class OperatorProfile:
     """Measured behaviour of one compiled step during one execution.
 
     ``wall_time_s`` is the step's measured wall-clock time (seconds); it
-    is ``0.0`` on lines that account rows without timing (the seed filter
+    is ``0.0`` on lines that account rows without timing (the seed filter,
     and the pure-bookkeeping projection line of the delta driver)."""
 
     operator: str
@@ -1485,36 +1511,18 @@ def profile_plan(
     entry per compiled step, so a fused fetch+project tail is one entry
     naming both operators.  The profile's rows *are* the execution's.
     """
-    seed = _seed_assignment(plan, parameters, kwargs)
-    if not plan.satisfiable:
-        return PlanProfile(plan, (), ())
-    ctx = _as_context(db)
-    pipe = pipeline_for(plan)
+    values = merge_parameter_values(parameters, kwargs)
+    return profile_pipeline(pipeline_for(plan), _as_context(db), values)
+
+
+def profile_pipeline(
+    pipe: Pipeline, ctx: ExecutionContext, values: Assignment
+) -> PlanProfile:
+    """:func:`run_pipeline` with its profile (same contract for
+    ``values``)."""
     profiles: list[OperatorProfile] = []
-    prefilter = pipe.prefilter
-    if prefilter is not None:
-        start = perf_counter()
-        passed = prefilter.check_seed(seed)
-        profiles.append(
-            OperatorProfile(
-                str(prefilter), 1, int(passed), 0, 0, 0, perf_counter() - start
-            )
-        )
-        if not passed:
-            return PlanProfile(plan, (), tuple(profiles))
-    columns, n = pipe.seed(seed), 1
-    rows: Sequence[Row] = ()
-    for view, step, _, ops in (*pipe.body, pipe.terminal):
-        source = ctx.db if view is None else ctx.store(view)
-        label = "; ".join(map(str, ops))
-        out = _measured(profiles, label, step, source, ctx.stats, columns, n)
-        if type(out) is not tuple:
-            rows = out
-            break
-        columns, n = out
-        if not n:
-            break
-    return PlanProfile(plan, tuple(rows), tuple(profiles))
+    rows = run_pipeline(pipe, ctx, values, profiles)
+    return PlanProfile(pipe.plan, tuple(rows), tuple(profiles))
 
 
 # -- the per-tuple reference path ----------------------------------------

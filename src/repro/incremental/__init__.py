@@ -24,7 +24,7 @@ refresh path, built on three pieces of machinery:
   changes and is compiled once (at materialization); a refresh does only
   slice-dependent work;
 * derivation *counting*: the initial execution
-  (:func:`~repro.core.executor.execute_plan_counting`) materializes how
+  (:meth:`~repro.core.executor.DeltaProgram.count`) materializes how
   many derivations support each answer row, so signed deltas compose
   exactly under deletion -- a row leaves the answer precisely when its
   last derivation dies, even if several independent derivations produced
@@ -66,8 +66,6 @@ from repro.core.executor import (
     OperatorProfile,
     PlanProfile,
     delta_fanout_bound,
-    delta_program,
-    execute_plan_counting,
 )
 from repro.relational.instance import LogSlice
 
@@ -98,7 +96,6 @@ class IncrementalResult:
         "_prepared",
         "_values",
         "_programs",
-        "_seeds",
         "_view_names",
         "_access_version",
         "_views_version",
@@ -223,8 +220,8 @@ class IncrementalResult:
             # one must leave counts and watermark as they were, so the
             # retry does not apply the earlier ones twice.
             changes = [
-                program.run(ctx, seed, ops)
-                for program, seed, ops in zip(self._programs, self._seeds, measured)
+                program.run(ctx, self._values, ops)
+                for program, ops in zip(self._programs, measured)
             ]
             crossed = False
             for counts, changed in zip(self._counts, changes):
@@ -262,7 +259,8 @@ class IncrementalResult:
         version, _ = engine._access_state
         views_version = engine.views.version
         prepared, parameters = self._prepared, frozenset(self._values)
-        plans = engine._plans_for(prepared, parameters)
+        compiled = engine._compiled_for(prepared, parameters)
+        plans = compiled.plans
         # Classify statically before materializing anything: unlike the
         # executor's per-plan check, the classifier's error carries every
         # blocker's causal trace -- read off the plans in the caller's own
@@ -275,27 +273,21 @@ class IncrementalResult:
         # watermark: the counting pass must see views that agree with the
         # base state at that watermark (mutations are single-writer, so
         # nothing moves in between).
-        states = engine._prepare_views(plans)
+        names = compiled.view_names
+        states = engine.views.prepare(db, names) if names else None
         log = db.change_log
         watermark = log.watermark
         ctx = ExecutionContext(db, watermark=watermark, views=states)
+        # What every refresh needs and no slice changes: the compiled delta
+        # programs and the views read.  Every plan was compiled for exactly
+        # the names in ``_values``, which is therefore each one's seed.
+        programs = tuple(pipe.program() for pipe in compiled.pipes)
         # Like refresh(), the initial pass skips profile bookkeeping --
         # profiles come from refresh(analyze=True) on demand.
-        counts: list[dict[Row, int]] = [
-            execute_plan_counting(plan, ctx, self._values) for plan in plans
-        ]
+        counts = [program.count(ctx, self._values) for program in programs]
         self._delta_sizes = None
-        # What every refresh needs and no slice changes: the compiled
-        # delta programs, the validated per-plan seed assignments (the
-        # counting pass above already checked them) and the views read.
-        self._programs = tuple(delta_program(plan) for plan in plans)
-        self._seeds = [
-            {variable: self._values[variable] for variable in plan.parameters}
-            for plan in plans
-        ]
-        self._view_names = tuple(
-            sorted({name for plan in plans for name in plan.view_relations})
-        )
+        self._programs = programs
+        self._view_names = tuple(sorted(names))
         self._access_version = version
         self._views_version = views_version
         self._counts = counts
@@ -304,7 +296,7 @@ class IncrementalResult:
         self.watermark = watermark
         log.pin(self)  # hold the log at our watermark while we live
         self.stats = ctx.stats
-        self.fanout_bound = sum(plan.fanout_bound for plan in plans)
+        self.fanout_bound = compiled.fanout_bound
         self.profiles = ()
 
     def _reorder(self) -> None:

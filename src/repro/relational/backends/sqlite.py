@@ -10,8 +10,19 @@ composite keys -- SQLite answers it with MULTI-INDEX OR searches,
 where the prettier row-value ``IN (VALUES ...)`` form falls back to a
 full table scan), and mutation batches go through ``executemany``.
 
+A call pays for its key values only.  What they do not change --
+validation, the covering index, how a fetched row maps back to its key --
+is resolved on first sight of ``(relation, positions)`` and memoised (an
+invalid read raises every time and never enters the memo); under each
+resolved read sits the statement text per key count, which chunking
+bounds at ``_MAX_VARIABLES`` texts, and the connection keeps
+``_CACHED_STATEMENTS`` statements compiled so that population is parsed
+once as well.  A one-key batch -- most of what the executor sends -- runs
+its statement and charges inline, with no regrouping.
+
 Accounting is exactly the memory backend's: each distinct key in a batch
-is charged one indexed lookup plus the tuples its group holds, so the
+is charged one indexed lookup plus the tuples its group holds (a
+mis-sized key or row is an absent one: one lookup, nothing found), so the
 scale-independence numbers (tuples accessed vs the fanout bound) are
 directly comparable across backends.  Returned rows are **owned** --
 built fresh from the query result and interned -- never aliases of
@@ -41,11 +52,12 @@ Limitations: values must be SQLite-native (int, float, str, bytes or
 from __future__ import annotations
 
 import sqlite3
-from typing import TYPE_CHECKING, Iterator, Sequence
+from operator import itemgetter
+from sys import intern as _intern
+from typing import TYPE_CHECKING, Collection, Iterator, Sequence
 
 from repro.errors import SchemaError
 from repro.relational.backends.base import Row, StorageBackend, check_positions
-from repro.relational.interning import intern_row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.instance import AccessStats
@@ -58,6 +70,47 @@ _MAX_VARIABLES = 900
 #: Rows per ``executemany`` chunk on the write path.
 _WRITE_CHUNK = 50_000
 
+#: Statements the connection keeps compiled: room for a workload's read
+#: texts (143 on the benchmark's SQLite workload, which already thrashes
+#: ``sqlite3``'s default of 128).
+_CACHED_STATEMENTS = 1024
+
+
+def _read_text(head: str, positions: tuple[int, ...], count: int, tail: str) -> str:
+    """The SELECT answering ``count`` keys over ``positions`` in one round
+    trip: an ``IN``-list for a single column, an OR-of-ANDs for a
+    composite key (see the module docstring)."""
+    if len(positions) == 1:
+        where = f"c{positions[0]} IN ({', '.join('?' * count)})"
+    else:
+        one_key = "(" + " AND ".join(f"c{p} = ?" for p in positions) + ")"
+        where = " OR ".join([one_key] * count)
+    return head + where + tail
+
+
+class _Read:
+    """What reading one ``(relation, positions)`` needs that no key value
+    changes: how a fetched row maps back to its key, and the statement
+    text per key count (built on demand)."""
+
+    __slots__ = ("positions", "key_of", "head", "tail", "one", "_texts")
+
+    def __init__(self, table: str, arity: int, positions: tuple[int, ...], tail: str):
+        self.positions = positions
+        self.key_of = itemgetter(*positions) if len(positions) > 1 else None
+        columns = ", ".join(f"c{i}" for i in range(arity))
+        self.head = f"SELECT {columns} FROM {table} WHERE "
+        self.tail = tail
+        self._texts: dict[int, str] = {}
+        self.one = self.text(1)
+
+    def text(self, count: int) -> str:
+        sql = self._texts.get(count)
+        if sql is None:
+            sql = _read_text(self.head, self.positions, count, self.tail)
+            self._texts[count] = sql
+        return sql
+
 
 class SqliteBackend(StorageBackend):
     """Relation-per-table SQLite store with per-position covering indexes."""
@@ -69,7 +122,8 @@ class SqliteBackend(StorageBackend):
         self.path = path
         self._handle: sqlite3.Connection | None = None
         self._arity: dict[str, int] = {}
-        self._indexed: dict[str, set[tuple[int, ...]]] = {}
+        # (relation, lookup positions | None for the row probe) -> resolved read
+        self._reads: dict[tuple[str, "tuple[int, ...] | None"], _Read] = {}
 
     def attach(self, schema: "DatabaseSchema", stats: "AccessStats") -> None:
         super().attach(schema, stats)
@@ -82,7 +136,11 @@ class SqliteBackend(StorageBackend):
             self.path if self.path is not None else ":memory:",
             isolation_level=None,
             check_same_thread=False,
+            cached_statements=_CACHED_STATEMENTS,
         )
+        # Interned where the driver builds it: fetched rows need no pass
+        # of their own (repro.relational.interning says why strings are).
+        conn.text_factory = lambda raw: _intern(raw.decode())
         conn.execute("PRAGMA journal_mode=OFF")
         conn.execute("PRAGMA synchronous=OFF")
         conn.execute("PRAGMA temp_store=MEMORY")
@@ -98,11 +156,6 @@ class SqliteBackend(StorageBackend):
                 f"{self._index_name(name, tuple(range(arity)))} "
                 f"ON {self._table(name)} ({cols})"
             )
-            # The unique all-columns index covers any lookup whose sorted
-            # key positions are a prefix of (0, 1, ..., arity-1).
-            self._indexed[name] = {
-                tuple(range(width)) for width in range(1, arity + 1)
-            }
 
     def close(self) -> None:
         """Release the connection (idempotent).  A file-backed store stays
@@ -137,64 +190,41 @@ class SqliteBackend(StorageBackend):
     ) -> Sequence[Sequence[Row]]:
         if not keys:
             return ()
-        if not positions:
-            return self._scan_groups(relation, keys, stats)
-        arity = self._require(relation)
-        check_positions(relation, arity, positions)
-        self._ensure_index(relation, positions)
-        distinct: dict[Row, list[Row]] = {key: [] for key in keys}
-        width = len(positions)
-        table = self._table(relation)
-        sel = ", ".join(f"c{i}" for i in range(arity))
+        # The executor calls this once per operator per execution: one
+        # dict probe finds everything about the read that no key value
+        # changes; validation, the index and the SQL text are paid on
+        # first sight of (relation, positions) only.
+        read = self._reads.get((relation, positions))
+        if read is None:
+            if not positions:
+                return self._scan_groups(relation, keys, stats)
+            read = self._resolve(relation, positions)
         conn = self._conn
-        pending = list(distinct)
-        plain = [key for key in pending if None not in key]
-        nullish = [key for key in pending if None in key]
-        chunk_size = max(1, _MAX_VARIABLES // width)
-        for start in range(0, len(plain), chunk_size):
-            chunk = plain[start : start + chunk_size]
-            if width == 1:
-                marks = ", ".join("?" * len(chunk))
-                sql = (
-                    f"SELECT {sel} FROM {table} "
-                    f"WHERE c{positions[0]} IN ({marks}) ORDER BY rowid"
-                )
-                params: list[object] = [key[0] for key in chunk]
-            else:
-                one_key = (
-                    "(" + " AND ".join(f"c{p} = ?" for p in positions) + ")"
-                )
-                disjunction = " OR ".join([one_key] * len(chunk))
-                sql = (
-                    f"SELECT {sel} FROM {table} "
-                    f"WHERE {disjunction} ORDER BY rowid"
-                )
-                params = [value for key in chunk for value in key]
-            for fetched in conn.execute(sql, params):
-                row = intern_row(tuple(fetched))
-                distinct[tuple(row[p] for p in positions)].append(row)
-        # None-bearing keys: ``=`` never matches NULL, so these need
-        # per-key predicates with IS NULL at the None positions.
-        for start in range(0, len(nullish), chunk_size):
-            chunk = nullish[start : start + chunk_size]
-            terms: list[str] = []
-            params = []
-            for key in chunk:
-                term, key_params = self._null_safe_key(positions, key)
-                terms.append(term)
-                params.extend(key_params)
-            sql = (
-                f"SELECT {sel} FROM {table} "
-                f"WHERE {' OR '.join(terms)} ORDER BY rowid"
-            )
-            for fetched in conn.execute(sql, params):
-                row = intern_row(tuple(fetched))
-                group = distinct.get(tuple(row[p] for p in positions))
-                if group is not None:
+        if len(keys) == 1 and None not in keys[0]:
+            try:
+                rows = tuple(conn.execute(read.one, keys[0]))
+            except sqlite3.ProgrammingError:
+                if len(keys[0]) == len(positions):
+                    raise
+                rows = ()  # a mis-sized key matches nothing, like an absent one
+            cum = self._cum
+            cum.tuples_accessed += len(rows)
+            cum.indexed_lookups += 1
+            if stats is not None:
+                stats.tuples_accessed += len(rows)
+                stats.indexed_lookups += 1
+            return [rows]
+        groups: dict[Row, list[Row]] = {key: [] for key in keys}
+        get = groups.get
+        key_of = read.key_of
+        p = positions[0]
+        for sql, params in self._statements(read, groups):
+            for row in conn.execute(sql, params):
+                group = get((row[p],) if key_of is None else key_of(row))
+                if group is not None:  # a row Python files under no key is nobody's
                     group.append(row)
-        tuples = sum(len(group) for group in distinct.values())
-        self._charge(stats, tuples=tuples, lookups=len(distinct))
-        owned = {key: tuple(group) for key, group in distinct.items()}
+        owned = {key: tuple(group) for key, group in groups.items()}
+        self._charge(stats, tuples=sum(map(len, owned.values())), lookups=len(owned))
         return [owned[key] for key in keys]
 
     def contains_rows(
@@ -203,28 +233,36 @@ class SqliteBackend(StorageBackend):
         rows: Sequence[Row],
         stats: "AccessStats | None" = None,
     ) -> tuple[bool, ...]:
-        self._require(relation)
-        distinct = list(dict.fromkeys(rows))
+        if len(rows) == 1 and None not in rows[0]:
+            read = self._reads.get((relation, None)) or self._resolve(relation, None)
+            try:
+                found = self._conn.execute(read.one, rows[0]).fetchone() is not None
+            except sqlite3.ProgrammingError:
+                if len(rows[0]) == len(read.positions):
+                    raise
+                found = False  # a mis-sized row is absent
+            cum = self._cum
+            cum.tuples_accessed += found
+            cum.indexed_lookups += 1
+            if stats is not None:
+                stats.tuples_accessed += found
+                stats.indexed_lookups += 1
+            return (found,)
+        distinct = dict.fromkeys(rows)
         present = self._present(relation, distinct)
         self._charge(stats, tuples=len(present), lookups=len(distinct))
-        return tuple(row in present for row in rows)
+        return tuple(map(present.__contains__, rows))
 
     def scan(self, relation: str, stats: "AccessStats | None" = None) -> tuple[Row, ...]:
         self._require(relation)
-        rows = tuple(
-            intern_row(tuple(fetched))
-            for fetched in self._conn.execute(
-                f"SELECT * FROM {self._table(relation)} ORDER BY rowid"
-            )
-        )
+        rows = tuple(self.iter_rows(relation))
         self._charge(stats, tuples=len(rows), scans=1)
         return rows
 
     # -- unaccounted primitives ------------------------------------------
 
     def probe_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
-        self._require(relation)
-        present = self._present(relation, list(dict.fromkeys(rows)))
+        present = self._present(relation, dict.fromkeys(rows))
         return [row in present for row in rows]
 
     def count(self, relation: str) -> int:
@@ -234,16 +272,13 @@ class SqliteBackend(StorageBackend):
         return n
 
     def iter_rows(self, relation: str) -> Iterator[Row]:
-        for fetched in self._conn.execute(
-            f"SELECT * FROM {self._table(relation)} ORDER BY rowid"
-        ):
-            yield intern_row(tuple(fetched))
+        return self._conn.execute(f"SELECT * FROM {self._table(relation)} ORDER BY rowid")
 
     # -- mutations -------------------------------------------------------
 
     def insert_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
         arity = self._require(relation)
-        present = self._present(relation, list(dict.fromkeys(rows)))
+        present = self._present(relation, dict.fromkeys(rows))
         flags: list[bool] = []
         new: list[Row] = []
         for row in rows:
@@ -262,7 +297,7 @@ class SqliteBackend(StorageBackend):
 
     def delete_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
         arity = self._require(relation)
-        present = self._present(relation, list(dict.fromkeys(rows)))
+        present = self._present(relation, dict.fromkeys(rows))
         flags: list[bool] = []
         gone: list[Row] = []
         for row in rows:
@@ -309,11 +344,11 @@ class SqliteBackend(StorageBackend):
                 conn.executemany(sql, plain[start : start + _WRITE_CHUNK])
             applied += conn.total_changes - before
         if nullish:
-            present = self._present(relation, list(dict.fromkeys(nullish)))
+            present = self._present(relation, dict.fromkeys(nullish))
             fresh: list[Row] = []
             for row in nullish:
                 if row not in present:
-                    present.add(intern_row(tuple(row)))
+                    present.add(row)
                     fresh.append(row)
             if fresh:
                 conn.executemany(
@@ -332,44 +367,69 @@ class SqliteBackend(StorageBackend):
             raise KeyError(relation)  # pragma: no cover - schema raised
         return arity
 
-    def _present(self, relation: str, distinct: list[Row]) -> set[Row]:
+    def _resolve(self, relation: str, positions: "tuple[int, ...] | None") -> _Read:
+        """First sight of a read -- a lookup keyed on ``positions``, or
+        (``None``) the whole-row membership probe: validate it, make sure
+        its index exists and memoise what every later call needs.  An
+        invalid read raises here and never enters the memo."""
+        arity = self._require(relation)
+        if positions is None:
+            # Answered by the unique all-columns index; order is moot.
+            read = _Read(self._table(relation), arity, tuple(range(arity)), "")
+        else:
+            check_positions(relation, arity, positions)
+            if positions != tuple(range(len(positions))):
+                # Not a prefix of the unique all-columns index, which would
+                # cover it: create the covering index -- key columns first,
+                # every remaining column appended so the lookup is
+                # index-only.
+                rest = [i for i in range(arity) if i not in positions]
+                self._conn.execute(
+                    f"CREATE INDEX IF NOT EXISTS {self._index_name(relation, positions)} "
+                    f"ON {self._table(relation)} "
+                    f"({', '.join(f'c{i}' for i in (*positions, *rest))})"
+                )
+            read = _Read(self._table(relation), arity, positions, " ORDER BY rowid")
+        self._reads[(relation, positions)] = read
+        return read
+
+    def _statements(
+        self, read: _Read, keys: Collection[Row]
+    ) -> Iterator[tuple[str, list[object]]]:
+        """The chunked ``(sql, parameters)`` round trips resolving the
+        distinct ``keys`` through ``read``.  A mis-sized key is never
+        bound: it matches nothing, like an absent one.  ``None``-bearing
+        keys get per-key predicates with IS NULL at the None positions
+        (``=`` never matches NULL)."""
+        width = len(read.positions)
+        limit = max(1, _MAX_VARIABLES // width)
+        plain = [key for key in keys if len(key) == width and None not in key]
+        for start in range(0, len(plain), limit):
+            chunk = plain[start : start + limit]
+            if width == 1:
+                yield read.text(len(chunk)), [key[0] for key in chunk]
+            else:
+                yield read.text(len(chunk)), [v for key in chunk for v in key]
+        if len(plain) == len(keys):
+            return
+        nullish = [key for key in keys if len(key) == width and None in key]
+        for start in range(0, len(nullish), limit):
+            terms: list[str] = []
+            params: list[object] = []
+            for key in nullish[start : start + limit]:
+                term, key_params = self._null_safe_key(read.positions, key)
+                terms.append(term)
+                params.extend(key_params)
+            yield read.head + " OR ".join(terms) + read.tail, params
+
+    def _present(self, relation: str, distinct: Collection[Row]) -> set[Row]:
         """The subset of ``distinct`` rows currently stored (one chunked
         probe through the unique all-columns index)."""
-        arity = self._arity[relation]
-        table = self._table(relation)
+        read = self._reads.get((relation, None)) or self._resolve(relation, None)
         conn = self._conn
         present: set[Row] = set()
-        chunk_size = max(1, _MAX_VARIABLES // arity)
-        cols = ", ".join(f"c{i}" for i in range(arity))
-        plain = [row for row in distinct if None not in row]
-        nullish = [row for row in distinct if None in row]
-        for start in range(0, len(plain), chunk_size):
-            chunk = plain[start : start + chunk_size]
-            if arity == 1:
-                marks = ", ".join("?" * len(chunk))
-                sql = f"SELECT {cols} FROM {table} WHERE c0 IN ({marks})"
-                params: list[object] = [row[0] for row in chunk]
-            else:
-                one_row = (
-                    "(" + " AND ".join(f"c{i} = ?" for i in range(arity)) + ")"
-                )
-                disjunction = " OR ".join([one_row] * len(chunk))
-                sql = f"SELECT {cols} FROM {table} WHERE {disjunction}"
-                params = [value for row in chunk for value in row]
-            for fetched in conn.execute(sql, params):
-                present.add(intern_row(tuple(fetched)))
-        positions = tuple(range(arity))
-        for start in range(0, len(nullish), chunk_size):
-            chunk = nullish[start : start + chunk_size]
-            terms: list[str] = []
-            null_params: list[object] = []
-            for row in chunk:
-                term, row_params = self._null_safe_key(positions, row)
-                terms.append(term)
-                null_params.extend(row_params)
-            sql = f"SELECT {cols} FROM {table} WHERE {' OR '.join(terms)}"
-            for fetched in conn.execute(sql, null_params):
-                present.add(intern_row(tuple(fetched)))
+        for sql, params in self._statements(read, distinct):
+            present.update(conn.execute(sql, params))
         return present
 
     @staticmethod
@@ -388,23 +448,6 @@ class SqliteBackend(StorageBackend):
                 terms.append(f"c{position} = ?")
                 params.append(value)
         return "(" + " AND ".join(terms) + ")", params
-
-    def _ensure_index(self, relation: str, positions: tuple[int, ...]) -> None:
-        """Create the covering index for ``positions`` on first use: key
-        columns first, every remaining column appended so the lookup is
-        index-only."""
-        if positions in self._indexed[relation]:
-            return
-        arity = self._arity[relation]
-        ordered = list(positions) + [
-            i for i in range(arity) if i not in positions
-        ]
-        cols = ", ".join(f"c{i}" for i in ordered)
-        self._conn.execute(
-            f"CREATE INDEX IF NOT EXISTS {self._index_name(relation, positions)} "
-            f"ON {self._table(relation)} ({cols})"
-        )
-        self._indexed[relation].add(positions)
 
     @staticmethod
     def _table(relation: str) -> str:

@@ -13,7 +13,7 @@ end to end:
 
 * the *maintenance plan* is the view's query compiled under a permissive
   access schema (one full-relation rule per base table), so the initial
-  fill is one :func:`~repro.core.executor.execute_plan_counting` pass --
+  fill is one :meth:`~repro.core.executor.DeltaProgram.count` pass --
   per-answer derivation multiplicities, the state signed deltas compose
   against;
 * a *refresh* takes the database's change-log slice past the view's
@@ -55,7 +55,6 @@ from repro.core.access_schema import (
 from repro.core.executor import (
     ExecutionContext,
     delta_program,
-    execute_plan_counting,
 )
 from repro.core.plans import Plan, compile_plan
 from repro.errors import RewritingError, SchemaError
@@ -244,7 +243,7 @@ class ViewState:
         self.watermark = db.change_log.watermark
         self.origin = self.watermark
         ctx = ExecutionContext(db, watermark=self.watermark)
-        self.counts: dict[Row, int] = execute_plan_counting(self.plan, ctx, {})
+        self.counts: dict[Row, int] = self.program.count(ctx, {})
         self.last_stats = ctx.stats
         self.store = MemoryBackend()
         self.store.attach(DatabaseSchema([view.relation]), AccessStats())

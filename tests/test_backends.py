@@ -104,6 +104,31 @@ def test_invalid_accesses_raise_schema_errors(backend_factory):
         db.lookup_keys("nope", (0,), [(1,)])
 
 
+def test_mis_sized_keys_and_rows_match_nothing(backend_factory):
+    """A key or probe row of the wrong width is answered like an absent
+    one -- an empty group / "absent" at one lookup, zero tuples -- on
+    every backend, alone or beside well-formed keys; no driver exception
+    leaks."""
+    db = Database(SCHEMA, DATA, backend=backend_factory())
+    db.reset_stats()
+    extra = AccessStats()
+    assert db.contains_rows("friend", [(1,)], extra) == (False,)
+    assert [tuple(g) for g in db.lookup_keys("friend", (0,), [(1, 2)], extra)] == [()]
+    assert [tuple(g) for g in db.lookup_keys("friend", (0, 1), [(1,)], extra)] == [()]
+    assert (extra.tuples_accessed, extra.indexed_lookups) == (0, 3)
+    groups = db.lookup_keys("friend", (0,), [(1, 2), (1,), (2, 4, 6), (1, 2)], extra)
+    assert [sorted(g) for g in groups] == [[], [(1, 2), (1, 3)], [], []]
+    # Widths 1 + 3 sum to 2 x 2: parameters flattened blindly would line
+    # up with the statement and silently lose the well-formed key's row.
+    groups = db.lookup_keys("friend", (0, 1), [(1,), (1, 2), (2, 4, 9)], extra)
+    assert [sorted(g) for g in groups] == [[], [(1, 2)], []]
+    verdicts = db.contains_rows("friend", [(1,), (1, 2), (1, 2, 3), (2, 4)], extra)
+    assert verdicts == (False, True, False, True)
+    # 3 + (3 distinct) + 3 + 4 lookups; 0 + 2 + 1 + 2 tuples
+    assert (extra.tuples_accessed, extra.indexed_lookups, extra.full_scans) == (5, 13, 0)
+    assert extra == db.stats
+
+
 # -- index maintenance under mutation -------------------------------------
 
 
@@ -362,6 +387,163 @@ def test_closed_or_unattached_sqlite_raises_schema_error_naming_path(tmp_path):
     assert path in str(caught.value)
     with pytest.raises(SchemaError, match="closed"):
         engine.database.add("friend", (3, 4))
+
+
+# -- the SQLite statement memo ---------------------------------------------
+
+
+def _spied(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` (a function on a module or a
+    method on a class) without changing what it does."""
+    real, calls = getattr(owner, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_sqlite_warm_reads_build_no_text_and_validate_nothing(monkeypatch):
+    """Everything about a read that does not depend on the key values is
+    resolved on first sight of ``(relation, positions)``: a second pass
+    of Q1-Q5 on the same parameters builds no SQL text, validates
+    nothing, creates no index and leaves the memo as large as it was."""
+    import repro.relational.backends.sqlite as sqlite_module
+
+    data = generate_social_network(120, seed=3)
+    engine = Engine(SOCIAL_SCHEMA, social_access_text(), data, backend=SqliteBackend())
+    register_workload_views(engine)
+    backend = engine.database.backend
+    prepared = [bundle.prepare(engine) for bundle in RUNNING_QUERIES]
+    pids, urls = sample_pids(120, 12, seed=3), sample_urls(data, 12, seed=3)
+    calls = [
+        (query, {bundle.parameters[0]: value})
+        for query, bundle in zip(prepared, RUNNING_QUERIES)
+        for value in (urls if bundle.parameters[0] == "u" else pids)
+    ]
+    texts = _spied(monkeypatch, sqlite_module, "_read_text")
+    first = [query.execute(values) for query, values in calls]
+    assert texts and backend._reads  # the warm-up is what pays
+    size = (len(backend._reads), sum(len(read._texts) for read in backend._reads.values()))
+    built = len(texts)
+    resolved = _spied(monkeypatch, SqliteBackend, "_resolve")
+    required = _spied(monkeypatch, SqliteBackend, "_require")
+    checked = _spied(monkeypatch, sqlite_module, "check_positions")
+    second = [query.execute(values) for query, values in calls]
+    assert len(texts) == built and not (resolved or required or checked)
+    assert size == (
+        len(backend._reads),
+        sum(len(read._texts) for read in backend._reads.values()),
+    )
+    assert [r.rows for r in second] == [r.rows for r in first]
+    assert [r.stats for r in second] == [r.stats for r in first]
+    backend.close()
+
+
+def test_sqlite_invalid_reads_never_enter_the_memo():
+    db = Database(SCHEMA, backend=SqliteBackend())  # nothing loaded: an empty memo
+    for _ in range(2):  # the same error on first and on second sight
+        with pytest.raises(SchemaError, match="position 5 out of range"):
+            db.lookup_keys("friend", (5,), [(1,)])
+        with pytest.raises(SchemaError, match="nope"):
+            db.lookup_keys("nope", (0,), [(1,)])
+        with pytest.raises(SchemaError, match="nope"):
+            db.contains_rows("nope", [(1, 2)])
+        assert db.backend._reads == {}
+
+
+def test_sqlite_memoised_reads_still_notice_a_closed_store(tmp_path):
+    path = str(tmp_path / "store.sqlite3")
+    backend = SqliteBackend(path)
+    db = Database(SCHEMA, DATA, backend=backend)
+    assert [tuple(g) for g in db.lookup_keys("friend", (0,), [(2,)])] == [((2, 4),)]
+    assert db.contains_rows("friend", [(2, 4)]) == (True,)
+    assert len(backend._reads) == 2
+    backend.close()
+    for read in (
+        lambda: db.lookup_keys("friend", (0,), [(2,)]),
+        lambda: db.lookup_keys("friend", (0,), [(1,), (2,)]),
+        lambda: db.contains_rows("friend", [(2, 4)]),
+        lambda: db.contains_rows("friend", [(2, 4), (1, 2)]),
+    ):
+        with pytest.raises(SchemaError, match="is closed") as caught:
+            read()
+        assert path in str(caught.value)
+
+
+def test_sqlite_one_key_batch_with_none_takes_the_null_safe_path():
+    """``c0 = NULL`` matches nothing, so the one-key path must hand a
+    None-bearing key (or row) to the IS NULL statements."""
+    db = Database(SCHEMA, backend=SqliteBackend())
+    db.insert_many("friend", [(None, 2), (None, 3), (1, None), (1, 2)])
+    db.reset_stats()
+    assert [list(g) for g in db.lookup_keys("friend", (0,), [(None,)])] == [
+        [(None, 2), (None, 3)]
+    ]
+    assert [list(g) for g in db.lookup_keys("friend", (0, 1), [(1, None)])] == [[(1, None)]]
+    assert db.contains_rows("friend", [(None, 3)]) == (True,)
+    assert db.contains_rows("friend", [(None, 4)]) == (False,)
+    assert (db.stats.tuples_accessed, db.stats.indexed_lookups) == (4, 4)
+
+
+def test_sqlite_batches_of_every_size_agree_with_memory():
+    """One key, many keys, duplicate keys and batches past the
+    per-statement variable limit (chunked): the groups, their order and
+    the ``AccessStats`` are the memory backend's."""
+    from repro.relational.backends.sqlite import _MAX_VARIABLES
+
+    rows = [(i, i + j) for i in range(1200) for j in (1, 2)]
+    stores = [
+        Database(SCHEMA, {"friend": rows}, backend=backend)
+        for backend in (MemoryBackend(), SqliteBackend())
+    ]
+    many = _MAX_VARIABLES + 100
+    lookups = [
+        ((0,), [(5,)]),
+        ((0,), [(1,), (2,), (9999,)]),
+        ((0,), [(1,), (1,), (2,), (1,)]),
+        ((0,), [(i % 1100,) for i in range(many)]),
+        ((1,), [(7,)]),
+        ((0, 1), [(3, 4)]),
+        ((0, 1), [(i, i + 1 + i % 3) for i in range(many // 2 + 50)]),
+    ]
+    probes = [
+        [(5, 6)],
+        [(5, 6), (5, 6), (5, 9)],
+        [(i, i + 1 + i % 3) for i in range(many // 2 + 50)],
+    ]
+    observed = []
+    for db in stores:
+        db.reset_stats()
+        answers = []
+        for positions, keys in lookups:
+            extra = AccessStats()
+            groups = db.lookup_keys("friend", positions, keys, extra)
+            answers.append(([list(group) for group in groups], extra))
+        for batch in probes:
+            extra = AccessStats()
+            answers.append((db.contains_rows("friend", batch, extra), extra))
+        observed.append((answers, db.stats))
+    assert observed[0] == observed[1]
+    assert observed[1][1].indexed_lookups > 2 * _MAX_VARIABLES
+
+
+def test_sqlite_reads_hand_back_interned_strings():
+    """Strings are interned where the driver builds them (the
+    connection's text factory), so every read path returns the shared
+    objects the executor's dict probes expect -- with no per-row pass."""
+    from sys import intern
+
+    db = Database(SCHEMA, backend=SqliteBackend())
+    built = "".join(["ny", "c"])  # a fresh object, not the interned one
+    db.insert_many("friend", [(1, built), (2, built), (3, None), (4, b"raw")])
+    ((one,),) = db.lookup_keys("friend", (0,), [(1,)])
+    (many, _, _) = db.lookup_keys("friend", (0,), [(2,), (3,), (4,)])
+    assert one[1] is many[0][1] is intern("nyc")
+    assert all(row[1] is intern("nyc") for row in db.scan("friend")[:2])
+    assert db.scan("friend")[2:] == ((3, None), (4, b"raw"))
 
 
 def test_streamed_sqlite_load_is_flat_across_sizes(tmp_path):

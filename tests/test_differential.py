@@ -152,7 +152,7 @@ def test_renamed_and_reordered_writings_share_plans_and_match_the_reference(
         names = frozenset({Variable(parameter)})
         _, state = engine._plan_key(None, names)
         (own,) = engine._compile(parse_query(text, schema=engine.schema), names, *state)
-        views = engine._prepare_views((own,))
+        views = engine.views.prepare(db, own.view_relations)
         reference = execute_per_tuple(own, ExecutionContext(db, views=views), values)
         assert set(result.rows) == set(reference), text
         assert len(result.rows) == len(reference), text

@@ -530,12 +530,11 @@ def test_stale_plans_cached_in_flight_are_never_served_after_access_change(engin
 
     q = engine.query(NYC_FRIENDS)
     params = frozenset({Variable("p")})
-    stale_plans = engine._plans_for(q, params)
-    canonical = q._shapes[params].key
-    stale_key, _ = engine._plan_key(canonical, params)
+    stale = engine._compiled_for(q, params)
+    stale_key, _ = engine._plan_key(q._shapes[params].key, params)
     engine.access = "friend(pid1 -> 7); friend(pid2 -> 7); person(pid -> 1)"
-    landed = engine._cache.get_or_compute(stale_key, lambda: (canonical, stale_plans))
-    assert landed[1] is stale_plans  # the entry is really in the cache
+    landed = engine._cache.get_or_compute(stale_key, lambda: stale)
+    assert landed is stale  # the entry is really in the cache
     assert q.execute(p=1).fanout_bound == 7 + 7 * 1  # not the stale 5005
 
 
@@ -817,7 +816,7 @@ def test_renamed_and_reordered_texts_share_one_plan_and_one_pipeline(engine, mon
     stats = engine.cache_stats()
     assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
     params = frozenset({engine_module.Variable("p")})
-    (plan,), (same,) = engine._plans_for(first, params), engine._plans_for(twin, params)
+    (plan,), (same,) = (engine._compiled_for(q, params).plans for q in (first, twin))
     assert plan is same
     # The twin probed with an equal key once, then adopted the cached
     # entry's key object: from now on the probe is an identity compare.
@@ -914,7 +913,8 @@ def test_view_assisted_plans_come_back_with_the_view_atoms_renamed():
     assert [str(step.atom) for step in plan.steps] == ["followers(?p, ?fan)", "friend(?fan, ?p)"]
     assert plan.steps[1].atom.span is not None and plan.steps[0].atom.span is None
     check_plan(plan, engine.access, engine.views.snapshot().definitions())
-    ctx = ExecutionContext(engine.database, views=engine._prepare_views((plan,)))
+    views = engine.views.prepare(engine.database, plan.view_relations)
+    ctx = ExecutionContext(engine.database, views=views)
     assert execute_plan(plan, ctx, p=4) == twin.execute(p=4).rows == ((2,), (3,))
 
 
@@ -1019,3 +1019,67 @@ def test_a_held_query_object_is_validated_and_canonicalised_once(engine, monkeyp
         with pytest.raises(SchemaError):
             engine.query(bad)
     assert engine.text_cache_stats().size == 2
+
+
+# -- the plan-cache entry is what an execution needs --------------------------
+
+
+def test_union_disjuncts_sharing_a_row_return_it_once_where_first_derived(engine):
+    # Person 1 follows 2 and 3; 5 follows 1 and 4 follows 5.  The second
+    # disjunct re-derives (2,) and the third derives nothing new first.
+    u = engine.query(
+        "Q(y) :- friend(p, y) ; Q(y) :- friend(p, y), person(y, n, 'NYC') ; Q(y) :- friend(y, p)"
+    )
+    result = u.execute(p=1)
+    assert result.rows == ((2,), (3,), (5,))
+    assert result.fanout_bound == sum(plan.fanout_bound for plan in u.plan(["p"]))
+    analyzed = u.explain_analyze(p=1)
+    assert analyzed.result.rows == result.rows and analyzed.result.stats == result.stats
+    assert [profile.rows for profile in analyzed.profiles] == [((2,), (3,)), ((2,),), ((5,),)]
+    live = u.execute_incremental(p=1)
+    assert live.rows == result.rows and live.fanout_bound == result.fanout_bound
+
+
+def test_view_assisted_execute_right_after_a_write_sees_the_refreshed_view():
+    engine = Engine(SCHEMA_TEXT, "friend(pid1 -> 5000); person(pid -> 1)", data=DATA)
+    engine.views.register(
+        "followers", "followers(pid, follower) :- friend(follower, pid)", "followers(pid -> 64)"
+    )
+    q = engine.query("Q(x) :- friend(x, p)")
+    assert q.plan(["p"]).view_relations == {"followers"}
+    assert q.execute(p=4).rows == ((2,), (3,))
+    engine.database.insert_many("friend", [(5, 4)])
+    assert q.execute(p=4).rows == ((2,), (3,), (5,))  # the cached entry, a fresh view
+    engine.database.delete_many("friend", [(2, 4)])
+    assert q.explain_analyze(p=4).result.rows == ((3,), (5,))
+    stats = engine.cache_stats()
+    assert (stats.misses, stats.size) == (1, 1)
+
+
+def test_the_facade_probes_one_cache_and_execute_plan_still_counts_the_other(engine):
+    from repro import execute_plan
+    from repro.core.executor import pipeline_cache_stats
+
+    q = engine.query(NYC_FRIENDS)
+    q.execute(p=1)  # compiles and lowers: one miss in each cache
+    plans, pipes = engine.cache_stats(), pipeline_cache_stats()
+    for _ in range(3):
+        q.execute(p=1)
+        q.explain_analyze(p=1)
+    q.execute_incremental(p=1)
+    after = pipeline_cache_stats()
+    assert engine.cache_stats().hits == plans.hits + 7
+    assert (after.hits, after.misses) == (pipes.hits, pipes.misses)
+    plan = q.plan(["p"])  # the caller's own writing of the shared plan
+    assert execute_plan(plan, engine.database, p=1) == ((2,),)
+    assert execute_plan(plan, engine.database, p=1) == ((2,),)
+    direct = pipeline_cache_stats()
+    assert (direct.hits, direct.misses) == (after.hits + 1, after.misses + 1)
+
+
+def test_union_whose_disjuncts_bind_through_parameter_equalities_executes(engine):
+    # Each disjunct's seed filter copies ?p onto its own representative;
+    # the binding must not leak into the values the next disjunct checks.
+    u = engine.query("Q(y) :- friend(x, y), x = p ; Q(y) :- friend(y, x), x = p")
+    assert u.execute(p=1).rows == ((2,), (3,), (5,))
+    assert u.explain_analyze(p=1).result.rows == ((2,), (3,), (5,))
