@@ -417,10 +417,10 @@ class PreparedQuery:
         Raises :class:`~repro.errors.IncrementalError` for plans that
         fetch through embedded access rules.
         """
-        from repro.incremental import build_incremental
+        from repro.incremental import IncrementalResult
 
         values = merge_parameter_values(parameters, kwargs)
-        return build_incremental(self._engine, self, values, self.columns)
+        return IncrementalResult(self._engine, self, values, self.columns)
 
     def explain_analyze(
         self,

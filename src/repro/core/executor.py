@@ -40,9 +40,10 @@ the faces into the standard delta rule of incremental scale independence
 changes, levels ``< i`` run on the new state, level ``i`` joins the
 change slice, levels ``> i`` run on the old state -- so each affected
 derivation is produced (with its sign) exactly once, one bulk read per
-level, within :func:`delta_fanout_bound`.  :meth:`DeltaProgram.run` is
-the only delta driver; :func:`execute_plan_delta` is that runner behind
-per-call parameter validation.
+level, within :func:`delta_fanout_bound`.  The rule is staged -- what
+the slice decides is resolved once per slice, what the seed decides once
+per seed -- and :meth:`DeltaProgram.join` is the only delta driver;
+:func:`execute_plan_delta` is both stages and that driver in one call.
 :func:`execute_plan_counting` is the matching initial pass (new faces,
 all signs ``+1``): per-answer derivation multiplicities, the state that
 makes signed deltas composable under deletion.  The signed faces are
@@ -80,6 +81,7 @@ context is opened) or an existing context.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from sys import intern as _intern
 from time import perf_counter
 from typing import Iterator, Mapping, Sequence
@@ -423,6 +425,22 @@ Operator = FilterOp | FetchOp | ProbeOp | ProjectDedupOp
 # lowering gathers like any other live column.  A face that matches
 # nothing returns ``(None, 0)``.
 
+_NO_ROWS = repeat(())  # what a delta join reads for a key the slice does not hold
+
+
+def _delta_face(keys, over):
+    """A level's delta face from the two pieces a DeltaProgram stages apart
+    (kept as attributes): ``keys(columns, n)`` builds a batch's join keys,
+    ``over(slice)`` resolves the slice's index once and returns
+    ``join(keys, stats, columns, n)`` (``keys`` ``None``: build them).
+    Called like any other face, it does both on the spot."""
+
+    def delta(slice, stats, columns, n):
+        return over(slice)(None, stats, columns, n)
+
+    delta.keys, delta.over = keys, over
+    return delta
+
 
 def _slot_specs(items, sidx) -> list[tuple[bool, object]]:
     """``(is_const, ref)`` items with variables resolved to slot indexes."""
@@ -587,18 +605,19 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound: set[int], signed: bool)
                 out[s] = store
         return out, len(take)
 
-    def delta(slice, stats, columns, n):
-        if spos:
-            get = slice.index(relation, spos).get
-            groups = [get(key, ()) for key in keys_fn(columns, n)]
+    def over(slice):
+        """The delta face bound to ``slice`` (once per stage): the slice
+        index is resolved here, so ``join`` only probes it.  Under a
+        keyless fetch (full-relation rule) every slice row joins with
+        every source row: the one empty key holds them all."""
+        get = (slice.index(relation, spos) if spos else {EMPTY_KEY: slice.rows(relation)}).get
+
+        def join(keys, stats, columns, n):
+            groups = list(map(get, keys or keys_fn(columns, n), _NO_ROWS))
             # Most delta joins match nothing: say so before any gather.
-            if not any(groups):
-                return None, 0
-        else:
-            # A keyless fetch (full-relation rule): every slice row joins
-            # with every source row.
-            groups = [slice.rows(relation)] * n
-        return expand(groups, columns, True)
+            return expand(groups, columns, True) if any(groups) else (None, 0)
+
+        return join
 
     if pure and len(fresh) == 1:
         # The planner's common case, specialised: a plain fetch binding
@@ -637,7 +656,7 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound: set[int], signed: bool)
             groups = source.lookup_keys(relation, spos, keys, stats)
             return expand(groups, columns, False)
 
-    return step, delta, bound_after
+    return step, _delta_face(keys_fn, over), bound_after
 
 
 def _compile_probe(op: ProbeOp, slots: SlotTable, bound: set[int], signed: bool):
@@ -662,27 +681,28 @@ def _compile_probe(op: ProbeOp, slots: SlotTable, bound: set[int], signed: bool)
         sel = [i for i, present in enumerate(verdicts) if present]
         return _take(columns, gather, sel, width), len(sel)
 
-    def delta(slice, stats, columns, n):
-        # A row survives only if its fully-bound tuple effectively
-        # changed, carrying the change's sign.
-        net = slice.net.get(relation)
-        if not net:
-            return None, 0
-        get = net.get
-        sel: list[int] = []
-        signs: list[int] = []
-        for i, row in enumerate(rows_fn(columns, n)):
-            row_sign = get(row)
-            if row_sign:
-                sel.append(i)
-                signs.append(row_sign)
-        if not sel:
-            return None, 0
-        out = _take(columns, gather, sel, width)
-        out[sign] = [a * b for a, b in zip(out[sign], signs)]
-        return out, len(sel)
+    def over(slice):
+        get = slice.net.get(relation, {}).get
 
-    return step, delta, {s for s in gather if s != sign}
+        def join(keys, stats, columns, n):
+            # A row survives only if its fully-bound tuple effectively
+            # changed, carrying the change's sign.
+            sel: list[int] = []
+            signs: list[int] = []
+            for i, row in enumerate(keys or rows_fn(columns, n)):
+                row_sign = get(row)
+                if row_sign:
+                    sel.append(i)
+                    signs.append(row_sign)
+            if not sel:
+                return None, 0
+            out = _take(columns, gather, sel, width)
+            out[sign] = [a * b for a, b in zip(out[sign], signs)]
+            return out, len(sel)
+
+        return join
+
+    return step, _delta_face(rows_fn, over), {s for s in gather if s != sign}
 
 
 def _compile_project(op: ProjectDedupOp, slots: SlotTable, signed: bool):
@@ -1170,16 +1190,18 @@ def run_pipeline(
 
 
 class DeltaProgram:
-    """Everything about refreshing one plan that does not depend on the
-    slice, compiled once: the signed :attr:`levels` and the
+    """The delta rule of one plan, staged by what each input decides.
+    *Per plan* (built once, here): the signed :attr:`levels` and
     :attr:`accumulate` terminal of the plan's pipeline, the
-    :attr:`relations` each level reads (what decides, per slice, which
-    levels changed), the seed :attr:`prefilter` -- and the fact that the
-    plan passed :func:`check_delta_supported`, which building a program
-    asserts.  :meth:`run` is the one delta driver: ``execute_plan_delta``,
-    ``IncrementalResult.refresh`` and ``ViewState.refresh`` all end up
-    there; :meth:`count` is the matching initial pass.  Obtain programs
-    through :func:`delta_program` (or :meth:`Pipeline.program`)."""
+    :attr:`relations` the levels read, the seed :attr:`prefilter` -- and
+    the fact that the plan passed :func:`check_delta_supported`.  *Per
+    (program, slice)*: :meth:`stage`, memoised on the
+    :class:`~repro.relational.instance.LogSlice`, so shared by every
+    result refreshing over the span.  *Per (program, seed)*: :meth:`seed`,
+    kept by whoever ran the counting pass (:meth:`count`).  *Per refresh*:
+    :meth:`join`, the one delta driver -- ``IncrementalResult.refresh``,
+    ``ViewState.refresh`` and :meth:`run` (:func:`execute_plan_delta`) all
+    end up there.  Obtain programs through :func:`delta_program`."""
 
     __slots__ = ("plan", "pipe", "levels", "accumulate", "relations", "prefilter")
 
@@ -1192,100 +1214,105 @@ class DeltaProgram:
         self.relations = tuple(ops[0].atom.relation for _, _, _, ops in self.levels)
         self.prefilter = pipe.prefilter
 
-    def count(self, ctx: ExecutionContext, seed: Assignment) -> dict[Row, int]:
-        """``{answer row: derivation multiplicity}`` in first-derivation
-        order from a validated ``seed``: the new faces of the signed
-        lowering, every sign ``+1`` (:func:`execute_plan_counting`)."""
-        counts: dict[Row, int] = {}
-        if not self.pipe:  # an unsatisfiable plan never runs
-            return counts
+    def seed(self, values: Assignment):
+        """What a validated seed decides, whatever the slice: ``None``
+        when the prefilter rejects it (no derivation, ever), else the
+        signed seed columns and the first level's join keys."""
         if self.prefilter is not None:
-            seed = dict(seed)  # check_seed applies the binds in place
-            if not self.prefilter.check_seed(seed):
-                return counts
-        columns, n = self.pipe.seed(seed, signed=True), 1
+            values = dict(values)  # check_seed applies the binds in place
+            if not self.prefilter.check_seed(values):
+                return None
+        columns = self.pipe.seed(values, signed=True)
+        return columns, (self.levels[0][2].keys(columns, 1) if self.levels else None)
+
+    def stage(self, slice: LogSlice):
+        """What ``slice`` decides, whatever the seed -- built on first
+        sight and kept in ``slice.staged``: per level up to the last
+        changed one, its slice-bound join (``None``: unchanged)."""
+        net = slice.net
+        joins = [
+            delta.over(slice) if relation in net else None
+            for relation, (_, _, delta, _) in zip(self.relations, self.levels)
+        ]
+        while joins and joins[-1] is None:
+            joins.pop()
+        staged = slice.staged[self] = tuple(joins)
+        return staged
+
+    def count(self, seeded, db, stats: AccessStats, store=None) -> dict[Row, int]:
+        """``{answer row: derivation multiplicity}`` in first-derivation
+        order from a :meth:`seed`: the new faces of the signed lowering,
+        every sign ``+1`` (:func:`execute_plan_counting`).  ``store`` is
+        as for :meth:`join`."""
+        counts: dict[Row, int] = {}
+        if seeded is None or not self.pipe:  # an unsatisfiable plan never runs
+            return counts
+        columns, n = seeded[0], 1
         for view, step, _, _ in self.levels:
-            source = ctx.db if view is None else ctx.store(view)
-            columns, n = step(source, ctx.stats, columns, n)
+            columns, n = step(db if view is None else store(view), stats, columns, n)
             if not n:
                 return counts
         self.accumulate(columns, n, counts)
         return counts
 
-    def run(
-        self,
-        ctx: ExecutionContext,
-        seed: Assignment,
-        profiles: list["OperatorProfile"] | None = None,
+    def join(
+        self, slice: LogSlice, seeded, db, stats: AccessStats, store=None, profiles=None
     ) -> dict[Row, int]:
-        """The standard delta rule over ``ctx``'s slice, from a validated
-        ``seed`` (see :func:`execute_plan_delta` for the contract).
-
-        For each level ``i`` whose relation the slice changed, levels
-        before ``i`` run on the new state (one prefix batch, extended
-        level by level and shared by every changed level), level ``i``
-        joins the slice, levels after ``i`` run on the old state."""
+        """The standard delta rule over ``slice`` from a :meth:`seed`: for
+        each level ``i`` whose relation the slice changed, levels before
+        ``i`` run on the new state (one prefix batch, extended level by
+        level and shared by every changed level), level ``i`` joins the
+        in-memory slice (zero tuples accessed), levels after ``i`` run on
+        the pre-delta snapshot (the same closures over :class:`OldState`).
+        ``store`` resolves a view name to its read source
+        (:meth:`ExecutionContext.store`); only plans reading views need it."""
         changes: dict[Row, int] = {}
-        slice = ctx.slice
-        prefilter = self.prefilter
-        if prefilter is not None:
-            seed = dict(seed)  # check_seed applies the binds in place
-            passed = prefilter.check_seed(seed)
-            if profiles is not None:
-                profiles.append(OperatorProfile(str(prefilter), 1, int(passed), 0, 0, 0))
-            if not passed:
-                return changes
-        if slice is None:
+        if profiles is not None and self.prefilter is not None:
+            passed = int(seeded is not None)
+            profiles.append(OperatorProfile(str(self.prefilter), 1, passed, 0, 0, 0))
+        if seeded is None:
             return changes
-        net = slice.net
-        relevant = [i for i, relation in enumerate(self.relations) if relation in net]
-        if not relevant:
+        joins = slice.staged.get(self)
+        if joins is None:
+            joins = self.stage(slice)
+        if not joins:
             return changes
-        last = relevant[-1]
         levels = self.levels
-        depth = len(levels)
-        accumulate = self.accumulate
-        db = ctx.db
-        stats = ctx.stats
-        olds: dict[str | None, OldState] = {}  # per read source, on first use
-        prefix, n = self.pipe.seed(seed, signed=True), 1
-        for i in range(last + 1):
-            view, step, delta, ops = levels[i]
-            if i in relevant:
+        (prefix, keys), n = seeded, 1
+        for i, join in enumerate(joins):
+            if i:  # the level before, on the new state, extends the prefix
+                view, step, _, ops = levels[i - 1]
+                source = db if view is None else store(view)
                 if profiles is None:
-                    columns, m = delta(slice, stats, prefix, n)
+                    prefix, n = step(source, stats, prefix, n)
+                else:
+                    prefix, n = _measured(
+                        profiles, f"new[{i}] {ops[0]}", step, source, stats, prefix, n
+                    )
+                if not n:
+                    break
+                keys = None  # only the first level's keys are the seed's
+            if join is None:
+                continue
+            if profiles is None:
+                columns, m = join(keys, stats, prefix, n)
+            else:
+                label = f"Δ[{i + 1}] {levels[i][3][0]}"
+                columns, m = _measured(profiles, label, join, keys, stats, prefix, n)
+            j = i + 1
+            while m and j < len(levels):
+                view, step, _, ops = levels[j]
+                j += 1
+                # Not staged: kept on the slice it wraps, it would be a cycle.
+                old = OldState(db if view is None else store(view), slice)
+                if profiles is None:
+                    columns, m = step(old, stats, columns, m)
                 else:
                     columns, m = _measured(
-                        profiles, f"Δ[{i + 1}] {ops[0]}", delta, slice, stats, prefix, n
+                        profiles, f"old[{j}] {ops[0]}", step, old, stats, columns, m
                     )
-                j = i + 1
-                while m and j < depth:
-                    old_view, old_step, _, old_ops = levels[j]
-                    j += 1
-                    old = olds.get(old_view)
-                    if old is None:
-                        old = olds[old_view] = OldState(
-                            db if old_view is None else ctx.store(old_view), slice
-                        )
-                    if profiles is None:
-                        columns, m = old_step(old, stats, columns, m)
-                    else:
-                        columns, m = _measured(
-                            profiles, f"old[{j}] {old_ops[0]}", old_step, old, stats, columns, m
-                        )
-                if m:
-                    accumulate(columns, m, changes)
-                if i == last:
-                    break
-            source = db if view is None else ctx.store(view)
-            if profiles is None:
-                prefix, n = step(source, stats, prefix, n)
-            else:
-                prefix, n = _measured(
-                    profiles, f"new[{i + 1}] {ops[0]}", step, source, stats, prefix, n
-                )
-            if not n:
-                break
+            if m:
+                self.accumulate(columns, m, changes)
         if changes:
             changes = {row: change for row, change in changes.items() if change}
         if profiles is not None:
@@ -1293,6 +1320,13 @@ class DeltaProgram:
                 OperatorProfile(str(self.pipe[-1]), len(changes), len(changes), 0, 0, 0)
             )
         return changes
+
+    def run(self, ctx: ExecutionContext, seed: Assignment, profiles=None) -> dict[Row, int]:
+        """:meth:`join` over ``ctx``'s slice from a validated ``seed``,
+        staging both halves on the spot."""
+        if ctx.slice is None:
+            return {}
+        return self.join(ctx.slice, self.seed(seed), ctx.db, ctx.stats, ctx.store, profiles)
 
 
 def delta_program(plan: Plan) -> DeltaProgram:
@@ -1321,7 +1355,9 @@ def execute_plan_counting(
     access rule: the counts would be unusable as incremental state.
     """
     program = delta_program(plan)
-    return program.count(_as_context(db), _seed_assignment(plan, parameters, kwargs))
+    ctx = _as_context(db)
+    seeded = program.seed(_seed_assignment(plan, parameters, kwargs))
+    return program.count(seeded, ctx.db, ctx.stats, ctx.store)
 
 
 def execute_plan_delta(
@@ -1334,19 +1370,13 @@ def execute_plan_delta(
 ) -> dict[Row, int]:
     """Evaluate the standard delta rule for ``plan`` over ``ctx``'s change
     slice: the signed derivation-count change of every affected answer row
-    (positive -- derivations gained, negative -- lost).
-
-    For each operator level ``i`` whose relation effectively changed,
-    levels before ``i`` run on the new state (shared across levels via one
-    incrementally extended prefix batch), level ``i`` joins the in-memory
-    slice (the delta face, zero tuples accessed), and levels after ``i``
-    run on the pre-delta snapshot (the same closures over
-    :class:`OldState`) -- so every derivation gained or lost is produced
-    exactly once however many levels changed, with one bulk read per
-    level.  Levels whose relation did not change cost nothing beyond the
-    prefix they already share; an empty slice costs zero accesses.
-    Applying the result to the counts of :func:`execute_plan_counting`
-    reproduces a from-scratch run on the new state.
+    (positive -- derivations gained, negative -- lost), each derivation
+    produced exactly once however many levels changed, one bulk read per
+    level (:meth:`DeltaProgram.join`).  Levels whose relation did not
+    change cost nothing beyond the prefix they share; an empty slice costs
+    zero accesses.  Applying the result to the counts of
+    :func:`execute_plan_counting` reproduces a from-scratch run on the new
+    state.
 
     Raises :class:`~repro.errors.IncrementalError` for plans that fetch
     through an embedded access rule (no exact counting semantics) --
@@ -1357,9 +1387,9 @@ def execute_plan_delta(
     per face applied (``new[i]`` / ``Δ[i]`` / ``old[i]``).
 
     This is :meth:`DeltaProgram.run` behind per-call parameter validation;
-    a caller that refreshes one plan repeatedly keeps
-    ``delta_program(plan)`` and its validated seed and calls ``run``
-    directly, as :mod:`repro.incremental` and :mod:`repro.views` do.
+    a caller refreshing one plan repeatedly keeps ``delta_program(plan)``
+    and its :meth:`~DeltaProgram.seed` and calls ``join``, as
+    :mod:`repro.incremental` and :mod:`repro.views` do.
     """
     program = delta_program(plan)
     return program.run(ctx, _seed_assignment(plan, parameters, kwargs), profiles)

@@ -8,45 +8,43 @@ refresh path, built on three pieces of machinery:
 * the :class:`~repro.relational.instance.ChangeLog` every
   :class:`~repro.relational.instance.Database` keeps -- a monotonic log of
   effective inserts and deletes, sliced by watermark.  One span of it is
-  one :class:`~repro.relational.instance.LogSlice` (net delta, sizes and
-  the in-memory indexes joins probe), memoised by the log: the many
-  results that refresh over the identical span share a single slice.
-  Every result *pins* its watermark, which is what lets the log drop
-  what lies below the oldest pin instead of growing without bound;
+  one :class:`~repro.relational.instance.LogSlice`, memoised by the log:
+  the many results that refresh over the identical span share a single
+  slice.  Every result *pins* its watermark, which is what lets the log
+  drop what lies below the oldest pin instead of growing without bound;
 * the three faces every lowered operator has (:mod:`repro.core.executor`)
-  -- *new* (read the current state), *delta* (join the in-memory change
-  slice, multiplying signs in) and *old* (the new-face closure over
-  :class:`~repro.core.executor.OldState`, the pre-delta snapshot) --
-  composed by :class:`~repro.core.executor.DeltaProgram` into the
-  standard delta rule: per changed operator level, new-state prefix |x|
-  in-memory change slice |x| old-state suffix, one bulk read per level.
-  A plan's program holds everything about that composition that no slice
-  changes and is compiled once (at materialization); a refresh does only
-  slice-dependent work;
-* derivation *counting*: the initial execution
-  (:meth:`~repro.core.executor.DeltaProgram.count`) materializes how
-  many derivations support each answer row, so signed deltas compose
-  exactly under deletion -- a row leaves the answer precisely when its
-  last derivation dies, even if several independent derivations produced
-  it.
+  -- *new*, *delta* (join the in-memory change slice, multiplying signs
+  in) and *old* (the new face over the pre-delta snapshot) -- composed by
+  :class:`~repro.core.executor.DeltaProgram` into the standard delta
+  rule: per changed operator level, new-state prefix |x| in-memory change
+  slice |x| old-state suffix, one bulk read per level;
+* derivation *counting*: the initial execution materializes how many
+  derivations support each answer row, so signed deltas compose exactly
+  under deletion -- a row leaves the answer precisely when its last
+  derivation dies.
 
-:class:`IncrementalResult` packages the materialized answers together
-with the watermark they are valid at.  :meth:`IncrementalResult.refresh`
-reads the log slice past the watermark, runs the delta program of every
-compiled plan (one per disjunct for a union), and only when all of them
-succeeded folds the signed changes into the counts and advances the
-watermark -- a refresh that fails half way leaves the result as it was.
-The tuples a refresh accesses are bounded by :func:`~repro.core.executor.delta_fanout_bound`
--- a function of the change-slice size and the access-rule bounds, never
-of the database size.
+**A refresh costs its slice.**  The delta rule is staged by what each
+input decides, each stage resolved once and kept by its owner.  The
+*plan* decides the program (kept on the plan's pipeline).  *Program x
+slice* decides which levels changed and which slice index each joins:
+kept on the ``LogSlice``, so shared by every result over the span and
+dropped with it (the log's LRU, or compaction).  *Program x seed* decides
+the seed columns, the prefilter's verdict and the first level's join key:
+kept on the :class:`IncrementalResult`, built where the counting pass
+runs.  :meth:`IncrementalResult.refresh` does only the joins -- when
+nothing changes, one probe per changed level -- and only when every
+plan's (one per disjunct of a union) succeeded folds the signed changes
+into the counts and advances the watermark: a refresh that fails half way
+leaves the result as it was.  The tuples it accesses are bounded by
+:func:`~repro.core.executor.delta_fanout_bound` -- a function of the
+change-slice size and the access-rule bounds, never of the database size.
 
 Obtain results through the facade: ``engine.execute_incremental(q, p=1)``
 or ``prepared.execute_incremental(p=1)``, then ``result.refresh()`` after
-mutations.  Replacing the engine's access schema invalidates compiled
-plans; a refresh that observes a new access-schema version transparently
-*rebases* -- recompiles through the (version-keyed) plan cache and
-recomputes from scratch -- rather than mixing plans across schema
-versions.
+mutations.  A refresh that observes a new access-schema (or view
+population) version transparently *rebases* -- recompiles through the
+version-keyed plan cache and recomputes from scratch -- rather than
+mixing plans across versions.
 
 Limitations, by design: plans fetching through an *embedded* access rule
 are rejected with :class:`~repro.errors.IncrementalError` (their
@@ -63,15 +61,14 @@ from typing import Iterator, Mapping
 
 from repro.core.executor import (
     ExecutionContext,
-    OperatorProfile,
     PlanProfile,
     delta_fanout_bound,
 )
-from repro.relational.instance import LogSlice
+from repro.relational.instance import AccessStats, LogSlice
 
 Row = tuple[object, ...]
 
-__all__ = ["IncrementalResult", "build_incremental"]
+__all__ = ["IncrementalResult"]
 
 
 class IncrementalResult:
@@ -96,6 +93,7 @@ class IncrementalResult:
         "_prepared",
         "_values",
         "_programs",
+        "_seeds",
         "_view_names",
         "_access_version",
         "_views_version",
@@ -110,9 +108,7 @@ class IncrementalResult:
         self._prepared = prepared
         self._values = dict(values)
         self.columns = columns
-        self._delta_sizes: dict[str, int] | None = None
-        self.last_mode = "initial"
-        self._materialize()
+        self._materialize("initial")
 
     # -- sequence behaviour ---------------------------------------------
 
@@ -178,22 +174,19 @@ class IncrementalResult:
         ``"rebase"``) to see which path ran.
         """
         engine = self._engine
-        version, _ = engine._access_state
         if (
-            version != self._access_version
+            engine._access_state[0] != self._access_version
             or engine.views.version != self._views_version
         ):
             # The access schema or the view population changed under us:
             # the compiled plans are stale, so rebase onto fresh ones.
-            self._materialize()
-            self.last_mode = "rebase"
-            return self
+            return self._materialize("rebase")
         db = engine.require_database()
         slice = db.change_log.slice_since(self.watermark)
         # View-assisted plans: bring the views up to date first, then ride
         # their answer changes in the slice under the view names -- the
         # delta pipeline joins them exactly like base-relation changes.
-        states = None
+        store = None
         if self._view_names:
             states = engine.views.prepare(db, self._view_names)
             view_delta: dict[str, dict[Row, int]] = {}
@@ -203,39 +196,37 @@ class IncrementalResult:
                     # The view cannot replay its answer changes back to
                     # our watermark (re-materialized, or the span does not
                     # align); recompute rather than guess.
-                    self._materialize()
-                    self.last_mode = "rebase"
-                    return self
+                    return self._materialize("rebase")
                 if net:
                     view_delta[name] = net
-            if view_delta:
+            if view_delta:  # a private slice, so privately staged
                 slice = LogSlice({**slice.net, **view_delta}, slice.start, slice.stop)
-        ctx = ExecutionContext(db, watermark=self.watermark, delta=slice, views=states)
+            store = ExecutionContext(db, views=states).store
+        stats = AccessStats()
         profiles: tuple[PlanProfile, ...] = ()
         if slice.net:
-            measured: list[list[OperatorProfile] | None] = [
-                [] if analyze else None for _ in self._programs
-            ]
             # Every disjunct's changes first: a backend error in a later
             # one must leave counts and watermark as they were, so the
             # retry does not apply the earlier ones twice.
-            changes = [
-                program.run(ctx, self._values, ops)
-                for program, ops in zip(self._programs, measured)
-            ]
-            crossed = False
-            for counts, changed in zip(self._counts, changes):
-                for row, change in changed.items():
-                    before = counts.get(row, 0)
-                    count = before + change
-                    if count > 0:
-                        counts[row] = count
-                    else:
-                        counts.pop(row, None)
-                    if (before > 0) != (count > 0):
-                        crossed = True
-            if crossed:  # otherwise the answer set, and its order, stand
-                self._reorder()
+            changes, measured = [], []
+            for program, seeded in zip(self._programs, self._seeds):
+                ops = [] if analyze else None  # this plan's OperatorProfiles
+                measured.append(ops)
+                changes.append(program.join(slice, seeded, db, stats, store, ops))
+            if any(changes):
+                crossed = False
+                for counts, changed in zip(self._counts, changes):
+                    for row, change in changed.items():
+                        before = counts.get(row, 0)
+                        count = before + change
+                        if count > 0:
+                            counts[row] = count
+                        else:
+                            counts.pop(row, None)
+                        if (before > 0) != (count > 0):
+                            crossed = True
+                if crossed:  # otherwise the answer set, and its order, stand
+                    self._reorder()
             if analyze:
                 rows = self.rows
                 profiles = tuple(
@@ -244,14 +235,14 @@ class IncrementalResult:
                 )
         self._delta_sizes = slice.sizes
         self.watermark = slice.stop
-        self.stats = ctx.stats
+        self.stats = stats
         self.profiles = profiles
         self.last_mode = "delta"
         return self
 
     # -- internals -------------------------------------------------------
 
-    def _materialize(self) -> None:
+    def _materialize(self, mode: str) -> "IncrementalResult":
         """Full counting execution: the initial pass, also the rebase path
         when the access schema changed under us."""
         engine = self._engine
@@ -279,14 +270,19 @@ class IncrementalResult:
         watermark = log.watermark
         ctx = ExecutionContext(db, watermark=watermark, views=states)
         # What every refresh needs and no slice changes: the compiled delta
-        # programs and the views read.  Every plan was compiled for exactly
-        # the names in ``_values``, which is therefore each one's seed.
+        # programs, what each makes of its seed (every plan was compiled for
+        # exactly the names in ``_values``) and the views read.
         programs = tuple(pipe.program() for pipe in compiled.pipes)
+        seeds = tuple(program.seed(self._values) for program in programs)
         # Like refresh(), the initial pass skips profile bookkeeping --
         # profiles come from refresh(analyze=True) on demand.
-        counts = [program.count(ctx, self._values) for program in programs]
+        counts = [
+            program.count(seeded, db, ctx.stats, ctx.store)
+            for program, seeded in zip(programs, seeds)
+        ]
         self._delta_sizes = None
         self._programs = programs
+        self._seeds = seeds
         self._view_names = tuple(sorted(names))
         self._access_version = version
         self._views_version = views_version
@@ -298,6 +294,8 @@ class IncrementalResult:
         self.stats = ctx.stats
         self.fanout_bound = compiled.fanout_bound
         self.profiles = ()
+        self.last_mode = mode
+        return self
 
     def _reorder(self) -> None:
         """Rebuild the ordered answer set from the per-plan counts:
@@ -326,10 +324,3 @@ class IncrementalResult:
 
         result = ResultSet(self.rows, self.columns, self.stats, self.fanout_bound)
         return ExplainAnalyze(result, self.profiles)
-
-
-def build_incremental(engine, prepared, values: Mapping, columns) -> IncrementalResult:
-    """Construct an :class:`IncrementalResult` for the ``PreparedQuery``
-    ``prepared`` on ``engine`` (the implementation behind
-    ``PreparedQuery.execute_incremental``)."""
-    return IncrementalResult(engine, prepared, values, columns)

@@ -125,13 +125,15 @@ class LogSlice:
     object: :attr:`net` (signed rows per changed relation -- cancelled
     tuples and unchanged relations are omitted), :attr:`sizes` (net rows
     per relation, what :func:`~repro.core.executor.delta_fanout_bound`
-    is charged against), and the lazily built per-position hash indexes
-    the delta and old faces join against.  A
-    span names one immutable stretch of an append-only log, so every
+    is charged against), the lazily built per-position hash indexes the
+    delta and old faces join against, and :attr:`staged` -- what each
+    :class:`~repro.core.executor.DeltaProgram` resolved against this
+    slice (the program builds and reads it; the slice owns its lifetime).
+    A span names one immutable stretch of an append-only log, so every
     consumer refreshing over it shares one slice
-    (:meth:`ChangeLog.slice_since`)."""
+    (:meth:`ChangeLog.slice_since`), memos included."""
 
-    __slots__ = ("start", "stop", "net", "sizes", "_index")
+    __slots__ = ("start", "stop", "net", "sizes", "_index", "staged", "__weakref__")
 
     def __init__(self, net: NetDelta, start: int = 0, stop: int = 0):
         self.start = start
@@ -139,6 +141,7 @@ class LogSlice:
         self.net = net
         self.sizes = {relation: len(rows) for relation, rows in net.items()}
         self._index: dict[tuple, dict[Row, list[tuple[Row, int]]]] = {}
+        self.staged: dict[object, tuple] = {}
 
     def __repr__(self) -> str:
         return f"LogSlice([{self.start}, {self.stop}), {sum(self.sizes.values())} rows)"
@@ -279,8 +282,10 @@ class ChangeLog:
 
     def _offset(self, watermark: int) -> int:
         """``watermark`` as a position in the retained entries."""
-        if watermark < 0:
-            raise ValueError(f"watermark must be >= 0, got {watermark}")
+        if not 0 <= watermark <= self.watermark:
+            raise ValueError(
+                f"watermark must be within [0, {self.watermark}] (the log's own), got {watermark}"
+            )
         if watermark < self._base:
             raise CompactedError(
                 f"the change log was compacted up to tid {self._base}; entries "

@@ -52,10 +52,7 @@ from repro.core.access_schema import (
     FullAccessRule,
     parse_access_schema,
 )
-from repro.core.executor import (
-    ExecutionContext,
-    delta_program,
-)
+from repro.core.executor import delta_program
 from repro.core.plans import Plan, compile_plan
 from repro.errors import RewritingError, SchemaError
 from repro.logic.cq import ConjunctiveQuery
@@ -226,7 +223,7 @@ class ViewState:
         "watermark",
         "origin",
         "counts",
-        "last_stats",
+        "seeded",
         "store",
         "_ledger",
         "__weakref__",  # the change log pins its consumers weakly
@@ -242,9 +239,8 @@ class ViewState:
         # the state at this watermark.
         self.watermark = db.change_log.watermark
         self.origin = self.watermark
-        ctx = ExecutionContext(db, watermark=self.watermark)
-        self.counts: dict[Row, int] = self.program.count(ctx, {})
-        self.last_stats = ctx.stats
+        self.seeded = self.program.seed({})  # a maintenance plan has no parameters
+        self.counts: dict[Row, int] = self.program.count(self.seeded, db, AccessStats())
         self.store = MemoryBackend()
         self.store.attach(DatabaseSchema([view.relation]), AccessStats())
         self.store.insert_rows(view.name, list(self.counts))
@@ -285,11 +281,10 @@ class ViewState:
         slice = log.slice_since(self.watermark)
         net: dict[Row, int] = {}
         if slice.net:
-            ctx = ExecutionContext(self.db, watermark=slice.start, delta=slice)
             # Nothing below moves before the delta ran to completion: a
             # failed refresh leaves counts, store, ledger and watermark
             # as they were, so a retry starts from consistent state.
-            changes = self.program.run(ctx, {})
+            changes = self.program.join(slice, self.seeded, self.db, AccessStats())
             counts = self.counts
             for row, change in changes.items():
                 old = counts.get(row, 0)
@@ -308,7 +303,6 @@ class ViewState:
                 self.store.delete_rows(name, [r for r, sign in net.items() if sign < 0])
                 self.store.insert_rows(name, [r for r, sign in net.items() if sign > 0])
                 self._append_ledger(slice.start, slice.stop, net, log.floor)
-            self.last_stats = ctx.stats
         self.watermark = slice.stop
         return net
 
@@ -556,13 +550,8 @@ class ViewSet:
         compiled against it become unreachable (the version bump keys
         them out of every cache)."""
         with self._lock:
-            try:
-                view = self._defs.pop(name)
-            except KeyError:
-                raise SchemaError(
-                    f"unknown view {name!r} "
-                    f"(registered: {', '.join(self._defs) or 'none'})"
-                ) from None
+            view = self.get(name)
+            del self._defs[name]
             self._plans.pop(name, None)
             self._states.pop(name, None)
             self._state_locks.pop(name, None)
@@ -595,16 +584,6 @@ class ViewSet:
                 )
                 self._catalog = catalog
             return catalog
-
-    def extended_schema(self) -> DatabaseSchema:
-        """The base schema plus one relation per registered view (via the
-        current :meth:`snapshot`)."""
-        return self.snapshot().extended_schema()
-
-    def extended_access(self, access: AccessSchema) -> AccessSchema:
-        """``access``'s rules plus every registered view's rules, over the
-        extended schema (via the current :meth:`snapshot`)."""
-        return self.snapshot().extended_access(access)
 
     # -- materialization -------------------------------------------------
 
@@ -650,12 +629,7 @@ class ViewSet:
                 names = tuple(self._defs)
             plans: dict[str, tuple[ViewDef, Plan, threading.Lock]] = {}
             for name in names:
-                view = self._defs.get(name)
-                if view is None:
-                    raise SchemaError(
-                        f"unknown view {name!r} "
-                        f"(registered: {', '.join(self._defs) or 'none'})"
-                    )
+                view = self.get(name)
                 lock = self._state_locks.get(name)
                 if lock is None:
                     lock = self._state_locks[name] = threading.Lock()

@@ -18,6 +18,12 @@ evaluation on a separate memory instance.
   after every batch, within ``delta_fanout_bound``; plans fetching
   through an embedded rule are rejected eagerly by both signed entry
   points.
+* **one staged driver**: ``execute_plan_delta`` equals the two staged
+  halves (``DeltaProgram.seed``, and ``stage`` on the slice) composed by
+  ``DeltaProgram.join``, over a shared and a private slice, profiled or
+  not; twin ``IncrementalResult`` s -- one refreshed with
+  ``analyze=True``, one without -- stay equal in rows, counts, ``stats``,
+  ``delta_bound`` and watermark at every step, at two cadences.
 * **a view riding in the slice**: an ``IncrementalResult`` over a
   view-assisted plan refreshes to what a fresh execution returns.
 * **pinned compaction**: two consumers of one log refreshing at
@@ -65,6 +71,7 @@ from repro.core.executor import (
 )
 from repro.core.plans import FetchStep
 from repro.relational import instance
+from repro.relational.instance import AccessStats
 
 #: A small domain keeps the relations dense, so joins find partners,
 #: updates hit maintained answers and rows get several derivations.
@@ -349,6 +356,84 @@ def test_consumers_at_different_cadences_survive_constant_compaction(
         assert [entry.tid for entry in log] == list(range(log.floor, log.watermark))
     lazy.refresh()
     assert lazy.counts == eager.counts
+
+
+@budget(40)
+@given(scenario=scenarios())
+def test_execute_plan_delta_is_the_staged_halves_composed(backend_factory, scenario):
+    schema, access, plan, values = build(scenario)
+    if embedded(plan):
+        return
+    _, rows, stream, *_ = scenario
+    db = Database(schema, rows, backend=backend_factory())
+    program = delta_program(plan)
+    seeded = program.seed(dict(values))  # once: no slice changes it
+    counts = program.count(seeded, db, AccessStats())
+    assert counts == execute_plan_counting(plan, db, dict(values))
+    for batch in stream:
+        mark = db.change_log.watermark
+        apply_batch(db, batch)
+        shared = db.change_log.slice_since(mark)
+        public = ExecutionContext(db, watermark=mark, delta=shared)
+        expected = execute_plan_delta(plan, public, dict(values))
+        assert program in shared.staged  # the one-shot call staged on the shared slice
+        stats = AccessStats()
+        assert program.join(shared, seeded, db, stats) == expected
+        assert stats == public.stats
+        # A private slice stages privately; a profiled run is the same run.
+        private = ExecutionContext(db, watermark=mark, delta=dict(shared.net))
+        profiles: list = []
+        assert execute_plan_delta(plan, private, dict(values), profiles=profiles) == expected
+        assert private.slice is not shared and private.stats == public.stats
+        assert sum(op.tuples_accessed for op in profiles) == stats.tuples_accessed
+        for row, change in expected.items():
+            counts[row] = counts.get(row, 0) + change
+        counts = {row: count for row, count in counts.items() if count}
+        assert counts == program.count(seeded, db, AccessStats())
+
+
+@budget(30)
+@given(scenario=scenarios(), more=st.data())
+def test_analyzing_and_plain_refreshes_are_one_driver(backend_factory, scenario, more):
+    """Twins over one stream: whatever ``analyze`` adds is bookkeeping --
+    same rows, counts, accounting, bound and watermark after every step,
+    refreshing every batch or every third."""
+    schema, access, plan, values = build(scenario)
+    _, rows, stream, *_, query, _, _ = scenario
+    stream = stream + more.draw(updates(rows))
+    engine = Engine(schema, access, rows, backend=backend_factory())
+    db = engine.require_database()
+    prepared = engine.query(query)
+    try:
+        twins = [
+            [prepared.execute_incremental(dict(values)) for _ in range(2)] for _ in range(2)
+        ]
+    except IncrementalError:
+        return  # an embedded-rule plan: nothing to maintain
+
+    def agree(plain, analyzed):
+        assert plain.rows == analyzed.rows and plain._counts == analyzed._counts
+        assert plain.stats == analyzed.stats and plain.delta_bound == analyzed.delta_bound
+        assert plain.watermark == analyzed.watermark and plain.last_mode == analyzed.last_mode
+
+    (eager, lazy) = twins
+    for i, batch in enumerate(stream):
+        apply_batch(db, batch)
+        for cadence, (plain, analyzed) in ((1, eager), (3, lazy)):
+            if i % cadence == cadence - 1:
+                plain.refresh()
+                analyzed.refresh(analyze=True)
+                assert plain.profiles == () and plain.stats.tuples_accessed <= plain.delta_bound
+                profiled = sum(p.tuples_accessed for p in analyzed.profiles)
+                assert profiled == analyzed.stats.tuples_accessed
+            agree(plain, analyzed)
+        assert set(eager[0].rows) == set(prepared.execute(dict(values)).rows)
+    for plain, analyzed in twins:
+        plain.refresh()
+        analyzed.refresh(analyze=True)
+        agree(plain, analyzed)
+    assert set(lazy[0].rows) == set(eager[0].rows)
+    assert all(result.last_mode == "delta" for pair in twins for result in pair)
 
 
 VIEW_SCHEMA = "r(a, b); s(a, c)"

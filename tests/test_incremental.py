@@ -11,6 +11,7 @@ rejection and the access-schema-change rebase.
 
 import copy
 import gc
+import weakref
 
 import pytest
 
@@ -23,9 +24,10 @@ from repro import (
     ViewState,
     delta_fanout_bound,
 )
-from repro.core.executor import execute_per_tuple, execute_plan
+from repro.core.executor import DeltaProgram, FilterOp, execute_per_tuple, execute_plan
 from repro.logic.parser import parse_query
-from repro.relational.instance import COMPACT_MIN_DEAD
+from repro.relational import instance
+from repro.relational.instance import COMPACT_MIN_DEAD, SLICE_CACHE_SIZE, LogSlice
 from repro.workloads import (
     RUNNING_QUERIES,
     SOCIAL_ACCESS,
@@ -305,6 +307,114 @@ def test_constant_wrapped_parameter_values_refresh_correctly():
     assert set(live.rows) == set(prepared.execute(p=Constant(1)).rows)
 
 
+# -- a refresh costs its slice: what is staged, by whom, how often ---------------
+
+
+def count_stage_work(monkeypatch):
+    """Spy on the per-(program, slice) stage builder and on the slice
+    index it resolves: returns the two call logs."""
+    staged, indexed = [], []
+    build, index = DeltaProgram.stage, LogSlice.index
+
+    def counting_stage(self, slice):
+        staged.append((self, slice))
+        return build(self, slice)
+
+    def counting_index(self, relation, positions):
+        indexed.append((relation, positions))
+        return index(self, relation, positions)
+
+    monkeypatch.setattr(DeltaProgram, "stage", counting_stage)
+    monkeypatch.setattr(LogSlice, "index", counting_index)
+    return staged, indexed
+
+
+def test_results_over_one_span_share_what_the_slice_decides(monkeypatch):
+    """48 results of three programs refreshing over one slice stage three
+    residuals -- not 48 -- and resolve each slice index once per changed
+    level of a program; the next span stages three more."""
+    persons = 200
+    engine = social_engine(persons, seed=1)
+    db = engine.require_database()
+    pids = list(dict.fromkeys(sample_pids(persons, 40, seed=1)))[:16]
+    maintained = [(bundle.prepare(engine), pid) for bundle in RUNNING_QUERIES for pid in pids]
+    live = [prepared.execute_incremental(p=pid) for prepared, pid in maintained]
+    assert len(live) == 48 and len({id(r._programs[0]) for r in live}) == 3
+    staged, indexed = count_stage_work(monkeypatch)
+    # Span 1 changes both relations, far from every maintained person:
+    # every delta join misses, so no old face ever asks for an index.
+    db.insert_many("friend", [(persons + 7, persons + 8)])
+    db.insert_many("visits", [(persons + 7, "url-far")])
+    for result in live:
+        result.refresh()
+        assert result.last_mode == "delta"
+    assert len(staged) == 3 and len({id(slice) for _, slice in staged}) == 1
+    (slice,) = {slice for _, slice in staged}
+    assert set(slice.staged) == {r._programs[0] for r in live}
+    # One resolution per changed level: Q1 friend; Q2 friend, visits; Q3
+    # friend twice -- however many results ran.  Each index built once.
+    assert sorted(indexed) == [("friend", (0,))] * 4 + [("visits", (0,))]
+    assert set(slice._index) == {("friend", (0,)), ("visits", (0,))}
+    # Q1 never reaches its unchanged person level: staged up to the last
+    # changed one only.
+    assert sorted(len(joins) for joins in slice.staged.values()) == [1, 2, 2]
+    # Span 2 touches a maintained person: three more residuals, on a new
+    # slice, and the answers still equal a recompute.
+    db.insert_many("friend", [(pids[0], persons - 1), (persons - 1, pids[1])])
+    db.insert_many("visits", [(persons - 1, "url-near")])
+    for result in live:
+        result.refresh()
+    assert len(staged) == 6 and len({id(slice) for _, slice in staged}) == 2
+    for (prepared, pid), result in zip(maintained, live):
+        assert set(result.rows) == set(prepared.execute(p=pid).rows)
+
+
+REJECTING_ACCESS = "person(pid -> 1); friend(pid1 -> 64); friend(pid2 -> 64); visits(pid -> 16)"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Q(y) :- friend(p, y), p = q",
+        # PR 20's shape: every disjunct binds through parameter equalities.
+        "Q(y) :- friend(x, y), x = p, x = q ; Q(y) :- friend(y, x), x = p, x = q",
+    ],
+    ids=["cq", "ucq"],
+)
+def test_a_seed_the_prefilter_rejects_refreshes_to_empty_for_free(monkeypatch, text):
+    data = generate_social_network(60, seed=2)
+    engine = Engine(SOCIAL_SCHEMA, REJECTING_ACCESS, data)
+    db = engine.require_database()
+    prepared = engine.query(text)
+    rejected = prepared.execute_incremental(p=1, q=2)
+    passing = prepared.execute_incremental(p=1, q=1)
+    assert rejected.rows == () and passing.rows
+    checks = []
+    check_seed = FilterOp.check_seed
+    monkeypatch.setattr(
+        FilterOp, "check_seed", lambda self, seed: checks.append(seed) or check_seed(self, seed)
+    )
+    stream = generate_churn(data, batches=4, batch_size=10, seed=3)
+    for batch in stream:
+        batch.apply(db)
+        db.insert_many("friend", [(1, 59), (59, 1), (2, 58)])  # right at the seeds
+        db.delete_many("friend", [(1, 59), (2, 58)])
+        for analyze in (False, True):
+            db.insert_many("friend", [(1, 57)])
+            asked = len(checks)
+            rejected.refresh(analyze=analyze)
+            passing.refresh()
+            # The verdict on values that never change was reached once,
+            # at materialisation; no refresh asks again.
+            assert len(checks) == asked
+            assert rejected.last_mode == "delta" and rejected.rows == ()
+            assert rejected.stats == instance.AccessStats()  # zero accesses
+            assert rejected.watermark == db.change_log.watermark
+            db.delete_many("friend", [(1, 57)])
+        assert set(passing.refresh().rows) == set(prepared.execute(p=1, q=1).rows)
+    assert prepared.execute(p=1, q=2).rows == () and checks  # the spy does see executes
+
+
 # -- a failed refresh applies nothing ----------------------------------------
 
 
@@ -373,6 +483,35 @@ def test_view_refresh_that_fails_moves_nothing():
     assert state.watermark == db.change_log.watermark
     rebuilt = ViewState(state.view, db)
     assert state.counts == rebuilt.counts and set(state.rows) == set(rebuilt.rows)
+
+
+def test_a_retry_after_a_fault_reuses_the_staged_slice_and_equals_a_recompute(monkeypatch):
+    """The fault hits after the (program, slice) residual was memoised;
+    the retry runs over the same slice and residual, and nothing of the
+    failed pass shows."""
+    backend = FaultyBackend()
+    engine = social_engine(40, seed=3, backend=backend)
+    db = engine.require_database()
+    prepared = RUNNING_QUERIES[2].prepare(engine)  # Q3: two changed levels
+    live = prepared.execute_incremental(p=1)
+    friend = next(iter(live._counts[0]), (2,))[0]
+    db.insert_many("friend", [(1, 39), (39, friend), (friend, 38)])
+    db.delete_many("friend", db.lookup("friend", {0: 1})[:1])
+    staged, _ = count_stage_work(monkeypatch)
+    before = (live.rows, copy.deepcopy(live._counts), live.watermark)
+    backend.fuse = 1  # the new-state prefix goes through, an old-state read fails
+    with pytest.raises(OSError, match="injected"):
+        live.refresh()
+    backend.fuse = None
+    assert (live.rows, live._counts, live.watermark) == before
+    assert len(staged) == 1
+    (slice,) = {slice for _, slice in staged}
+    assert live.refresh().last_mode == "delta"
+    assert len(staged) == 1  # same span, same slice, residual already there
+    assert db.change_log.slice_since(before[2]) is slice
+    fresh = prepared.execute_incremental(p=1)
+    assert live._counts == fresh._counts and set(live.rows) == set(fresh.rows)
+    assert set(live.rows) == set(prepared.execute(p=1).rows)
 
 
 # -- the change log stays bounded under churn --------------------------------
@@ -446,3 +585,40 @@ def test_sustained_churn_holds_a_steady_state_log_and_ledgers():
     gc.collect()
     churn(len(period))
     assert log.floor > held and len(log) < limit
+
+
+def test_a_dropped_slice_takes_what_was_staged_on_it(monkeypatch):
+    """The per-(program, slice) residuals live exactly as long as the
+    slice: the log's LRU and compaction drop both at once, and nothing
+    else holds them."""
+    monkeypatch.setattr(instance, "COMPACT_MIN_DEAD", 4)  # before the Database exists
+    engine = social_engine(40, seed=5)
+    db = engine.require_database()
+    log = db.change_log
+    live = [bundle.prepare(engine).execute_incremental(p=pid) for bundle in RUNNING_QUERIES for pid in (1, 2)]
+
+    def span(i: int) -> weakref.ref:
+        """One more distinct span, everything refreshed over it."""
+        mark = log.watermark
+        db.insert_many("friend", [(1, 1000 + i), (1000 + i, 2), (2, 1000 + i)])
+        db.insert_many("visits", [(1000 + i, f"url{i}-{j}") for j in range(3)])
+        for result in live:
+            result.refresh()
+        slice = log.slice_since(mark)
+        assert len(slice.staged) == 3 and all(slice.staged.values())
+        return weakref.ref(slice)
+
+    first = span(0)
+    later = [span(i) for i in range(1, SLICE_CACHE_SIZE + 2)]
+    gc.collect()
+    assert first() is None  # more than SLICE_CACHE_SIZE spans later: evicted, gone
+    assert later[-1]() is not None  # the hot one is still shared
+    # Every pin sits at the watermark, so the next appends compact the
+    # whole retained prefix away -- and with it every memoised slice.
+    mark = log.watermark
+    db.insert_many("visits", [(1, f"bulk{i}") for i in range(8)])
+    assert log.floor == mark and not log._slices
+    gc.collect()
+    assert all(ref() is None for ref in later)
+    for result in live:
+        assert result.refresh().last_mode == "delta"

@@ -233,6 +233,24 @@ class TestChangeLog:
         with pytest.raises(ValueError):
             db.change_log.append("x", "friend", (1, 2))
 
+    def test_a_watermark_past_the_log_is_rejected_and_never_memoised(self, social_schema):
+        """Slicing from beyond the log used to hand out -- and memoise -- an
+        inverted span, so a consumer adopting ``slice.stop`` silently moved
+        its watermark backwards."""
+        db = Database(social_schema, {"friend": [(1, 2)]})
+        log = db.change_log
+        assert log.watermark == 1
+        for read in (log.slice_since, log.net_since, log.entries_since):
+            with pytest.raises(ValueError, match=r"\[0, 1\].*got 5"):
+                read(5)
+        assert not log._slices  # nothing was stored on the way to the error
+        # The watermark itself is the empty span, and stays legal.
+        assert (log.slice_since(1).start, log.slice_since(1).stop) == (1, 1)
+        assert log.net_since(1) == {} and log.entries_since(1) == ()
+        db.add("friend", (3, 4))
+        with pytest.raises(ValueError, match=r"\[0, 2\].*got 3"):
+            log.slice_since(3)
+
     def test_net_since_evicts_lru_not_wholesale(self, social_schema):
         # A hot slice (re-read between cold probes) must survive however
         # many cold watermarks other readers touch: eviction is LRU, not
