@@ -54,13 +54,18 @@ already-present tuple, or a second occurrence within the batch, is
 ``False``; likewise deletes of absent tuples).  The facade turns the
 flags into :class:`~repro.relational.instance.ChangeLog` entries, so a
 backend that misreports effectiveness corrupts incremental execution --
-the conformance suite (``tests/test_backends.py``) checks this.
+the conformance suite (``tests/test_backends.py``) checks this.  On
+failure likewise: a write primitive **applies the batch and returns its
+flags, or raises having applied nothing** -- a half-applied batch is rows
+the log never heard of, which no refresh repairs.  (The facade rejects
+what a store cannot index -- unhashable values -- before any call; SQLite
+rolls back; a composite guarantees this per child, not across children.)
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.errors import SchemaError
 
@@ -170,17 +175,20 @@ class StorageBackend(ABC):
     @abstractmethod
     def insert_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
         """Apply a batch of inserts with set semantics, maintaining every
-        built index; one effectiveness flag per input row, in order."""
+        built index; one effectiveness flag per input row, in order --
+        or raise having applied nothing."""
 
     @abstractmethod
     def delete_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
         """Apply a batch of deletes, maintaining every built index; one
-        effectiveness flag per input row, in order."""
+        effectiveness flag per input row, in order -- or raise having
+        applied nothing."""
 
     def load_rows(self, relation: str, rows: Sequence[Row]) -> int:
         """Bulk-load fast path: insert with set semantics and return only
-        the applied *count* (no per-row flags, no identity).  Backends
-        may override to skip flag bookkeeping entirely."""
+        the applied *count* (no per-row flags, no identity) -- or raise
+        having applied nothing.  Backends may override to skip flag
+        bookkeeping entirely."""
         return sum(self.insert_rows(relation, rows))
 
     # -- shared helpers --------------------------------------------------

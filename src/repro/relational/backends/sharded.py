@@ -30,14 +30,17 @@ integral floats canonicalized to ints first (``True == 1`` and
 shard assignment can therefore be persisted and recomputed in another
 process.
 
-Caveat: scans and iteration concatenate children in shard order, so
-global insertion order is only preserved *within* a shard.
+Caveats: scans and iteration concatenate children in shard order, so
+global insertion order is only preserved *within* a shard.  A write is
+atomic per child (whatever the child provides), **not across shards**: a
+child that raises after its siblings applied their sub-batches leaves
+those applied.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError
 from repro.relational.backends.base import Row, StorageBackend, check_positions
@@ -62,8 +65,7 @@ def stable_shard_hash(key: Row) -> int:
     """The process-independent shard hash: CRC-32 of the canonicalized
     key's repr.  Unlike ``hash()``, this survives ``PYTHONHASHSEED``, so
     shard assignments may be persisted and recomputed elsewhere."""
-    canonical = tuple(_canon(value) for value in key)
-    return zlib.crc32(repr(canonical).encode("utf-8"))
+    return zlib.crc32(repr(tuple(map(_canon, key))).encode("utf-8"))
 
 
 class ShardedBackend(StorageBackend):
@@ -114,12 +116,30 @@ class ShardedBackend(StorageBackend):
 
     # -- routing ---------------------------------------------------------
 
-    def _shard_of(self, projected: Row) -> int:
-        return stable_shard_hash(projected) % self.shards
+    def _scatter(self, rows: Iterable[Row], positions: tuple[int, ...]) -> list[list[Row]]:
+        """``rows`` partitioned by the shard owning each one's projection
+        onto ``positions``, input order kept within a shard.  Equal
+        projections recur within a batch (a source's edges); each is
+        hashed once."""
+        per_child: list[list[Row]] = [[] for _ in range(self.shards)]
+        shard_of: dict[Row, int] = {}
+        for row in rows:
+            key = tuple([row[p] for p in positions])
+            shard = shard_of.get(key)
+            if shard is None:
+                shard = shard_of[key] = stable_shard_hash(key) % self.shards
+            per_child[shard].append(row)
+        return per_child
 
-    def _row_shard(self, relation: str, row: Row) -> int:
-        kp = self._key_positions[relation]
-        return stable_shard_hash(tuple(row[p] for p in kp)) % self.shards
+    def _ask(self, relation: str, rows: Sequence[Row], method: str) -> dict[Row, bool]:
+        """``method``'s per-row answer for each *distinct* row, from the
+        child owning it (one sub-batch per child, input order kept)."""
+        answers: dict[Row, bool] = {}
+        shares = self._scatter(dict.fromkeys(rows), self._key_positions[relation])
+        for child, sub in zip(self._children, shares):
+            if sub:
+                answers.update(zip(sub, getattr(child, method)(relation, sub)))
+        return answers
 
     # -- charged reads ---------------------------------------------------
 
@@ -143,10 +163,7 @@ class ShardedBackend(StorageBackend):
             # Routed: project each key onto the shard-key positions and
             # send it to exactly the child that owns its rows.
             idx = tuple(positions.index(p) for p in kp)
-            per_child: list[list[Row]] = [[] for _ in range(self.shards)]
-            for key in distinct:
-                per_child[self._shard_of(tuple(key[i] for i in idx))].append(key)
-            for child, sub in zip(self._children, per_child):
+            for child, sub in zip(self._children, self._scatter(distinct, idx)):
                 if not sub:
                     continue
                 groups = child.lookup_keys(relation, positions, sub)
@@ -172,18 +189,8 @@ class ShardedBackend(StorageBackend):
         stats: "AccessStats | None" = None,
     ) -> tuple[bool, ...]:
         self.schema.relation(relation)
-        distinct = list(dict.fromkeys(rows))
-        verdict: dict[Row, bool] = {}
-        per_child: list[list[Row]] = [[] for _ in range(self.shards)]
-        for row in distinct:
-            per_child[self._row_shard(relation, row)].append(row)
-        for child, sub in zip(self._children, per_child):
-            if not sub:
-                continue
-            for row, present in zip(sub, child.contains_rows(relation, sub)):
-                verdict[row] = present
-        tuples = sum(1 for present in verdict.values() if present)
-        self._charge(stats, tuples=tuples, lookups=len(distinct))
+        verdict = self._ask(relation, rows, "contains_rows")
+        self._charge(stats, tuples=sum(verdict.values()), lookups=len(verdict))
         return tuple(verdict[row] for row in rows)
 
     def scan(self, relation: str, stats: "AccessStats | None" = None) -> tuple[Row, ...]:
@@ -197,16 +204,7 @@ class ShardedBackend(StorageBackend):
     # -- unaccounted primitives ------------------------------------------
 
     def probe_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
-        distinct = list(dict.fromkeys(rows))
-        verdict: dict[Row, bool] = {}
-        per_child: list[list[Row]] = [[] for _ in range(self.shards)]
-        for row in distinct:
-            per_child[self._row_shard(relation, row)].append(row)
-        for child, sub in zip(self._children, per_child):
-            if not sub:
-                continue
-            for row, present in zip(sub, child.probe_rows(relation, sub)):
-                verdict[row] = present
+        verdict = self._ask(relation, rows, "probe_rows")
         return [verdict[row] for row in rows]
 
     def count(self, relation: str) -> int:
@@ -218,32 +216,22 @@ class ShardedBackend(StorageBackend):
 
     # -- mutations -------------------------------------------------------
 
+    # A child sees each distinct row once; the first occurrence in the
+    # batch takes its flag, a repeat is ineffective by definition.
+
     def insert_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
-        return self._scatter_mutation(relation, rows, "insert_rows")
+        flags = self._ask(relation, rows, "insert_rows")
+        return [flags.pop(row, False) for row in rows]
 
     def delete_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
-        return self._scatter_mutation(relation, rows, "delete_rows")
+        flags = self._ask(relation, rows, "delete_rows")
+        return [flags.pop(row, False) for row in rows]
 
-    def _scatter_mutation(
-        self, relation: str, rows: Sequence[Row], method: str
-    ) -> list[bool]:
-        """Partition the batch by shard, apply per child, and gather the
-        flags back into input order.  Duplicate rows hash to the same
-        shard in their original relative order, so within-batch
-        effectiveness (first occurrence wins) is preserved."""
-        per_child: list[list[Row]] = [[] for _ in range(self.shards)]
-        origins: list[list[int]] = [[] for _ in range(self.shards)]
-        for i, row in enumerate(rows):
-            shard = self._row_shard(relation, row)
-            per_child[shard].append(row)
-            origins[shard].append(i)
-        flags = [False] * len(rows)
-        for child, sub, where in zip(self._children, per_child, origins):
-            if not sub:
-                continue
-            for i, flag in zip(where, getattr(child, method)(relation, sub)):
-                flags[i] = flag
-        return flags
+    def load_rows(self, relation: str, rows: Sequence[Row]) -> int:
+        """Scatter the chunk and bulk-load each child's share: no per-row
+        flags to gather, and each child takes its own fast path."""
+        shares = zip(self._children, self._scatter(rows, self._key_positions[relation]))
+        return sum(child.load_rows(relation, sub) for child, sub in shares if sub)
 
     def __repr__(self) -> str:
         return f"ShardedBackend(shards={self.shards})"

@@ -34,9 +34,20 @@ created on attach and left in place -- callers own deletion; pass the
 same path to a *new* backend to reopen existing tables), or no path for
 a private in-memory SQLite database.  ``close()`` releases the
 connection; every primitive called afterwards (or before ``attach``)
-raises :class:`~repro.errors.SchemaError` naming the path.  Durability
-pragmas are relaxed (``journal_mode=OFF``, ``synchronous=OFF``): this is
-a query-engine store, not a system of record.
+raises :class:`~repro.errors.SchemaError` naming the path.
+
+Writes: ``load_rows``, ``insert_rows`` and ``delete_rows`` each run as
+**one transaction** (:meth:`SqliteBackend._batch`, the only way a write
+statement reaches the connection) around their presence probe and every
+statement they issue: pages are written once, at ``COMMIT``, and probe
+and write see one snapshot.  A call that raises rolls back -- the store
+holds what it held before and the batch can be retried.  Reads stay
+autocommit.  A second concurrent writer (mutations are single-writer)
+fails loudly with SQLite's "cannot start a transaction within a
+transaction" instead of interleaving rows.  Durability pragmas are
+relaxed (``journal_mode=MEMORY``: the rollback journal never touches the
+disk; ``synchronous=OFF``): a query-engine store, not a system of
+record -- reopening a path finds what the *committed* batches wrote.
 
 ``None`` is a first-class value: SQL ``NULL`` neither matches ``=`` nor
 deduplicates under a UNIQUE index, so every read/write path routes
@@ -52,6 +63,7 @@ Limitations: values must be SQLite-native (int, float, str, bytes or
 from __future__ import annotations
 
 import sqlite3
+from contextlib import contextmanager
 from operator import itemgetter
 from sys import intern as _intern
 from typing import TYPE_CHECKING, Collection, Iterator, Sequence
@@ -66,9 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Bound parameters per statement stay well under SQLite's variable limit
 #: (999 in the oldest supported builds).
 _MAX_VARIABLES = 900
-
-#: Rows per ``executemany`` chunk on the write path.
-_WRITE_CHUNK = 50_000
 
 #: Statements the connection keeps compiled: room for a workload's read
 #: texts (143 on the benchmark's SQLite workload, which already thrashes
@@ -127,11 +136,11 @@ class SqliteBackend(StorageBackend):
 
     def attach(self, schema: "DatabaseSchema", stats: "AccessStats") -> None:
         super().attach(schema, stats)
-        # isolation_level=None -> autocommit: every statement is durable in
-        # the file immediately, so "reopen by path" sees everything without
-        # an explicit commit protocol.  check_same_thread=False matches the
-        # database's concurrency contract (reads may be cross-thread,
-        # mutations are single-writer).
+        # isolation_level=None: the driver opens no transaction of its own.
+        # Reads are autocommit; writes run inside _batch's explicit one, so
+        # "reopen by path" sees every committed batch.  check_same_thread=
+        # False matches the database's concurrency contract (reads may be
+        # cross-thread, mutations are single-writer).
         conn = sqlite3.connect(
             self.path if self.path is not None else ":memory:",
             isolation_level=None,
@@ -141,7 +150,7 @@ class SqliteBackend(StorageBackend):
         # Interned where the driver builds it: fetched rows need no pass
         # of their own (repro.relational.interning says why strings are).
         conn.text_factory = lambda raw: _intern(raw.decode())
-        conn.execute("PRAGMA journal_mode=OFF")
+        conn.execute("PRAGMA journal_mode=MEMORY")  # OFF leaves ROLLBACK undefined
         conn.execute("PRAGMA synchronous=OFF")
         conn.execute("PRAGMA temp_store=MEMORY")
         conn.execute("PRAGMA cache_size=-131072")  # 128 MiB of page cache
@@ -276,86 +285,66 @@ class SqliteBackend(StorageBackend):
 
     # -- mutations -------------------------------------------------------
 
+    @contextmanager
+    def _batch(self) -> Iterator[sqlite3.Connection]:
+        """The one write path: a transaction around everything one write
+        primitive reads and writes.  Commits on exit; on any exception
+        rolls back -- the store is as it was -- and re-raises."""
+        conn = self._conn
+        conn.execute("BEGIN")
+        try:
+            yield conn
+            conn.execute("COMMIT")
+        except BaseException:
+            if conn.in_transaction:  # some failures (disk full) roll back themselves
+                conn.execute("ROLLBACK")
+            raise
+
     def insert_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
-        arity = self._require(relation)
-        present = self._present(relation, dict.fromkeys(rows))
-        flags: list[bool] = []
-        new: list[Row] = []
-        for row in rows:
-            if row in present:
-                flags.append(False)
-            else:
-                present.add(row)
-                new.append(row)
-                flags.append(True)
-        if new:
-            marks = ", ".join("?" * arity)
-            self._conn.executemany(
-                f"INSERT INTO {self._table(relation)} VALUES ({marks})", new
-            )
+        marks = ", ".join("?" * self._require(relation))
+        with self._batch() as conn:
+            flags, new = self._effective(relation, rows, stored=False)
+            conn.executemany(f"INSERT INTO {self._table(relation)} VALUES ({marks})", new)
         return flags
 
     def delete_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
-        arity = self._require(relation)
-        present = self._present(relation, dict.fromkeys(rows))
-        flags: list[bool] = []
-        gone: list[Row] = []
-        for row in rows:
-            if row in present:
-                present.discard(row)
-                gone.append(row)
-                flags.append(True)
-            else:
-                flags.append(False)
-        plain = [row for row in gone if None not in row]
-        if plain:
-            where = " AND ".join(f"c{i} = ?" for i in range(arity))
-            self._conn.executemany(
-                f"DELETE FROM {self._table(relation)} WHERE {where}", plain
-            )
-        # None-bearing rows need IS NULL predicates; they are rare, so
-        # one statement per row keeps this simple.
-        for row in gone:
-            if None not in row:
-                continue
-            term, params = self._null_safe_key(tuple(range(arity)), row)
-            self._conn.execute(
-                f"DELETE FROM {self._table(relation)} WHERE {term}", params
-            )
+        columns = tuple(range(self._require(relation)))
+        table = self._table(relation)
+        where = " AND ".join(f"c{i} = ?" for i in columns)
+        with self._batch() as conn:
+            flags, gone = self._effective(relation, rows, stored=True)
+            plain = [row for row in gone if None not in row]
+            conn.executemany(f"DELETE FROM {table} WHERE {where}", plain)
+            # None-bearing rows need IS NULL predicates; they are rare, so
+            # one statement per row keeps this simple.
+            for row in gone:
+                if None in row:
+                    term, params = self._null_safe_key(columns, row)
+                    conn.execute(f"DELETE FROM {table} WHERE {term}", params)
         return flags
 
     def load_rows(self, relation: str, rows: Sequence[Row]) -> int:
-        """Bulk load without per-row flags: ``INSERT OR IGNORE`` in
-        ``executemany`` chunks, counting applied rows via the connection's
-        change counter.  ``None``-bearing rows bypass the OR IGNORE fast
-        path -- the unique index treats NULLs as distinct, so it cannot
-        dedupe them -- and are deduped in Python instead."""
-        arity = self._require(relation)
-        conn = self._conn
+        """Bulk load without per-row flags: one ``INSERT OR IGNORE``
+        ``executemany``, counting applied rows via the connection's change
+        counter.  ``None``-bearing rows bypass the OR IGNORE fast path --
+        the unique index treats NULLs as distinct, so it cannot dedupe
+        them -- and are deduped in Python instead."""
+        marks = ", ".join("?" * self._require(relation))
         table = self._table(relation)
-        marks = ", ".join("?" * arity)
-        plain = [row for row in rows if None not in row]
-        nullish = [row for row in rows if None in row]
-        applied = 0
-        if plain:
-            sql = f"INSERT OR IGNORE INTO {table} VALUES ({marks})"
+        nullish = dict.fromkeys(row for row in rows if None in row)
+        with self._batch() as conn:
             before = conn.total_changes
-            for start in range(0, len(plain), _WRITE_CHUNK):
-                conn.executemany(sql, plain[start : start + _WRITE_CHUNK])
-            applied += conn.total_changes - before
-        if nullish:
-            present = self._present(relation, dict.fromkeys(nullish))
-            fresh: list[Row] = []
-            for row in nullish:
-                if row not in present:
-                    present.add(row)
-                    fresh.append(row)
-            if fresh:
+            conn.executemany(
+                f"INSERT OR IGNORE INTO {table} VALUES ({marks})",
+                [row for row in rows if None not in row] if nullish else rows,
+            )
+            if nullish:
+                present = self._present(relation, nullish)
                 conn.executemany(
-                    f"INSERT INTO {table} VALUES ({marks})", fresh
+                    f"INSERT INTO {table} VALUES ({marks})",
+                    [row for row in nullish if row not in present],
                 )
-                applied += len(fresh)
-        return applied
+            return conn.total_changes - before
 
     # -- internals -------------------------------------------------------
 
@@ -421,6 +410,18 @@ class SqliteBackend(StorageBackend):
                 terms.append(term)
                 params.extend(key_params)
             yield read.head + " OR ".join(terms) + read.tail, params
+
+    def _effective(
+        self, relation: str, rows: Sequence[Row], stored: bool
+    ) -> tuple[list[bool], list[Row]]:
+        """Which rows of a mutation batch take effect -- the first
+        occurrence of each row found ``stored`` (a delete) or not (an
+        insert): one flag per input row, and those rows in order."""
+        distinct = dict.fromkeys(rows)
+        present = self._present(relation, distinct)
+        effective = [row for row in distinct if (row in present) is stored]
+        pending = dict.fromkeys(effective, True)
+        return [pending.pop(row, False) for row in rows], effective
 
     def _present(self, relation: str, distinct: Collection[Row]) -> set[Row]:
         """The subset of ``distinct`` rows currently stored (one chunked

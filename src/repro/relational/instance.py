@@ -59,6 +59,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 from weakref import WeakSet
 
@@ -414,22 +415,13 @@ class Database:
         actually inserted.
 
         Row-at-a-time semantics are preserved across the batched backend
-        call: if validation or a strict check fails at row *k*, rows
-        ``0..k-1`` have been applied and logged.
+        call: if validation (wrong arity, an unhashable value) or a
+        strict check fails at row *k*, rows ``0..k-1`` have been applied
+        and logged.  If the backend itself raises it has applied nothing
+        (its write contract) and nothing is logged, so store and log
+        always agree.
         """
-        prepared = self._prepare("+", relation, rows)
-        if strict:
-            absent = self._backend.probe_rows(relation, prepared)
-            fresh: set[Row] = set()
-            for i, (row, present) in enumerate(zip(prepared, absent)):
-                if present or row in fresh:
-                    self._apply("+", relation, prepared[:i])
-                    raise UpdateError(
-                        f"insert of {row!r} into {relation!r}: tuple is "
-                        f"already present"
-                    )
-                fresh.add(row)
-        return self._apply("+", relation, prepared)
+        return self._mutate("+", relation, rows, strict)
 
     def delete_many(
         self, relation: str, rows: Iterable[Sequence[object]], *, strict: bool = False
@@ -442,19 +434,7 @@ class Database:
         the number of tuples actually deleted.  Row-at-a-time semantics
         are preserved exactly as in :meth:`insert_many`.
         """
-        prepared = self._prepare("-", relation, rows)
-        if strict:
-            present_before = self._backend.probe_rows(relation, prepared)
-            gone: set[Row] = set()
-            for i, (row, present) in enumerate(zip(prepared, present_before)):
-                if not present or row in gone:
-                    self._apply("-", relation, prepared[:i])
-                    raise UpdateError(
-                        f"delete of {row!r} from {relation!r}: tuple is "
-                        f"not present"
-                    )
-                gone.add(row)
-        return self._apply("-", relation, prepared)
+        return self._mutate("-", relation, rows, strict)
 
     def bulk_load(self, relation: str, rows: Iterable[Sequence[object]]) -> int:
         """Stream ``rows`` into ``relation`` *without* logging -- the
@@ -467,27 +447,42 @@ class Database:
         mutation was logged (compacted away since or not), an unlogged
         load would slip past outstanding incremental watermarks, so it
         raises :class:`UpdateError`.  Returns the number of tuples
-        actually inserted (set semantics).
+        actually inserted (set semantics).  A row that fails validation
+        (wrong arity, an unhashable value) raises with the full chunks
+        before it loaded and its own chunk not.
         """
-        rel = self.schema.relation(relation)
+        validate = self.schema.relation(relation).validate_tuple
         if self.change_log.watermark:
             raise UpdateError(
                 f"bulk_load into {relation!r}: the change log has recorded mutations; "
                 f"unlogged loads are only sound on a pristine database -- "
                 f"use insert_many for logged mutations"
             )
-        backend = self._backend
-        validate = rel.validate_tuple
+        prepared = (intern_row(validate(tuple(map(_plain, row)))) for row in rows)
         applied = 0
-        chunk: list[Row] = []
-        for row in rows:
-            chunk.append(intern_row(validate(tuple(map(_plain, row)))))
-            if len(chunk) >= _LOAD_CHUNK:
-                applied += backend.load_rows(relation, chunk)
-                chunk = []
-        if chunk:
-            applied += backend.load_rows(relation, chunk)
+        while chunk := list(islice(prepared, _LOAD_CHUNK)):
+            applied += self._backend.load_rows(relation, chunk)
         return applied
+
+    def _mutate(
+        self, op: str, relation: str, rows: Iterable[Sequence[object]], strict: bool
+    ) -> int:
+        """One logged batch of inserts (``"+"``) or deletes (``"-"``)."""
+        prepared = self._prepare(op, relation, rows)
+        if strict:
+            inserting = op == "+"
+            probed = self._backend.probe_rows(relation, prepared)
+            seen: set[Row] = set()
+            for i, (row, present) in enumerate(zip(prepared, probed)):
+                if present == inserting or row in seen:
+                    self._apply(op, relation, prepared[:i])
+                    raise UpdateError(
+                        f"insert of {row!r} into {relation!r}: tuple is already present"
+                        if inserting
+                        else f"delete of {row!r} from {relation!r}: tuple is not present"
+                    )
+                seen.add(row)
+        return self._apply(op, relation, prepared)
 
     def _prepare(self, op: str, relation: str, rows: Iterable[Sequence[object]]) -> list[Row]:
         """Validate, unwrap and intern a mutation batch.  If a row fails
@@ -509,10 +504,9 @@ class Database:
         effective change, preserving input order."""
         if not prepared:
             return 0
-        if op == "+":
-            flags = self._backend.insert_rows(relation, prepared)
-        else:
-            flags = self._backend.delete_rows(relation, prepared)
+        backend = self._backend
+        write = backend.insert_rows if op == "+" else backend.delete_rows
+        flags = write(relation, prepared)
         append = self.change_log.append
         applied = 0
         for row, flag in zip(prepared, flags):

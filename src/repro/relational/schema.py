@@ -76,13 +76,18 @@ class RelationSchema:
         return tuple(self.position(a) for a in attributes)
 
     def validate_tuple(self, row: Sequence[object]) -> tuple[object, ...]:
-        """Check the arity of ``row`` and return it as a plain tuple."""
+        """Check the arity of ``row`` and that its values are hashable
+        (every store indexes by value), and return it as a plain tuple."""
         row = tuple(row)
         if len(row) != self.arity:
             raise SchemaError(
                 f"tuple {row!r} has arity {len(row)}, "
                 f"but relation {self.name!r} has arity {self.arity}"
             )
+        try:
+            hash(row)
+        except TypeError as exc:
+            raise SchemaError(f"tuple {row!r} for relation {self.name!r}: {exc}") from None
         return row
 
     def __str__(self) -> str:
