@@ -1,7 +1,8 @@
 """The paper's primary contribution: access schemas, controllability,
-scale-independent plans (the planner in :mod:`repro.core.plans`, the
-batched physical-operator executor in :mod:`repro.core.executor`) and the
-QSI/QDSI deciders."""
+scale-independent plans (the planner in :mod:`repro.core.plans`) and the
+QSI/QDSI deciders, re-exported here.  The batched physical-operator
+executor's names live in :mod:`repro.core.executor` (and, the public ones,
+at the package root), where every caller imports them from."""
 
 from repro.core.access_schema import (
     AccessRule,
@@ -16,26 +17,6 @@ from repro.core.controllability import (
     controlling_sets,
     coverage,
     is_controlled,
-)
-from repro.core.columnar import (
-    PipelineCache,
-    PipelineCacheStats,
-    SlotTable,
-)
-from repro.core.executor import (
-    FetchOp,
-    FilterOp,
-    OperatorProfile,
-    Pipeline,
-    PlanProfile,
-    ProbeOp,
-    ProjectDedupOp,
-    build_pipeline,
-    execute_per_tuple,
-    execute_plan,
-    pipeline_cache_stats,
-    pipeline_for,
-    profile_plan,
 )
 from repro.core.plans import FetchStep, Plan, ProbeStep, StepCost, compile_plan
 from repro.core.qdsi import QDSIResult, decide_qdsi
@@ -57,22 +38,6 @@ __all__ = [
     "ProbeStep",
     "StepCost",
     "compile_plan",
-    "FetchOp",
-    "ProbeOp",
-    "FilterOp",
-    "ProjectDedupOp",
-    "OperatorProfile",
-    "PlanProfile",
-    "Pipeline",
-    "SlotTable",
-    "PipelineCache",
-    "PipelineCacheStats",
-    "build_pipeline",
-    "pipeline_for",
-    "pipeline_cache_stats",
-    "execute_plan",
-    "execute_per_tuple",
-    "profile_plan",
     "QDSIResult",
     "decide_qdsi",
     "QSIResult",

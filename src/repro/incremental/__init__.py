@@ -42,9 +42,10 @@ change-slice size and the access-rule bounds, never of the database size.
 Obtain results through the facade: ``engine.execute_incremental(q, p=1)``
 or ``prepared.execute_incremental(p=1)``, then ``result.refresh()`` after
 mutations.  A refresh that observes a new access-schema (or view
-population) version transparently *rebases* -- recompiles through the
-version-keyed plan cache and recomputes from scratch -- rather than
-mixing plans across versions.
+population) version, or another ``Database`` on the engine (a reopened
+store: the log is the facade's, so it starts afresh), *rebases* --
+recompiles through the version-keyed plan cache and recomputes -- rather
+than mixing plans across versions or slicing a log it never read.
 
 Limitations, by design: plans fetching through an *embedded* access rule
 are rejected with :class:`~repro.errors.IncrementalError` (their
@@ -95,6 +96,7 @@ class IncrementalResult:
         "_programs",
         "_seeds",
         "_view_names",
+        "_db",
         "_access_version",
         "_views_version",
         "_counts",
@@ -168,20 +170,21 @@ class IncrementalResult:
         recorded in :attr:`profiles` (rendered by
         :meth:`explain_analyze`); the default refresh skips that
         bookkeeping -- it is the hot path.  If the engine's access schema
-        was replaced since the last pass, the compiled plans are stale:
-        the result *rebases* (full recompute through the version-keyed
-        plan cache) instead -- check :attr:`last_mode` (``"delta"`` vs
-        ``"rebase"``) to see which path ran.
+        or ``Database`` was replaced since the last pass, plans or
+        watermark are stale: the result *rebases* (full recompute through
+        the version-keyed plan cache) instead -- check :attr:`last_mode`
+        (``"delta"`` vs ``"rebase"``) to see which path ran.
         """
         engine = self._engine
+        db = engine.require_database()
         if (
-            engine._access_state[0] != self._access_version
+            db is not self._db
+            or engine._access_state[0] != self._access_version
             or engine.views.version != self._views_version
         ):
-            # The access schema or the view population changed under us:
-            # the compiled plans are stale, so rebase onto fresh ones.
+            # Another Database (its log never issued our watermark), or the
+            # access schema or views changed and the plans are stale: rebase.
             return self._materialize("rebase")
-        db = engine.require_database()
         slice = db.change_log.slice_since(self.watermark)
         # View-assisted plans: bring the views up to date first, then ride
         # their answer changes in the slice under the view names -- the
@@ -244,7 +247,7 @@ class IncrementalResult:
 
     def _materialize(self, mode: str) -> "IncrementalResult":
         """Full counting execution: the initial pass, also the rebase path
-        when the access schema changed under us."""
+        when the access schema, the views or the database changed under us."""
         engine = self._engine
         db = engine.require_database()
         version, _ = engine._access_state
@@ -284,6 +287,7 @@ class IncrementalResult:
         self._programs = programs
         self._seeds = seeds
         self._view_names = tuple(sorted(names))
+        self._db = db
         self._access_version = version
         self._views_version = views_version
         self._counts = counts

@@ -3,23 +3,19 @@
 Every operator the executor compiles reads and writes through a handful
 of bulk methods -- key-batched lookups, row-batched membership probes,
 full scans, batched inserts and deletes.  :class:`StorageBackend` is that
-surface extracted into an interface, so the same compiled plans run
-against an in-memory dict-index store (:class:`~repro.relational.backends.memory.MemoryBackend`,
-the default), an out-of-core SQLite store
-(:class:`~repro.relational.backends.sqlite.SqliteBackend`) or a
-hash-sharded composite
-(:class:`~repro.relational.backends.sharded.ShardedBackend`) without
+surface as an interface, so the same compiled plans run on any of its
+implementations (:mod:`repro.relational.backends` lists them) without
 recompilation: the :class:`~repro.relational.instance.Database` facade
 binds the backend's bulk methods directly, so executor closures calling
-``db.lookup_keys(...)`` dispatch straight into the backend with no
-intermediate frame.
+``db.lookup_keys(...)`` dispatch into the backend with no frame between.
 
 The contract, in full:
 
 **Lifecycle.**  A backend instance serves exactly one database.
 :meth:`StorageBackend.attach` binds it to a schema and the database's
 cumulative :class:`~repro.relational.instance.AccessStats`; attaching a
-second time raises.
+second time raises.  :meth:`StorageBackend.close` releases what a store
+holds outside the process (a file and its lock; a composite's children).
 
 **Values.**  The facade validates rows against the schema, unwraps
 :class:`~repro.logic.terms.Constant` and interns strings *before* any
@@ -57,9 +53,9 @@ backend that misreports effectiveness corrupts incremental execution --
 the conformance suite (``tests/test_backends.py``) checks this.  On
 failure likewise: a write primitive **applies the batch and returns its
 flags, or raises having applied nothing** -- a half-applied batch is rows
-the log never heard of, which no refresh repairs.  (The facade rejects
-what a store cannot index -- unhashable values -- before any call; SQLite
-rolls back; a composite guarantees this per child, not across children.)
+the log never heard of, which no refresh repairs (the facade rejects
+unhashable values before any call; SQLite rolls back; a composite
+guarantees this per child, not across children).
 """
 
 from __future__ import annotations
@@ -114,6 +110,10 @@ class StorageBackend(ABC):
             )
         self._schema = schema
         self._cum = stats
+
+    def close(self) -> None:
+        """Release what the store holds outside the process (idempotent);
+        by default nothing -- memory goes with its last reference."""
 
     @property
     def schema(self) -> "DatabaseSchema":

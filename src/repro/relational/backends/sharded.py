@@ -109,6 +109,11 @@ class ShardedBackend(StorageBackend):
             self._children.append(child)
             self._child_stats.append(scratch)
 
+    def close(self) -> None:
+        """Close every child (idempotent, like each child's ``close``)."""
+        for child in self._children:
+            child.close()
+
     def shard_stats(self) -> tuple["AccessStats", ...]:
         """Each child's private scratch stats, in shard order -- routing
         balance is visible here, not in the database's cumulative stats."""

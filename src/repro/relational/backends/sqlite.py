@@ -2,58 +2,55 @@
 
 One table per relation (columns ``c0..cN``, a unique index over all
 columns for set semantics), plus a lazily created **covering index** per
-accessed position set -- key columns first, the remaining columns
-appended, so every bulk lookup is answered from the index alone.  Bulk
-calls stay one round trip each: a batch of distinct keys resolves
-through a single chunked ``IN``-list (an OR-of-ANDs disjunction for
-composite keys -- SQLite answers it with MULTI-INDEX OR searches,
-where the prettier row-value ``IN (VALUES ...)`` form falls back to a
-full table scan), and mutation batches go through ``executemany``.
+accessed position set -- key columns first, the rest appended, so every
+bulk lookup is answered from the index alone.  Bulk calls stay one round
+trip each: a batch of distinct keys resolves through one chunked
+``IN``-list (an OR-of-ANDs for composite keys -- SQLite answers it with
+MULTI-INDEX OR searches, where the row-value ``IN (VALUES ...)`` form
+falls back to a table scan); mutation batches go through ``executemany``.
 
 A call pays for its key values only.  What they do not change --
 validation, the covering index, how a fetched row maps back to its key --
 is resolved on first sight of ``(relation, positions)`` and memoised (an
 invalid read raises every time and never enters the memo); under each
-resolved read sits the statement text per key count, which chunking
-bounds at ``_MAX_VARIABLES`` texts, and the connection keeps
-``_CACHED_STATEMENTS`` statements compiled so that population is parsed
-once as well.  A one-key batch -- most of what the executor sends -- runs
-its statement and charges inline, with no regrouping.
+resolved read sits the statement text per key count (chunking bounds them
+at ``_MAX_VARIABLES``), and the connection keeps ``_CACHED_STATEMENTS``
+statements compiled.  A one-key batch -- most of what the executor sends
+-- runs its statement and charges inline, with no regrouping.
 
-Accounting is exactly the memory backend's: each distinct key in a batch
-is charged one indexed lookup plus the tuples its group holds (a
-mis-sized key or row is an absent one: one lookup, nothing found), so the
-scale-independence numbers (tuples accessed vs the fanout bound) are
-directly comparable across backends.  Returned rows are **owned** --
-built fresh from the query result and interned -- never aliases of
-internal storage (:attr:`~StorageBackend.returns_live_groups` stays
-False).
+Accounting is the waist's contract, exactly as the memory backend keeps
+it (a mis-sized key or row is an absent one: one lookup, nothing found),
+so tuples accessed vs the fanout bound compare across backends.  Returned
+rows are **owned** -- built from the query result and interned, never
+aliases of storage (:attr:`~StorageBackend.returns_live_groups` is False).
 
-File lifecycle: pass ``path`` to put the store on disk (the file is
-created on attach and left in place -- callers own deletion; pass the
-same path to a *new* backend to reopen existing tables), or no path for
-a private in-memory SQLite database.  ``close()`` releases the
-connection; every primitive called afterwards (or before ``attach``)
-raises :class:`~repro.errors.SchemaError` naming the path.
+File lifecycle: pass ``path`` to put the store on disk (created on attach,
+left in place -- callers own deletion), or nothing for a private
+in-memory SQLite database.  An open file has **one owner**: ``attach``
+takes it (``locking_mode=EXCLUSIVE``, the lock acquired there) and holds
+it until ``close()``.  Change log, pins and maintained results live in the
+owner's process, so a second writer would leave them silently stale;
+owning the file says so and spares every read a shared file's lock /
+change-counter / unlock system calls.  Until ``close()`` no other
+connection can read or write the file (``sqlite3`` / CLI inspection needs
+the store closed) and a second backend on the path raises
+:class:`~repro.errors.SchemaError` at once; afterwards a *new* backend on
+the path reopens the tables -- shard-per-process fits: each process owns
+its shard's file -- and every primitive on the closed one (or before
+``attach``) raises ``SchemaError`` naming the path.
 
 Writes: ``load_rows``, ``insert_rows`` and ``delete_rows`` each run as
 **one transaction** (:meth:`SqliteBackend._batch`, the only way a write
-statement reaches the connection) around their presence probe and every
-statement they issue: pages are written once, at ``COMMIT``, and probe
-and write see one snapshot.  A call that raises rolls back -- the store
-holds what it held before and the batch can be retried.  Reads stay
-autocommit.  A second concurrent writer (mutations are single-writer)
-fails loudly with SQLite's "cannot start a transaction within a
-transaction" instead of interleaving rows.  Durability pragmas are
-relaxed (``journal_mode=MEMORY``: the rollback journal never touches the
-disk; ``synchronous=OFF``): a query-engine store, not a system of
-record -- reopening a path finds what the *committed* batches wrote.
+statement reaches the connection) around their probe and statements; a
+call that raises rolls back, and a second concurrent writer fails loudly
+at its own ``BEGIN``.  Reads stay autocommit.  Durability is relaxed
+(``journal_mode=MEMORY``, ``synchronous=OFF``): a query-engine store, not
+a system of record -- a reopened path holds the *committed* batches.
 
 ``None`` is a first-class value: SQL ``NULL`` neither matches ``=`` nor
-deduplicates under a UNIQUE index, so every read/write path routes
-``None``-bearing keys and rows through explicit ``IS NULL`` predicates
-(and Python-side dedup on load), keeping all backends row-for-row
-interchangeable.
+deduplicates under a UNIQUE index, so every path routes ``None``-bearing
+keys and rows through explicit ``IS NULL`` predicates (and Python-side
+dedup on load), keeping all backends row-for-row interchangeable.
 
 Limitations: values must be SQLite-native (int, float, str, bytes or
 ``None``), and relation names that differ only by case would collide
@@ -136,17 +133,31 @@ class SqliteBackend(StorageBackend):
 
     def attach(self, schema: "DatabaseSchema", stats: "AccessStats") -> None:
         super().attach(schema, stats)
-        # isolation_level=None: the driver opens no transaction of its own.
-        # Reads are autocommit; writes run inside _batch's explicit one, so
-        # "reopen by path" sees every committed batch.  check_same_thread=
-        # False matches the database's concurrency contract (reads may be
-        # cross-thread, mutations are single-writer).
+        # isolation_level=None: the driver opens no transaction of its own
+        # (reads are autocommit, writes run inside _batch's explicit one).
+        # check_same_thread=False: reads may be cross-thread, mutations are
+        # single-writer.  timeout=0: with one owner, nobody to wait for.
         conn = sqlite3.connect(
             self.path if self.path is not None else ":memory:",
+            timeout=0,
             isolation_level=None,
             check_same_thread=False,
             cached_statements=_CACHED_STATEMENTS,
         )
+        # One owner until close(): in exclusive locking mode COMMIT keeps
+        # the lock BEGIN EXCLUSIVE takes, so no read pays a shared file's
+        # lock / change-counter / unlock system calls.
+        conn.execute("PRAGMA locking_mode=EXCLUSIVE")
+        try:
+            conn.execute("BEGIN EXCLUSIVE")
+        except sqlite3.Error as exc:
+            conn.close()
+            if "locked" not in str(exc):
+                raise
+            raise SchemaError(
+                f"{self!r} is open in another backend or process; close it there first"
+            ) from exc
+        conn.execute("COMMIT")
         # Interned where the driver builds it: fetched rows need no pass
         # of their own (repro.relational.interning says why strings are).
         conn.text_factory = lambda raw: _intern(raw.decode())
@@ -167,9 +178,8 @@ class SqliteBackend(StorageBackend):
             )
 
     def close(self) -> None:
-        """Release the connection (idempotent).  A file-backed store stays
-        on disk; reopen it by constructing a new backend with the same
-        path."""
+        """Release the connection and with it the file (idempotent); the
+        file stays on disk for a new backend on the same path."""
         if self._handle is not None:
             self._handle.close()
             self._handle = None
