@@ -5,7 +5,7 @@ and turns each step of the scale-independence pipeline -- parse, check
 controllability, compile a bounded plan, execute with access accounting --
 into a method call on a :class:`PreparedQuery`.  Compiled plans are
 memoized in an LRU :class:`~repro.api.cache.PlanCache` keyed by
-``(canonical query, parameter set)``: one entry per query shape.
+``(shape key, parameter set)``: one entry per query shape.
 
 This is the documented front door; the constructors and free functions in
 :mod:`repro.logic`, :mod:`repro.relational` and :mod:`repro.core` remain

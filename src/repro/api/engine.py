@@ -19,22 +19,27 @@ compilation, bounded execution) as a method call::
 
 A request passes two LRU caches in order (:mod:`repro.api.cache`), both
 bounded by ``plan_cache_size``.  The *source memo* maps a query text or
-query object to its :class:`PreparedQuery`, so ``engine.query(q)`` parses,
-schema-validates and (per parameter set) canonicalises a source once and
-may hand back the same ``PreparedQuery`` afterwards; a source that fails
-is never stored.  The *plan cache* maps ``(access version, view-registry
-version, cost-stats version, canonical query, parameter set)`` to compiled
-plans.  The canonical query (:mod:`repro.logic.canonical`) forgets the
-names of non-parameter variables and the order of body atoms, so every
-writing of one query *shape* compiles once and executes one shared plan;
-the defined consequence is that ties between equally selective fetches
-break by canonical atom order, not written order (``R(p,y), S(p,y)`` and
-``S(p,y), R(p,y)`` get the same plan).  Only the plan cache is ever
-invalidated: the schema is immutable, so a source means the same query
-forever, and a ``PreparedQuery`` resolves its plans through the versioned
-key at call time -- replacing the access schema, registering or dropping a
-view and refreshing cost statistics strand stale *plans* however the query
-was obtained.  ``clear_plan_cache()`` likewise leaves the memo alone.
+query object to its :class:`PreparedQuery`, so ``engine.query(q)`` parses
+and schema-validates a source once and may hand back the same
+``PreparedQuery`` afterwards; a source that fails is never stored.  The
+*plan cache* maps ``(access version, view-registry version, cost-stats
+version, shape key, parameter set)`` to what an execution needs.  The
+shape key (:func:`repro.logic.canonical.canonical_key`) is the query's
+canonical form -- non-parameter variables numbered by first occurrence,
+body atoms sorted -- flattened to strings, ints and types: every writing
+of one query *shape* compiles once and executes one shared plan, and a
+text never seen before costs a scan, a walk of its terms and a C-speed
+probe.  The canonical query itself is built only by a compile and by
+``plan()`` / ``explain()`` / ``diagnostics()``, which rename the shared plan
+back.  The defined consequence is that ties between equally selective
+fetches break by canonical atom order, not written order (``R(p,y),
+S(p,y)`` and ``S(p,y), R(p,y)`` get the same plan).  Only the plan cache
+is ever invalidated: the schema is immutable, so a source means the same
+query forever, and a ``PreparedQuery`` resolves its plans through the
+versioned key at call time -- replacing the access schema (every plan
+embeds the rules it fetches through), registering or dropping a view and
+refreshing cost statistics strand stale *plans* however the query was
+obtained.  ``clear_plan_cache()`` likewise leaves the memo alone.
 
 Every execution runs in its own
 :class:`~repro.core.executor.ExecutionContext`: the ``ResultSet.stats``
@@ -84,7 +89,7 @@ from repro.core.qdsi import QDSIResult, decide_qdsi
 from repro.core.qsi import QSIResult, decide_qsi
 from repro.errors import NotControlledError, SchemaError
 from repro.logic.ast import _as_variable
-from repro.logic.canonical import WayBack, canonical_form
+from repro.logic.canonical import Query, ShapeKey, canonical_form, canonical_key
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_query
 from repro.logic.terms import Variable
@@ -98,7 +103,6 @@ if TYPE_CHECKING:
     from repro.incremental import IncrementalResult
 
 Row = tuple[object, ...]
-Query = ConjunctiveQuery | UnionOfConjunctiveQueries
 
 
 class ResultSet:
@@ -217,15 +221,14 @@ class ExplainAnalyze:
 
 class _Compiled:
     """A plan-cache entry: what executing one query shape needs, built
-    once inside the single-flight compute.  ``key`` is the canonical query
-    it is filed under (a prober with an equal key adopts this object and
-    is compared by identity from then on), ``plans`` one plan per
-    disjunct, ``pipes`` their lowered pipelines, ``view_names`` the views
-    they read and ``fanout_bound`` their summed a-priori access bound."""
+    once inside the single-flight compute.  ``key`` is the shape key it is
+    filed under (a prober with an equal one adopts it: identity from then
+    on), ``plans`` one plan per disjunct, ``pipes`` their lowered pipelines,
+    ``view_names`` the views they read, ``fanout_bound`` their summed bound."""
 
     __slots__ = ("key", "plans", "pipes", "view_names", "fanout_bound")
 
-    def __init__(self, key: Query, plans: tuple[Plan, ...]):
+    def __init__(self, key: ShapeKey, plans: tuple[Plan, ...]):
         self.key, self.plans = key, plans
         self.pipes = tuple([pipeline_for(plan) for plan in plans])
         self.view_names = frozenset().union(*[plan.view_relations for plan in plans])
@@ -239,26 +242,24 @@ def _union(answers: list[Sequence[Row]]) -> Iterable[Row]:
 
 
 class _Shape:
-    """What a :class:`PreparedQuery` remembers per parameter-name set: its
-    canonical query (``key``; swapped for the plan cache's own equal object
-    on the first hit, so later probes compare by identity), the way ``back``
-    to its own variables and atoms, and ``named``: the last shared plans it
-    put into those names, paired with the result."""
+    """What a :class:`PreparedQuery` remembers per parameter-name set that
+    compiled: its shape ``key`` (swapped for the plan cache's own equal
+    object on the first hit, so later probes compare by identity) and
+    ``named``: the last shared plans it put into its own names, paired
+    with the result."""
 
-    __slots__ = ("key", "back", "named")
+    __slots__ = ("key", "named")
 
-    def __init__(self, key: Query, back: tuple[WayBack, ...]):
-        self.key, self.back, self.named = key, back, (None, ())
+    def __init__(self, key: ShapeKey):
+        self.key, self.named = key, (None, ())
 
 
 class PreparedQuery:
     """A parsed, schema-validated query bound to an :class:`Engine`.
 
     All plan-producing methods go through the engine's plan cache, which
-    holds one entry per query *shape* (:mod:`repro.logic.canonical`):
-    queries that differ only in the names of their non-parameter variables
-    and the order of their body atoms execute the same plans;
-    :meth:`plan`, :meth:`explain` and :meth:`diagnostics` show them in this
+    holds one entry per query *shape* (module docstring); :meth:`plan`,
+    :meth:`explain` and :meth:`diagnostics` show the shared plans in this
     query's own variables and atoms.  The parameter argument is an
     iterable of variable names (``"p"`` or ``"?p"``) or
     :class:`~repro.logic.terms.Variable` objects.
@@ -346,15 +347,14 @@ class PreparedQuery:
         plans = self._named(params, self._engine._compiled_for(self, params).plans)
         return plans[0] if isinstance(self.query, ConjunctiveQuery) else plans
 
-    def _named(
-        self, parameters: frozenset[Variable], shared: tuple[Plan, ...]
-    ) -> tuple[Plan, ...]:
+    def _named(self, parameters: frozenset[Variable], shared: tuple[Plan, ...]) -> tuple[Plan, ...]:
         """``shared`` (this query's plans from ``Engine._compiled_for``) in
         this query's own names -- renamed once per shared tuple."""
         shape = self._shapes[parameters]
         source, named = shape.named
         if source is not shared:
-            ways = zip(shared, disjuncts_of(self.query), shape.back)
+            _, ways_back = canonical_form(self.query, parameters)
+            ways = zip(shared, disjuncts_of(self.query), ways_back)
             named = tuple([plan.renamed(own, *back) for plan, own, back in ways])
             shape.named = (shared, named)
         return named
@@ -652,16 +652,13 @@ class Engine:
         :class:`PreparedQuery` bound to this engine.
 
         Text and query objects alike go through the engine's memo: each
-        distinct source is parsed or validated -- and later canonicalised
-        -- once (single-flight under concurrency) and later calls may
-        return the same :class:`PreparedQuery` object; a source that
-        raises is not remembered, so it raises identically every time."""
+        distinct source is parsed or validated once (single-flight under
+        concurrency) and later calls may return the same object; a source
+        that raises is not remembered, so it raises identically every time."""
         if isinstance(query, str):
             return self._texts.get_or_compute(
                 query,
-                lambda: PreparedQuery(
-                    self, parse_query(query, schema=self._schema), query
-                ),
+                lambda: PreparedQuery(self, parse_query(query, schema=self._schema), query),
             )
         if not isinstance(query, (ConjunctiveQuery, UnionOfConjunctiveQueries)):
             raise TypeError(
@@ -771,11 +768,10 @@ class Engine:
         queries do not depend on anything that can change."""
         self._cache.invalidate()
 
-    def _plan_key(self, canonical: Query, parameters: frozenset[Variable]):
-        """The plan-cache key of a canonical query under the engine's
-        current state, and the state itself ``(access schema, view
-        catalog, cost statistics)``, each read together with its version.
-        """
+    def _plan_key(self, shape_key: ShapeKey, parameters: frozenset[Variable]):
+        """The plan-cache key of a query shape under the engine's current
+        state, and the state itself ``(access schema, view catalog, cost
+        statistics)``, each read together with its version."""
         # Each component and its version come from one atomic read, and
         # the versions ride in the key: a compile racing ``engine.access =
         # ...``, a view register/drop or a statistics refresh can only
@@ -785,39 +781,38 @@ class Engine:
         version, access = self._access_state
         catalog = self._views.snapshot()
         cost_version, cost_stats = self._cost_state
-        key = (version, catalog.version, cost_version, canonical, parameters)
+        key = (version, catalog.version, cost_version, shape_key, parameters)
         return key, (access, catalog, cost_stats)
 
-    def _compiled_for(
-        self, prepared: PreparedQuery, parameters: frozenset[Variable]
-    ) -> _Compiled:
+    def _compiled_for(self, prepared: PreparedQuery, parameters: frozenset[Variable]) -> _Compiled:
         """What executes ``prepared`` under ``parameters``: the plan-cache
-        entry of its canonical query, shared with every renaming and atom
-        reordering of it (``PreparedQuery._named`` leads back) -- the one
-        probe an execution makes."""
+        entry of its shape, shared with every renaming and atom reordering
+        of it (``PreparedQuery._named`` leads back) -- the one probe an
+        execution makes."""
         shape = prepared._shapes.get(parameters)
-        if shape is None:  # canonicalised once per query and parameter set
-            shape = _Shape(*canonical_form(prepared.query, parameters))
-            prepared._shapes[parameters] = shape
-        canonical = shape.key
-        key, state = self._plan_key(canonical, parameters)
-        try:
-            # Single-flight: N concurrent cold starts of one shape run the
-            # controllability fixpoint (and the lowering) once; the others
-            # wait and share.
-            compiled = self._cache.get_or_compute(
-                key,
-                lambda: _Compiled(canonical, self._compile(canonical, parameters, *state)),
-            )
+        remembered = shape is not None
+        if not remembered:  # ... and not yet: a parameter set that fails never is
+            shape = _Shape(canonical_key(prepared.query, parameters))
+        shape_key = shape.key
+        key, state = self._plan_key(shape_key, parameters)
+
+        def compile_shape() -> _Compiled:
+            canonical, _ = canonical_form(prepared.query, parameters)
+            return _Compiled(shape_key, self._compile(canonical, parameters, *state))
+
+        try:  # single-flight: N concurrent cold starts of one shape compile once
+            compiled = self._cache.get_or_compute(key, compile_shape)
         except NotControlledError:
-            # Failures are never cached, so say it in the caller's words:
-            # the same compile of the query as written fails the same way.
-            pass
+            pass  # never cached: the query as written fails the same way, in its own words
         else:
-            if compiled.key is not canonical:
+            if compiled.key is not shape_key:
                 shape.key = compiled.key  # an equal key's entry: probe by identity next
+            if not remembered:
+                prepared._shapes[parameters] = shape
             return compiled
-        return _Compiled(prepared.query, self._compile(prepared.query, parameters, *state))
+        compiled = _Compiled(shape_key, self._compile(prepared.query, parameters, *state))
+        prepared._shapes[parameters] = shape
+        return compiled
 
     def _compile(
         self, query: Query, parameters: frozenset[Variable], access, catalog, cost_stats

@@ -54,7 +54,6 @@ from repro.logic.parser import (
     STAR,
     Token,
     TokenStream,
-    tokenize,
 )
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
@@ -262,7 +261,7 @@ def parse_access_schema(schema: DatabaseSchema | str, text: str) -> AccessSchema
     """
     if isinstance(schema, str):
         schema = DatabaseSchema.parse(schema)
-    stream = TokenStream(tokenize(text))
+    stream = TokenStream(text)
     braced = stream.at(LBRACE)
     if braced:
         stream.take()
@@ -274,9 +273,7 @@ def parse_access_schema(schema: DatabaseSchema | str, text: str) -> AccessSchema
     if braced:
         stream.expect(RBRACE)
         if not stream.at_end():
-            raise stream.error(
-                f"expected end of input after '}}', got {stream.peek().describe()}"
-            )
+            raise stream.unexpected("expected end of input after '}'", stream.pos)
     return AccessSchema(schema, rules)
 
 

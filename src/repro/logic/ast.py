@@ -160,15 +160,15 @@ class Atom(Formula):
         self.span = span
 
     @classmethod
-    def _trusted(cls, relation: str, terms: tuple[Term, ...]) -> "Atom":
-        """An atom over a ready tuple of terms (another atom's, renamed):
-        skips ``__init__``'s coercion."""
+    def _trusted(cls, relation: str, terms: tuple[Term, ...], span: Span | None = None) -> "Atom":
+        """An atom over a ready tuple of terms (another atom's, renamed, or
+        the parser's): skips ``__init__``'s coercion."""
         self = object.__new__(cls)
-        self.relation, self.terms, self.span = relation, terms, None
+        self.relation, self.terms, self.span = relation, terms, span
         return self
 
-    # Atoms sit inside every plan-cache key: compare the two fields
-    # directly and hash once (an atom is immutable after construction).
+    # Atoms sit inside every query that keys the source memo: compare the
+    # two fields directly and hash once (an atom is immutable once built).
     def __eq__(self, other: object) -> bool:
         return (
             type(other) is Atom

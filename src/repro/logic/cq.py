@@ -86,18 +86,14 @@ class ConjunctiveQuery:
         # Safety: every head variable's equality class must contain a
         # constant or a variable that occurs in some body atom -- a head
         # variable grounded only by other equalities has no binding source.
-        subst = resolve_equalities(self.equalities)
+        subst = resolve_equalities(self.equalities) if self.equalities else {}
         if subst is not None:  # unsatisfiable queries are vacuously safe
-            body_vars = set(
-                chain.from_iterable(
-                    a.substitute(subst).free_variables() for a in self.body
-                )
-            )
+            walk = subst.get
+            bound = {walk(t, t) for a in self.body for t in a.terms if isinstance(t, Variable)}
             unsafe = [
                 v
                 for v in self.head
-                if not isinstance(subst.get(v, v), Constant)
-                and subst.get(v, v) not in body_vars
+                if not isinstance(walk(v, v), Constant) and walk(v, v) not in bound
             ]
             if unsafe:
                 raise ValueError(
@@ -121,10 +117,9 @@ class ConjunctiveQuery:
         )
 
     def __hash__(self) -> int:
-        # Queries key plan caches, so a hot parameterized workload hashes
-        # the same query on every execute: compute the (deep, atom-by-atom)
-        # hash once and reuse it.  The instance is immutable after
-        # __init__, so the cached value can never go stale.
+        # Query objects key the engine's source memo, which a held query
+        # probes on every execute: compute the (deep, atom-by-atom) hash
+        # once.  The instance is immutable, so it can never go stale.
         try:
             return self._hash
         except AttributeError:

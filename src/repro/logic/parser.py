@@ -1,8 +1,8 @@
 """Datalog-style concrete syntax for the paper's queries.
 
-This module is the textual front door to :mod:`repro.logic`: a one-pass
-regex tokenizer and a recursive-descent parser for conjunctive queries and
-unions thereof, in the rule syntax used throughout the literature::
+This module is the textual front door to :mod:`repro.logic`: one regex scan
+and a recursive-descent parser for conjunctive queries and unions thereof,
+in the rule syntax used throughout the literature::
 
     Q(x, y) :- Person(x, 'NYC'), Friend(x, y)
     Q(x) :- Employee(x, _) ; Q(x) :- Contractor(x)
@@ -39,16 +39,19 @@ of :class:`~repro.logic.terms.Constant` accepts.  (A NaN constant built
 elsewhere does not equal it, so the round trip above does not extend to
 it.)
 
-The token stream (:func:`tokenize` / :class:`TokenStream`) is shared with
-the schema DSL of :meth:`repro.relational.schema.DatabaseSchema.parse` and
-the access-schema DSL of :meth:`repro.core.access_schema.AccessSchema.parse`.
+A text is scanned once into parallel lists -- kind, text, offset, value --
+and one cursor type (:class:`TokenStream`) walks them: for this grammar,
+which indexes the lists, and for the schema and access DSLs
+(:meth:`~repro.relational.schema.DatabaseSchema.parse`,
+:meth:`~repro.core.access_schema.AccessSchema.parse`), which ask it for
+:class:`Token` objects -- made on demand, also by error paths and
+:func:`tokenize`: a well-formed query costs its lexemes, not an object each.
 """
 
 from __future__ import annotations
 
 import ast as _pyast
 import re
-from typing import Iterable
 
 from repro.errors import ParseError
 from repro.logic.ast import Atom, Equality, Span
@@ -110,10 +113,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-# Keyword constants, rendered by ``repr`` and so by ``Constant.__str__``.
-# One shared NaN object: Constant equality is identity-or-equality, so a
-# NaN must be the *same* float for two parses -- or the two spellings
-# 'nan' and '-nan' -- to compare equal.
+# Keyword constants, rendered by ``repr`` and so by ``Constant.__str__``;
+# one NaN object shared by both spellings and every parse (module docstring).
 _KEYWORD_CONSTANTS = {
     "True": True,
     "False": False,
@@ -131,12 +132,8 @@ def _position(source: str, offset: int) -> tuple[int, int]:
 
 
 class Token:
-    """One lexeme: its kind, source text, offset and (for literals) value.
-
-    Tokens carry only their 0-based ``offset`` into the source; the 1-based
-    ``line``/``column`` are derived from it on demand (error paths and
-    spans), never during the scan.
-    """
+    """One lexeme: its kind, source text, 0-based offset and (for literals)
+    value; the 1-based ``line``/``column`` are derived when asked for."""
 
     __slots__ = ("kind", "text", "offset", "value", "_source")
 
@@ -163,123 +160,136 @@ class Token:
         return f"'{self.text}'"
 
 
-def _span(start: Token, end: Token) -> Span:
-    """The source range from ``start``'s first character to ``end``'s last
-    (for a multi-line string literal, its closing quote)."""
-    source = start._source
-    last = end.offset + max(len(end.text), 1) - 1
-    return Span(*_position(source, start.offset), *_position(source, last))
+class TokenStream:
+    """A cursor over one scan of ``source``: the kind, source text, offset
+    and value of every lexeme as four parallel lists, each ending with the
+    END entry, and a position ``pos`` that never moves past it.  Scanning
+    raises :class:`ParseError` on characters outside the language and on
+    unterminated string literals; :meth:`token` makes a :class:`Token`."""
+
+    __slots__ = ("source", "kinds", "texts", "offsets", "values", "pos")
+
+    def __init__(self, source: str):
+        kinds, texts, offsets, values = [], [], [], []
+        self.source, self.pos = source, 0
+        self.kinds, self.texts, self.offsets, self.values = kinds, texts, offsets, values
+        for m in _TOKEN_RE.finditer(source):
+            group = m.lastgroup
+            if group is None:  # whitespace or a comment
+                continue
+            lexeme = m.group()
+            value = None
+            if group == "punct":
+                kind = _PUNCT[lexeme]
+            elif group == "ident":
+                kind = IDENT
+            elif group == "variable":
+                kind = VARIABLE
+            elif group == "plain":
+                kind, value = STRING, lexeme[1:-1]
+            elif group == "int":
+                kind, value = NUMBER, int(lexeme)
+            elif group == "float":
+                kind, value = NUMBER, float(lexeme)
+            elif group == "nonfinite":
+                kind, value = NUMBER, _NEGATIVE_NONFINITE[lexeme]
+            elif group == "string":
+                kind = STRING
+                try:
+                    value = _pyast.literal_eval(lexeme)
+                except (ValueError, SyntaxError):
+                    raise ParseError(
+                        f"malformed string literal {lexeme}", *_position(source, m.start())
+                    ) from None
+            else:  # 'bad': one character that starts no lexeme
+                if lexeme == "?":
+                    message = "expected a variable name after '?'"
+                elif lexeme in "'\"":
+                    message = "unterminated string literal"
+                else:
+                    message = f"unexpected character {lexeme!r}"
+                raise ParseError(message, *_position(source, m.start()))
+            kinds.append(kind)
+            texts.append(lexeme)
+            offsets.append(m.start())
+            values.append(value)
+        kinds.append(END)
+        texts.append("")
+        offsets.append(len(source))
+        values.append(None)
+
+    def token(self, index: int) -> Token:
+        text, value = self.texts[index], self.values[index]
+        return Token(self.kinds[index], text, self.offsets[index], self.source, value)
+
+    def at(self, kind: str) -> bool:
+        return self.kinds[self.pos] == kind
+
+    def at_end(self) -> bool:
+        return self.kinds[self.pos] is END
+
+    def take(self) -> Token:
+        return self.token(self.skip(self.kinds[self.pos]))  # whatever is there
+
+    def skip(self, kind: str, what: str | None = None) -> int:
+        """Move past a token of ``kind`` and return its index (``take`` and
+        ``expect`` return the token itself)."""
+        index = self.pos
+        if self.kinds[index] != kind:
+            if what is None:
+                what = kind if kind in (IDENT, VARIABLE, STRING, NUMBER, END) else f"'{kind}'"
+            raise self.unexpected(f"expected {what}", index)
+        if kind is not END:
+            self.pos = index + 1
+        return index
+
+    def expect(self, kind: str, what: str | None = None) -> Token:
+        return self.token(self.skip(kind, what))
+
+    def error(self, message: str, token: Token | None = None) -> ParseError:
+        token = token or self.token(self.pos)
+        return ParseError(message, token.line, token.column)
+
+    def unexpected(self, message: str, index: int) -> ParseError:
+        """``message``, then what token ``index`` is instead, positioned there."""
+        token = self.token(index)
+        return self.error(f"{message}, got {token.describe()}", token)
+
+    def span(self, first: int, last: int) -> Span:
+        """The source range from token ``first``'s first character to token
+        ``last``'s last (for a multi-line string literal, its closing quote)."""
+        source, start = self.source, self.offsets[first]
+        end = self.offsets[last] + max(len(self.texts[last]), 1) - 1
+        if "\n" not in source:  # the usual case: no line to count
+            return Span(1, start + 1, 1, end + 1)
+        return Span(*_position(source, start), *_position(source, end))
 
 
 def tokenize(text: str) -> tuple[Token, ...]:
-    """Split ``text`` into tokens, ending with a single END token.
-
-    Raises :class:`ParseError` on characters outside the language and on
-    unterminated string literals.
-    """
-    tokens: list[Token] = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastgroup
-        if group is None:  # whitespace or a comment
-            continue
-        lexeme = m.group()
-        if group == "punct":
-            append(Token(_PUNCT[lexeme], lexeme, m.start(), text))
-        elif group == "ident":
-            append(Token(IDENT, lexeme, m.start(), text))
-        elif group == "variable":
-            append(Token(VARIABLE, lexeme, m.start(), text))
-        elif group == "plain":
-            append(Token(STRING, lexeme, m.start(), text, lexeme[1:-1]))
-        elif group == "int":
-            append(Token(NUMBER, lexeme, m.start(), text, int(lexeme)))
-        elif group == "float":
-            append(Token(NUMBER, lexeme, m.start(), text, float(lexeme)))
-        elif group == "nonfinite":
-            append(Token(NUMBER, lexeme, m.start(), text, _NEGATIVE_NONFINITE[lexeme]))
-        elif group == "string":
-            try:
-                value = _pyast.literal_eval(lexeme)
-            except (ValueError, SyntaxError):
-                raise ParseError(
-                    f"malformed string literal {lexeme}", *_position(text, m.start())
-                ) from None
-            append(Token(STRING, lexeme, m.start(), text, value))
-        else:  # 'bad': one character that starts no lexeme
-            if lexeme == "?":
-                message = "expected a variable name after '?'"
-            elif lexeme in "'\"":
-                message = "unterminated string literal"
-            else:
-                message = f"unexpected character {lexeme!r}"
-            raise ParseError(message, *_position(text, m.start()))
-    append(Token(END, "", len(text), text))
-    return tuple(tokens)
-
-
-class TokenStream:
-    """A cursor over a token tuple with the usual peek/take/expect helpers.
-
-    The tuple ends with the END token, and the cursor never moves past it.
-    """
-
-    __slots__ = ("tokens", "_pos")
-
-    def __init__(self, tokens: Iterable[Token]):
-        self.tokens = tuple(tokens)
-        self._pos = 0
-
-    def peek(self, ahead: int = 0) -> Token:
-        if ahead:
-            return self.tokens[min(self._pos + ahead, len(self.tokens) - 1)]
-        return self.tokens[self._pos]
-
-    def at(self, kind: str) -> bool:
-        return self.tokens[self._pos].kind == kind
-
-    def at_end(self) -> bool:
-        return self.tokens[self._pos].kind is END
-
-    def take(self) -> Token:
-        token = self.tokens[self._pos]
-        if token.kind is not END:
-            self._pos += 1
-        return token
-
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        token = self.tokens[self._pos]
-        if token.kind != kind:
-            if what is None:
-                what = kind if kind in (IDENT, VARIABLE, STRING, NUMBER, END) else f"'{kind}'"
-            raise self.error(f"expected {what}, got {token.describe()}", token)
-        return self.take()
-
-    def error(self, message: str, token: Token | None = None) -> ParseError:
-        token = token or self.tokens[self._pos]
-        return ParseError(message, token.line, token.column)
+    """The scan of ``text`` (:class:`TokenStream`) as objects, END token last."""
+    stream = TokenStream(text)
+    return tuple(map(stream.token, range(len(stream.kinds))))
 
 
 # -- query parsing ---------------------------------------------------------
 
 
 class _QueryParser:
+    __slots__ = ("stream", "kinds", "texts", "schema", "_variables", "_used_names", "_wildcards")
+
     def __init__(self, stream: TokenStream, schema=None):
-        self.stream = stream
+        self.stream, self.kinds, self.texts = stream, stream.kinds, stream.texts
         self.schema = schema
+        self._variables: dict[str, Variable] = {}  # one object per name per parse
         self._used_names: set[str] | None = None
         self._wildcards = 0
 
     def _fresh_wildcard(self) -> Variable:
         # Wildcards become fresh variables named _1, _2, ...; at the first
-        # one, collect every name in the input so a fresh name never
-        # collides with one the user wrote explicitly.
+        # one, collect every lexeme in the input (only a name can read
+        # '_<n>') so a fresh name never collides with one the user wrote.
         if self._used_names is None:
-            self._used_names = {
-                t.text[1:] if t.kind is VARIABLE else t.text
-                for t in self.stream.tokens
-                if t.kind in (VARIABLE, IDENT)
-            }
+            self._used_names = {text.lstrip("?") for text in self.texts}
         while True:
             self._wildcards += 1
             name = f"_{self._wildcards}"
@@ -288,115 +298,101 @@ class _QueryParser:
                 return Variable(name)
 
     def parse(self) -> ConjunctiveQuery | UnionOfConjunctiveQueries:
-        stream = self.stream
-        first_token = stream.peek()
+        stream, kinds = self.stream, self.kinds
         disjuncts = [self._rule()]
-        while self._at_union_separator():
-            stream.take()
+        while kinds[stream.pos] is SEMICOLON or (
+            kinds[stream.pos] is IDENT and self.texts[stream.pos] == "UNION"
+        ):
+            stream.pos += 1
             disjuncts.append(self._rule())
-        if not stream.at_end():
-            raise stream.error(
-                f"expected ';', 'UNION' or end of input, got {stream.peek().describe()}"
-            )
+        if kinds[stream.pos] is not END:
+            raise stream.unexpected("expected ';', 'UNION' or end of input", stream.pos)
         if len(disjuncts) == 1:
             return disjuncts[0]
         try:
             return UnionOfConjunctiveQueries(disjuncts)
         except ValueError as exc:
-            raise stream.error(str(exc), first_token) from None
-
-    def _at_union_separator(self) -> bool:
-        token = self.stream.peek()
-        return token.kind is SEMICOLON or (token.kind is IDENT and token.text == "UNION")
+            raise stream.error(str(exc), stream.token(0)) from None
 
     def _rule(self) -> ConjunctiveQuery:
-        stream = self.stream
-        start = stream.expect(IDENT, "a rule head")
-        head = self._head_terms()
+        stream, kinds = self.stream, self.kinds
+        start = stream.skip(IDENT, "a rule head")
+        stream.skip(LPAREN)
+        head: list[Variable] = []
+        if kinds[stream.pos] is not RPAREN:
+            while True:
+                index = stream.pos
+                term = self._term()
+                if type(term) is not Variable or self.texts[index] == "_":
+                    raise stream.unexpected("head terms must be named variables", index)
+                head.append(term)
+                if kinds[stream.pos] is not COMMA:
+                    break
+                stream.pos += 1
+        stream.skip(RPAREN)
         body: list[Atom] = []
         equalities: list[Equality] = []
-        if stream.at(RULE_ARROW):
-            stream.take()
+        if kinds[stream.pos] is RULE_ARROW:
+            stream.pos += 1
             self._conjunct(body, equalities)
-            while stream.at(COMMA):
-                stream.take()
+            while kinds[stream.pos] is COMMA:
+                stream.pos += 1
                 self._conjunct(body, equalities)
         try:
             return ConjunctiveQuery(head, body, equalities)
         except ValueError as exc:
-            raise stream.error(str(exc), start) from None
-
-    def _head_terms(self) -> list[Variable]:
-        stream = self.stream
-        stream.expect(LPAREN)
-        head: list[Variable] = []
-        if not stream.at(RPAREN):
-            while True:
-                token = stream.peek()
-                term = self._term()
-                if not isinstance(term, Variable) or token.text == "_":
-                    raise stream.error(
-                        f"head terms must be named variables, got {token.describe()}",
-                        token,
-                    )
-                head.append(term)
-                if not stream.at(COMMA):
-                    break
-                stream.take()
-        stream.expect(RPAREN)
-        return head
+            raise stream.error(str(exc), stream.token(start)) from None
 
     def _conjunct(self, body: list[Atom], equalities: list[Equality]) -> None:
-        stream = self.stream
-        start = stream.peek()
-        if start.kind is IDENT and stream.peek(1).kind is LPAREN:
-            body.append(self._atom())
+        stream, kinds = self.stream, self.kinds
+        start = stream.pos
+        # An identifier is not the END entry, so ``start + 1`` exists.
+        if kinds[start] is not IDENT or kinds[start + 1] is not LPAREN:
+            left = self._term()
+            stream.skip(EQUALS, "'=' (or a relational atom)")
+            end = stream.pos
+            equalities.append(Equality(left, self._term(), span=stream.span(start, end)))
             return
-        left = self._term()
-        stream.expect(EQUALS, "'=' (or a relational atom)")
-        end = stream.peek()
-        right = self._term()
-        equalities.append(Equality(left, right, span=_span(start, end)))
-
-    def _atom(self) -> Atom:
-        stream = self.stream
-        name = stream.expect(IDENT, "a relation name")
-        stream.expect(LPAREN)
+        stream.pos = start + 2
         terms: list[Term] = []
-        if not stream.at(RPAREN):
+        if kinds[stream.pos] is not RPAREN:
             terms.append(self._term())
-            while stream.at(COMMA):
-                stream.take()
+            while kinds[stream.pos] is COMMA:
+                stream.pos += 1
                 terms.append(self._term())
-        rparen = stream.expect(RPAREN)
-        atom = Atom(name.text, terms, span=_span(name, rparen))
+        relation = self.texts[start]
+        atom = Atom._trusted(relation, tuple(terms), stream.span(start, stream.skip(RPAREN)))
         if self.schema is not None:
-            if name.text not in self.schema:
-                raise stream.error(f"unknown relation {name.text!r}", name)
-            rel = self.schema.relation(name.text)
+            if relation not in self.schema:
+                raise stream.error(f"unknown relation {relation!r}", stream.token(start))
+            rel = self.schema.relation(relation)
             if atom.arity != rel.arity:
                 raise stream.error(
-                    f"relation {name.text!r} has arity {rel.arity}, "
+                    f"relation {relation!r} has arity {rel.arity}, "
                     f"but the atom {atom} has arity {atom.arity}",
-                    name,
+                    stream.token(start),
                 )
-        return atom
+        body.append(atom)
 
     def _term(self) -> Term:
         stream = self.stream
-        token = stream.take()
-        kind, text = token.kind, token.text
-        if kind is IDENT:
-            if text == "_":
-                return self._fresh_wildcard()
-            if text in _KEYWORD_CONSTANTS:
-                return Constant(_KEYWORD_CONSTANTS[text])
-            return Variable(text)
-        if kind is VARIABLE:
-            return Variable(text[1:])
-        if kind is STRING or kind is NUMBER:
-            return Constant(token.value)
-        raise stream.error(f"expected a term, got {token.describe()}", token)
+        index = stream.pos
+        kind, text = self.kinds[index], self.texts[index]
+        if kind is IDENT and text == "_":
+            term: Term = self._fresh_wildcard()
+        elif kind is IDENT and text in _KEYWORD_CONSTANTS:
+            term = Constant(_KEYWORD_CONSTANTS[text])
+        elif kind is IDENT or kind is VARIABLE:
+            name = text if kind is IDENT else text[1:]
+            term = self._variables.get(name)
+            if term is None:
+                term = self._variables[name] = Variable(name)
+        elif kind is STRING or kind is NUMBER:
+            term = Constant(stream.values[index])
+        else:
+            raise stream.unexpected("expected a term", index)
+        stream.pos = index + 1
+        return term
 
 
 def parse_query(text: str, schema=None) -> ConjunctiveQuery | UnionOfConjunctiveQueries:
@@ -407,7 +403,7 @@ def parse_query(text: str, schema=None) -> ConjunctiveQuery | UnionOfConjunctive
     every atom is checked against it during the parse, so an unknown
     relation or a wrong arity is reported with the exact source position.
     """
-    return _QueryParser(TokenStream(tokenize(text)), schema).parse()
+    return _QueryParser(TokenStream(text), schema).parse()
 
 
 def parse_cq(text: str, schema=None) -> ConjunctiveQuery:

@@ -41,7 +41,7 @@ class UnionOfConjunctiveQueries:
         )
 
     def __hash__(self) -> int:
-        # Cached like ConjunctiveQuery.__hash__: unions key plan caches
+        # Cached like ConjunctiveQuery.__hash__: unions key the source memo
         # too, and the disjunct tuple is immutable after construction.
         try:
             return self._hash

@@ -31,7 +31,6 @@ from repro.logic.parser import (
     RPAREN,
     SEMICOLON,
     TokenStream,
-    tokenize,
 )
 
 
@@ -101,7 +100,7 @@ def parse_schema(text: str) -> "DatabaseSchema":
     Malformed declarations raise :class:`repro.errors.ParseError` with the
     position of the offending token.
     """
-    stream = TokenStream(tokenize(text))
+    stream = TokenStream(text)
     relations: list[RelationSchema] = []
     seen: dict[str, RelationSchema] = {}
     while not stream.at_end():

@@ -1,7 +1,8 @@
 """The canonical form of a query (:mod:`repro.logic.canonical`): sound
 always, invariant under renaming and atom reordering whenever its
-signatures separate the atoms, typed about constants -- and each of those
-properties able to kill a seeded mutant of the canonicaliser."""
+signatures separate the atoms, typed about constants, its flat key equal
+exactly when the canonical queries are -- and each of those properties
+able to kill a seeded mutant of the canonicaliser."""
 
 import inspect
 import random
@@ -14,7 +15,7 @@ from test_parser import PROPERTY, queries
 
 from repro import Atom, ConjunctiveQuery, Constant, Equality, UnionOfConjunctiveQueries, Variable
 from repro.logic import canonical
-from repro.logic.canonical import atom_signatures, canonical_form
+from repro.logic.canonical import atom_signatures, canonical_form, canonical_key
 from repro.logic.homomorphism import are_equivalent
 from repro.logic.parser import parse_query
 
@@ -245,6 +246,96 @@ def test_constants_keep_their_type_and_nan_is_one_constant():
     properties(canonical_form)["typed"]()
 
 
+# -- the flat key is the canonical query ------------------------------------
+
+P0 = frozenset({V("v0")})
+ONE = cq("Q(x) :- R(x, y)")
+#: (first, second, parameters, whether their canonical queries are equal):
+#: the places where a flat encoding could run two of them together.
+PINNED_FLAT = [
+    (cq("Q(x) :- R(x, 1)"), cq("Q(x) :- R(x, 1.0)"), frozenset(), False),
+    (cq("Q(x) :- R(x, 1)"), cq("Q(x) :- R(x, True)"), frozenset(), False),
+    (cq("Q(x) :- R(x, 1.0)"), cq("Q(x) :- R(x, True)"), frozenset(), False),
+    (cq("Q(x) :- R(x, 1)"), cq("Q(x) :- R(x, '1')"), frozenset(), False),
+    (cq("Q(x) :- R(x, 0.0)"), cq("Q(y) :- R(y, -0.0)"), frozenset(), True),
+    (cq("Q(x) :- R(x, nan)"), cq("Q(y) :- R(y, -nan)"), frozenset(), True),  # the shared NaN
+    (
+        cq("Q(x) :- R(x, nan)"),
+        ConjunctiveQuery(["x"], [Atom("R", ["?x", Constant(float("nan"))])]),
+        frozenset(),
+        False,  # a NaN built elsewhere equals nothing, in either representation
+    ),
+    (cq("Q(x) :- R(x, None)"), cq("Q(y) :- R(y, None)"), frozenset(), True),
+    (cq("Q(x) :- R(x, None)"), cq("Q(x) :- R(x, 'None')"), frozenset(), False),
+    (cq("Q(v0) :- R(v0, x)"), cq("Q(v0) :- R(v0, y)"), P0, True),
+    (cq("Q(v0) :- R(v0, x)"), cq("Q(a) :- R(a, x)"), P0, False),  # a parameter is no v0
+    (cq("Q() :- R(v0, x)"), cq("Q() :- R(x, v0)"), P0, False),
+    (cq("Q(v0) :- R(v0, x)"), cq("Q(a) :- R(a, b)"), frozenset(), True),
+    (cq("Q() :- R(x, x)"), cq("Q() :- R(z, z)"), frozenset(), True),
+    (cq("Q() :- R(x, x)"), cq("Q() :- R(x, y)"), frozenset(), False),
+    (cq("Q() :- R(x), R(x, y)"), cq("Q() :- R(a, b), R(a)"), frozenset(), True),  # one
+    (cq("Q() :- R(x, y)"), cq("Q() :- R(x), R(y)"), frozenset(), False),  # name, two arities
+    (cq("Q()"), ConjunctiveQuery((), ()), frozenset(), True),  # an empty body
+    (cq("Q()"), cq("Q() :- R(x)"), frozenset(), False),
+    (cq("Q()"), cq("Q() ; Q()"), frozenset(), False),
+    # equalities | head: two terms of an equality are not two head terms
+    (cq("Q(x) :- R(x, y), x = y"), cq("Q(x, y, x) :- R(x, y)"), frozenset(), False),
+    # a query is not the union of itself alone, and where one disjunct
+    # ends and the next begins is part of a union
+    (ONE, UnionOfConjunctiveQueries([ONE]), frozenset(), False),
+    (cq("Q() :- R(x), S(x) ; Q() :- T(y)"), cq("Q() :- R(x) ; Q() :- S(x), T(y)"), frozenset(), False),
+    (cq("Q() :- R(x) ; Q() :- S(y)"), cq("Q() :- R(a) UNION Q() :- S(a)"), frozenset(), True),
+]
+
+
+def flat_property(key, form, budget=PROPERTY):
+    """``key`` agrees with ``form``: two queries get equal keys (and then
+    equal hashes) exactly when they get equal canonical queries."""
+
+    def agree(first, second, parameters):
+        keys = key(first, parameters), key(second, parameters)
+        same = keys[0] == keys[1]
+        assert same == (form(first, parameters)[0] == form(second, parameters)[0])
+        assert not same or hash(keys[0]) == hash(keys[1])
+        return same
+
+    @budget
+    @given(queries(), queries(), st.integers(0, 2**32))
+    def generated(query, other, seed):
+        parameters, renaming, orders, rng = scenario(query, seed)
+        agree(query, query, parameters)
+        for second in (twin(query, renaming, orders), perturbed(query, parameters, rng), other):
+            agree(query, second, parameters)
+            agree(second, query, frozenset())
+
+    def flat():
+        for first, second, parameters, same in PINNED_FLAT:
+            assert agree(first, second, parameters) is same, (str(first), str(second))
+        generated()
+
+    return flat
+
+
+def key_properties(key, form, budget=PROPERTY):
+    """The flat-key property, and the three properties of the canonical
+    form asked of the key (the ways back still come from ``form``)."""
+
+    def keyed(query, parameters=frozenset()):
+        return key(query, parameters), form(query, parameters)[1]
+
+    checks = {f"key {label}": check for label, check in properties(keyed, budget=budget).items()}
+    return {"flat": flat_property(key, form, budget), **checks}
+
+
+def test_equal_keys_are_equal_canonical_queries():
+    flat_property(canonical_key, canonical_form)()
+
+
+@pytest.mark.parametrize("label", ["key sound", "key invariant", "key typed"])
+def test_the_key_has_the_properties_of_the_form(label):
+    key_properties(canonical_key, canonical_form)[label]()
+
+
 # -- the corners ------------------------------------------------------------
 
 
@@ -336,6 +427,33 @@ MUTANTS = {
         "if True:",
         "invariant",
     ),
+    # ... and of the flat encoding of the key
+    "constant type dropped from the key": (
+        "flat += (0, type(value), value)",
+        "flat += (0, None, value)",
+        "flat",
+    ),
+    "equalities and head run together in the key": (
+        "        flat.append(None)\n        _encode(disjunct.head",
+        "        _encode(disjunct.head",
+        "flat",
+    ),
+    "disjuncts run together in the key": (
+        "        if union:\n            flat.append(None)\n",
+        "",
+        "flat",
+    ),
+    "parameter numbered like a plain variable in the key": (
+        "elif term.name in parameters:\n            flat += (1, term.name)",
+        "elif False:\n            flat += (1, term.name)",
+        "key sound",
+    ),
+    "variable index taken from written order": (
+        "        index: dict[str, int] = {}\n",
+        "        index = {}\n"
+        "        _encode([t for a in disjunct.body for t in a.terms], names, index, [])\n",
+        "key invariant",
+    ),
 }
 
 
@@ -352,6 +470,7 @@ def test_seeded_mutants_are_killed(name):
         report_multiple_bugs=False,
     )
     checks = properties(namespace["canonical_form"], budget=quick)
+    checks.update(key_properties(namespace["canonical_key"], namespace["canonical_form"], quick))
     killed_by = []
     for label, check in checks.items():
         try:

@@ -194,6 +194,23 @@ def test_head_variable_grounded_only_by_equalities_rejected():
         )
 
 
+def test_the_safety_check_builds_no_atom(monkeypatch):
+    # The check walks each body term through the equality substitution;
+    # it does not substitute into (and so re-build) every atom.
+    calls = []
+    monkeypatch.setattr(Atom, "substitute", lambda *args: calls.append(args))
+    body = [Atom("friend", ["?p", "?y"]), Atom("person", ["?y", "?n", "NYC"])]
+    ConjunctiveQuery(["y"], body)
+    ConjunctiveQuery(["y", "m"], body, [Equality("?m", "?n"), Equality("?p", 1)])
+    ConjunctiveQuery(["c"], body, [Equality("?c", "NYC")])  # bound to a constant
+    ConjunctiveQuery(["x"], body, [Equality("?x", 1), Equality("?x", 2)])  # unsatisfiable
+    with pytest.raises(ValueError, match=r"unsafe head variables \(not in body\): x"):
+        ConjunctiveQuery(["x"], body, [Equality("?x", "?z")])
+    with pytest.raises(ValueError, match=r"unsafe head variables \(not in body\): x, z"):
+        ConjunctiveQuery(["x", "y", "z"], body)
+    assert calls == []
+
+
 def test_homomorphism_constants_match_on_value():
     q1 = ConjunctiveQuery(["x"], [Atom("friend", [1, "?x"])])
     q2 = ConjunctiveQuery(["x"], [Atom("friend", [1.0, "?x"])])

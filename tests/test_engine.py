@@ -1083,3 +1083,121 @@ def test_union_whose_disjuncts_bind_through_parameter_equalities_executes(engine
     u = engine.query("Q(y) :- friend(x, y), x = p ; Q(y) :- friend(y, x), x = p")
     assert u.execute(p=1).rows == ((2,), (3,), (5,))
     assert u.explain_analyze(p=1).result.rows == ((2,), (3,), (5,))
+
+
+# -- a parameter set that fails is not remembered ---------------------------
+
+
+def test_failing_parameter_sets_leave_no_shape_behind(engine):
+    q = engine.query("Q(y) :- friend(p, y)")
+    for i in range(100):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match="parameters not occurring in the query") as failure:
+                q.execute({f"junk{i}": 1})
+            messages.append(str(failure.value))
+        assert messages[0] == messages[1] and f"?junk{i}" in messages[0]
+    assert q._shapes == {}
+    messages = []
+    for attempt in (q.plan, q.explain, q.execute):  # no parameter: nothing bounds ?p
+        with pytest.raises(NotControlledError) as failure:
+            attempt()
+        messages.append(str(failure.value))
+    assert len(set(messages)) == 1 and "?p" in messages[0]
+    assert q._shapes == {} and engine.cache_stats().size == 0
+    assert q.execute(p=1).rows == ((2,), (3,))
+    assert list(q._shapes) == [frozenset({engine_module.Variable("p")})]
+
+
+# -- the canonical query is built where it is read, not on the way in -------
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        lambda q: q.plan(["p"]),
+        lambda q: q.explain(["p"]),
+        lambda q: q.diagnostics(["p"]),
+        lambda q: q.execute_incremental(p=1),
+    ],
+    ids=["plan", "explain", "diagnostics", "execute_incremental"],
+)
+def test_execute_builds_no_canonical_query_and_its_readers_build_it_once(
+    engine, monkeypatch, reader
+):
+    forms = counting_canonical(monkeypatch)
+    engine.execute(NYC_FRIENDS, p=1)
+    assert len(forms) == 1  # the compile, on the one plan-cache miss
+    twin = engine.query(NYC_TWIN)  # a fresh PreparedQuery of a cached shape
+    for pid in (1, 2, 1):
+        assert twin.execute(p=pid).fanout_bound == 5000 + 5000 * 1
+    assert len(forms) == 1 and engine.cache_stats().misses == 1
+    reader(twin)
+    assert len(forms) == 2 and forms[1][0] is twin.query
+    reader(twin)
+    twin.execute(p=1)
+    assert len(forms) == 2 and engine.cache_stats().misses == 1
+
+
+# -- single-flight on one condition ------------------------------------------
+
+
+def test_waiters_of_a_failing_flight_get_its_exception_and_the_key_is_cleared():
+    import threading
+    import time
+
+    from repro.api.cache import PlanCache
+
+    cache, boom, release = PlanCache(8), RuntimeError("boom"), threading.Event()
+    outcomes = []
+
+    def failing():
+        release.wait(timeout=10)
+        raise boom
+
+    def probe(compute):
+        try:
+            outcomes.append(cache.get_or_compute("k", compute))
+        except RuntimeError as exc:
+            outcomes.append(exc)
+
+    leader = threading.Thread(target=probe, args=(failing,))
+    leader.start()
+    deadline = time.monotonic() + 10
+    while "k" not in cache._inflight and time.monotonic() < deadline:
+        time.sleep(0.001)
+    flight = cache._inflight["k"]
+    waiters = [threading.Thread(target=probe, args=(lambda: "recomputed",)) for _ in range(7)]
+    for t in waiters:
+        t.start()
+    while flight.waiting < 7 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert flight.waiting == 7 and outcomes == []  # all parked on the leader's flight
+    assert cache.get_or_compute("other", lambda: 1) == 1  # which blocks nobody else
+    release.set()
+    for t in [leader, *waiters]:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in [leader, *waiters])
+    assert len(outcomes) == 8 and all(outcome is boom for outcome in outcomes)
+    stats = cache.stats()
+    assert (stats.hits, stats.misses, stats.size) == (0, 2, 1) and cache._inflight == {}
+    assert cache.get_or_compute("k", lambda: "recomputed") == "recomputed"
+    assert cache.stats().misses == 3
+
+
+def test_a_miss_allocates_no_event_and_no_condition(monkeypatch):
+    import threading
+
+    from repro.api.cache import PlanCache
+
+    cache, made = PlanCache(128), []
+    for name in ("Event", "Condition"):
+        real = getattr(threading, name)
+        monkeypatch.setattr(
+            threading, name, lambda *args, real=real, name=name: made.append(name) or real(*args)
+        )
+    for i in range(1_000):
+        assert cache.get_or_compute(i, lambda: -i) == -i
+    stats = cache.stats()
+    assert (stats.misses, stats.evictions, stats.size) == (1_000, 872, 128)
+    assert made == [] and cache._inflight == {}

@@ -424,6 +424,51 @@ def test_tokenize_positions():
     ]
 
 
+POOL_SHAPE = "Q(y1) :- person(y1, n1, 'LA'), friend(p, y1)"
+
+
+def test_a_well_formed_query_makes_no_token_object(monkeypatch, social_schema):
+    made = []
+    real = parser.Token.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(parser.Token, "__init__", spy)
+    query = parse_query(POOL_SHAPE, schema=social_schema)
+    assert str(query) == "Q(?y1) <- person(?y1, ?n1, 'LA'), friend(?p, ?y1)"
+    assert [str(a.span) for a in query.body] == ["1:10-1:29", "1:32-1:44"]
+    assert parse_query(POOL_SHAPE.replace(" :- ", "\n  :- ")).body[1].span == Span(2, 28, 2, 40)
+    assert made == []
+    # ... while an error is still placed exactly, on one line and on several.
+    for text, line, column in (
+        (POOL_SHAPE[:-1], 1, 44),
+        (POOL_SHAPE.replace(", friend", ",\n  friend")[:-3] + " )", 2, 14),
+        (POOL_SHAPE.replace("person", "nobody"), 1, 10),
+    ):
+        with pytest.raises(ParseError) as excinfo:
+            parse_query(text, schema=social_schema)
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+    assert made  # the error paths are where tokens come from
+
+
+@pytest.mark.parametrize(
+    "text",
+    [POOL_SHAPE, "Q(?x) <-\n R(x, 'a\\\nb', -2.5e3, inf) # done\n ; Q(x) :- S(x, \"q\", 7), x = None"],
+)
+def test_tokenize_is_the_scan_as_objects(text):
+    stream = parser.TokenStream(text)
+    assert stream.kinds[-1] is parser.END and len(stream.kinds) > 10
+    where = positions_of(text)
+    assert [(t.kind, t.text, t.offset, t.line, t.column, t.value) for t in tokenize(text)] == [
+        (kind, lexeme, offset, *where[offset], value)
+        for kind, lexeme, offset, value in zip(
+            stream.kinds, stream.texts, stream.offsets, stream.values, strict=True
+        )
+    ]
+
+
 # -- the same text always parses to an equal query -------------------------
 
 
