@@ -25,7 +25,16 @@ without consulting the planner's own bookkeeping,
   equals the re-derived figure (**CST002**);
 * that the steps witness every body atom, and nothing else, and that the
   plan's satisfiability marker agrees with the query's equalities
-  (**CRT007**).
+  (**CRT007**).  A view-assisted plan may leave a body atom unread where
+  a view proves it (:mod:`repro.views.rewrite`): a witnessed view atom
+  witnesses the atoms it *stands for* -- the view's equality-normalised
+  body under head -> the atom's terms, nothing when the view is
+  *projecting* (a body variable its head lacks) or the terms do not fit
+  the head -- and an unread view atom passes only when everything it
+  stands for is witnessed.  :func:`_stands_for` derives that from the
+  registered definition and the atom alone, in this module's own code:
+  sharing :meth:`~repro.views.ViewDef.stands_for` with the planner would
+  certify a wrong rule against itself.
 
 All CRT codes are errors: a finding means the plan is not a faithful
 compilation of its query.  :func:`check_plan` is the gating form -- it
@@ -47,6 +56,7 @@ from repro.core.access_schema import AccessRule, AccessSchema
 from repro.core.controllability import _is_bound
 from repro.core.plans import FetchStep, Plan, ProbeStep
 from repro.errors import CertificationError
+from repro.logic.ast import Atom
 from repro.logic.terms import Constant, Variable
 from repro.relational.schema import RelationSchema
 
@@ -63,6 +73,27 @@ def _view_defs(views: object) -> "tuple[ViewDef, ...]":
     if callable(definitions):
         return tuple(definitions())
     return tuple(views)  # type: ignore[arg-type]
+
+
+def _stands_for(view: "ViewDef", atom: Atom) -> set[Atom]:
+    """The base atoms a witnessed ``atom`` of registered ``view`` proves
+    (module docstring); empty when it proves no particular one."""
+    definition = view.query
+    subst = definition.equality_substitution()
+    if subst is None or len(atom.terms) != definition.arity:
+        return set()
+    to: dict[Variable, object] = {}
+    for position, variable in enumerate(definition.head):
+        column, term = subst.get(variable, variable), atom.terms[position]
+        if isinstance(column, Constant):
+            if column != term:
+                return set()
+        elif to.setdefault(column, term) != term:
+            return set()
+    body = [a.substitute(subst) for a in definition.body]
+    if {v for a in body for v in a.free_variables()} - to.keys():
+        return set()  # projecting: a body variable that is no head column
+    return {a.substitute(to) for a in body}
 
 
 def certify_plan(
@@ -160,7 +191,13 @@ def certify_plan(
         if isinstance(rep, Variable):
             bound.add(rep)
 
-    witnessed = set()
+    witnessed: set[Atom] = set()
+
+    def witness(atom: Atom) -> None:
+        witnessed.add(atom)
+        if atom.relation in plan.view_relations and atom.relation in defs:
+            witnessed.update(_stands_for(defs[atom.relation], atom))
+
     branches = 1
     accesses = 0
     weighted = 0.0
@@ -193,7 +230,7 @@ def certify_plan(
                     f"{'is' if len(free) == 1 else 'are'} bound: a probe "
                     f"needs every position bound",
                 )
-            witnessed.add(atom)
+            witness(atom)
             expected_costs.append((branches, branches, branches))
             accesses += branches
             weighted += branches * PROBE_COST
@@ -257,7 +294,7 @@ def certify_plan(
         bound.update(step.binds)
         bound.update(v for v in derivable if isinstance(v, Variable))
         if rule.verifies_atom:
-            witnessed.add(atom)
+            witness(atom)
         fanned = branches * rule.bound
         expected_costs.append((branches, fanned, fanned))
         accesses += fanned
@@ -265,11 +302,14 @@ def certify_plan(
         branches = fanned
 
     for atom in sorted(expected_atoms - witnessed, key=str):
+        stood = _stands_for(defs[atom.relation], atom) if atom.relation in defs else None
+        if stood and stood <= witnessed:
+            continue  # an unread view atom the witnessed atoms entail
         emit(
             "CRT007",
             f"body atom {atom} is never witnessed: no verifying fetch or "
-            f"probe covers it, so the plan can return rows the query "
-            f"does not",
+            f"probe covers it and no witnessed atom entails it, so the "
+            f"plan can return rows the query does not",
         )
 
     expected_head = tuple(subst.get(v, v) for v in query.head)

@@ -60,14 +60,10 @@ step's source: the database for a base relation, or -- for a relation in
 (:mod:`repro.views`), which is itself a backend and is charged to the
 per-execution stats only.  Because the bulk reads resolve each *distinct*
 key once per batch, batched execution touches at most -- and on skewed
-workloads far fewer than -- the tuples the per-assignment reference path
-touches; both stay within the plan's
+workloads far fewer than -- the tuples a read per assignment would
+(the reference interpreter the tests compare against,
+``tests/reference_executor.py``); both stay within the plan's
 :attr:`~repro.core.plans.Plan.fanout_bound`.
-
-:func:`execute_per_tuple` keeps the recursive per-assignment executor
-alive as the reference semantics (differential and property tests assert
-the pipeline agrees with it); it issues the same two charged reads, one
-single-key batch per assignment.
 
 Every execution runs inside an :class:`ExecutionContext` -- the database
 handle, a private per-execution :class:`AccessStats` (charged alongside
@@ -84,7 +80,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from sys import intern as _intern
 from time import perf_counter
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.access_schema import AccessRule, EmbeddedAccessRule
 from repro.core.columnar import (
@@ -96,7 +92,6 @@ from repro.core.columnar import (
 from repro.core.plans import FetchStep, Plan, ProbeStep
 from repro.errors import IncrementalError, SchemaError
 from repro.logic.ast import Atom, _as_variable
-from repro.logic.evaluation import _bound_pattern, _extend, _term_value, row_matches
 from repro.logic.terms import Constant, Term, Variable
 from repro.relational.instance import AccessStats, LogSlice, NetDelta
 from repro.relational.interning import intern_value
@@ -122,6 +117,10 @@ class ExecutionContext:
     view-assisted plans (:mod:`repro.views`) read a view through
     :meth:`store`, charged to this execution's :attr:`stats` only -- the
     database's cumulative counters see base-table traffic exclusively.
+    The states must be *current* at the watermark: a plan lets a view row
+    answer for the base rows it stands for and probes none of them, so a
+    stale row is an answer (``ViewSet.prepare``, the Engine's way in,
+    never hands out a stale state).
 
     ``delta`` is the change slice a delta execution joins: the shared
     :class:`~repro.relational.instance.LogSlice` a
@@ -1520,6 +1519,7 @@ class PlanProfile:
                 f"{op.indexed_lookups} lookups, {op.full_scans} scans, "
                 f"{op.wall_time_s * 1e6:.1f} us]"
             )
+        lines.extend(f"entailed, not read: {atom}" for atom in self.plan.entailed())
         lines.append(
             f"answers: {len(self.rows)} rows, "
             f"{self.tuples_accessed} tuples accessed "
@@ -1553,91 +1553,3 @@ def profile_pipeline(
     profiles: list[OperatorProfile] = []
     rows = run_pipeline(pipe, ctx, values, profiles)
     return PlanProfile(pipe.plan, tuple(rows), tuple(profiles))
-
-
-# -- the per-tuple reference path ----------------------------------------
-
-
-def execute_per_tuple(
-    plan: Plan,
-    db,
-    parameters: Mapping[object, object] | None = None,
-    **kwargs: object,
-) -> tuple[Row, ...]:
-    """The reference executor: a recursive generator that issues the two
-    charged reads with one single-key (single-row) batch per partial
-    assignment.
-
-    Semantically identical to :func:`execute_plan`; kept as the reference
-    the differential and property tests compare that pipeline against.
-    Not the production path.
-    """
-    seed = _seed_assignment(plan, parameters, kwargs)
-    if not plan.satisfiable:
-        return ()
-    ctx = _as_context(db)
-    conditions, binds, _ = _parameter_constraints(plan)
-    for a, b in conditions:
-        if _term_value(a, seed) != _term_value(b, seed):
-            return ()
-    for source, target in binds:
-        seed[target] = seed[source]
-    answers: dict[Row, None] = {}
-    for final in _run_per_tuple(plan, ctx, 0, seed):
-        answers.setdefault(
-            tuple(_term_value(t, final) for t in plan.head_terms), None
-        )
-    return tuple(answers)
-
-
-def _run_per_tuple(
-    plan: Plan, ctx: ExecutionContext, i: int, assignment: Assignment
-) -> Iterator[Assignment]:
-    if i == len(plan.steps):
-        yield assignment
-        return
-    step = plan.steps[i]
-    atom = step.atom
-    relation = atom.relation
-    source = ctx.store(relation) if relation in plan.view_relations else ctx.db
-    if isinstance(step, ProbeStep):
-        row = tuple(_term_value(t, assignment) for t in atom.terms)
-        if source.contains_rows(relation, (row,), ctx.stats)[0]:
-            yield from _run_per_tuple(plan, ctx, i + 1, assignment)
-        return
-    # A plain (or full, or view) rule keys the lookup on every position
-    # that is already bound -- a superset of the rule's inputs, so the
-    # declared bound still applies.  An embedded rule's access path is
-    # keyed on the rule's inputs only; other bound positions are filtered
-    # after the fetch, and only the rule's outputs become bound
-    # (deduplicated projections).
-    embedded = isinstance(step.rule, EmbeddedAccessRule)
-    if embedded:
-        pattern = {
-            p: _term_value(atom.terms[p], assignment) for p in step.input_positions
-        }
-    else:
-        pattern = _bound_pattern(atom, assignment)
-    positions = tuple(sorted(pattern))
-    key = tuple(pattern[p] for p in positions)
-    seen: set[Row] = set()
-    for row in source.lookup_keys(relation, positions, (key,), ctx.stats)[0]:
-        if not embedded:
-            extended = _extend(atom, row, assignment)
-        elif row_matches(atom, row, assignment):
-            projection = tuple(row[p] for p in step.output_positions)
-            if projection in seen:
-                continue
-            seen.add(projection)
-            extended = dict(assignment)
-            for p in step.output_positions:
-                term = atom.terms[p]
-                if isinstance(term, Constant):
-                    continue
-                if extended.setdefault(term, row[p]) != row[p]:
-                    extended = None
-                    break
-        else:
-            continue
-        if extended is not None:
-            yield from _run_per_tuple(plan, ctx, i + 1, extended)

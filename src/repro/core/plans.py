@@ -99,12 +99,13 @@ class StepCost:
 class Plan:
     """A compiled scale-independent plan for a conjunctive query.
 
-    ``view_relations`` names the relations of the plan's atoms that are
-    *materialized views* rather than base tables (:mod:`repro.views`):
-    their steps lower to the same fetch/probe closures as any other step
-    but read the view's store instead of the database, so executing the
-    plan requires an execution context that carries the corresponding
-    view states.
+    ``view_relations`` names the *materialized views* (:mod:`repro.views`)
+    a step reads: such a step lowers to the same fetch/probe closure as
+    any other but reads the view's store instead of the database, so
+    executing the plan requires an execution context that carries those
+    views' states -- and no other's.  ``query`` is the query the steps
+    were planned from; for a view-assisted plan that is the *augmented*
+    one, whose body may hold atoms no step reads (see :func:`compile_plan`).
     """
 
     __slots__ = (
@@ -248,6 +249,13 @@ class Plan:
         views = self.view_relations
         return Plan(query, self.parameters, tuple(steps), head, self.satisfiable, views)
 
+    def entailed(self) -> tuple[Atom, ...]:
+        """The body atoms no step reads: a view-assisted plan leaves an
+        atom out where the atoms it witnesses entail it."""
+        read = {step.atom for step in self.steps}
+        body = self.query.normalized_body() if self.satisfiable else None
+        return tuple(a for a in body or () if a not in read)
+
     def explain(self) -> str:
         """A human-readable rendering of the plan, with each step's static
         worst-case access estimate (see :meth:`step_costs`)."""
@@ -258,6 +266,7 @@ class Plan:
             lines.append("unsatisfiable equalities: the answer is empty")
         for i, cost in enumerate(self.step_costs(), 1):
             lines.append(f"{i}. {cost.step}  [<= {cost.accesses} tuples]")
+        lines.extend(f"entailed, not read: {atom}" for atom in self.entailed())
         head = ", ".join(
             str(t) if isinstance(t, Constant) else f"?{t}" for t in self.head_terms
         )
@@ -289,15 +298,20 @@ def compile_plan(
     access: AccessSchema,
     parameters: Iterable[object] = (),
     *,
-    view_relations: frozenset[str] = frozenset(),
+    implied: Mapping[Atom, tuple[Atom, ...]] | None = None,
 ) -> Plan:
     """Compile a scale-independent plan for ``query`` under ``access``,
     with the variables in ``parameters`` supplied at execution time.
 
-    ``view_relations`` marks relation names of ``access.schema`` that are
-    materialized views: their steps execute against view stores instead
-    of the database (used by :mod:`repro.views`, which compiles rewritten
-    queries against a schema extended with one relation per view).
+    ``implied`` holds the body atoms over *materialized views* -- their
+    steps execute against view stores instead of the database (used by
+    :mod:`repro.views`, which compiles rewritten queries against a schema
+    extended with one relation per view) -- each with the body atoms it
+    *stands for*: those that hold on exactly the bindings it holds on
+    (none when the view proves less).  An atom the plan has already
+    entailed costs no step: witnessing a view atom witnesses what it
+    stands for, and a view atom is never read once everything it stands
+    for is witnessed.
 
     Raises :class:`NotControlledError` if the query is not controlled by
     ``parameters`` under ``access``.
@@ -313,14 +327,7 @@ def compile_plan(
 
     subst = query.equality_substitution()
     if subst is None:
-        return Plan(
-            query,
-            params,
-            (),
-            tuple(subst_head(query, {})),
-            satisfiable=False,
-            view_relations=view_relations,
-        )
+        return Plan(query, params, (), query.head, satisfiable=False)
 
     atoms = [a.substitute(subst) for a in query.body]
     bound: set[Variable] = set()
@@ -329,18 +336,32 @@ def compile_plan(
         if isinstance(rep, Variable):
             bound.add(rep)
 
-    # `remaining` holds (atom, verified?) pairs; an atom leaves the list
-    # once it has been witnessed by a full fetch or a probe.
+    # An atom leaves `remaining` once it holds on every open branch:
+    # witnessed by a full fetch or a probe, or entailed by what was.
+    implied = implied or {}
     remaining: list[Atom] = list(atoms)
+    held: set[Atom] = set()
     steps: list[Step] = []
+
+    def witness(atom: Atom) -> None:
+        remaining.remove(atom)
+        stood = implied.get(atom, ())
+        held.update(stood, (atom,))
+        remaining[:] = [
+            a
+            for a in remaining
+            if a not in stood and not (implied.get(a) and held.issuperset(implied[a]))
+        ]
 
     while remaining:
         # 1. Probe any atom that is already fully bound: one tuple access.
         probed = [a for a in remaining if all(_is_bound(t, bound) for t in a.terms)]
         if probed:
-            for atom in probed:
-                steps.append(ProbeStep(atom))
-                remaining.remove(atom)
+            # A view atom first: its one probe answers for all it stands for.
+            for atom in sorted(probed, key=lambda a: not implied.get(a)):
+                if atom in remaining:  # not entailed by a probe of this round
+                    steps.append(ProbeStep(atom))
+                    witness(atom)
             continue
 
         # 2. Otherwise find the most selective applicable (atom, rule)
@@ -372,25 +393,19 @@ def compile_plan(
         step = best[1]
         steps.append(step)
         bound.update(step.binds)
-        atom, rule = step.atom, step.rule
-        if rule.verifies_atom:
-            remaining.remove(atom)
+        if step.rule.verifies_atom:
+            witness(step.atom)
         # An embedded fetch leaves the atom in `remaining`; once all its
         # positions are bound, branch 1 turns it into a probe.
 
-    head_terms = tuple(subst_head(query, subst))
+    head_terms = tuple(subst.get(v, v) for v in query.head)
     unbound_head = [
         t for t in head_terms if isinstance(t, Variable) and t not in bound
     ]
     if unbound_head:
         _raise_not_controlled(query, access, params, bound, [], subst)
-    return Plan(
-        query, params, tuple(steps), head_terms, view_relations=view_relations
-    )
-
-
-def subst_head(query: ConjunctiveQuery, subst: Substitution) -> list[Term]:
-    return [subst.get(v, v) for v in query.head]
+    views = frozenset(s.atom.relation for s in steps if s.atom in implied)
+    return Plan(query, params, tuple(steps), head_terms, view_relations=views)
 
 
 def _raise_not_controlled(
@@ -401,10 +416,9 @@ def _raise_not_controlled(
     remaining: list[Atom],
     subst: Substitution,
 ) -> None:
-    all_vars = query.variables()
     uncovered = [
         v
-        for v in all_vars
+        for v in query.variables()
         if not isinstance(subst.get(v, v), Constant) and subst.get(v, v) not in bound
     ]
     details = []

@@ -17,10 +17,9 @@ The package in three pieces:
   plan-cache keys incorporate.  Registration validates everything
   eagerly: unknown relations, name collisions and repeated head
   variables fail at ``register`` time, never at first execute.
-* :class:`ViewState` -- one view's materialization: answer rows with
-  derivation counts (via
-  :func:`~repro.core.executor.execute_plan_counting` under a permissive
-  access schema), held in a private
+* :class:`ViewState` -- one view's materialization: answer rows (plus a
+  derivation count for each row derived more than once, so a
+  non-projecting view holds its row set once), held in a private
   :class:`~repro.relational.backends.memory.MemoryBackend` (``state.store``)
   so a view is read through the same ``lookup_keys`` / ``contains_rows``
   pair as a base relation, and incremental maintenance by the plan's
@@ -30,12 +29,12 @@ The package in three pieces:
   touching stored tuples at all.  Every refresh appends the set-level
   answer change to a ledger, so incremental *query* results can consume
   view deltas exactly like base-relation slices.
-* the rewriter (:mod:`repro.views.rewrite`) -- homomorphism-based
-  augmentation: every view whose body maps into the query contributes an
-  implied view atom, and the ordinary planner then compiles the
-  augmented query against the extended schema.  A view step lowers to
-  the same fetch/probe closure as a base step; only its read source is
-  the view's store instead of the database.
+* the rewriter (:mod:`repro.views.rewrite`) -- every view whose body
+  maps into the query contributes an implied view atom, and the ordinary
+  planner compiles the augmented query against the extended schema, told
+  what each view atom *stands for* so that an atom a view proves costs
+  no step.  A view step lowers to the same fetch/probe closure as a base
+  step; only its read source is the view's store, not the database.
 
 Reached through the facade::
 

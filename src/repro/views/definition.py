@@ -55,8 +55,10 @@ from repro.core.access_schema import (
 from repro.core.executor import delta_program
 from repro.core.plans import Plan, compile_plan
 from repro.errors import RewritingError, SchemaError
+from repro.logic.ast import Atom
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_query
+from repro.logic.terms import Term, Variable
 from repro.relational.backends.memory import MemoryBackend
 from repro.relational.instance import AccessStats, Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
@@ -183,6 +185,28 @@ class ViewDef:
                 f"view name {self.name!r} collides with a base relation"
             )
 
+    def stands_for(self, atom: Atom) -> tuple[Atom, ...]:
+        """The base atoms ``atom`` -- one over this view -- stands for: the
+        equality-normalised body with the head replaced by ``atom``'s
+        terms, which is in the database exactly when ``atom`` is in a
+        current materialization.  Nothing for a *projecting* view, whose
+        normalised body mentions a variable its head does not (``V(pid)
+        :- friend(pid, y)`` proves that *some* friend exists, not the one
+        a query names), nor for terms the head cannot produce."""
+        subst = self.query.equality_substitution()
+        if subst is None:
+            return ()
+        to: dict[Term, Term] = {}
+        for column, term in zip(self.query.head, atom.terms):
+            column = subst.get(column, column)
+            fits = to.setdefault(column, term) if isinstance(column, Variable) else column
+            if fits != term:
+                return ()
+        body = [a.substitute(subst) for a in self.query.body]
+        if any(isinstance(t, Variable) and t not in to for a in body for t in a.terms):
+            return ()
+        return tuple(a.substitute(to) for a in body)
+
     def maintenance_plan(self, schema: DatabaseSchema) -> Plan:
         """The view's query compiled under the permissive access schema:
         the plan materialization and every refresh execute through."""
@@ -199,20 +223,19 @@ class ViewDef:
 
 
 class ViewState:
-    """One view's materialization against one database: the answer rows
-    (with derivation counts), the change-log watermark the answers are
-    valid at, and the answer ledger refreshes append to.
+    """One view's materialization against one database: the answer rows,
+    the derivation count of each row that has more than one (:attr:`many`;
+    empty for a non-projecting view, so the row set is held once), the
+    watermark the answers are valid at, and the answer ledger.
 
     The rows live in :attr:`store`, a private
     :class:`~repro.relational.backends.memory.MemoryBackend` over the
     view's one-relation schema -- so a view is read exactly like a base
-    relation, through the backend pair ``store.lookup_keys(name,
-    positions, keys, stats)`` / ``store.contains_rows(name, rows,
-    stats)``, with the backend's lazily built, in-place maintained
-    indexes and distinct-key accounting.  The store's cumulative counters
+    relation, through ``store.lookup_keys(name, positions, keys, stats)``
+    / ``store.contains_rows(name, rows, stats)``, with the backend's lazily
+    built, in-place maintained indexes.  The store's cumulative counters
     are its own: a view read is charged to the stats object the caller
-    passes (the per-execution context) and never to the database's
-    counters -- view reads are not base-table accesses.
+    passes and never to the database's -- it is not a base-table access.
     """
 
     __slots__ = (
@@ -222,7 +245,7 @@ class ViewState:
         "program",
         "watermark",
         "origin",
-        "counts",
+        "many",
         "seeded",
         "store",
         "_ledger",
@@ -240,21 +263,24 @@ class ViewState:
         self.watermark = db.change_log.watermark
         self.origin = self.watermark
         self.seeded = self.program.seed({})  # a maintenance plan has no parameters
-        self.counts: dict[Row, int] = self.program.count(self.seeded, db, AccessStats())
+        counts = self.program.count(self.seeded, db, AccessStats())
+        self.many = {row: count for row, count in counts.items() if count > 1}
         self.store = MemoryBackend()
         self.store.attach(DatabaseSchema([view.relation]), AccessStats())
-        self.store.insert_rows(view.name, list(self.counts))
+        self.store.insert_rows(view.name, list(counts))
         self._ledger: list[tuple[int, int, dict[Row, int]]] = []
         db.change_log.pin(self)  # hold the log at our watermark while we live
 
     def __repr__(self) -> str:
-        return (
-            f"ViewState({self.view.name!r}, {len(self)} rows, "
-            f"watermark={self.watermark})"
-        )
+        return f"ViewState({self.view.name!r}, {len(self)} rows, watermark={self.watermark})"
 
     def __len__(self) -> int:
         return self.store.count(self.view.name)
+
+    @property
+    def counts(self) -> dict[Row, int]:
+        """Every answer row's derivation count (built on request)."""
+        return {row: self.many.get(row, 1) for row in self.rows}
 
     @property
     def rows(self) -> tuple[Row, ...]:
@@ -268,13 +294,8 @@ class ViewState:
         """Bring the materialization up to date with the database's change
         log by running the delta pipeline over the slice past the view's
         watermark, and return the set-level net (``row -> +1`` entered,
-        ``-1`` left; empty when the slice changed nothing).
-
-        A single-atom view refreshes without touching stored tuples at
-        all -- the delta level joins the in-memory slice and there is no
-        old-state suffix; deeper views pay bounded prefix/suffix work per
-        changed level, never a recompute.
-        """
+        ``-1`` left; empty when the slice changed nothing).  Deeper views
+        pay bounded work per changed level, never a recompute."""
         log = self.db.change_log
         if log.watermark == self.watermark:
             return {}
@@ -285,14 +306,15 @@ class ViewState:
             # failed refresh leaves counts, store, ledger and watermark
             # as they were, so a retry starts from consistent state.
             changes = self.program.join(slice, self.seeded, self.db, AccessStats())
-            counts = self.counts
-            for row, change in changes.items():
-                old = counts.get(row, 0)
+            many = self.many
+            held = self.store.contains_rows(self.view.name, list(changes))
+            for (row, change), had in zip(changes.items(), held):
+                old = many.get(row, 1) if had else 0
                 new = old + change
-                if new > 0:
-                    counts[row] = new
+                if new > 1:
+                    many[row] = new
                 else:
-                    counts.pop(row, None)
+                    many.pop(row, None)
                 if old <= 0 < new:
                     net[row] = 1
                 elif new <= 0 < old:

@@ -2,35 +2,42 @@
 
 Section 6 of the paper makes queries scale independent that bounded
 access plans over base data alone cannot: answer the query from a set of
-materialized views plus boundedly many base-table accesses.  The
-rewriting step here is the sound *augmentation* form of view-based
-answering:
+materialized views plus boundedly many base-table accesses.  Two facts
+about a registered view carry the rewriting here.
 
-    if there is a homomorphism from a view's body into the query's body,
-    then every query answer satisfies the view's head projection under
-    that mapping -- so the corresponding view atom is *implied* and may
-    be added to the query without changing its answers.
+*Augmentation.*  If there is a homomorphism from a view's body into the
+query's body, every query answer satisfies the view's head under that
+mapping, so the corresponding view atom is *implied*: adding it changes
+no answer on a database whose views are current (the Engine brings a
+view up to date before every execution that reads it), and hands the
+planner the view's bounded access paths.
 
-Added view atoms do not change the query's semantics (on a database
-whose views are fresh), but they hand the planner new bounded access
-paths: a query that raises
-:class:`~repro.errors.NotControlledError` over the base access schema
-may become controlled once a view atom -- fetchable through the view's
-declared rules, probe-able for free -- joins the fixpoint.  The classic
-example is an inverted edge index: ``friend(x, p)`` with only
+*Replacement.*  A view atom *stands for* the view's equality-normalised
+body with the head replaced by the atom's terms
+(:meth:`ViewDef.stands_for`).  Unless the view is *projecting* -- its
+normalised body mentions a variable its head does not -- ``V(t)`` is in
+a current materialization iff ``body[head -> t]`` is in the database,
+and the two mention the same variables.  So once a plan has witnessed
+either side the other costs no step, and the *set of satisfying
+assignments* is the one the query had: the same answers, in the same
+first-derivation order, with the same derivation counts the incremental
+state is made of.  A projecting view (``V(pid) :- friend(pid, y)``)
+proves only that *some* friend exists, not the one the query names; its
+atom stands for nothing and every base atom keeps its step.
+
+The classic example is an inverted edge index: ``friend(x, p)`` with only
 ``friend(pid1 -> N)`` declared is uncontrolled given ``p``, but with
 ``V1(pid, follower) <- friend(follower, pid)`` registered the augmented
-query fetches ``V1(p, x)`` through ``V1(pid -> K)`` and verifies
-``friend(x, p)`` with one membership probe per candidate: at most
-``K`` view rows plus ``K`` base probes, independent of the database
-size.
+query fetches ``V1(p, x)`` through ``V1(pid -> K)`` -- and that *is* the
+answer: ``V1(p, x)`` stands for ``friend(x, p)``, so the plan reads at
+most ``K`` view rows and no base row, independent of the database size.
 
 This is deliberately not a complete rewriting procedure (no MiniCon-style
-bucket search, no view-only equivalence rewritings): it finds every
-*implied* view atom via :func:`repro.logic.homomorphism.body_homomorphisms`
-and lets the ordinary planner decide whether they help.  Sound always;
-complete for the "view as bounded access path" usage the workload
-exercises.
+bucket search): it finds every implied view atom via
+:func:`repro.logic.homomorphism.body_homomorphisms`, tells the planner
+what each stands for, and lets the ordinary planner decide which atoms
+to read -- it still sees them all, so a base atom that offers the only
+way in is used and the view atom it entails is the one left unread.
 """
 
 from __future__ import annotations
@@ -91,23 +98,26 @@ def implied_view_atoms(
 
 def rewrite_with_views(
     query: ConjunctiveQuery, views: Sequence[ViewDef]
-) -> tuple[ConjunctiveQuery, frozenset[str]] | None:
-    """The query augmented with every implied view atom, plus the names
-    of the views used -- or None when no view maps into the query.
+) -> tuple[ConjunctiveQuery, dict[Atom, tuple[Atom, ...]]] | None:
+    """The query augmented with every implied view atom, plus what each
+    of those atoms stands for (:meth:`ViewDef.stands_for`) -- or None
+    when no view maps into the query.
 
     The augmented query is equivalent to the original on any database
-    whose materialized views are fresh (the Engine refreshes them before
-    every view-assisted execution), so answering it answers the original.
+    whose materialized views are current, so answering it answers the
+    original.
     """
-    implied = implied_view_atoms(query, views)
+    defs = {view.name: view for view in views}
+    implied = {
+        atom: defs[name].stands_for(atom)
+        for atom, name in implied_view_atoms(query, views)
+    }
     if not implied:
         return None
     augmented = ConjunctiveQuery(
-        query.head,
-        tuple(query.body) + tuple(atom for atom, _ in implied),
-        query.equalities,
+        query.head, tuple(query.body) + tuple(implied), query.equalities
     )
-    return augmented, frozenset(name for _, name in implied)
+    return augmented, implied
 
 
 def compile_with_views(
@@ -120,8 +130,8 @@ def compile_with_views(
     """Compile ``query`` using the registered views: augment it with the
     implied view atoms and compile against the extended schema (base
     relations + one per view) and extended access schema (base rules +
-    view rules), marking the view relations so the executor lowers their
-    steps to view-store operators.
+    view rules), telling the planner which atoms are view atoms and what
+    each stands for -- this is its only caller that does.
 
     ``views`` is a :class:`~repro.views.definition.ViewSet` or -- for a
     race-free read under concurrent register/drop -- the immutable
@@ -140,17 +150,15 @@ def compile_with_views(
             f"schema{detail}, and no registered view maps into it "
             f"(views: {', '.join(views.names()) or 'none'})"
         )
-    augmented, names = rewritten
+    augmented, implied = rewritten
     try:
         return compile_plan(
-            augmented,
-            views.extended_access(access),
-            parameters,
-            view_relations=names,
+            augmented, views.extended_access(access), parameters, implied=implied
         )
     except NotControlledError as exc:
+        names = sorted({atom.relation for atom in implied})
         raise NotControlledError(
             f"query {query} is not controlled over the base access schema, "
-            f"and the registered views ({', '.join(sorted(names))}) do not "
+            f"and the registered views ({', '.join(names)}) do not "
             f"make it controlled either: {exc}"
         ) from exc

@@ -15,12 +15,15 @@ import pytest
 from repro import (
     AccessRule,
     AccessSchema,
+    Atom,
     CertificationError,
+    ConjunctiveQuery,
     Engine,
     FetchStep,
     Plan,
     ProbeStep,
     Severity,
+    Variable,
     compile_plan,
     parse_cq,
 )
@@ -43,6 +46,7 @@ from repro.errors import NotControlledError
 from repro.logic.ast import Span
 from repro.logic.homomorphism import are_equivalent
 from repro.logic.parser import parse_query
+from repro.views import ViewDef, compile_with_views
 from repro.workloads import (
     RUNNING_QUERIES,
     VIEW_QUERIES,
@@ -202,6 +206,63 @@ def test_forged_satisfiability_fails_crt007(q1_plan):
     plan, access = q1_plan
     mutated = clone(plan, satisfiable=False)
     assert "CRT007" in codes(certify_plan(mutated, access))
+
+
+@pytest.fixture
+def followers():
+    """Q4's shape through an inverted edge index: the plan reads the view
+    and not the friend atom the view stands for."""
+    engine = Engine(
+        "person(pid, name, city); friend(pid1, pid2)",
+        "friend(pid1 -> 32); person(pid -> 1)",
+        {"person": [(2, "bob", "NYC"), (3, "cat", "SF")], "friend": [(2, 1), (3, 1)]},
+    )
+    engine.views.register("V1", "V1(pid, follower) :- friend(follower, pid)", "V1(pid -> 64)")
+    plan = engine.query("Q(f) :- friend(f, p), person(f, n, 'NYC')").plan(["p"])
+    assert [str(s.atom) for s in plan.steps] == ["V1(?p, ?f)", "person(?f, ?n, 'NYC')"]
+    return engine, plan
+
+
+def test_an_unread_atom_passes_only_where_a_view_proves_it(followers, monkeypatch):
+    engine, plan = followers
+    definitions = engine.views.definitions()
+
+    def planner_helper(self, atom):
+        raise AssertionError("the certifier must derive 'stands for' by itself")
+
+    monkeypatch.setattr(ViewDef, "stands_for", planner_helper)
+    assert check_plan(plan, engine.access, definitions) is plan
+    # An atom nothing entails still fails: no view stands for person(...).
+    dropped = clone(plan, steps=plan.steps[:1])
+    assert codes(certify_plan(dropped, engine.access, definitions)) == {"CRT007"}
+    # V1(?p, ?f) stands for friend(?f, ?p) -- head onto terms, column by
+    # column -- and says nothing about friend(?p, ?f).
+    p, f = Variable("p"), Variable("f")
+    body = (Atom("friend", (p, f)),) + plan.query.body[1:]
+    turned = clone(plan, query=ConjunctiveQuery(plan.query.head, body))
+    report = certify_plan(turned, engine.access, definitions)
+    assert codes(report) == {"CRT007"} and "friend(?p, ?f)" in report.render()
+    # ... and the view atom itself, unread, needs what it stands for read.
+    unread = clone(plan, steps=plan.steps[1:])
+    assert "CRT007" in codes(certify_plan(unread, engine.access, definitions))
+
+
+def test_a_projecting_view_witnesses_only_itself():
+    engine = Engine(
+        "person(pid, name, city); friend(pid1, pid2)",
+        "friend(pid1 -> 32); person(pid -> 1)",
+        {"person": [(2, "bob", "NYC")], "friend": [(1, 2)]},
+    )
+    engine.views.register("V", "V(pid) :- friend(pid, y)", "V(pid -> 1)")
+    query = engine.query("Q(n) :- friend(p, y), person(p, n, c)").query
+    plan = compile_with_views(query, engine.access, engine.views, ["p"])
+    kinds = [s.atom.relation for s in plan.steps]
+    assert sorted(kinds) == ["V", "friend", "person"]
+    definitions = engine.views.definitions()
+    assert check_plan(plan, engine.access, definitions) is plan
+    forged = clone(plan, steps=tuple(s for s in plan.steps if s.atom.relation != "friend"))
+    report = certify_plan(forged, engine.access, definitions)
+    assert codes(report) == {"CRT007"} and "friend(?p, ?y)" in report.render()
 
 
 def test_forged_fanout_bound_fails_crt006(q1_plan):

@@ -11,6 +11,7 @@ from sys import intern as sys_intern
 
 import pytest
 
+from reference_executor import execute_per_tuple
 from repro import (
     AccessRule,
     AccessSchema,
@@ -28,7 +29,6 @@ from repro.core.executor import (
     OldState,
     ProjectDedupOp,
     build_pipeline,
-    execute_per_tuple,
     execute_plan,
     execute_plan_counting,
     merge_parameter_values,

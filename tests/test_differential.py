@@ -22,8 +22,9 @@ import random
 
 import pytest
 
+from reference_executor import execute_per_tuple
 from repro import Variable
-from repro.core.executor import ExecutionContext, execute_per_tuple, execute_plan
+from repro.core.executor import ExecutionContext, execute_plan
 from repro.logic.parser import parse_query
 from repro.workloads import (
     CITIES,

@@ -9,6 +9,7 @@ very run it executes through profile_plan / explain_analyze.
 
 import pytest
 
+from reference_executor import execute_per_tuple
 from repro import (
     AccessRule,
     AccessSchema,
@@ -32,7 +33,6 @@ from repro.core.executor import (
     ProbeOp,
     ProjectDedupOp,
     build_pipeline,
-    execute_per_tuple,
     execute_plan,
     execute_plan_counting,
     execute_plan_delta,

@@ -37,10 +37,14 @@ Every test runs on all three storage backends (``backend_factory``),
 derandomised, with an example budget sized to keep tier-1 fast.
 """
 
+import inspect
+import textwrap
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_executor import execute_per_tuple
 from repro import (
     AccessRule,
     AccessSchema,
@@ -51,27 +55,31 @@ from repro import (
     DatabaseSchema,
     EmbeddedAccessRule,
     Engine,
+    Equality,
     IncrementalError,
     NotControlledError,
     RelationSchema,
     Variable,
     compile_plan,
 )
+from repro.analysis import certify_plan
 from repro.core.executor import (
     ExecutionContext,
     FetchOp,
     delta_fanout_bound,
     delta_program,
-    execute_per_tuple,
     execute_plan,
     execute_plan_counting,
     execute_plan_delta,
     pipeline_for,
     profile_plan,
 )
-from repro.core.plans import FetchStep
+from repro.core.plans import FetchStep, Plan, ProbeStep
+from repro.logic.evaluation import join_atoms
 from repro.relational import instance
 from repro.relational.instance import AccessStats
+from repro.views import ViewDef, compile_with_views
+from repro.views import rewrite as rewrite_module
 
 #: A small domain keeps the relations dense, so joins find partners,
 #: updates hit maintained answers and rows get several derivations.
@@ -176,6 +184,16 @@ def scenarios(draw):
     return arities, rows, stream, rules, ConjunctiveQuery(head, body), parameters, bindings
 
 
+def ever_present(rows, stream):
+    """Every tuple that exists in some state of the stream, by relation."""
+    ever = {name: set(rows[name]) for name in RELATIONS}
+    for batch in stream:
+        for op, name, row in batch:
+            if op == "+":
+                ever[name].add(row)
+    return ever
+
+
 def build(scenario):
     """Turn a drawn scenario into (schema, access, plan, parameter values).
 
@@ -187,11 +205,7 @@ def build(scenario):
     schema = DatabaseSchema(
         [RelationSchema(name, [f"a{i}" for i in range(arities[name])]) for name in RELATIONS]
     )
-    ever = {name: set(rows[name]) for name in RELATIONS}
-    for batch in stream:
-        for op, name, row in batch:
-            if op == "+":
-                ever[name].add(row)
+    ever = ever_present(rows, stream)
     built = []
     for name, inputs, outputs in rules:
         groups: dict[tuple, int] = {}
@@ -475,3 +489,351 @@ def test_a_view_rides_in_the_slice(backend_factory, data, draw, p):
         assert set(live.rows) == set(fresh.rows) == set(naive.evaluate(reference, {"p": p}))
         assert fresh.stats.tuples_accessed <= fresh.fanout_bound
         assert fresh.stats.full_scans == 0
+
+
+# -- views: a view answers for its atoms (section 6) -----------------------
+#
+# Views are drawn over the drawn schema, in the queries' own variable pool
+# so a view's variable can collide with a query's, and compiled two ways:
+# directly (``compile_with_views``: the view-augmented plan, whatever it
+# costs) and through an ``Engine`` (cost-based selection, certification,
+# the plan cache, refresh-before-read).  One oracle throughout: naive
+# evaluation of the *original* query on a separate memory instance.
+
+
+def stands_for(definition, atom):
+    """The test's own reading of the rule, from the paper's side: the
+    view's body under its equalities with the head columns replaced by the
+    atom's terms -- nothing when a body variable is no head column."""
+    subst = definition.equality_substitution()
+    columns = [subst.get(v, v) for v in definition.head]
+    body = [a.substitute(subst) for a in definition.body]
+    variables = {t for a in body for t in a.terms if isinstance(t, Variable)}
+    if not variables <= set(columns):
+        return frozenset()
+    to = {c: t for c, t in zip(columns, atom.terms) if isinstance(c, Variable)}
+    return frozenset(a.substitute(to) for a in body)
+
+
+@st.composite
+def view_definitions(draw, arities, query):
+    """One to three view queries over the drawn schema: one- and two-atom
+    bodies with constants and repeated variables, sometimes an equality,
+    heads that keep every body variable (non-projecting) or drop some.
+    Most bodies are cut from ``query``'s under a permutation of the
+    variable pool, so the view maps into the query and its variables
+    collide with the query's; the rest are drawn freely."""
+    definitions = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)):
+            renaming = dict(zip(VARIABLES, draw(st.permutations(VARIABLES))))
+            cut = draw(st.lists(st.sampled_from(query.body), min_size=1, max_size=2))
+            body = [atom.substitute(renaming) for atom in cut]
+        else:
+            body = []
+            for _ in range(draw(st.integers(1, 2))):
+                name = draw(st.sampled_from(RELATIONS))
+                terms = [
+                    draw(st.sampled_from(VARIABLES))
+                    if draw(st.integers(0, 5))
+                    else Constant(draw(values))
+                    for _ in range(arities[name])
+                ]
+                body.append(Atom(name, terms))
+        present = sorted({t for atom in body for t in atom.terms if isinstance(t, Variable)})
+        if not present:
+            continue
+        equalities = []
+        if not draw(st.integers(0, 4)):
+            other = st.one_of(st.sampled_from(present), values.map(Constant))
+            equalities.append(Equality(draw(st.sampled_from(present)), draw(other)))
+        head = draw(st.permutations(present))
+        if len(head) > 1 and not draw(st.integers(0, 2)):
+            head = head[: draw(st.integers(1, len(head) - 1))]  # projecting
+        definitions.append((ConjunctiveQuery(head, body, equalities), draw(st.booleans())))
+    return definitions
+
+
+def register_views(engine, definitions, ever):
+    """Register the drawn views with truthful bounds: the largest key
+    group of the view over every tuple that ever exists (a conjunctive
+    query is monotone, so no state of the stream has a larger one)."""
+    everything = Database(engine.schema, ever)
+    for i, (definition, keyed) in enumerate(definitions):
+        name = f"V{i}"
+        key = [definition.head[0].name] if keyed else []
+        groups: dict[object, int] = {}
+        for row in definition.evaluate(everything):
+            group = row[:1] if keyed else ()
+            groups[group] = groups.get(group, 0) + 1
+        bound = max(groups.values(), default=1)
+        engine.views.register(ViewDef(name, definition, [AccessRule(name, key, bound=bound)]))
+
+
+def check_mechanism(plan, views):
+    """What the plan reads, against :func:`stands_for`: a witnessed view
+    atom leaves no later step on an atom it stands for, every base atom
+    without a witnessing step is stood for by a witnessed view atom (so a
+    projecting view's atom leaves every step in place), and no step reads
+    a view atom whose stood-for atoms earlier steps had all witnessed."""
+    definitions = {view.name: view.query for view in views}
+    assert plan.view_relations == {
+        s.atom.relation for s in plan.steps if s.atom.relation in definitions
+    }
+    witnessed: set = set()  # what a step verified or a verified view atom stands for
+    proven: set = set()  # the second half alone
+    for step in plan.steps:
+        atom, stood = step.atom, frozenset()
+        if atom.relation in definitions:
+            stood = stands_for(definitions[atom.relation], atom)
+            assert atom not in witnessed
+            assert not (stood and stood <= witnessed), f"{step} reads what {witnessed} entail"
+        else:
+            assert atom not in proven, f"{step} re-reads what a view atom stands for"
+        if isinstance(step, ProbeStep) or step.rule.verifies_atom:
+            witnessed |= {atom} | stood
+            proven |= stood
+    for atom in plan.query.normalized_body():
+        if atom.relation not in definitions:
+            assert atom in witnessed, f"nothing reads or stands for {atom}"
+    assert set(plan.entailed()) == set(plan.query.normalized_body()) - {
+        s.atom for s in plan.steps
+    }
+
+
+def multiplicities(query, reference, values):
+    """Answer -> number of satisfying assignments, counted naively."""
+    subst = query.equality_substitution()
+    if subst is None:
+        return {}
+    seed: dict = {}
+    for variable, value in values.items():
+        rep = subst.get(variable, variable)
+        if (rep.value if isinstance(rep, Constant) else seed.setdefault(rep, value)) != value:
+            return {}
+    counts: dict = {}
+    for assignment in join_atoms(reference, [a.substitute(subst) for a in query.body], seed):
+        row = query._project(assignment, subst)
+        counts[row] = counts.get(row, 0) + 1
+    return counts
+
+
+def check_answers(plan, query, views, db, reference, values):
+    """The plan answers -- rows, order-free; derivation counts; accounting
+    -- like the original query evaluated naively."""
+    states = views.prepare(db, plan.view_relations)
+    ctx = ExecutionContext(db, views=states)
+    rows = execute_plan(plan, ctx, dict(values))
+    naive = multiplicities(query, reference, values)
+    assert set(rows) == set(naive) == set(query.evaluate(reference, values))
+    assert len(rows) == len(set(rows))
+    assert ctx.stats.tuples_accessed <= plan.fanout_bound
+    per_tuple = execute_per_tuple(plan, ExecutionContext(db, views=states), dict(values))
+    assert set(per_tuple) == set(naive)
+    if not embedded(plan):
+        counting = ExecutionContext(db, views=states)
+        assert execute_plan_counting(plan, counting, dict(values)) == naive
+
+
+def check_view_plan(plan, query, access, views, db, reference, values):
+    """One view-augmented plan on the current state: it certifies, reads
+    what the rule says, and answers like the query it was compiled from."""
+    report = certify_plan(plan, access, views)
+    assert report.ok(), report.render()
+    check_mechanism(plan, views.definitions())
+    check_answers(plan, query, views, db, reference, values)
+
+
+def view_plan(query, access, views, parameters):
+    """The view-augmented plan for ``parameters``, or with every variable
+    given (every atom a probe) when those do not control the query."""
+    try:
+        return compile_with_views(query, access, views, parameters)
+    except NotControlledError:
+        return compile_with_views(query, access, views, query.variables())
+
+
+@budget(30)
+@given(scenario=scenarios(), more=st.data())
+def test_view_assisted_answers_are_the_base_answers(backend_factory, scenario, more):
+    schema, access, _, _ = build(scenario)
+    arities, rows, stream, _, query, parameters, bindings = scenario
+    engine = Engine(schema, access, rows, backend=backend_factory())
+    definitions = more.draw(view_definitions(arities, query))
+    register_views(engine, definitions, ever_present(rows, stream))
+    if not len(engine.views):
+        return
+    db, views = engine.require_database(), engine.views
+    reference = Database(schema, rows)
+    try:
+        plan = view_plan(query, access, views, parameters)
+    except NotControlledError:
+        return  # no view maps into the query
+    values = {v: bindings[v] for v in plan.parameters}
+    prepared = engine.query(query)
+    try:
+        live = prepared.execute_incremental(dict(values))
+    except IncrementalError:
+        live = None  # the engine's choice fetches through an embedded rule
+    for batch in [[]] + stream:
+        apply_batch(db, batch)
+        apply_batch(reference, batch)
+        check_view_plan(plan, query, access, views, db, reference, values)
+        # Through the front door: the engine's own choice of plan,
+        # certified by the conftest fixture, views refreshed before read.
+        naive = multiplicities(query, reference, values)
+        fresh = prepared.execute(dict(values))
+        assert set(fresh.rows) == set(naive)
+        assert fresh.stats.tuples_accessed <= fresh.fanout_bound
+        check_mechanism(prepared.plan(values), views.definitions())
+        if live is not None:
+            live.refresh()
+            assert live.last_mode == "delta" and set(live.rows) == set(naive)
+            assert dict(live._counts[0]) == naive
+            assert live.stats.tuples_accessed <= live.delta_bound
+
+
+# -- pinned view cases and the seeded mutants they kill ---------------------
+
+PINNED_SCHEMA = "r(a, b); s(a, c)"
+PINNED_ACCESS = "r(a -> 8); s(a -> 8)"
+PINNED_DATA = {"r": [(1, 7), (2, 7), (2, 1), (5, 2)], "s": [(1, "u"), (2, "u"), (2, 1)]}
+
+#: name -> (view text, its rule, query, parameter values)
+PINNED = {
+    # V inverts r: Q's only way in, and all there is to read of r(x, p);
+    # 'u' has two derivations, one per follower of 7.
+    "inverted index": ("V(b, a) :- r(a, b)", "V(b -> 8)", "Q(y) :- r(x, p), s(x, y)", {"p": 7}),
+    # V(x) proves some r(x, _), not r(x, y) -- though it is spelt the same.
+    "projecting": ("V(x) :- r(x, y)", "V(x -> 1)", "Q(z) :- r(x, y), s(x, z)", {"x": 2}),
+    # V(p) stands for r(p, 7) and for no other atom of r.
+    "same relation": ("V(x) :- r(x, 7)", "V(x -> 1)", "Q(p) :- r(p, 7), r(q, p)", {"p": 1, "q": 5}),
+    # ... and answers for both of its atoms at once.
+    "two atoms": ("V(x, y) :- r(x, y), s(x, y)", "V(x -> 4)", "Q(y) :- r(p, y), s(p, y)", {"p": 2}),
+}
+
+
+def pinned(name):
+    view, rule, text, values = PINNED[name]
+    engine = Engine(PINNED_SCHEMA, PINNED_ACCESS, PINNED_DATA)
+    engine.views.register("V", view, rule)
+    query = engine.query(text).query
+    plan = compile_with_views(query, engine.access, engine.views, values)
+    values = {Variable(name): value for name, value in values.items()}
+    return engine, query, plan, values
+
+
+def forged_plans():
+    """Plans that drop a base step nothing entails: under a projecting
+    view, and under a non-projecting one whose atom names other terms."""
+    engine, _, plan, _ = pinned("projecting")
+    kept = tuple(s for s in plan.steps if s.atom.relation != "r")
+    assert len(kept) == len(plan.steps) - 1 and plan.view_relations == {"V"}
+    yield engine, Plan(plan.query, plan.parameters, kept, plan.head_terms, True, {"V"})
+    engine, query, plan, _ = pinned("inverted index")
+    x, p = Variable("x"), Variable("p")
+    wrong = ConjunctiveQuery(query.head, [Atom("r", [p, x]), *plan.query.body[1:]])
+    assert [str(s.atom) for s in plan.steps] == ["V(?p, ?x)", "s(?x, ?y)"]
+    yield engine, Plan(wrong, plan.parameters, plan.steps, plan.head_terms, True, {"V"})
+
+
+def view_properties(certify):
+    """label -> check, over the pinned cases."""
+
+    def over_cases(check):
+        def run():
+            for name in PINNED:
+                engine, query, plan, values = pinned(name)
+                check(engine, query, plan, values)
+
+        return run
+
+    def certifies(engine, query, plan, values):
+        assert certify(plan, engine.access, engine.views).ok()
+
+    def mechanism(engine, query, plan, values):
+        check_mechanism(plan, engine.views.definitions())
+
+    def answers(engine, query, plan, values):
+        db = engine.require_database()
+        check_answers(plan, query, engine.views, db, db, values)
+
+    def forgeries():
+        for engine, forged in forged_plans():
+            codes = {d.code for d in certify(forged, engine.access, engine.views)}
+            assert codes == {"CRT007"}, codes
+
+    return {
+        "certifies": over_cases(certifies),
+        "mechanism": over_cases(mechanism),
+        "answers": over_cases(answers),
+        "forgeries are rejected": forgeries,
+    }
+
+
+def test_the_pinned_view_cases_hold():
+    for check in view_properties(certify_plan).values():
+        check()
+    plans = {name: [str(s) for s in pinned(name)[2].steps] for name in PINNED}
+    assert plans["inverted index"] == [
+        "fetch V(?p, ?x) via V(b -> 8), binding ?x",
+        "fetch s(?x, ?y) via s(a -> 8), binding ?y",
+    ]
+    assert plans["projecting"][0] == "probe V(?x)" and len(plans["projecting"]) == 3
+    assert plans["same relation"] == ["probe V(?p)", "probe r(?q, ?p)"]
+    assert plans["two atoms"] == ["fetch V(?p, ?y) via V(x -> 4), binding ?y"]
+
+
+#: name -> (where the line lives, the line to break, what to break it
+#: into, the property that must notice)
+VIEW_MUTANTS = {
+    "projecting test dropped from stands-for": (
+        ViewDef.stands_for,
+        "if any(isinstance(t, Variable) and t not in to for a in body for t in a.terms):",
+        "if False:",
+        "mechanism",
+    ),
+    "head zipped onto the terms in body order": (
+        ViewDef.stands_for,
+        "zip(self.query.head, atom.terms)",
+        "zip(dict.fromkeys(t for a in self.query.body for t in a.terms), atom.terms)",
+        "mechanism",
+    ),
+    "planner elides the relation, not the atom": (
+        compile_plan,
+        "if a not in stood and",
+        "if a.relation not in {b.relation for b in stood} and",
+        "answers",
+    ),
+    "certifier accepts any unread atom beside a view step": (
+        certify_plan,
+        "if stood and stood <= witnessed:",
+        "if plan.view_relations:",
+        "forgeries are rejected",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VIEW_MUTANTS)
+def test_seeded_view_mutants_are_killed(monkeypatch, name):
+    target, old, new, killer = VIEW_MUTANTS[name]
+    source = textwrap.dedent(inspect.getsource(target))
+    assert source.count(old) == 1, f"mutation site of {name!r} moved"
+    namespace = dict(vars(inspect.getmodule(target)))
+    exec(compile(source.replace(old, new), f"<{name}>", "exec"), namespace)
+    mutant = namespace[target.__name__]
+    certify = certify_plan
+    if target is certify_plan:
+        certify = mutant
+    elif target is compile_plan:
+        monkeypatch.setattr(rewrite_module, "compile_plan", mutant)
+    else:
+        monkeypatch.setattr(ViewDef, "stands_for", mutant)
+    killed_by = []
+    for label, check in view_properties(certify).items():
+        try:
+            check()
+        except AssertionError:
+            killed_by.append(label)
+    print(f"mutant {name!r} killed by: {', '.join(killed_by) or 'nothing'}")
+    assert killer in killed_by, f"{name!r} survived {killer}: killed by {killed_by}"

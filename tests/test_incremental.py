@@ -15,6 +15,7 @@ import weakref
 
 import pytest
 
+from reference_executor import execute_per_tuple
 from repro import (
     CompactedError,
     Engine,
@@ -24,7 +25,7 @@ from repro import (
     ViewState,
     delta_fanout_bound,
 )
-from repro.core.executor import DeltaProgram, FilterOp, execute_per_tuple, execute_plan
+from repro.core.executor import DeltaProgram, FilterOp, execute_plan
 from repro.logic.parser import parse_query
 from repro.relational import instance
 from repro.relational.instance import COMPACT_MIN_DEAD, SLICE_CACHE_SIZE, LogSlice

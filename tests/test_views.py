@@ -4,8 +4,10 @@ engine wiring, and differential correctness of view-assisted plans."""
 
 import pytest
 
+from reference_executor import execute_per_tuple
 from repro import (
     Atom,
+    Constant,
     Engine,
     NotControlledError,
     RewritingError,
@@ -13,17 +15,17 @@ from repro import (
     Variable,
     parse_query,
 )
+from repro.analysis import certify_plan
 from repro.core.executor import (
     ExecutionContext,
     FetchOp,
     OldState,
     ProbeOp,
-    execute_per_tuple,
     execute_plan,
     pipeline_for,
 )
 from repro.logic.homomorphism import body_homomorphisms
-from repro.views import ViewDef, implied_view_atoms
+from repro.views import ViewDef, ViewState, compile_with_views, implied_view_atoms
 from repro.workloads import (
     DEFAULT_VIEW_BOUND,
     VIEW_QUERIES,
@@ -282,6 +284,34 @@ class TestViewState:
         db.insert_many("friend", [(1, 5)])
         state.refresh()
         assert set(state.rows) == set(view.query.evaluate(db))
+
+    def test_only_rows_derived_more_than_once_keep_a_count(self, engine):
+        """A non-projecting view's rows have one derivation each, so the
+        state holds its row set once (``many`` stays empty); a projecting
+        view keeps a count exactly for the rows derived more than once,
+        through every 0 <-> 1 <-> 2 crossing."""
+        engine.views.register(v1_def())
+        engine.views.register(ViewDef("F", "F(pid) :- friend(pid, y)", "F(pid -> 1)"))
+        db = engine.require_database()
+        states = engine.views.prepare(db, ["V1", "F"])
+        v1, f = states["V1"], states["F"]
+        assert f.many == {} and f.counts == {(2,): 1, (3,): 1, (1,): 1, (4,): 1}
+        for write, rows in (
+            (db.insert_many, [(2, 3), (2, 4), (5, 1)]),  # (2,) 1 -> 3, (5,) enters
+            (db.delete_many, [(2, 1), (2, 3)]),  # (2,) 3 -> 1: its count is dropped
+            (db.delete_many, [(2, 4), (5, 1)]),  # (2,) and (5,) leave
+            (db.insert_many, [(2, 1), (2, 3)]),  # (2,) re-enters at 2
+        ):
+            write("friend", rows)
+            for state in (v1, f):
+                net = state.refresh()
+                rebuilt = ViewState(state.view, db)
+                assert state.counts == rebuilt.counts
+                assert set(state.rows) == set(rebuilt.rows) == set(state.counts)
+                assert all(sign in (1, -1) for sign in net.values())
+            assert v1.many == {}
+            assert f.many == {row: n for row, n in f.counts.items() if n > 1}
+        assert f.many == {(2,): 2} and f.rows[-1] == (2,)
 
     def test_ledger_changes_since(self, engine):
         engine.views.register(v1_def())
@@ -663,3 +693,150 @@ def test_view_probe_operator_appears_for_fully_bound_view_atoms():
         engine.require_database(), {"u": "url1", "p": 1}
     )
     assert set(result.rows) == set(naive) == {(2,)}
+
+
+# -- a view answers for its atoms: what a plan reads ------------------------
+
+TWO_VIEWS = "Q(f, u) :- friend(f, p), visits(f, u)"
+
+
+def test_view_relations_names_the_views_a_step_reads():
+    # Both workload views map into the query; V1 is its way in, and V2's
+    # atom is entailed once visits(f, u) is fetched -- so V2 is neither
+    # read, listed, refreshed nor sliced.
+    engine = Engine(SCHEMA_TEXT, ACCESS_TEXT, data=DATA)
+    register_workload_views(engine)
+    db = engine.require_database()
+    q = engine.query(TWO_VIEWS)
+    plan = q.plan(["p"])
+    assert str(plan.query) == (
+        "Q(?f, ?u) <- friend(?f, ?p), visits(?f, ?u), V1(?p, ?f), V2(?u, ?f)"
+    )
+    assert [str(s.atom) for s in plan.steps] == ["V1(?p, ?f)", "visits(?f, ?u)"]
+    assert [str(a) for a in plan.entailed()] == ["friend(?f, ?p)", "V2(?u, ?f)"]
+    assert plan.view_relations == {"V1"} and plan.fanout_bound == 64 + 64 * 8
+    engine.views.refresh(db)  # materialize both, so V2 has a watermark to keep
+    stale = engine.views.state("V2").watermark
+    db.insert_many("visits", [(2, "url9"), (3, "url9")])
+    db.insert_many("friend", [(4, 1)])
+    naive = set(q.query.evaluate(db, {"p": 1}))
+    assert set(q.execute(p=1).rows) == naive == {(2, "url1"), (2, "url9"), (3, "url2"), (3, "url9")}
+    assert engine.views.state("V2").watermark == stale < db.change_log.watermark
+    assert engine.views.state("V1").watermark == db.change_log.watermark
+    # The certifier still wants every view a *step* reads registered.
+    report = certify_plan(plan, engine.access, [engine.views.get("V2")])
+    assert {d.code for d in report} >= {"CRT005"}
+
+
+def test_an_incremental_result_over_an_unread_view_refreshes_to_a_recompute():
+    engine = Engine(SCHEMA_TEXT, ACCESS_TEXT, data=DATA)
+    register_workload_views(engine)
+    db = engine.require_database()
+    q = engine.query(TWO_VIEWS)
+    live = q.execute_incremental(p=1)
+    assert live._view_names == ("V1",)
+    batches = (
+        ("friend", db.insert_many, [(4, 1), (1, 1)]),
+        ("visits", db.insert_many, [(4, "url3"), (2, "url2")]),
+        ("friend", db.delete_many, [(2, 1)]),
+        ("visits", db.delete_many, [(3, "url2"), (4, "url3")]),
+    )
+    for _, write, rows in batches:
+        write(_, rows)
+        live.refresh()
+        assert live.last_mode == "delta"
+        assert set(live.rows) == set(q.execute(p=1).rows) == set(q.query.evaluate(db, {"p": 1}))
+    assert engine.views.state("V2") is None  # never materialized: nothing read it
+
+
+def test_a_projecting_view_keeps_every_probe():
+    # V(pid) :- friend(pid, y) proves that ?p follows *someone*, not that
+    # ?p follows ?y: the plan, its bound and its reads are the parent's.
+    engine = Engine(SCHEMA_TEXT, ACCESS_TEXT, data=DATA)
+    view = engine.views.register("V", "V(pid) :- friend(pid, y)", "V(pid -> 1)")
+    assert view.stands_for(Atom("V", (Variable("p"),))) == ()
+    q = engine.query("Q(y) :- friend(p, y), visits(y, u)")
+    plan = compile_with_views(q.query, engine.access, engine.views, ["p"])
+    assert [str(s) for s in plan.steps] == [
+        "probe V(?p)",
+        "fetch friend(?p, ?y) via friend(pid1 -> 32), binding ?y",
+        "fetch visits(?y, ?u) via visits(pid -> 8), binding ?u",
+    ]
+    assert plan.fanout_bound == 1 + 32 + 32 * 8 and plan.entailed() == ()
+    states = engine.views.prepare(engine.require_database(), plan.view_relations)
+    ctx = ExecutionContext(engine.require_database(), views=states)
+    assert set(execute_plan(plan, ctx, p=1)) == {(2,)}
+    assert ctx.stats.tuples_accessed == 1 + 1 + 1  # V(1), friend(1, 2), visits(2, url1)
+
+
+def test_stands_for_follows_the_head_not_the_body():
+    v1 = v1_def()
+    p, f = Variable("p"), Variable("f")
+    assert v1.stands_for(Atom("V1", (p, f))) == (Atom("friend", (f, p)),)
+    same = ViewDef("W", "W(a, b) :- friend(a, c), visits(c, b), a = c")
+    assert same.stands_for(Atom("W", (p, f))) == (
+        Atom("friend", (p, p)),
+        Atom("visits", (p, f)),
+    )
+    fixed = ViewDef("C", "C(a, b) :- friend(a, b), b = 7")
+    assert fixed.stands_for(Atom("C", (p, Constant(7)))) == (Atom("friend", (p, Constant(7))),)
+    assert fixed.stands_for(Atom("C", (p, f))) == ()  # not a row the view can hold
+    assert ViewDef("U", "U(a) :- friend(a, b), a = 1, a = 2").stands_for(Atom("U", (p,))) == ()
+
+
+# -- explain() says where the atom went --------------------------------------
+
+#: Q1-Q3 with the workload views registered, rendered by the parent of the
+#: PR that taught views to answer for their atoms: no view is read, no atom
+#: goes unread, so not a byte may move.
+BASE_EXPLAINS = (
+    "parameters: ?p\n"
+    "1. fetch friend(?p, ?y) via friend(pid1 -> 32), binding ?y  [<= 32 tuples]\n"
+    "2. fetch person(?y, ?n, 'NYC') via person(pid -> 1), binding ?n  [<= 32 tuples]\n"
+    "project: (?y)\naccess bound: 64 tuples\ncost estimate: 64",
+    "parameters: ?p\n"
+    "1. fetch friend(?p, ?y) via friend(pid1 -> 32), binding ?y  [<= 32 tuples]\n"
+    "2. fetch visits(?y, ?u) via visits(pid -> 8), binding ?u  [<= 256 tuples]\n"
+    "project: (?u)\naccess bound: 288 tuples\ncost estimate: 288",
+    "parameters: ?p\n"
+    "1. fetch friend(?p, ?y) via friend(pid1 -> 32), binding ?y  [<= 32 tuples]\n"
+    "2. fetch friend(?y, ?z) via friend(pid1 -> 32), binding ?z  [<= 1024 tuples]\n"
+    "3. fetch person(?z, ?n, 'NYC') via person(pid -> 1), binding ?n  [<= 1024 tuples]\n"
+    "project: (?z)\naccess bound: 2080 tuples\ncost estimate: 2080",
+)
+
+
+def test_explain_names_the_atoms_no_step_reads():
+    from repro.workloads import RUNNING_QUERIES
+
+    engine = social_engine(200, seed=1)
+    register_workload_views(engine)
+    for bundle, expected in zip(RUNNING_QUERIES, BASE_EXPLAINS):
+        assert bundle.prepare(engine).explain(bundle.parameters) == expected
+    q4, q5 = (bundle.prepare(engine) for bundle in VIEW_QUERIES)
+    assert q4.explain(["p"]) == (
+        "parameters: ?p\n"
+        "1. fetch V1(?p, ?f) via V1(pid -> 64), binding ?f  [<= 64 tuples]\n"
+        "2. fetch person(?f, ?n, 'NYC') via person(pid -> 1), binding ?n  [<= 64 tuples]\n"
+        "entailed, not read: friend(?f, ?p)\n"
+        "project: (?f)\naccess bound: 128 tuples\ncost estimate: 128"
+    )
+    assert q5.explain(["u"]) == (
+        "parameters: ?u\n"
+        "1. fetch V2(?u, ?y) via V2(url -> 64), binding ?y  [<= 64 tuples]\n"
+        "entailed, not read: visits(?y, ?u)\n"
+        "project: (?y)\naccess bound: 64 tuples\ncost estimate: 64"
+    )
+    # In the caller's own names, whatever the shared plan calls them ...
+    twin = engine.query("Q(fan, site) :- visits(fan, site), friend(fan, idol)")
+    assert twin.explain(["idol"]).splitlines()[3:5] == [
+        "entailed, not read: friend(?fan, ?idol)",
+        "entailed, not read: V2(?site, ?fan)",
+    ]
+    # ... and explain_analyze says the same of the plan that ran.
+    analyzed = str(twin.explain_analyze(idol=7)).splitlines()
+    assert [line for line in analyzed if line.startswith("entailed")] == [
+        "entailed, not read: friend(?v0, ?idol)",
+        "entailed, not read: V2(?v1, ?v0)",
+    ]
+    assert "entailed" not in str(engine.query(RUNNING_QUERIES[0].query).explain_analyze(p=7))
