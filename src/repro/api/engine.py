@@ -27,19 +27,14 @@ version, shape key, parameter set)`` to what an execution needs.  The
 shape key (:func:`repro.logic.canonical.canonical_key`) is the query's
 canonical form -- non-parameter variables numbered by first occurrence,
 body atoms sorted -- flattened to strings, ints and types: every writing
-of one query *shape* compiles once and executes one shared plan, and a
-text never seen before costs a scan, a walk of its terms and a C-speed
-probe.  The canonical query itself is built only by a compile and by
-``plan()`` / ``explain()`` / ``diagnostics()``, which rename the shared plan
-back.  The defined consequence is that ties between equally selective
-fetches break by canonical atom order, not written order (``R(p,y),
-S(p,y)`` and ``S(p,y), R(p,y)`` get the same plan).  Only the plan cache
-is ever invalidated: the schema is immutable, so a source means the same
-query forever, and a ``PreparedQuery`` resolves its plans through the
-versioned key at call time -- replacing the access schema (every plan
-embeds the rules it fetches through), registering or dropping a view and
-refreshing cost statistics strand stale *plans* however the query was
-obtained.  ``clear_plan_cache()`` likewise leaves the memo alone.
+of one query *shape* compiles once and executes one shared plan (the
+canonical query itself is built only by a compile and by ``plan()`` /
+``explain()`` / ``diagnostics()``, which rename the shared plan back), and
+ties between equally selective fetches break by canonical atom order,
+not written order.  Only the plan cache is ever invalidated: the schema
+is immutable, so a source means the same query forever, while replacing
+the access schema, registering or dropping a view and refreshing cost
+statistics strand stale *plans* however the query was obtained.
 
 Every execution runs in its own
 :class:`~repro.core.executor.ExecutionContext`: the ``ResultSet.stats``
@@ -488,12 +483,10 @@ class Engine:
     (:mod:`repro.analysis.certify`) over every plan this engine compiles
     -- base, view-augmented and incremental-rebase plans alike -- inside
     the plan cache's single-flight compute, so each cached plan is
-    certified exactly once; a plan that fails certification raises
+    certified exactly once; one that fails raises
     :class:`~repro.errors.CertificationError` instead of entering the
-    cache.  The default (``certify=None``) follows the ``REPRO_CERTIFY``
-    environment variable (any value other than empty or ``0`` enables
-    it; the test suite sets it suite-wide via a conftest fixture).
-    """
+    cache.  The default (``certify=None``) follows ``REPRO_CERTIFY`` (any
+    value other than empty or ``0``; the test suite sets it suite-wide)."""
 
     __slots__ = (
         "_schema",
@@ -680,30 +673,6 @@ class Engine:
     ) -> ResultSet:
         """One-shot convenience: ``engine.query(q).execute(...)``."""
         return self.query(query).execute(parameters, **kwargs)
-
-    def execute_incremental(
-        self,
-        query: str | Query,
-        parameters: Mapping[object, object] | None = None,
-        **kwargs: object,
-    ) -> "IncrementalResult":
-        """One-shot convenience: ``engine.query(q).execute_incremental(...)``
-        -- materialized answers that ``refresh()`` from the change log."""
-        return self.query(query).execute_incremental(parameters, **kwargs)
-
-    def explain(self, query: str | Query, parameters: Iterable[object] = ()) -> str:
-        """One-shot convenience: ``engine.query(q).explain(...)``."""
-        return self.query(query).explain(parameters)
-
-    def explain_analyze(
-        self,
-        query: str | Query,
-        parameters: Mapping[object, object] | None = None,
-        **kwargs: object,
-    ) -> ExplainAnalyze:
-        """One-shot convenience: ``engine.query(q).explain_analyze(...)`` --
-        execute and return per-operator row counts plus the result set."""
-        return self.query(query).explain_analyze(parameters, **kwargs)
 
     def analyze(self, queries: Iterable[object] = (), *, source: str | None = None):
         """Statically analyze the engine (:mod:`repro.analysis`): the ACC

@@ -36,20 +36,14 @@ Derivation signs ride as one more gathered column (the sign slot), so the
 new and old faces carry them for free.  A plan's :class:`DeltaProgram`
 (:func:`delta_program`: built once, beside the signed lowering) composes
 the faces into the standard delta rule of incremental scale independence
-(:mod:`repro.incremental`, Section 5): for each operator level ``i`` with
-changes, levels ``< i`` run on the new state, level ``i`` joins the
-change slice, levels ``> i`` run on the old state -- so each affected
-derivation is produced (with its sign) exactly once, one bulk read per
-level, within :func:`delta_fanout_bound`.  The rule is staged -- what
-the slice decides is resolved once per slice, what the seed decides once
-per seed -- and :meth:`DeltaProgram.join` is the only delta driver;
-:func:`execute_plan_delta` is both stages and that driver in one call.
-:func:`execute_plan_counting` is the matching initial pass (new faces,
-all signs ``+1``): per-answer derivation multiplicities, the state that
-makes signed deltas composable under deletion.  The signed faces are
-lowered on first counting/delta use; plans that are only ever executed
-never pay for them.  :func:`profile_plan` times those same closures --
-a profile *is* the run it reports.
+(:mod:`repro.incremental`, Section 5) -- per changed level ``i``: levels
+``< i`` on the new state, level ``i`` against the change slice, levels
+``> i`` on the old state -- staged by what the slice and the seed each
+decide; its docstring has the rule, the stages and what a maintained
+result holds.  :func:`execute_plan_counting` is the matching initial pass
+(derivation multiplicities: what makes signed deltas composable under
+deletion).  The signed faces are lowered on first counting/delta use;
+:func:`profile_plan` times those same closures -- a profile *is* the run.
 
 **One read source.**  A closure reads through exactly two charged calls,
 the :class:`~repro.relational.backends.base.StorageBackend` pair
@@ -65,11 +59,7 @@ workloads far fewer than -- the tuples a read per assignment would
 ``tests/reference_executor.py``); both stay within the plan's
 :attr:`~repro.core.plans.Plan.fanout_bound`.
 
-Every execution runs inside an :class:`ExecutionContext` -- the database
-handle, a private per-execution :class:`AccessStats` (charged alongside
-the database's cumulative counters, so concurrent executions never
-contaminate each other's deltas), the view states, a change-log watermark
-and, for refreshes, the net change slice past it.  All entry points
+Every execution runs inside an :class:`ExecutionContext`; all entry points
 accept either a raw :class:`~repro.relational.instance.Database` (a fresh
 context is opened) or an existing context.
 """
@@ -122,13 +112,12 @@ class ExecutionContext:
     stale row is an answer (``ViewSet.prepare``, the Engine's way in,
     never hands out a stale state).
 
-    ``delta`` is the change slice a delta execution joins: the shared
-    :class:`~repro.relational.instance.LogSlice` a
-    :meth:`~repro.relational.instance.ChangeLog.slice_since` call handed
-    out, or a plain ``{relation: {row: sign}}`` mapping (wrapped into a
-    private slice).  It is kept as :attr:`slice` -- ``None`` on the
-    standard execute path, which never touches it.  View answer changes
-    ride in the slice under the view name, exactly like a base relation's.
+    ``delta`` is the change slice a delta execution joins, kept as
+    :attr:`slice` (``None`` on the standard execute path): the shared
+    :class:`~repro.relational.instance.LogSlice` of a ``slice_since``
+    call, or a plain ``{relation: {row: sign}}`` mapping (wrapped into a
+    private slice).  View answer changes ride in it under the view name,
+    exactly like a base relation's.
     """
 
     __slots__ = ("db", "stats", "_watermark", "slice", "views")
@@ -244,6 +233,27 @@ class OldState:
         return tuple(net[row] < 0 if row in net else next(probed) for row in rows)
 
 
+class Seeded:
+    """What :meth:`DeltaProgram.seed` decides -- the signed seed ``columns``
+    and level 0's join ``keys`` -- plus what a holding program keeps
+    (``rows is None``: nothing): level 0's key group ``rows``, the
+    ``(prefix, n)`` batch they expand to and its level-1 join keys
+    ``next_keys``.  :class:`OldState`'s sibling: level 0's own step, handed
+    this as its read source, expands the held rows -- read first from
+    ``source``, that call and that charge, into a *copy* (the memory
+    backend hands out its live bucket)."""
+
+    __slots__ = ("columns", "keys", "source", "rows", "prefix", "n", "next_keys")
+
+    def __init__(self, columns, keys):
+        self.columns, self.keys, self.rows = columns, keys, None
+
+    def lookup_keys(self, relation, positions, keys, stats=None) -> tuple[list[Row]]:
+        if self.rows is None:
+            self.rows = list(self.source.lookup_keys(relation, positions, keys, stats)[0])
+        return (self.rows,)
+
+
 def _as_context(db) -> ExecutionContext:
     """Open a fresh context over ``db``, or pass an existing one through."""
     return db if isinstance(db, ExecutionContext) else ExecutionContext(db)
@@ -315,9 +325,9 @@ class FetchOp:
     output projections per source row, matching the rule's "at most N
     distinct Y-projections" contract.  ``rule`` is the access rule the
     originating :class:`~repro.core.plans.FetchStep` fetches through
-    (``None`` for hand-built operators): it plays no part in execution,
-    but lets diagnostics and error messages name the exact rule behind an
-    operator.  ``keep`` (assigned by the lowering's liveness pass; ``None``
+    (``None`` for hand-built operators): no fetch reads it, but a keyed
+    one at level 0 makes a :class:`DeltaProgram` hold its group, and
+    diagnostics and error messages name it.  ``keep`` (assigned by the lowering's liveness pass; ``None``
     keeps everything) names the variables still read downstream -- output
     columns outside it are dropped instead of gathered.  ``view`` marks
     an atom over a materialized view: the only difference is the read
@@ -606,16 +616,19 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound: set[int], signed: bool)
 
     def over(slice):
         """The delta face bound to ``slice`` (once per stage): the slice
-        index is resolved here, so ``join`` only probes it.  Under a
-        keyless fetch (full-relation rule) every slice row joins with
-        every source row: the one empty key holds them all."""
-        get = (slice.index(relation, spos) if spos else {EMPTY_KEY: slice.rows(relation)}).get
+        index is resolved here, so ``join`` only probes it -- and exposes
+        it, with its key set ``touched``, to the driver.  Under a keyless
+        fetch (full-relation rule) every slice row joins with every
+        source row: the one empty key holds them all."""
+        index = slice.index(relation, spos) if spos else {EMPTY_KEY: slice.rows(relation)}
+        get = index.get
 
         def join(keys, stats, columns, n):
             groups = list(map(get, keys or keys_fn(columns, n), _NO_ROWS))
             # Most delta joins match nothing: say so before any gather.
             return expand(groups, columns, True) if any(groups) else (None, 0)
 
+        join.index, join.touched = index, frozenset(index)
         return join
 
     if pure and len(fresh) == 1:
@@ -681,7 +694,8 @@ def _compile_probe(op: ProbeOp, slots: SlotTable, bound: set[int], signed: bool)
         return _take(columns, gather, sel, width), len(sel)
 
     def over(slice):
-        get = slice.net.get(relation, {}).get
+        index = slice.net.get(relation, {})
+        get = index.get
 
         def join(keys, stats, columns, n):
             # A row survives only if its fully-bound tuple effectively
@@ -699,6 +713,7 @@ def _compile_probe(op: ProbeOp, slots: SlotTable, bound: set[int], signed: bool)
             out[sign] = [a * b for a, b in zip(out[sign], signs)]
             return out, len(sel)
 
+        join.index, join.touched = index, frozenset(index)
         return join
 
     return step, _delta_face(rows_fn, over), {s for s in gather if s != sign}
@@ -876,9 +891,7 @@ class Pipeline(tuple):
         """The plan's :class:`DeltaProgram`, built on first use like
         :meth:`signed`.  Raises :class:`~repro.errors.IncrementalError`
         (eagerly, whatever the data) for plans that fetch through an
-        embedded access rule: their per-row projection dedup makes
-        derivation multiplicities non-compositional, so neither counts nor
-        signed deltas would be exact."""
+        embedded access rule (:func:`check_delta_supported`)."""
         program = self._program
         if program is None:
             program = self._program = DeltaProgram(self)
@@ -1192,17 +1205,28 @@ class DeltaProgram:
     """The delta rule of one plan, staged by what each input decides.
     *Per plan* (built once, here): the signed :attr:`levels` and
     :attr:`accumulate` terminal of the plan's pipeline, the
-    :attr:`relations` the levels read, the seed :attr:`prefilter` -- and
-    the fact that the plan passed :func:`check_delta_supported`.  *Per
-    (program, slice)*: :meth:`stage`, memoised on the
-    :class:`~repro.relational.instance.LogSlice`, so shared by every
-    result refreshing over the span.  *Per (program, seed)*: :meth:`seed`,
-    kept by whoever ran the counting pass (:meth:`count`).  *Per refresh*:
-    :meth:`join`, the one delta driver -- ``IncrementalResult.refresh``,
-    ``ViewState.refresh`` and :meth:`run` (:func:`execute_plan_delta`) all
-    end up there.  Obtain programs through :func:`delta_program`."""
+    :attr:`relations` the levels read, the seed :attr:`prefilter`, whether
+    the program :attr:`holds` -- and the fact that the plan passed
+    :func:`check_delta_supported`.  *Per (program, slice)*: :meth:`stage`,
+    memoised on the :class:`~repro.relational.instance.LogSlice`, so
+    shared by every result over the span.  *Per (program, seed)*:
+    :meth:`seed`, kept by whoever ran the counting pass (:meth:`count`).
+    *Per refresh*: :meth:`join`, the one delta driver (``refresh`` of an
+    ``IncrementalResult`` or ``ViewState``, and :meth:`run`, all end there).
 
-    __slots__ = ("plan", "pipe", "levels", "accumulate", "relations", "prefilter")
+    A program *holds* when level 0 fetches through a keyed rule and a
+    later level exists: the seed then names one key group (at most
+    ``rule.bound`` rows), read once and maintained from the log like the
+    counts.  :meth:`count` keeps the group it reads (:class:`Seeded`);
+    :meth:`join` expands it instead of running level 0 again, patches it
+    when the slice changed it -- not dropped and re-read: what a refresh
+    reads is a function of its slice, not of the refreshes before it --
+    and answers a slice that meets neither the group nor the level-1 keys
+    it leads to without calling a closure.  A full-rule level 0 (every
+    view maintenance plan: its "group" is a relation) and a one-level
+    program hold nothing."""
+
+    __slots__ = ("plan", "pipe", "levels", "accumulate", "relations", "prefilter", "holds")
 
     def __init__(self, pipe: Pipeline):
         check_delta_supported(pipe.plan)
@@ -1212,8 +1236,10 @@ class DeltaProgram:
         self.levels, self.accumulate = pipe.signed() if pipe else ((), None)
         self.relations = tuple(ops[0].atom.relation for _, _, _, ops in self.levels)
         self.prefilter = pipe.prefilter
+        first = self.levels[0][3][0] if len(self.levels) > 1 else None
+        self.holds = type(first) is FetchOp and first.rule is not None and bool(first.rule.inputs)
 
-    def seed(self, values: Assignment):
+    def seed(self, values: Assignment) -> Seeded | None:
         """What a validated seed decides, whatever the slice: ``None``
         when the prefilter rejects it (no derivation, ever), else the
         signed seed columns and the first level's join keys."""
@@ -1222,7 +1248,7 @@ class DeltaProgram:
             if not self.prefilter.check_seed(values):
                 return None
         columns = self.pipe.seed(values, signed=True)
-        return columns, (self.levels[0][2].keys(columns, 1) if self.levels else None)
+        return Seeded(columns, self.levels[0][2].keys(columns, 1) if self.levels else None)
 
     def stage(self, slice: LogSlice):
         """What ``slice`` decides, whatever the seed -- built on first
@@ -1238,33 +1264,52 @@ class DeltaProgram:
         staged = slice.staged[self] = tuple(joins)
         return staged
 
-    def count(self, seeded, db, stats: AccessStats, store=None) -> dict[Row, int]:
+    def _expand(self, seeded: Seeded, source, stats: AccessStats, profiles=None):
+        """Level 0's new-state batch, kept on ``seeded``: its held group
+        through level 0's own step (its checks, its column layout) -- read
+        from ``source`` first, one charged call, when nothing is held."""
+        seeded.source = source
+        _, step, _, ops = self.levels[0]
+        batch = _measured(profiles, ("new", 1, ops[0]), step, seeded, stats, seeded.columns, 1)
+        seeded.prefix, seeded.n = prefix, n = batch
+        seeded.next_keys = frozenset(self.levels[1][2].keys(prefix, n)) if n else frozenset()
+        return batch
+
+    def count(self, seeded: Seeded | None, db, stats: AccessStats, store=None) -> dict[Row, int]:
         """``{answer row: derivation multiplicity}`` in first-derivation
-        order from a :meth:`seed`: the new faces of the signed lowering,
-        every sign ``+1`` (:func:`execute_plan_counting`).  ``store`` is
-        as for :meth:`join`."""
+        order from a :meth:`seed` (:func:`execute_plan_counting`): the new
+        faces of the signed lowering, every sign ``+1``; a holding program
+        keeps the group level 0 reads.  ``store`` is as for :meth:`join`."""
         counts: dict[Row, int] = {}
         if seeded is None or not self.pipe:  # an unsatisfiable plan never runs
             return counts
-        columns, n = seeded[0], 1
-        for view, step, _, _ in self.levels:
-            columns, n = step(db if view is None else store(view), stats, columns, n)
+        columns, n, levels = seeded.columns, 1, self.levels
+        if self.holds:  # this pass reads level 0, whatever was held
+            view, levels, seeded.rows = levels[0][0], levels[1:], None
+            columns, n = self._expand(seeded, db if view is None else store(view), stats)
+        for view, step, _, _ in levels:
             if not n:
                 return counts
-        self.accumulate(columns, n, counts)
+            columns, n = step(db if view is None else store(view), stats, columns, n)
+        if n:
+            self.accumulate(columns, n, counts)
         return counts
 
     def join(
-        self, slice: LogSlice, seeded, db, stats: AccessStats, store=None, profiles=None
+        self, slice: LogSlice, seeded: Seeded | None, db, stats: AccessStats, store=None, profiles=None
     ) -> dict[Row, int]:
         """The standard delta rule over ``slice`` from a :meth:`seed`: for
         each level ``i`` whose relation the slice changed, levels before
-        ``i`` run on the new state (one prefix batch, extended level by
-        level and shared by every changed level), level ``i`` joins the
-        in-memory slice (zero tuples accessed), levels after ``i`` run on
-        the pre-delta snapshot (the same closures over :class:`OldState`).
-        ``store`` resolves a view name to its read source
-        (:meth:`ExecutionContext.store`); only plans reading views need it."""
+        ``i`` run on the new state (one prefix batch, level 0 of it from
+        the hold, extended level by level and shared by every changed
+        level), level ``i`` joins the in-memory slice (zero tuples
+        accessed), levels after ``i`` run on the pre-delta snapshot (the
+        same closures over :class:`OldState`).  ``store`` resolves a view
+        name to its read source (:meth:`ExecutionContext.store`).  A hold
+        moves with the slices it is joined with, so a caller that cannot
+        commit a join (it raised, or a sibling disjunct's did) forgets it
+        -- ``seeded.rows = None`` -- and the next join needing the prefix
+        reads it again, charged, within :func:`delta_fanout_bound`."""
         changes: dict[Row, int] = {}
         if profiles is not None and self.prefilter is not None:
             passed = int(seeded is not None)
@@ -1276,40 +1321,49 @@ class DeltaProgram:
             joins = self.stage(slice)
         if not joins:
             return changes
+        keys = seeded.keys
+        if seeded.rows is not None and len(joins) <= 2:
+            # The footprint: the slice meets neither the held group nor
+            # its prefix's level-1 keys, and no deeper level changed.
+            first = joins[0]
+            if (first is None or keys[0] not in first.touched) and (
+                len(joins) == 1 or seeded.next_keys.isdisjoint(joins[1].touched)
+            ):
+                return changes
         levels = self.levels
-        (prefix, keys), n = seeded, 1
+        prefix, n = seeded.columns, 1
         for i, join in enumerate(joins):
             if i:  # the level before, on the new state, extends the prefix
                 view, step, _, ops = levels[i - 1]
                 source = db if view is None else store(view)
-                if profiles is None:
-                    prefix, n = step(source, stats, prefix, n)
+                if i == 1 and self.holds:  # from the hold: read only if forgotten
+                    if seeded.rows is None or profiles is not None:
+                        self._expand(seeded, source, stats, profiles)
+                    prefix, n = seeded.prefix, seeded.n
                 else:
-                    prefix, n = _measured(
-                        profiles, f"new[{i}] {ops[0]}", step, source, stats, prefix, n
-                    )
+                    label = ("new", i, ops[0])
+                    prefix, n = _measured(profiles, label, step, source, stats, prefix, n)
                 if not n:
                     break
                 keys = None  # only the first level's keys are the seed's
             if join is None:
                 continue
-            if profiles is None:
-                columns, m = join(keys, stats, prefix, n)
-            else:
-                label = f"Δ[{i + 1}] {levels[i][3][0]}"
-                columns, m = _measured(profiles, label, join, keys, stats, prefix, n)
+            if not i and seeded.rows is not None:
+                entries = join.index.get(keys[0])
+                if entries:  # the slice changed the group: OldState's rewind, forwards
+                    net = slice.net[self.relations[0]]
+                    seeded.rows = [row for row in seeded.rows if net.get(row, 0) >= 0]
+                    seeded.rows += [row for row, sign in entries if sign > 0]
+                    self._expand(seeded, None, stats)  # ... and where it leads now
+            label = ("Δ", i + 1, levels[i][3][0])
+            columns, m = _measured(profiles, label, join, keys, stats, prefix, n)
             j = i + 1
             while m and j < len(levels):
                 view, step, _, ops = levels[j]
                 j += 1
                 # Not staged: kept on the slice it wraps, it would be a cycle.
                 old = OldState(db if view is None else store(view), slice)
-                if profiles is None:
-                    columns, m = step(old, stats, columns, m)
-                else:
-                    columns, m = _measured(
-                        profiles, f"old[{j}] {ops[0]}", step, old, stats, columns, m
-                    )
+                columns, m = _measured(profiles, ("old", j, ops[0]), step, old, stats, columns, m)
             if m:
                 self.accumulate(columns, m, changes)
         if changes:
@@ -1341,17 +1395,13 @@ def execute_plan_counting(
     **kwargs: object,
 ) -> dict[Row, int]:
     """Like :func:`execute_plan`, but return ``{answer row: derivation
-    multiplicity}`` in first-derivation order instead of deduplicating.
-
-    The multiplicities are the materialized state incremental maintenance
-    needs: an answer row is in the result exactly while its count is
-    positive, and :func:`execute_plan_delta` produces the signed count
-    changes a batch of updates causes.  This is :meth:`DeltaProgram.count`
-    behind per-call parameter validation.
-
-    Raises :class:`~repro.errors.IncrementalError` (see
-    :meth:`Pipeline.program`) for plans that fetch through an embedded
-    access rule: the counts would be unusable as incremental state.
+    multiplicity}`` in first-derivation order instead of deduplicating --
+    the state incremental maintenance needs: a row is an answer exactly
+    while its count is positive, and :func:`execute_plan_delta` produces
+    the signed count changes a batch of updates causes.  This is
+    :meth:`DeltaProgram.count` behind per-call parameter validation;
+    plans fetching through an embedded access rule raise
+    :class:`~repro.errors.IncrementalError` (:meth:`Pipeline.program`).
     """
     program = delta_program(plan)
     ctx = _as_context(db)
@@ -1368,28 +1418,21 @@ def execute_plan_delta(
     **kwargs: object,
 ) -> dict[Row, int]:
     """Evaluate the standard delta rule for ``plan`` over ``ctx``'s change
-    slice: the signed derivation-count change of every affected answer row
-    (positive -- derivations gained, negative -- lost), each derivation
-    produced exactly once however many levels changed, one bulk read per
-    level (:meth:`DeltaProgram.join`).  Levels whose relation did not
-    change cost nothing beyond the prefix they share; an empty slice costs
-    zero accesses.  Applying the result to the counts of
-    :func:`execute_plan_counting` reproduces a from-scratch run on the new
-    state.
+    slice (:meth:`DeltaProgram.join`): the signed derivation-count change
+    of every affected answer row (positive -- derivations gained, negative
+    -- lost); an empty slice costs zero accesses.  Applying the result to
+    the counts of :func:`execute_plan_counting` reproduces a from-scratch
+    run on the new state.  Plans fetching through an embedded access rule
+    raise :class:`~repro.errors.IncrementalError` eagerly, whichever
+    relations changed.  Pass ``profiles`` (a list) to collect one
+    :class:`OperatorProfile` per face applied (``new[i]`` / ``Δ[i]`` /
+    ``old[i]``).
 
-    Raises :class:`~repro.errors.IncrementalError` for plans that fetch
-    through an embedded access rule (no exact counting semantics) --
-    eagerly, whichever relations changed, so an unsupported plan can
-    never sometimes succeed depending on the slice.
-
-    Pass ``profiles`` (a list) to collect one :class:`OperatorProfile`
-    per face applied (``new[i]`` / ``Δ[i]`` / ``old[i]``).
-
-    This is :meth:`DeltaProgram.run` behind per-call parameter validation;
-    a caller refreshing one plan repeatedly keeps ``delta_program(plan)``
-    and its :meth:`~DeltaProgram.seed` and calls ``join``, as
-    :mod:`repro.incremental` and :mod:`repro.views` do.
-    """
+    This is :meth:`DeltaProgram.run` behind per-call parameter validation:
+    seeded afresh, it holds nothing and reads level 0 whenever a later
+    level changed.  A caller refreshing one plan repeatedly keeps the
+    program and its :meth:`~DeltaProgram.seed` and calls ``join``, as
+    :mod:`repro.incremental` and :mod:`repro.views` do."""
     program = delta_program(plan)
     return program.run(ctx, _seed_assignment(plan, parameters, kwargs), profiles)
 
@@ -1468,9 +1511,15 @@ class OperatorProfile:
     wall_time_s: float = 0.0
 
 
-def _measured(profiles: list[OperatorProfile], label: str, fn, source, stats, columns, n):
-    """Run one compiled closure and append its measurements (rows in and
-    out, the accesses it charged, wall time) to ``profiles``."""
+def _measured(profiles: list[OperatorProfile] | None, label, fn, source, stats, columns, n):
+    """Run one compiled closure and, unless ``profiles`` is ``None``,
+    append its measurements (rows in and out, the accesses it charged,
+    wall time) under ``label`` -- a string, or a delta face's ``(face,
+    level, operator)``, rendered only when measuring."""
+    if profiles is None:
+        return fn(source, stats, columns, n)
+    if type(label) is tuple:
+        label = "{}[{}] {}".format(*label)
     before = stats.snapshot()
     start = perf_counter()
     out = fn(source, stats, columns, n)

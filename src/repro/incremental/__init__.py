@@ -8,13 +8,12 @@ refresh path, built on three pieces of machinery:
 * the :class:`~repro.relational.instance.ChangeLog` every
   :class:`~repro.relational.instance.Database` keeps -- a monotonic log of
   effective inserts and deletes, sliced by watermark.  One span of it is
-  one :class:`~repro.relational.instance.LogSlice`, memoised by the log:
-  the many results that refresh over the identical span share a single
-  slice.  Every result *pins* its watermark, which is what lets the log
-  drop what lies below the oldest pin instead of growing without bound;
-* the three faces every lowered operator has (:mod:`repro.core.executor`)
-  -- *new*, *delta* (join the in-memory change slice, multiplying signs
-  in) and *old* (the new face over the pre-delta snapshot) -- composed by
+  one :class:`~repro.relational.instance.LogSlice`, memoised by the log
+  and shared by the many results that refresh over the identical span.
+  Every result *pins* its watermark, which lets the log drop what lies
+  below the oldest pin instead of growing without bound;
+* the three faces every lowered operator has (:mod:`repro.core.executor`:
+  *new*, *delta*, *old*), composed by
   :class:`~repro.core.executor.DeltaProgram` into the standard delta
   rule: per changed operator level, new-state prefix |x| in-memory change
   slice |x| old-state suffix, one bulk read per level;
@@ -23,41 +22,50 @@ refresh path, built on three pieces of machinery:
   under deletion -- a row leaves the answer precisely when its last
   derivation dies.
 
-**A refresh costs its slice.**  The delta rule is staged by what each
-input decides, each stage resolved once and kept by its owner.  The
-*plan* decides the program (kept on the plan's pipeline).  *Program x
-slice* decides which levels changed and which slice index each joins:
-kept on the ``LogSlice``, so shared by every result over the span and
-dropped with it (the log's LRU, or compaction).  *Program x seed* decides
-the seed columns, the prefilter's verdict and the first level's join key:
-kept on the :class:`IncrementalResult`, built where the counting pass
-runs.  :meth:`IncrementalResult.refresh` does only the joins -- when
-nothing changes, one probe per changed level -- and only when every
-plan's (one per disjunct of a union) succeeded folds the signed changes
-into the counts and advances the watermark: a refresh that fails half way
-leaves the result as it was.  The tuples it accesses are bounded by
-:func:`~repro.core.executor.delta_fanout_bound` -- a function of the
+**A refresh costs its slice**, and one that changes nothing reads
+nothing.  The delta rule is staged by what each input decides, each stage
+resolved once and kept by its owner (:class:`DeltaProgram` has the
+mechanics).  The *plan* decides the program.  *Program x slice* decides
+which levels changed and which slice index each joins: kept on the
+``LogSlice``, so shared by every result over the span.  *Program x seed*
+decides the seed columns, the prefilter's verdict, the first level's join
+key and that key's *group* -- the rows level 0 fetches, read once by the
+counting pass, then kept on the :class:`IncrementalResult` and maintained
+from the log like the counts.  The access schema bounds what a result
+holds as it bounds what a query reads: at most ``rule.bound`` rows per
+disjunct.  A slice that meets neither the group nor the keys it leads to
+at level 1 changes nothing, and two set probes say so; one that changes
+the group patches it (not re-read: what a refresh reads depends on its
+slice, never on the refreshes before it).  Only when every plan's join
+(one per disjunct of a union) succeeded does :meth:`IncrementalResult.refresh`
+fold the signed changes into the counts and advance the watermark; when
+one raises, the result is as it was *minus its holds* -- a group patched
+towards a state the result never reached is forgotten and read again by
+the next refresh that needs it.  The tuples a refresh accesses are bounded
+by :func:`~repro.core.executor.delta_fanout_bound` -- a function of the
 change-slice size and the access-rule bounds, never of the database size.
 
-Obtain results through the facade: ``engine.execute_incremental(q, p=1)``
-or ``prepared.execute_incremental(p=1)``, then ``result.refresh()`` after
-mutations.  A refresh that observes a new access-schema (or view
+Obtain results through the facade:
+``engine.query(q).execute_incremental(p=1)``, then ``result.refresh()``
+after mutations.  A refresh that observes a new access-schema (or view
 population) version, or another ``Database`` on the engine (a reopened
 store: the log is the facade's, so it starts afresh), *rebases* --
-recompiles through the version-keyed plan cache and recomputes -- rather
-than mixing plans across versions or slicing a log it never read.
+recompiles through the version-keyed plan cache and recomputes, holds
+and all -- rather than mixing plans across versions or slicing a log it
+never read.
 
 Limitations, by design: plans fetching through an *embedded* access rule
 are rejected with :class:`~repro.errors.IncrementalError` (their
-per-assignment projection dedup has no exact counting semantics) -- the
-:mod:`repro.analysis.maintain` classifier decides this statically before
-anything is materialized, so the error carries the full INC001 causal
-trace -- and mutations are single-writer: interleaving them with an
-in-flight execute or refresh is undefined.
+per-assignment projection dedup has no exact counting semantics; the
+:mod:`repro.analysis.maintain` classifier decides this statically, so the
+error carries the full INC001 causal trace), and mutations are
+single-writer: interleaving them with an in-flight execute or refresh is
+undefined.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator, Mapping
 
 from repro.core.executor import (
@@ -74,34 +82,16 @@ __all__ = ["IncrementalResult"]
 
 class IncrementalResult:
     """Materialized answers of one parameterized execution, refreshable
-    from the database's change log.
-
-    Behaves like a read-only sequence of answer rows (the
-    :class:`~repro.api.engine.ResultSet` protocol); additionally carries
+    from the database's change log: a read-only sequence of answer rows
+    (the :class:`~repro.api.engine.ResultSet` protocol) that also carries
     the :attr:`watermark` the answers are valid at, the access accounting
     of the last (initial or refresh) pass in :attr:`stats`, and the bound
-    the last refresh was charged against in :attr:`delta_bound`.
-    """
+    the last refresh was charged against in :attr:`delta_bound`."""
 
     __slots__ = (
-        "columns",
-        "watermark",
-        "stats",
-        "fanout_bound",
-        "last_mode",
-        "profiles",
-        "_engine",
-        "_prepared",
-        "_values",
-        "_programs",
-        "_seeds",
-        "_view_names",
-        "_db",
-        "_access_version",
-        "_views_version",
-        "_counts",
-        "_order",
-        "_delta_sizes",
+        "columns", "watermark", "stats", "fanout_bound", "last_mode", "profiles",
+        "_engine", "_prepared", "_values", "_programs", "_seeds", "_view_names",
+        "_epoch", "_counts", "_order", "_delta_sizes",
         "__weakref__",  # the change log pins its consumers weakly
     )
 
@@ -153,10 +143,8 @@ class IncrementalResult:
         on demand; the refresh hot path only records the slice sizes."""
         if self._delta_sizes is None:
             return None
-        return sum(
-            delta_fanout_bound(program.plan, self._delta_sizes)
-            for program in self._programs
-        )
+        sizes = self._delta_sizes
+        return sum(delta_fanout_bound(program.plan, sizes) for program in self._programs)
 
     # -- maintenance -----------------------------------------------------
 
@@ -165,23 +153,18 @@ class IncrementalResult:
         running only the delta pipeline over the slice past the current
         watermark, then advance the watermark.  Returns ``self``.
 
-        A no-op slice costs zero accesses.  With ``analyze=True`` the
-        delta pipeline's per-operator row counts and accounting are
-        recorded in :attr:`profiles` (rendered by
-        :meth:`explain_analyze`); the default refresh skips that
-        bookkeeping -- it is the hot path.  If the engine's access schema
-        or ``Database`` was replaced since the last pass, plans or
-        watermark are stale: the result *rebases* (full recompute through
-        the version-keyed plan cache) instead -- check :attr:`last_mode`
-        (``"delta"`` vs ``"rebase"``) to see which path ran.
+        A slice that misses what the result holds costs zero accesses.
+        With ``analyze=True`` the delta pipeline's per-operator row counts
+        and accounting are recorded in :attr:`profiles` (rendered by
+        :meth:`explain_analyze`); the default refresh -- the hot path --
+        skips that.  If the engine's access schema, views or ``Database``
+        were replaced since the last pass the result *rebases* (full
+        recompute through the version-keyed plan cache) instead:
+        :attr:`last_mode` says which path ran (``"delta"`` / ``"rebase"``).
         """
         engine = self._engine
         db = engine.require_database()
-        if (
-            db is not self._db
-            or engine._access_state[0] != self._access_version
-            or engine.views.version != self._views_version
-        ):
+        if (db, engine._access_state[0], engine.views.version) != self._epoch:
             # Another Database (its log never issued our watermark), or the
             # access schema or views changed and the plans are stale: rebase.
             return self._materialize("rebase")
@@ -211,11 +194,17 @@ class IncrementalResult:
             # Every disjunct's changes first: a backend error in a later
             # one must leave counts and watermark as they were, so the
             # retry does not apply the earlier ones twice.
-            changes, measured = [], []
-            for program, seeded in zip(self._programs, self._seeds):
-                ops = [] if analyze else None  # this plan's OperatorProfiles
-                measured.append(ops)
-                changes.append(program.join(slice, seeded, db, stats, store, ops))
+            changes = []
+            measured = [[] for _ in self._programs] if analyze else repeat(None)
+            try:
+                for program, seeded, ops in zip(self._programs, self._seeds, measured):
+                    changes.append(program.join(slice, seeded, db, stats, store, ops))
+            except BaseException:
+                # ... and no group patched towards a state we never reach.
+                for seeded in self._seeds:
+                    if seeded is not None:
+                        seeded.rows = None
+                raise
             if any(changes):
                 crossed = False
                 for counts, changed in zip(self._counts, changes):
@@ -250,8 +239,7 @@ class IncrementalResult:
         when the access schema, the views or the database changed under us."""
         engine = self._engine
         db = engine.require_database()
-        version, _ = engine._access_state
-        views_version = engine.views.version
+        epoch = (db, engine._access_state[0], engine.views.version)
         prepared, parameters = self._prepared, frozenset(self._values)
         compiled = engine._compiled_for(prepared, parameters)
         plans = compiled.plans
@@ -287,9 +275,7 @@ class IncrementalResult:
         self._programs = programs
         self._seeds = seeds
         self._view_names = tuple(sorted(names))
-        self._db = db
-        self._access_version = version
-        self._views_version = views_version
+        self._epoch = epoch
         self._counts = counts
         self._order: dict[Row, None] = {}
         self._reorder()
@@ -305,25 +291,19 @@ class IncrementalResult:
         """Rebuild the ordered answer set from the per-plan counts:
         surviving rows keep their position, new rows are appended in
         plan/derivation order."""
-        order: dict[Row, None] = {
-            row: None
-            for row in self._order
-            if any(counts.get(row, 0) > 0 for counts in self._counts)
-        }
-        for counts in self._counts:
-            for row, count in counts.items():
-                if count > 0 and row not in order:
-                    order[row] = None
+        alive = self._counts  # a count is kept only while it is positive
+        order = {row: None for row in self._order if any(row in counts for counts in alive)}
+        for counts in alive:
+            for row in counts:
+                order.setdefault(row)
         self._order = order
 
     def explain_analyze(self):
         """The current answers plus the profiles of the last
-        ``refresh(analyze=True)`` as an
+        ``refresh(analyze=True)`` (empty after any other pass) as an
         :class:`~repro.api.engine.ExplainAnalyze`: per-operator row counts
         and access accounting for the faces the refresh applied, labelled
-        ``Δ[level]`` / ``new[level]`` / ``old[level]`` (profiles are empty
-        unless the last pass was an analyzing refresh -- profiling is
-        opt-in everywhere on the incremental path)."""
+        ``Δ[level]`` / ``new[level]`` / ``old[level]``."""
         from repro.api.engine import ExplainAnalyze, ResultSet
 
         result = ResultSet(self.rows, self.columns, self.stats, self.fanout_bound)

@@ -17,14 +17,11 @@ Every read goes through the backend's charged bulk reads --
 ``lookup_keys``, ``contains_rows``, ``scan`` -- or the single-pattern
 conveniences over them (:meth:`Database.lookup`,
 :meth:`Database.contains`) and is recorded in :class:`AccessStats` --
-this accounting is the empirical measuring stick for scale independence:
-a plan is scale independent precisely when the number of tuples it
-accesses is bounded regardless of the database size.
-
-The bulk reads are what the batch-at-a-time executor
-(:mod:`repro.core.executor`) runs on: one call serves a whole batch of
-keys, resolving each *distinct* key (and accounting it) exactly once,
-however many rows in the batch share it.
+the empirical measuring stick for scale independence: a plan is scale
+independent precisely when the number of tuples it accesses is bounded
+regardless of the database size.  One bulk call serves a whole batch of
+the executor's keys (:mod:`repro.core.executor`), resolving -- and
+accounting -- each *distinct* key exactly once.
 
 Accounting is two-level.  :attr:`Database.stats` is the cumulative,
 engine-wide view: every read charges it, forever.  Each read method also
@@ -50,9 +47,9 @@ appends drop what lies below the oldest pin (see :class:`ChangeLog` for
 what an un-pinned watermark may rely on).
 :meth:`Database.bulk_load` is the one escape hatch: an *unlogged*
 streaming load for populating an empty database at out-of-core scale,
-permitted only while nothing has ever been logged so no watermark can
-be bypassed.  Mutations are single-writer: interleaving them with
-concurrent executions is undefined.
+permitted only on a pristine log -- nothing ever logged, nobody pinning
+it -- so no watermark can be bypassed.  Mutations are single-writer:
+interleaving them with concurrent executions is undefined.
 """
 
 from __future__ import annotations
@@ -443,20 +440,23 @@ class Database:
         Rows are validated and interned like any insert, but applied in
         backend chunks and never recorded in :attr:`change_log`, so a
         million-row load does not pin a million tuples in the Python
-        heap.  Only permitted while the log's watermark is 0: once any
-        mutation was logged (compacted away since or not), an unlogged
-        load would slip past outstanding incremental watermarks, so it
-        raises :class:`UpdateError`.  Returns the number of tuples
-        actually inserted (set semantics).  A row that fails validation
-        (wrong arity, an unhashable value) raises with the full chunks
-        before it loaded and its own chunk not.
+        heap.  Only permitted on a *pristine* log -- watermark 0 and no
+        consumer pinning it: past a logged mutation (compacted away since
+        or not), or under a maintained result or view (materialized at
+        watermark 0, it would stay there), an unlogged load slips past a
+        watermark, so it raises :class:`UpdateError`.  Returns the number
+        of tuples actually inserted (set semantics).  A row that fails
+        validation (wrong arity, an unhashable value) raises with the full
+        chunks before it loaded and its own chunk not.
         """
         validate = self.schema.relation(relation).validate_tuple
-        if self.change_log.watermark:
+        log = self.change_log
+        if log.watermark or log._pins:
             raise UpdateError(
-                f"bulk_load into {relation!r}: the change log has recorded mutations; "
-                f"unlogged loads are only sound on a pristine database -- "
-                f"use insert_many for logged mutations"
+                f"bulk_load into {relation!r}: the change log has recorded "
+                f"{log.watermark} mutation(s) and {len(log._pins)} maintained result(s) "
+                f"or view(s) hold it; unlogged loads are only sound on a pristine "
+                f"database -- use insert_many for logged mutations"
             )
         prepared = (intern_row(validate(tuple(map(_plain, row)))) for row in rows)
         applied = 0

@@ -134,7 +134,7 @@ def test_rebased_plans_after_churn_certify(monkeypatch):
     )
     engine = social_engine(50, seed=5)
     assert engine.certify  # REPRO_CERTIFY=1 via conftest
-    result = engine.execute_incremental("Q(u) :- friend(p, y), visits(y, u)", {"p": 3})
+    result = engine.query("Q(u) :- friend(p, y), visits(y, u)").execute_incremental({"p": 3})
     data = generate_social_network(50, seed=5)
     for batch in generate_churn(data, batches=3, batch_size=8, seed=7):
         batch.apply(engine.require_database())

@@ -114,7 +114,7 @@ def test_execute_via_parameter_mapping(engine):
 
 def test_engine_one_shot_execute_and_explain(engine):
     assert engine.execute(NYC_FRIENDS, p=1) == [(2,)]
-    assert "fetch" in engine.explain(NYC_FRIENDS, ["p"])
+    assert "fetch" in engine.query(NYC_FRIENDS).explain(["p"])
 
 
 def test_prebuilt_query_accepted(engine):
@@ -358,7 +358,7 @@ def test_union_compiles_one_plan_per_disjunct(engine, monkeypatch):
 
 
 def test_explain_analyze_reports_per_operator_rows(engine):
-    report = engine.explain_analyze(NYC_FRIENDS, p=1)
+    report = engine.query(NYC_FRIENDS).explain_analyze(p=1)
     assert set(report.result) == {(2,)}
     assert len(report.profiles) == 1
     operators = report.profiles[0].operators
@@ -611,8 +611,8 @@ class TestPerExecutionStatsIsolation:
         from repro.workloads import social_engine
 
         engine = social_engine(50, seed=0)
-        analyzed = engine.explain_analyze("Q(y) :- friend(p, y)", p=1)
-        again = engine.explain_analyze("Q(y) :- friend(p, y)", p=1)
+        analyzed = engine.query("Q(y) :- friend(p, y)").explain_analyze(p=1)
+        again = engine.query("Q(y) :- friend(p, y)").explain_analyze(p=1)
         assert (
             analyzed.result.stats.tuples_accessed
             == again.result.stats.tuples_accessed

@@ -372,9 +372,26 @@ def test_consumers_at_different_cadences_survive_constant_compaction(
     assert lazy.counts == eager.counts
 
 
+def held_group_is_current(program, seeded, db):
+    """A kept seed's held rows are level 0's key group on ``db``, as a set
+    and in size, within the bound of the rule they were fetched through."""
+    op = program.levels[0][3][0]
+    (fresh,) = db.lookup_keys(op.atom.relation, op._sorted_positions, seeded.keys, AccessStats())
+    assert set(seeded.rows) == set(fresh) and len(seeded.rows) == len(fresh)
+    assert len(seeded.rows) <= op.rule.bound
+
+
 @budget(40)
 @given(scenario=scenarios())
 def test_execute_plan_delta_is_the_staged_halves_composed(backend_factory, scenario):
+    """One driver, same changes -- and a *kept* seed of a holding program
+    charges what the one-shot call does minus exactly the level-0 read:
+    the one-shot seeds afresh and, when some level >= 1 changed, fetches
+    level 0's group on the new state (its rows, one lookup); the kept seed
+    took that group from its hold.  After every batch the held rows are a
+    fresh read of the group *as a set*: a row that left and came back
+    inside one slice keeps its old place in the hold and comes last in
+    the store, which only the order of derivations depends on."""
     schema, access, plan, values = build(scenario)
     if embedded(plan):
         return
@@ -384,6 +401,8 @@ def test_execute_plan_delta_is_the_staged_halves_composed(backend_factory, scena
     seeded = program.seed(dict(values))  # once: no slice changes it
     counts = program.count(seeded, db, AccessStats())
     assert counts == execute_plan_counting(plan, db, dict(values))
+    holds = program.holds and seeded is not None
+    assert holds == (seeded is not None and seeded.rows is not None)
     for batch in stream:
         mark = db.change_log.watermark
         apply_batch(db, batch)
@@ -393,17 +412,22 @@ def test_execute_plan_delta_is_the_staged_halves_composed(backend_factory, scena
         assert program in shared.staged  # the one-shot call staged on the shared slice
         stats = AccessStats()
         assert program.join(shared, seeded, db, stats) == expected
-        assert stats == public.stats
+        saved = AccessStats()
+        if holds:
+            held_group_is_current(program, seeded, db)
+            if len(shared.staged[program]) > 1:  # some level >= 1 changed
+                saved = AccessStats(len(seeded.rows), 1, 0)
+        assert public.stats.since(stats) == saved
         # A private slice stages privately; a profiled run is the same run.
         private = ExecutionContext(db, watermark=mark, delta=dict(shared.net))
         profiles: list = []
         assert execute_plan_delta(plan, private, dict(values), profiles=profiles) == expected
         assert private.slice is not shared and private.stats == public.stats
-        assert sum(op.tuples_accessed for op in profiles) == stats.tuples_accessed
+        assert sum(op.tuples_accessed for op in profiles) == public.stats.tuples_accessed
         for row, change in expected.items():
             counts[row] = counts.get(row, 0) + change
         counts = {row: count for row, count in counts.items() if count}
-        assert counts == program.count(seeded, db, AccessStats())
+        assert counts == execute_plan_counting(plan, db, dict(values))
 
 
 @budget(30)

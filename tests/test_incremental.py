@@ -257,7 +257,7 @@ def test_refresh_analyze_records_delta_pipeline_profiles():
 
 def test_engine_one_shot_and_refresh_sugar():
     engine = social_engine(40, seed=3)
-    live = engine.execute_incremental("Q(y) :- friend(p, y)", p=1)
+    live = engine.query("Q(y) :- friend(p, y)").execute_incremental(p=1)
     assert isinstance(live, IncrementalResult)
     engine.database.insert_many("friend", [(1, 39)])
     assert live.refresh() is live
@@ -266,7 +266,7 @@ def test_engine_one_shot_and_refresh_sugar():
 
 def test_result_behaves_like_a_sequence():
     engine = social_engine(40, seed=3)
-    live = engine.execute_incremental("Q(y) :- friend(p, y)", p=1)
+    live = engine.query("Q(y) :- friend(p, y)").execute_incremental(p=1)
     rows = live.rows
     assert len(live) == len(rows)
     assert list(live) == list(rows)
@@ -283,7 +283,7 @@ def test_gained_rows_append_and_lost_rows_drop_in_place():
     db = engine.require_database()
     db.delete_many("friend", db.scan("friend"))
     db.insert_many("friend", [(0, 10), (0, 11)])
-    live = engine.execute_incremental("Q(y) :- friend(p, y)", p=0)
+    live = engine.query("Q(y) :- friend(p, y)").execute_incremental(p=0)
     assert live.rows == ((10,), (11,))
     db.delete_many("friend", [(0, 10)])
     db.insert_many("friend", [(0, 12)])

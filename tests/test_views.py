@@ -447,7 +447,7 @@ class TestEngineViews:
         ops = pipeline_for(plan)
         assert any(isinstance(op, FetchOp) and op.view for op in ops)
         assert "V1" in plan.view_relations
-        explained = engine.explain(FOLLOWERS_NYC, ["p"])
+        explained = engine.query(FOLLOWERS_NYC).explain(["p"])
         assert "V1" in explained
 
     def test_view_reads_do_not_inflate_database_stats(self, engine):
@@ -482,7 +482,7 @@ class TestEngineViews:
 
     def test_explain_analyze_on_view_plan(self, engine):
         engine.views.register(v1_def())
-        analyzed = engine.explain_analyze(FOLLOWERS_NYC, p=1)
+        analyzed = engine.query(FOLLOWERS_NYC).explain_analyze(p=1)
         assert set(analyzed.result.rows) == {(3,)}
         assert "view scan" in str(analyzed)
 
@@ -528,7 +528,7 @@ class TestIncrementalViewPlans:
 
     def test_refresh_is_delta_bounded(self, engine):
         engine.views.register(v1_def())
-        live = engine.execute_incremental(FOLLOWERS_NYC, p=1)
+        live = engine.query(FOLLOWERS_NYC).execute_incremental(p=1)
         db = engine.require_database()
         db.insert_many("friend", [(4, 1)])
         live.refresh()
@@ -538,7 +538,7 @@ class TestIncrementalViewPlans:
 
     def test_view_register_or_drop_rebases(self, engine):
         engine.views.register(v1_def())
-        live = engine.execute_incremental(FOLLOWERS_NYC, p=1)
+        live = engine.query(FOLLOWERS_NYC).execute_incremental(p=1)
         engine.views.register(
             ViewDef("V2", "V2(url, visitor) :- visits(visitor, url)", "V2(url -> 8)")
         )
@@ -548,7 +548,7 @@ class TestIncrementalViewPlans:
 
     def test_no_op_refresh_is_free(self, engine):
         engine.views.register(v1_def())
-        live = engine.execute_incremental(FOLLOWERS_NYC, p=1)
+        live = engine.query(FOLLOWERS_NYC).execute_incremental(p=1)
         live.refresh()
         assert live.last_mode == "delta"
         assert live.stats.tuples_accessed == 0
