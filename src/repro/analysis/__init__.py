@@ -75,7 +75,7 @@ from repro.analysis.advisor import (
     advice_report,
     advise_views,
 )
-from repro.analysis.certify import certify_plan, certify_plans, check_plan
+from repro.analysis.certify import certify_plan, check_plan
 from repro.analysis.cost import (
     CostEstimate,
     CostStats,
@@ -145,7 +145,6 @@ __all__ = [
     "workload_report",
     "workload_advice",
     "certify_plan",
-    "certify_plans",
     "check_plan",
     "estimate_plan",
     "certify_selection",

@@ -142,8 +142,6 @@ def advise_views(
     engine: "Engine",
     queries: Iterable[object] = (),
     *,
-    stats: CostStats | None = None,
-    expensive: float | None = None,
     source: str | None = None,
 ) -> tuple[ViewAdvice, ...]:
     """Mine ``queries`` on ``engine`` for covering-view opportunities.
@@ -151,14 +149,11 @@ def advise_views(
     Each entry of ``queries`` is query text, a query object, a
     ``PreparedQuery``, a ``(query, parameters)`` pair or a
     ``(query, parameters, source)`` triple (the source labels that
-    entry's advice).  ``stats`` defaults to the engine's refreshed cost
-    statistics (if any); ``expensive`` to :data:`EXPENSIVE_COST`.
-    Returns ranked advice: controllability fixes first (cheapest
-    projected plan leading), then cost cuts by descending saving."""
-    if stats is None:
-        stats = engine.cost_stats
-    if expensive is None:
-        expensive = EXPENSIVE_COST
+    entry's advice).  A proposed view's rule is sized from the engine's
+    refreshed cost statistics (if any); a controlled query priced below
+    :data:`EXPENSIVE_COST` is left alone.  Returns ranked advice:
+    controllability fixes first (cheapest projected plan leading), then
+    cost cuts by descending saving."""
     access = engine.access
     registered = engine.views.definitions()
     advices: list[ViewAdvice] = []
@@ -182,8 +177,6 @@ def advise_views(
                 access,
                 param_vars,
                 registered,
-                stats,
-                expensive,
                 entry_source,
                 engine,
             ):
@@ -276,8 +269,6 @@ def _advise_disjunct(
     access: AccessSchema,
     params: tuple[Variable, ...],
     registered: tuple[ViewDef, ...],
-    stats: CostStats | None,
-    expensive: float,
     source: str | None,
     engine: "Engine",
 ) -> list[ViewAdvice]:
@@ -297,10 +288,11 @@ def _advise_disjunct(
         base_est = min(
             (estimate_plan(p) for p in base), key=lambda e: e.total
         )
-        if base_est.total < expensive:
+        if base_est.total < EXPENSIVE_COST:
             return []  # controlled and cheap: leave it alone
         base_cost = base_est.total
     advices: list[ViewAdvice] = []
+    stats = engine.cost_stats
     for subset in _connected_subsets(body):
         candidate = _candidate(subset, body, cov, query, params, stats, access)
         if candidate is None:

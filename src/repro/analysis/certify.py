@@ -48,7 +48,7 @@ once.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.analysis.cost import COST_TOLERANCE, PROBE_COST
 from repro.analysis.diagnostics import Report, Severity, diagnostic
@@ -353,21 +353,6 @@ def certify_plan(
             f"plan claims cost estimate {claimed_cost:g} but re-deriving "
             f"the weighted step costs from its rules gives {weighted:g}",
         )
-    return report
-
-
-def certify_plans(
-    plans: Iterable[Plan],
-    access: AccessSchema,
-    views: object = (),
-    *,
-    source: str | None = None,
-) -> Report:
-    """:func:`certify_plan` over several plans (e.g. a union's disjunct
-    plans), merged into one report."""
-    report = Report()
-    for plan in plans:
-        report.extend(certify_plan(plan, access, views, source=source))
     return report
 
 

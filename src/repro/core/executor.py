@@ -70,15 +70,11 @@ from dataclasses import dataclass
 from itertools import repeat
 from sys import intern as _intern
 from time import perf_counter
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 from repro.core.access_schema import AccessRule, EmbeddedAccessRule
-from repro.core.columnar import (
-    EMPTY_KEY,
-    PipelineCache,
-    PipelineCacheStats,
-    SlotTable,
-)
+from repro.core.columnar import EMPTY_KEY, SlotTable
 from repro.core.plans import FetchStep, Plan, ProbeStep
 from repro.errors import IncrementalError, SchemaError
 from repro.logic.ast import Atom, _as_variable
@@ -1057,30 +1053,38 @@ def build_pipeline(plan: Plan) -> Pipeline:
     return Pipeline(plan, ops, slots, prefilter, seed_slots)
 
 
-#: The process-wide LRU of lowered pipelines (the same cache discipline as
-#: the Engine's PlanCache: bounded, with hit/miss/eviction counters).
-pipeline_cache = PipelineCache(maxsize=256)
+#: The two plain counters of :func:`pipeline_for`.
+_memo_hits = _lowerings = 0
 
 
 def pipeline_for(plan: Plan) -> Pipeline:
-    """The memoized pipeline for ``plan`` (lowered once, reused by every
-    execution; plans are immutable so an entry can never go stale).
-    Cached in :data:`pipeline_cache` -- a bounded LRU keyed by plan
-    identity, with hit/miss/eviction counters."""
-    return pipeline_cache.get_or_build(plan, build_pipeline)
+    """The pipeline of ``plan``, lowered on first use and kept on the plan
+    (plans are immutable, so it can never go stale, and it dies with its
+    plan).  Two racing first uses build equal pipelines; the second write
+    wins."""
+    global _memo_hits, _lowerings
+    pipe = plan._pipeline
+    if pipe is None:
+        _lowerings += 1
+        pipe = plan._pipeline = build_pipeline(plan)
+    else:
+        _memo_hits += 1
+    return pipe
 
 
-def pipeline_cache_stats() -> PipelineCacheStats:
-    """Counters of the process-wide pipeline cache."""
-    return pipeline_cache.stats()
+def pipeline_cache_stats() -> SimpleNamespace:
+    """``.hits`` / ``.misses``: how often :func:`pipeline_for` read a
+    plan's memoised lowering and how often it lowered -- nothing else.
+    The name survives only because the benchmark harness imports it."""
+    return SimpleNamespace(hits=_memo_hits, misses=_lowerings)
 
 
 def merge_parameter_values(
     parameters: Mapping[object, object] | None, kwargs: Mapping[str, object]
 ) -> Assignment:
     """Merge a parameter mapping and keyword arguments into one
-    variable-keyed assignment (kwargs win on collision).  Shared by
-    :meth:`Plan.execute`, the executor entry points and the Engine facade.
+    variable-keyed assignment (kwargs win on collision).  Shared by the
+    executor entry points and the Engine facade.
 
     ``Constant``-wrapped values are unwrapped here, once: assignments hold
     plain values everywhere downstream, so every comparison -- filter
@@ -1383,7 +1387,7 @@ class DeltaProgram:
 
 
 def delta_program(plan: Plan) -> DeltaProgram:
-    """``plan``'s :class:`DeltaProgram`, kept on its cached pipeline
+    """``plan``'s :class:`DeltaProgram`, kept on its pipeline
     (:meth:`Pipeline.program`, which also says which plans have none)."""
     return pipeline_for(plan).program()
 

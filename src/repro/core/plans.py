@@ -21,8 +21,7 @@ point.
 This module only *plans*.  Physical execution lives in
 :mod:`repro.core.executor`, which lowers the steps once into slot
 closures -- the single form every entry point (execute, counting, delta,
-profile) runs; :meth:`Plan.execute` is a convenience wrapper around
-:func:`repro.core.executor.execute_plan`.
+profile) runs -- and keeps the lowering on the plan (``Plan._pipeline``).
 
 If the query is not controlled by the given parameters,
 :func:`compile_plan` raises :class:`repro.errors.NotControlledError`
@@ -40,8 +39,6 @@ from repro.errors import NotControlledError
 from repro.logic.ast import Atom, _as_variable
 from repro.logic.cq import ConjunctiveQuery, Substitution
 from repro.logic.terms import Constant, Term, Variable
-
-Row = tuple[object, ...]
 
 
 @dataclass(frozen=True)
@@ -117,6 +114,7 @@ class Plan:
         "view_relations",
         "_fanout_bound",
         "_cost_estimate",
+        "_pipeline",
     )
 
     def __init__(
@@ -136,6 +134,7 @@ class Plan:
         self.view_relations = frozenset(view_relations)
         self._fanout_bound: int | None = None
         self._cost_estimate: float | None = None
+        self._pipeline = None  # repro.core.executor.pipeline_for's memo
 
     def __repr__(self) -> str:
         return (
@@ -274,23 +273,6 @@ class Plan:
         lines.append(f"access bound: {self.fanout_bound} tuples")
         lines.append(f"cost estimate: {self.cost_estimate:g}")
         return "\n".join(lines)
-
-    def execute(
-        self,
-        db,
-        parameters: Mapping[object, object] | None = None,
-        **kwargs: object,
-    ) -> tuple[Row, ...]:
-        """Run the plan on ``db`` with the given parameter values and return
-        the deduplicated answer tuples.
-
-        Parameter values may be passed as a mapping (keys are variables or
-        their names) and/or as keyword arguments.  Delegates to the batched
-        operator pipeline in :mod:`repro.core.executor`.
-        """
-        from repro.core.executor import execute_plan
-
-        return execute_plan(self, db, parameters, **kwargs)
 
 
 def compile_plan(

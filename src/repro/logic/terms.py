@@ -124,16 +124,6 @@ _TOTALLY_ORDERED_TYPES = frozenset({bool, int, float, str, bytes})
 Term = Union[Variable, Constant]
 
 
-def is_variable(term: Term) -> bool:
-    """Return True if ``term`` is a :class:`Variable`."""
-    return isinstance(term, Variable)
-
-
-def is_constant(term: Term) -> bool:
-    """Return True if ``term`` is a :class:`Constant`."""
-    return isinstance(term, Constant)
-
-
 def make_term(value: object) -> Term:
     """Coerce ``value`` into a term.
 

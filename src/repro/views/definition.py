@@ -539,7 +539,7 @@ class ViewSet:
             self._catalog = None
         return view
 
-    def advise(self, queries: Iterable[object] = (), *, stats=None, expensive=None):
+    def advise(self, queries: Iterable[object] = ()):
         """Mine ``queries`` for covering-view opportunities
         (:func:`repro.analysis.advisor.advise_views`): ranked
         :class:`~repro.analysis.advisor.ViewAdvice` proposals -- possibly
@@ -559,7 +559,7 @@ class ViewSet:
         # Imported lazily: repro.analysis sits above repro.views.
         from repro.analysis.advisor import advise_views
 
-        return advise_views(engine, queries, stats=stats, expensive=expensive)
+        return advise_views(engine, queries)
 
     def adopt(self, advice) -> ViewDef:
         """Register the view a :class:`~repro.analysis.advisor.ViewAdvice`

@@ -34,7 +34,6 @@ from repro.analysis import (
     analyze_query,
     binding_flow,
     certify_plan,
-    certify_plans,
     check_plan,
     diagnostic,
     explain_uncontrolled,
@@ -293,13 +292,6 @@ def test_check_plan_gates_and_passes_through(q1_plan):
     assert "failed certification" in str(exc_info.value)
     assert exc_info.value.report is not None
     assert not exc_info.value.report.ok(Severity.ERROR)
-
-
-def test_certify_plans_merges_reports(q1_plan):
-    plan, access = q1_plan
-    mutated = clone(plan, view_relations=frozenset({"V9"}))
-    report = certify_plans([plan, mutated], access)
-    assert "CRT005" in codes(report)
 
 
 def test_engine_gates_compilation_on_certification(monkeypatch, social_db):

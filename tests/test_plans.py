@@ -18,6 +18,7 @@ from repro import (
     Equality,
     NotControlledError,
     compile_plan,
+    execute_plan,
 )
 from repro.core.plans import FetchStep, ProbeStep
 
@@ -64,14 +65,14 @@ class TestExecute:
     def test_q1_without_scans(self, social_db, social_access):
         plan = compile_plan(Q1, social_access, ["p"])
         social_db.reset_stats()
-        assert set(plan.execute(social_db, p=1)) == {(2,)}
+        assert set(execute_plan(plan, social_db, p=1)) == {(2,)}
         assert social_db.stats.full_scans == 0
         assert social_db.stats.tuples_accessed <= plan.fanout_bound
 
     def test_matches_reference_evaluation(self, social_db, social_access):
         plan = compile_plan(Q1, social_access, ["p"])
         for pid in range(1, 6):
-            assert set(plan.execute(social_db, p=pid)) == set(
+            assert set(execute_plan(plan, social_db, p=pid)) == set(
                 Q1.evaluate(social_db, {"p": pid})
             )
 
@@ -93,7 +94,7 @@ class TestExecute:
             db = build(n)
             plan = compile_plan(Q1, social_access, ["p"])
             db.reset_stats()
-            assert set(plan.execute(db, p=0)) == {(1,), (2,)}
+            assert set(execute_plan(plan, db, p=0)) == {(1,), (2,)}
             counts.append(db.stats.tuples_accessed)
             assert db.stats.full_scans == 0
         assert counts[0] == counts[1]
@@ -101,7 +102,7 @@ class TestExecute:
     def test_missing_parameter_value_rejected(self, social_db, social_access):
         plan = compile_plan(Q1, social_access, ["p"])
         with pytest.raises(ValueError, match="missing plan parameters"):
-            plan.execute(social_db)
+            execute_plan(plan, social_db)
 
     def test_unsatisfiable_equalities_compile_to_empty_plan(
         self, social_db, social_access
@@ -114,7 +115,7 @@ class TestExecute:
         plan = compile_plan(q, social_access)
         assert not plan.satisfiable
         assert plan.fanout_bound == 0
-        assert plan.execute(social_db) == ()
+        assert execute_plan(plan, social_db) == ()
 
     def test_equality_constant_binds_parameterless_plan(
         self, social_db, social_access
@@ -123,7 +124,7 @@ class TestExecute:
             ["x"], [Atom("friend", ["?p", "?x"])], [Equality("?p", 1)]
         )
         plan = compile_plan(q, social_access)
-        assert set(plan.execute(social_db)) == {(2,), (3,)}
+        assert set(execute_plan(plan, social_db)) == {(2,), (3,)}
 
     def test_embedded_rule_fetch_then_probe(self, social_schema, social_db):
         access = AccessSchema(
@@ -137,14 +138,14 @@ class TestExecute:
         kinds = [type(s) for s in plan.steps]
         assert FetchStep in kinds and ProbeStep in kinds
         social_db.reset_stats()
-        assert set(plan.execute(social_db, p=1)) == {(2,)}
+        assert set(execute_plan(plan, social_db, p=1)) == {(2,)}
         assert social_db.stats.full_scans == 0
 
     def test_constants_in_atoms_are_used_as_keys(self, social_db, social_access):
         q = ConjunctiveQuery(["x"], [Atom("friend", [4, "?x"])])
         plan = compile_plan(q, social_access)
         social_db.reset_stats()
-        assert plan.execute(social_db) == ((5,),)
+        assert execute_plan(plan, social_db) == ((5,),)
         assert social_db.stats.full_scans == 0
 
 
@@ -153,6 +154,6 @@ def test_execute_rejects_bindings_that_are_not_parameters(
 ):
     plan = compile_plan(Q1, social_access, ["p"])
     with pytest.raises(ValueError, match="not plan parameters"):
-        plan.execute(social_db, p=1, x=2)
+        execute_plan(plan, social_db, p=1, x=2)
     with pytest.raises(ValueError, match="not plan parameters"):
-        plan.execute(social_db, p=1, zzz=99)
+        execute_plan(plan, social_db, p=1, zzz=99)

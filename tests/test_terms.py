@@ -11,8 +11,6 @@ from repro.logic.terms import (
     Constant,
     Variable,
     constants_of,
-    is_constant,
-    is_variable,
     make_term,
     variables_of,
 )
@@ -38,10 +36,6 @@ class TestMakeTerm:
     def test_empty_variable_name_raises(self):
         with pytest.raises(ValueError):
             Variable("")
-
-    def test_predicates(self):
-        assert is_variable(Variable("x")) and not is_variable(Constant(1))
-        assert is_constant(Constant(1)) and not is_constant(Variable("x"))
 
 
 class TestConstantOrdering:
