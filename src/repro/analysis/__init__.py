@@ -18,14 +18,14 @@ family per analyzable object:
 * :func:`analyze_plan` (PLN001-PLN003) -- fanout-bound blowups with the
   multiplicative per-level breakdown, probe-after-embedded-fetch fusion
   opportunities, dominant steps;
-* :func:`analyze_views` / :func:`advise_covering_view`
-  (VIW001-VIW003) -- unmatched and overlapping views, and concrete
-  covering-view proposals for uncontrolled queries;
+* :func:`analyze_views` (VIW001-VIW002) -- unmatched and overlapping
+  views;
 * :func:`advise_views` / ``engine.views.advise(queries)``
-  (VIW004-VIW005, :mod:`repro.analysis.advisor`) -- the multi-atom view
-  advisor: MiniCon-style bucket search over connected body subsets,
-  stats-derived bounds, and adopted-vs-base pricing through the cost
-  model;
+  (VIW004-VIW005, :mod:`repro.analysis.advisor`) -- the one view
+  advisor, which also speaks for every uncontrolled query in
+  :func:`analyze_prepared`: MiniCon-style bucket search over connected
+  body subsets, stats-derived bounds, and adopted-vs-base pricing
+  through the cost model;
 * :func:`estimate_plan` / :func:`certify_selection` (CST001-CST003,
   :mod:`repro.analysis.cost`) -- the static cost model behind the
   engine's cost-based plan selection, optionally refined by observed
@@ -54,9 +54,11 @@ Three surfaces:
 
 * the API -- ``engine.analyze(queries)`` /
   ``prepared.diagnostics(parameters)`` (thin wrappers over
-  :func:`analyze_engine` / :func:`analyze_prepared`);
+  :func:`analyze_engine` / :func:`analyze_prepared`, the one driver);
 * the CLI -- ``python -m repro.analysis`` lints query files against an
-  optional schema/access pair and exits nonzero at the chosen severity
+  optional schema/access pair (with access rules, each line through
+  :func:`analyze_prepared` on one engine, so a file reports what
+  ``engine.analyze`` reports) and exits nonzero at the chosen severity
   floor (``--strict`` fails on warnings);
 * CI -- the workflow runs ``python -m repro.analysis --workload
   --strict`` so the Q1-Q5 bundles (:func:`workload_report`) stay
@@ -72,6 +74,7 @@ from repro.analysis.advisor import (
     EXPENSIVE_COST,
     MAX_VIEW_ATOMS,
     ViewAdvice,
+    _entries,
     advice_report,
     advise_views,
 )
@@ -113,11 +116,8 @@ from repro.analysis.plans import (
 )
 from repro.analysis.fixes import FixResult, fix_query
 from repro.analysis.queries import SELECTIVITY_RATIO, analyze_query
-from repro.analysis.views import (
-    DEFAULT_ADVISED_BOUND,
-    advise_covering_view,
-    analyze_views,
-)
+from repro.analysis.views import analyze_views
+from repro.core.plans import compile_plan
 from repro.errors import NotControlledError
 from repro.logic.ucq import disjuncts_of
 
@@ -136,7 +136,6 @@ __all__ = [
     "analyze_access",
     "analyze_plan",
     "analyze_views",
-    "advise_covering_view",
     "advise_views",
     "advice_report",
     "ViewAdvice",
@@ -166,7 +165,6 @@ __all__ = [
     "BLOWUP_THRESHOLD",
     "DOMINANCE_RATIO",
     "SELECTIVITY_RATIO",
-    "DEFAULT_ADVISED_BOUND",
     "ADVISED_RULE_BOUND",
     "EXPENSIVE_COST",
     "MAX_VIEW_ATOMS",
@@ -184,23 +182,17 @@ def analyze_prepared(
     included) -- the PLN passes on each plan, the INC
     incremental-maintainability classification, and a CST003 note for
     each plan the cost-based selector steered onto a view; when the
-    query does not compile, the VIW003 covering-view advisor instead."""
+    query does not compile, the view advisor's proposals instead."""
     engine = prepared._engine
     parameters = tuple(parameters)
     report = analyze_query(
         prepared.query, engine.access, parameters, source=source
     )
-    disjuncts = disjuncts_of(prepared.query)
     try:
         plans = prepared.plan(parameters)
     except NotControlledError:
-        for disjunct in disjuncts:
-            report.extend(
-                advise_covering_view(
-                    disjunct, engine.access, parameters, source=source
-                )
-            )
-        return report
+        advices = advise_views(engine, [(prepared, parameters)], source=source)
+        return report.extend(advice_report(advices))
     if not isinstance(plans, tuple):
         plans = (plans,)
     for plan in plans:
@@ -209,9 +201,7 @@ def analyze_prepared(
     # CST003: the selector picked a view-augmented plan although a base
     # plan exists -- worth a note (with the price comparison) because the
     # answers now depend on view freshness.
-    from repro.core.plans import compile_plan
-
-    for disjunct, plan in zip(disjuncts, plans):
+    for disjunct, plan in zip(disjuncts_of(prepared.query), plans):
         if not plan.view_relations:
             continue
         try:
@@ -246,62 +236,37 @@ def analyze_engine(
     query.
 
     Each element of ``queries`` is query text, a query object, a
-    ``PreparedQuery``, or a ``(query, parameters)`` pair.
+    ``PreparedQuery``, a ``(query, parameters)`` pair or a ``(query,
+    parameters, source)`` triple (the source labels that query's
+    findings; ``source`` labels the rest).
     """
     report = analyze_access(engine.access, source=source)
-    prepared_queries: list[tuple["PreparedQuery", tuple]] = []
-    for entry in queries:
-        params: tuple = ()
-        if isinstance(entry, tuple):
-            entry, params = entry
-            params = tuple(params)
-        prepared = entry if hasattr(entry, "diagnostics") else engine.query(entry)
-        prepared_queries.append((prepared, params))
+    entries = list(_entries(engine, queries, source))
     report.extend(
         analyze_views(
             engine.views.definitions(),
-            tuple(p.query for p, _ in prepared_queries),
+            tuple(prepared.query for prepared, _, _ in entries),
             source=source,
         )
     )
-    for prepared, params in prepared_queries:
-        report.extend(analyze_prepared(prepared, params, source=source))
+    for prepared, params, entry_source in entries:
+        report.extend(analyze_prepared(prepared, params, source=entry_source))
     return report
 
 
 def workload_report(*, certify: bool | None = None) -> Report:
-    """The repo's own gate: analyze the Q1-Q5 workload bundles (views
-    V1/V2 registered, so Q4/Q5 compile) plus the social access schema
-    and the view registry.  CI runs this via ``python -m repro.analysis
-    --workload --strict --certify`` and fails on any warning; with
-    ``certify`` the engine additionally gates every compiled plan (base
-    and view-augmented) on the :mod:`repro.analysis.certify` certifier."""
-    from repro.workloads import (
-        RUNNING_QUERIES,
-        VIEW_QUERIES,
-        register_workload_views,
-    )
+    """The repo's own gate: :func:`analyze_engine` over the Q1-Q5
+    workload bundles (views V1/V2 registered, so Q4/Q5 compile), each
+    bundle's findings labelled with its name.  CI runs this via ``python
+    -m repro.analysis --workload --strict --certify`` and fails on any
+    warning; with ``certify`` the engine additionally gates every
+    compiled plan (base and view-augmented) on the
+    :mod:`repro.analysis.certify` certifier."""
+    from repro.workloads import register_workload_views
 
-    report = Report()
-    bundles = RUNNING_QUERIES + VIEW_QUERIES
-    engine = bundles[0].engine(certify=certify)
+    engine, entries = _workload(certify=certify)
     register_workload_views(engine)
-    report.extend(analyze_access(engine.access, source="social"))
-    prepared = {b.name: b.prepare(engine) for b in bundles}
-    report.extend(
-        analyze_views(
-            engine.views.definitions(),
-            tuple(p.query for p in prepared.values()),
-            source="views",
-        )
-    )
-    for bundle in bundles:
-        report.extend(
-            analyze_prepared(
-                prepared[bundle.name], bundle.parameters, source=bundle.name
-            )
-        )
-    return report
+    return analyze_engine(engine, entries, source="social")
 
 
 def workload_advice(
@@ -313,15 +278,19 @@ def workload_advice(
     proposals, and any expensive controlled bundle yields cost cuts.
     Returns the ranked advice plus its VIW004/VIW005 report (the
     ``python -m repro.analysis --workload --advise`` payload)."""
-    from repro.workloads import (
-        RUNNING_QUERIES,
-        VIEW_QUERIES,
-        generate_social_network,
-    )
+    from repro.workloads import generate_social_network
 
-    bundles = RUNNING_QUERIES + VIEW_QUERIES
-    engine = bundles[0].engine(generate_social_network(persons, seed=seed))
+    engine, entries = _workload(generate_social_network(persons, seed=seed))
     engine.refresh_cost_stats()
-    entries = [(b.query, b.parameters, b.name) for b in bundles]
     advices = advise_views(engine, entries)
     return advices, advice_report(advices)
+
+
+def _workload(data=None, **engine_kwargs) -> tuple["Engine", list[tuple]]:
+    """A fresh engine over the Q1-Q5 bundles' schema and access rules,
+    and the bundles as ``(query, parameters, name)`` entries."""
+    from repro.workloads import RUNNING_QUERIES, VIEW_QUERIES
+
+    bundles = RUNNING_QUERIES + VIEW_QUERIES
+    entries = [(b.query, b.parameters, b.name) for b in bundles]
+    return bundles[0].engine(data, **engine_kwargs), entries

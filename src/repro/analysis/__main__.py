@@ -7,8 +7,9 @@ plus the access rules themselves and the repo's own workload bundles::
     # every query in queries.dl, schema-validated and analyzed
     python -m repro.analysis queries.dl --schema schema.dl
 
-    # plan-level passes too: compile under the access rules, advise
-    # covering views for uncontrolled queries
+    # with access rules, each line is reported exactly as
+    # engine.analyze reports it: plan, INC and CST passes, and advised
+    # views for uncontrolled queries
     python -m repro.analysis queries.dl --schema schema.dl \\
         --access "friend(pid1 -> 32)" --params p
 
@@ -44,29 +45,28 @@ import difflib
 import json
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.analysis import (
     CODES,
     Report,
     Severity,
     advice_report,
-    advise_covering_view,
+    advise_views,
     analyze_access,
-    analyze_plan,
+    analyze_prepared,
     analyze_query,
-    certify_plan,
     diagnostic,
     fix_query,
     workload_advice,
     workload_report,
 )
+from repro.api.engine import Engine, PreparedQuery
 from repro.core.access_schema import AccessSchema
-from repro.core.plans import compile_plan
-from repro.errors import NotControlledError, ParseError, ReproError
+from repro.errors import CertificationError, ParseError, ReproError
 from repro.logic.ast import Span, _as_variable
-from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_query
 from repro.logic.ucq import disjuncts_of
 from repro.relational.schema import DatabaseSchema
@@ -83,15 +83,14 @@ def _text_or_path(value: str) -> str:
     return value
 
 
-def _lint_file(
-    filename: str,
-    schema: DatabaseSchema | None,
-    access: AccessSchema | None,
-    params: Sequence[str],
-    report: Report,
-    *,
-    certify: bool = False,
-) -> None:
+def _queries(
+    filename: str, schema: DatabaseSchema | None, report: Report
+) -> Iterator[tuple[int, str, object]]:
+    """Every line of ``filename`` as ``(lineno, line, query)``, each line
+    with its own line ending; ``query`` is None on blank, comment and
+    unparseable lines (each failure a SYN001 in ``report``, as is an
+    unreadable file).  A line is parsed behind ``lineno - 1`` newlines,
+    so spans and parse errors come out in file coordinates."""
     try:
         text = Path(filename).read_text()
     except OSError as exc:
@@ -99,91 +98,66 @@ def _lint_file(
             diagnostic("SYN001", f"cannot read file: {exc}", source=filename)
         )
         return
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(keepends=True), 1):
+        query = None
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        shift = lineno - 1
-        try:
-            query = parse_query(line, schema=schema)
-        except ParseError as exc:
-            column = exc.column if exc.column is not None else 1
-            span = Span(lineno, column, lineno, column)
-            # The span carries the (shifted) coordinates; drop the
-            # parser's own one-line-relative "(line 1, column C)" tail.
-            message = re.sub(r" \(line \d+(?:, column \d+)?\)$", "", str(exc))
-            report.add(
-                diagnostic("SYN001", message, span=span, source=filename)
-            )
-            continue
-        except ReproError as exc:  # schema validation (SchemaError, ...)
-            span = Span(lineno, 1, lineno, max(len(line.rstrip()), 1))
-            report.add(
-                diagnostic("SYN001", str(exc), span=span, source=filename)
-            )
-            continue
-        for diag in analyze_query(query, access, _usable(params, query), source=filename):
-            report.add(diag.shifted(shift))
-        if access is None:
-            continue
-        for disjunct in disjuncts_of(query):
-            usable = _usable(params, disjunct)
+        if stripped and not stripped.startswith("#"):
+            padded = "\n" * (lineno - 1) + line.rstrip("\n")
             try:
-                plan = compile_plan(disjunct, access, usable)
-            except NotControlledError:
-                for diag in advise_covering_view(
-                    disjunct, access, usable, source=filename
-                ):
-                    report.add(diag.shifted(shift))
-            except ReproError:
-                continue  # already reported (or out of scope) above
-            else:
-                for diag in analyze_plan(plan, source=filename):
-                    report.add(diag.shifted(shift))
-                if certify:
-                    for diag in certify_plan(plan, access, source=filename):
-                        report.add(diag.shifted(shift))
+                query = parse_query(padded, schema=schema)
+            except ParseError as exc:
+                column = exc.column or 1
+                span = Span(lineno, column, lineno, column)
+                # The span carries the position; drop the message's own
+                # "(line L, column C)" tail.
+                message = re.sub(r" \(line \d+(?:, column \d+)?\)$", "", str(exc))
+                report.add(diagnostic("SYN001", message, span=span, source=filename))
+            except ReproError as exc:  # schema validation (SchemaError, ...)
+                report.add(_line_error(str(exc), lineno, line, filename))
+        yield lineno, line, query
+
+
+def _line_error(message: str, lineno: int, line: str, filename: str):
+    """A SYN001 spanning the whole of line ``lineno``."""
+    span = Span(lineno, 1, lineno, max(len(line.rstrip()), 1))
+    return diagnostic("SYN001", message, span=span, source=filename)
 
 
 def _usable(params: Sequence[str], query) -> tuple[str, ...]:
-    """The declared parameters that actually occur in ``query`` -- a file
-    of heterogeneous queries shares one ``--params`` list, so missing
-    occurrences are normal, not an error."""
-    if isinstance(query, ConjunctiveQuery):
-        variables = set(query.variables())
-    else:
-        variables = {v for d in query.disjuncts for v in d.variables()}
-    return tuple(p for p in params if _as_variable(p) in variables)
+    """The declared parameters that occur in every disjunct of ``query``
+    -- the Engine's own rule for a union.  A file of heterogeneous
+    queries shares one ``--params`` list, so missing occurrences are
+    normal, not an error."""
+    shared = set.intersection(*(set(d.variables()) for d in disjuncts_of(query)))
+    return tuple(p for p in params if _as_variable(p) in shared)
+
+
+def _certification(exc: CertificationError, source: str):
+    """The certifier's own CRT findings, anchored at ``source``."""
+    return [replace(d, source=source) for d in exc.report]
 
 
 def _fix_file(
     filename: str,
+    lines: Sequence[tuple[int, str, object]],
     schema: DatabaseSchema | None,
     params: Sequence[str],
     *,
     dry_run: bool,
-) -> bool:
-    """Apply the certified QRY003/QRY004 rewrites to ``filename``.
+) -> None:
+    """Apply the certified QRY003/QRY004 rewrites to ``filename``, whose
+    ``lines`` are :func:`_queries`' triples.
 
     Each query line is rewritten only when :func:`fix_query` both
     changed it and verified the rewrite by re-parse + homomorphic
     equivalence.  Prints a unified diff of any changes; writes the file
-    unless ``dry_run``.  Returns True when anything changed."""
-    try:
-        text = Path(filename).read_text()
-    except OSError:
-        return False  # already reported as SYN001 by the lint pass
-    old_lines = text.splitlines()
+    unless ``dry_run``."""
+    old_lines = [line for _, line, _ in lines]
     new_lines = list(old_lines)
     notes: list[str] = []
-    for lineno, line in enumerate(old_lines, 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for lineno, line, query in lines:
+        if query is None:
             continue
-        try:
-            query = parse_query(line, schema=schema)
-        except ReproError:
-            continue  # unparseable lines are lint findings, not fixable
         result = fix_query(query, _usable(params, query), schema=schema)
         if not result.fixes:
             continue
@@ -193,66 +167,23 @@ def _fix_file(
                 f"failed equivalence verification"
             )
             continue
-        indent = line[: len(line) - len(line.lstrip())]
-        new_lines[lineno - 1] = indent + str(result.fixed)
-        for fix in result.fixes:
-            notes.append(f"{filename}:{lineno}: {fix}")
-    if new_lines == old_lines:
-        for note in notes:
-            print(note)
-        return False
-    trailer = "\n" if text.endswith("\n") else ""
-    new_text = "\n".join(new_lines) + trailer
-    diff = difflib.unified_diff(
-        text.splitlines(keepends=True),
-        new_text.splitlines(keepends=True),
-        fromfile=filename,
-        tofile=f"{filename} (fixed)",
+        # The query text is replaced; indent and line ending stay.
+        new_lines[lineno - 1] = line.replace(line.strip(), str(result.fixed), 1)
+        notes.extend(f"{filename}:{lineno}: {fix}" for fix in result.fixes)
+    sys.stdout.writelines(
+        difflib.unified_diff(
+            old_lines, new_lines, fromfile=filename, tofile=f"{filename} (fixed)"
+        )
     )
-    sys.stdout.write("".join(diff))
     for note in notes:
         print(note)
+    if new_lines == old_lines:
+        return
     if dry_run:
         print(f"{filename}: dry run -- no changes written")
     else:
-        Path(filename).write_text(new_text)
+        Path(filename).write_text("".join(new_lines))
         print(f"{filename}: fixes written")
-    return True
-
-
-def _advise_files(
-    filenames: Sequence[str],
-    schema: DatabaseSchema,
-    access: AccessSchema,
-    params: Sequence[str],
-    report: Report,
-) -> list:
-    """Run the multi-atom advisor over every parseable query in
-    ``filenames`` on a data-less engine (no stats, so bounds fall back to
-    the default).  Merges the VIW004/VIW005 diagnostics into ``report``
-    and returns the advice list."""
-    from repro.analysis import advise_views
-    from repro.api.engine import Engine
-
-    engine = Engine(schema, access)
-    entries: list[tuple] = []
-    for filename in filenames:
-        try:
-            text = Path(filename).read_text()
-        except OSError:
-            continue  # already reported as SYN001 by the lint pass
-        for line in text.splitlines():
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                query = parse_query(line, schema=schema)
-            except ReproError:
-                continue  # unparseable lines are lint findings
-            entries.append((query, _usable(params, query), filename))
-    advices = list(advise_views(engine, entries))
-    report.extend(advice_report(advices))
-    return advices
 
 
 def _print_codes() -> None:
@@ -364,37 +295,51 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             report.extend(analyze_access(access, source="--access"))
 
+    advices: list = []
     if args.workload:
         try:
             report.extend(workload_report(certify=args.certify or None))
-        except ReproError as exc:  # a CertificationError fails the gate
-            report.add(diagnostic("SYN001", str(exc), source="--workload"))
-
-    params = tuple(p.strip() for p in args.params.split(",") if p.strip())
-    for filename in args.files:
-        _lint_file(
-            filename, schema, access, params, report, certify=args.certify
-        )
-    if args.fix:
-        for filename in args.files:
-            _fix_file(filename, schema, params, dry_run=args.dry_run)
-
-    advices: list = []
-    if args.advise:
-        if args.workload:
-            try:
+            if args.advise:
                 workload_advices, advice_diags = workload_advice()
-            except ReproError as exc:
-                report.add(
-                    diagnostic("SYN001", str(exc), source="--workload")
-                )
-            else:
                 advices.extend(workload_advices)
                 report.extend(advice_diags)
-        if args.files and schema is not None and access is not None:
-            advices.extend(
-                _advise_files(args.files, schema, access, params, report)
-            )
+        except CertificationError as exc:
+            report.extend(_certification(exc, "--workload"))
+
+    params = tuple(p.strip() for p in args.params.split(",") if p.strip())
+    engine = None
+    if access is not None:
+        engine = Engine(schema, access, certify=args.certify or None)
+    entries: list[tuple] = []
+    for filename in args.files:
+        lines = list(_queries(filename, schema, report))
+        for lineno, line, query in lines:
+            if query is None:
+                continue
+            usable = _usable(params, query)
+            if engine is None:
+                report.extend(analyze_query(query, None, usable, source=filename))
+                continue
+            try:
+                # The line's own parse, not engine.query: its source memo
+                # ignores spans, so two equal lines would share one.
+                prepared = PreparedQuery(engine, query)
+            except ValueError as exc:  # a union whose heads disagree
+                report.add(_line_error(str(exc), lineno, line, filename))
+                continue
+            entries.append((prepared, usable, filename))
+            try:
+                report.extend(analyze_prepared(prepared, usable, source=filename))
+            except CertificationError as exc:
+                report.extend(_certification(exc, filename))
+        if args.fix:
+            _fix_file(filename, lines, schema, params, dry_run=args.dry_run)
+    if args.advise and entries:
+        # The lint already reported every controllability fix (VIW004);
+        # add the cost cuts.  The JSON payload keeps every proposal.
+        file_advices = advise_views(engine, entries)
+        advices.extend(file_advices)
+        report.extend(advice_report(a for a in file_advices if not a.controlled_after))
 
     if args.format == "json":
         payload = report.to_dict()

@@ -1,11 +1,11 @@
-"""The multi-atom covering-view advisor (VIW004/VIW005).
+"""The covering-view advisor (VIW004/VIW005), the one place views are
+proposed.
 
-PR 6's :func:`~repro.analysis.views.advise_covering_view` seeds a
-single-atom inverted index with a fixed bound of 64.  This module grows
-that seed into the optimizer ROADMAP item 4 asks for: given a workload,
-mine the queries that are *uncontrolled* (no bounded plan exists) or
-*expensive* (the cost model prices their plan above a threshold), and
-propose concrete **multi-atom** covering views that fix them.
+Given a workload, mine the queries that are *uncontrolled* (no bounded
+plan exists) or *expensive* (the cost model prices their plan above a
+threshold), and propose concrete covering views -- one atom or several
+-- that fix them, each proven by compiling the query through the
+rewriter before it is proposed.
 
 The enumeration is a MiniCon-style bucket search specialized to the
 augmentation rewriter: instead of assembling full rewritings from view
@@ -26,7 +26,7 @@ query).  For each subset:
   defining query under an access schema built from the measured fanouts
   and taking the final branch count -- the data-derived ceiling on
   answer rows per key -- falling back to
-  :data:`~repro.analysis.views.DEFAULT_ADVISED_BOUND` without stats;
+  :data:`~repro.analysis.dataflow.ADVISED_RULE_BOUND` without stats;
 * **adoption is priced, never executed**: the candidate joins the
   registered views in a trial catalog, the query is recompiled through
   the rewriter, and :func:`~repro.analysis.cost.estimate_plan` prices
@@ -40,19 +40,19 @@ Survivors become ranked :class:`ViewAdvice` values -- definition text,
 access rule and projected cost delta -- surfaced as VIW004 (adoption
 makes an uncontrolled query controlled) / VIW005 (adoption cuts a
 controlled query's estimated cost) hints, through
-``engine.views.advise(queries)`` and ``python -m repro.analysis
---advise``.  Feed a proposal to ``engine.views.adopt(advice)`` to
-register it.
+``engine.views.advise(queries)``, ``engine.analyze`` (for every
+uncontrolled query) and ``python -m repro.analysis --advise``.  Feed a
+proposal to ``engine.views.adopt(advice)`` to register it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.analysis.cost import CostEstimate, CostStats, estimate_plan
+from repro.analysis.dataflow import ADVISED_RULE_BOUND
 from repro.analysis.diagnostics import Report, diagnostic
-from repro.analysis.views import DEFAULT_ADVISED_BOUND
 from repro.core.access_schema import AccessRule, AccessSchema, FullAccessRule
 from repro.core.controllability import coverage
 from repro.core.plans import compile_plan
@@ -66,7 +66,7 @@ from repro.views.definition import ViewCatalog, ViewDef
 from repro.views.rewrite import compile_with_views
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.engine import Engine
+    from repro.api.engine import Engine, PreparedQuery
 
 #: Largest candidate view body the bucket search enumerates.
 MAX_VIEW_ATOMS = 3
@@ -159,19 +159,9 @@ def advise_views(
     advices: list[ViewAdvice] = []
     seen_bodies: set[tuple[frozenset, tuple[str, ...]]] = set()
     taken_names = {d.name for d in registered}
-    for entry in queries:
-        params: tuple = ()
-        entry_source = source
-        if isinstance(entry, tuple):
-            if len(entry) == 3:
-                entry, params, entry_source = entry
-            else:
-                entry, params = entry
-        prepared = entry if hasattr(entry, "diagnostics") else engine.query(entry)
-        query = prepared.query
-        disjuncts = disjuncts_of(query)
+    for prepared, params, entry_source in _entries(engine, queries, source):
         param_vars = tuple(dict.fromkeys(_as_variable(p) for p in params))
-        for disjunct in disjuncts:
+        for disjunct in disjuncts_of(prepared.query):
             for advice in _advise_disjunct(
                 disjunct,
                 access,
@@ -192,6 +182,25 @@ def advise_views(
                 advices.append(advice)
     advices.sort(key=_rank)
     return tuple(advices)
+
+
+def _entries(
+    engine: "Engine", queries: Iterable[object], source: str | None
+) -> Iterator[tuple["PreparedQuery", tuple, str | None]]:
+    """Each entry of ``queries`` (see :func:`advise_views`) as
+    ``(prepared, parameters, source)``; ``source`` labels the entries
+    that name none.  :func:`repro.analysis.analyze_engine` reads its
+    entries through here too."""
+    for entry in queries:
+        params: Iterable[object] = ()
+        entry_source = source
+        if isinstance(entry, tuple):
+            if len(entry) == 3:
+                entry, params, entry_source = entry
+            else:
+                entry, params = entry
+        prepared = entry if hasattr(entry, "diagnostics") else engine.query(entry)
+        yield prepared, tuple(params), entry_source
 
 
 def advice_report(
@@ -248,19 +257,11 @@ def _uniquely_named(advice: ViewAdvice, taken: set[str]) -> ViewAdvice:
     while f"{advice.name}_{suffix}" in taken:
         suffix += 1
     renamed = f"{advice.name}_{suffix}"
-    return ViewAdvice(
-        renamed,
-        advice.definition.replace(f"{advice.name}(", f"{renamed}(", 1),
-        advice.rule.replace(f"{advice.name}(", f"{renamed}(", 1),
-        advice.bound,
-        advice.key,
-        advice.atoms,
-        advice.query,
-        advice.base_cost,
-        advice.projected_cost,
-        advice.stats_derived,
-        advice.source,
-        advice.span,
+    return replace(
+        advice,
+        name=renamed,
+        definition=advice.definition.replace(f"{advice.name}(", f"{renamed}(", 1),
+        rule=advice.rule.replace(f"{advice.name}(", f"{renamed}(", 1),
     )
 
 
@@ -427,21 +428,21 @@ def _advised_bound(
     compile the candidate's defining query, keyed on ``key_vars``, under
     an access schema whose rule bounds are the *measured* fanouts, and
     take the final branch count -- the data-derived ceiling on answer
-    rows per key.  Falls back to :data:`DEFAULT_ADVISED_BOUND` when no
+    rows per key.  Falls back to :data:`ADVISED_RULE_BOUND` when no
     statistics are available (or the observed schema cannot bind the
     candidate, e.g. a relation too large to profile)."""
     if stats is None:
-        return DEFAULT_ADVISED_BOUND, False
+        return ADVISED_RULE_BOUND, False
     observed = _observed_access(
         access, tuple(dict.fromkeys(a.relation for a in subset)), stats
     )
     try:
         plan = compile_plan(ConjunctiveQuery(head, subset), observed, key_vars)
     except (NotControlledError, ValueError):
-        return DEFAULT_ADVISED_BOUND, False
+        return ADVISED_RULE_BOUND, False
     costs = plan.step_costs()
     if not costs:
-        return DEFAULT_ADVISED_BOUND, False
+        return ADVISED_RULE_BOUND, False
     return max(1, costs[-1].branches_out), True
 
 

@@ -34,8 +34,9 @@ from repro.logic.ast import Atom, _as_variable
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Variable
 
-#: The cardinality bound ACC005 proposals carry -- like the view
-#: advisor's default, a placeholder for a measured bound.
+#: The cardinality bound ACC005 proposals carry, and the view advisor's
+#: rules when no statistics size them -- a placeholder for a measured
+#: bound.
 ADVISED_RULE_BOUND = 64
 
 

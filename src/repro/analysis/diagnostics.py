@@ -19,7 +19,7 @@ code so passes cannot emit unregistered or misspelled codes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, Iterable, Iterator
 
@@ -97,20 +97,6 @@ class Diagnostic:
         elif self.span is not None:
             prefix = f"{self.span.line}:{self.span.column}: "
         return f"{prefix}{self.code} {self.severity}: {self.message}"
-
-    def shifted(self, lines: int) -> "Diagnostic":
-        """The same diagnostic with its span moved down ``lines`` lines --
-        how the CLI maps spans of individually parsed lines back to file
-        coordinates."""
-        if self.span is None or not lines:
-            return self
-        span = Span(
-            self.span.line + lines,
-            self.span.column,
-            self.span.end_line + lines,
-            self.span.end_column,
-        )
-        return replace(self, span=span)
 
 
 def diagnostic(
@@ -287,7 +273,6 @@ register_code("PLN003", Severity.HINT, "one step dominates the access bound")
 # Views (repro.analysis.views / repro.analysis.advisor)
 register_code("VIW001", Severity.WARNING, "view matches no workload query")
 register_code("VIW002", Severity.HINT, "views with equivalent bodies overlap")
-register_code("VIW003", Severity.HINT, "covering view would control the query")
 register_code("VIW004", Severity.HINT, "advised view would make the query controlled")
 register_code("VIW005", Severity.HINT, "advised view would cut the plan's access cost")
 

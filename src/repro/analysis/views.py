@@ -13,33 +13,22 @@ a workload:
   they materialize overlapping answers; one registry entry, one
   maintenance stream and one set of access rules would do.
 
-:func:`advise_covering_view` is the advisor seed (ROADMAP item 5): given
-a query that is *not* controlled, it reruns the controllability fixpoint
-(:func:`~repro.core.controllability.coverage`), finds a body atom with
-bound inputs but unreachable variables, and proposes a concrete covering
-view -- definition text plus access rule, modeled on the workload views
-V1/V2 -- as a **VIW003** hint.
+Proposing views is the advisor's business
+(:mod:`repro.analysis.advisor`, VIW004/VIW005).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.analysis.diagnostics import Report, diagnostic
-from repro.core.access_schema import AccessSchema
-from repro.core.controllability import coverage
-from repro.logic.ast import Atom, _as_variable
+from repro.logic.ast import Atom
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.homomorphism import body_homomorphisms
-from repro.logic.terms import Variable
 from repro.logic.ucq import UnionOfConjunctiveQueries
 from repro.views import ViewDef
 
 Query = ConjunctiveQuery | UnionOfConjunctiveQueries
-
-#: The cardinality bound VIW003 proposes for an advised view's access
-#: rule -- the same in-degree promise the workload views V1/V2 declare.
-DEFAULT_ADVISED_BOUND = 64
 
 
 def _bodies(query: Query) -> tuple[tuple[Atom, ...], ...]:
@@ -99,67 +88,3 @@ def analyze_views(
                     )
                 )
     return report
-
-
-def advise_covering_view(
-    query: ConjunctiveQuery,
-    access: AccessSchema,
-    parameters: Iterable[object] = (),
-    *,
-    source: str | None = None,
-) -> Report:
-    """Propose a covering view (VIW003) for an uncontrolled query.
-
-    Reruns the controllability fixpoint; if the query is already
-    controlled the report is empty.  Otherwise the first body atom that
-    has at least one reachable variable (a join key the view can be
-    accessed by) and at least one unreachable variable yields a concrete
-    proposal: an inverted-index view over that atom, keyed on the
-    reachable variables, with a
-    :data:`DEFAULT_ADVISED_BOUND`-tuple access rule.
-    """
-    report = Report()
-    params = tuple(dict.fromkeys(_as_variable(p) for p in parameters))
-    cov = coverage(query, access, params)
-    if cov.controlled:
-        return report
-    body = query.normalized_body() or query.body
-    for atom in body:
-        key_vars = _distinct(
-            t for t in atom.terms if isinstance(t, Variable) and t in cov.bound
-        )
-        missing = _distinct(
-            t
-            for t in atom.terms
-            if isinstance(t, Variable) and t not in cov.bound
-        )
-        if not key_vars or not missing:
-            continue
-        name = f"V_{atom.relation}"
-        head = key_vars + missing
-        definition = (
-            f"{name}({', '.join(f'?{v}' for v in head)}) :- {atom}"
-        )
-        rule = f"{name}({', '.join(v.name for v in key_vars)} -> {DEFAULT_ADVISED_BOUND})"
-        unreachable = ", ".join(f"?{v}" for v in cov.uncovered) or "none"
-        given = ", ".join(f"?{v}" for v in params) or "no parameters"
-        report.add(
-            diagnostic(
-                "VIW003",
-                f"query is not controlled by ({given}); unreachable "
-                f"variables: {unreachable}.  A covering view would make "
-                f"it scale independent (Section 6): register "
-                f"\"{definition}\" with access rule \"{rule}\" and adjust "
-                f"the bound to the true in-degree promise",
-                span=atom.span,
-                source=source,
-            )
-        )
-        return report
-    # No atom offers a usable join key: naming the uncovered variables is
-    # NotControlledError's job, so stay silent here.
-    return report
-
-
-def _distinct(items) -> tuple[Variable, ...]:
-    return tuple(dict.fromkeys(items))

@@ -1,6 +1,7 @@
 """repro.analysis: the diagnostic framework, every pass family (one
 triggering and one clean case per code), the API surfaces and the CLI."""
 
+import json
 import pathlib
 
 import pytest
@@ -22,7 +23,6 @@ from repro.analysis import (
     Diagnostic,
     Report,
     Severity,
-    advise_covering_view,
     analyze_access,
     analyze_plan,
     analyze_query,
@@ -33,6 +33,7 @@ from repro.analysis import (
 )
 from repro.analysis.__main__ import main
 from repro.core.plans import compile_plan
+from repro.errors import CertificationError
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -89,15 +90,6 @@ def test_diagnostic_rendering_variants():
     assert diagnostic("QRY004", "dup", severity=Severity.HINT).severity is (
         Severity.HINT
     )
-
-
-def test_diagnostic_shifted_moves_the_span_only():
-    d = diagnostic("QRY004", "dup", span=Span(1, 5, 1, 9), source="q.dl")
-    moved = d.shifted(4)
-    assert moved.span == Span(5, 5, 5, 9)
-    assert (moved.code, moved.message, moved.source) == ("QRY004", "dup", "q.dl")
-    assert d.shifted(0) is d
-    assert diagnostic("QRY004", "dup").shifted(4).span is None
 
 
 def test_report_rollups_and_floors():
@@ -366,18 +358,6 @@ def test_viw002_equivalent_view_bodies():
     assert not analyze_views([v1, other]).by_code("VIW002")
 
 
-def test_viw003_covering_view_advice():
-    # friend(f, p) with p given needs the *inverted* index: exactly V1.
-    report = advise_covering_view(cq("Q(f) :- friend(f, p)"), access(), ["p"])
-    (d,) = report.by_code("VIW003")
-    assert 'V_friend(?p, ?f) :- friend(?f, ?p)' in d.message
-    assert 'V_friend(p -> 64)' in d.message
-    # A controlled query gets no advice.
-    assert not advise_covering_view(
-        cq("Q(y) :- friend(p, y)"), access(), ["p"]
-    )
-
-
 # -- the API surfaces -----------------------------------------------------
 
 
@@ -394,7 +374,7 @@ def test_prepared_diagnostics():
 
 def test_engine_analyze_advises_views_for_uncontrolled_queries():
     report = engine().analyze([("Q(f) :- friend(f, p)", ("p",))])
-    assert report.by_code("VIW003")
+    assert report.by_code("VIW004")
 
 
 def test_engine_analyze_flags_dead_views():
@@ -466,7 +446,7 @@ def test_cli_advises_views_for_uncontrolled_file_queries(tmp_path, capsys):
     f.write_text("Q(f) :- friend(f, p)\n")
     main([str(f), "--schema", SCHEMA_TEXT, "--access", ACCESS_TEXT,
           "--params", "p"])
-    assert "VIW003" in capsys.readouterr().out
+    assert "VIW004" in capsys.readouterr().out
 
 
 def test_cli_codes_table_lists_every_code(capsys):
@@ -474,7 +454,7 @@ def test_cli_codes_table_lists_every_code(capsys):
     out = capsys.readouterr().out
     for code in CODES:
         assert code in out
-    assert len(CODES) == 33  # QRY 7, ACC 5, PLN 3, VIW 5, CRT 7, CST 3, INC 2, SYN 1
+    assert len(CODES) == 32  # QRY 7, ACC 5, PLN 3, VIW 4, CRT 7, CST 3, INC 2, SYN 1
 
 
 def test_cli_missing_file_is_a_syntax_error(tmp_path, capsys):
@@ -493,3 +473,78 @@ def test_cli_bad_schema_text_is_reported(capsys):
     assert main(["--workload", "--schema", "person(pid"]) == 1
     out = capsys.readouterr().out
     assert "--schema: SYN001" in out
+
+
+# -- the CLI reports what the engine reports ------------------------------
+
+EMBEDDED_ACCESS = "person(pid -> 1); friend(pid1 -> 32); visits(pid -> url, 8)"
+
+ONE_DRIVER_CASES = [
+    *(
+        (line, ACCESS_TEXT)
+        for line in (FIXTURES / "clean_queries.dl").read_text().splitlines()
+        if line.strip() and not line.startswith("#")
+    ),
+    # An embedded-rule fetch: INC001 (the linter once missed it).
+    ("Q(u) :- friend(p, y), visits(y, u)", EMBEDDED_ACCESS),
+    # Uncontrolled: the advisor's VIW004.
+    ("Q(f) :- friend(f, p)", ACCESS_TEXT),
+]
+
+
+@pytest.mark.parametrize("text, access_text", ONE_DRIVER_CASES)
+def test_cli_reports_what_engine_analyze_reports(text, access_text, tmp_path, capsys):
+    f = tmp_path / "one.dl"
+    f.write_text(text + "\n")
+    main([str(f), "--schema", SCHEMA_TEXT, "--access", access_text,
+          "--params", "p", "--format", "json"])
+    cli = json.loads(capsys.readouterr().out)["diagnostics"]
+    api = Engine(SCHEMA, access_text).analyze([(text, ("p",))])
+    api = api.to_dict()["diagnostics"]
+
+    def findings(entries):  # the source label is the one thing that differs
+        return sorted(
+            (d["code"], d["message"], json.dumps(d["span"])) for d in entries
+        )
+
+    assert findings(cli) == findings(api)
+
+
+def test_cli_advise_anchors_one_proposal_at_its_own_line(tmp_path, capsys):
+    f = tmp_path / "q3.dl"
+    f.write_text("# header\n\nQ(f) :- friend(f, p)\n")
+    main([str(f), "--schema", SCHEMA_TEXT, "--access", ACCESS_TEXT,
+          "--params", "p", "--advise"])
+    out = capsys.readouterr().out
+    (proposal,) = [line for line in out.splitlines() if " VIW" in line]
+    assert proposal.startswith(f"{f}:3:9: VIW004 hint:")
+
+
+def test_cli_union_the_engine_cannot_prepare_is_a_syntax_error(tmp_path, capsys):
+    f = tmp_path / "u.dl"
+    f.write_text("Q(y) :- friend(p, y); Q(z) :- visits(p, z)\n")
+    assert main([str(f), "--schema", SCHEMA_TEXT, "--access", ACCESS_TEXT,
+                 "--params", "p"]) == 1
+    out = capsys.readouterr().out
+    assert f"{f}:1:1: SYN001 error: union disjuncts disagree" in out
+
+
+def test_cli_certification_failure_reports_the_certifiers_findings(
+    monkeypatch, tmp_path, capsys
+):
+    import repro.analysis.certify as certify
+
+    def forged(plan, access, views=(), *, source=None):
+        finding = diagnostic("CRT001", f"forged finding on {plan.query}")
+        raise CertificationError("forged", Report([finding]))
+
+    monkeypatch.setattr(certify, "check_plan", forged)
+    f = tmp_path / "q.dl"
+    f.write_text("Q(y) :- friend(p, y)\n")
+    on_file = [str(f), "--schema", SCHEMA_TEXT, "--access", ACCESS_TEXT,
+               "--params", "p", "--certify"]
+    for argv in (on_file, ["--workload", "--certify"]):
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "CRT001 error: forged finding" in out
+        assert "SYN001" not in out
