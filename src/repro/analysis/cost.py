@@ -98,8 +98,8 @@ class CostStats:
     ``relation_sizes`` maps relation name to cardinality;  ``fanouts``
     maps ``(relation, (position,))`` to the largest group of tuples
     sharing a value at that position -- the tightest data-dependent bound
-    on what a single-key fetch can return.  Both are snapshots: the
-    engine versions them into its plan-cache key, so refreshing stats
+    on what a single-key fetch can return.  Both are snapshots: installing
+    new ones advances the engine's generation, so refreshing stats
     invalidates cached plan choices rather than silently drifting.
     """
 

@@ -7,10 +7,11 @@ every call, so :class:`~repro.api.engine.Engine` keeps one
 :class:`PlanCache` of compiled plans and a second one of query sources
 (its module docstring says what keys them and what invalidates them).
 
-The cache is shared mutable state on the concurrent-traffic hot path, so
-every operation (get_or_compute, invalidate, stats) takes an internal
-lock: the cache's own structure and hit/miss/eviction/invalidation
-counters stay consistent under concurrent executes against one engine.
+Both are shared mutable state under concurrent traffic (the plan cache
+less often: a prepared query holds its entry until the engine's
+generation moves), so every operation (get_or_compute, invalidate,
+stats) takes an internal lock: the cache's own structure and
+hit/miss/eviction/invalidation counters stay consistent.
 (Per-execution *database* access deltas are isolated separately: each
 execution charges its own :class:`~repro.core.executor.ExecutionContext`
 stats, so concurrent ``ResultSet.stats`` never contaminate each other.)

@@ -22,8 +22,10 @@ bounded by ``plan_cache_size``.  The *source memo* maps a query text or
 query object to its :class:`PreparedQuery`, so ``engine.query(q)`` parses
 and schema-validates a source once and may hand back the same
 ``PreparedQuery`` afterwards; a source that fails is never stored.  The
-*plan cache* maps ``(access version, view-registry version, cost-stats
-version, shape key, parameter set)`` to what an execution needs.  The
+*plan cache* maps ``(generation, shape key, parameter set)`` to what an
+execution needs: access schema, view catalog and cost statistics share one
+slot, which every writer replaces whole under the next *generation*, so a
+compile that raced a writer lands under a key never probed again.  The
 shape key (:func:`repro.logic.canonical.canonical_key`) is the query's
 canonical form -- non-parameter variables numbered by first occurrence,
 body atoms sorted -- flattened to strings, ints and types: every writing
@@ -31,10 +33,12 @@ of one query *shape* compiles once and executes one shared plan (the
 canonical query itself is built only by a compile and by ``plan()`` /
 ``explain()`` / ``diagnostics()``, which rename the shared plan back), and
 ties between equally selective fetches break by canonical atom order,
-not written order.  Only the plan cache is ever invalidated: the schema
-is immutable, so a source means the same query forever, while replacing
-the access schema, registering or dropping a view and refreshing cost
-statistics strand stale *plans* however the query was obtained.
+not written order.  A :class:`PreparedQuery` *holds* the entry it was
+given, with its generation, and probes again only once a writer moved it
+(``cache_stats()`` counts probes; a held entry outlives its eviction).
+Only the plan cache is ever invalidated: the schema is immutable, so a
+source means the same query forever, while every writer strands stale
+*plans* however the query was obtained.
 
 Every execution runs in its own
 :class:`~repro.core.executor.ExecutionContext`: the ``ResultSet.stats``
@@ -57,7 +61,7 @@ through materialized views (:mod:`repro.views`, Section 6)::
                           "V1(pid -> 64)")
     engine.execute("Q(x) :- Friend(x, p)", p=42)   # bounded, via V1
 
-The view registry is versioned into every plan-cache key, and views are
+Registering or dropping a view advances the generation, and views are
 materialized lazily and refreshed incrementally from the change log
 before each view-assisted execution.
 """
@@ -98,6 +102,7 @@ if TYPE_CHECKING:
     from repro.incremental import IncrementalResult
 
 Row = tuple[object, ...]
+_KEEP = object()  # Engine._advance: this component of the state stays
 
 
 class ResultSet:
@@ -230,23 +235,17 @@ class _Compiled:
         self.fanout_bound = sum(plan.fanout_bound for plan in plans)
 
 
-def _union(answers: list[Sequence[Row]]) -> Iterable[Row]:
-    """The answer of a union from its disjuncts' (each already distinct):
-    a row several disjuncts derive appears once, where first derived."""
-    return answers[0] if len(answers) == 1 else dict.fromkeys(chain(*answers))
-
-
 class _Shape:
     """What a :class:`PreparedQuery` remembers per parameter-name set that
     compiled: its shape ``key`` (swapped for the plan cache's own equal
-    object on the first hit, so later probes compare by identity) and
-    ``named``: the last shared plans it put into its own names, paired
-    with the result."""
+    object on the first hit, so later probes compare by identity), the
+    entry it ``held`` last with its generation, and ``named``: the last
+    shared plans it put into its own names, paired with the result."""
 
-    __slots__ = ("key", "named")
+    __slots__ = ("key", "held", "named")
 
     def __init__(self, key: ShapeKey):
-        self.key, self.named = key, (None, ())
+        self.key, self.held, self.named = key, (None, None), (None, ())
 
 
 class PreparedQuery:
@@ -374,10 +373,10 @@ class PreparedQuery:
         the change-log watermark (no plan ever sees a stale view)."""
         values = merge_parameter_values(parameters, kwargs)
         engine = self._engine
-        database = engine.require_database()
+        database = engine._database or engine.require_database()
         compiled = engine._compiled_for(self, frozenset(values))
         names = compiled.view_names
-        views = engine.views.prepare(database, names) if names else None
+        views = engine._views.prepare(database, names) if names else None
         return values, compiled, ExecutionContext(database, views=views)
 
     def execute(
@@ -393,8 +392,12 @@ class PreparedQuery:
         arguments: ``q.execute(p=42)``.
         """
         values, compiled, ctx = self._begin(parameters, kwargs)
-        answers = [run_pipeline(pipe, ctx, values) for pipe in compiled.pipes]
-        return ResultSet(_union(answers), self.columns, ctx.stats, compiled.fanout_bound)
+        pipes = compiled.pipes
+        if len(pipes) == 1:
+            rows = run_pipeline(pipes[0], ctx, values)
+        else:  # each disjunct's rows are distinct; a union's appear once, where first derived
+            rows = dict.fromkeys(chain(*[run_pipeline(pipe, ctx, values) for pipe in pipes]))
+        return ResultSet(rows, self.columns, ctx.stats, compiled.fanout_bound)
 
     def execute_incremental(
         self,
@@ -406,9 +409,9 @@ class PreparedQuery:
         mutations, ``result.refresh()`` re-answers the query from the
         change log with delta-bounded access instead of recomputing.
 
-        Plans are compiled (or fetched) through the engine's plan cache,
-        whose keys carry the access-schema version; a refresh that
-        observes a newer version rebases onto freshly compiled plans.
+        Plans are compiled (or fetched) like :meth:`execute`'s; a refresh
+        that finds the access schema or the views replaced rebases onto
+        freshly compiled plans.
         Raises :class:`~repro.errors.IncrementalError` for plans that
         fetch through embedded access rules.
         """
@@ -432,7 +435,7 @@ class PreparedQuery:
         variables (``?v0``, ...); :meth:`explain` has the caller's."""
         values, compiled, ctx = self._begin(parameters, kwargs)
         profiles = tuple([profile_pipeline(pipe, ctx, values) for pipe in compiled.pipes])
-        rows = _union([profile.rows for profile in profiles])
+        rows = dict.fromkeys(chain(*[profile.rows for profile in profiles]))
         result = ResultSet(rows, self.columns, ctx.stats, compiled.fanout_bound)
         return ExplainAnalyze(result, profiles)
 
@@ -490,14 +493,13 @@ class Engine:
 
     __slots__ = (
         "_schema",
-        "_access_state",
+        "_state",
         "_access_lock",
         "_database",
         "_cache",
         "_texts",
         "_views",
         "_certify",
-        "_cost_state",
     )
 
     def __init__(
@@ -517,17 +519,14 @@ class Engine:
         self._schema = schema
         self._cache = PlanCache(plan_cache_size)
         self._texts = PlanCache(plan_cache_size)  # text or query -> PreparedQuery
-        # (version, schema) in one slot so concurrent readers always see a
-        # matching pair; the version is part of every plan-cache key.
-        # Writers serialize on _access_lock so versions are never reused.
-        self._access_lock = threading.Lock()
-        self._access_state = (0, self._coerce_access(access))
-        # (version, CostStats | None), same pairing discipline as
-        # _access_state: the version is part of every plan-cache key, so
-        # refreshing statistics strands plan choices made under old stats.
-        self._cost_state: tuple = (0, None)
         self._views = ViewSet(schema)
-        self._views._owner = self  # back-reference for views.advise()
+        self._views._owner = self  # back-reference for advise() and _advance()
+        # (generation, (access schema, view catalog), CostStats | None): one
+        # slot, so a reader gets a generation and the state it names in one
+        # load.  The middle pair is a plan's *basis* (what its validity
+        # depends on); writers serialize on _access_lock (_advance).
+        self._access_lock = threading.Lock()
+        self._state = (0, (self._coerce_access(access), self._views.snapshot()), None)
         if certify is None:
             certify = os.environ.get("REPRO_CERTIFY", "") not in ("", "0")
         self._certify = bool(certify)
@@ -550,18 +549,15 @@ class Engine:
 
     @property
     def access(self) -> AccessSchema:
-        return self._access_state[1]
+        return self._state[1][0]
 
     @access.setter
     def access(self, access: AccessSchema | str | None) -> None:
         """Replace the access schema.  Every cached plan embeds access
-        rules, so the plan cache is invalidated; bumping the version also
-        strands any compilation already in flight under the old schema on
-        a cache key that can never be served again."""
-        coerced = self._coerce_access(access)
-        with self._access_lock:  # no lost version bumps between setters
-            version, _ = self._access_state
-            self._access_state = (version + 1, coerced)
+        rules, so the plan cache is invalidated; advancing the generation
+        also strands any compilation already in flight under the old
+        schema on a cache key that can never be served again."""
+        self._advance(self._coerce_access(access))
         self._cache.invalidate()
 
     @property
@@ -575,9 +571,9 @@ class Engine:
         """The engine's materialized-view registry (:mod:`repro.views`):
         ``engine.views.register(name, query, access)`` /
         ``engine.views.drop(name)``.  Registering or dropping a view
-        bumps the registry version, which is part of every plan-cache
-        key -- a plan compiled against a different view population can
-        never be served.  Queries that are not controlled over the base
+        advances the engine's generation -- a plan compiled against a
+        different view population can never be served.  Queries that are
+        not controlled over the base
         access schema are automatically rewritten over the registered
         views at compile time; views are materialized lazily and kept
         fresh from the change log before every view-assisted execution.
@@ -692,7 +688,7 @@ class Engine:
     def cost_stats(self):
         """The observed :class:`~repro.analysis.cost.CostStats` refining
         cost-based plan selection, or None (purely static costs)."""
-        return self._cost_state[1]
+        return self._state[2]
 
     def refresh_cost_stats(self, stats=None):
         """Collect observed statistics from the bound database (or
@@ -700,31 +696,28 @@ class Engine:
         profile-guided plan selection, and return them.
 
         Collection reads only unaccounted backend primitives -- no query
-        executes and no access is charged.  The stats version is part of
-        every plan-cache key, so plan choices made under the previous
-        statistics are stranded, never served."""
+        executes and no access is charged.  Installing them advances the
+        generation, so plan choices made under the previous statistics
+        are stranded, never served."""
         from repro.analysis.cost import CostStats
 
         if stats is None:
             stats = CostStats.from_database(self.require_database())
         elif not isinstance(stats, CostStats):
             raise SchemaError(f"{stats!r} is not a CostStats")
-        with self._access_lock:  # no lost version bumps
-            version, _ = self._cost_state
-            self._cost_state = (version + 1, stats)
+        self._advance(cost_stats=stats)
         return stats
 
     def clear_cost_stats(self) -> None:
         """Drop observed statistics: selection reverts to the purely
         static (declared-bound) cost model."""
-        with self._access_lock:
-            version, _ = self._cost_state
-            self._cost_state = (version + 1, None)
+        self._advance(cost_stats=None)
 
     # -- caches ----------------------------------------------------------
 
     def cache_stats(self) -> CacheStats:
-        """Hit/miss/eviction counters and current size of the plan cache."""
+        """Hit/miss/eviction counters of plan-cache *probes* (an execute
+        its query's held entry serves makes none) and the cache's size."""
         return self._cache.stats()
 
     def text_cache_stats(self) -> CacheStats:
@@ -734,53 +727,53 @@ class Engine:
         return self._texts.stats()
 
     def clear_plan_cache(self) -> None:
-        """Drop every compiled plan.  The text memo is left alone: parsed
-        queries do not depend on anything that can change."""
+        """Drop every compiled plan, held ones included.  The text memo is
+        left alone: parsed queries do not depend on anything that can change."""
+        self._advance()
         self._cache.invalidate()
 
-    def _plan_key(self, shape_key: ShapeKey, parameters: frozenset[Variable]):
-        """The plan-cache key of a query shape under the engine's current
-        state, and the state itself ``(access schema, view catalog, cost
-        statistics)``, each read together with its version."""
-        # Each component and its version come from one atomic read, and
-        # the versions ride in the key: a compile racing ``engine.access =
-        # ...``, a view register/drop or a statistics refresh can only
-        # populate a key of the state it compiled against, which is never
-        # served afterwards.  The catalog is one immutable snapshot, so the
-        # rewrite and the extended schema can never disagree.
-        version, access = self._access_state
-        catalog = self._views.snapshot()
-        cost_version, cost_stats = self._cost_state
-        key = (version, catalog.version, cost_version, shape_key, parameters)
-        return key, (access, catalog, cost_stats)
+    def _advance(self, access: AccessSchema | None = None, cost_stats=_KEEP) -> None:
+        """Replace the state slot whole under the next generation -- the
+        one write every writer makes (``ViewSet.register`` / ``drop``
+        through ``_owner``).  The basis is a new pair when ``access`` is
+        given or the view catalog changed, the same object otherwise: a
+        maintained result rebases exactly when its basis is replaced."""
+        with self._access_lock:  # no lost generations between writers
+            generation, basis, stats = self._state
+            catalog = self._views.snapshot()
+            if access is not None or catalog is not basis[1]:
+                basis = (basis[0] if access is None else access, catalog)
+            self._state = (generation + 1, basis, stats if cost_stats is _KEEP else cost_stats)
 
     def _compiled_for(self, prepared: PreparedQuery, parameters: frozenset[Variable]) -> _Compiled:
         """What executes ``prepared`` under ``parameters``: the plan-cache
         entry of its shape, shared with every renaming and atom reordering
-        of it (``PreparedQuery._named`` leads back) -- the one probe an
-        execution makes."""
+        of it (``PreparedQuery._named`` leads back), which ``prepared`` holds
+        and probes for again only once a writer moved the generation."""
+        generation, basis, cost_stats = self._state  # one load: a key never served again if stale
         shape = prepared._shapes.get(parameters)
-        remembered = shape is not None
-        if not remembered:  # ... and not yet: a parameter set that fails never is
+        if shape is None:  # ... and not remembered yet: a parameter set that fails never is
             shape = _Shape(canonical_key(prepared.query, parameters))
+        else:
+            held, compiled = shape.held
+            if held == generation:
+                return compiled
         shape_key = shape.key
-        key, state = self._plan_key(shape_key, parameters)
 
         def compile_shape() -> _Compiled:
             canonical, _ = canonical_form(prepared.query, parameters)
-            return _Compiled(shape_key, self._compile(canonical, parameters, *state))
+            return _Compiled(shape_key, self._compile(canonical, parameters, *basis, cost_stats))
 
         try:  # single-flight: N concurrent cold starts of one shape compile once
-            compiled = self._cache.get_or_compute(key, compile_shape)
+            compiled = self._cache.get_or_compute((generation, shape_key, parameters), compile_shape)
         except NotControlledError:
-            pass  # never cached: the query as written fails the same way, in its own words
-        else:
-            if compiled.key is not shape_key:
-                shape.key = compiled.key  # an equal key's entry: probe by identity next
-            if not remembered:
-                prepared._shapes[parameters] = shape
-            return compiled
-        compiled = _Compiled(shape_key, self._compile(prepared.query, parameters, *state))
+            compiled = None  # never cached: the query as written fails the same way, in its own words
+        if compiled is None:
+            compiled = _Compiled(shape_key, self._compile(prepared.query, parameters, *basis, cost_stats))
+        elif compiled.key is not shape_key:
+            shape.key = compiled.key  # an equal key's entry: probe by identity next
+        if self._cache.maxsize != 0:  # a disabled cache holds nothing either
+            shape.held = (generation, compiled)
         prepared._shapes[parameters] = shape
         return compiled
 

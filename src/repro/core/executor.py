@@ -77,7 +77,7 @@ from repro.core.access_schema import AccessRule, EmbeddedAccessRule
 from repro.core.columnar import EMPTY_KEY, SlotTable
 from repro.core.plans import FetchStep, Plan, ProbeStep
 from repro.errors import IncrementalError, SchemaError
-from repro.logic.ast import Atom, _as_variable
+from repro.logic.ast import Atom, _as_variable, _variable_from_name
 from repro.logic.terms import Constant, Term, Variable
 from repro.relational.instance import AccessStats, LogSlice, NetDelta
 from repro.relational.interning import intern_value
@@ -1095,20 +1095,14 @@ def merge_parameter_values(
     parameter then hashes once and compares by identity first.
     """
     values: Assignment = {}
-    if parameters:
-        for key, value in parameters.items():
-            if isinstance(value, Constant):
-                value = value.value
-            values[key if type(key) is Variable else _as_variable(key)] = (
-                _intern(value) if type(value) is str else value
-            )
-    if kwargs:
-        for key, value in kwargs.items():
-            if isinstance(value, Constant):
-                value = value.value
-            values[_as_variable(key)] = (
-                _intern(value) if type(value) is str else value
-            )
+    for given in (parameters, kwargs):
+        if given:
+            for key, value in given.items():
+                if isinstance(value, Constant):
+                    value = value.value
+                if type(key) is not Variable:
+                    key = _variable_from_name(key) if type(key) is str else _as_variable(key)
+                values[key] = _intern(value) if type(value) is str else value
     return values
 
 

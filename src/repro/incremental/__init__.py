@@ -47,12 +47,13 @@ change-slice size and the access-rule bounds, never of the database size.
 
 Obtain results through the facade:
 ``engine.query(q).execute_incremental(p=1)``, then ``result.refresh()``
-after mutations.  A refresh that observes a new access-schema (or view
-population) version, or another ``Database`` on the engine (a reopened
+after mutations.  A refresh that finds the access schema or the view
+population replaced, or another ``Database`` on the engine (a reopened
 store: the log is the facade's, so it starts afresh), *rebases* --
-recompiles through the version-keyed plan cache and recomputes, holds
-and all -- rather than mixing plans across versions or slicing a log it
-never read.
+recompiles through the plan cache and recomputes, holds and all --
+rather than mixing plans across versions or slicing a log it never read.
+New cost statistics and a cleared plan cache are not replacements: the
+plans stay valid, and the refresh stays a delta.
 
 Limitations, by design: plans fetching through an *embedded* access rule
 are rejected with :class:`~repro.errors.IncrementalError` (their
@@ -159,14 +160,16 @@ class IncrementalResult:
         :meth:`explain_analyze`); the default refresh -- the hot path --
         skips that.  If the engine's access schema, views or ``Database``
         were replaced since the last pass the result *rebases* (full
-        recompute through the version-keyed plan cache) instead:
+        recompute through the plan cache) instead:
         :attr:`last_mode` says which path ran (``"delta"`` / ``"rebase"``).
         """
         engine = self._engine
         db = engine.require_database()
-        if (db, engine._access_state[0], engine.views.version) != self._epoch:
+        epoch_db, basis = self._epoch
+        if db is not epoch_db or engine._state[1] is not basis:
             # Another Database (its log never issued our watermark), or the
-            # access schema or views changed and the plans are stale: rebase.
+            # access schema or views changed and the plans are stale: rebase
+            # (new cost statistics or a cleared plan cache leave the basis).
             return self._materialize("rebase")
         slice = db.change_log.slice_since(self.watermark)
         # View-assisted plans: bring the views up to date first, then ride
@@ -239,7 +242,7 @@ class IncrementalResult:
         when the access schema, the views or the database changed under us."""
         engine = self._engine
         db = engine.require_database()
-        epoch = (db, engine._access_state[0], engine.views.version)
+        epoch = (db, engine._state[1])  # before compiling: a racing writer rebases us
         prepared, parameters = self._prepared, frozenset(self._values)
         compiled = engine._compiled_for(prepared, parameters)
         plans = compiled.plans

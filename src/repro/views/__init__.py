@@ -13,8 +13,8 @@ The package in three pieces:
 
 * :class:`ViewDef` / :class:`ViewSet` (:mod:`repro.views.definition`) --
   a named conjunctive query over the base schema plus the access rules
-  its materialization offers, and the versioned registry the Engine's
-  plan-cache keys incorporate.  Registration validates everything
+  its materialization offers, and the registry whose changes advance the
+  Engine's generation.  Registration validates everything
   eagerly: unknown relations, name collisions and repeated head
   variables fail at ``register`` time, never at first execute.
 * :class:`ViewState` -- one view's materialization: answer rows (plus a

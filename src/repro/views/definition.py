@@ -5,7 +5,7 @@ A :class:`ViewDef` is a named conjunctive query over the base schema --
 access rules the *view* offers once materialized (``V1(pid -> 64)``:
 given a pid, at most 64 follower rows).  A :class:`ViewSet` registers
 definitions against one base :class:`~repro.relational.schema.DatabaseSchema`,
-versioned so plan caches can key on the registered population, and owns
+versioned so plan caches never mix view populations, and owns
 the per-database :class:`ViewState` materializations.
 
 Materialization and maintenance reuse the batched operator pipeline
@@ -373,11 +373,11 @@ class ViewCatalog:
     registered definitions plus the extended schema/access they induce.
 
     Compilation must see one consistent view population end to end --
-    the same reason the Engine reads its ``(version, access schema)``
-    pair atomically -- so :meth:`ViewSet.snapshot` hands the planner a
-    catalog instead of live registry reads: a concurrent register/drop
-    can bump the version (stranding the resulting cache key) but can
-    never make the rewrite see views the extended schema lacks.
+    the same reason the Engine reads its ``(generation, state)`` slot in
+    one load -- so :meth:`ViewSet.snapshot` hands the planner a catalog
+    instead of live registry reads: a concurrent register/drop can move
+    the generation (stranding the resulting cache key) but can never
+    make the rewrite see views the extended schema lacks.
     """
 
     __slots__ = ("schema", "version", "_defs", "_ext_schema")
@@ -423,9 +423,9 @@ class ViewSet:
     """The registry of view definitions over one base schema, plus their
     per-database materializations.
 
-    Registration and drops bump :attr:`version`; the Engine folds that
-    version into every plan-cache key, so registering or dropping a view
-    can never serve a plan compiled against a different view population.
+    Registration and drops bump :attr:`version` and advance the owning
+    Engine's generation, so registering or dropping a view can never
+    serve a plan compiled against a different view population.
     Registry mutation and bookkeeping go through an internal lock;
     materialization and refreshes serialize *per view* (two different
     views prepare in parallel, and preparing one never blocks registry
@@ -456,14 +456,13 @@ class ViewSet:
         self._state_locks: dict[str, threading.Lock] = {}
         self._version = 0
         self._catalog: ViewCatalog | None = None
-        # Back-reference set by the owning Engine; advise() needs the
-        # engine's access schema and cost statistics.
+        # Back-reference set by the owning Engine: advise() needs its access
+        # schema and cost statistics, register/drop advance its generation.
         self._owner = None
 
     @property
     def version(self) -> int:
-        """Bumped on every register/drop; part of the Engine's plan-cache
-        keys."""
+        """Bumped on every register/drop (the catalog's version)."""
         return self._version
 
     def __len__(self) -> int:
@@ -537,6 +536,8 @@ class ViewSet:
             self._plans[view.name] = plan
             self._version += 1
             self._catalog = None
+        if self._owner is not None:
+            self._owner._advance()
         return view
 
     def advise(self, queries: Iterable[object] = ()):
@@ -569,8 +570,8 @@ class ViewSet:
 
     def drop(self, name: str) -> ViewDef:
         """Unregister ``name`` and discard its materialization.  Plans
-        compiled against it become unreachable (the version bump keys
-        them out of every cache)."""
+        compiled against it become unreachable (the owner's generation
+        moves past them)."""
         with self._lock:
             view = self.get(name)
             del self._defs[name]
@@ -579,22 +580,24 @@ class ViewSet:
             self._state_locks.pop(name, None)
             self._version += 1
             self._catalog = None
+        if self._owner is not None:
+            self._owner._advance()
         return view
 
     # -- schema extension (what the view-aware planner compiles against) --
 
     def snapshot(self) -> ViewCatalog:
         """An immutable ``(version, definitions)`` catalog read in one
-        locked step -- what the Engine compiles against, so a concurrent
+        locked step -- what the Engine compiles against (its state slot
+        keeps the one it read at its last write), so a concurrent
         register/drop can never mismatch the rewrite and the extended
-        schema (memoized per version).
+        schema (memoized per version: the same object until one).
 
         The memoized read is lock-free: the attribute is replaced
         atomically (reset to None under the registry lock by
         register/drop, rebuilt here), and a reader that observes a
         just-replaced catalog still gets a *consistent* (version,
-        definitions) pair -- its plan-cache key is simply stranded by
-        the version bump."""
+        definitions) pair."""
         catalog = self._catalog
         if catalog is not None:
             return catalog

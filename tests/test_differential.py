@@ -151,8 +151,8 @@ def test_renamed_and_reordered_writings_share_plans_and_match_the_reference(
         # rows and -- the per-tuple interpreter does not batch equal keys,
         # so it may charge more -- through the pipeline for the accounting.
         names = frozenset({Variable(parameter)})
-        _, state = engine._plan_key(None, names)
-        (own,) = engine._compile(parse_query(text, schema=engine.schema), names, *state)
+        _, basis, cost_stats = engine._state
+        (own,) = engine._compile(parse_query(text, schema=engine.schema), names, *basis, cost_stats)
         views = engine.views.prepare(db, own.view_relations)
         reference = execute_per_tuple(own, ExecutionContext(db, views=views), values)
         assert set(result.rows) == set(reference), text

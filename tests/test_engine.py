@@ -255,7 +255,7 @@ def test_repeated_execute_hits_the_cache(engine, monkeypatch):
     q.execute(p=3)
     assert len(calls) == 1
     stats = engine.cache_stats()
-    assert (stats.hits, stats.misses) == (2, 1)
+    assert (stats.hits, stats.misses) == (0, 1)  # held: no probe, no compile
     assert stats.compilations == 1
 
 
@@ -265,7 +265,7 @@ def test_equal_query_text_shares_cache_entry(engine, monkeypatch):
     # A separately prepared but equal query maps to the same cache key.
     engine.query(NYC_FRIENDS).execute(p=9)
     assert len(calls) == 1
-    assert engine.cache_stats().hits == 1
+    assert engine.cache_stats().hits == 0  # the memoised query holds the entry
 
 
 def test_different_parameter_set_compiles_again(engine, monkeypatch):
@@ -284,7 +284,7 @@ def test_plan_and_explain_share_the_cache(engine, monkeypatch):
     q.explain(["p"])
     q.execute(p=1)
     assert len(calls) == 1
-    assert engine.cache_stats().hits == 2
+    assert engine.cache_stats().hits == 0  # explain and execute take the held entry
 
 
 def test_access_schema_change_invalidates_cache(engine, monkeypatch):
@@ -351,7 +351,7 @@ def test_union_compiles_one_plan_per_disjunct(engine, monkeypatch):
     assert len(calls) == 2
     u.execute(p=2)
     assert len(calls) == 2  # one cache entry covers both plans
-    assert engine.cache_stats().hits == 1
+    assert engine.cache_stats().hits == 0  # ... and the union holds it
 
 
 # -- explain_analyze -------------------------------------------------------
@@ -437,7 +437,8 @@ def test_plan_cache_is_thread_safe_under_concurrent_traffic(engine):
     assert errors == []
     stats = engine.cache_stats()
     assert stats.invalidations >= 4
-    assert stats.hits + stats.misses >= 800
+    # Each generation compiles afresh; a held execute is no probe.
+    assert stats.invalidations + 1 <= stats.misses <= stats.hits + stats.misses < 800
 
 
 def test_concurrent_cold_start_compiles_once(engine, monkeypatch):
@@ -524,14 +525,14 @@ def test_stale_plans_cached_in_flight_are_never_served_after_access_change(engin
     # plans under the key it built from the access-schema version it
     # compiled against. After the replacement bumps the version, that key
     # must be unreachable -- so replay the losing side of the race by
-    # hand: build the key with the engine's own key function before the
-    # change, swap the access schema, then let the stale flight land.
+    # hand: build the key the engine probes with before the change, swap
+    # the access schema, then let the stale flight land.
     from repro.logic.terms import Variable
 
     q = engine.query(NYC_FRIENDS)
     params = frozenset({Variable("p")})
     stale = engine._compiled_for(q, params)
-    stale_key, _ = engine._plan_key(q._shapes[params].key, params)
+    stale_key = (engine._state[0], q._shapes[params].key, params)
     engine.access = "friend(pid1 -> 7); friend(pid2 -> 7); person(pid -> 1)"
     landed = engine._cache.get_or_compute(stale_key, lambda: stale)
     assert landed is stale  # the entry is really in the cache
@@ -1068,7 +1069,7 @@ def test_the_facade_probes_one_cache_and_execute_plan_still_counts_the_other(eng
         q.explain_analyze(p=1)
     q.execute_incremental(p=1)
     after = pipeline_cache_stats()
-    assert engine.cache_stats().hits == plans.hits + 7
+    assert engine.cache_stats() == plans  # all seven held: no probe, no compile
     assert (after.hits, after.misses) == (pipes.hits, pipes.misses)
     plan = q.plan(["p"])  # the caller's own writing of the shared plan
     assert execute_plan(plan, engine.database, p=1) == ((2,),)
