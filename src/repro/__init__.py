@@ -6,9 +6,10 @@ The package is organised as follows:
   facade binding a schema, an access schema and a database, with textual
   Datalog-style queries, an LRU cache of compiled plans, and bounded
   execution returning :class:`ResultSet` rows plus access statistics.
-* :mod:`repro.logic` -- the query languages of the paper (CQ, UCQ, FO) with
-  active-domain semantics, homomorphisms and containment, plus the
-  Datalog-style parser (:mod:`repro.logic.parser`).
+* :mod:`repro.logic` -- the query languages the engine plans and runs (CQ
+  and UCQ; QSI is undecidable for first-order queries), their naive
+  evaluation, homomorphisms and containment, plus the Datalog-style
+  parser (:mod:`repro.logic.parser`).
 * :mod:`repro.relational` -- the relational substrate: schemas (with a
   textual DSL), instances with tuple-access accounting, and pluggable
   storage backends (:mod:`repro.relational.backends`): in-memory hash
@@ -58,24 +59,12 @@ from repro.errors import (
     ReproError,
     RewritingError,
     SchemaError,
-    UndecidableError,
     UpdateError,
 )
 from repro.logic.terms import Constant, Variable
-from repro.logic.ast import (
-    Atom,
-    Equality,
-    And,
-    Or,
-    Not,
-    Exists,
-    Forall,
-    Implies,
-    Span,
-)
+from repro.logic.ast import Atom, Equality, Span
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.ucq import UnionOfConjunctiveQueries
-from repro.logic.fo import FirstOrderQuery
 from repro.logic.parser import parse_cq, parse_query
 from repro.relational.schema import DatabaseSchema, RelationSchema, parse_schema
 from repro.relational.instance import AccessStats, ChangeEntry, ChangeLog, Database
@@ -127,29 +116,21 @@ __all__ = [
     "ReproError",
     "SchemaError",
     "UpdateError",
-    "UndecidableError",
     "NotControlledError",
     "RewritingError",
     "ParseError",
     "IncrementalError",
     "CertificationError",
     "CompactedError",
-    # terms and formulas
+    # terms, atoms and equalities
     "Variable",
     "Constant",
     "Atom",
     "Equality",
-    "And",
-    "Or",
-    "Not",
-    "Exists",
-    "Forall",
-    "Implies",
     "Span",
     # queries and parsing
     "ConjunctiveQuery",
     "UnionOfConjunctiveQueries",
-    "FirstOrderQuery",
     "parse_query",
     "parse_cq",
     # relational substrate

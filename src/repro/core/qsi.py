@@ -6,8 +6,8 @@ supplied.  For conjunctive queries (and unions thereof) this is decided by
 the controllability fixpoint: ``Q`` is scale independent iff it is
 controlled, in which case :func:`repro.core.plans.compile_plan` produces a
 witnessing plan.  For full first-order logic the problem is undecidable
-(Fan, Geerts & Libkin 2014, Theorem 3.1), so FO inputs raise
-:class:`repro.errors.UndecidableError`.
+(Fan, Geerts & Libkin 2014, Theorem 3.1), which is why CQ and UCQ are the
+only inputs accepted.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ from typing import Iterable
 
 from repro.core.access_schema import AccessSchema
 from repro.core.controllability import Coverage, coverage
-from repro.errors import UndecidableError
-from repro.logic.ast import Formula
 from repro.logic.cq import ConjunctiveQuery
-from repro.logic.fo import FirstOrderQuery
 from repro.logic.ucq import UnionOfConjunctiveQueries
 
 
@@ -44,15 +41,10 @@ def decide_qsi(
     """Decide QSI for ``query`` under ``access``.
 
     Accepts a :class:`ConjunctiveQuery` or a
-    :class:`UnionOfConjunctiveQueries`; raises
-    :class:`UndecidableError` for first-order queries or bare formulas.
+    :class:`UnionOfConjunctiveQueries` and raises :class:`TypeError` for
+    anything else: QSI is undecidable for first-order queries (Fan,
+    Geerts & Libkin 2014, Theorem 3.1).
     """
-    if isinstance(query, (FirstOrderQuery, Formula)):
-        raise UndecidableError(
-            "QSI is undecidable for first-order queries "
-            "(Fan, Geerts & Libkin 2014, Theorem 3.1); "
-            "restrict to conjunctive queries or unions thereof"
-        )
     if isinstance(query, ConjunctiveQuery):
         disjuncts: tuple[ConjunctiveQuery, ...] = (query,)
     elif isinstance(query, UnionOfConjunctiveQueries):

@@ -23,11 +23,6 @@ class CompactedError(ReproError):
     a watermark sliceable across appends."""
 
 
-class UndecidableError(ReproError):
-    """The requested decision problem is undecidable for the given input
-    class (e.g. QSI or VQSI for full first-order logic)."""
-
-
 class ParseError(ReproError):
     """The textual form of a query, schema or access schema is malformed.
 

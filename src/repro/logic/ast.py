@@ -1,25 +1,25 @@
-"""Abstract syntax for first-order formulas over a relational vocabulary.
+"""Abstract syntax for the bodies of conjunctive queries.
 
-Formulas are immutable, hashable trees built from relational atoms,
-equalities and the usual connectives and quantifiers.  Every node supports
+A CQ or UCQ body is made of relational atoms (:class:`Atom`) and
+equalities (:class:`Equality`): immutable, hashable nodes that share the
+:class:`Formula` base, which gives them field-wise equality, hashing and
+``repr`` and this interface:
 
-* :meth:`Formula.free_variables` -- the free variables, in first-occurrence
+* :meth:`Formula.free_variables` -- the variables, in first-occurrence
   order and without duplicates;
-* :meth:`Formula.substitute` -- capture-avoiding substitution of terms for
-  free variables;
-* :meth:`Formula.atoms` -- iteration over the relational atoms; and
-* :meth:`Formula.constants` -- the constants occurring in the formula.
+* :meth:`Formula.substitute` -- replacement of variables by terms; and
+* :meth:`Formula.constants` -- the constants occurring in the node.
 
-The operators ``&``, ``|`` and ``~`` build conjunctions, disjunctions and
-negations, e.g. ``Atom("p", ["?x"]) & ~Atom("q", ["?x"])``.
+There are no connectives or quantifiers: QSI is undecidable for
+first-order queries (Fan, Geerts & Libkin 2014, Theorem 3.1), so CQ and
+UCQ are the languages the engine plans and runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from repro.logic.terms import (
     Constant,
@@ -71,20 +71,12 @@ def _variable_from_name(value: str) -> Variable:
     return Variable(value[1:] if value.startswith("?") else value)
 
 
-def _as_variables(value: object) -> tuple[Variable, ...]:
-    if isinstance(value, (Variable, str)):
-        return (_as_variable(value),)
-    if isinstance(value, Iterable):
-        return tuple(_as_variable(v) for v in value)
-    raise TypeError(f"cannot interpret {value!r} as variables")
-
-
 def _render_term(term: Term) -> str:
     return f"?{term}" if isinstance(term, Variable) else str(term)
 
 
 class Formula:
-    """Base class for all formula nodes."""
+    """Base class of :class:`Atom` and :class:`Equality`."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -103,35 +95,20 @@ class Formula:
         return f"{type(self).__name__}({args})"
 
     def free_variables(self) -> tuple[Variable, ...]:
-        """The free variables of the formula, in first-occurrence order."""
+        """The variables of the node, in first-occurrence order."""
         raise NotImplementedError
 
     def substitute(self, mapping: Mapping[Variable, Term]) -> "Formula":
-        """Replace free occurrences of variables according to ``mapping``.
+        """Replace variables according to ``mapping``.
 
         Mapping values may be :class:`Variable` or :class:`Constant` (other
-        values are coerced with :func:`make_term`).  Substituting under a
-        quantifier that binds one of the *replacement* variables raises
-        :class:`ValueError` (variable capture).
+        values are coerced with :func:`make_term`).
         """
         raise NotImplementedError
 
-    def atoms(self) -> Iterator["Atom"]:
-        """Yield every relational atom occurring in the formula."""
-        return iter(())
-
     def constants(self) -> tuple[Constant, ...]:
-        """The constants occurring in the formula, without duplicates."""
+        """The constants occurring in the node, without duplicates."""
         raise NotImplementedError
-
-    def __and__(self, other: "Formula") -> "And":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Or":
-        return Or(self, other)
-
-    def __invert__(self) -> "Not":
-        return Not(self)
 
 
 def _coerce_mapping(mapping: Mapping[Variable, object]) -> dict[Variable, Term]:
@@ -198,9 +175,6 @@ class Atom(Formula):
             span=self.span,
         )
 
-    def atoms(self) -> Iterator["Atom"]:
-        yield self
-
     def constants(self) -> tuple[Constant, ...]:
         return constants_of(self.terms)
 
@@ -239,168 +213,3 @@ class Equality(Formula):
 
     def __str__(self) -> str:
         return f"{_render_term(self.left)} = {_render_term(self.right)}"
-
-
-class _NaryConnective(Formula):
-    """Shared implementation for ``And`` and ``Or``."""
-
-    __slots__ = ("operands",)
-    _fields = ("operands",)
-    _symbol = "?"
-
-    def __init__(self, *operands: Formula):
-        if not operands:
-            raise ValueError(f"{type(self).__name__} needs at least one operand")
-        for op in operands:
-            if not isinstance(op, Formula):
-                raise TypeError(f"{op!r} is not a Formula")
-        self.operands = tuple(operands)
-
-    def free_variables(self) -> tuple[Variable, ...]:
-        return tuple(dict.fromkeys(chain.from_iterable(op.free_variables() for op in self.operands)))
-
-    def substitute(self, mapping: Mapping[Variable, Term]) -> "Formula":
-        return type(self)(*(op.substitute(mapping) for op in self.operands))
-
-    def atoms(self) -> Iterator[Atom]:
-        for op in self.operands:
-            yield from op.atoms()
-
-    def constants(self) -> tuple[Constant, ...]:
-        return tuple(dict.fromkeys(chain.from_iterable(op.constants() for op in self.operands)))
-
-    def __str__(self) -> str:
-        return "(" + f" {self._symbol} ".join(str(op) for op in self.operands) + ")"
-
-
-class And(_NaryConnective):
-    """Conjunction of one or more formulas."""
-
-    __slots__ = ()
-    _symbol = "AND"
-
-
-class Or(_NaryConnective):
-    """Disjunction of one or more formulas."""
-
-    __slots__ = ()
-    _symbol = "OR"
-
-
-class Not(Formula):
-    """Negation."""
-
-    __slots__ = ("operand",)
-    _fields = ("operand",)
-
-    def __init__(self, operand: Formula):
-        if not isinstance(operand, Formula):
-            raise TypeError(f"{operand!r} is not a Formula")
-        self.operand = operand
-
-    def free_variables(self) -> tuple[Variable, ...]:
-        return self.operand.free_variables()
-
-    def substitute(self, mapping: Mapping[Variable, Term]) -> "Not":
-        return Not(self.operand.substitute(mapping))
-
-    def atoms(self) -> Iterator[Atom]:
-        yield from self.operand.atoms()
-
-    def constants(self) -> tuple[Constant, ...]:
-        return self.operand.constants()
-
-    def __str__(self) -> str:
-        return f"NOT {self.operand}"
-
-
-class Implies(Formula):
-    """Implication ``antecedent -> consequent``."""
-
-    __slots__ = ("antecedent", "consequent")
-    _fields = ("antecedent", "consequent")
-
-    def __init__(self, antecedent: Formula, consequent: Formula):
-        for op in (antecedent, consequent):
-            if not isinstance(op, Formula):
-                raise TypeError(f"{op!r} is not a Formula")
-        self.antecedent = antecedent
-        self.consequent = consequent
-
-    def free_variables(self) -> tuple[Variable, ...]:
-        return tuple(
-            dict.fromkeys(
-                chain(self.antecedent.free_variables(), self.consequent.free_variables())
-            )
-        )
-
-    def substitute(self, mapping: Mapping[Variable, Term]) -> "Implies":
-        return Implies(self.antecedent.substitute(mapping), self.consequent.substitute(mapping))
-
-    def atoms(self) -> Iterator[Atom]:
-        yield from self.antecedent.atoms()
-        yield from self.consequent.atoms()
-
-    def constants(self) -> tuple[Constant, ...]:
-        return tuple(dict.fromkeys(chain(self.antecedent.constants(), self.consequent.constants())))
-
-    def __str__(self) -> str:
-        return f"({self.antecedent} -> {self.consequent})"
-
-
-class _Quantifier(Formula):
-    """Shared implementation for ``Exists`` and ``Forall``."""
-
-    __slots__ = ("variables", "body")
-    _fields = ("variables", "body")
-    _symbol = "?"
-
-    def __init__(self, variables: object, body: Formula):
-        if not isinstance(body, Formula):
-            raise TypeError(f"{body!r} is not a Formula")
-        self.variables = _as_variables(variables)
-        if not self.variables:
-            raise ValueError(f"{type(self).__name__} needs at least one variable")
-        self.body = body
-
-    def free_variables(self) -> tuple[Variable, ...]:
-        bound = set(self.variables)
-        return tuple(v for v in self.body.free_variables() if v not in bound)
-
-    def substitute(self, mapping: Mapping[Variable, Term]) -> "Formula":
-        mapping = _coerce_mapping(mapping)
-        bound = set(self.variables)
-        inner = {k: v for k, v in mapping.items() if k not in bound}
-        free = set(self.free_variables())
-        for k, v in inner.items():
-            if k in free and isinstance(v, Variable) and v in bound:
-                raise ValueError(
-                    f"substituting {v!r} for {k!r} would be captured by {type(self).__name__}"
-                )
-        if not inner:
-            return self
-        return type(self)(self.variables, self.body.substitute(inner))
-
-    def atoms(self) -> Iterator[Atom]:
-        yield from self.body.atoms()
-
-    def constants(self) -> tuple[Constant, ...]:
-        return self.body.constants()
-
-    def __str__(self) -> str:
-        vs = ", ".join(f"?{v}" for v in self.variables)
-        return f"{self._symbol} {vs}. {self.body}"
-
-
-class Exists(_Quantifier):
-    """Existential quantification ``EXISTS x1, ..., xk . body``."""
-
-    __slots__ = ()
-    _symbol = "EXISTS"
-
-
-class Forall(_Quantifier):
-    """Universal quantification ``FORALL x1, ..., xk . body``."""
-
-    __slots__ = ()
-    _symbol = "FORALL"

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from repro.logic.ast import And, Atom, Equality, Exists, Formula, _as_variable
+from repro.logic.ast import Atom, Equality, _as_variable
 from repro.logic.terms import Constant, Term, Variable
 
 Substitution = dict[Variable, Term]
@@ -159,18 +159,6 @@ class ConjunctiveQuery:
             )
         )
 
-    def existential_variables(self) -> tuple[Variable, ...]:
-        head = set(self.head)
-        return tuple(v for v in self.variables() if v not in head)
-
-    def to_formula(self) -> Formula:
-        """The query body as a first-order formula with the existential
-        variables quantified."""
-        conjuncts: tuple[Formula, ...] = self.body + self.equalities
-        matrix: Formula = conjuncts[0] if len(conjuncts) == 1 else And(*conjuncts)
-        existential = self.existential_variables()
-        return Exists(existential, matrix) if existential else matrix
-
     def equality_substitution(self) -> Substitution | None:
         """The substitution induced by the query's equalities (see
         :func:`resolve_equalities`), or None if they are unsatisfiable."""
@@ -246,5 +234,7 @@ def _normalize_parameters(
         var = _as_variable(key)
         if var not in known_set:
             raise ValueError(f"unknown parameter variable ?{var}")
-        result[var] = value
+        # Unwrapped as the engine's parameter merge does: the database
+        # holds plain values, and Constant(1) == 1 is false.
+        result[var] = value.value if isinstance(value, Constant) else value
     return result

@@ -1,38 +1,21 @@
-"""Evaluation of formulas with active-domain semantics.
+"""Naive evaluation of conjunctive queries: the oracle the engine is
+checked against.
 
-Two evaluators live here:
-
-* :func:`join_atoms` -- an index-aware backtracking join over a set of
-  relational atoms.  At every step it greedily picks the atom with the most
-  bound positions, so lookups go through the database's hash indexes
-  whenever possible.  This is the engine behind
-  :meth:`repro.logic.cq.ConjunctiveQuery.evaluate`; the batched operator
-  pipeline for scale-independent plans (:mod:`repro.core.executor`) shares
-  this module's join helpers (:func:`row_matches`, the pattern/extension
-  utilities) rather than reimplementing them.
-* :func:`holds` / :func:`satisfying_assignments` -- the textbook
-  active-domain semantics for arbitrary first-order formulas.  Quantifiers
-  range over the active domain: every value occurring in the database or in
-  the formula.  This is exponential in general and exists as the reference
-  semantics, not as a production evaluator.
+:func:`join_atoms` is an index-aware backtracking join over a set of
+relational atoms.  At every step it greedily picks the atom with the most
+bound positions, so lookups go through the database's hash indexes
+whenever possible.  It is the engine behind
+:meth:`repro.logic.cq.ConjunctiveQuery.evaluate`.  The batched operator
+pipeline (:mod:`repro.core.executor`) does not use this module;
+:func:`row_matches` and the pattern / extension helpers serve only the
+per-tuple reference interpreter in ``tests/reference_executor.py``.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from repro.logic.ast import (
-    And,
-    Atom,
-    Equality,
-    Exists,
-    Forall,
-    Formula,
-    Implies,
-    Not,
-    Or,
-)
+from repro.logic.ast import Atom
 from repro.logic.terms import Constant, Variable
 
 Assignment = dict[Variable, object]
@@ -112,62 +95,3 @@ def join_atoms(db, atoms: Sequence[Atom], assignment: Mapping[Variable, object] 
                 yield from recurse(rest, extended)
 
     return recurse(list(atoms), initial)
-
-
-def active_domain(db, formula: Formula | None = None) -> tuple[object, ...]:
-    """The active domain: every value in ``db`` plus every constant in
-    ``formula``, in first-occurrence order."""
-    values = dict.fromkeys(db.active_domain())
-    if formula is not None:
-        for c in formula.constants():
-            values.setdefault(c.value, None)
-    return tuple(values)
-
-
-def holds(formula: Formula, db, assignment: Mapping[Variable, object] | None = None, *, domain: Sequence[object] | None = None) -> bool:
-    """Decide whether ``formula`` holds in ``db`` under ``assignment``
-    (which must cover all free variables), with quantifiers ranging over
-    the active domain."""
-    asg: Assignment = dict(assignment or {})
-    missing = [v for v in formula.free_variables() if v not in asg]
-    if missing:
-        raise ValueError(f"unassigned free variables: {', '.join(map(str, missing))}")
-    dom = tuple(domain) if domain is not None else active_domain(db, formula)
-    return _holds(formula, db, asg, dom)
-
-
-def _holds(formula: Formula, db, asg: Assignment, dom: tuple[object, ...]) -> bool:
-    if isinstance(formula, Atom):
-        row = tuple(_term_value(t, asg) for t in formula.terms)
-        return db.contains(formula.relation, row)
-    if isinstance(formula, Equality):
-        return _term_value(formula.left, asg) == _term_value(formula.right, asg)
-    if isinstance(formula, And):
-        return all(_holds(op, db, asg, dom) for op in formula.operands)
-    if isinstance(formula, Or):
-        return any(_holds(op, db, asg, dom) for op in formula.operands)
-    if isinstance(formula, Not):
-        return not _holds(formula.operand, db, asg, dom)
-    if isinstance(formula, Implies):
-        return (not _holds(formula.antecedent, db, asg, dom)) or _holds(
-            formula.consequent, db, asg, dom
-        )
-    if isinstance(formula, (Exists, Forall)):
-        quantifier = any if isinstance(formula, Exists) else all
-        return quantifier(
-            _holds(formula.body, db, {**asg, **dict(zip(formula.variables, values))}, dom)
-            for values in product(dom, repeat=len(formula.variables))
-        )
-    raise TypeError(f"cannot evaluate {type(formula).__name__}")
-
-
-def satisfying_assignments(formula: Formula, db, variables: Sequence[Variable], assignment: Mapping[Variable, object] | None = None) -> Iterator[Assignment]:
-    """Yield every extension of ``assignment`` to ``variables`` (over the
-    active domain) under which ``formula`` holds."""
-    dom = active_domain(db, formula)
-    base: Assignment = dict(assignment or {})
-    todo = [v for v in variables if v not in base]
-    for values in product(dom, repeat=len(todo)):
-        candidate = {**base, **dict(zip(todo, values))}
-        if holds(formula, db, candidate, domain=dom):
-            yield candidate

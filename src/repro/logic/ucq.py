@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.logic.ast import Formula, Or
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Variable
 
@@ -67,10 +66,6 @@ class UnionOfConjunctiveQueries:
         return tuple(
             dict.fromkeys(v for q in self.disjuncts for v in q.variables())
         )
-
-    def to_formula(self) -> Formula:
-        formulas = [q.to_formula() for q in self.disjuncts]
-        return formulas[0] if len(formulas) == 1 else Or(*formulas)
 
     def evaluate(
         self, db, parameters: Mapping[object, object] | None = None

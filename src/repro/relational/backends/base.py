@@ -168,7 +168,7 @@ class StorageBackend(ABC):
     @abstractmethod
     def iter_rows(self, relation: str) -> Iterator[Row]:
         """Iterate the stored rows in insertion order (uncharged metadata
-        -- the active-domain walk)."""
+        -- the cost-statistics walk)."""
 
     # -- mutations -------------------------------------------------------
 

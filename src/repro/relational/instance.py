@@ -564,17 +564,6 @@ class Database:
         self.schema.relation(relation)
         return self._backend.count(relation)
 
-    def active_domain(self) -> tuple[object, ...]:
-        """Every value occurring in the database, in first-occurrence order."""
-        return tuple(
-            dict.fromkeys(
-                value
-                for name in self.schema.names
-                for row in self._backend.iter_rows(name)
-                for value in row
-            )
-        )
-
     def reset_stats(self) -> None:
         self.stats.reset()
 

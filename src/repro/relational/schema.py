@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
-from repro.logic.ast import Atom, Formula
+from repro.logic.ast import Atom
 from repro.logic.parser import (
     COMMA,
     IDENT,
@@ -207,18 +207,7 @@ class DatabaseSchema:
             )
 
     def validate_query(self, query) -> None:
-        """Validate every atom of a CQ/UCQ/FO query or bare formula."""
-        if isinstance(query, Formula):
-            atoms = query.atoms()
-        elif hasattr(query, "disjuncts"):
-            for disjunct in query.disjuncts:
-                self.validate_query(disjunct)
-            return
-        elif hasattr(query, "body"):
-            atoms = query.body
-        elif hasattr(query, "formula"):
-            atoms = query.formula.atoms()
-        else:
-            raise SchemaError(f"cannot validate {type(query).__name__}")
-        for atom in atoms:
-            self.validate_atom(atom)
+        """Validate every atom of a CQ or UCQ."""
+        for disjunct in getattr(query, "disjuncts", (query,)):
+            for atom in disjunct.body:
+                self.validate_atom(atom)

@@ -1,17 +1,7 @@
-"""Tests for the formula AST: free variables, substitution, atoms."""
+"""Tests for the atom and equality AST: free variables, substitution."""
 
-import pytest
-
-from repro.logic.ast import (
-    And,
-    Atom,
-    Equality,
-    Exists,
-    Forall,
-    Implies,
-    Not,
-    Or,
-)
+from repro.logic.ast import Atom, Equality
+from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Constant, Variable
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -25,55 +15,32 @@ def test_atom_coerces_terms():
 
 
 def test_free_variables_are_ordered_and_deduplicated():
-    f = And(Atom("r", ["?x", "?y"]), Atom("s", ["?y", "?z", "?x"]))
-    assert f.free_variables() == (x, y, z)
-
-
-def test_quantifier_hides_bound_variables():
-    f = Exists("y", And(Atom("r", ["?x", "?y"]), Equality("?y", 1)))
-    assert f.free_variables() == (x,)
-    g = Forall(["x", "y"], Atom("r", ["?x", "?y"]))
-    assert g.free_variables() == ()
+    assert Atom("s", ["?y", "?z", "?y", "?x"]).free_variables() == (y, z, x)
+    assert Equality("?y", "?x").free_variables() == (y, x)
+    q = ConjunctiveQuery(
+        ["z"], [Atom("r", ["?x", "?y"]), Atom("s", ["?y", "?z", "?x"])], [Equality("?w", "?x")]
+    )
+    assert q.variables() == (z, x, y, Variable("w"))
 
 
 def test_substitution_replaces_free_occurrences():
-    f = And(Atom("r", ["?x", "?y"]), Not(Atom("s", ["?x"])))
-    g = f.substitute({x: Constant(3)})
-    assert g == And(Atom("r", [3, "?y"]), Not(Atom("s", [3])))
-    assert g.free_variables() == (y,)
-
-
-def test_substitution_skips_bound_variables():
-    f = Exists("x", Atom("r", ["?x", "?y"]))
-    assert f.substitute({x: Constant(1)}) == f
-    assert f.substitute({y: Constant(2)}) == Exists("x", Atom("r", ["?x", 2]))
-
-
-def test_substitution_detects_capture():
-    f = Exists("x", Atom("r", ["?x", "?y"]))
-    with pytest.raises(ValueError, match="captured"):
-        f.substitute({y: x})
-
-
-def test_atoms_iterates_the_whole_tree():
-    f = Implies(Atom("a", ["?x"]), Or(Atom("b", ["?x"]), Exists("y", Atom("c", ["?y"]))))
-    assert [a.relation for a in f.atoms()] == ["a", "b", "c"]
-
-
-def test_operator_sugar():
-    a, b = Atom("a", ["?x"]), Atom("b", ["?x"])
-    assert a & b == And(a, b)
-    assert a | b == Or(a, b)
-    assert ~a == Not(a)
+    atom = Atom("r", ["?x", "?y", "?x"])
+    assert atom.substitute({x: Constant(3)}) == Atom("r", [3, "?y", 3])
+    assert atom.substitute({"y": "?z"}) == Atom("r", ["?x", "?z", "?x"])
+    assert atom.substitute({x: Constant(3)}).free_variables() == (y,)
+    assert Equality("?x", "?y").substitute({y: 1}) == Equality("?x", 1)
 
 
 def test_equality_and_hash():
     assert Atom("r", ["?x"]) == Atom("r", [Variable("x")])
     assert hash(Atom("r", ["?x"])) == hash(Atom("r", ["?x"]))
     assert Atom("r", ["?x"]) != Atom("r", ["x"])  # variable vs constant
-    assert And(Atom("r", ["?x"])) != Or(Atom("r", ["?x"]))
+    assert Equality("?x", 1) == Equality(x, Constant(1))
+    assert hash(Equality("?x", 1)) == hash(Equality(x, Constant(1)))
+    assert Equality("?x", 1) != Equality("?x", 1.0)  # typed literals
 
 
 def test_str_rendering():
-    f = Exists("y", And(Atom("friend", ["?x", "?y"]), Equality("?y", 1)))
-    assert str(f) == "EXISTS ?y. (friend(?x, ?y) AND ?y = 1)"
+    assert str(Atom("friend", ["?x", "?y"])) == "friend(?x, ?y)"
+    assert str(Equality("?y", 1)) == "?y = 1"
+    assert repr(Equality("?y", "NYC")) == "Equality(Variable('y'), Constant('NYC'))"

@@ -1,18 +1,15 @@
 """Tests for query evaluation on the social-network instance: CQs with
-equalities and parameters, UCQs, FO queries and CQ containment."""
+equalities and parameters, UCQs and CQ containment."""
 
 import pytest
 
 from repro import (
     Atom,
     ConjunctiveQuery,
+    Constant,
     Equality,
-    Exists,
-    FirstOrderQuery,
-    Forall,
-    Implies,
-    Not,
     UnionOfConjunctiveQueries,
+    parse_query,
 )
 from repro.logic import homomorphism
 
@@ -77,14 +74,6 @@ class TestConjunctiveQueries:
         with pytest.raises(ValueError, match="unsafe"):
             ConjunctiveQuery(["x"], [Atom("friend", [1, "?y"])])
 
-    def test_to_formula(self):
-        q = ConjunctiveQuery(
-            ["x"], [Atom("friend", ["?x", "?y"]), Atom("person", ["?y", "?n", "NYC"])]
-        )
-        f = q.to_formula()
-        assert isinstance(f, Exists)
-        assert f.free_variables() == (q.head[0],)
-
 
 class TestUnions:
     def test_union_deduplicates(self, social_db):
@@ -106,36 +95,6 @@ class TestUnions:
                     ),
                 ]
             )
-
-
-class TestFirstOrder:
-    def test_negation(self, social_db):
-        # people with no outgoing friend edge to 4
-        q = FirstOrderQuery(
-            ["x"],
-            Exists("n", Atom("person", ["?x", "?n", "NYC"]))
-            & Not(Atom("friend", ["?x", 4])),
-        )
-        assert set(q.evaluate(social_db)) == {(1,), (4,)}
-
-    def test_universal(self, social_db):
-        # is every friend edge between known people? (vacuously checks pairs)
-        closed = FirstOrderQuery(
-            [],
-            Forall(
-                ["x", "y"],
-                Implies(
-                    Atom("friend", ["?x", "?y"]),
-                    Exists(["n", "c"], Atom("person", ["?x", "?n", "?c"])),
-                ),
-            ),
-        )
-        assert closed.evaluate(social_db) == ((),)
-
-    def test_uncovered_free_variables_rejected(self, social_db):
-        q = FirstOrderQuery([], Atom("friend", ["?x", "?y"]))
-        with pytest.raises(ValueError, match="not covered"):
-            q.evaluate(social_db)
 
 
 class TestHomomorphisms:
@@ -174,6 +133,22 @@ def test_union_rejects_parameter_missing_from_a_disjunct(social_db):
         ]
     )
     assert set(shared.evaluate(social_db, {"p": 1})) == {(2,), (3,), (5,)}
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("Q(y) :- friend(p, y), p = 1", {(2,), (3,)}),
+        ("Q(y) :- friend(p, y) ; Q(y) :- friend(y, p)", {(2,), (3,), (5,)}),
+    ],
+    ids=["cq", "ucq"],
+)
+def test_constant_wrapped_parameters_evaluate_as_their_values(social_db, text, expected):
+    # The engine unwraps a Constant parameter before it meets the data;
+    # naive evaluation must too, or Constant(1) matches no stored 1.
+    query = parse_query(text)
+    assert set(query.evaluate(social_db, {"p": Constant(1)})) == expected
+    assert set(query.evaluate(social_db, {"p": 1})) == expected
 
 
 def test_cross_type_equal_value_equalities_are_satisfiable(social_db):

@@ -1,10 +1,12 @@
-"""Differential testing: the operator pipeline vs naive evaluation.
+"""Differential testing: the operator pipeline vs naive evaluation and SQLite.
 
 Every workload query (Q1/Q2/Q3) runs on small seeded social networks
 through three executors -- the batched pipeline, the per-tuple reference
-path, and naive active-domain join evaluation -- and must produce the
-identical answer set for every parameter value.  Separately, every
-controlled execution must stay within the plan's a-priori fanout bound.
+path, and naive join evaluation -- and must produce the identical answer
+set for every parameter value, which must also be what SQLite answers
+over the generator's raw rows (``sql_oracle``: no ``repro`` code between
+the rows and the answer).  Separately, every controlled execution must
+stay within the plan's a-priori fanout bound.
 
 Both differential tests are additionally parametrized over every storage
 backend (via the ``backend_factory`` fixture): the executor is
@@ -13,8 +15,8 @@ identical whether the tuples live in dict indexes, SQLite, or shards.
 
 A third test covers the plan cache's sharing: 640 renamed and reordered
 writings of Q1-Q5 execute 26 shared plans, and each must answer like the
-reference interpreter -- and charge like the pipeline -- on a plan
-compiled from that writing itself.
+reference interpreter and SQLite -- and charge like the pipeline -- on a
+plan compiled from that writing itself.
 """
 
 import itertools
@@ -23,6 +25,7 @@ import random
 import pytest
 
 from reference_executor import execute_per_tuple
+from sql_oracle import SqlOracle
 from repro import Variable
 from repro.core.executor import ExecutionContext, execute_plan
 from repro.logic.parser import parse_query
@@ -54,11 +57,12 @@ def test_pipeline_matches_naive_evaluation_on_all_parameters(
         db = engine.require_database()
         query = parse_query(bundle.query, schema=engine.schema)
         param = bundle.parameters[0]
+        sql = SqlOracle(engine.schema, generate_social_network(persons, seed=seed))
         for pid in range(persons):
             batched = set(execute_plan(plan, db, {param: pid}))
             per_tuple = set(execute_per_tuple(plan, db, {param: pid}))
             naive = set(query.evaluate(db, {param: pid}))
-            assert batched == per_tuple == naive, (
+            assert batched == per_tuple == naive == sql.answers(query, {param: pid}), (
                 f"{bundle.name} disagrees at persons={persons} seed={seed} "
                 f"pid={pid}"
             )
@@ -138,6 +142,7 @@ def test_renamed_and_reordered_writings_share_plans_and_match_the_reference(
 ):
     persons = 40
     engine = social_engine(persons, seed=3, backend=backend_factory())
+    sql = SqlOracle(engine.schema, generate_social_network(persons, seed=3))
     register_workload_views(engine)
     db = engine.require_database()
     urls = sorted({url for _, url in db.scan("visits")})
@@ -146,6 +151,7 @@ def test_renamed_and_reordered_writings_share_plans_and_match_the_reference(
     for i, (parameter, text) in enumerate(variants):
         values = {parameter: urls[i % len(urls)] if parameter == "u" else i % persons}
         result = engine.execute(text, values)
+        assert set(result.rows) == sql.answers(parse_query(text), values), text
         # The reference: the caller's own query compiled as written (the
         # engine's selection included), run one tuple at a time for the
         # rows and -- the per-tuple interpreter does not batch equal keys,

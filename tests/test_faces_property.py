@@ -5,11 +5,13 @@ query, every instance honouring the bounds, every well-formed update --
 so these properties draw the inputs instead of hand-picking them: access
 schemas mixing plain, full and embedded rules; conjunctive queries with
 repeated variables, constants and ``None`` values; small instances and
-update streams (with insert-then-delete cancellation).  One oracle: naive
-evaluation on a separate memory instance.
+update streams (with insert-then-delete cancellation).  Two oracles: naive
+evaluation on a separate memory instance, and for the new face SQLite
+evaluating the query over the raw rows (``sql_oracle``), which shares no
+evaluation code with the engine.
 
-* **new face**: ``execute_plan`` = ``execute_per_tuple`` = naive (as
-  sets); tuples accessed stay within ``fanout_bound``; the only scans are
+* **new face**: ``execute_plan`` = ``execute_per_tuple`` = naive = SQLite
+  (as sets); tuples accessed stay within ``fanout_bound``; the only scans are
   the keyless fetches a full rule asks for; ``profile_plan`` reports the
   same rows and the same accounting; and the accounting equals the memory
   backend's on every backend.
@@ -45,6 +47,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference_executor import execute_per_tuple
+from sql_oracle import SqlOracle
 from repro import (
     AccessRule,
     AccessSchema,
@@ -233,6 +236,13 @@ def apply_batch(db, batch):
         (db.add if op == "+" else db.delete)(name, row)
 
 
+def apply_raw(raw, batch):
+    """``batch`` applied to ``raw`` (relation -> set of rows), with the
+    set semantics a database has, but no code of its."""
+    for op, name, row in batch:
+        (raw[name].add if op == "+" else raw[name].discard)(row)
+
+
 def keyless_fetches(plan) -> int:
     return sum(
         1
@@ -248,13 +258,15 @@ def embedded(plan) -> bool:
     )
 
 
-def check_new_face(plan, db, reference, values):
+def check_new_face(plan, db, reference, raw, values):
     """The first group of properties, on the current state of ``db``
-    (any backend) and of ``reference`` (memory, same contents)."""
+    (any backend), of ``reference`` (memory, same contents) and of
+    ``raw`` (the same rows, never stored by ``repro``)."""
     ctx = ExecutionContext(db)
     rows = execute_plan(plan, ctx, dict(values))
     naive = set(plan.query.evaluate(reference, values))
     assert set(rows) == naive
+    assert set(rows) == SqlOracle(db.schema, raw).answers(plan.query, values)
     assert len(rows) == len(set(rows))  # deduplicated
     assert set(execute_per_tuple(plan, db, dict(values))) == naive
     assert ctx.stats.tuples_accessed <= plan.fanout_bound
@@ -276,7 +288,8 @@ def test_three_faces_agree_with_naive_evaluation(backend_factory, scenario):
     _, rows, stream, *_ = scenario
     db = Database(schema, rows, backend=backend_factory())
     reference = Database(schema, rows)
-    check_new_face(plan, db, reference, values)
+    raw = {name: set(rows[name]) for name in RELATIONS}
+    check_new_face(plan, db, reference, raw, values)
     if embedded(plan):
         # Eagerly, on both signed entry points, whatever the slice holds.
         with pytest.raises(IncrementalError):
@@ -286,7 +299,8 @@ def test_three_faces_agree_with_naive_evaluation(backend_factory, scenario):
         for batch in stream:
             apply_batch(db, batch)
             apply_batch(reference, batch)
-            check_new_face(plan, db, reference, values)
+            apply_raw(raw, batch)
+            check_new_face(plan, db, reference, raw, values)
         return
     counts = execute_plan_counting(plan, db, dict(values))
     assert list(counts) == list(execute_plan(plan, db, dict(values)))
@@ -294,6 +308,7 @@ def test_three_faces_agree_with_naive_evaluation(backend_factory, scenario):
         mark = db.change_log.watermark
         apply_batch(db, batch)
         apply_batch(reference, batch)
+        apply_raw(raw, batch)
         delta = db.change_log.net_since(mark)
         ctx = ExecutionContext(db, watermark=mark, delta=delta)
         changes = execute_plan_delta(plan, ctx, dict(values))
@@ -309,7 +324,7 @@ def test_three_faces_agree_with_naive_evaluation(backend_factory, scenario):
         counts = {row: count for row, count in counts.items() if count}
         assert counts == execute_plan_counting(plan, db, dict(values))
         assert all(count > 0 for count in counts.values())
-        check_new_face(plan, db, reference, values)
+        check_new_face(plan, db, reference, raw, values)
 
 
 class Consumer:

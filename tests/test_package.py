@@ -9,29 +9,21 @@ EXPECTED_EXPORTS = {
     "ReproError",
     "SchemaError",
     "UpdateError",
-    "UndecidableError",
     "NotControlledError",
     "RewritingError",
     "ParseError",
     "IncrementalError",
     "CertificationError",
     "CompactedError",
-    # terms and formulas
+    # terms, atoms and equalities
     "Variable",
     "Constant",
     "Atom",
     "Equality",
-    "And",
-    "Or",
-    "Not",
-    "Exists",
-    "Forall",
-    "Implies",
     "Span",
     # queries and parsing
     "ConjunctiveQuery",
     "UnionOfConjunctiveQueries",
-    "FirstOrderQuery",
     "parse_query",
     "parse_cq",
     # relational substrate

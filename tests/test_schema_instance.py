@@ -3,7 +3,15 @@ and access accounting."""
 
 import pytest
 
-from repro import Database, DatabaseSchema, RelationSchema, SchemaError, UpdateError
+from repro import (
+    ConjunctiveQuery,
+    Database,
+    DatabaseSchema,
+    RelationSchema,
+    SchemaError,
+    UnionOfConjunctiveQueries,
+    UpdateError,
+)
 from repro.logic.ast import Atom
 
 
@@ -81,10 +89,6 @@ class TestDatabase:
         assert social_db.stats.tuples_accessed == 1
         assert social_db.stats.full_scans == 0
 
-    def test_active_domain(self, social_schema):
-        db = Database(social_schema, {"friend": [(1, 2), (2, 3)]})
-        assert db.active_domain() == (1, 2, 3)
-
     def test_stats_snapshot_delta(self, social_db):
         before = social_db.stats.snapshot()
         social_db.lookup("friend", {0: 1})
@@ -105,11 +109,17 @@ class TestHashEqContract:
 
 class TestValidateQueryShapes:
     def test_bare_quantified_formula(self, social_schema):
-        from repro import Atom, Exists
-
-        social_schema.validate_query(Exists("x", Atom("friend", ["?x", "?y"])))
-        with pytest.raises(SchemaError):
-            social_schema.validate_query(Exists("x", Atom("friend", ["?x"])))
+        # ∃y friend(x, y) is the CQ Q(x) :- friend(x, y): y is existential.
+        good, bad = Atom("friend", ["?x", "?y"]), Atom("friend", ["?x"])
+        social_schema.validate_query(ConjunctiveQuery(["x"], [good]))
+        with pytest.raises(SchemaError, match="arity"):
+            social_schema.validate_query(ConjunctiveQuery(["x"], [good, bad]))
+        with pytest.raises(SchemaError, match="arity"):
+            social_schema.validate_query(
+                UnionOfConjunctiveQueries(
+                    [ConjunctiveQuery(["x"], [good]), ConjunctiveQuery(["x"], [bad])]
+                )
+            )
 
 
 class TestMutations:
