@@ -67,13 +67,8 @@ from repro.logic.cq import ConjunctiveQuery
 from repro.logic.ucq import UnionOfConjunctiveQueries
 from repro.logic.parser import parse_cq, parse_query
 from repro.relational.schema import DatabaseSchema, RelationSchema, parse_schema
-from repro.relational.instance import AccessStats, ChangeEntry, ChangeLog, Database
-from repro.relational.backends import (
-    MemoryBackend,
-    ShardedBackend,
-    SqliteBackend,
-    StorageBackend,
-)
+from repro.relational.instance import AccessStats, Database
+from repro.relational.backends import MemoryBackend, ShardedBackend, SqliteBackend
 from repro.core.access_schema import (
     AccessRule,
     AccessSchema,
@@ -81,35 +76,20 @@ from repro.core.access_schema import (
     FullAccessRule,
     parse_access_schema,
 )
-from repro.core.controllability import (
-    Coverage,
-    CoverageStep,
-    controlling_sets,
-    coverage,
-    is_controlled,
-)
+from repro.core.controllability import controlling_sets, is_controlled
 from repro.core.executor import (
     ExecutionContext,
-    FetchOp,
-    FilterOp,
-    OperatorProfile,
-    PlanProfile,
-    ProbeOp,
-    ProjectDedupOp,
     build_pipeline,
     delta_fanout_bound,
     execute_plan,
-    execute_plan_counting,
-    execute_plan_delta,
-    profile_plan,
 )
-from repro.core.plans import FetchStep, Plan, ProbeStep, StepCost, compile_plan
-from repro.core.qdsi import QDSIResult, decide_qdsi
-from repro.core.qsi import QSIResult, decide_qsi
-from repro.views import ViewDef, ViewSet, ViewState
-from repro.api import CacheStats, Engine, ExplainAnalyze, PreparedQuery, ResultSet
+from repro.core.plans import FetchStep, Plan, ProbeStep, compile_plan
+from repro.core.qdsi import decide_qdsi
+from repro.core.qsi import decide_qsi
+from repro.views import ViewDef, ViewState
+from repro.api import Engine, PreparedQuery, ResultSet
 from repro.incremental import IncrementalResult
-from repro.analysis import Diagnostic, Report, Severity
+from repro.analysis import Severity
 
 __all__ = [
     # errors
@@ -139,10 +119,7 @@ __all__ = [
     "parse_schema",
     "Database",
     "AccessStats",
-    "ChangeEntry",
-    "ChangeLog",
     # storage backends
-    "StorageBackend",
     "MemoryBackend",
     "SqliteBackend",
     "ShardedBackend",
@@ -153,51 +130,31 @@ __all__ = [
     "AccessSchema",
     "parse_access_schema",
     # controllability and plans
-    "Coverage",
-    "CoverageStep",
-    "coverage",
     "controlling_sets",
     "is_controlled",
     "Plan",
     "FetchStep",
     "ProbeStep",
-    "StepCost",
     "compile_plan",
     # the physical executor
     "ExecutionContext",
-    "FetchOp",
-    "ProbeOp",
-    "FilterOp",
-    "ProjectDedupOp",
-    "OperatorProfile",
-    "PlanProfile",
     "build_pipeline",
     "execute_plan",
-    "profile_plan",
     # incremental execution
     "IncrementalResult",
-    "execute_plan_counting",
-    "execute_plan_delta",
     "delta_fanout_bound",
     # materialized views (Section 6)
     "ViewDef",
-    "ViewSet",
     "ViewState",
     # deciders
-    "QDSIResult",
     "decide_qdsi",
-    "QSIResult",
     "decide_qsi",
     # the Engine facade
     "Engine",
     "PreparedQuery",
     "ResultSet",
-    "ExplainAnalyze",
-    "CacheStats",
     # static analysis
     "Severity",
-    "Diagnostic",
-    "Report",
 ]
 
 __version__ = "3.0.0"

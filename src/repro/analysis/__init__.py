@@ -70,52 +70,27 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis.access import ABSURD_BOUND, analyze_access
-from repro.analysis.advisor import (
-    EXPENSIVE_COST,
-    MAX_VIEW_ATOMS,
-    ViewAdvice,
-    _entries,
-    advice_report,
-    advise_views,
-)
+from repro.analysis.advisor import ViewAdvice, _entries, advice_report, advise_views
 from repro.analysis.certify import certify_plan, check_plan
-from repro.analysis.cost import (
-    CostEstimate,
-    CostStats,
-    certify_selection,
-    check_selection,
-    estimate_plan,
-)
+from repro.analysis.cost import CostStats, certify_selection, check_selection, estimate_plan
 from repro.analysis.dataflow import (
     ADVISED_RULE_BOUND,
-    AtomAdornment,
-    BindingFlow,
     advise_missing_rule,
     binding_flow,
     explain_uncontrolled,
 )
 from repro.analysis.diagnostics import (
     CODES,
-    CodeInfo,
     Diagnostic,
     Report,
     Severity,
     diagnostic,
     register_code,
 )
-from repro.analysis.maintain import (
-    IncrementalSupport,
-    MaintainBlocker,
-    check_maintainable,
-    classify_incremental,
-)
-from repro.analysis.plans import (
-    BLOWUP_THRESHOLD,
-    DOMINANCE_RATIO,
-    analyze_plan,
-)
-from repro.analysis.fixes import FixResult, fix_query
-from repro.analysis.queries import SELECTIVITY_RATIO, analyze_query
+from repro.analysis.maintain import classify_incremental
+from repro.analysis.plans import BLOWUP_THRESHOLD, analyze_plan
+from repro.analysis.fixes import fix_query
+from repro.analysis.queries import analyze_query
 from repro.analysis.views import analyze_views
 from repro.core.plans import compile_plan
 from repro.errors import NotControlledError
@@ -128,7 +103,6 @@ __all__ = [
     "Severity",
     "Diagnostic",
     "Report",
-    "CodeInfo",
     "CODES",
     "register_code",
     "diagnostic",
@@ -138,7 +112,6 @@ __all__ = [
     "analyze_views",
     "advise_views",
     "advice_report",
-    "ViewAdvice",
     "analyze_prepared",
     "analyze_engine",
     "workload_report",
@@ -148,26 +121,15 @@ __all__ = [
     "estimate_plan",
     "certify_selection",
     "check_selection",
-    "CostEstimate",
     "CostStats",
     "classify_incremental",
-    "check_maintainable",
-    "IncrementalSupport",
-    "MaintainBlocker",
     "binding_flow",
     "explain_uncontrolled",
     "advise_missing_rule",
-    "BindingFlow",
-    "AtomAdornment",
     "fix_query",
-    "FixResult",
     "ABSURD_BOUND",
     "BLOWUP_THRESHOLD",
-    "DOMINANCE_RATIO",
-    "SELECTIVITY_RATIO",
     "ADVISED_RULE_BOUND",
-    "EXPENSIVE_COST",
-    "MAX_VIEW_ATOMS",
 ]
 
 

@@ -613,9 +613,9 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound: set[int], signed: bool)
     def over(slice):
         """The delta face bound to ``slice`` (once per stage): the slice
         index is resolved here, so ``join`` only probes it -- and exposes
-        it, with its key set ``touched``, to the driver.  Under a keyless
-        fetch (full-relation rule) every slice row joins with every
-        source row: the one empty key holds them all."""
+        it, for :meth:`DeltaProgram.join` to patch a held group.  Under a
+        keyless fetch (full-relation rule) every slice row joins with
+        every source row: the one empty key holds them all."""
         index = slice.index(relation, spos) if spos else {EMPTY_KEY: slice.rows(relation)}
         get = index.get
 
@@ -624,7 +624,7 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound: set[int], signed: bool)
             # Most delta joins match nothing: say so before any gather.
             return expand(groups, columns, True) if any(groups) else (None, 0)
 
-        join.index, join.touched = index, frozenset(index)
+        join.index = index
         return join
 
     if pure and len(fresh) == 1:
@@ -709,7 +709,6 @@ def _compile_probe(op: ProbeOp, slots: SlotTable, bound: set[int], signed: bool)
             out[sign] = [a * b for a, b in zip(out[sign], signs)]
             return out, len(sel)
 
-        join.index, join.touched = index, frozenset(index)
         return join
 
     return step, _delta_face(rows_fn, over), {s for s in gather if s != sign}
@@ -1219,10 +1218,9 @@ class DeltaProgram:
     :meth:`join` expands it instead of running level 0 again, patches it
     when the slice changed it -- not dropped and re-read: what a refresh
     reads is a function of its slice, not of the refreshes before it --
-    and answers a slice that meets neither the group nor the level-1 keys
-    it leads to without calling a closure.  A full-rule level 0 (every
-    view maintenance plan: its "group" is a relation) and a one-level
-    program hold nothing."""
+    and reads nothing for a slice that misses its :meth:`footprint`.  A
+    full-rule level 0 (every view maintenance plan: its "group" is a
+    relation) and a one-level program hold nothing."""
 
     __slots__ = ("plan", "pipe", "levels", "accumulate", "relations", "prefilter", "holds")
 
@@ -1261,6 +1259,26 @@ class DeltaProgram:
             joins.pop()
         staged = slice.staged[self] = tuple(joins)
         return staged
+
+    def footprint(self, seeded: Seeded | None) -> list[tuple[str, tuple[int, ...], Row]]:
+        """The ``(relation, positions, key)`` triples a write must meet to
+        change what :meth:`join` derives from ``seeded``: a held group's
+        seed key and level-1 keys (a probe's: its full rows), then every
+        deeper relation whole (positions ``()``); with nothing held, every
+        relation whole; for a rejected seed, nothing."""
+        if seeded is None:
+            return []
+        relations = self.relations
+        if seeded.rows is None:
+            return [(relation, (), ()) for relation in relations]
+        first, second = self.levels[0][3][0], self.levels[1][3][0]
+        full_row = tuple(range(len(second.atom.terms)))  # what a probe is keyed on
+        positions = getattr(second, "_sorted_positions", full_row)
+        return [
+            (relations[0], first._sorted_positions, seeded.keys[0]),
+            *((relations[1], positions, key) for key in seeded.next_keys),
+            *((relation, (), ()) for relation in relations[2:]),
+        ]
 
     def _expand(self, seeded: Seeded, source, stats: AccessStats, profiles=None):
         """Level 0's new-state batch, kept on ``seeded``: its held group
@@ -1320,14 +1338,6 @@ class DeltaProgram:
         if not joins:
             return changes
         keys = seeded.keys
-        if seeded.rows is not None and len(joins) <= 2:
-            # The footprint: the slice meets neither the held group nor
-            # its prefix's level-1 keys, and no deeper level changed.
-            first = joins[0]
-            if (first is None or keys[0] not in first.touched) and (
-                len(joins) == 1 or seeded.next_keys.isdisjoint(joins[1].touched)
-            ):
-                return changes
         levels = self.levels
         prefix, n = seeded.columns, 1
         for i, join in enumerate(joins):

@@ -34,16 +34,19 @@ counting pass, then kept on the :class:`IncrementalResult` and maintained
 from the log like the counts.  The access schema bounds what a result
 holds as it bounds what a query reads: at most ``rule.bound`` rows per
 disjunct.  A slice that meets neither the group nor the keys it leads to
-at level 1 changes nothing, and two set probes say so; one that changes
-the group patches it (not re-read: what a refresh reads depends on its
-slice, never on the refreshes before it).  Only when every plan's join
-(one per disjunct of a union) succeeded does :meth:`IncrementalResult.refresh`
-fold the signed changes into the counts and advance the watermark; when
-one raises, the result is as it was *minus its holds* -- a group patched
-towards a state the result never reached is forgotten and read again by
-the next refresh that needs it.  The tuples a refresh accesses are bounded
-by :func:`~repro.core.executor.delta_fanout_bound` -- a function of the
-change-slice size and the access-rule bounds, never of the database size.
+at level 1 changes nothing, and the write path says so first: each result
+registers that footprint in the change log, every append marks the
+results its row meets, and an unmarked result's refresh only advances its
+watermark (a result reading views always joins: their changes are not in
+the log).  A slice that changes the group patches it (not re-read: what a
+refresh reads depends on its slice, never on the refreshes before it).
+Only when every plan's join (one per disjunct of a union) succeeded does
+:meth:`IncrementalResult.refresh` fold the signed changes into the counts
+and advance the watermark; when one raises, the result is as it was
+*minus its holds*, and marked -- a group patched towards a state the
+result never reached is forgotten and read again by the next refresh that
+needs it.  :func:`~repro.core.executor.delta_fanout_bound` bounds what a
+refresh reads by its slice and the rule bounds, never the database size.
 
 Obtain results through the facade:
 ``engine.query(q).execute_incremental(p=1)``, then ``result.refresh()``
@@ -68,13 +71,14 @@ from __future__ import annotations
 
 from itertools import repeat
 from typing import Iterator, Mapping
+from weakref import finalize
 
 from repro.core.executor import (
     ExecutionContext,
     PlanProfile,
     delta_fanout_bound,
 )
-from repro.relational.instance import AccessStats, LogSlice
+from repro.relational.instance import AccessStats, LogSlice, Mark
 
 Row = tuple[object, ...]
 
@@ -92,7 +96,7 @@ class IncrementalResult:
     __slots__ = (
         "columns", "watermark", "stats", "fanout_bound", "last_mode", "profiles",
         "_engine", "_prepared", "_values", "_programs", "_seeds", "_view_names",
-        "_epoch", "_counts", "_order", "_delta_sizes",
+        "_epoch", "_counts", "_order", "_delta_sizes", "_mark", "_held", "_unwatch",
         "__weakref__",  # the change log pins its consumers weakly
     )
 
@@ -101,6 +105,7 @@ class IncrementalResult:
         self._prepared = prepared
         self._values = dict(values)
         self.columns = columns
+        self._unwatch = None
         self._materialize("initial")
 
     # -- sequence behaviour ---------------------------------------------
@@ -154,7 +159,8 @@ class IncrementalResult:
         running only the delta pipeline over the slice past the current
         watermark, then advance the watermark.  Returns ``self``.
 
-        A slice that misses what the result holds costs zero accesses.
+        A slice that misses what the result holds costs zero accesses; one
+        no write of which marked the result runs no delta pipeline at all.
         With ``analyze=True`` the delta pipeline's per-operator row counts
         and accounting are recorded in :attr:`profiles` (rendered by
         :meth:`explain_analyze`); the default refresh -- the hot path --
@@ -164,13 +170,15 @@ class IncrementalResult:
         :attr:`last_mode` says which path ran (``"delta"`` / ``"rebase"``).
         """
         engine = self._engine
-        db = engine.require_database()
+        db = engine._database  # none at all: the rebase raises for it
         epoch_db, basis = self._epoch
         if db is not epoch_db or engine._state[1] is not basis:
             # Another Database (its log never issued our watermark), or the
             # access schema or views changed and the plans are stale: rebase
             # (new cost statistics or a cleared plan cache leave the basis).
             return self._materialize("rebase")
+        joining = self._mark.marked or analyze or self._view_names
+        self._mark.marked = False  # before the slice is cut: a write after it marks again
         slice = db.change_log.slice_since(self.watermark)
         # View-assisted plans: bring the views up to date first, then ride
         # their answer changes in the slice under the view names -- the
@@ -193,7 +201,7 @@ class IncrementalResult:
             store = ExecutionContext(db, views=states).store
         stats = AccessStats()
         profiles: tuple[PlanProfile, ...] = ()
-        if slice.net:
+        if joining and slice.net:
             # Every disjunct's changes first: a backend error in a later
             # one must leave counts and watermark as they were, so the
             # retry does not apply the earlier ones twice.
@@ -207,10 +215,14 @@ class IncrementalResult:
                 for seeded in self._seeds:
                     if seeded is not None:
                         seeded.rows = None
+                self._mark.marked = True
                 raise
+            if self._holds() != self._held:
+                self._watch(db.change_log)  # a patch moved the level-1 keys
             if any(changes):
-                crossed = False
-                for counts, changed in zip(self._counts, changes):
+                alive = self._counts  # a count is kept only while it is positive
+                crossed = []
+                for counts, changed in zip(alive, changes):
                     for row, change in changed.items():
                         before = counts.get(row, 0)
                         count = before + change
@@ -219,9 +231,15 @@ class IncrementalResult:
                         else:
                             counts.pop(row, None)
                         if (before > 0) != (count > 0):
-                            crossed = True
-                if crossed:  # otherwise the answer set, and its order, stand
-                    self._reorder()
+                            crossed.append(row)
+                # Surviving rows keep their place: a row no plan derives any
+                # more leaves it, a new one is appended in plan/derivation order.
+                order = self._order
+                for row in crossed:
+                    if any(row in counts for counts in alive):
+                        order.setdefault(row)
+                    else:
+                        order.pop(row, None)
             if analyze:
                 rows = self.rows
                 profiles = tuple(
@@ -280,26 +298,29 @@ class IncrementalResult:
         self._view_names = tuple(sorted(names))
         self._epoch = epoch
         self._counts = counts
-        self._order: dict[Row, None] = {}
-        self._reorder()
+        self._order = dict.fromkeys(row for plan_counts in counts for row in plan_counts)
         self.watermark = watermark
         log.pin(self)  # hold the log at our watermark while we live
+        if self._unwatch is not None:
+            self._unwatch()  # a rebase leaves the log it was marked by
+        self._mark = Mark()
+        self._unwatch = finalize(self, log.watch, self._mark, ())
+        self._watch(log)
         self.stats = ctx.stats
         self.fanout_bound = compiled.fanout_bound
         self.profiles = ()
         self.last_mode = mode
         return self
 
-    def _reorder(self) -> None:
-        """Rebuild the ordered answer set from the per-plan counts:
-        surviving rows keep their position, new rows are appended in
-        plan/derivation order."""
-        alive = self._counts  # a count is kept only while it is positive
-        order = {row: None for row in self._order if any(row in counts for counts in alive)}
-        for counts in alive:
-            for row in counts:
-                order.setdefault(row)
-        self._order = order
+    def _holds(self) -> list:
+        """Each disjunct's held level-1 keys: what its footprint follows."""
+        return [s is not None and s.rows is not None and s.next_keys for s in self._seeds]
+
+    def _watch(self, log) -> None:
+        """(Re-)register the result's footprint in ``log``'s registry."""
+        self._held = self._holds()
+        pairs = zip(self._programs, self._seeds)
+        log.watch(self._mark, [entry for p, s in pairs for entry in p.footprint(s)])
 
     def explain_analyze(self):
         """The current answers plus the profiles of the last

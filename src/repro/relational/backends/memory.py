@@ -167,7 +167,7 @@ class MemoryBackend(StorageBackend):
                 continue
             store[row] = None
             for positions, index in indexes.items():
-                key = tuple(row[p] for p in positions)
+                key = tuple([row[p] for p in positions])
                 index.setdefault(key, []).append(row)
             flags.append(True)
         return flags
@@ -182,7 +182,7 @@ class MemoryBackend(StorageBackend):
                 continue
             del store[row]
             for positions, index in indexes.items():
-                key = tuple(row[p] for p in positions)
+                key = tuple([row[p] for p in positions])
                 group = index[key]
                 group.remove(row)
                 if not group:
@@ -199,7 +199,7 @@ class MemoryBackend(StorageBackend):
         if index is None:
             index = {}
             for row in self._rows[relation]:
-                index.setdefault(tuple(row[p] for p in positions), []).append(row)
+                index.setdefault(tuple([row[p] for p in positions]), []).append(row)
             self._indexes[relation][positions] = index
         return index
 

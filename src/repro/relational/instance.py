@@ -106,7 +106,7 @@ class AccessStats:
 @dataclass(frozen=True, slots=True)
 class ChangeEntry:
     """One effective mutation: transaction id, ``"+"``/``"-"``, relation,
-    tuple."""
+    tuple -- built on request from the log's ``(op, relation, row)``."""
 
     tid: int
     op: str  # "+" (insert) or "-" (delete)
@@ -161,9 +161,19 @@ class LogSlice:
             index = {}
             for entry in self.rows(relation):
                 row = entry[0]
-                index.setdefault(tuple(row[p] for p in positions), []).append(entry)
+                index.setdefault(tuple([row[p] for p in positions]), []).append(entry)
             self._index[key] = index
         return index
+
+
+class Mark:
+    """A consumer's dirty bit in a :class:`ChangeLog`'s footprint registry,
+    and the ``footprint`` it is registered under (:meth:`ChangeLog.watch`)."""
+
+    __slots__ = ("marked", "footprint")
+
+    def __init__(self) -> None:
+        self.marked, self.footprint = False, set()
 
 
 #: How many memoized slices a ChangeLog retains; one per *live* watermark
@@ -202,14 +212,22 @@ class ChangeLog:
       any append;
     * slicing or indexing below the floor raises
       :class:`~repro.errors.CompactedError` -- never a wrong answer.
+
+    A *footprint registry* (relation -> key positions -> key -> the
+    :class:`Mark` cells :meth:`watch` put there; positions ``()`` watch a
+    whole relation) lets :meth:`append` mark each consumer its row can
+    concern, so one whose mark is clear need not read the log.  It holds
+    marks, never consumers: one that goes away leaves it through a
+    ``weakref.finalize``, as it releases its pin.
     """
 
-    __slots__ = ("_entries", "_base", "_pins", "_check_at", "_slices")
+    __slots__ = ("_entries", "_base", "_pins", "_check_at", "_slices", "_watched")
 
     def __init__(self) -> None:
-        self._entries: list[ChangeEntry] = []
+        self._entries: list[tuple[str, str, Row]] = []  # (op, relation, row)
         self._base = 0  # the tid of _entries[0]: everything below is gone
         self._pins: WeakSet = WeakSet()
+        self._watched: dict[str, dict[tuple[int, ...], dict[Row, set[Mark]]]] = {}
         self._check_at = COMPACT_MIN_DEAD  # retained length that triggers a look
         # Memoized slices keyed by (start, stop): many incremental results
         # refreshing off one log hit the identical span, and the log is
@@ -233,15 +251,35 @@ class ChangeLog:
         is dropped while ``consumer`` is alive (the reference is weak)."""
         self._pins.add(consumer)
 
-    def append(self, op: str, relation: str, row: Row) -> ChangeEntry:
+    def watch(self, mark: Mark, footprint) -> None:
+        """Register ``mark`` under exactly ``footprint``'s ``(relation,
+        positions, key)`` triples: an appended row of ``relation`` holding
+        ``key`` at ``positions`` sets it.  Only the difference to its last
+        footprint moves; an empty one unregisters it."""
+        footprint = set(footprint)
+        watched = self._watched
+        for relation, positions, key in footprint - mark.footprint:
+            by_positions = watched.setdefault(relation, {})
+            by_positions.setdefault(positions, {}).setdefault(key, set()).add(mark)
+        for relation, positions, key in mark.footprint - footprint:
+            keys = watched[relation][positions]
+            keys[key].discard(mark)
+            if not keys[key]:
+                del keys[key]
+        mark.footprint = footprint
+
+    def append(self, op: str, relation: str, row: Row) -> None:
         if op not in ("+", "-"):
             raise ValueError(f"change op must be '+' or '-', got {op!r}")
         entries = self._entries
-        entry = ChangeEntry(self._base + len(entries), op, relation, row)
-        entries.append(entry)
+        entries.append((op, relation, row))
+        watched = self._watched.get(relation)
+        if watched:
+            for positions, keys in watched.items():
+                for mark in keys.get(tuple([row[p] for p in positions]), ()):
+                    mark.marked = True
         if len(entries) > self._check_at:
             self._compact()
-        return entry
 
     def _compact(self) -> None:
         """Drop every entry below the oldest live pin, if that prefix is
@@ -262,7 +300,7 @@ class ChangeLog:
 
     def __iter__(self) -> Iterator[ChangeEntry]:
         """The retained entries, in log order."""
-        return iter(self._entries)
+        return iter(self.entries_since(self._base))
 
     def __getitem__(self, tid: int) -> ChangeEntry:
         """The entry with transaction id ``tid`` (negative: counted back
@@ -272,7 +310,7 @@ class ChangeLog:
             tid += watermark
         if not 0 <= tid < watermark:
             raise IndexError(f"no entry {tid}: the watermark is {watermark}")
-        return self._entries[self._offset(tid)]
+        return ChangeEntry(tid, *self._entries[self._offset(tid)])
 
     def __repr__(self) -> str:
         floor = f" from tid {self._base}" if self._base else ""
@@ -294,7 +332,8 @@ class ChangeLog:
 
     def entries_since(self, watermark: int) -> tuple[ChangeEntry, ...]:
         """Every entry with ``tid >= watermark``, in log order."""
-        return tuple(self._entries[self._offset(watermark) :])
+        records = self._entries[self._offset(watermark) :]
+        return tuple(ChangeEntry(tid, *record) for tid, record in enumerate(records, watermark))
 
     def slice_since(self, watermark: int) -> LogSlice:
         """The (memoised, shared) :class:`LogSlice` of the span from
@@ -306,13 +345,13 @@ class ChangeLog:
             slices.move_to_end(key)
             return found
         net: NetDelta = {}
-        for entry in self._entries[self._offset(watermark) :]:
-            rows = net.setdefault(entry.relation, {})
-            sign = rows.get(entry.row, 0) + (1 if entry.op == "+" else -1)
+        for op, relation, row in self._entries[self._offset(watermark) :]:
+            rows = net.setdefault(relation, {})
+            sign = rows.get(row, 0) + (1 if op == "+" else -1)
             if sign:
-                rows[entry.row] = sign
+                rows[row] = sign
             else:
-                del rows[entry.row]
+                del rows[row]
         found = LogSlice({r: rows for r, rows in net.items() if rows}, *key)
         slices[key] = found
         if len(slices) > SLICE_CACHE_SIZE:
@@ -493,7 +532,10 @@ class Database:
         prepared: list[Row] = []
         try:
             for row in rows:
-                prepared.append(intern_row(validate(tuple(map(_plain, row)))))
+                row = tuple(row)
+                if Constant in map(type, row):
+                    row = tuple(map(_plain, row))
+                prepared.append(intern_row(validate(row)))
         except BaseException:
             self._apply(op, relation, prepared)
             raise

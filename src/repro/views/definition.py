@@ -25,7 +25,7 @@ end to end:
   signed changes into the counts instead of recomputing the join.  For
   the common single-atom view (an inverted edge index, say) this touches
   zero stored tuples: the whole refresh is an in-memory join against the
-  slice.
+  slice, whose changes are the answer change as they stand.
 
 Every refresh that changes the answer appends the set-level net (rows
 entering/leaving the view) to the state's *answer ledger*, keyed by the
@@ -236,6 +236,9 @@ class ViewState:
     built, in-place maintained indexes.  The store's cumulative counters
     are its own: a view read is charged to the stats object the caller
     passes and never to the database's -- it is not a base-table access.
+    A :attr:`flat` view (non-projecting, as :meth:`ViewDef.stands_for`
+    reads it) has one derivation per row, so its delta join's changes
+    *are* its answer net: no store probe, no count fold.
     """
 
     __slots__ = (
@@ -248,6 +251,7 @@ class ViewState:
         "many",
         "seeded",
         "store",
+        "flat",
         "_ledger",
         "__weakref__",  # the change log pins its consumers weakly
     )
@@ -268,6 +272,7 @@ class ViewState:
         self.store = MemoryBackend()
         self.store.attach(DatabaseSchema([view.relation]), AccessStats())
         self.store.insert_rows(view.name, list(counts))
+        self.flat = bool(view.stands_for(Atom(view.name, view.query.head)))
         self._ledger: list[tuple[int, int, dict[Row, int]]] = []
         db.change_log.pin(self)  # hold the log at our watermark while we live
 
@@ -306,19 +311,22 @@ class ViewState:
             # failed refresh leaves counts, store, ledger and watermark
             # as they were, so a retry starts from consistent state.
             changes = self.program.join(slice, self.seeded, self.db, AccessStats())
-            many = self.many
-            held = self.store.contains_rows(self.view.name, list(changes))
-            for (row, change), had in zip(changes.items(), held):
-                old = many.get(row, 1) if had else 0
-                new = old + change
-                if new > 1:
-                    many[row] = new
-                else:
-                    many.pop(row, None)
-                if old <= 0 < new:
-                    net[row] = 1
-                elif new <= 0 < old:
-                    net[row] = -1
+            if self.flat:  # every count is 0 or 1: a change is an answer change
+                net = changes
+            else:
+                many = self.many
+                held = self.store.contains_rows(self.view.name, list(changes))
+                for (row, change), had in zip(changes.items(), held):
+                    old = many.get(row, 1) if had else 0
+                    new = old + change
+                    if new > 1:
+                        many[row] = new
+                    else:
+                        many.pop(row, None)
+                    if old <= 0 < new:
+                        net[row] = 1
+                    elif new <= 0 < old:
+                        net[row] = -1
             if net:
                 # The backend maintains every index it has built, in place.
                 name = self.view.name

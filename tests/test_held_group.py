@@ -14,6 +14,9 @@ mutant must trip over is pinned.
 * **a view at level 0** holds and patches like a base relation;
 * **failure**: a union whose second disjunct fails leaves rows, counts,
   watermark, ``stats`` and *no hold*; the retry re-reads each group once;
+* **marks**: the keys a result is watched under move with its patched
+  group, and a write landing while a refresh reads its slice is seen by
+  the next refresh;
 * **bulk_load** refuses a log somebody pins at watermark 0;
 * **mutants**: each seeded fault is killed by the property named for it.
 """
@@ -45,7 +48,7 @@ from test_incremental import FaultyBackend
 from repro import Atom, ConjunctiveQuery, Constant, Engine, MemoryBackend, SqliteBackend, UpdateError
 from repro.core.executor import DeltaProgram, ExecutionContext, Seeded
 from repro.incremental import IncrementalResult
-from repro.relational.instance import AccessStats
+from repro.relational.instance import AccessStats, ChangeLog
 
 
 @st.composite
@@ -257,10 +260,52 @@ def a_failed_refresh_leaves_no_hold():
     assert live.refresh().stats == AccessStats()
 
 
+def a_patch_moves_the_watched_keys():
+    """Once the group gains r(1, 4), s(4, ?) marks the result and s(2, ?)
+    -- under the row that left -- no longer does."""
+    engine, db = pinned_engine()
+    prepared = engine.query(CHAIN)
+    live = prepared.execute_incremental(p=1)
+    apply_batch(db, [("-", "r", (1, 2)), ("+", "r", (1, 4))])
+    live.refresh()
+    apply_batch(db, [("+", "s", (4, 7))])  # 'x' again, through the new row
+    live.refresh()
+    equals_recompute(db, prepared, live)
+    apply_batch(db, [("+", "s", (2, 9))])
+    assert not live._mark.marked
+
+
+def a_write_during_a_refresh_is_seen_by_the_next():
+    """A write landing right after a refresh cut its slice -- a writer
+    beside the refresh -- leaves the result marked, so the next refresh
+    joins it."""
+    engine, db = pinned_engine()
+    prepared = engine.query(CHAIN)
+    live = prepared.execute_incremental(p=1)
+    cut = ChangeLog.slice_since
+
+    def cut_then_write(log, watermark):
+        ChangeLog.slice_since = cut
+        found = cut(log, watermark)
+        db.delete_many("r", [(1, 2)])  # 'x' loses its only derivation
+        return found
+
+    ChangeLog.slice_since = cut_then_write
+    try:
+        live.refresh()
+    finally:
+        ChangeLog.slice_since = cut
+    assert ("x",) in live.rows
+    live.refresh()
+    equals_recompute(db, prepared, live)
+
+
 PROPERTIES = {
     "the held group is current": over_the_pinned_stream(group_is_current),
     "refresh = recompute": over_the_pinned_stream(equals_recompute),
     "a failed refresh leaves no hold": a_failed_refresh_leaves_no_hold,
+    "a patch moves the watched keys": a_patch_moves_the_watched_keys,
+    "a write during a refresh is seen by the next": a_write_during_a_refresh_is_seen_by_the_next,
 }
 
 
@@ -375,15 +420,15 @@ MUTANTS = {
         "the held group is current",
     ),
     "the footprint ignores level 1": (
-        DeltaProgram.join,
-        "or seeded.next_keys.isdisjoint(joins[1].touched)",
-        "or True",
+        DeltaProgram.footprint,
+        "for key in seeded.next_keys),",
+        "for key in ()),",
         "refresh = recompute",
     ),
     "the footprint ignores levels >= 2": (
-        DeltaProgram.join,
-        "len(joins) <= 2",
-        "len(joins) <= 3",
+        DeltaProgram.footprint,
+        "for relation in relations[2:]),",
+        "for relation in relations[3:]),",
         "refresh = recompute",
     ),
     "the hold aliases the backend's live bucket": (
@@ -397,6 +442,25 @@ MUTANTS = {
         "seeded.rows = None",
         "pass",
         "a failed refresh leaves no hold",
+    ),
+    "no re-registration after a patch": (
+        IncrementalResult.refresh,
+        "self._watch(db.change_log)",
+        "pass",
+        "a patch moves the watched keys",
+    ),
+    "marking on insert only": (
+        ChangeLog.append,
+        "watched = self._watched.get(relation)",
+        "watched = self._watched.get(relation) if op == '+' else None",
+        "refresh = recompute",
+    ),
+    "clearing the mark after the slice is read": (
+        IncrementalResult.refresh,
+        "self._mark.marked = False  # before the slice is cut: a write after it marks"
+        " again\n    slice = db.change_log.slice_since(self.watermark)",
+        "slice = db.change_log.slice_since(self.watermark)\n    self._mark.marked = False",
+        "a write during a refresh is seen by the next",
     ),
 }
 

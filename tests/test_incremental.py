@@ -331,9 +331,11 @@ def count_stage_work(monkeypatch):
 
 
 def test_results_over_one_span_share_what_the_slice_decides(monkeypatch):
-    """48 results of three programs refreshing over one slice stage three
-    residuals -- not 48 -- and resolve each slice index once per changed
-    level of a program; the next span stages three more."""
+    """48 results of three programs over one span: a span that meets no
+    result's footprint stages nothing; one that marks some stages exactly
+    the programs of the marked results -- once each, however many results
+    of a program it marked -- and resolves each slice index once per
+    changed level of a staged program."""
     persons = 200
     engine = social_engine(persons, seed=1)
     db = engine.require_database()
@@ -343,31 +345,35 @@ def test_results_over_one_span_share_what_the_slice_decides(monkeypatch):
     assert len(live) == 48 and len({id(r._programs[0]) for r in live}) == 3
     staged, indexed = count_stage_work(monkeypatch)
     # Span 1 changes both relations, far from every maintained person:
-    # every delta join misses, so no old face ever asks for an index.
+    # the writes mark nobody, so no refresh stages or indexes anything.
     db.insert_many("friend", [(persons + 7, persons + 8)])
     db.insert_many("visits", [(persons + 7, "url-far")])
     for result in live:
+        assert not result._mark.marked
         result.refresh()
-        assert result.last_mode == "delta"
-    assert len(staged) == 3 and len({id(slice) for _, slice in staged}) == 1
-    (slice,) = {slice for _, slice in staged}
-    assert set(slice.staged) == {r._programs[0] for r in live}
-    # One resolution per changed level: Q1 friend; Q2 friend, visits; Q3
-    # friend twice -- however many results ran.  Each index built once.
-    assert sorted(indexed) == [("friend", (0,))] * 4 + [("visits", (0,))]
-    assert set(slice._index) == {("friend", (0,)), ("visits", (0,))}
-    # Q1 never reaches its unchanged person level: staged up to the last
-    # changed one only.
-    assert sorted(len(joins) for joins in slice.staged.values()) == [1, 2, 2]
-    # Span 2 touches a maintained person: three more residuals, on a new
-    # slice, and the answers still equal a recompute.
-    db.insert_many("friend", [(pids[0], persons - 1), (persons - 1, pids[1])])
-    db.insert_many("visits", [(persons - 1, "url-near")])
+        assert result.last_mode == "delta" and result.watermark == db.change_log.watermark
+        assert result.stats.tuples_accessed == 0 and result.delta_bound > 0
+    assert staged == [] and indexed == []
+    # Span 2 reaches a friend ``y`` of a maintained person (not one itself):
+    # the page ``y`` visits is Q2's level 1, ``y``'s friends Q3's.  Nothing
+    # changed at level 0, so no Q1 result is marked and Q1 is not staged.
+    near = next(f for pid in pids for _, f in db.lookup("friend", {0: pid}) if f not in pids)
+    db.insert_many("visits", [(near, "url-near")])
+    db.insert_many("friend", [(near, persons - 1)])
+    marked = {r._programs[0] for r in live if r._mark.marked}
+    assert marked == {r._programs[0] for r in live[16:]}  # Q2 and Q3
     for result in live:
         result.refresh()
-    assert len(staged) == 6 and len({id(slice) for _, slice in staged}) == 2
+    assert len({id(slice) for _, slice in staged}) == 1
+    assert sorted(id(program) for program, _ in staged) == sorted(map(id, marked))
+    # One resolution per changed level: Q2 friend, visits; Q3 friend twice.
+    assert sorted(indexed) == [("friend", (0,))] * 3 + [("visits", (0,))]
+    (slice,) = {slice for _, slice in staged}
+    assert set(slice._index) == {("friend", (0,)), ("visits", (0,))}
+    assert not any(result._mark.marked for result in live)
     for (prepared, pid), result in zip(maintained, live):
         assert set(result.rows) == set(prepared.execute(p=pid).rows)
+    assert any(("url-near",) in result.rows for result in live[16:32])
 
 
 REJECTING_ACCESS = "person(pid -> 1); friend(pid1 -> 64); friend(pid2 -> 64); visits(pid -> 16)"

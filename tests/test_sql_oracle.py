@@ -135,8 +135,8 @@ MUTANTS = {
     "the write path stores None as ''": (
         Database,
         "_prepare",
-        "intern_row(validate(tuple(map(_plain, row))))",
-        "intern_row(validate(tuple('' if v is None else v for v in map(_plain, row))))",
+        "row = tuple(row)",
+        "row = tuple('' if v is None else v for v in row)",
     ),
     "the write path stores a bool as text": (
         RelationSchema,

@@ -9,6 +9,7 @@ from repro import (
     Atom,
     Constant,
     Engine,
+    MemoryBackend,
     NotControlledError,
     RewritingError,
     SchemaError,
@@ -336,6 +337,58 @@ class TestViewState:
         engine.views.register(view)
         state = engine.views.prepare(engine.require_database(), ["EMPTY"])["EMPTY"]
         assert state.rows == ()
+
+
+#: A flat two-atom view (its head keeps every body variable) and its
+#: projecting twin (the head drops the middle person).
+FLAT_AND_PROJECTING = {
+    "FOF3": "FOF3(x, y, z) :- friend(x, y), friend(y, z)",
+    "FOF2": "FOF2(x, z) :- friend(x, y), friend(y, z)",
+}
+
+
+def churned_views(backend):
+    """Both views of FLAT_AND_PROJECTING over a churned social network:
+    yields each state right after each refresh, then checks it against
+    its rematerialisation."""
+    data = generate_social_network(60, seed=4)
+    engine = Engine(SCHEMA_TEXT, ACCESS_TEXT, data, backend=backend)
+    for name, text in FLAT_AND_PROJECTING.items():
+        engine.views.register(name, text)
+    db = engine.require_database()
+    states = engine.views.prepare(db)
+    assert (states["FOF3"].flat, states["FOF2"].flat) == (True, False)
+    for batch in generate_churn(data, batches=8, batch_size=12, seed=5):
+        batch.apply(db)
+        for state in states.values():
+            net = state.refresh()
+            yield state
+            rebuilt = ViewState(state.view, db)
+            assert set(state.rows) == set(rebuilt.rows) and state.counts == rebuilt.counts
+            assert all(sign in (1, -1) for sign in net.values())
+    assert states["FOF3"].many == {} and states["FOF2"].many
+
+
+def test_flat_and_projecting_views_refresh_to_their_rematerialisation(backend_factory):
+    assert sum(1 for _ in churned_views(backend_factory())) == 16
+
+
+def test_a_flat_view_refresh_asks_its_store_nothing(monkeypatch):
+    """The projecting view asks its store which changed rows it held; the
+    flat one applies its join's changes as they stand."""
+    asked: list = []
+    contains_rows = MemoryBackend.contains_rows
+
+    def spied(self, relation, rows, stats=None):
+        asked.append(relation)
+        return contains_rows(self, relation, rows, stats)
+
+    monkeypatch.setattr(MemoryBackend, "contains_rows", spied)
+    calls = {"FOF3": 0, "FOF2": 0}
+    for state in churned_views(MemoryBackend()):
+        calls[state.view.name] += asked.count(state.view.name)
+        asked.clear()
+    assert calls["FOF3"] == 0 and calls["FOF2"] > 0
 
 
 # -- rewriting -------------------------------------------------------------
