@@ -36,6 +36,9 @@ ties between equally selective fetches break by canonical atom order,
 not written order.  A :class:`PreparedQuery` *holds* the entry it was
 given, with its generation, and probes again only once a writer moved it
 (``cache_stats()`` counts probes; a held entry outlives its eviction).
+Its executes *bind* it: per tuple of parameter keys as given, the entry
+and where each value seeds its pipes, so a bound execute is values ->
+seed columns -> pipeline until the generation moves.
 Only the plan cache is ever invalidated: the schema is immutable, so a
 source means the same query forever, while every writer strands stale
 *plans* however the query was obtained.
@@ -70,7 +73,9 @@ from __future__ import annotations
 
 import os
 import threading
+from functools import lru_cache
 from itertools import chain
+from sys import intern as _intern
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.api.cache import CacheStats, PlanCache
@@ -91,7 +96,7 @@ from repro.logic.ast import _as_variable
 from repro.logic.canonical import Query, ShapeKey, canonical_form, canonical_key
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_query
-from repro.logic.terms import Variable
+from repro.logic.terms import Constant, Variable
 from repro.logic.ucq import UnionOfConjunctiveQueries, disjuncts_of
 from repro.relational.backends.base import StorageBackend
 from repro.relational.instance import AccessStats, Database
@@ -224,15 +229,18 @@ class _Compiled:
     once inside the single-flight compute.  ``key`` is the shape key it is
     filed under (a prober with an equal one adopts it: identity from then
     on), ``plans`` one plan per disjunct, ``pipes`` their lowered pipelines,
-    ``view_names`` the views they read, ``fanout_bound`` their summed bound."""
+    ``view_names`` the views they read, ``fanout_bound`` their summed bound,
+    and ``seeds``: per tuple of parameter keys any query sharing the entry
+    executed with, each pipe paired with its binding of their order."""
 
-    __slots__ = ("key", "plans", "pipes", "view_names", "fanout_bound")
+    __slots__ = ("key", "plans", "pipes", "view_names", "fanout_bound", "seeds")
 
     def __init__(self, key: ShapeKey, plans: tuple[Plan, ...]):
         self.key, self.plans = key, plans
         self.pipes = tuple([pipeline_for(plan) for plan in plans])
         self.view_names = frozenset().union(*[plan.view_relations for plan in plans])
         self.fanout_bound = sum(plan.fanout_bound for plan in plans)
+        self.seeds: dict[tuple, tuple] = {}
 
 
 class _Shape:
@@ -259,14 +267,17 @@ class PreparedQuery:
     :class:`~repro.logic.terms.Variable` objects.
     """
 
-    __slots__ = ("query", "text", "_engine", "_columns", "_shapes")
+    __slots__ = ("query", "text", "columns", "_engine", "_shapes", "_binds")
 
     def __init__(self, engine: "Engine", query: Query, text: str | None = None):
         self._engine = engine
         self.query = query
         self.text = text if text is not None else str(query)
-        self._columns: tuple[str, ...] | None = None
+        # The answer columns: the head variables (a union's disjunct heads
+        # agree on them -- enforced below).
+        self.columns = tuple(v.name for v in disjuncts_of(query)[0].head)
         self._shapes: dict[frozenset[Variable], _Shape] = {}
+        self._binds: dict[tuple, tuple] = {}
         if isinstance(query, UnionOfConjunctiveQueries):
             # The answer columns are named after the head variables, so a
             # union whose disjunct heads disagree on names would silently
@@ -291,16 +302,6 @@ class PreparedQuery:
     @property
     def arity(self) -> int:
         return self.query.arity
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        """The names of the answer columns (the head variables; for a
-        union, all disjunct heads agree -- enforced at prepare time)."""
-        columns = self._columns
-        if columns is None:
-            head = disjuncts_of(self.query)[0].head
-            columns = self._columns = tuple(v.name for v in head)
-        return columns
 
     def is_controlled(self, parameters: Iterable[object] = ()) -> bool:
         """Whether fixing ``parameters`` bounds every variable through the
@@ -366,19 +367,6 @@ class PreparedQuery:
         total = sum(plan.fanout_bound for plan in plans)
         return "\n\n".join(sections) + f"\n\ntotal access bound: {total} tuples"
 
-    def _begin(self, parameters: Mapping[object, object] | None, kwargs):
-        """What an execution starts from: the normalized parameter values,
-        the plan-cache entry for their names and a fresh context whose
-        views -- those the plans read -- are materialized and current at
-        the change-log watermark (no plan ever sees a stale view)."""
-        values = merge_parameter_values(parameters, kwargs)
-        engine = self._engine
-        database = engine._database or engine.require_database()
-        compiled = engine._compiled_for(self, frozenset(values))
-        names = compiled.view_names
-        views = engine._views.prepare(database, names) if names else None
-        return values, compiled, ExecutionContext(database, views=views)
-
     def execute(
         self,
         parameters: Mapping[object, object] | None = None,
@@ -389,15 +377,56 @@ class PreparedQuery:
         :class:`ResultSet` with the rows and the access-statistics delta.
 
         Parameter values may be passed as a mapping and/or as keyword
-        arguments: ``q.execute(p=42)``.
+        arguments: ``q.execute(p=42)`` (one ``dict``, keywords winning).
+        The names decide everything but the values, so the query keeps
+        one *bind* per tuple of keys as given (:meth:`_bind`); while no
+        writer moved the engine's generation, an execute is the values
+        unwrapped and interned, the seed columns they fill, the pipeline
+        -- and the views it reads brought up to date.
         """
-        values, compiled, ctx = self._begin(parameters, kwargs)
-        pipes = compiled.pipes
-        if len(pipes) == 1:
-            rows = run_pipeline(pipes[0], ctx, values)
+        if kwargs or type(parameters) is not dict:
+            parameters = {**parameters, **kwargs} if parameters else kwargs
+        engine = self._engine
+        database = engine._database or engine.require_database()
+        bind = self._binds.get(tuple(parameters))
+        if bind is None or bind[0] != engine._state[0]:
+            bind = self._bind(tuple(parameters))
+        _, compiled, seeds = bind
+        values = []
+        for value in parameters.values():
+            if isinstance(value, Constant):
+                value = value.value
+            values.append(_intern(value) if type(value) is str else value)
+        names = compiled.view_names
+        ctx = ExecutionContext(database, views=engine._views.prepare(database, names) if names else None)
+        if len(seeds) == 1:
+            pipe, binding = seeds[0]
+            rows = run_pipeline(pipe, ctx, pipe.seed(values, binding))
         else:  # each disjunct's rows are distinct; a union's appear once, where first derived
-            rows = dict.fromkeys(chain(*[run_pipeline(pipe, ctx, values) for pipe in pipes]))
+            runs = [run_pipeline(pipe, ctx, pipe.seed(values, binding)) for pipe, binding in seeds]
+            rows = dict.fromkeys(chain(*runs))
         return ResultSet(rows, self.columns, ctx.stats, compiled.fanout_bound)
+
+    def _bind(self, keys: tuple) -> tuple:
+        """``(generation, entry, ((pipe, binding), ...))``: what executing
+        under the parameter ``keys`` needs, the entry's pipes each with the
+        :meth:`~repro.core.executor.Pipeline.binding` of the keys' order
+        (worked out once per entry, for every query sharing it).  Kept per
+        key tuple unless the plan cache is disabled; nothing that raises is
+        kept.  The generation is read before the entry, so a writer in
+        between only costs the next execute a rebind."""
+        engine = self._engine
+        generation = engine._state[0]
+        parameters, names = _parameter_order(keys)
+        compiled = engine._compiled_for(self, names)
+        seeds = compiled.seeds.get(keys)
+        if seeds is None:
+            seeds = tuple([(pipe, pipe.binding(parameters)) for pipe in compiled.pipes])
+            compiled.seeds[keys] = seeds
+        bind = (generation, compiled, seeds)
+        if engine._cache.maxsize != 0:
+            self._binds[keys] = bind
+        return bind
 
     def execute_incremental(
         self,
@@ -433,8 +462,13 @@ class PreparedQuery:
         :class:`~repro.core.executor.PlanProfile` per disjunct -- of the
         shared plan that ran, so operator labels name its canonical
         variables (``?v0``, ...); :meth:`explain` has the caller's."""
-        values, compiled, ctx = self._begin(parameters, kwargs)
-        profiles = tuple([profile_pipeline(pipe, ctx, values) for pipe in compiled.pipes])
+        values = merge_parameter_values(parameters, kwargs)
+        engine = self._engine
+        database = engine.require_database()
+        compiled = engine._compiled_for(self, frozenset(values))
+        names = compiled.view_names
+        ctx = ExecutionContext(database, views=engine._views.prepare(database, names) if names else None)
+        profiles = tuple([profile_pipeline(pipe, ctx, pipe.seed(values)) for pipe in compiled.pipes])
         rows = dict.fromkeys(chain(*[profile.rows for profile in profiles]))
         result = ResultSet(rows, self.columns, ctx.stats, compiled.fanout_bound)
         return ExplainAnalyze(result, profiles)
@@ -839,3 +873,11 @@ class Engine:
 
 def _parameter_names(parameters: Iterable[object]) -> frozenset[Variable]:
     return frozenset(_as_variable(p) for p in parameters)
+
+
+@lru_cache(maxsize=4096)
+def _parameter_order(keys: tuple) -> tuple[tuple[Variable, ...], frozenset[Variable]]:
+    """The variables a tuple of parameter keys names, in order and as a
+    set -- memoised: the same keys recur on every fresh query."""
+    parameters = tuple(map(_as_variable, keys))
+    return parameters, frozenset(parameters)

@@ -40,7 +40,7 @@ the faces into the standard delta rule of incremental scale independence
 ``< i`` on the new state, level ``i`` against the change slice, levels
 ``> i`` on the old state -- staged by what the slice and the seed each
 decide; its docstring has the rule, the stages and what a maintained
-result holds.  :func:`execute_plan_counting` is the matching initial pass
+result holds.  :meth:`DeltaProgram.count` is the matching initial pass
 (derivation multiplicities: what makes signed deltas composable under
 deletion).  The signed faces are lowered on first counting/delta use;
 :func:`profile_plan` times those same closures -- a profile *is* the run.
@@ -275,8 +275,9 @@ class FilterOp:
     terms whose values must agree) that involve plan parameters, and copy
     parameter values onto their equality-class representatives (``binds``:
     source -> target variable).  Only appears when the query's equalities
-    demand it, and runs on the parameter assignment before the first
-    batch exists (:meth:`check_seed`)."""
+    demand it, and is decided on the parameter values before the first
+    batch exists: :meth:`Pipeline.binding` resolves it to value positions
+    and :meth:`Pipeline.seed` applies it."""
 
     conditions: tuple[tuple[Term, Term], ...] = ()
     binds: tuple[tuple[Variable, Variable], ...] = ()
@@ -292,18 +293,6 @@ class FilterOp:
         parts = [f"{a} = {b}" for a, b in self.conditions]
         parts += [f"?{target} := ?{source}" for source, target in self.binds]
         return "filter " + ", ".join(parts)
-
-    def check_seed(self, seed: Assignment) -> bool:
-        """Evaluate the conditions on a seed assignment and apply the
-        binds in place."""
-        for (a_const, a_ref), (b_const, b_ref) in self._cond_items:
-            a = a_ref if a_const else seed[a_ref]
-            b = b_ref if b_const else seed[b_ref]
-            if a != b:
-                return False
-        for source, target in self.binds:
-            seed[target] = seed[source]
-        return True
 
 
 @dataclass(frozen=True)
@@ -818,11 +807,14 @@ class Pipeline(tuple):
 
     * ``plan`` -- the plan this is the lowering of;
     * ``slots`` -- the plan's :class:`~repro.core.columnar.SlotTable`;
-    * ``params`` -- the declared parameter set (fast seed validation);
-    * ``prefilter`` -- the leading :class:`FilterOp`, evaluated on the
-      seed assignment before the first batch exists (``None`` when
+    * ``params`` -- the declared parameter set;
+    * ``prefilter`` -- the leading :class:`FilterOp`, decided on the
+      parameter values before the first batch exists (``None`` when
       absent);
     * ``seed_slots`` -- the ``(slot, variable)`` parameter assignments;
+    * :meth:`binding` / :meth:`seed` -- where the values of one order of
+      parameter names go (worked out once per order), and the seed
+      columns built from them: the one way into :func:`run_pipeline`;
     * ``width`` -- the length of each column list: one entry per slot
       plus the trailing sign slot;
     * ``body`` / ``terminal`` -- what :func:`execute_plan` runs:
@@ -866,6 +858,7 @@ class Pipeline(tuple):
         self.terminal = None
         self._signed = None
         self._program = None
+        self._bindings = {}
         if ops:
             self.body, self.terminal = _lower(self, signed=False)
         return self
@@ -892,11 +885,57 @@ class Pipeline(tuple):
             program = self._program = DeltaProgram(self)
         return program
 
-    def seed(self, values: Mapping[Variable, object], signed: bool = False):
-        """The length-1 column lists an execution starts from."""
+    def binding(self, parameters: tuple[Variable, ...]) -> tuple:
+        """Where values given in the order of ``parameters`` go: ``(fill,
+        checks)``, the ``(slot, position)`` pairs of the seed and the
+        prefilter's conditions with every parameter replaced by its
+        position (its binds become fill pairs).  A variable named twice
+        takes its last position.  Worked out once per order and kept;
+        names that are not the declared parameters raise ValueError and
+        are never kept."""
+        binding = self._bindings.get(parameters)
+        if binding is not None:
+            return binding
+        position = {v: i for i, v in enumerate(parameters)}
+        extra = [v for v in position if v not in self.params]
+        if extra:
+            raise ValueError(
+                "bindings for variables that are not plan parameters "
+                "(recompile with them as parameters to constrain the answer): "
+                + ", ".join(f"?{v}" for v in extra)
+            )
+        missing = [v for v in self.plan.parameters if v not in position]
+        if missing:
+            raise ValueError("missing plan parameters: " + ", ".join(f"?{v}" for v in missing))
+        prefilter = self.prefilter
+        source = {target: v for v, target in prefilter.binds} if prefilter else {}
+        fill = tuple((slot, position[source.get(v, v)]) for slot, v in self.seed_slots)
+        checks = tuple(
+            tuple((const, ref if const else position[ref]) for const, ref in pair)
+            for pair in (prefilter._cond_items if prefilter else ())
+        )
+        binding = self._bindings[parameters] = (fill, checks)
+        return binding
+
+    def seed(self, values, binding: tuple | None = None, signed: bool = False) -> list | None:
+        """The length-1 column lists an execution starts from, or ``None``
+        when nothing derives from ``values`` (the prefilter rejects them,
+        or the plan is unsatisfiable).  ``values`` is an assignment
+        (:func:`merge_parameter_values`), or -- given the :meth:`binding`
+        of their names -- the bare values in that order, each a plain
+        (``Constant``-unwrapped, interned) value."""
+        if binding is None:
+            binding = self.binding(tuple(values))
+            values = list(values.values())
+        fill, checks = binding
+        for (a_const, a), (b_const, b) in checks:
+            if (a if a_const else values[a]) != (b if b_const else values[b]):
+                return None
+        if not self:  # an unsatisfiable plan lowers to nothing
+            return None
         columns: list[list | None] = [None] * self.width
-        for slot, var in self.seed_slots:
-            columns[slot] = [values[var]]
+        for slot, i in fill:
+            columns[slot] = [values[i]]
         if signed:
             columns[-1] = [1]
         return columns
@@ -1083,7 +1122,8 @@ def merge_parameter_values(
 ) -> Assignment:
     """Merge a parameter mapping and keyword arguments into one
     variable-keyed assignment (kwargs win on collision).  Shared by the
-    executor entry points and the Engine facade.
+    executor entry points and the Engine facade (whose bound executes
+    unwrap and intern their bare values the same way).
 
     ``Constant``-wrapped values are unwrapped here, once: assignments hold
     plain values everywhere downstream, so every comparison -- filter
@@ -1105,37 +1145,6 @@ def merge_parameter_values(
     return values
 
 
-def _reject_seed(plan: Plan, values: Assignment) -> None:
-    """Raise the parameter-mismatch error for a seed whose variable set
-    does not equal the plan's declared parameters."""
-    declared = set(plan.parameters)
-    extra = [v for v in values if v not in declared]
-    if extra:
-        raise ValueError(
-            "bindings for variables that are not plan parameters "
-            "(recompile with them as parameters to constrain the answer): "
-            + ", ".join(f"?{v}" for v in extra)
-        )
-    missing = [v for v in plan.parameters if v not in values]
-    if missing:
-        raise ValueError(
-            "missing plan parameters: " + ", ".join(f"?{v}" for v in missing)
-        )
-
-
-def _seed_assignment(
-    plan: Plan,
-    parameters: Mapping[object, object] | None,
-    kwargs: Mapping[str, object],
-) -> Assignment:
-    """Validate the supplied parameter values against the plan's declared
-    parameters and return the initial assignment."""
-    values = merge_parameter_values(parameters, kwargs)
-    if values.keys() != set(plan.parameters):
-        _reject_seed(plan, values)
-    return {v: values[v] for v in plan.parameters}
-
-
 def execute_plan(
     plan: Plan,
     db,
@@ -1149,38 +1158,31 @@ def execute_plan(
     Parameter values may be passed as a mapping (keys are variables or
     their names) and/or as keyword arguments.
     """
+    pipe = pipeline_for(plan)
     values = merge_parameter_values(parameters, kwargs)
-    return tuple(run_pipeline(pipeline_for(plan), _as_context(db), values))
+    return tuple(run_pipeline(pipe, _as_context(db), pipe.seed(values)))
 
 
 def run_pipeline(
     pipe: Pipeline,
     ctx: ExecutionContext,
-    values: Assignment,
+    columns: list | None,
     profiles: list["OperatorProfile"] | None = None,
 ) -> Sequence[Row]:
     """The one pipeline runner, behind :func:`execute_plan`,
     :func:`profile_plan` and the Engine facade (whose plan-cache entries
     hold the pipelines): ``pipe``'s distinct answer rows in
-    first-derivation order.  ``values`` is a :func:`merge_parameter_values`
-    assignment and is left as it was, so a union's disjuncts can share it.
-    Pass ``profiles`` (a list) to collect one :class:`OperatorProfile` per
-    compiled step run."""
-    if values.keys() != pipe.params:
-        _reject_seed(pipe.plan, values)
-    if not pipe:  # an unsatisfiable plan lowers to nothing
+    first-derivation order from the seed ``columns`` of
+    :meth:`Pipeline.seed` -- which has already validated the parameters
+    and decided the prefilter (``None``: no answer).  Pass ``profiles`` (a
+    list) to collect one :class:`OperatorProfile` per compiled step run."""
+    if profiles is not None and pipe.prefilter is not None:
+        profiles.append(OperatorProfile(str(pipe.prefilter), 1, int(columns is not None), 0, 0, 0))
+    if columns is None:
         return ()
-    prefilter = pipe.prefilter
-    if prefilter is not None:
-        values = dict(values)  # check_seed applies the binds in place
-        passed = prefilter.check_seed(values)
-        if profiles is not None:
-            profiles.append(OperatorProfile(str(prefilter), 1, int(passed), 0, 0, 0))
-        if not passed:
-            return ()
     database = ctx.db
     stats = ctx.stats
-    columns, n = pipe.seed(values), 1
+    n = 1
     for view, step, _, ops in pipe.body:
         source = database if view is None else ctx.store(view)
         if profiles is None:
@@ -1236,14 +1238,12 @@ class DeltaProgram:
         self.holds = type(first) is FetchOp and first.rule is not None and bool(first.rule.inputs)
 
     def seed(self, values: Assignment) -> Seeded | None:
-        """What a validated seed decides, whatever the slice: ``None``
-        when the prefilter rejects it (no derivation, ever), else the
-        signed seed columns and the first level's join keys."""
-        if self.prefilter is not None:
-            values = dict(values)  # check_seed applies the binds in place
-            if not self.prefilter.check_seed(values):
-                return None
+        """What a seed assignment decides, whatever the slice: ``None``
+        when :meth:`Pipeline.seed` finds no derivation possible, ever,
+        else the signed seed columns and the first level's join keys."""
         columns = self.pipe.seed(values, signed=True)
+        if columns is None:
+            return None
         return Seeded(columns, self.levels[0][2].keys(columns, 1) if self.levels else None)
 
     def stage(self, slice: LogSlice):
@@ -1293,11 +1293,13 @@ class DeltaProgram:
 
     def count(self, seeded: Seeded | None, db, stats: AccessStats, store=None) -> dict[Row, int]:
         """``{answer row: derivation multiplicity}`` in first-derivation
-        order from a :meth:`seed` (:func:`execute_plan_counting`): the new
-        faces of the signed lowering, every sign ``+1``; a holding program
-        keeps the group level 0 reads.  ``store`` is as for :meth:`join`."""
+        order from a :meth:`seed` -- :func:`execute_plan`'s rows, each with
+        its count (a row is an answer exactly while its count is positive):
+        the new faces of the signed lowering, every sign ``+1``; a holding
+        program keeps the group level 0 reads.  ``store`` is as for
+        :meth:`join`."""
         counts: dict[Row, int] = {}
-        if seeded is None or not self.pipe:  # an unsatisfiable plan never runs
+        if seeded is None:  # a rejected seed, or an unsatisfiable plan
             return counts
         columns, n, levels = seeded.columns, 1, self.levels
         if self.holds:  # this pass reads level 0, whatever was held
@@ -1383,11 +1385,16 @@ class DeltaProgram:
         return changes
 
     def run(self, ctx: ExecutionContext, seed: Assignment, profiles=None) -> dict[Row, int]:
-        """:meth:`join` over ``ctx``'s slice from a validated ``seed``,
-        staging both halves on the spot."""
-        if ctx.slice is None:
-            return {}
-        return self.join(ctx.slice, self.seed(seed), ctx.db, ctx.stats, ctx.store, profiles)
+        """The one-shot delta rule: :meth:`join` over ``ctx``'s slice from
+        a seed assignment, staging both halves on the spot -- the signed
+        derivation-count change of every affected answer row, which folded
+        into :meth:`count`'s counts gives a from-scratch count on the new
+        state.  Seeded afresh, it holds nothing and reads level 0 whenever
+        a later level changed; a caller refreshing one plan repeatedly
+        keeps the seed and calls ``join``, as :mod:`repro.incremental` and
+        :mod:`repro.views` do."""
+        seeded = self.seed(seed)
+        return {} if ctx.slice is None else self.join(ctx.slice, seeded, ctx.db, ctx.stats, ctx.store, profiles)
 
 
 def delta_program(plan: Plan) -> DeltaProgram:
@@ -1396,57 +1403,8 @@ def delta_program(plan: Plan) -> DeltaProgram:
     return pipeline_for(plan).program()
 
 
-def execute_plan_counting(
-    plan: Plan,
-    db,
-    parameters: Mapping[object, object] | None = None,
-    **kwargs: object,
-) -> dict[Row, int]:
-    """Like :func:`execute_plan`, but return ``{answer row: derivation
-    multiplicity}`` in first-derivation order instead of deduplicating --
-    the state incremental maintenance needs: a row is an answer exactly
-    while its count is positive, and :func:`execute_plan_delta` produces
-    the signed count changes a batch of updates causes.  This is
-    :meth:`DeltaProgram.count` behind per-call parameter validation;
-    plans fetching through an embedded access rule raise
-    :class:`~repro.errors.IncrementalError` (:meth:`Pipeline.program`).
-    """
-    program = delta_program(plan)
-    ctx = _as_context(db)
-    seeded = program.seed(_seed_assignment(plan, parameters, kwargs))
-    return program.count(seeded, ctx.db, ctx.stats, ctx.store)
-
-
-def execute_plan_delta(
-    plan: Plan,
-    ctx: ExecutionContext,
-    parameters: Mapping[object, object] | None = None,
-    *,
-    profiles: list["OperatorProfile"] | None = None,
-    **kwargs: object,
-) -> dict[Row, int]:
-    """Evaluate the standard delta rule for ``plan`` over ``ctx``'s change
-    slice (:meth:`DeltaProgram.join`): the signed derivation-count change
-    of every affected answer row (positive -- derivations gained, negative
-    -- lost); an empty slice costs zero accesses.  Applying the result to
-    the counts of :func:`execute_plan_counting` reproduces a from-scratch
-    run on the new state.  Plans fetching through an embedded access rule
-    raise :class:`~repro.errors.IncrementalError` eagerly, whichever
-    relations changed.  Pass ``profiles`` (a list) to collect one
-    :class:`OperatorProfile` per face applied (``new[i]`` / ``Δ[i]`` /
-    ``old[i]``).
-
-    This is :meth:`DeltaProgram.run` behind per-call parameter validation:
-    seeded afresh, it holds nothing and reads level 0 whenever a later
-    level changed.  A caller refreshing one plan repeatedly keeps the
-    program and its :meth:`~DeltaProgram.seed` and calls ``join``, as
-    :mod:`repro.incremental` and :mod:`repro.views` do."""
-    program = delta_program(plan)
-    return program.run(ctx, _seed_assignment(plan, parameters, kwargs), profiles)
-
-
 def delta_fanout_bound(plan: Plan, delta_sizes: Mapping[str, int]) -> int:
-    """An upper bound on the tuples :func:`execute_plan_delta` can access
+    """An upper bound on the tuples :meth:`DeltaProgram.run` can access
     for ``plan`` given a change slice with ``delta_sizes`` net rows per
     relation -- a function of the slice and the access-rule bounds only,
     never of the database size (the incremental analogue of
@@ -1598,15 +1556,13 @@ def profile_plan(
     entry per compiled step, so a fused fetch+project tail is one entry
     naming both operators.  The profile's rows *are* the execution's.
     """
-    values = merge_parameter_values(parameters, kwargs)
-    return profile_pipeline(pipeline_for(plan), _as_context(db), values)
+    pipe = pipeline_for(plan)
+    return profile_pipeline(pipe, _as_context(db), pipe.seed(merge_parameter_values(parameters, kwargs)))
 
 
-def profile_pipeline(
-    pipe: Pipeline, ctx: ExecutionContext, values: Assignment
-) -> PlanProfile:
+def profile_pipeline(pipe: Pipeline, ctx: ExecutionContext, columns: list | None) -> PlanProfile:
     """:func:`run_pipeline` with its profile (same contract for
-    ``values``)."""
+    ``columns``)."""
     profiles: list[OperatorProfile] = []
-    rows = run_pipeline(pipe, ctx, values, profiles)
+    rows = run_pipeline(pipe, ctx, columns, profiles)
     return PlanProfile(pipe.plan, tuple(rows), tuple(profiles))

@@ -20,7 +20,8 @@ from repro.core.executor import (
     Row,
     _as_context,
     _parameter_constraints,
-    _seed_assignment,
+    merge_parameter_values,
+    pipeline_for,
 )
 from repro.core.plans import Plan, ProbeStep
 from repro.logic.evaluation import _bound_pattern, _extend, _term_value, row_matches
@@ -36,7 +37,8 @@ def execute_per_tuple(
     """``plan``'s answers on ``db`` (a ``Database`` or an open context),
     one read per partial assignment: semantically identical to
     :func:`repro.core.executor.execute_plan`."""
-    seed = _seed_assignment(plan, parameters, kwargs)
+    seed = merge_parameter_values(parameters, kwargs)
+    pipeline_for(plan).binding(tuple(seed))  # the executor's parameter check
     if not plan.satisfiable:
         return ()
     ctx = _as_context(db)

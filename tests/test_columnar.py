@@ -32,8 +32,8 @@ from repro.core.executor import (
     OldState,
     ProjectDedupOp,
     build_pipeline,
+    delta_program,
     execute_plan,
-    execute_plan_counting,
     merge_parameter_values,
     pipeline_cache_stats,
     pipeline_for,
@@ -167,7 +167,9 @@ class TestFusion:
         for pid in range(0, 60, 7):
             values = {param: pid}
             fused = execute_plan(plan, db, values)
-            unfused = execute_plan_counting(plan, db, values)
+            program = delta_program(plan)
+            seeded = program.seed(merge_parameter_values(values, {}))
+            unfused = program.count(seeded, db, db.stats)
             reference = set(execute_per_tuple(plan, db, values))
             assert list(unfused) == list(fused), f"{bundle.name} at pid={pid}"
             assert set(fused) == reference, f"{bundle.name} diverges at pid={pid}"
@@ -308,7 +310,7 @@ class TestPipelineCache:
         def lower_and_run():
             start.wait()
             pipe = pipeline_for(plan)
-            answers.append(tuple(run_pipeline(pipe, ExecutionContext(social_db), {P: 1})))
+            answers.append(tuple(run_pipeline(pipe, ExecutionContext(social_db), pipe.seed({P: 1}))))
 
         threads = [threading.Thread(target=lower_and_run) for _ in range(8)]
         for thread in threads:

@@ -33,12 +33,12 @@ from repro.core.executor import (
     ProbeOp,
     ProjectDedupOp,
     build_pipeline,
+    delta_program,
     execute_plan,
-    execute_plan_counting,
-    execute_plan_delta,
     pipeline_for,
     profile_plan,
 )
+from repro.logic.terms import Variable
 from repro.workloads import (
     RUNNING_QUERIES,
     VIEW_QUERIES,
@@ -52,6 +52,13 @@ Q1 = ConjunctiveQuery(
     ["x"],
     [Atom("friend", ["?p", "?x"]), Atom("person", ["?x", "?n", "NYC"])],
 )
+P = Variable("p")
+
+
+def counting(plan, db, values):
+    """``plan``'s answers with their derivation counts on ``db``."""
+    program = delta_program(plan)
+    return program.count(program.seed(values), db, AccessStats())
 
 
 class TestPipelineShape:
@@ -120,7 +127,7 @@ class TestPipelineShape:
         pipe = pipeline_for(plan)
         execute_plan(plan, social_db, p=1)
         assert pipe._signed is None  # executing never pays for them
-        execute_plan_counting(plan, social_db, p=1)
+        counting(plan, social_db, {P: 1})
         levels, _ = pipe.signed()
         assert pipe.signed() is pipe._signed
         assert [ops for _, _, _, ops in levels] == [(pipe[0],), (pipe[1],)]
@@ -493,7 +500,7 @@ class TestDeltaFaces:
         fetch = next(op for op in pipeline_for(plan) if isinstance(op, FetchOp))
         assert fetch.key_positions == ()
         ctx = ExecutionContext(social_db, delta={"friend": {(8, 9): 1, (1, 2): -1}})
-        assert execute_plan_delta(plan, ctx) == {(8, 9): 1, (1, 2): -1}
+        assert delta_program(plan).run(ctx, {}) == {(8, 9): 1, (1, 2): -1}
         assert ctx.stats == AccessStats()  # the slice lives in memory
 
     def test_embedded_fetch_is_rejected_by_both_signed_entry_points(
@@ -507,12 +514,12 @@ class TestDeltaFaces:
             ],
         )
         plan = compile_plan(Q1, access, ["p"])
-        # Eagerly: before any data is read, whatever the slice holds.
+        # Eagerly: before any data is read or any slice is looked at --
+        # there is no program for counting or delta runs to use.
         with pytest.raises(IncrementalError, match="embedded"):
-            execute_plan_counting(plan, social_db, p=1)
-        for delta in ({}, {"friend": {(1, 9): 1}}):
-            with pytest.raises(IncrementalError, match="embedded"):
-                execute_plan_delta(plan, ExecutionContext(social_db, delta=delta), p=1)
+            counting(plan, social_db, {P: 1})
+        with pytest.raises(IncrementalError, match="embedded"):
+            pipeline_for(plan).program()
 
     def test_probe_delta_carries_the_change_sign(self, social_db, social_access):
         # "mutual friends of ?p": the second atom is fully bound -> a probe.
@@ -522,7 +529,7 @@ class TestDeltaFaces:
         plan = compile_plan(q, social_access, ["p"])
         assert any(isinstance(op, ProbeOp) for op in pipeline_for(plan))
         social_db.insert_many("friend", [(2, 1), (3, 1)])
-        before = execute_plan_counting(plan, social_db, p=1)
+        before = counting(plan, social_db, {P: 1})
         assert before == {(2,): 1, (3,): 1}
         mark = social_db.change_log.watermark
         social_db.delete_many("friend", [(2, 1), (1, 3)])
@@ -530,11 +537,11 @@ class TestDeltaFaces:
         ctx = ExecutionContext(
             social_db, watermark=mark, delta=social_db.change_log.net_since(mark)
         )
-        changes = execute_plan_delta(plan, ctx, p=1)
+        changes = delta_program(plan).run(ctx, {P: 1})
         # x=2 lost its back edge (probe level), x=3 its out edge (fetch
         # level), x=5 gained both a fresh out edge and an existing back one.
         assert changes == {(2,): -1, (3,): -1, (5,): 1}
-        after = execute_plan_counting(plan, social_db, p=1)
+        after = counting(plan, social_db, {P: 1})
         merged = {row: before.get(row, 0) + changes.get(row, 0) for row in {*before, *changes}}
         assert {row: c for row, c in merged.items() if c} == after
 

@@ -15,12 +15,11 @@ evaluation code with the engine.
   the keyless fetches a full rule asks for; ``profile_plan`` reports the
   same rows and the same accounting; and the accounting equals the memory
   backend's on every backend.
-* **delta and old faces**: ``execute_plan_counting`` folded with
-  successive ``execute_plan_delta`` results equals a from-scratch count
-  after every batch, within ``delta_fanout_bound``; plans fetching
-  through an embedded rule are rejected eagerly by both signed entry
-  points.
-* **one staged driver**: ``execute_plan_delta`` equals the two staged
+* **delta and old faces**: ``DeltaProgram.count`` folded with
+  successive one-shot ``DeltaProgram.run`` results equals a from-scratch
+  count after every batch, within ``delta_fanout_bound``; plans fetching
+  through an embedded rule have no program.
+* **one staged driver**: a one-shot ``run`` equals the two staged
   halves (``DeltaProgram.seed``, and ``stage`` on the slice) composed by
   ``DeltaProgram.join``, over a shared and a private slice, profiled or
   not; twin ``IncrementalResult`` s -- one refreshed with
@@ -32,8 +31,8 @@ evaluation code with the engine.
   different cadences through their compiled ``DeltaProgram``, with the
   compaction trigger patched so small that the log truncates constantly
   -- counts stay equal to from-scratch, the log never drops below a pin,
-  and the public ``execute_plan_delta`` returns exactly what the program
-  runner does.
+  and a fresh program run on a private context returns exactly what the
+  consumer's does.
 
 Every test runs on all three storage backends (``backend_factory``),
 derandomised, with an example budget sized to keep tier-1 fast.
@@ -72,8 +71,6 @@ from repro.core.executor import (
     delta_fanout_bound,
     delta_program,
     execute_plan,
-    execute_plan_counting,
-    execute_plan_delta,
     pipeline_for,
     profile_plan,
 )
@@ -89,6 +86,19 @@ from repro.views import rewrite as rewrite_module
 VALUES = (0, 1, None, "a")
 VARIABLES = tuple(Variable(name) for name in "xyzw")
 RELATIONS = ("r", "s", "t")
+
+
+def counting(plan, db, values):
+    """``plan``'s answers with their derivation counts on ``db`` (a
+    ``Database`` or a context carrying view states)."""
+    program = delta_program(plan)
+    ctx = db if isinstance(db, ExecutionContext) else ExecutionContext(db)
+    return program.count(program.seed(dict(values)), ctx.db, ctx.stats, ctx.store)
+
+
+def delta(plan, ctx, values, profiles=None):
+    """The one-shot delta rule for ``plan`` over ``ctx``'s slice."""
+    return delta_program(plan).run(ctx, dict(values), profiles)
 
 
 def budget(max_examples: int) -> settings:
@@ -291,30 +301,28 @@ def test_three_faces_agree_with_naive_evaluation(backend_factory, scenario):
     raw = {name: set(rows[name]) for name in RELATIONS}
     check_new_face(plan, db, reference, raw, values)
     if embedded(plan):
-        # Eagerly, on both signed entry points, whatever the slice holds.
+        # Eagerly, whatever the data or the slice: there is no program.
         with pytest.raises(IncrementalError):
-            execute_plan_counting(plan, db, dict(values))
-        with pytest.raises(IncrementalError):
-            execute_plan_delta(plan, ExecutionContext(db, delta={}), dict(values))
+            delta_program(plan)
         for batch in stream:
             apply_batch(db, batch)
             apply_batch(reference, batch)
             apply_raw(raw, batch)
             check_new_face(plan, db, reference, raw, values)
         return
-    counts = execute_plan_counting(plan, db, dict(values))
+    counts = counting(plan, db, values)
     assert list(counts) == list(execute_plan(plan, db, dict(values)))
     for batch in stream:
         mark = db.change_log.watermark
         apply_batch(db, batch)
         apply_batch(reference, batch)
         apply_raw(raw, batch)
-        delta = db.change_log.net_since(mark)
-        ctx = ExecutionContext(db, watermark=mark, delta=delta)
-        changes = execute_plan_delta(plan, ctx, dict(values))
-        sizes = {name: len(net) for name, net in delta.items()}
+        net_delta = db.change_log.net_since(mark)
+        ctx = ExecutionContext(db, watermark=mark, delta=net_delta)
+        changes = delta(plan, ctx, values)
+        sizes = {name: len(net) for name, net in net_delta.items()}
         assert ctx.stats.tuples_accessed <= delta_fanout_bound(plan, sizes)
-        if not delta:
+        if not net_delta:
             assert changes == {} and ctx.stats.indexed_lookups == 0
         if not keyless_fetches(plan):
             assert ctx.stats.full_scans == 0
@@ -322,7 +330,7 @@ def test_three_faces_agree_with_naive_evaluation(backend_factory, scenario):
             assert change  # cancelled derivations are not reported
             counts[row] = counts.get(row, 0) + change
         counts = {row: count for row, count in counts.items() if count}
-        assert counts == execute_plan_counting(plan, db, dict(values))
+        assert counts == counting(plan, db, values)
         assert all(count > 0 for count in counts.values())
         check_new_face(plan, db, reference, raw, values)
 
@@ -336,7 +344,7 @@ class Consumer:
         self.plan, self.db, self.values = plan, db, values
         self.program = delta_program(plan)
         self.watermark = db.change_log.watermark
-        self.counts = execute_plan_counting(plan, db, dict(values))
+        self.counts = counting(plan, db, values)
         db.change_log.pin(self)
 
     def refresh(self):
@@ -348,15 +356,15 @@ class Consumer:
         assert ctx.stats.tuples_accessed <= delta_fanout_bound(self.plan, slice.sizes)
         if not keyless_fetches(self.plan):
             assert ctx.stats.full_scans == 0
-        # The public wrapper is the same runner behind parameter checks.
+        # A fresh seed on a private context runs the same rule.
         public = ExecutionContext(self.db, watermark=slice.start, delta=slice)
-        assert execute_plan_delta(self.plan, public, dict(self.values)) == changes
+        assert delta(self.plan, public, self.values) == changes
         assert public.stats == ctx.stats
         for row, change in changes.items():
             self.counts[row] = self.counts.get(row, 0) + change
         self.counts = {row: count for row, count in self.counts.items() if count}
         self.watermark = slice.stop
-        assert self.counts == execute_plan_counting(self.plan, self.db, dict(self.values))
+        assert self.counts == counting(self.plan, self.db, self.values)
 
 
 @budget(40)
@@ -398,7 +406,7 @@ def held_group_is_current(program, seeded, db):
 
 @budget(40)
 @given(scenario=scenarios())
-def test_execute_plan_delta_is_the_staged_halves_composed(backend_factory, scenario):
+def test_a_one_shot_delta_run_is_the_staged_halves_composed(backend_factory, scenario):
     """One driver, same changes -- and a *kept* seed of a holding program
     charges what the one-shot call does minus exactly the level-0 read:
     the one-shot seeds afresh and, when some level >= 1 changed, fetches
@@ -415,7 +423,7 @@ def test_execute_plan_delta_is_the_staged_halves_composed(backend_factory, scena
     program = delta_program(plan)
     seeded = program.seed(dict(values))  # once: no slice changes it
     counts = program.count(seeded, db, AccessStats())
-    assert counts == execute_plan_counting(plan, db, dict(values))
+    assert counts == counting(plan, db, values)
     holds = program.holds and seeded is not None
     assert holds == (seeded is not None and seeded.rows is not None)
     for batch in stream:
@@ -423,7 +431,7 @@ def test_execute_plan_delta_is_the_staged_halves_composed(backend_factory, scena
         apply_batch(db, batch)
         shared = db.change_log.slice_since(mark)
         public = ExecutionContext(db, watermark=mark, delta=shared)
-        expected = execute_plan_delta(plan, public, dict(values))
+        expected = delta(plan, public, values)
         assert program in shared.staged  # the one-shot call staged on the shared slice
         stats = AccessStats()
         assert program.join(shared, seeded, db, stats) == expected
@@ -436,13 +444,13 @@ def test_execute_plan_delta_is_the_staged_halves_composed(backend_factory, scena
         # A private slice stages privately; a profiled run is the same run.
         private = ExecutionContext(db, watermark=mark, delta=dict(shared.net))
         profiles: list = []
-        assert execute_plan_delta(plan, private, dict(values), profiles=profiles) == expected
+        assert delta(plan, private, values, profiles) == expected
         assert private.slice is not shared and private.stats == public.stats
         assert sum(op.tuples_accessed for op in profiles) == public.stats.tuples_accessed
         for row, change in expected.items():
             counts[row] = counts.get(row, 0) + change
         counts = {row: count for row, count in counts.items() if count}
-        assert counts == execute_plan_counting(plan, db, dict(values))
+        assert counts == counting(plan, db, values)
 
 
 @budget(30)
@@ -670,8 +678,7 @@ def check_answers(plan, query, views, db, reference, values):
     per_tuple = execute_per_tuple(plan, ExecutionContext(db, views=states), dict(values))
     assert set(per_tuple) == set(naive)
     if not embedded(plan):
-        counting = ExecutionContext(db, views=states)
-        assert execute_plan_counting(plan, counting, dict(values)) == naive
+        assert counting(plan, ExecutionContext(db, views=states), values) == naive
 
 
 def check_view_plan(plan, query, access, views, db, reference, values):

@@ -25,7 +25,7 @@ from repro import (
     ViewState,
     delta_fanout_bound,
 )
-from repro.core.executor import DeltaProgram, FilterOp, execute_plan
+from repro.core.executor import DeltaProgram, Pipeline, execute_plan
 from repro.logic.parser import parse_query
 from repro.relational import instance
 from repro.relational.instance import COMPACT_MIN_DEAD, SLICE_CACHE_SIZE, LogSlice
@@ -397,10 +397,8 @@ def test_a_seed_the_prefilter_rejects_refreshes_to_empty_for_free(monkeypatch, t
     passing = prepared.execute_incremental(p=1, q=1)
     assert rejected.rows == () and passing.rows
     checks = []
-    check_seed = FilterOp.check_seed
-    monkeypatch.setattr(
-        FilterOp, "check_seed", lambda self, seed: checks.append(seed) or check_seed(self, seed)
-    )
+    seed = Pipeline.seed
+    monkeypatch.setattr(Pipeline, "seed", lambda self, *args: checks.append(args) or seed(self, *args))
     stream = generate_churn(data, batches=4, batch_size=10, seed=3)
     for batch in stream:
         batch.apply(db)
