@@ -28,7 +28,7 @@ slot, which every writer replaces whole under the next *generation*, so a
 compile that raced a writer lands under a key never probed again.  The
 shape key (:func:`repro.logic.canonical.canonical_key`) is the query's
 canonical form -- non-parameter variables numbered by first occurrence,
-body atoms sorted -- flattened to strings, ints and types: every writing
+body atoms sorted -- a flat tuple of strings, ints and types: every writing
 of one query *shape* compiles once and executes one shared plan (the
 canonical query itself is built only by a compile and by ``plan()`` /
 ``explain()`` / ``diagnostics()``, which rename the shared plan back), and
@@ -93,7 +93,7 @@ from repro.core.qdsi import QDSIResult, decide_qdsi
 from repro.core.qsi import QSIResult, decide_qsi
 from repro.errors import NotControlledError, SchemaError
 from repro.logic.ast import _as_variable
-from repro.logic.canonical import Query, ShapeKey, canonical_form, canonical_key
+from repro.logic.canonical import Query, canonical_form, canonical_key
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_query
 from repro.logic.terms import Constant, Variable
@@ -235,7 +235,7 @@ class _Compiled:
 
     __slots__ = ("key", "plans", "pipes", "view_names", "fanout_bound", "seeds")
 
-    def __init__(self, key: ShapeKey, plans: tuple[Plan, ...]):
+    def __init__(self, key: tuple, plans: tuple[Plan, ...]):
         self.key, self.plans = key, plans
         self.pipes = tuple([pipeline_for(plan) for plan in plans])
         self.view_names = frozenset().union(*[plan.view_relations for plan in plans])
@@ -252,7 +252,7 @@ class _Shape:
 
     __slots__ = ("key", "held", "named")
 
-    def __init__(self, key: ShapeKey):
+    def __init__(self, key: tuple):
         self.key, self.held, self.named = key, (None, None), (None, ())
 
 
@@ -273,9 +273,6 @@ class PreparedQuery:
         self._engine = engine
         self.query = query
         self.text = text if text is not None else str(query)
-        # The answer columns: the head variables (a union's disjunct heads
-        # agree on them -- enforced below).
-        self.columns = tuple(v.name for v in disjuncts_of(query)[0].head)
         self._shapes: dict[frozenset[Variable], _Shape] = {}
         self._binds: dict[tuple, tuple] = {}
         if isinstance(query, UnionOfConjunctiveQueries):
@@ -292,6 +289,10 @@ class PreparedQuery:
                     + "; rename the heads consistently so answer columns "
                     "are well-defined"
                 )
+            query = query.disjuncts[0]
+        # The answer columns: the head variables (a union's disjunct heads
+        # agree on them -- enforced above).
+        self.columns = tuple([v.name for v in query.head])
 
     def __str__(self) -> str:
         return str(self.query)

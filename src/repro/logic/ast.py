@@ -66,8 +66,8 @@ def _as_variable(value: object) -> Variable:
 
 @lru_cache(maxsize=4096)
 def _variable_from_name(value: str) -> Variable:
-    # Parameter names recur on every execution (the facade coerces each
-    # key per call); memoize so the hot path reuses one Variable per name.
+    # Parameter names recur on every execution and variable names on every
+    # parse; memoize so both hot paths reuse one Variable per name.
     return Variable(value[1:] if value.startswith("?") else value)
 
 

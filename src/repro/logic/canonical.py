@@ -14,8 +14,8 @@ deliberately *incomplete*: atoms the signatures cannot separate keep their
 written order, so two writings of a highly symmetric query may get two
 forms -- a cache miss, never a wrong plan.
 
-One walk over the sorted body (:func:`_walk`) has two readers.  The cache
-key, :func:`canonical_key`, is the canonical query *flattened to
+One walk over the sorted body (:func:`_walk`), a single pass over each
+disjunct's terms, has two readers.  The cache key, :func:`canonical_key`, is the canonical query *flattened to
 primitives*: per sorted atom its relation, its arity and per term a tag
 and a payload -- ``0, type(value), value`` for a constant, ``1, name`` for
 a parameter, ``2, index`` for a plain variable (its first-occurrence
@@ -24,7 +24,8 @@ equalities' terms, ``None``, the head's terms, and one more ``None`` after
 each disjunct of a union.  Read left to right every position has one
 meaning (a relation announces its arity, a tag its payload's width, the
 separators count the sections), so the encoding is injective: equal keys
-are equal canonical queries, compared at C speed.  :func:`canonical_form`
+are equal canonical queries.  The key is that plain tuple, hashed and
+compared at C speed.  :func:`canonical_form`
 builds the query and the way back from the same walk, where they are read.
 """
 
@@ -35,7 +36,7 @@ from typing import AbstractSet
 from repro.logic.ast import Atom, Equality, _variable_from_name
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Constant, Term, Variable
-from repro.logic.ucq import UnionOfConjunctiveQueries, disjuncts_of
+from repro.logic.ucq import UnionOfConjunctiveQueries
 
 Query = ConjunctiveQuery | UnionOfConjunctiveQueries
 
@@ -89,35 +90,6 @@ def atom_signatures(
     ]
 
 
-class ShapeKey:
-    """The flat encoding of a canonical query (module docstring), hashed
-    once: what the plan cache is probed with."""
-
-    __slots__ = ("flat", "_hash")
-
-    def __init__(self, flat: tuple):
-        self.flat, self._hash = flat, hash(flat)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is ShapeKey and self.flat == other.flat
-
-
-def _encode(terms, parameters: AbstractSet[str], index: dict[str, int], flat: list) -> None:
-    """Append each term's tag and payload to ``flat``, numbering plain
-    variables by first occurrence in ``index``."""
-    for term in terms:
-        if type(term) is Constant:
-            value = term.value
-            flat += (0, type(value), value)
-        elif term.name in parameters:
-            flat += (1, term.name)
-        else:
-            flat += (2, index.setdefault(term.name, len(index)))
-
-
 def _walk(query: Query, parameters: AbstractSet[Variable]):
     """The parameters' names, the flat encoding of ``query`` and, per
     disjunct, its sorted body and its plain variables' first-occurrence
@@ -126,32 +98,48 @@ def _walk(query: Query, parameters: AbstractSet[Variable]):
     union = not isinstance(query, ConjunctiveQuery)
     flat: list[object] = []
     tables: list[tuple[ConjunctiveQuery, tuple[Atom, ...], dict[str, int]]] = []
-    for disjunct in disjuncts_of(query):
+    for disjunct in query.disjuncts if union else (query,):
         body = disjunct.body
         if len(body) > 1:
             signatures = atom_signatures(disjunct, names)
             # Stable: atoms the signatures leave tied keep their written order.
             order = sorted(range(len(body)), key=signatures.__getitem__)
             body = tuple([body[i] for i in order])
-        index: dict[str, int] = {}
+        # The disjunct's sections in reading order, encoded in one pass: a
+        # term becomes its tag and payload, while a relation, an arity and
+        # a section's end (None) stand for themselves.
+        items: list[object] = []
         for atom in body:
-            flat += (atom.relation, len(atom.terms))
-            _encode(atom.terms, names, index, flat)
-        flat.append(None)
+            items += (atom.relation, len(atom.terms), *atom.terms)
+        items.append(None)
         for equality in disjunct.equalities:
-            _encode((equality.left, equality.right), names, index, flat)
-        flat.append(None)
-        _encode(disjunct.head, names, index, flat)
+            items += (equality.left, equality.right)
+        items.append(None)
+        items += disjunct.head
         if union:
-            flat.append(None)
+            items.append(None)
+        index: dict[str, int] = {}
+        for item in items:
+            kind = type(item)
+            if kind is Variable:
+                name = item.name
+                if name in names:
+                    flat += (1, name)
+                else:
+                    flat += (2, index.setdefault(name, len(index)))
+            elif kind is Constant:
+                value = item.value
+                flat += (0, type(value), value)
+            else:
+                flat.append(item)
         tables.append((disjunct, body, index))
     return names, flat, tables
 
 
-def canonical_key(query: Query, parameters: AbstractSet[Variable] = frozenset()) -> ShapeKey:
-    """The canonical query of ``query`` under ``parameters`` as a flat,
-    hashed-once key: equal keys iff equal canonical queries."""
-    return ShapeKey(tuple(_walk(query, parameters)[1]))
+def canonical_key(query: Query, parameters: AbstractSet[Variable] = frozenset()) -> tuple:
+    """The canonical query of ``query`` under ``parameters`` as a flat
+    tuple: equal keys iff equal canonical queries."""
+    return tuple(_walk(query, parameters)[1])
 
 
 def canonical_form(

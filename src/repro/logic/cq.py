@@ -74,7 +74,7 @@ class ConjunctiveQuery:
         body: Iterable[Atom],
         equalities: Iterable[Equality] = (),
     ):
-        self.head = tuple(_as_variable(v) for v in head)
+        self.head = tuple([v if type(v) is Variable else _as_variable(v) for v in head])
         self.body = tuple(body)
         self.equalities = tuple(equalities)
         for atom in self.body:
@@ -86,8 +86,12 @@ class ConjunctiveQuery:
         # Safety: every head variable's equality class must contain a
         # constant or a variable that occurs in some body atom -- a head
         # variable grounded only by other equalities has no binding source.
-        subst = resolve_equalities(self.equalities) if self.equalities else {}
-        if subst is not None:  # unsatisfiable queries are vacuously safe
+        # Without equalities every class is one variable: compare names.
+        unsafe: list[Variable] = []
+        if not self.equalities:
+            named = {t.name for a in self.body for t in a.terms if type(t) is Variable}
+            unsafe = [v for v in self.head if v.name not in named]
+        elif (subst := resolve_equalities(self.equalities)) is not None:  # else vacuously safe
             walk = subst.get
             bound = {walk(t, t) for a in self.body for t in a.terms if isinstance(t, Variable)}
             unsafe = [
@@ -95,10 +99,8 @@ class ConjunctiveQuery:
                 for v in self.head
                 if not isinstance(walk(v, v), Constant) and walk(v, v) not in bound
             ]
-            if unsafe:
-                raise ValueError(
-                    f"unsafe head variables (not in body): {', '.join(map(str, unsafe))}"
-                )
+        if unsafe:
+            raise ValueError(f"unsafe head variables (not in body): {', '.join(map(str, unsafe))}")
 
     @classmethod
     def _trusted(cls, head, body, equalities) -> "ConjunctiveQuery":

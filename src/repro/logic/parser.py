@@ -54,7 +54,7 @@ import ast as _pyast
 import re
 
 from repro.errors import ParseError
-from repro.logic.ast import Atom, Equality, Span
+from repro.logic.ast import Atom, Equality, Span, _variable_from_name
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Constant, Term, Variable
 from repro.logic.ucq import UnionOfConjunctiveQueries
@@ -275,12 +275,11 @@ def tokenize(text: str) -> tuple[Token, ...]:
 
 
 class _QueryParser:
-    __slots__ = ("stream", "kinds", "texts", "schema", "_variables", "_used_names", "_wildcards")
+    __slots__ = ("stream", "kinds", "texts", "arities", "_used_names", "_wildcards")
 
     def __init__(self, stream: TokenStream, schema=None):
         self.stream, self.kinds, self.texts = stream, stream.kinds, stream.texts
-        self.schema = schema
-        self._variables: dict[str, Variable] = {}  # one object per name per parse
+        self.arities = None if schema is None else schema.arities  # relation -> arity
         self._used_names: set[str] | None = None
         self._wildcards = 0
 
@@ -315,84 +314,77 @@ class _QueryParser:
             raise stream.error(str(exc), stream.token(0)) from None
 
     def _rule(self) -> ConjunctiveQuery:
-        stream, kinds = self.stream, self.kinds
+        stream, kinds, texts, arities = self.stream, self.kinds, self.texts, self.arities
         start = stream.skip(IDENT, "a rule head")
-        stream.skip(LPAREN)
-        head: list[Variable] = []
-        if kinds[stream.pos] is not RPAREN:
-            while True:
-                index = stream.pos
-                term = self._term()
-                if type(term) is not Variable or self.texts[index] == "_":
-                    raise stream.unexpected("head terms must be named variables", index)
-                head.append(term)
-                if kinds[stream.pos] is not COMMA:
-                    break
-                stream.pos += 1
-        stream.skip(RPAREN)
+        head, index = self._terms(start + 1, head=True)
         body: list[Atom] = []
         equalities: list[Equality] = []
-        if kinds[stream.pos] is RULE_ARROW:
-            stream.pos += 1
-            self._conjunct(body, equalities)
-            while kinds[stream.pos] is COMMA:
-                stream.pos += 1
-                self._conjunct(body, equalities)
+        if kinds[index + 1] is RULE_ARROW:
+            while True:  # a conjunct after the ':-' or a ','; ``index`` is its last token
+                first = index + 2
+                # An identifier is not the END entry, so ``first + 1`` exists.
+                if kinds[first] is IDENT and kinds[first + 1] is LPAREN:
+                    terms, index = self._terms(first + 1)
+                    relation = texts[first]
+                    atom = Atom._trusted(relation, tuple(terms), stream.span(first, index))
+                    if arities is not None and arities.get(relation) != len(terms):
+                        arity = arities.get(relation)
+                        raise stream.error(
+                            f"unknown relation {relation!r}"
+                            if arity is None
+                            else f"relation {relation!r} has arity {arity}, "
+                            f"but the atom {atom} has arity {len(terms)}",
+                            stream.token(first),
+                        )
+                    body.append(atom)
+                else:
+                    (left,), index = self._terms(first, single=True)
+                    if kinds[index + 1] is not EQUALS:
+                        raise stream.unexpected("expected '=' (or a relational atom)", index + 1)
+                    (right,), index = self._terms(index + 2, single=True)
+                    equalities.append(Equality(left, right, span=stream.span(first, index)))
+                if kinds[index + 1] is not COMMA:
+                    break
+        stream.pos = index + 1
         try:
             return ConjunctiveQuery(head, body, equalities)
         except ValueError as exc:
             raise stream.error(str(exc), stream.token(start)) from None
 
-    def _conjunct(self, body: list[Atom], equalities: list[Equality]) -> None:
-        stream, kinds = self.stream, self.kinds
-        start = stream.pos
-        # An identifier is not the END entry, so ``start + 1`` exists.
-        if kinds[start] is not IDENT or kinds[start + 1] is not LPAREN:
-            left = self._term()
-            stream.skip(EQUALS, "'=' (or a relational atom)")
-            end = stream.pos
-            equalities.append(Equality(left, self._term(), span=stream.span(start, end)))
-            return
-        stream.pos = start + 2
+    def _terms(self, index: int, head: bool = False, single: bool = False) -> tuple[list[Term], int]:
+        """The terms of the parenthesised list opening at token ``index`` --
+        or, if ``single``, the one term there -- and the index of the
+        list's ')' (of that term): every term case, written once.  A head's
+        terms must be named variables; a name's :class:`Variable` is the
+        one every parse shares."""
+        stream, kinds, texts = self.stream, self.kinds, self.texts
         terms: list[Term] = []
-        if kinds[stream.pos] is not RPAREN:
-            terms.append(self._term())
-            while kinds[stream.pos] is COMMA:
-                stream.pos += 1
-                terms.append(self._term())
-        relation = self.texts[start]
-        atom = Atom._trusted(relation, tuple(terms), stream.span(start, stream.skip(RPAREN)))
-        if self.schema is not None:
-            if relation not in self.schema:
-                raise stream.error(f"unknown relation {relation!r}", stream.token(start))
-            rel = self.schema.relation(relation)
-            if atom.arity != rel.arity:
-                raise stream.error(
-                    f"relation {relation!r} has arity {rel.arity}, "
-                    f"but the atom {atom} has arity {atom.arity}",
-                    stream.token(start),
-                )
-        body.append(atom)
-
-    def _term(self) -> Term:
-        stream = self.stream
-        index = stream.pos
-        kind, text = self.kinds[index], self.texts[index]
-        if kind is IDENT and text == "_":
-            term: Term = self._fresh_wildcard()
-        elif kind is IDENT and text in _KEYWORD_CONSTANTS:
-            term = Constant(_KEYWORD_CONSTANTS[text])
-        elif kind is IDENT or kind is VARIABLE:
-            name = text if kind is IDENT else text[1:]
-            term = self._variables.get(name)
-            if term is None:
-                term = self._variables[name] = Variable(name)
-        elif kind is STRING or kind is NUMBER:
-            term = Constant(stream.values[index])
-        else:
-            raise stream.unexpected("expected a term", index)
-        stream.pos = index + 1
-        return term
+        if not single:
+            if kinds[index] is not LPAREN:
+                raise stream.unexpected("expected '('", index)
+            index += 1
+            if kinds[index] is RPAREN:
+                return terms, index
+        while True:
+            kind, text = kinds[index], texts[index]
+            if kind is VARIABLE or kind is IDENT and text != "_" and text not in _KEYWORD_CONSTANTS:
+                terms.append(_variable_from_name(text))
+            elif kind is not IDENT and kind is not STRING and kind is not NUMBER:
+                raise stream.unexpected("expected a term", index)
+            elif head:
+                raise stream.unexpected("head terms must be named variables", index)
+            elif kind is IDENT:
+                terms.append(self._fresh_wildcard() if text == "_" else Constant(_KEYWORD_CONSTANTS[text]))
+            else:
+                terms.append(Constant(stream.values[index]))
+            if single:
+                return terms, index
+            if kinds[index + 1] is not COMMA:
+                break
+            index += 2
+        if kinds[index + 1] is not RPAREN:
+            raise stream.unexpected("expected ')'", index + 1)
+        return terms, index + 1
 
 
 def parse_query(text: str, schema=None) -> ConjunctiveQuery | UnionOfConjunctiveQueries:

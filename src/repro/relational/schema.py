@@ -142,7 +142,7 @@ def parse_schema(text: str) -> "DatabaseSchema":
 class DatabaseSchema:
     """A named collection of relation schemas."""
 
-    __slots__ = ("_relations",)
+    __slots__ = ("_relations", "arities")
 
     def __init__(self, relations: Iterable[RelationSchema]):
         self._relations: dict[str, RelationSchema] = {}
@@ -152,6 +152,8 @@ class DatabaseSchema:
             if rel.name in self._relations:
                 raise SchemaError(f"duplicate relation name {rel.name!r}")
             self._relations[rel.name] = rel
+        #: relation name -> arity: what the query parser checks an atom against
+        self.arities = {name: rel.arity for name, rel in self._relations.items()}
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -434,24 +434,26 @@ MUTANTS = {
         "flat",
     ),
     "equalities and head run together in the key": (
-        "        flat.append(None)\n        _encode(disjunct.head",
-        "        _encode(disjunct.head",
+        "        items.append(None)\n        items += disjunct.head",
+        "        items += disjunct.head",
         "flat",
     ),
     "disjuncts run together in the key": (
-        "        if union:\n            flat.append(None)\n",
+        "        if union:\n            items.append(None)\n",
         "",
         "flat",
     ),
     "parameter numbered like a plain variable in the key": (
-        "elif term.name in parameters:\n            flat += (1, term.name)",
-        "elif False:\n            flat += (1, term.name)",
+        "if name in names:\n                    flat += (1, name)",
+        "if False:\n                    flat += (1, name)",
         "key sound",
     ),
     "variable index taken from written order": (
         "        index: dict[str, int] = {}\n",
         "        index = {}\n"
-        "        _encode([t for a in disjunct.body for t in a.terms], names, index, [])\n",
+        "        for term in [t for a in disjunct.body for t in a.terms]:\n"
+        "            if type(term) is Variable and term.name not in names:\n"
+        "                index.setdefault(term.name, len(index))\n",
         "key invariant",
     ),
 }
