@@ -277,6 +277,7 @@ def _advise_disjunct(
     if subst is None:
         return []  # unsatisfiable: nothing to speed up
     body = query.normalized_body() or query.body
+    params = tuple(p for p in params if p in set(query.variables()))
     cov = coverage(query, access, params)
     base_cost: float | None = None
     if cov.controlled:

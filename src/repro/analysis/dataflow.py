@@ -1,12 +1,13 @@
 """Binding-pattern dataflow: *why* a query is (un)controllable.
 
-The controllability fixpoint (:func:`repro.core.controllability.coverage`)
-answers yes/no; this pass turns its result into Datalog-style
-*adornments* -- one ``b``/``f`` letter per atom argument, recording which
-positions end up bound once the fixpoint saturates -- and, for every
-variable the fixpoint never reaches, a *causal trace*: which atoms
-contain it, which access rules could in principle bind its position, and
-exactly which missing binding blocks each of them.
+The controllability fixpoint is the planner's walk
+(:func:`repro.core.plans.walk`), which answers yes/no; this pass turns
+where one walk stopped into Datalog-style *adornments* -- one ``b``/``f``
+letter per atom argument, recording which positions end up bound once
+the fixpoint saturates -- and, for every variable the walk never covers,
+a *causal trace*: which atoms contain it, which access rules could in
+principle bind its position, and exactly which missing binding blocks
+each of them.
 
 Three consumers:
 
@@ -14,7 +15,8 @@ Three consumers:
   **QRY007** (hint) and, when a single added access rule would make the
   query controlled, the rule as **ACC005**;
 * :class:`~repro.errors.NotControlledError` appends the trace to its
-  message, so a failed ``compile_plan`` explains itself;
+  message, built from the failed ``compile_plan``'s own walk (no second
+  fixpoint), so a failed compile explains itself;
 * :meth:`BindingFlow.explain` is the API form.
 
 The proposal in :func:`advise_missing_rule` is minimal in the sense that
@@ -28,10 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.core import plans
 from repro.core.access_schema import AccessRule, AccessSchema, FullAccessRule
-from repro.core.controllability import _is_bound, coverage
-from repro.logic.ast import Atom, _as_variable
-from repro.logic.cq import ConjunctiveQuery
+from repro.core.controllability import _covered, coverage
+from repro.core.plans import _is_bound, query_parameters
+from repro.logic.ast import Atom
+from repro.logic.cq import ConjunctiveQuery, Substitution
 from repro.logic.terms import Variable
 
 #: The cardinality bound ACC005 proposals carry, and the view advisor's
@@ -75,80 +79,54 @@ class BindingFlow:
         if self.controlled:
             return ""
         subst = self.query.equality_substitution() or {}
-        rep_bound = {
-            subst.get(v, v)
-            for v in self.bound
-            if isinstance(subst.get(v, v), Variable)
-        }
+        reachable = ", ".join(f"?{v}" for v in sorted(self.bound, key=lambda v: v.name))
         lines = []
         for variable in self.uncovered:
             rep = subst.get(variable, variable)
-            reasons = []
-            for adorned in self.adornments:
-                atom = adorned.atom
-                for pos, term in enumerate(atom.terms):
-                    if term != rep:
-                        continue
-                    reasons.append(
-                        _blocked_reason(
-                            self._access, atom, pos, rep_bound
-                        )
-                    )
-            reachable = ", ".join(
-                f"?{v}" for v in sorted(self.bound, key=lambda v: v.name)
-            ) or "none"
+            reasons = [
+                _blocked_reason(self._access, adorned, pos)
+                for adorned in self.adornments
+                for pos, term in enumerate(adorned.atom.terms)
+                if term == rep
+            ]
             lines.append(
                 f"variable ?{variable} can never become bound: "
                 + "; ".join(dict.fromkeys(reasons))
-                + f"; reachable bindings: {reachable}"
+                + f"; reachable bindings: {reachable or 'none'}"
             )
         return "\n".join(lines)
 
 
-def _blocked_reason(
-    access: AccessSchema,
-    atom: Atom,
-    pos: int,
-    bound: set[Variable] | frozenset[Variable],
-) -> str:
-    """Why no rule of ``access`` can bind position ``pos`` of ``atom``
-    given the ``bound`` representatives."""
+def _blocked_reason(access: AccessSchema, adorned: AtomAdornment, pos: int) -> str:
+    """Why no rule of ``access`` can bind position ``pos`` of the
+    ``adorned`` atom, given the positions its pattern marks bound."""
+    atom, free = adorned.atom, [flag == "f" for flag in adorned.pattern]
     rel = access.schema.relation(atom.relation)
     rules = access.rules_for(atom.relation)
     if not rules:
         return f"relation '{atom.relation}' has no access rules"
-    attr = rel.attributes[pos]
     could = []
     for rule in rules:
-        out_pos = rel.positions(rule.bound_attributes(rel))
-        if pos not in out_pos:
+        if pos not in rel.positions(rule.bound_attributes(rel)):
             continue
-        missing = [
-            atom.terms[p]
-            for p in rel.positions(rule.inputs)
-            if not _is_bound(atom.terms[p], bound)
-        ]
-        if not missing:
-            # The fixpoint saturated, so a firable rule binding this
-            # position cannot exist; defensive fallback only.
-            continue
-        names = ", ".join(f"?{t}" for t in dict.fromkeys(missing))
-        could.append(f"{rule} needs {names} bound first (in {atom})")
-    if not could:
-        bound_positions = [
-            p for p, t in enumerate(atom.terms) if _is_bound(t, bound)
-        ]
-        at = (
-            "position " + ", ".join(str(p) for p in bound_positions)
-            + f" ({', '.join(rel.attributes[p] for p in bound_positions)})"
-            if bound_positions
-            else "any bound position"
-        )
-        return (
-            f"no rule on '{atom.relation}' accepts input at {at} while "
-            f"binding position {pos} ({attr})"
-        )
-    return "; ".join(could)
+        # A rule missing nothing cannot bind ``pos``: the walk saturated.
+        missing = [atom.terms[p] for p in rel.positions(rule.inputs) if free[p]]
+        if missing:
+            names = ", ".join(f"?{t}" for t in dict.fromkeys(missing))
+            could.append(f"{rule} needs {names} bound first (in {atom})")
+    if could:
+        return "; ".join(could)
+    bound_positions = [p for p, f in enumerate(free) if not f]
+    at = (
+        "position " + ", ".join(str(p) for p in bound_positions)
+        + f" ({', '.join(rel.attributes[p] for p in bound_positions)})"
+        if bound_positions
+        else "any bound position"
+    )
+    return (
+        f"no rule on '{atom.relation}' accepts input at {at} while "
+        f"binding position {pos} ({rel.attributes[pos]})"
+    )
 
 
 def binding_flow(
@@ -156,37 +134,38 @@ def binding_flow(
     access: AccessSchema,
     parameters: Iterable[object] = (),
 ) -> BindingFlow:
-    """Run the fixpoint for ``query`` under ``access`` with ``parameters``
-    initially bound and return the :class:`BindingFlow` with per-atom
-    adornments and the uncovered variables."""
-    params = tuple(dict.fromkeys(_as_variable(p) for p in parameters))
-    cov = coverage(query, access, params)
-    subst = query.equality_substitution()
+    """Walk the fixpoint for ``query`` under ``access`` with
+    ``parameters`` initially bound and return the :class:`BindingFlow`
+    with per-atom adornments and the uncovered variables."""
+    params = query_parameters(query, access, parameters)
+    subst, bound, _, _ = plans.walk(query, access, params)
+    return _flow(query, access, params, subst, bound)
+
+
+def _flow(
+    query: ConjunctiveQuery,
+    access: AccessSchema,
+    params: tuple[Variable, ...],
+    subst: Substitution | None,
+    bound: set[Variable],
+) -> BindingFlow:
+    """The :class:`BindingFlow` of one walk that ended at ``subst`` with
+    the ``bound`` representatives: :func:`binding_flow`'s, or the failed
+    ``compile_plan``'s its :class:`~repro.errors.NotControlledError`
+    explains."""
+    covered = _covered(query, subst, bound)
     if subst is None:
         # Unsatisfiable: vacuously controlled, everything trivially bound.
+        adornments = tuple(AtomAdornment(a, "b" * len(a.terms)) for a in query.body)
+    else:
         adornments = tuple(
-            AtomAdornment(a, "b" * len(a.terms)) for a in query.body
+            AtomAdornment(
+                atom, "".join("b" if _is_bound(t, bound) else "f" for t in atom.terms)
+            )
+            for atom in (a.substitute(subst) for a in query.body)
         )
-        return BindingFlow(
-            query, params, cov.bound, adornments, (), access
-        )
-    rep_bound = {
-        subst.get(v, v)
-        for v in cov.bound
-        if isinstance(subst.get(v, v), Variable)
-    }
-    adornments = tuple(
-        AtomAdornment(
-            atom,
-            "".join(
-                "b" if _is_bound(t, rep_bound) else "f" for t in atom.terms
-            ),
-        )
-        for atom in (a.substitute(subst) for a in query.body)
-    )
-    return BindingFlow(
-        query, params, cov.bound, adornments, cov.uncovered, access
-    )
+    uncovered = tuple(v for v in query.variables() if v not in covered)
+    return BindingFlow(query, params, covered, adornments, uncovered, access)
 
 
 def explain_uncontrolled(

@@ -41,7 +41,7 @@ from repro.analysis.dataflow import advise_missing_rule, binding_flow
 from repro.analysis.diagnostics import Report, diagnostic
 from repro.core.access_schema import AccessSchema
 from repro.errors import NotControlledError, ReproError
-from repro.logic.ast import Atom, _as_variable
+from repro.logic.ast import Atom, Equality, _as_variable
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Constant, Variable
 from repro.logic.ucq import UnionOfConjunctiveQueries, disjuncts_of
@@ -106,28 +106,26 @@ def _check_single_use(
     source: str | None,
 ) -> None:
     counts: dict[Variable, int] = {}
-    first_atom: dict[Variable, Atom] = {}
-    for atom in query.body:
-        for term in atom.terms:
+    first_site: dict[Variable, Atom | Equality] = {}
+    sites = [(atom, atom.terms) for atom in query.body]
+    sites += [(eq, (eq.left, eq.right)) for eq in query.equalities]
+    for site, terms in sites:
+        for term in terms:
             if isinstance(term, Variable):
                 counts[term] = counts.get(term, 0) + 1
-                first_atom.setdefault(term, atom)
-    for eq in query.equalities:
-        for term in (eq.left, eq.right):
-            if isinstance(term, Variable):
-                counts[term] = counts.get(term, 0) + 1
+                first_site.setdefault(term, site)
     head = set(query.head)
     for variable, count in counts.items():
         if count != 1 or variable in head or variable in params:
             continue
-        atom = first_atom.get(variable)
+        site = first_site[variable]
         report.add(
             diagnostic(
                 "QRY001",
-                f"variable ?{variable} occurs only once (in {atom}): it is "
+                f"variable ?{variable} occurs only once (in {site}): it is "
                 f"never joined or returned -- a projection placeholder, or "
                 f"a typo for a joining variable",
-                span=atom.span if atom is not None else None,
+                span=site.span,
                 source=source,
             )
         )

@@ -316,10 +316,7 @@ class PreparedQuery:
 
     def decide_qsi(self, parameters: Iterable[object] = ()) -> QSIResult:
         """The QSI verdict for this query under the engine's access schema."""
-        # Normalize once: ``parameters`` may be a one-shot iterable.
-        params = _parameter_names(parameters)
-        self._check_parameters(params)
-        return decide_qsi(self.query, self._engine.access, params)
+        return decide_qsi(self.query, self._engine.access, _parameter_names(parameters))
 
     def decide_qdsi(self, budget: int) -> QDSIResult:
         """The QDSI verdict on the engine's database within ``budget``
@@ -483,20 +480,6 @@ class PreparedQuery:
         from repro.analysis import analyze_prepared
 
         return analyze_prepared(self, parameters)
-
-    def _check_parameters(self, parameters: frozenset[Variable]) -> None:
-        """Reject parameter variables that do not occur in the query (in
-        every disjunct, for a union) -- the same check that
-        :func:`compile_plan` applies, so the QSI verdict and the
-        plan-producing methods always agree on which parameter sets are
-        valid."""
-        for disjunct in disjuncts_of(self.query):
-            missing = parameters - set(disjunct.variables())
-            if missing:
-                raise ValueError(
-                    "parameters not occurring in the query: "
-                    + ", ".join(sorted(f"?{v}" for v in missing))
-                )
 
 
 class Engine:

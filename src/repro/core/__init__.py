@@ -13,7 +13,6 @@ from repro.core.access_schema import (
 )
 from repro.core.controllability import (
     Coverage,
-    CoverageStep,
     controlling_sets,
     coverage,
     is_controlled,
@@ -29,7 +28,6 @@ __all__ = [
     "AccessSchema",
     "parse_access_schema",
     "Coverage",
-    "CoverageStep",
     "coverage",
     "is_controlled",
     "controlling_sets",

@@ -6,12 +6,16 @@ once values for ``C`` are fixed, every variable of ``Q`` can be bound by a
 chain of bounded fetches through the rules of ``A`` -- which is exactly the
 condition under which a scale-independent plan exists.
 
-The decision procedure is a monotone fixpoint: starting from ``C`` (query
-constants are always bound), a rule ``R(X -> N)`` on a body atom whose
-``X``-positions are all bound extends the bound set with the atom's other
-variables (for an embedded rule ``R(X -> Y, N)``, only the ``Y``
-positions).  ``Q`` is controlled iff the fixpoint covers all of its
-variables.
+The decision procedure is the planner's own monotone fixpoint,
+:func:`repro.core.plans.walk`: starting from the equality classes of
+``C`` (query constants are always bound), a rule ``R(X -> N)`` on a body
+atom whose ``X``-positions are all bound binds the atom's other
+variables (an embedded rule ``R(X -> Y, N)`` only its ``Y`` positions).
+A variable is *covered* when its equality class holds a constant or a
+bound variable, or occurs in no body atom (no read is needed to satisfy
+it).  ``Q`` is controlled iff every variable is covered -- exactly when
+:func:`~repro.core.plans.compile_plan` succeeds -- and
+:attr:`Coverage.steps` are that plan's steps.
 
 :func:`controlling_sets` solves the paper's QCntl/QCntlmin problems by
 searching the subsets of the candidate variables for the minimal
@@ -24,31 +28,21 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from repro.core.access_schema import AccessRule, AccessSchema
-from repro.logic.ast import Atom, _as_variable
-from repro.logic.cq import ConjunctiveQuery
-from repro.logic.terms import Constant, Variable
-
-
-@dataclass(frozen=True)
-class CoverageStep:
-    """One fixpoint step: ``rule`` applied to ``atom`` bound ``binds``."""
-
-    atom: Atom
-    rule: AccessRule
-    binds: tuple[Variable, ...]
-
-    def __str__(self) -> str:
-        binds = ", ".join(f"?{v}" for v in self.binds) or "nothing new"
-        return f"fetch {self.atom} via {self.rule} binding {binds}"
+from repro.core import plans
+from repro.core.access_schema import AccessSchema
+from repro.core.plans import Step, _is_bound, query_parameters
+from repro.logic.ast import _as_variable
+from repro.logic.cq import ConjunctiveQuery, Substitution
+from repro.logic.terms import Variable
 
 
 @dataclass(frozen=True)
 class Coverage:
-    """The result of the fixpoint: which variables became bound and how."""
+    """The result of the fixpoint: the covered variables and the plan
+    steps that bound them."""
 
     bound: frozenset[Variable]
-    steps: tuple[CoverageStep, ...]
+    steps: tuple[Step, ...]
     variables: tuple[Variable, ...]
 
     @property
@@ -60,71 +54,33 @@ class Coverage:
         return not self.uncovered
 
 
-def _normalize_vars(variables: Iterable[object]) -> tuple[Variable, ...]:
-    return tuple(_as_variable(v) for v in variables)
-
-
 def coverage(
     query: ConjunctiveQuery,
     access: AccessSchema,
     parameters: Iterable[object] = (),
 ) -> Coverage:
-    """Run the fixpoint propagation for ``query`` under ``access`` with the
-    variables in ``parameters`` initially bound."""
-    access.schema.validate_query(query)
-    params = _normalize_vars(parameters)
-    subst = query.equality_substitution()
+    """Walk the fixpoint for ``query`` under ``access`` with the variables
+    in ``parameters`` initially bound.  A parameter that does not occur in
+    ``query`` is a ValueError, as for :func:`compile_plan`."""
+    params = query_parameters(query, access, parameters)
+    subst, bound, steps, _ = plans.walk(query, access, params)
+    return Coverage(_covered(query, subst, bound), tuple(steps), query.variables())
+
+
+def _covered(
+    query: ConjunctiveQuery, subst: Substitution | None, bound: set[Variable]
+) -> frozenset[Variable]:
+    """The variables a walk that ended at ``subst`` with the ``bound``
+    representatives covers -- all of them when the equalities are
+    unsatisfiable (the empty plan answers the query)."""
     if subst is None:
-        # Unsatisfiable query: the empty plan answers it, everything is
-        # trivially covered.
-        all_vars = query.variables()
-        return Coverage(frozenset(all_vars), (), all_vars)
-
-    atoms = tuple(a.substitute(subst) for a in query.body)
-    # Work on equality-class representatives; a parameter value for any
-    # member of a class binds the representative.
-    bound: set[Variable] = set()
-    for v in params:
-        rep = subst.get(v, v)
-        if isinstance(rep, Variable):
-            bound.add(rep)
-
-    steps: list[CoverageStep] = []
-    changed = True
-    while changed:
-        changed = False
-        for atom in atoms:
-            rel = access.schema.relation(atom.relation)
-            for rule in access.rules_for(atom.relation):
-                in_pos = rel.positions(rule.inputs)
-                if not all(_is_bound(atom.terms[p], bound) for p in in_pos):
-                    continue
-                out_pos = rel.positions(rule.bound_attributes(rel))
-                newly = tuple(
-                    dict.fromkeys(
-                        atom.terms[p]
-                        for p in out_pos
-                        if isinstance(atom.terms[p], Variable)
-                        and atom.terms[p] not in bound
-                    )
-                )
-                if newly:
-                    bound.update(newly)
-                    steps.append(CoverageStep(atom, rule, newly))
-                    changed = True
-
-    # Translate coverage of representatives back to the original variables.
-    all_vars = query.variables()
-    covered = frozenset(
+        return frozenset(query.variables())
+    read = {subst.get(t, t) for atom in query.body for t in atom.terms}
+    return frozenset(
         v
-        for v in all_vars
-        if isinstance(subst.get(v, v), Constant) or subst.get(v, v) in bound
+        for v in query.variables()
+        if _is_bound(rep := subst.get(v, v), bound) or rep not in read
     )
-    return Coverage(covered, tuple(steps), all_vars)
-
-
-def _is_bound(term, bound: set[Variable]) -> bool:
-    return isinstance(term, Constant) or term in bound
 
 
 def is_controlled(
@@ -150,8 +106,8 @@ def controlling_sets(
     returned -- the paper's QCntlmin; otherwise every controlling subset is
     returned -- QCntl.
     """
-    pool = _normalize_vars(candidates if candidates is not None else query.head)
-    pool = tuple(dict.fromkeys(pool))
+    pool = candidates if candidates is not None else query.head
+    pool = tuple(dict.fromkeys(_as_variable(v) for v in pool))
     found: list[tuple[Variable, ...]] = []
     minimal: list[frozenset[Variable]] = []
     for size in range(len(pool) + 1):

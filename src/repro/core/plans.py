@@ -23,18 +23,22 @@ This module only *plans*.  Physical execution lives in
 closures -- the single form every entry point (execute, counting, delta,
 profile) runs -- and keeps the lowering on the plan (``Plan._pipeline``).
 
-If the query is not controlled by the given parameters,
-:func:`compile_plan` raises :class:`repro.errors.NotControlledError`
-naming the variables and atoms the fixpoint could not reach.
+The planner's loop, :func:`walk`, *is* Section 4's controllability
+fixpoint, and the only copy of it: :func:`compile_plan` validates, walks
+once and builds the plan, or raises
+:class:`repro.errors.NotControlledError` naming the variables and atoms
+the walk could not reach, with the binding-flow trace of that same walk;
+:func:`repro.core.controllability.coverage` (and so ``is_controlled``,
+``controlling_sets`` and QSI) and
+:func:`repro.analysis.dataflow.binding_flow` read it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NoReturn
 
 from repro.core.access_schema import AccessRule, AccessSchema
-from repro.core.controllability import _is_bound
 from repro.errors import NotControlledError
 from repro.logic.ast import Atom, _as_variable
 from repro.logic.cq import ConjunctiveQuery, Substitution
@@ -298,6 +302,23 @@ def compile_plan(
     Raises :class:`NotControlledError` if the query is not controlled by
     ``parameters`` under ``access``.
     """
+    params = query_parameters(query, access, parameters)
+    subst, bound, steps, remaining = walk(query, access, params, implied)
+    if subst is None:
+        return Plan(query, params, (), query.head, satisfiable=False)
+    head_terms = tuple(subst.get(v, v) for v in query.head)
+    if remaining or any(isinstance(t, Variable) and t not in bound for t in head_terms):
+        _raise_not_controlled(query, access, params, subst, bound, remaining)
+    views = frozenset(s.atom.relation for s in steps if s.atom in (implied or {}))
+    return Plan(query, params, tuple(steps), head_terms, view_relations=views)
+
+
+def query_parameters(
+    query: ConjunctiveQuery, access: AccessSchema, parameters: Iterable[object]
+) -> tuple[Variable, ...]:
+    """``parameters`` as distinct variables, once ``query`` is checked
+    against ``access``'s schema -- the validation in front of every
+    :func:`walk`.  Raises ValueError for a parameter not in ``query``."""
     access.schema.validate_query(query)
     params = tuple(dict.fromkeys(_as_variable(v) for v in parameters))
     unknown = [v for v in params if v not in set(query.variables())]
@@ -306,10 +327,29 @@ def compile_plan(
             "parameters not occurring in the query: "
             + ", ".join(f"?{v}" for v in unknown)
         )
+    return params
 
+
+def walk(
+    query: ConjunctiveQuery,
+    access: AccessSchema,
+    params: tuple[Variable, ...],
+    implied: Mapping[Atom, tuple[Atom, ...]] | None = None,
+) -> tuple[Substitution | None, set[Variable], list[Step], list[Atom]]:
+    """The controllability fixpoint (Section 4), run as the planner runs
+    it: from the ``params``' equality classes, probe every fully-bound
+    atom, else take the most selective fetch that makes progress, until
+    no atom is left or none can be read.
+
+    Returns ``(subst, bound, steps, remaining)``: the query's equality
+    substitution (None, and nothing else, when it is unsatisfiable), the
+    bound class representatives, the plan steps, and the atoms no step
+    could reach -- the query is controlled iff none remain.  See
+    :func:`compile_plan` for ``implied``.
+    """
     subst = query.equality_substitution()
     if subst is None:
-        return Plan(query, params, (), query.head, satisfiable=False)
+        return None, set(), [], []
 
     atoms = [a.substitute(subst) for a in query.body]
     bound: set[Variable] = set()
@@ -371,7 +411,7 @@ def compile_plan(
                 if best is None or score < best[0]:
                     best = (score, FetchStep(atom, rule, in_pos, out_pos, newly))
         if best is None:
-            _raise_not_controlled(query, access, params, bound, remaining, subst)
+            break
         step = best[1]
         steps.append(step)
         bound.update(step.binds)
@@ -379,33 +419,30 @@ def compile_plan(
             witness(step.atom)
         # An embedded fetch leaves the atom in `remaining`; once all its
         # positions are bound, branch 1 turns it into a probe.
+    return subst, bound, steps, remaining
 
-    head_terms = tuple(subst.get(v, v) for v in query.head)
-    unbound_head = [
-        t for t in head_terms if isinstance(t, Variable) and t not in bound
-    ]
-    if unbound_head:
-        _raise_not_controlled(query, access, params, bound, [], subst)
-    views = frozenset(s.atom.relation for s in steps if s.atom in implied)
-    return Plan(query, params, tuple(steps), head_terms, view_relations=views)
+
+def _is_bound(term, bound: set[Variable]) -> bool:
+    return isinstance(term, Constant) or term in bound
 
 
 def _raise_not_controlled(
     query: ConjunctiveQuery,
     access: AccessSchema,
     params: tuple[Variable, ...],
+    subst: Substitution,
     bound: set[Variable],
     remaining: list[Atom],
-    subst: Substitution,
-) -> None:
-    uncovered = [
-        v
-        for v in query.variables()
-        if not isinstance(subst.get(v, v), Constant) and subst.get(v, v) not in bound
-    ]
+) -> NoReturn:
+    # The binding-pattern causal trace (why each variable stays
+    # unreachable) reads the failed walk's state.  Imported lazily:
+    # repro.analysis sits above repro.core in the layering.
+    from repro.analysis.dataflow import _flow
+
+    flow = _flow(query, access, params, subst, bound)
     details = []
-    if uncovered:
-        details.append("unreachable variables: " + ", ".join(f"?{v}" for v in uncovered))
+    if flow.uncovered:
+        details.append("unreachable variables: " + ", ".join(f"?{v}" for v in flow.uncovered))
     if remaining:
         details.append("uncovered atoms: " + ", ".join(str(a) for a in remaining))
     given = ", ".join(f"?{v}" for v in params) or "no parameters"
@@ -413,15 +450,5 @@ def _raise_not_controlled(
         f"query {query} is not controlled by {given} under {access}"
         + (" (" + "; ".join(details) + ")" if details else "")
     )
-    # Append the binding-pattern causal trace (why each variable stays
-    # unreachable) when the dataflow pass is available.  Imported lazily:
-    # repro.analysis sits above repro.core in the layering.
-    try:
-        from repro.analysis.dataflow import explain_uncontrolled
-
-        trace = explain_uncontrolled(query, access, params)
-    except Exception:
-        trace = None
-    if trace:
-        message += "\n" + trace
-    raise NotControlledError(message)
+    trace = flow.explain()
+    raise NotControlledError(message + "\n" + trace if trace else message)

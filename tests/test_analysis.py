@@ -155,6 +155,13 @@ def test_qry001_single_use_variable():
     assert not clean.by_code("QRY001")
 
 
+def test_qry001_names_the_equality_a_lone_variable_occurs_in():
+    query = cq("Q(y) :- friend(p, y), p = q")
+    (d,) = analyze_query(query, parameters=["p"]).by_code("QRY001")
+    assert "variable ?q occurs only once (in ?p = ?q)" in d.message
+    assert d.span == query.equalities[0].span is not None
+
+
 def test_qry002_cartesian_product():
     report = analyze_query(cq("Q(x, y) :- person(x, n, c), person(y, m, d)"))
     (d,) = report.by_code("QRY002")

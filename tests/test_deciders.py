@@ -29,7 +29,9 @@ class TestQSI:
 
     def test_ucq_needs_every_disjunct_controlled(self, social_access):
         good = ConjunctiveQuery(["x"], [Atom("friend", ["?p", "?x"])])
-        bad = ConjunctiveQuery(["x"], [Atom("person", ["?x", "?n", "?c"])])
+        # Every disjunct holds the parameter (else ValueError, as for
+        # compile_plan); no rule reads friend by its second position.
+        bad = ConjunctiveQuery(["x"], [Atom("friend", ["?x", "?p"])])
         assert decide_qsi(
             UnionOfConjunctiveQueries([good]), social_access, ["p"]
         )

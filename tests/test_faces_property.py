@@ -74,12 +74,12 @@ from repro.core.executor import (
     pipeline_for,
     profile_plan,
 )
-from repro.core.plans import FetchStep, Plan, ProbeStep
+from repro.core import plans as plans_module
+from repro.core.plans import FetchStep, Plan, ProbeStep, walk
 from repro.logic.evaluation import join_atoms
 from repro.relational import instance
 from repro.relational.instance import AccessStats
 from repro.views import ViewDef, compile_with_views
-from repro.views import rewrite as rewrite_module
 
 #: A small domain keeps the relations dense, so joins find partners,
 #: updates hit maintained answers and rows get several derivations.
@@ -846,7 +846,7 @@ VIEW_MUTANTS = {
         "mechanism",
     ),
     "planner elides the relation, not the atom": (
-        compile_plan,
+        walk,
         "if a not in stood and",
         "if a.relation not in {b.relation for b in stood} and",
         "answers",
@@ -871,8 +871,8 @@ def test_seeded_view_mutants_are_killed(monkeypatch, name):
     certify = certify_plan
     if target is certify_plan:
         certify = mutant
-    elif target is compile_plan:
-        monkeypatch.setattr(rewrite_module, "compile_plan", mutant)
+    elif target is walk:
+        monkeypatch.setattr(plans_module, "walk", mutant)
     else:
         monkeypatch.setattr(ViewDef, "stands_for", mutant)
     killed_by = []
