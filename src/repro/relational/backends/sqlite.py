@@ -1,13 +1,18 @@
 """An out-of-core SQLite storage backend.
 
-One table per relation (columns ``c0..cN``, a unique index over all
-columns for set semantics), plus a lazily created **covering index** per
-accessed position set -- key columns first, the rest appended, so every
-bulk lookup is answered from the index alone.  Bulk calls stay one round
-trip each: a batch of distinct keys resolves through one chunked
-``IN``-list (an OR-of-ANDs for composite keys -- SQLite answers it with
-MULTI-INDEX OR searches, where the row-value ``IN (VALUES ...)`` form
-falls back to a table scan); mutation batches go through ``executemany``.
+One table per relation -- ``_seq INTEGER PRIMARY KEY`` (the rowid, so a
+new row's exceeds every stored one's) beside the values ``c0..cN``, with a
+unique index over ``c0..cN`` for set semantics -- plus a lazily created
+**covering index** per accessed position set: key columns, ``_seq``, the
+rest.  A keyed read is answered from the index alone and never sorts: its
+``ORDER BY <key columns>, _seq`` is the index's order, which within a key
+is insertion order (the memory backend's), and a key naming every column
+has one row at most, so no ORDER BY.  Bulk calls stay one round trip each:
+a batch of distinct keys resolves through one chunked ``IN``-list (an
+OR-of-ANDs for composite keys -- SQLite answers it with MULTI-INDEX OR
+searches, where the row-value ``IN (VALUES ...)`` form falls back to a
+table scan, and sorts their union: the one read that does); mutation
+batches go through ``executemany``.  A file older than ``_seq`` is refused.
 
 A call pays for its key values only.  What they do not change --
 validation, the covering index, how a fetched row maps back to its key --
@@ -82,6 +87,10 @@ _MAX_VARIABLES = 900
 _CACHED_STATEMENTS = 1024
 
 
+def _columns(arity: int) -> str:
+    return ", ".join(f"c{i}" for i in range(arity))
+
+
 def _read_text(head: str, positions: tuple[int, ...], count: int, tail: str) -> str:
     """The SELECT answering ``count`` keys over ``positions`` in one round
     trip: an ``IN``-list for a single column, an OR-of-ANDs for a
@@ -104,8 +113,7 @@ class _Read:
     def __init__(self, table: str, arity: int, positions: tuple[int, ...], tail: str):
         self.positions = positions
         self.key_of = itemgetter(*positions) if len(positions) > 1 else None
-        columns = ", ".join(f"c{i}" for i in range(arity))
-        self.head = f"SELECT {columns} FROM {table} WHERE "
+        self.head = f"SELECT {_columns(arity)} FROM {table} WHERE "
         self.tail = tail
         self._texts: dict[int, str] = {}
         self.one = self.text(1)
@@ -113,8 +121,7 @@ class _Read:
     def text(self, count: int) -> str:
         sql = self._texts.get(count)
         if sql is None:
-            sql = _read_text(self.head, self.positions, count, self.tail)
-            self._texts[count] = sql
+            sql = self._texts[count] = _read_text(self.head, self.positions, count, self.tail)
         return sql
 
 
@@ -167,15 +174,15 @@ class SqliteBackend(StorageBackend):
         conn.execute("PRAGMA cache_size=-131072")  # 128 MiB of page cache
         self._handle = conn
         for name in schema.names:
-            arity = schema.relation(name).arity
-            self._arity[name] = arity
-            cols = ", ".join(f"c{i}" for i in range(arity))
-            conn.execute(f"CREATE TABLE IF NOT EXISTS {self._table(name)} ({cols})")
-            conn.execute(
-                f"CREATE UNIQUE INDEX IF NOT EXISTS "
-                f"{self._index_name(name, tuple(range(arity)))} "
-                f"ON {self._table(name)} ({cols})"
-            )
+            arity = self._arity[name] = schema.relation(name).arity
+            table, cols = self._table(name), _columns(arity)
+            conn.execute(f"CREATE TABLE IF NOT EXISTS {table} (_seq INTEGER PRIMARY KEY, {cols})")
+            if "_seq" not in {column[1] for column in conn.execute(f"PRAGMA table_info({table})")}:
+                self.close()
+                message = f"the file predates the _seq layout: {table} has no _seq column"
+                raise SchemaError(f"{self!r}: {message}")
+            unique = self._index_name(name, tuple(range(arity)))
+            conn.execute(f"CREATE UNIQUE INDEX IF NOT EXISTS {unique} ON {table} ({cols})")
 
     def close(self) -> None:
         """Release the connection and with it the file (idempotent); the
@@ -291,7 +298,8 @@ class SqliteBackend(StorageBackend):
         return n
 
     def iter_rows(self, relation: str) -> Iterator[Row]:
-        return self._conn.execute(f"SELECT * FROM {self._table(relation)} ORDER BY rowid")
+        columns = _columns(self._require(relation))
+        return self._conn.execute(f"SELECT {columns} FROM {self._table(relation)} ORDER BY _seq")
 
     # -- mutations -------------------------------------------------------
 
@@ -311,10 +319,10 @@ class SqliteBackend(StorageBackend):
             raise
 
     def insert_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
-        marks = ", ".join("?" * self._require(relation))
+        sql = self._insert(relation, "INSERT")
         with self._batch() as conn:
             flags, new = self._effective(relation, rows, stored=False)
-            conn.executemany(f"INSERT INTO {self._table(relation)} VALUES ({marks})", new)
+            conn.executemany(sql, new)
         return flags
 
     def delete_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
@@ -336,24 +344,16 @@ class SqliteBackend(StorageBackend):
     def load_rows(self, relation: str, rows: Sequence[Row]) -> int:
         """Bulk load without per-row flags: one ``INSERT OR IGNORE``
         ``executemany``, counting applied rows via the connection's change
-        counter.  ``None``-bearing rows bypass the OR IGNORE fast path --
-        the unique index treats NULLs as distinct, so it cannot dedupe
-        them -- and are deduped in Python instead."""
-        marks = ", ".join("?" * self._require(relation))
-        table = self._table(relation)
+        counter.  ``None``-bearing rows are deduped in Python instead --
+        the unique index treats NULLs as distinct, so OR IGNORE cannot."""
+        sql = self._insert(relation, "INSERT OR IGNORE")
         nullish = dict.fromkeys(row for row in rows if None in row)
         with self._batch() as conn:
             before = conn.total_changes
-            conn.executemany(
-                f"INSERT OR IGNORE INTO {table} VALUES ({marks})",
-                [row for row in rows if None not in row] if nullish else rows,
-            )
+            conn.executemany(sql, [row for row in rows if None not in row] if nullish else rows)
             if nullish:
                 present = self._present(relation, nullish)
-                conn.executemany(
-                    f"INSERT INTO {table} VALUES ({marks})",
-                    [row for row in nullish if row not in present],
-                )
+                conn.executemany(sql, [row for row in nullish if row not in present])
             return conn.total_changes - before
 
     # -- internals -------------------------------------------------------
@@ -366,29 +366,33 @@ class SqliteBackend(StorageBackend):
             raise KeyError(relation)  # pragma: no cover - schema raised
         return arity
 
+    def _insert(self, relation: str, verb: str) -> str:
+        arity = self._require(relation)  # _seq is the next rowid: past every stored one
+        marks = ", ".join("?" * arity)
+        return f"{verb} INTO {self._table(relation)} ({_columns(arity)}) VALUES ({marks})"
+
     def _resolve(self, relation: str, positions: "tuple[int, ...] | None") -> _Read:
         """First sight of a read -- a lookup keyed on ``positions``, or
         (``None``) the whole-row membership probe: validate it, make sure
         its index exists and memoise what every later call needs.  An
         invalid read raises here and never enters the memo."""
         arity = self._require(relation)
-        if positions is None:
-            # Answered by the unique all-columns index; order is moot.
-            read = _Read(self._table(relation), arity, tuple(range(arity)), "")
-        else:
-            check_positions(relation, arity, positions)
-            if positions != tuple(range(len(positions))):
-                # Not a prefix of the unique all-columns index, which would
-                # cover it: create the covering index -- key columns first,
-                # every remaining column appended so the lookup is
-                # index-only.
-                rest = [i for i in range(arity) if i not in positions]
-                self._conn.execute(
-                    f"CREATE INDEX IF NOT EXISTS {self._index_name(relation, positions)} "
-                    f"ON {self._table(relation)} "
-                    f"({', '.join(f'c{i}' for i in (*positions, *rest))})"
-                )
-            read = _Read(self._table(relation), arity, positions, " ORDER BY rowid")
+        table = self._table(relation)
+        key = tuple(range(arity)) if positions is None else positions
+        check_positions(relation, arity, key)
+        order = ""  # a key naming every column has at most one row
+        if len(set(key)) < arity:
+            # The covering index: key columns, then _seq so each key's rows
+            # come in insertion order, then the rest so the read is
+            # index-only.  The ORDER BY is the index's own: nothing sorts.
+            lead = [f"c{p}" for p in dict.fromkeys(key)]
+            rest = [f"c{i}" for i in range(arity) if i not in key]
+            self._conn.execute(
+                f"CREATE INDEX IF NOT EXISTS {self._index_name(relation, key)} "
+                f"ON {table} ({', '.join([*lead, '_seq', *rest])})"
+            )
+            order = f" ORDER BY {', '.join(lead)}, _seq"
+        read = _Read(table, arity, key, order)
         self._reads[(relation, positions)] = read
         return read
 
@@ -405,10 +409,7 @@ class SqliteBackend(StorageBackend):
         plain = [key for key in keys if len(key) == width and None not in key]
         for start in range(0, len(plain), limit):
             chunk = plain[start : start + limit]
-            if width == 1:
-                yield read.text(len(chunk)), [key[0] for key in chunk]
-            else:
-                yield read.text(len(chunk)), [v for key in chunk for v in key]
+            yield read.text(len(chunk)), [v for key in chunk for v in key]
         if len(plain) == len(keys):
             return
         nullish = [key for key in keys if len(key) == width and None in key]
@@ -438,10 +439,8 @@ class SqliteBackend(StorageBackend):
         probe through the unique all-columns index)."""
         read = self._reads.get((relation, None)) or self._resolve(relation, None)
         conn = self._conn
-        present: set[Row] = set()
-        for sql, params in self._statements(read, distinct):
-            present.update(conn.execute(sql, params))
-        return present
+        statements = self._statements(read, distinct)
+        return {row for sql, params in statements for row in conn.execute(sql, params)}
 
     @staticmethod
     def _null_safe_key(

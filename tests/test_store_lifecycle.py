@@ -59,7 +59,7 @@ def test_an_open_store_is_locked_before_its_first_write(path):
         with pytest.raises(sqlite3.OperationalError, match="locked"):
             outsider.execute('SELECT count(*) FROM "r_friend"')
         with pytest.raises(sqlite3.OperationalError, match="locked"):
-            outsider.execute('INSERT INTO "r_friend" VALUES (8, 9)')
+            outsider.execute('INSERT INTO "r_friend" (c0, c1) VALUES (8, 9)')
         assert db.lookup_keys("friend", (0,), [(1,)]) == [((1, 2), (1, 3))]
         db.insert_many("friend", [(5, 6)])
         backend.close()
@@ -90,6 +90,33 @@ def test_a_second_opener_fails_at_once_naming_the_path(path, written):
     reopened = Database(wider, backend=SqliteBackend(path))  # closed there first: opens
     assert set(reopened.backend.iter_rows("friend")) == {*(ROWS if written else ()), (7, 8)}
     reopened.backend.close()
+
+
+def test_a_file_in_the_layout_before_seq_refuses_to_open(path):
+    """A table without the ``_seq`` column (the layout before keyed reads
+    took their order from the index) is refused at attach, naming the
+    path, and the file is left as it was; opening it otherwise accepted
+    writes and failed the first keyed read with "no such column: _seq"."""
+    raw = sqlite3.connect(path)
+    raw.execute('CREATE TABLE "r_friend" (c0, c1)')
+    raw.execute('CREATE UNIQUE INDEX "ix_friend_0_1" ON "r_friend" (c0, c1)')
+    raw.execute('CREATE INDEX "ix_friend_1" ON "r_friend" (c1, c0)')
+    raw.executemany('INSERT INTO "r_friend" VALUES (?, ?)', ROWS)
+    raw.commit()
+    raw.close()
+    for _ in range(2):  # the refusal holds nothing: the second one is the same
+        backend = SqliteBackend(path)
+        with pytest.raises(SchemaError, match="predates the _seq layout") as info:
+            Database(SCHEMA, backend=backend)
+        assert path in str(info.value)
+        assert backend._handle is None
+    raw = sqlite3.connect(path, timeout=0)
+    try:
+        assert raw.execute('SELECT * FROM "r_friend" ORDER BY rowid').fetchall() == ROWS
+        assert [c[1] for c in raw.execute('PRAGMA table_info("r_friend")')] == ["c0", "c1"]
+        assert raw.execute("SELECT count(*) FROM sqlite_master").fetchone() == (3,)
+    finally:
+        raw.close()
 
 
 def test_the_locking_regime_is_set_once_in_attach_and_nothing_selects_it():
