@@ -43,9 +43,11 @@ The package is organised as follows:
   (VIW), surfaced as ``prepared.diagnostics()`` / ``engine.analyze()``,
   a lint CLI with ``--strict`` and certified ``--fix`` rewrites, plan
   certification (CRT) -- translation validation of every compiled plan
-  under ``Engine(certify=True)`` / ``REPRO_CERTIFY=1`` -- binding-
-  pattern dataflow explanations, and the CI gate keeping the Q1-Q5
-  workload bundles warning-clean and certified.
+  under ``Engine(certify=True)`` / ``REPRO_CERTIFY=1`` -- the
+  uncontrollability trace and missing-rule advice read off the
+  planner's walk (:class:`repro.core.controllability.Coverage`), and
+  the CI gate keeping the Q1-Q5 workload bundles warning-clean and
+  certified.
 
 The most frequently used names are re-exported here for convenience.
 """

@@ -11,10 +11,13 @@ family per analyzable object:
 * :func:`analyze_query` (QRY001-QRY007) -- single-use variables,
   cartesian products, parameters equated away, duplicate atoms,
   mismatched union selectivity, unsatisfiability, and the
-  binding-pattern uncontrollability trace;
+  binding-pattern uncontrollability trace -- ``explain()`` of the
+  walk's :class:`~repro.core.controllability.Coverage`, the trace a
+  ``NotControlledError`` carries;
 * :func:`analyze_access` (ACC001-ACC005) -- ruleless relations,
   shadowed rules, absurd bounds, duplicates, plus the ACC005
-  missing-rule proposal riding along with QRY007;
+  missing-rule proposal (:func:`advise_missing_rule`, read off that same
+  ``Coverage``) riding along with QRY007;
 * :func:`analyze_plan` (PLN001-PLN003) -- fanout-bound blowups with the
   multiplicative per-level breakdown, probe-after-embedded-fetch fusion
   opportunities, dominant steps;
@@ -44,8 +47,6 @@ family per analyzable object:
   compiled plan's binding coverage, rule membership, head projection and
   fanout arithmetic independently of the planner (``Engine(certify=True)``
   / ``REPRO_CERTIFY=1`` gates every compilation on it);
-* :mod:`repro.analysis.dataflow` -- the Datalog-adornment pass behind
-  QRY007/ACC005 and the trace ``NotControlledError`` carries;
 * :mod:`repro.analysis.fixes` -- certified ``--fix`` rewrites for
   QRY003/QRY004, each verified by homomorphic equivalence before
   anything is written.
@@ -73,12 +74,6 @@ from repro.analysis.access import ABSURD_BOUND, analyze_access
 from repro.analysis.advisor import ViewAdvice, _entries, advice_report, advise_views
 from repro.analysis.certify import certify_plan, check_plan
 from repro.analysis.cost import CostStats, certify_selection, check_selection, estimate_plan
-from repro.analysis.dataflow import (
-    ADVISED_RULE_BOUND,
-    advise_missing_rule,
-    binding_flow,
-    explain_uncontrolled,
-)
 from repro.analysis.diagnostics import (
     CODES,
     Diagnostic,
@@ -90,7 +85,7 @@ from repro.analysis.diagnostics import (
 from repro.analysis.maintain import classify_incremental
 from repro.analysis.plans import BLOWUP_THRESHOLD, analyze_plan
 from repro.analysis.fixes import fix_query
-from repro.analysis.queries import analyze_query
+from repro.analysis.queries import ADVISED_RULE_BOUND, advise_missing_rule, analyze_query
 from repro.analysis.views import analyze_views
 from repro.core.plans import compile_plan
 from repro.errors import NotControlledError
@@ -123,8 +118,6 @@ __all__ = [
     "check_selection",
     "CostStats",
     "classify_incremental",
-    "binding_flow",
-    "explain_uncontrolled",
     "advise_missing_rule",
     "fix_query",
     "ABSURD_BOUND",

@@ -26,7 +26,7 @@ query).  For each subset:
   defining query under an access schema built from the measured fanouts
   and taking the final branch count -- the data-derived ceiling on
   answer rows per key -- falling back to
-  :data:`~repro.analysis.dataflow.ADVISED_RULE_BOUND` without stats;
+  :data:`~repro.analysis.queries.ADVISED_RULE_BOUND` without stats;
 * **adoption is priced, never executed**: the candidate joins the
   registered views in a trial catalog, the query is recompiled through
   the rewriter, and :func:`~repro.analysis.cost.estimate_plan` prices
@@ -51,15 +51,15 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.analysis.cost import CostEstimate, CostStats, estimate_plan
-from repro.analysis.dataflow import ADVISED_RULE_BOUND
 from repro.analysis.diagnostics import Report, diagnostic
+from repro.analysis.queries import ADVISED_RULE_BOUND
+from repro.analysis.views import _equivalent
 from repro.core.access_schema import AccessRule, AccessSchema, FullAccessRule
 from repro.core.controllability import coverage
 from repro.core.plans import compile_plan
 from repro.errors import NotControlledError, ReproError
 from repro.logic.ast import Atom, Span, _as_variable
 from repro.logic.cq import ConjunctiveQuery
-from repro.logic.homomorphism import body_homomorphisms
 from repro.logic.terms import Variable
 from repro.logic.ucq import disjuncts_of
 from repro.views.definition import ViewCatalog, ViewDef
@@ -474,15 +474,7 @@ def _equivalent_to_registered(
 ) -> bool:
     """True when a registered view already has a homomorphically
     equivalent body: proposing it again is noise (VIW002 territory)."""
-    body = view.query.normalized_body() or view.query.body
-    for other in registered:
-        obody = other.query.normalized_body() or other.query.body
-        if (
-            next(body_homomorphisms(body, obody), None) is not None
-            and next(body_homomorphisms(obody, body), None) is not None
-        ):
-            return True
-    return False
+    return any(_equivalent(view, other) for other in registered)
 
 
 def _price_adoption(

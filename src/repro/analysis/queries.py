@@ -22,11 +22,17 @@ or a union before any plan is compiled:
   query is unsatisfiable and the answer is always empty.
 * **QRY007** (hint) -- a variable the binding-pattern fixpoint can never
   reach under the given access schema and parameters, with the causal
-  trace from :mod:`repro.analysis.dataflow` (needs an access schema;
-  a hint because views may still make the query executable).
+  trace of :meth:`~repro.core.controllability.Coverage.explain` (needs
+  an access schema; a hint because views may still make the query
+  executable).
 * **ACC005** (hint) -- rides along with QRY007 when a single added
   access rule would make the query controlled: the proposed minimal
-  rule, keyed on the attributes the fixpoint already binds.
+  rule (:func:`advise_missing_rule`), keyed on the attributes the
+  fixpoint already binds.
+
+Both read one walk under the given access schema, the
+:class:`~repro.core.controllability.Coverage`; only the candidate rules
+ACC005 tries walk again, each under its extended schema.
 
 Spans ride along from the parser (:class:`~repro.logic.ast.Span` on
 parsed atoms and equalities), so findings on textual queries point at the
@@ -37,9 +43,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.analysis.dataflow import advise_missing_rule, binding_flow
 from repro.analysis.diagnostics import Report, diagnostic
-from repro.core.access_schema import AccessSchema
+from repro.core.access_schema import AccessRule, AccessSchema, FullAccessRule
+from repro.core.controllability import Coverage, coverage
 from repro.errors import NotControlledError, ReproError
 from repro.logic.ast import Atom, Equality, _as_variable
 from repro.logic.cq import ConjunctiveQuery
@@ -51,6 +57,11 @@ Query = ConjunctiveQuery | UnionOfConjunctiveQueries
 #: QRY005 fires when the cheapest and the most expensive union branch
 #: differ in compiled access bound by at least this factor.
 SELECTIVITY_RATIO = 100
+
+#: The cardinality bound ACC005 proposals carry, and the view advisor's
+#: rules when no statistics size them -- a placeholder for a measured
+#: bound.
+ADVISED_RULE_BOUND = 64
 
 
 def analyze_query(
@@ -239,12 +250,12 @@ def _check_uncontrolled(
 ) -> None:
     usable = tuple(p for p in params if p in set(query.variables()))
     try:
-        flow = binding_flow(query, access, usable)
+        cover = coverage(query, access, usable)
     except ReproError:
         return  # schema mismatch etc.; reported elsewhere
-    if flow.controlled:
+    if cover.controlled:
         return
-    unreached = set(flow.uncovered)
+    unreached = set(cover.uncovered)
     span = next(
         (
             atom.span
@@ -259,12 +270,12 @@ def _check_uncontrolled(
     report.add(
         diagnostic(
             "QRY007",
-            "; ".join(flow.explain().splitlines()),
+            "; ".join(cover.explain().splitlines()),
             span=span,
             source=source,
         )
     )
-    rule = advise_missing_rule(query, access, usable)
+    rule = advise_missing_rule(cover)
     if rule is not None:
         given = ", ".join(f"?{p}" for p in usable) or "no parameters"
         report.add(
@@ -277,6 +288,56 @@ def _check_uncontrolled(
                 source=source,
             )
         )
+
+
+def advise_missing_rule(cover: Coverage) -> AccessRule | None:
+    """The minimal single access rule whose addition would make the
+    query ``cover`` walked controlled by its parameters, or None when no
+    single rule suffices (or it is controlled already).
+
+    Candidates key each under-bound atom on exactly the attributes the
+    fixpoint can already bind there -- the cheapest promise a deployment
+    could add; among those that provably control the query (re-running
+    the fixpoint over the extended schema), the one leaving the fewest
+    attributes to promise -- the most selective key -- wins.
+    """
+    if cover.controlled:
+        return None
+    access = cover.access
+    candidates: dict[tuple[str, tuple[str, ...]], AccessRule] = {}
+    for adorned in cover.adornments:
+        if "f" not in adorned.pattern:
+            continue
+        atom = adorned.atom
+        if atom.relation not in access.schema:
+            continue
+        rel = access.schema.relation(atom.relation)
+        inputs = tuple(
+            rel.attributes[p]
+            for p, flag in enumerate(adorned.pattern)
+            if flag == "b"
+        )
+        rule: AccessRule = (
+            AccessRule(atom.relation, inputs, ADVISED_RULE_BOUND)
+            if inputs
+            else FullAccessRule(atom.relation, ADVISED_RULE_BOUND)
+        )
+        candidates.setdefault((atom.relation, inputs), rule)
+    ordered = sorted(
+        candidates.values(),
+        key=lambda r: (
+            access.schema.relation(r.relation).arity - len(r.inputs),
+            -len(r.inputs),
+            r.relation,
+        ),
+    )
+    for rule in ordered:
+        if rule in tuple(access):
+            continue
+        extended = AccessSchema(access.schema, tuple(access) + (rule,))
+        if coverage(cover.query, extended, cover.parameters).controlled:
+            return rule
+    return None
 
 
 def _check_union_selectivity(

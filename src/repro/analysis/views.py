@@ -39,6 +39,16 @@ def _bodies(query: Query) -> tuple[tuple[Atom, ...], ...]:
     return (query.normalized_body() or query.body,)
 
 
+def _equivalent(view: ViewDef, other: ViewDef) -> bool:
+    """True when the two views' bodies map homomorphically into each
+    other: VIW002's test, and the advisor's before it proposes a view."""
+    body, obody = (v.query.normalized_body() or v.query.body for v in (view, other))
+    return all(
+        next(body_homomorphisms(s, t), None) is not None
+        for s, t in ((body, obody), (obody, body))
+    )
+
+
 def analyze_views(
     views: Iterable[ViewDef],
     queries: Iterable[Query] = (),
@@ -71,12 +81,8 @@ def analyze_views(
                     )
                 )
     for i, view in enumerate(views):
-        vbody = view.query.normalized_body() or view.query.body
         for other in views[i + 1 :]:
-            obody = other.query.normalized_body() or other.query.body
-            forward = next(body_homomorphisms(vbody, obody), None)
-            backward = next(body_homomorphisms(obody, vbody), None)
-            if forward is not None and backward is not None:
+            if _equivalent(view, other):
                 report.add(
                     diagnostic(
                         "VIW002",

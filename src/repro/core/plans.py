@@ -27,10 +27,10 @@ The planner's loop, :func:`walk`, *is* Section 4's controllability
 fixpoint, and the only copy of it: :func:`compile_plan` validates, walks
 once and builds the plan, or raises
 :class:`repro.errors.NotControlledError` naming the variables and atoms
-the walk could not reach, with the binding-flow trace of that same walk;
+the walk could not reach and carrying that walk's
+:class:`~repro.core.controllability.Coverage`, whose trace it quotes;
 :func:`repro.core.controllability.coverage` (and so ``is_controlled``,
-``controlling_sets`` and QSI) and
-:func:`repro.analysis.dataflow.binding_flow` read it too.
+``controlling_sets``, QSI and the QRY007/ACC005 analysis) reads it too.
 """
 
 from __future__ import annotations
@@ -308,7 +308,7 @@ def compile_plan(
         return Plan(query, params, (), query.head, satisfiable=False)
     head_terms = tuple(subst.get(v, v) for v in query.head)
     if remaining or any(isinstance(t, Variable) and t not in bound for t in head_terms):
-        _raise_not_controlled(query, access, params, subst, bound, remaining)
+        _raise_not_controlled(query, access, params, subst, bound, steps, remaining)
     views = frozenset(s.atom.relation for s in steps if s.atom in (implied or {}))
     return Plan(query, params, tuple(steps), head_terms, view_relations=views)
 
@@ -432,17 +432,17 @@ def _raise_not_controlled(
     params: tuple[Variable, ...],
     subst: Substitution,
     bound: set[Variable],
+    steps: list[Step],
     remaining: list[Atom],
 ) -> NoReturn:
-    # The binding-pattern causal trace (why each variable stays
-    # unreachable) reads the failed walk's state.  Imported lazily:
-    # repro.analysis sits above repro.core in the layering.
-    from repro.analysis.dataflow import _flow
+    # The failed walk's own Coverage names and explains the unreachable
+    # variables.  Imported lazily: controllability reads this module.
+    from repro.core.controllability import _coverage
 
-    flow = _flow(query, access, params, subst, bound)
+    cover = _coverage(query, access, params, subst, bound, steps)
     details = []
-    if flow.uncovered:
-        details.append("unreachable variables: " + ", ".join(f"?{v}" for v in flow.uncovered))
+    if cover.uncovered:
+        details.append("unreachable variables: " + ", ".join(f"?{v}" for v in cover.uncovered))
     if remaining:
         details.append("uncovered atoms: " + ", ".join(str(a) for a in remaining))
     given = ", ".join(f"?{v}" for v in params) or "no parameters"
@@ -450,5 +450,5 @@ def _raise_not_controlled(
         f"query {query} is not controlled by {given} under {access}"
         + (" (" + "; ".join(details) + ")" if details else "")
     )
-    trace = flow.explain()
-    raise NotControlledError(message + "\n" + trace if trace else message)
+    trace = cover.explain()
+    raise NotControlledError(message + "\n" + trace if trace else message, cover)

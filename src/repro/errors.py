@@ -49,7 +49,13 @@ class IncrementalError(ReproError):
 
 class NotControlledError(ReproError):
     """A scale-independent plan was requested for a query that is not
-    controlled by the given variables under the given access schema."""
+    controlled by the given variables under the given access schema.
+    ``coverage`` is the failed walk's :class:`repro.core.controllability.Coverage`
+    (its ``explain()`` ends the message); None from the view rewriter."""
+
+    def __init__(self, message: str, coverage: object = None):
+        super().__init__(message)
+        self.coverage = coverage
 
 
 class RewritingError(ReproError):

@@ -82,30 +82,7 @@ def find_homomorphism(
         h = _unify(s, t, h)
         if h is None:
             return None
-
-    by_relation: dict[str, list[Atom]] = {}
-    for atom in tgt_body:
-        by_relation.setdefault(atom.relation, []).append(atom)
-
-    def recurse(i: int, h: Homomorphism) -> Homomorphism | None:
-        if i == len(src_body):
-            return h
-        atom = src_body[i]
-        for candidate in by_relation.get(atom.relation, ()):
-            if candidate.arity != atom.arity:
-                continue
-            extended: Homomorphism | None = h
-            for s, t in zip(atom.terms, candidate.terms):
-                extended = _unify(s, t, extended)
-                if extended is None:
-                    break
-            if extended is not None:
-                result = recurse(i + 1, extended)
-                if result is not None:
-                    return result
-        return None
-
-    return recurse(0, h)
+    return next(body_homomorphisms(src_body, tgt_body, seed=h), None)
 
 
 def body_homomorphisms(

@@ -1,5 +1,5 @@
 """Plan certification (translation validation), binding-pattern
-dataflow and the lint autofix.
+adornments and traces, and the lint autofix.
 
 The certifier removes the planner from the trusted base: every plan the
 workload engines compile -- base, view-augmented and post-churn rebased
@@ -32,15 +32,15 @@ from repro.analysis import (
     Report,
     advise_missing_rule,
     analyze_query,
-    binding_flow,
     certify_plan,
     check_plan,
     diagnostic,
-    explain_uncontrolled,
     fix_query,
     workload_report,
 )
 from repro.analysis.__main__ import main
+from repro.core import plans
+from repro.core.controllability import coverage
 from repro.errors import NotControlledError
 from repro.logic.ast import Span
 from repro.logic.homomorphism import are_equivalent
@@ -327,19 +327,19 @@ def test_engine_certify_flag_follows_env(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# Binding-pattern dataflow: adornments, traces and advised rules.
+# Binding-pattern adornments, traces and advised rules.
 
 
 def test_binding_flow_controlled_query(social_schema, social_access):
     query = parse_cq(
         "Q(y) :- friend(p, y), person(y, n, 'NYC')", schema=social_schema
     )
-    flow = binding_flow(query, social_access, ("p",))
-    assert flow.controlled
-    assert not flow.uncovered
-    patterns = {a.atom.relation: a.pattern for a in flow.adornments}
+    cover = coverage(query, social_access, ("p",))
+    assert cover.controlled
+    assert not cover.uncovered
+    patterns = {a.atom.relation: a.pattern for a in cover.adornments}
     assert patterns == {"friend": "bb", "person": "bbb"}
-    assert explain_uncontrolled(query, social_access, ("p",)) is None
+    assert cover.explain() == ""
 
 
 def test_binding_flow_uncontrolled_inverted_lookup(social_schema, social_access):
@@ -348,18 +348,20 @@ def test_binding_flow_uncontrolled_inverted_lookup(social_schema, social_access)
     query = parse_cq(
         "Q(f) :- friend(f, p), person(f, n, 'NYC')", schema=social_schema
     )
-    flow = binding_flow(query, social_access, ("p",))
-    assert not flow.controlled
-    uncovered = {v.name for v in flow.uncovered}
+    cover = coverage(query, social_access, ("p",))
+    assert not cover.controlled
+    uncovered = {v.name for v in cover.uncovered}
     assert "f" in uncovered
-    trace = flow.explain()
+    trace = cover.explain()
     assert "?f" in trace and "can never become bound" in trace
-    assert explain_uncontrolled(query, social_access, ("p",)) == trace
+    with pytest.raises(NotControlledError) as exc_info:
+        compile_plan(query, social_access, ("p",))
+    assert str(exc_info.value).endswith("\n" + trace)
 
 
 def test_advise_missing_rule_proposes_minimal_key(social_schema, social_access):
     query = parse_cq("Q(f) :- friend(f, p)", schema=social_schema)
-    rule = advise_missing_rule(query, social_access, ("p",))
+    rule = advise_missing_rule(coverage(query, social_access, ("p",)))
     assert rule is not None
     assert rule.relation == "friend"
     assert tuple(rule.inputs) == ("pid2",)
@@ -373,7 +375,7 @@ def test_advise_missing_rule_proposes_minimal_key(social_schema, social_access):
 
 def test_advise_missing_rule_none_when_controlled(social_schema, social_access):
     query = parse_cq("Q(y) :- friend(p, y)", schema=social_schema)
-    assert advise_missing_rule(query, social_access, ("p",)) is None
+    assert advise_missing_rule(coverage(query, social_access, ("p",))) is None
 
 
 def test_analyze_query_emits_qry007_and_acc005(social_schema, social_access):
@@ -386,6 +388,21 @@ def test_analyze_query_emits_qry007_and_acc005(social_schema, social_access):
         if d.code in ("QRY007", "ACC005")
     )
     assert any("friend(pid2 -> 64)" in d.message for d in report)
+
+
+def test_qry007_and_acc005_walk_the_real_schema_once(
+    monkeypatch, social_schema, social_access
+):
+    # Both read one Coverage; only ACC005's candidate rules walk again,
+    # each under its own extended schema.
+    walked = []
+    walk = plans.walk
+    monkeypatch.setattr(plans, "walk", lambda *args: walked.append(args[1]) or walk(*args))
+    query = parse_cq("Q(f) :- friend(f, p)", schema=social_schema)
+    report = Report(analyze_query(query, social_access, ("p",)))
+    assert {"QRY007", "ACC005"} <= codes(report)
+    assert sum(access == social_access for access in walked) == 1
+    assert len(walked) > 1
 
 
 def test_not_controlled_error_carries_dataflow_trace(social_schema, social_access):

@@ -1,6 +1,8 @@
 """The package imports and exports everything it promises."""
 
+import ast
 import importlib
+from pathlib import Path
 
 # Names the top level is documented to export; test_all_is_complete keeps
 # __all__ and this list in sync.
@@ -140,7 +142,6 @@ def test_subpackages_import():
         "repro.analysis.plans",
         "repro.analysis.views",
         "repro.analysis.certify",
-        "repro.analysis.dataflow",
         "repro.analysis.fixes",
         "repro.analysis.__main__",
     ):
@@ -170,3 +171,22 @@ def test_subpackage_alls_resolve():
         mod = importlib.import_module(mod_name)
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing, f"{mod_name}: {missing}"
+
+
+def test_lower_layers_never_import_analysis():
+    """logic, relational and core sit below repro.analysis: no module of
+    theirs imports it, not even lazily inside a function."""
+    root = Path(importlib.import_module("repro").__file__).parent
+    offending = []
+    for layer in ("logic", "relational", "core"):
+        for path in sorted((root / layer).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n == "repro.analysis" or n.startswith("repro.analysis.") for n in names):
+                    offending.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert not offending, offending

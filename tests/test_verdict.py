@@ -3,10 +3,11 @@
 Section 4 of the paper makes a conjunctive query scale independent
 exactly when it is controlled, and the controllability fixpoint's
 derivation is the bounded plan.  The fixpoint runs once, as the planner's
-walk (``repro.core.plans.walk``): ``coverage``, ``is_controlled``,
-``controlling_sets``, ``decide_qsi``, ``binding_flow`` and the trace of a
-``NotControlledError`` all read it.  These tests hold every verdict to
-whether ``compile_plan`` succeeds -- over generated queries with
+walk (``repro.core.plans.walk``), and its one result is a ``Coverage``:
+``coverage``, ``is_controlled``, ``controlling_sets`` and ``decide_qsi``
+read it, and a failed ``compile_plan`` raises a ``NotControlledError``
+carrying its own and quoting its trace.  These tests hold every verdict
+to whether ``compile_plan`` succeeds -- over generated queries with
 equalities (classes that join atoms, pin constants or occur in no atom),
 plain, full and embedded rules and random parameter subsets -- and kill
 three seeded mutants of the shared code.
@@ -37,7 +38,6 @@ from repro import (
     is_controlled,
     parse_query,
 )
-from repro.analysis import binding_flow
 from repro.core import controllability, plans
 from repro.core.controllability import coverage
 from repro.workloads import Q4, Q5, SOCIAL_ACCESS, SOCIAL_SCHEMA
@@ -92,12 +92,13 @@ def cases(draw):
 EQUALITY_ONLY = ConjunctiveQuery(["x"], [Atom("r", ["?x"])], [Equality("?y", "?z")])
 
 
-def planned(query, access, params) -> bool:
+def failure(query, access, params) -> NotControlledError | None:
+    """The NotControlledError ``compile_plan`` raises, or None."""
     try:
         compile_plan(query, access, params)
-    except NotControlledError:
-        return False
-    return True
+    except NotControlledError as exc:
+        return exc
+    return None
 
 
 @settings(
@@ -111,11 +112,13 @@ def planned(query, access, params) -> bool:
 @example((EQUALITY_ONLY, AccessSchema(SCHEMA, [FullAccessRule("r", 4)]), ()))
 def test_every_verdict_is_whether_the_plan_compiles(case):
     query, access, params = case
-    expected = planned(query, access, params)
-    assert coverage(query, access, params).controlled is expected
+    failed = failure(query, access, params)
+    expected = failed is None
+    cover = coverage(query, access, params)
+    assert cover.controlled is expected
     assert is_controlled(query, access, params) is expected
     assert decide_qsi(query, access, params).scale_independent is expected
-    assert binding_flow(query, access, params).controlled is expected
+    assert failed is None or failed.coverage == cover
     assert (params in controlling_sets(query, access, params, minimal_only=False)) is expected
 
 
@@ -137,7 +140,7 @@ def test_an_equality_no_atom_reads_is_controlled_planned_and_executed():
 
 def test_unknown_parameters_are_rejected_by_every_verdict():
     access = AccessSchema(SCHEMA, [FullAccessRule("r", 4)])
-    for verdict in (compile_plan, coverage, is_controlled, decide_qsi, binding_flow):
+    for verdict in (compile_plan, coverage, is_controlled, decide_qsi):
         with pytest.raises(ValueError, match=r"not occurring in the query: \?zzz"):
             verdict(EQUALITY_ONLY, access, ["zzz"])
 
@@ -207,6 +210,20 @@ def test_a_failing_compile_walks_once_and_explains_as_before():
     check_failure_messages()
 
 
+def test_a_failing_compile_carries_its_coverage():
+    schema = DatabaseSchema.parse(SOCIAL_SCHEMA)
+    access = AccessSchema.parse(schema, SOCIAL_ACCESS)
+    for (text, param), message in FAILURES.items():
+        query = parse_query(text, schema)
+        with pytest.raises(NotControlledError) as failed:
+            compile_plan(query, access, [param])
+        carried, walked = failed.value.coverage, coverage(query, access, [param])
+        for field in ("query", "access", "parameters", "bound", "steps"):
+            assert getattr(carried, field) == getattr(walked, field), field
+        assert carried.adornments == walked.adornments
+        assert carried.explain() == message.split("\n", 1)[1]
+
+
 def test_the_checks_pass_unmutated():
     for check in CHECKS.values():
         check()
@@ -223,7 +240,7 @@ CHECKS = {
 MUTANTS = {
     "an equality no atom reads counted as uncovered": (
         controllability,
-        "_covered",
+        "_coverage",
         " or rep not in read",
         "",
         "verdict matches plan",
@@ -238,8 +255,8 @@ MUTANTS = {
     "the failure trace built from an empty bound set": (
         plans,
         "_raise_not_controlled",
-        "_flow(query, access, params, subst, bound)",
-        "_flow(query, access, params, subst, set())",
+        "_coverage(query, access, params, subst, bound, steps)",
+        "_coverage(query, access, params, subst, set(), steps)",
         "failure messages",
     ),
 }
