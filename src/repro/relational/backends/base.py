@@ -54,8 +54,10 @@ the conformance suite (``tests/test_backends.py``) checks this.  On
 failure likewise: a write primitive **applies the batch and returns its
 flags, or raises having applied nothing** -- a half-applied batch is rows
 the log never heard of, which no refresh repairs (the facade rejects
-unhashable values before any call; SQLite rolls back; a composite
-guarantees this per child, not across children).
+unhashable values before any call; :meth:`check_rows` refuses a row the
+store cannot keep -- NaN on SQLite -- and a composite asks every child
+before any applies; SQLite rolls back; a composite guarantees the rest
+per child, not across children).
 """
 
 from __future__ import annotations
@@ -171,6 +173,10 @@ class StorageBackend(ABC):
         -- the cost-statistics walk)."""
 
     # -- mutations -------------------------------------------------------
+
+    def check_rows(self, relation: str, rows: Sequence[Row]) -> None:
+        """Raise :class:`SchemaError` if this store cannot keep a row of a
+        write batch as given (each write calls it before applying any row)."""
 
     @abstractmethod
     def insert_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:

@@ -224,17 +224,25 @@ class ShardedBackend(StorageBackend):
     # A child sees each distinct row once; the first occurrence in the
     # batch takes its flag, a repeat is ineffective by definition.
 
+    def check_rows(self, relation: str, rows: Sequence[Row]) -> None:
+        """Every child vets the whole batch before any applies its share."""
+        for child in self._children:
+            child.check_rows(relation, rows)
+
     def insert_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
+        self.check_rows(relation, rows)
         flags = self._ask(relation, rows, "insert_rows")
         return [flags.pop(row, False) for row in rows]
 
     def delete_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
+        self.check_rows(relation, rows)
         flags = self._ask(relation, rows, "delete_rows")
         return [flags.pop(row, False) for row in rows]
 
     def load_rows(self, relation: str, rows: Sequence[Row]) -> int:
         """Scatter the chunk and bulk-load each child's share: no per-row
         flags to gather, and each child takes its own fast path."""
+        self.check_rows(relation, rows)
         shares = zip(self._children, self._scatter(rows, self._key_positions[relation]))
         return sum(child.load_rows(relation, sub) for child, sub in shares if sub)
 

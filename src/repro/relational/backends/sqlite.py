@@ -4,30 +4,31 @@ One table per relation -- ``_seq INTEGER PRIMARY KEY`` (the rowid, so a
 new row's exceeds every stored one's) beside the values ``c0..cN``, with a
 unique index over ``c0..cN`` for set semantics -- plus a lazily created
 **covering index** per accessed position set: key columns, ``_seq``, the
-rest.  A keyed read is answered from the index alone and never sorts: its
-``ORDER BY <key columns>, _seq`` is the index's order, which within a key
-is insertion order (the memory backend's), and a key naming every column
-has one row at most, so no ORDER BY.  Bulk calls stay one round trip each:
-a batch of distinct keys resolves through one chunked ``IN``-list (an
-OR-of-ANDs for composite keys -- SQLite answers it with MULTI-INDEX OR
-searches, where the row-value ``IN (VALUES ...)`` form falls back to a
-table scan, and sorts their union: the one read that does); mutation
-batches go through ``executemany``.  A file older than ``_seq`` is refused.
+rest.  A keyed read is answered from the index alone and **never sorts**:
+its ``ORDER BY <key columns>, _seq`` is the index's order, which within a
+key is insertion order (the memory backend's); a key naming every column
+has one row at most, so no ORDER BY.  A batch of k distinct keys is one
+round trip: that one-key SELECT k times, each arm wrapped as ``SELECT *
+FROM (...)`` under ``UNION ALL`` -- composite and ``None``-bearing keys
+alike, so no batch sorts or merges an OR -- chunked at 500 arms (SQLite's
+cap on a compound SELECT's terms) and ``_MAX_VARIABLES`` parameters.
+Mutation batches go through ``executemany``.  A file older than ``_seq``
+is refused.
 
 A call pays for its key values only.  What they do not change --
 validation, the covering index, how a fetched row maps back to its key --
 is resolved on first sight of ``(relation, positions)`` and memoised (an
 invalid read raises every time and never enters the memo); under each
-resolved read sits the statement text per key count (chunking bounds them
-at ``_MAX_VARIABLES``), and the connection keeps ``_CACHED_STATEMENTS``
-statements compiled.  A one-key batch -- most of what the executor sends
--- runs its statement and charges inline, with no regrouping.
+resolved read sits the statement text per key count, and the connection
+keeps ``_CACHED_STATEMENTS`` statements compiled.  A one-key batch --
+most of what the executor sends -- runs its statement and charges inline.
 
 Accounting is the waist's contract, exactly as the memory backend keeps
 it (a mis-sized key or row is an absent one: one lookup, nothing found),
 so tuples accessed vs the fanout bound compare across backends.  Returned
-rows are **owned** -- built from the query result and interned, never
-aliases of storage (:attr:`~StorageBackend.returns_live_groups` is False).
+rows are **owned** tuples ``sqlite3`` decodes (no per-cell callback; where
+rows persist, a view interns them), never aliases of storage
+(:attr:`~StorageBackend.returns_live_groups` is False).
 
 File lifecycle: pass ``path`` to put the store on disk (created on attach,
 left in place -- callers own deletion), or nothing for a private
@@ -53,21 +54,21 @@ at its own ``BEGIN``.  Reads stay autocommit.  Durability is relaxed
 a system of record -- a reopened path holds the *committed* batches.
 
 ``None`` is a first-class value: SQL ``NULL`` neither matches ``=`` nor
-deduplicates under a UNIQUE index, so every path routes ``None``-bearing
-keys and rows through explicit ``IS NULL`` predicates (and Python-side
-dedup on load), keeping all backends row-for-row interchangeable.
+deduplicates under a UNIQUE index, so ``None``-bearing keys and rows take
+``IS NULL`` predicates (and Python-side dedup on load).
 
 Limitations: values must be SQLite-native (int, float, str, bytes or
-``None``), and relation names that differ only by case would collide
-(SQLite identifiers are case-insensitive).
+``None``); NaN, which SQLite binds as NULL, is refused by every write
+(:meth:`SqliteBackend.check_rows`); and relation names that differ only by
+case would collide (SQLite identifiers are case-insensitive).
 """
 
 from __future__ import annotations
 
 import sqlite3
 from contextlib import contextmanager
-from operator import itemgetter
-from sys import intern as _intern
+from itertools import chain
+from operator import itemgetter, ne
 from typing import TYPE_CHECKING, Collection, Iterator, Sequence
 
 from repro.errors import SchemaError
@@ -82,8 +83,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _MAX_VARIABLES = 900
 
 #: Statements the connection keeps compiled: room for a workload's read
-#: texts (143 on the benchmark's SQLite workload, which already thrashes
-#: ``sqlite3``'s default of 128).
+#: texts (129 on the benchmark's larger SQLite store after three
+#: segments, past ``sqlite3``'s default of 128).
 _CACHED_STATEMENTS = 1024
 
 
@@ -91,16 +92,16 @@ def _columns(arity: int) -> str:
     return ", ".join(f"c{i}" for i in range(arity))
 
 
-def _read_text(head: str, positions: tuple[int, ...], count: int, tail: str) -> str:
-    """The SELECT answering ``count`` keys over ``positions`` in one round
-    trip: an ``IN``-list for a single column, an OR-of-ANDs for a
-    composite key (see the module docstring)."""
-    if len(positions) == 1:
-        where = f"c{positions[0]} IN ({', '.join('?' * count)})"
-    else:
-        one_key = "(" + " AND ".join(f"c{p} = ?" for p in positions) + ")"
-        where = " OR ".join([one_key] * count)
-    return head + where + tail
+def _null_safe(positions: tuple[int, ...], key: Row) -> str:
+    """One key's WHERE term: ``IS NULL`` at its ``None`` positions, ``= ?`` elsewhere."""
+    terms = (f"c{p} IS NULL" if v is None else f"c{p} = ?" for p, v in zip(positions, key))
+    return " AND ".join(terms)
+
+
+def _read_text(one: str, count: int) -> str:
+    """The SELECT answering ``count`` keys in one round trip: the one-key
+    SELECT ``one`` as ``count`` arms under ``UNION ALL``, each keeping its ORDER BY."""
+    return " UNION ALL ".join([f"SELECT * FROM ({one})"] * count)
 
 
 class _Read:
@@ -108,20 +109,21 @@ class _Read:
     changes: how a fetched row maps back to its key, and the statement
     text per key count (built on demand)."""
 
-    __slots__ = ("positions", "key_of", "head", "tail", "one", "_texts")
+    __slots__ = ("positions", "limit", "key_of", "head", "tail", "one", "_texts")
 
     def __init__(self, table: str, arity: int, positions: tuple[int, ...], tail: str):
         self.positions = positions
+        self.limit = min(max(1, _MAX_VARIABLES // len(positions)), 500)  # arms: SQLite's cap
         self.key_of = itemgetter(*positions) if len(positions) > 1 else None
         self.head = f"SELECT {_columns(arity)} FROM {table} WHERE "
         self.tail = tail
-        self._texts: dict[int, str] = {}
-        self.one = self.text(1)
+        self.one = self.head + " AND ".join(f"c{p} = ?" for p in positions) + tail
+        self._texts = {1: self.one}
 
     def text(self, count: int) -> str:
         sql = self._texts.get(count)
         if sql is None:
-            sql = self._texts[count] = _read_text(self.head, self.positions, count, self.tail)
+            sql = self._texts[count] = _read_text(self.one, count)
         return sql
 
 
@@ -165,9 +167,6 @@ class SqliteBackend(StorageBackend):
                 f"{self!r} is open in another backend or process; close it there first"
             ) from exc
         conn.execute("COMMIT")
-        # Interned where the driver builds it: fetched rows need no pass
-        # of their own (repro.relational.interning says why strings are).
-        conn.text_factory = lambda raw: _intern(raw.decode())
         conn.execute("PRAGMA journal_mode=MEMORY")  # OFF leaves ROLLBACK undefined
         conn.execute("PRAGMA synchronous=OFF")
         conn.execute("PRAGMA temp_store=MEMORY")
@@ -216,42 +215,24 @@ class SqliteBackend(StorageBackend):
     ) -> Sequence[Sequence[Row]]:
         if not keys:
             return ()
-        # The executor calls this once per operator per execution: one
-        # dict probe finds everything about the read that no key value
-        # changes; validation, the index and the SQL text are paid on
-        # first sight of (relation, positions) only.
+        # One dict probe finds what no key value changes: validation, the
+        # index and the SQL text are paid on first sight of a read only.
         read = self._reads.get((relation, positions))
         if read is None:
             if not positions:
                 return self._scan_groups(relation, keys, stats)
             read = self._resolve(relation, positions)
-        conn = self._conn
         if len(keys) == 1 and None not in keys[0]:
-            try:
-                rows = tuple(conn.execute(read.one, keys[0]))
-            except sqlite3.ProgrammingError:
-                if len(keys[0]) == len(positions):
-                    raise
-                rows = ()  # a mis-sized key matches nothing, like an absent one
-            cum = self._cum
-            cum.tuples_accessed += len(rows)
-            cum.indexed_lookups += 1
-            if stats is not None:
-                stats.tuples_accessed += len(rows)
-                stats.indexed_lookups += 1
-            return [rows]
+            return [self._one(read, keys[0], stats)]
         groups: dict[Row, list[Row]] = {key: [] for key in keys}
-        get = groups.get
-        key_of = read.key_of
-        p = positions[0]
+        get, key_of, p, conn = groups.get, read.key_of, positions[0], self._conn
         for sql, params in self._statements(read, groups):
             for row in conn.execute(sql, params):
                 group = get((row[p],) if key_of is None else key_of(row))
                 if group is not None:  # a row Python files under no key is nobody's
                     group.append(row)
-        owned = {key: tuple(group) for key, group in groups.items()}
-        self._charge(stats, tuples=sum(map(len, owned.values())), lookups=len(owned))
-        return [owned[key] for key in keys]
+        self._charge(stats, tuples=sum(map(len, groups.values())), lookups=len(groups))
+        return [tuple(groups[key]) for key in keys]
 
     def contains_rows(
         self,
@@ -261,23 +242,27 @@ class SqliteBackend(StorageBackend):
     ) -> tuple[bool, ...]:
         if len(rows) == 1 and None not in rows[0]:
             read = self._reads.get((relation, None)) or self._resolve(relation, None)
-            try:
-                found = self._conn.execute(read.one, rows[0]).fetchone() is not None
-            except sqlite3.ProgrammingError:
-                if len(rows[0]) == len(read.positions):
-                    raise
-                found = False  # a mis-sized row is absent
-            cum = self._cum
-            cum.tuples_accessed += found
-            cum.indexed_lookups += 1
-            if stats is not None:
-                stats.tuples_accessed += found
-                stats.indexed_lookups += 1
-            return (found,)
+            return (bool(self._one(read, rows[0], stats)),)
         distinct = dict.fromkeys(rows)
         present = self._present(relation, distinct)
         self._charge(stats, tuples=len(present), lookups=len(distinct))
         return tuple(map(present.__contains__, rows))
+
+    def _one(self, read: _Read, key: Row, stats: "AccessStats | None") -> tuple[Row, ...]:
+        """One key's rows through ``read.one``, charged inline; a mis-sized key matches nothing."""
+        try:
+            rows = tuple(self._conn.execute(read.one, key))
+        except sqlite3.ProgrammingError:
+            if len(key) == len(read.positions):
+                raise
+            rows = ()
+        cum = self._cum
+        cum.tuples_accessed += len(rows)
+        cum.indexed_lookups += 1
+        if stats is not None:
+            stats.tuples_accessed += len(rows)
+            stats.indexed_lookups += 1
+        return rows
 
     def scan(self, relation: str, stats: "AccessStats | None" = None) -> tuple[Row, ...]:
         self._require(relation)
@@ -292,10 +277,7 @@ class SqliteBackend(StorageBackend):
         return [row in present for row in rows]
 
     def count(self, relation: str) -> int:
-        (n,) = self._conn.execute(
-            f"SELECT COUNT(*) FROM {self._table(relation)}"
-        ).fetchone()
-        return n
+        return self._conn.execute(f"SELECT COUNT(*) FROM {self._table(relation)}").fetchone()[0]
 
     def iter_rows(self, relation: str) -> Iterator[Row]:
         columns = _columns(self._require(relation))
@@ -318,8 +300,16 @@ class SqliteBackend(StorageBackend):
                 conn.execute("ROLLBACK")
             raise
 
+    def check_rows(self, relation: str, rows: Sequence[Row]) -> None:
+        """SQLite binds NaN as NULL, so ``(1, nan)`` would be stored, found and
+        deduplicated as ``(1, None)``: one C-level pass (``v != v``) refuses it."""
+        if any(map(ne, chain.from_iterable(rows), chain.from_iterable(rows))):
+            row = next(row for row in rows if any(map(ne, row, row)))
+            raise SchemaError(f"{self!r} cannot store {row!r} in {relation!r}: NaN binds as NULL")
+
     def insert_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
         sql = self._insert(relation, "INSERT")
+        self.check_rows(relation, rows)
         with self._batch() as conn:
             flags, new = self._effective(relation, rows, stored=False)
             conn.executemany(sql, new)
@@ -327,18 +317,18 @@ class SqliteBackend(StorageBackend):
 
     def delete_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
         columns = tuple(range(self._require(relation)))
+        self.check_rows(relation, rows)
         table = self._table(relation)
         where = " AND ".join(f"c{i} = ?" for i in columns)
         with self._batch() as conn:
             flags, gone = self._effective(relation, rows, stored=True)
             plain = [row for row in gone if None not in row]
             conn.executemany(f"DELETE FROM {table} WHERE {where}", plain)
-            # None-bearing rows need IS NULL predicates; they are rare, so
-            # one statement per row keeps this simple.
+            # None-bearing rows are rare: one IS NULL statement each.
             for row in gone:
                 if None in row:
-                    term, params = self._null_safe_key(columns, row)
-                    conn.execute(f"DELETE FROM {table} WHERE {term}", params)
+                    params = [v for v in row if v is not None]
+                    conn.execute(f"DELETE FROM {table} WHERE {_null_safe(columns, row)}", params)
         return flags
 
     def load_rows(self, relation: str, rows: Sequence[Row]) -> int:
@@ -347,6 +337,7 @@ class SqliteBackend(StorageBackend):
         counter.  ``None``-bearing rows are deduped in Python instead --
         the unique index treats NULLs as distinct, so OR IGNORE cannot."""
         sql = self._insert(relation, "INSERT OR IGNORE")
+        self.check_rows(relation, rows)
         nullish = dict.fromkeys(row for row in rows if None in row)
         with self._batch() as conn:
             before = conn.total_changes
@@ -396,31 +387,28 @@ class SqliteBackend(StorageBackend):
         self._reads[(relation, positions)] = read
         return read
 
-    def _statements(
-        self, read: _Read, keys: Collection[Row]
-    ) -> Iterator[tuple[str, list[object]]]:
-        """The chunked ``(sql, parameters)`` round trips resolving the
-        distinct ``keys`` through ``read``.  A mis-sized key is never
-        bound: it matches nothing, like an absent one.  ``None``-bearing
-        keys get per-key predicates with IS NULL at the None positions
-        (``=`` never matches NULL)."""
-        width = len(read.positions)
-        limit = max(1, _MAX_VARIABLES // width)
+    def _statements(self, read: _Read, keys: Collection[Row]) -> list[tuple[str, list[object]]]:
+        """The ``(sql, parameters)`` round trips resolving the distinct
+        ``keys`` through ``read``: one arm per key, chunked -- one statement
+        for a batch the executor sends.  A ``None``-bearing key's arm says
+        ``IS NULL`` there; a mis-sized key is never bound: it matches nothing."""
+        width, limit = len(read.positions), read.limit
+        params = [v for key in keys for v in key]
+        if len(keys) <= limit and None not in params and {*map(len, keys)} == {width}:
+            return [(read.text(len(keys)), params)]
         plain = [key for key in keys if len(key) == width and None not in key]
+        nullish = [key for key in keys if len(key) == width and None in key]
+        statements = []
         for start in range(0, len(plain), limit):
             chunk = plain[start : start + limit]
-            yield read.text(len(chunk)), [v for key in chunk for v in key]
-        if len(plain) == len(keys):
-            return
-        nullish = [key for key in keys if len(key) == width and None in key]
+            statements.append((read.text(len(chunk)), [v for key in chunk for v in key]))
         for start in range(0, len(nullish), limit):
-            terms: list[str] = []
-            params: list[object] = []
-            for key in nullish[start : start + limit]:
-                term, key_params = self._null_safe_key(read.positions, key)
-                terms.append(term)
-                params.extend(key_params)
-            yield read.head + " OR ".join(terms) + read.tail, params
+            chunk = nullish[start : start + limit]
+            arms = [f"SELECT * FROM ({read.head}{_null_safe(read.positions, key)}{read.tail})"
+                    for key in chunk]
+            params = [v for key in chunk for v in key if v is not None]
+            statements.append((" UNION ALL ".join(arms), params))
+        return statements
 
     def _effective(
         self, relation: str, rows: Sequence[Row], stored: bool
@@ -438,26 +426,8 @@ class SqliteBackend(StorageBackend):
         """The subset of ``distinct`` rows currently stored (one chunked
         probe through the unique all-columns index)."""
         read = self._reads.get((relation, None)) or self._resolve(relation, None)
-        conn = self._conn
-        statements = self._statements(read, distinct)
+        conn, statements = self._conn, self._statements(read, distinct)
         return {row for sql, params in statements for row in conn.execute(sql, params)}
-
-    @staticmethod
-    def _null_safe_key(
-        positions: tuple[int, ...], key: Row
-    ) -> tuple[str, list[object]]:
-        """One key's WHERE term with ``IS NULL`` at the ``None``
-        positions (SQL ``=`` never matches NULL) and the bound
-        parameters for the rest."""
-        terms: list[str] = []
-        params: list[object] = []
-        for position, value in zip(positions, key):
-            if value is None:
-                terms.append(f"c{position} IS NULL")
-            else:
-                terms.append(f"c{position} = ?")
-                params.append(value)
-        return "(" + " AND ".join(terms) + ")", params
 
     @staticmethod
     def _table(relation: str) -> str:

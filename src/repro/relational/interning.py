@@ -12,18 +12,20 @@ before ever falling back to ``__eq__``.
 :func:`intern_value` is that funnel: exact ``str`` values go through
 :func:`sys.intern`; everything else (ints, floats, tuples, arbitrary
 hashables -- and ``str`` subclasses, which :func:`sys.intern` rejects)
-passes through untouched.  :meth:`Database.insert_many
-<repro.relational.instance.Database.insert_many>` interns stored rows,
-the executor interns operator constants at lowering time and parameter
-values at seed time, so by the time a key tuple meets an index both
-sides of every comparison are the same object.
+passes through untouched.  It runs where values enter or persist:
+:meth:`Database.insert_many <repro.relational.instance.Database.insert_many>`
+interns stored rows, a :class:`~repro.views.definition.ViewState` the rows
+it materialises, the executor operator constants and parameter values.  A
+SQLite read hands back ``sqlite3``'s strings: equal, not the same objects.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from sys import intern as _intern
+from typing import Collection
 
-__all__ = ["intern_value", "intern_row"]
+__all__ = ["intern_value", "intern_row", "intern_rows"]
 
 
 def intern_value(value: object) -> object:
@@ -40,3 +42,15 @@ def intern_row(row: tuple) -> tuple:
         if type(v) is str:
             return tuple(_intern(v) if type(v) is str else v for v in row)
     return row
+
+
+def intern_rows(rows: Collection[tuple]) -> list[tuple]:
+    """:func:`intern_row` of every row (all of one width), a column at a
+    time: rows with no exact ``str`` come back as they are, and an
+    all-``str`` column is interned with no Python call per cell."""
+    columns: list = [list(map(itemgetter(i), rows)) for i in range(len(next(iter(rows), ())))]
+    kinds = [set(map(type, column)) for column in columns]
+    strings = [i for i, kind in enumerate(kinds) if str in kind]
+    for i in strings:
+        columns[i] = map(_intern if kinds[i] == {str} else intern_value, columns[i])
+    return list(zip(*columns)) if strings else list(rows)

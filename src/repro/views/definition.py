@@ -61,6 +61,7 @@ from repro.logic.parser import parse_query
 from repro.logic.terms import Term, Variable
 from repro.relational.backends.memory import MemoryBackend
 from repro.relational.instance import AccessStats, Database
+from repro.relational.interning import intern_rows
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 Row = tuple[object, ...]
@@ -268,10 +269,11 @@ class ViewState:
         self.origin = self.watermark
         self.seeded = self.program.seed({})  # a maintenance plan has no parameters
         counts = self.program.count(self.seeded, db, AccessStats())
-        self.many = {row: count for row, count in counts.items() if count > 1}
+        rows = intern_rows(counts)  # a backend's reads need not share strings
+        self.many = {row: n for row, n in zip(rows, counts.values()) if n > 1}
         self.store = MemoryBackend()
         self.store.attach(DatabaseSchema([view.relation]), AccessStats())
-        self.store.insert_rows(view.name, list(counts))
+        self.store.insert_rows(view.name, rows)
         self.flat = bool(view.stands_for(Atom(view.name, view.query.head)))
         self._ledger: list[tuple[int, int, dict[Row, int]]] = []
         db.change_log.pin(self)  # hold the log at our watermark while we live

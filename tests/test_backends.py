@@ -14,6 +14,7 @@ and never alias internal storage.
 import pytest
 
 from conftest import BACKEND_KINDS, make_backend
+from mutation import mutate
 from repro import (
     AccessStats,
     Database,
@@ -25,6 +26,8 @@ from repro import (
     ShardedBackend,
     SqliteBackend,
     UpdateError,
+    ViewDef,
+    ViewState,
 )
 from repro.logic.parser import parse_query
 from repro.workloads import (
@@ -530,20 +533,55 @@ def test_sqlite_batches_of_every_size_agree_with_memory():
     assert observed[1][1].indexed_lookups > 2 * _MAX_VARIABLES
 
 
-def test_sqlite_reads_hand_back_interned_strings():
-    """Strings are interned where the driver builds them (the
-    connection's text factory), so every read path returns the shared
-    objects the executor's dict probes expect -- with no per-row pass."""
-    from sys import intern
-
-    db = Database(SCHEMA, backend=SqliteBackend())
+def test_sqlite_reads_hand_back_equal_strings_and_views_share_them():
+    """``sqlite3`` decodes TEXT itself -- the connection has no per-cell
+    text callback -- so every read path returns strings *equal* to the
+    stored ones, in tuple groups.  Strings are interned where rows
+    persist instead: a ``ViewState`` materialised over SQLite holds one
+    object per distinct string."""
+    backend = SqliteBackend()
+    db = Database(SCHEMA, backend=backend)
+    assert backend._handle.text_factory is str
     built = "".join(["ny", "c"])  # a fresh object, not the interned one
     db.insert_many("friend", [(1, built), (2, built), (3, None), (4, b"raw")])
     ((one,),) = db.lookup_keys("friend", (0,), [(1,)])
-    (many, _, _) = db.lookup_keys("friend", (0,), [(2,), (3,), (4,)])
-    assert one[1] is many[0][1] is intern("nyc")
-    assert all(row[1] is intern("nyc") for row in db.scan("friend")[:2])
-    assert db.scan("friend")[2:] == ((3, None), (4, b"raw"))
+    groups = db.lookup_keys("friend", (0,), [(2,), (3,), (4,)])
+    assert one == (1, "nyc") and groups == [((2, "nyc"),), ((3, None),), ((4, b"raw"),)]
+    assert all(type(group) is tuple for group in groups)
+    assert db.scan("friend") == ((1, "nyc"), (2, "nyc"), (3, None), (4, b"raw"))
+    state = ViewState(ViewDef("V", "V(b, a) :- friend(a, b)"), db)
+    assert sorted(state.rows, key=repr) == sorted([("nyc", 1), ("nyc", 2), (None, 3), (b"raw", 4)], key=repr)
+    assert len({id(row[0]) for row in state.rows if row[0] == "nyc"}) == 1
+    backend.close()
+
+
+def test_a_view_over_sqlite_holds_one_object_per_distinct_url():
+    """V2 (a page's visitors) materialised from a SQLite store: every
+    visit row of one url shares that url's one string object, as the
+    memory store's interned rows do."""
+    data = generate_social_network(200, seed=2)
+    engine = Engine(SOCIAL_SCHEMA, social_access_text(), data, backend=SqliteBackend())
+    register_workload_views(engine)
+    (state,) = engine.views.prepare(engine.database, ["V2"]).values()
+    urls = {url for _, url in data["visits"]}
+    assert {row[0] for row in state.rows} == urls
+    assert len({id(row[0]) for row in state.rows}) == len(urls)
+    engine.database.backend.close()
+
+
+def test_a_view_that_keeps_the_strings_it_read_is_caught(monkeypatch):
+    """Seeded mutant: a ``ViewState`` that stores its rows as the read
+    built them holds one url object per visit, not per url."""
+    mutate(
+        monkeypatch,
+        ViewState,
+        "__init__",
+        "intern_rows(counts)",
+        "list(counts)",
+        "a view that does not intern",
+    )
+    with pytest.raises(AssertionError):
+        test_a_view_over_sqlite_holds_one_object_per_distinct_url()
 
 
 def test_streamed_sqlite_load_is_flat_across_sizes(tmp_path):

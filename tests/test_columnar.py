@@ -40,7 +40,7 @@ from repro.core.executor import (
     run_pipeline,
 )
 from repro.logic.terms import Constant, Variable
-from repro.relational.interning import intern_row, intern_value
+from repro.relational.interning import intern_row, intern_rows, intern_value
 from repro.workloads import (
     RUNNING_QUERIES,
     generate_churn,
@@ -131,6 +131,20 @@ class TestInterningIdentity:
     def test_intern_row_returns_original_tuple_when_all_numeric(self):
         row = (1, 2.5, 3)
         assert intern_row(row) is row
+
+    def test_intern_rows_matches_intern_row_column_by_column(self):
+        class Label(str):
+            pass
+
+        url, label = "".join(["u", "1"]), Label("u1")
+        rows = [(url, 1, None), ("".join(["u", "1"]), 2, label), (url, 3, "x")]
+        interned = intern_rows(rows)
+        assert interned == [intern_row(row) for row in rows] == rows
+        assert all(row[0] is sys_intern("u1") for row in interned)  # an all-str column
+        assert interned[1][2] is label and interned[2][2] is sys_intern("x")  # a mixed one
+        numeric = [(1, 2.5), (3, 4.5)]
+        assert intern_rows(numeric) == numeric
+        assert intern_rows({(): 1}) == [()] and intern_rows([]) == []
 
     def test_stored_rows_share_the_parameter_string_object(self):
         schema = DatabaseSchema([RelationSchema("person", ["pid", "city"])])

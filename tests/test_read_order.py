@@ -5,10 +5,11 @@ order they were inserted -- a deleted and re-inserted row goes last --
 which is the memory backend's bucket order.  ``SqliteBackend`` gets it
 from the table's ``_seq`` column (the rowid's alias, past every stored
 row's on insert) and the covering index ``(key columns, _seq, rest)``:
-the read's ``ORDER BY <key columns>, _seq`` is the index's own order, so
-``EXPLAIN QUERY PLAN`` shows a covering-index search and no temp B-tree.
-A multi-key composite read (an ``OR`` of ``AND``s) is the one read that
-still sorts.  (A file written before the ``_seq`` layout refuses to open:
+the read's ``ORDER BY <key columns>, _seq`` is the index's own order, and
+a batch of keys is that one-key read once per key under ``UNION ALL``,
+so ``EXPLAIN QUERY PLAN`` shows covering-index searches only -- for
+composite and ``None``-bearing batches too -- and no temp B-tree.  (A
+file written before the ``_seq`` layout refuses to open:
 ``test_store_lifecycle.py``.)
 """
 
@@ -31,6 +32,7 @@ from repro import (
     ShardedBackend,
     SqliteBackend,
 )
+from repro.relational.backends import sqlite as sqlite_module
 from repro.relational.backends.sqlite import _MAX_VARIABLES
 from repro.workloads import (
     RUNNING_QUERIES,
@@ -182,20 +184,26 @@ def test_a_reinserted_row_and_a_reused_rowid_go_last():
 # -- the plan: a covering-index search, no sort --------------------------------
 
 
-def plan_of(backend, relation, positions, keys):
-    """``EXPLAIN QUERY PLAN``'s detail lines for the statement
-    ``lookup_keys`` runs on ``keys`` (all free of ``None``)."""
-    read = backend._reads[(relation, positions)]
-    sql = read.one if len(keys) == 1 else read.text(len(keys))
-    params = [value for key in keys for value in key]
-    return [row[3] for row in backend._handle.execute("EXPLAIN QUERY PLAN " + sql, params)]
+def plans_of(backend, relation, positions, keys):
+    """``EXPLAIN QUERY PLAN``'s detail lines for each statement
+    ``lookup_keys`` runs on ``keys``."""
+    read, handle = backend._reads[(relation, positions)], backend._handle
+    return [
+        [row[3] for row in handle.execute("EXPLAIN QUERY PLAN " + sql, params)]
+        for sql, params in backend._statements(read, dict.fromkeys(keys))
+    ]
+
+
+#: The lines of a compound statement that are not a table access.
+COMPOUND = {"COMPOUND QUERY", "LEFT-MOST SUBQUERY", "UNION ALL"}
 
 
 def test_the_social_workloads_keyed_reads_never_sort():
-    """Each keyed read Q1-Q5 make -- one key, and a many-key ``IN``-list
-    for a single column -- is one covering-index search and no temp
-    B-tree.  A multi-key composite read, an OR of ANDs, is the one read
-    that keeps its sort."""
+    """Each keyed read Q1-Q5 make, with one key and with many: five for a
+    single column, two and nine for ``person``'s ``(pid, city)``, and a
+    composite batch holding ``None``.  Every table access is a search of
+    a covering index -- the key's own, or the unique index for a key
+    naming every column -- so nothing sorts, merges an OR or scans."""
     data = generate_social_network(300, seed=1)
     backend = SqliteBackend()
     engine = Engine(SOCIAL_SCHEMA, social_access_text(), data, backend=backend)
@@ -208,12 +216,18 @@ def test_the_social_workloads_keyed_reads_never_sort():
     assert {("friend", (0,)), ("visits", (0,)), ("person", (0, 2))} <= keyed
     for relation, positions in sorted(keyed):
         stored = dict.fromkeys(tuple(row[p] for p in positions) for row in data[relation])
-        keys = list(stored)[:4]
-        for batch in [keys[:1], keys] if len(positions) == 1 else [keys[:1]]:
-            plan = plan_of(backend, relation, positions, batch)
-            where = f"{relation}{positions} x{len(batch)} on SQLite {sqlite3.sqlite_version}: {plan}"
-            assert any("COVERING INDEX" in line for line in plan), where
-            assert not any("TEMP B-TREE" in line for line in plan), where
+        keys = list(stored)
+        if len(positions) == 1:
+            batches = [keys[:1], keys[:5]]
+        else:
+            nullish = [(keys[0][0], None), (None, keys[1][1]), (None,) * len(positions)]
+            batches = [keys[:1], keys[:2], keys[:9], nullish + keys[:2]]
+        for batch in batches:
+            for plan in plans_of(backend, relation, positions, batch):
+                where = f"{relation}{positions} x{len(batch)} on SQLite {sqlite3.sqlite_version}: {plan}"
+                accesses = [line for line in plan if line not in COMPOUND]
+                assert accesses and all(line.startswith("SEARCH ") and "COVERING INDEX" in line for line in accesses), where
+                assert not any(word in line for line in plan for word in ("TEMP B-TREE", "MULTI-INDEX OR", "SCAN")), where
     backend.close()
 
 
@@ -225,7 +239,7 @@ PROPERTIES = {
     "plan": test_the_social_workloads_keyed_reads_never_sort,
 }
 
-#: name -> (class, attribute, the code to break, what to break it into, the
+#: name -> (class or module, attribute, the code to break, what to break it into, the
 #: property that must notice)
 MUTANTS = {
     "a keyed read that drops its ORDER BY": (
@@ -242,6 +256,21 @@ MUTANTS = {
         "[*lead, *rest]",
         "plan",
     ),
+    "an arm without its inner ORDER BY": (
+        sqlite_module,
+        "_read_text",
+        'f"SELECT * FROM ({one})"',
+        "f\"SELECT * FROM ({one.partition(' ORDER BY')[0]})\"",
+        "order",
+    ),
+    # Past SQLite's 500 compound-SELECT terms: the padded batch's statement fails.
+    "arm limit 900 instead of 500": (
+        sqlite_module._Read,
+        "__init__",
+        "_MAX_VARIABLES // len(positions)), 500)",
+        "_MAX_VARIABLES // len(positions)), 900)",
+        "order",
+    ),
 }
 
 
@@ -253,7 +282,7 @@ def test_read_order_mutants_are_killed(monkeypatch, name):
     for label, check in PROPERTIES.items():
         try:
             check()
-        except AssertionError:
+        except (AssertionError, sqlite3.OperationalError):
             killed_by.append(label)
     print(f"mutant {name!r} killed by: {', '.join(killed_by) or 'nothing'}")
     assert killed_by == [killer], f"{name!r} killed by {killed_by}"

@@ -29,6 +29,7 @@ from repro import (
     SqliteBackend,
 )
 from repro.relational.backends import sqlite as sqlite_module
+from repro.relational.backends.sharded import stable_shard_hash
 from repro.workloads import (
     RUNNING_QUERIES,
     generate_churn,
@@ -265,6 +266,42 @@ def test_unhashable_value_in_a_bulk_load_is_a_schema_error(backend_factory):
     with pytest.raises(SchemaError, match=r"\(1, \[5\]\).*'friend'.*unhashable"):
         db.bulk_load("friend", [(1, 4), (1, [5]), (1, 6)])
     assert db.size("friend") == 0 and db.change_log.watermark == 0
+
+
+# -- NaN: SQLite binds it as NULL, so a SQLite store refuses it ---------------
+
+NAN_STORES = {
+    "sqlite file": lambda folder: SqliteBackend(str(folder / "store.sqlite3")),
+    "sqlite": lambda folder: SqliteBackend(),
+    "sharded": lambda folder: ShardedBackend(3, factory=SqliteBackend),
+}
+
+
+@pytest.mark.parametrize("store", NAN_STORES)
+@pytest.mark.parametrize("write", ["insert_many", "delete_many", "bulk_load"])
+def test_a_nan_bearing_write_is_refused_on_sqlite_with_nothing_applied(tmp_path, store, write):
+    """Stored, ``(1, nan)`` would read back as ``(1, None)`` and deduplicate
+    against it; so each write path refuses the whole batch, naming the
+    relation and the row, and every shard applies nothing."""
+    nan = float("nan")
+    # The NaN row on the last of three shards, clean rows on every shard.
+    late = next(k for k in range(100, 200) if stable_shard_hash((k,)) % 3 == 2)
+    backend = NAN_STORES[store](tmp_path)
+    db = Database(SCHEMA, backend=backend)
+    if write != "bulk_load":
+        db.insert_many("friend", ROWS)
+    before, watermark = sorted(backend.iter_rows("friend"), key=repr), db.change_log.watermark
+    batch = [(1, 2), *[(k, 0) for k in range(20, 30)], (late, nan), (1, None), (2, 4)]
+    with pytest.raises(SchemaError, match=rf"\({late}, nan\) in 'friend'"):
+        getattr(db, write)("friend", batch)
+    assert sorted(backend.iter_rows("friend"), key=repr) == before
+    assert db.change_log.watermark == watermark
+    assert not db.contains("friend", (late, nan)) and not db.contains("friend", (late, None))
+    clean = {row for row in batch if row[1] == row[1]}
+    stored = set(before)
+    applied = {"insert_many": clean - stored, "delete_many": clean & stored, "bulk_load": clean}
+    assert getattr(db, write)("friend", list(clean)) == len(applied[write])
+    backend.close()
 
 
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
