@@ -85,7 +85,6 @@ from repro.core.executor import (
     PlanProfile,
     merge_parameter_values,
     pipeline_for,
-    profile_pipeline,
     run_pipeline,
 )
 from repro.core.plans import Plan, compile_plan
@@ -466,10 +465,14 @@ class PreparedQuery:
         compiled = engine._compiled_for(self, frozenset(values))
         names = compiled.view_names
         ctx = ExecutionContext(database, views=engine._views.prepare(database, names) if names else None)
-        profiles = tuple([profile_pipeline(pipe, ctx, pipe.seed(values)) for pipe in compiled.pipes])
+        profiles = []
+        for pipe in compiled.pipes:  # profile_plan's run on the entry's pipes: no memo probe
+            ctx.profile = []
+            rows = run_pipeline(pipe, ctx, pipe.seed(values))
+            profiles.append(PlanProfile(pipe.plan, tuple(rows), tuple(ctx.profile)))
         rows = dict.fromkeys(chain(*[profile.rows for profile in profiles]))
         result = ResultSet(rows, self.columns, ctx.stats, compiled.fanout_bound)
-        return ExplainAnalyze(result, profiles)
+        return ExplainAnalyze(result, tuple(profiles))
 
     def diagnostics(self, parameters: Iterable[object] = ()):
         """Statically analyze this query under the engine's access schema

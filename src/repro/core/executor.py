@@ -4,7 +4,7 @@
 turns a controlled conjunctive query into an ordered sequence of
 fetch/probe steps plus a head projection.  This module is the *executor*,
 and it has exactly one way to run a plan: **one lowering, three faces,
-one read source**.
+one read source, one context**.
 
 **One lowering.**  :func:`build_pipeline` turns the steps into operator
 *descriptions* -- :class:`FilterOp`, :class:`FetchOp`, :class:`ProbeOp`,
@@ -42,8 +42,7 @@ the faces into the standard delta rule of incremental scale independence
 decide; its docstring has the rule, the stages and what a maintained
 result holds.  :meth:`DeltaProgram.count` is the matching initial pass
 (derivation multiplicities: what makes signed deltas composable under
-deletion).  The signed faces are lowered on first counting/delta use;
-:func:`profile_plan` times those same closures -- a profile *is* the run.
+deletion).  The signed faces are lowered on first counting/delta use.
 
 **One read source.**  A closure reads through exactly two charged calls,
 the :class:`~repro.relational.backends.base.StorageBackend` pair
@@ -59,9 +58,13 @@ workloads far fewer than -- the tuples a read per assignment would
 ``tests/reference_executor.py``); both stay within the plan's
 :attr:`~repro.core.plans.Plan.fanout_bound`.
 
-Every execution runs inside an :class:`ExecutionContext`; all entry points
-accept either a raw :class:`~repro.relational.instance.Database` (a fresh
-context is opened) or an existing context.
+**One context.**  Every run of a plan -- :func:`run_pipeline` and the
+delta driver's :meth:`DeltaProgram.count` / :meth:`DeltaProgram.join` --
+takes one :class:`ExecutionContext`, holding only what a run reads.  A
+profile *is* the run: under a context with a ``profile`` list the same
+closures run, each appending its :class:`OperatorProfile`.
+:func:`execute_plan` and :func:`profile_plan` also accept a raw
+:class:`~repro.relational.instance.Database` (a fresh context is opened).
 """
 
 from __future__ import annotations
@@ -87,69 +90,57 @@ Assignment = dict[Variable, object]
 
 
 class ExecutionContext:
-    """The per-execution state threaded through every operator.
+    """What one run of a plan reads, threaded through every operator.
 
-    One context = one execution: it owns the execution's private
-    :attr:`stats` (every access is charged here *and* in the database's
-    cumulative :attr:`~repro.relational.instance.Database.stats`), the
-    change-log :attr:`watermark` the execution is positioned at, and --
-    for delta executions -- the net change slice past that watermark.
-    Contexts are cheap and never shared across executions; that is what
-    makes per-execution accounting exact under concurrent traffic.
+    One context = one run: it owns the run's private :attr:`stats` (every
+    access is charged here *and* in the database's cumulative
+    :attr:`~repro.relational.instance.Database.stats`) and -- for a delta
+    run -- the change slice it joins.  Contexts are cheap and never
+    shared across runs; that is what makes per-run accounting exact under
+    concurrent traffic.
 
     ``views`` maps materialized-view names to their states
     (:class:`repro.views.ViewState`, or anything whose ``store`` attribute
     offers the backend read pair ``lookup_keys`` / ``contains_rows``):
     view-assisted plans (:mod:`repro.views`) read a view through
-    :meth:`store`, charged to this execution's :attr:`stats` only -- the
+    :meth:`store`, charged to this run's :attr:`stats` only -- the
     database's cumulative counters see base-table traffic exclusively.
-    The states must be *current* at the watermark: a plan lets a view row
-    answer for the base rows it stands for and probes none of them, so a
-    stale row is an answer (``ViewSet.prepare``, the Engine's way in,
-    never hands out a stale state).
+    The states must be *current*: a plan lets a view row answer for the
+    base rows it stands for and probes none of them, so a stale row is an
+    answer (``ViewSet.prepare``, the Engine's way in, never hands out a
+    stale state).
 
-    ``delta`` is the change slice a delta execution joins, kept as
-    :attr:`slice` (``None`` on the standard execute path): the shared
+    ``delta`` is the change slice a delta run joins, kept as :attr:`slice`
+    (``None`` on the standard execute path): the shared
     :class:`~repro.relational.instance.LogSlice` of a ``slice_since``
     call, or a plain ``{relation: {row: sign}}`` mapping (wrapped into a
     private slice).  View answer changes ride in it under the view name,
     exactly like a base relation's.
+
+    :attr:`profile` is ``None``, or the list a profiled run appends its
+    :class:`OperatorProfile` lines to (the profiling entry points set it).
     """
 
-    __slots__ = ("db", "stats", "_watermark", "slice", "views")
+    __slots__ = ("db", "stats", "slice", "views", "profile")
 
     def __init__(
         self,
         db,
         stats: AccessStats | None = None,
-        watermark: int | None = None,
         delta: LogSlice | NetDelta | None = None,
         views: Mapping[str, object] | None = None,
     ):
         self.db = db
         self.stats = AccessStats() if stats is None else stats
-        self._watermark = watermark
         if delta is not None and type(delta) is not LogSlice:
             delta = LogSlice(delta)
         self.slice = delta
         self.views = views
-
-    @property
-    def watermark(self) -> int:
-        """The change-log position this execution is positioned at
-        (resolved lazily: the standard hot path never reads the log)."""
-        mark = self._watermark
-        if mark is None:
-            mark = self.db.change_log.watermark
-            self._watermark = mark
-        return mark
+        self.profile: list[OperatorProfile] | None = None
 
     def __repr__(self) -> str:
         delta = sum(self.slice.sizes.values()) if self.slice is not None else 0
-        return (
-            f"ExecutionContext(watermark={self.watermark}, "
-            f"delta={delta} rows, {self.stats.tuples_accessed} tuples accessed)"
-        )
+        return f"ExecutionContext(delta={delta} rows, {self.stats.tuples_accessed} tuples accessed)"
 
     def store(self, name: str):
         """The read source of materialized view ``name`` (its backend
@@ -1163,21 +1154,17 @@ def execute_plan(
     return tuple(run_pipeline(pipe, _as_context(db), pipe.seed(values)))
 
 
-def run_pipeline(
-    pipe: Pipeline,
-    ctx: ExecutionContext,
-    columns: list | None,
-    profiles: list["OperatorProfile"] | None = None,
-) -> Sequence[Row]:
+def run_pipeline(pipe: Pipeline, ctx: ExecutionContext, columns: list | None) -> Sequence[Row]:
     """The one pipeline runner, behind :func:`execute_plan`,
     :func:`profile_plan` and the Engine facade (whose plan-cache entries
     hold the pipelines): ``pipe``'s distinct answer rows in
     first-derivation order from the seed ``columns`` of
     :meth:`Pipeline.seed` -- which has already validated the parameters
-    and decided the prefilter (``None``: no answer).  Pass ``profiles`` (a
-    list) to collect one :class:`OperatorProfile` per compiled step run."""
-    if profiles is not None and pipe.prefilter is not None:
-        profiles.append(OperatorProfile(str(pipe.prefilter), 1, int(columns is not None), 0, 0, 0))
+    and decided the prefilter (``None``: no answer).  Under a
+    ``ctx.profile`` list each compiled step appends its :class:`OperatorProfile`."""
+    profile = ctx.profile
+    if profile is not None and pipe.prefilter is not None:
+        profile.append(OperatorProfile(str(pipe.prefilter), 1, int(columns is not None), 0, 0, 0))
     if columns is None:
         return ()
     database = ctx.db
@@ -1185,19 +1172,17 @@ def run_pipeline(
     n = 1
     for view, step, _, ops in pipe.body:
         source = database if view is None else ctx.store(view)
-        if profiles is None:
+        if profile is None:
             columns, n = step(source, stats, columns, n)
         else:
-            label = "; ".join(map(str, ops))
-            columns, n = _measured(profiles, label, step, source, stats, columns, n)
+            columns, n = _measured(profile, "; ".join(map(str, ops)), step, source, stats, columns, n)
         if not n:
             return ()
     view, terminal, _, ops = pipe.terminal
     source = database if view is None else ctx.store(view)
-    if profiles is None:
+    if profile is None:
         return terminal(source, stats, columns, n)
-    label = "; ".join(map(str, ops))
-    return _measured(profiles, label, terminal, source, stats, columns, n)
+    return _measured(profile, "; ".join(map(str, ops)), terminal, source, stats, columns, n)
 
 
 class DeltaProgram:
@@ -1211,7 +1196,7 @@ class DeltaProgram:
     shared by every result over the span.  *Per (program, seed)*:
     :meth:`seed`, kept by whoever ran the counting pass (:meth:`count`).
     *Per refresh*: :meth:`join`, the one delta driver (``refresh`` of an
-    ``IncrementalResult`` or ``ViewState``, and :meth:`run`, all end there).
+    ``IncrementalResult`` and of a ``ViewState`` both end there).
 
     A program *holds* when level 0 fetches through a keyed rule and a
     later level exists: the seed then names one key group (at most
@@ -1280,79 +1265,87 @@ class DeltaProgram:
             *((relation, (), ()) for relation in relations[2:]),
         ]
 
-    def _expand(self, seeded: Seeded, source, stats: AccessStats, profiles=None):
+    def _expand(self, seeded: Seeded, source, ctx: ExecutionContext):
         """Level 0's new-state batch, kept on ``seeded``: its held group
         through level 0's own step (its checks, its column layout) -- read
-        from ``source`` first, one charged call, when nothing is held."""
+        from ``source`` first, one charged (and profiled) call, when
+        nothing is held."""
+        profile = ctx.profile if seeded.rows is None else None
         seeded.source = source
         _, step, _, ops = self.levels[0]
-        batch = _measured(profiles, ("new", 1, ops[0]), step, seeded, stats, seeded.columns, 1)
+        batch = _measured(profile, ("new", 1, ops[0]), step, seeded, ctx.stats, seeded.columns, 1)
         seeded.prefix, seeded.n = prefix, n = batch
         seeded.next_keys = frozenset(self.levels[1][2].keys(prefix, n)) if n else frozenset()
         return batch
 
-    def count(self, seeded: Seeded | None, db, stats: AccessStats, store=None) -> dict[Row, int]:
+    def count(self, ctx: ExecutionContext, seeded: Seeded | None) -> dict[Row, int]:
         """``{answer row: derivation multiplicity}`` in first-derivation
         order from a :meth:`seed` -- :func:`execute_plan`'s rows, each with
         its count (a row is an answer exactly while its count is positive):
         the new faces of the signed lowering, every sign ``+1``; a holding
-        program keeps the group level 0 reads.  ``store`` is as for
-        :meth:`join`."""
+        program keeps the group level 0 reads."""
         counts: dict[Row, int] = {}
         if seeded is None:  # a rejected seed, or an unsatisfiable plan
             return counts
+        db, stats = ctx.db, ctx.stats
         columns, n, levels = seeded.columns, 1, self.levels
         if self.holds:  # this pass reads level 0, whatever was held
             view, levels, seeded.rows = levels[0][0], levels[1:], None
-            columns, n = self._expand(seeded, db if view is None else store(view), stats)
+            columns, n = self._expand(seeded, db if view is None else ctx.store(view), ctx)
         for view, step, _, _ in levels:
             if not n:
                 return counts
-            columns, n = step(db if view is None else store(view), stats, columns, n)
+            columns, n = step(db if view is None else ctx.store(view), stats, columns, n)
         if n:
             self.accumulate(columns, n, counts)
         return counts
 
-    def join(
-        self, slice: LogSlice, seeded: Seeded | None, db, stats: AccessStats, store=None, profiles=None
-    ) -> dict[Row, int]:
-        """The standard delta rule over ``slice`` from a :meth:`seed`: for
-        each level ``i`` whose relation the slice changed, levels before
-        ``i`` run on the new state (one prefix batch, level 0 of it from
-        the hold, extended level by level and shared by every changed
+    def join(self, ctx: ExecutionContext, seeded: Seeded | None) -> dict[Row, int]:
+        """The standard delta rule over ``ctx.slice`` from a :meth:`seed`:
+        for each level ``i`` whose relation the slice changed, levels
+        before ``i`` run on the new state (one prefix batch, level 0 of it
+        from the hold, extended level by level and shared by every changed
         level), level ``i`` joins the in-memory slice (zero tuples
         accessed), levels after ``i`` run on the pre-delta snapshot (the
-        same closures over :class:`OldState`).  ``store`` resolves a view
-        name to its read source (:meth:`ExecutionContext.store`).  A hold
-        moves with the slices it is joined with, so a caller that cannot
-        commit a join (it raised, or a sibling disjunct's did) forgets it
-        -- ``seeded.rows = None`` -- and the next join needing the prefix
-        reads it again, charged, within :func:`delta_fanout_bound`."""
+        same closures over :class:`OldState`) -- each changed row's signed
+        derivation-count change, which folded into :meth:`count`'s counts
+        gives the new state's.  A fresh seed holds nothing: it reads level
+        0 whenever a later level changed.  A hold moves with the slices it
+        is joined with, so a caller that cannot commit a join (it raised,
+        or a sibling disjunct's did) forgets it -- ``seeded.rows = None``
+        -- and the next join needing the prefix reads it again, charged,
+        within :func:`delta_fanout_bound`.  A served hold is a profile line
+        that read nothing."""
         changes: dict[Row, int] = {}
-        if profiles is not None and self.prefilter is not None:
+        profile = ctx.profile
+        if profile is not None and self.prefilter is not None:
             passed = int(seeded is not None)
-            profiles.append(OperatorProfile(str(self.prefilter), 1, passed, 0, 0, 0))
+            profile.append(OperatorProfile(str(self.prefilter), 1, passed, 0, 0, 0))
         if seeded is None:
             return changes
+        slice = ctx.slice
         joins = slice.staged.get(self)
         if joins is None:
             joins = self.stage(slice)
         if not joins:
             return changes
+        db, stats = ctx.db, ctx.stats
         keys = seeded.keys
         levels = self.levels
         prefix, n = seeded.columns, 1
         for i, join in enumerate(joins):
             if i:  # the level before, on the new state, extends the prefix
                 view, step, _, ops = levels[i - 1]
-                source = db if view is None else store(view)
+                source = db if view is None else ctx.store(view)
                 if i == 1 and self.holds:  # from the hold: read only if forgotten
-                    if seeded.rows is None or profiles is not None:
-                        self._expand(seeded, source, stats, profiles)
+                    if seeded.rows is None:
+                        self._expand(seeded, source, ctx)
+                    elif profile is not None:
+                        profile.append(OperatorProfile(f"new[1] {ops[0]}", 1, seeded.n, 0, 0, 0))
                     prefix, n = seeded.prefix, seeded.n
                 else:
                     label = ("new", i, ops[0])
-                    prefix, n = _measured(profiles, label, step, source, stats, prefix, n)
+                    prefix, n = _measured(profile, label, step, source, stats, prefix, n)
                 if not n:
                     break
                 keys = None  # only the first level's keys are the seed's
@@ -1364,37 +1357,23 @@ class DeltaProgram:
                     net = slice.net[self.relations[0]]
                     seeded.rows = [row for row in seeded.rows if net.get(row, 0) >= 0]
                     seeded.rows += [row for row, sign in entries if sign > 0]
-                    self._expand(seeded, None, stats)  # ... and where it leads now
+                    self._expand(seeded, None, ctx)  # ... and where it leads now
             label = ("Δ", i + 1, levels[i][3][0])
-            columns, m = _measured(profiles, label, join, keys, stats, prefix, n)
+            columns, m = _measured(profile, label, join, keys, stats, prefix, n)
             j = i + 1
             while m and j < len(levels):
                 view, step, _, ops = levels[j]
                 j += 1
                 # Not staged: kept on the slice it wraps, it would be a cycle.
-                old = OldState(db if view is None else store(view), slice)
-                columns, m = _measured(profiles, ("old", j, ops[0]), step, old, stats, columns, m)
+                old = OldState(db if view is None else ctx.store(view), slice)
+                columns, m = _measured(profile, ("old", j, ops[0]), step, old, stats, columns, m)
             if m:
                 self.accumulate(columns, m, changes)
         if changes:
             changes = {row: change for row, change in changes.items() if change}
-        if profiles is not None:
-            profiles.append(
-                OperatorProfile(str(self.pipe[-1]), len(changes), len(changes), 0, 0, 0)
-            )
+        if profile is not None:
+            profile.append(OperatorProfile(str(self.pipe[-1]), len(changes), len(changes), 0, 0, 0))
         return changes
-
-    def run(self, ctx: ExecutionContext, seed: Assignment, profiles=None) -> dict[Row, int]:
-        """The one-shot delta rule: :meth:`join` over ``ctx``'s slice from
-        a seed assignment, staging both halves on the spot -- the signed
-        derivation-count change of every affected answer row, which folded
-        into :meth:`count`'s counts gives a from-scratch count on the new
-        state.  Seeded afresh, it holds nothing and reads level 0 whenever
-        a later level changed; a caller refreshing one plan repeatedly
-        keeps the seed and calls ``join``, as :mod:`repro.incremental` and
-        :mod:`repro.views` do."""
-        seeded = self.seed(seed)
-        return {} if ctx.slice is None else self.join(ctx.slice, seeded, ctx.db, ctx.stats, ctx.store, profiles)
 
 
 def delta_program(plan: Plan) -> DeltaProgram:
@@ -1404,10 +1383,10 @@ def delta_program(plan: Plan) -> DeltaProgram:
 
 
 def delta_fanout_bound(plan: Plan, delta_sizes: Mapping[str, int]) -> int:
-    """An upper bound on the tuples :meth:`DeltaProgram.run` can access
-    for ``plan`` given a change slice with ``delta_sizes`` net rows per
-    relation -- a function of the slice and the access-rule bounds only,
-    never of the database size (the incremental analogue of
+    """An upper bound on the tuples :meth:`DeltaProgram.join` from a fresh
+    seed can access for ``plan`` given a change slice with ``delta_sizes``
+    net rows per relation -- a function of the slice and the access-rule
+    bounds only, never of the database size (the incremental analogue of
     :attr:`~repro.core.plans.Plan.fanout_bound`).
 
     Per changed level: the prefix runs on the new state (its fetches are
@@ -1466,7 +1445,8 @@ class OperatorProfile:
 
     ``wall_time_s`` is the step's measured wall-clock time (seconds); it
     is ``0.0`` on lines that account rows without timing (the seed filter,
-    and the pure-bookkeeping projection line of the delta driver)."""
+    a held group served without a read, and the pure-bookkeeping
+    projection line of the delta driver)."""
 
     operator: str
     rows_in: int
@@ -1477,12 +1457,12 @@ class OperatorProfile:
     wall_time_s: float = 0.0
 
 
-def _measured(profiles: list[OperatorProfile] | None, label, fn, source, stats, columns, n):
-    """Run one compiled closure and, unless ``profiles`` is ``None``,
+def _measured(profile: list[OperatorProfile] | None, label, fn, source, stats, columns, n):
+    """Run one compiled closure and, unless ``profile`` is ``None``,
     append its measurements (rows in and out, the accesses it charged,
     wall time) under ``label`` -- a string, or a delta face's ``(face,
     level, operator)``, rendered only when measuring."""
-    if profiles is None:
+    if profile is None:
         return fn(source, stats, columns, n)
     if type(label) is tuple:
         label = "{}[{}] {}".format(*label)
@@ -1491,7 +1471,7 @@ def _measured(profiles: list[OperatorProfile] | None, label, fn, source, stats, 
     out = fn(source, stats, columns, n)
     elapsed = perf_counter() - start
     spent = stats.since(before)
-    profiles.append(
+    profile.append(
         OperatorProfile(
             label,
             n,
@@ -1556,13 +1536,7 @@ def profile_plan(
     entry per compiled step, so a fused fetch+project tail is one entry
     naming both operators.  The profile's rows *are* the execution's.
     """
-    pipe = pipeline_for(plan)
-    return profile_pipeline(pipe, _as_context(db), pipe.seed(merge_parameter_values(parameters, kwargs)))
-
-
-def profile_pipeline(pipe: Pipeline, ctx: ExecutionContext, columns: list | None) -> PlanProfile:
-    """:func:`run_pipeline` with its profile (same contract for
-    ``columns``)."""
-    profiles: list[OperatorProfile] = []
-    rows = run_pipeline(pipe, ctx, columns, profiles)
-    return PlanProfile(pipe.plan, tuple(rows), tuple(profiles))
+    ctx = _as_context(db)
+    ctx.profile = profile = []
+    rows = execute_plan(plan, ctx, parameters, **kwargs)
+    return PlanProfile(plan, rows, tuple(profile))

@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.access_schema import AccessSchema
-from repro.core.executor import execute_plan
+from repro.core.executor import ExecutionContext, execute_plan
 from repro.core.plans import Plan, compile_plan
 from repro.errors import NotControlledError
 from repro.logic.cq import ConjunctiveQuery
-from repro.relational.instance import Database
+from repro.relational.instance import AccessStats, Database
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,14 @@ def decide_qdsi(
         except NotControlledError:
             plan = None
 
-    before = database.stats.snapshot()
+    stats = AccessStats()  # the decider's own: other executions never enter it
     if plan is not None:
-        answers = execute_plan(plan, database)
+        answers = execute_plan(plan, ExecutionContext(database, stats))
         how = "scale-independent plan"
     else:
-        answers = query.evaluate(database)
+        answers = query.evaluate(database, stats=stats)
         how = "direct evaluation"
-    accessed = database.stats.since(before).tuples_accessed
+    accessed = stats.tuples_accessed
 
     within = accessed <= budget
     reason = (

@@ -69,7 +69,6 @@ undefined.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterator, Mapping
 from weakref import finalize
 
@@ -163,8 +162,11 @@ class IncrementalResult:
         no write of which marked the result runs no delta pipeline at all.
         With ``analyze=True`` the delta pipeline's per-operator row counts
         and accounting are recorded in :attr:`profiles` (rendered by
-        :meth:`explain_analyze`); the default refresh -- the hot path --
-        skips that.  If the engine's access schema, views or ``Database``
+        :meth:`explain_analyze`) by the context it runs in; the default
+        refresh -- the hot path -- skips that.  Either way the same code
+        runs: an unmarked result's analysed refresh records nothing
+        (``profiles == ()``), because no delta pipeline ran.  If the
+        engine's access schema, views or ``Database``
         were replaced since the last pass the result *rebases* (full
         recompute through the plan cache) instead:
         :attr:`last_mode` says which path ran (``"delta"`` / ``"rebase"``).
@@ -177,13 +179,13 @@ class IncrementalResult:
             # access schema or views changed and the plans are stale: rebase
             # (new cost statistics or a cleared plan cache leave the basis).
             return self._materialize("rebase")
-        joining = self._mark.marked or analyze or self._view_names
+        joining = self._mark.marked or self._view_names
         self._mark.marked = False  # before the slice is cut: a write after it marks again
         slice = db.change_log.slice_since(self.watermark)
         # View-assisted plans: bring the views up to date first, then ride
         # their answer changes in the slice under the view names -- the
         # delta pipeline joins them exactly like base-relation changes.
-        store = None
+        states = None
         if self._view_names:
             states = engine.views.prepare(db, self._view_names)
             view_delta: dict[str, dict[Row, int]] = {}
@@ -198,18 +200,19 @@ class IncrementalResult:
                     view_delta[name] = net
             if view_delta:  # a private slice, so privately staged
                 slice = LogSlice({**slice.net, **view_delta}, slice.start, slice.stop)
-            store = ExecutionContext(db, views=states).store
         stats = AccessStats()
         profiles: tuple[PlanProfile, ...] = ()
         if joining and slice.net:
             # Every disjunct's changes first: a backend error in a later
             # one must leave counts and watermark as they were, so the
             # retry does not apply the earlier ones twice.
-            changes = []
-            measured = [[] for _ in self._programs] if analyze else repeat(None)
+            ctx = ExecutionContext(db, stats, slice, states)
+            changes, measured = [], []
             try:
-                for program, seeded, ops in zip(self._programs, self._seeds, measured):
-                    changes.append(program.join(slice, seeded, db, stats, store, ops))
+                for program, seeded in zip(self._programs, self._seeds):
+                    ctx.profile = [] if analyze else None
+                    changes.append(program.join(ctx, seeded))
+                    measured.append(ctx.profile)
             except BaseException:
                 # ... and no group patched towards a state we never reach.
                 for seeded in self._seeds:
@@ -280,16 +283,14 @@ class IncrementalResult:
         states = engine.views.prepare(db, names) if names else None
         log = db.change_log
         watermark = log.watermark
-        ctx = ExecutionContext(db, watermark=watermark, views=states)
+        ctx = ExecutionContext(db, views=states)
         # What every refresh needs and no slice changes: the compiled delta
         # programs, what each makes of its seed (every plan was compiled for
         # exactly the names in ``_values``) and the views read.
         programs = tuple(pipe.program() for pipe in compiled.pipes)
         seeds = tuple(program.seed(self._values) for program in programs)
-        # Like refresh(), the initial pass skips profile bookkeeping --
-        # profiles come from refresh(analyze=True) on demand.
         counts = [
-            program.count(seeded, db, ctx.stats, ctx.store)
+            program.count(ctx, seeded)
             for program, seeded in zip(programs, seeds)
         ]
         self._delta_sizes = None

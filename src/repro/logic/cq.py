@@ -177,13 +177,14 @@ class ConjunctiveQuery:
         return tuple(a.substitute(subst) for a in self.body) if subst else self.body
 
     def evaluate(
-        self, db, parameters: Mapping[object, object] | None = None
+        self, db, parameters: Mapping[object, object] | None = None, stats=None
     ) -> tuple[tuple[object, ...], ...]:
         """All answer tuples of the query on ``db``, deduplicated and in
         first-derivation order.
 
         ``parameters`` optionally binds some of the query's variables to
         values before evaluation (the paper's "given ?x0, find ..." usage).
+        ``stats``, when given, is charged every read as well.
         """
         from repro.logic import evaluation
 
@@ -206,7 +207,7 @@ class ConjunctiveQuery:
 
         atoms = [a.substitute(subst) for a in self.body]
         answers: dict[tuple[object, ...], None] = {}
-        for asg in evaluation.join_atoms(db, atoms, assignment):
+        for asg in evaluation.join_atoms(db, atoms, assignment, stats):
             answers.setdefault(self._project(asg, subst), None)
         return tuple(answers)
 

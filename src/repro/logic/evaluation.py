@@ -72,9 +72,10 @@ def _extend(atom: Atom, row: Sequence[object], assignment: Assignment) -> Assign
     return new
 
 
-def join_atoms(db, atoms: Sequence[Atom], assignment: Mapping[Variable, object] | None = None) -> Iterator[Assignment]:
+def join_atoms(db, atoms: Sequence[Atom], assignment: Mapping[Variable, object] | None = None, stats=None) -> Iterator[Assignment]:
     """Yield every assignment of the atoms' variables that makes all of
-    ``atoms`` hold in ``db``, extending the initial ``assignment``.
+    ``atoms`` hold in ``db``, extending the initial ``assignment``; each
+    read is also charged to ``stats`` when given.
 
     Atom order is chosen greedily: the next atom evaluated is always one
     with the largest number of bound positions, so each lookup is as
@@ -89,7 +90,7 @@ def join_atoms(db, atoms: Sequence[Atom], assignment: Mapping[Variable, object] 
         atom = max(remaining, key=lambda a: len(_bound_pattern(a, current)))
         rest = [a for a in remaining if a is not atom]
         pattern = _bound_pattern(atom, current)
-        for row in db.lookup(atom.relation, pattern):
+        for row in db.lookup(atom.relation, pattern, stats):
             extended = _extend(atom, row, current)
             if extended is not None:
                 yield from recurse(rest, extended)

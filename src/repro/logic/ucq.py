@@ -68,9 +68,10 @@ class UnionOfConjunctiveQueries:
         )
 
     def evaluate(
-        self, db, parameters: Mapping[object, object] | None = None
+        self, db, parameters: Mapping[object, object] | None = None, stats=None
     ) -> tuple[tuple[object, ...], ...]:
-        """The union of the disjuncts' answers, deduplicated in order.
+        """The union of the disjuncts' answers, deduplicated in order
+        (``stats`` as for :meth:`ConjunctiveQuery.evaluate`).
 
         Every parameter variable must occur in every disjunct: silently
         leaving a disjunct unconstrained would let unfiltered rows flow
@@ -91,6 +92,6 @@ class UnionOfConjunctiveQueries:
                     )
         answers: dict[tuple[object, ...], None] = {}
         for q in self.disjuncts:
-            for row in q.evaluate(db, parameters):
+            for row in q.evaluate(db, parameters, stats):
                 answers.setdefault(row, None)
         return tuple(answers)

@@ -33,7 +33,10 @@ an empty position tuple degenerates to one shared, counted-once full
 scan.  A composite backend must preserve these semantics across its
 children (counting a batch's distinct keys once *globally*, not once per
 child).  Mutations and the unaccounted primitives (:meth:`probe_rows`,
-:meth:`count`, :meth:`iter_rows`) charge nothing.
+:meth:`count`, :meth:`iter_rows`) charge nothing; :meth:`scan`, one method
+for all, is :meth:`iter_rows` charged as a full scan.  Every primitive
+raises :class:`~repro.errors.SchemaError` for a relation the schema lacks
+(an empty key batch reads nothing and returns nothing).
 
 **Aliasing.**  :attr:`returns_live_groups` declares whether the row
 groups returned by :meth:`lookup_keys` may alias internal storage.  The
@@ -72,6 +75,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.relational.schema import DatabaseSchema
 
 Row = tuple[object, ...]
+
+
+class RelationMap(dict):
+    """``{relation: value}`` over a schema's relations whose miss is the
+    schema's ``SchemaError``: a primitive reading it needs no check."""
+
+    __slots__ = ("schema",)
+
+    def __init__(self, schema: "DatabaseSchema", values) -> None:
+        super().__init__(values)
+        self.schema = schema
+
+    def __missing__(self, relation: str):
+        self.schema.relation(relation)  # raises for an unknown name
+        raise KeyError(relation)  # pragma: no cover - every relation is a key
 
 
 def check_positions(relation: str, arity: int, positions: tuple[int, ...]) -> None:
@@ -151,10 +169,12 @@ class StorageBackend(ABC):
         *distinct* row is probed and charged once (one indexed lookup,
         plus one tuple accessed when present)."""
 
-    @abstractmethod
     def scan(self, relation: str, stats: "AccessStats | None" = None) -> tuple[Row, ...]:
         """Every row of ``relation`` in insertion order -- one full scan,
         charged as such."""
+        rows = tuple(self.iter_rows(relation))
+        self._charge(stats, tuples=len(rows), scans=1)
+        return rows
 
     # -- unaccounted primitives ------------------------------------------
 
@@ -226,4 +246,4 @@ class StorageBackend(ABC):
         return [self.scan(relation, stats)] * len(keys)
 
 
-__all__ = ["StorageBackend", "Row", "check_positions"]
+__all__ = ["StorageBackend", "RelationMap", "Row", "check_positions"]

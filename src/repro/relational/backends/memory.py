@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.relational.backends.base import Row, StorageBackend, check_positions
+from repro.relational.backends.base import RelationMap, Row, StorageBackend, check_positions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.instance import AccessStats
@@ -39,8 +39,8 @@ class MemoryBackend(StorageBackend):
 
     def attach(self, schema: "DatabaseSchema", stats: "AccessStats") -> None:
         super().attach(schema, stats)
-        self._rows = {name: {} for name in schema.names}
-        self._indexes = {name: {} for name in schema.names}
+        self._rows = RelationMap(schema, {name: {} for name in schema.names})
+        self._indexes = RelationMap(schema, {name: {} for name in schema.names})
 
     # -- charged reads ---------------------------------------------------
 
@@ -55,20 +55,17 @@ class MemoryBackend(StorageBackend):
             return ()
         if not positions:
             return self._scan_groups(relation, keys, stats)
-        # The executor calls this once per operator per execution: resolve
-        # the index with one dict probe when it already exists (inserts
-        # and deletes maintain built indexes in place, so an existing
-        # index object is always current) and fall back to the validated
-        # build path only on first sight of (relation, positions).
-        try:
-            index = self._indexes[relation].get(positions)
-        except KeyError:
-            self.schema.relation(relation)  # raises the proper SchemaError
-            raise
+        # One dict probe finds a built index (writes maintain it in place,
+        # so it is always current); the first sight of (relation, positions)
+        # validates and builds it, then publishes it: no reader sees half.
+        indexes = self._indexes[relation]
+        index = indexes.get(positions)
         if index is None:
-            rel = self.schema.relation(relation)
-            check_positions(relation, rel.arity, positions)
-            index = self._index_for(relation, positions)
+            check_positions(relation, self.schema.relation(relation).arity, positions)
+            index = {}
+            for row in self._rows[relation]:
+                index.setdefault(tuple([row[p] for p in positions]), []).append(row)
+            indexes[positions] = index
         if len(keys) == 1:
             rows = index.get(keys[0], ())
             cum = self._cum
@@ -106,11 +103,7 @@ class MemoryBackend(StorageBackend):
         rows: Sequence[Row],
         stats: "AccessStats | None" = None,
     ) -> tuple[bool, ...]:
-        try:
-            store = self._rows[relation]
-        except KeyError:
-            self.schema.relation(relation)  # raises the proper SchemaError
-            raise
+        store = self._rows[relation]
         if len(rows) == 1:
             present = rows[0] in store
             cum = self._cum
@@ -136,12 +129,6 @@ class MemoryBackend(StorageBackend):
             verdicts.append(present)
         self._charge(stats, tuples=tuples, lookups=lookups)
         return tuple(verdicts)
-
-    def scan(self, relation: str, stats: "AccessStats | None" = None) -> tuple[Row, ...]:
-        self.schema.relation(relation)
-        rows = tuple(self._rows[relation])
-        self._charge(stats, tuples=len(rows), scans=1)
-        return rows
 
     # -- unaccounted primitives ------------------------------------------
 
@@ -189,19 +176,6 @@ class MemoryBackend(StorageBackend):
                     del index[key]
             flags.append(True)
         return flags
-
-    # -- internals -------------------------------------------------------
-
-    def _index_for(
-        self, relation: str, positions: tuple[int, ...]
-    ) -> dict[Row, list[Row]]:
-        index = self._indexes[relation].get(positions)
-        if index is None:
-            index = {}
-            for row in self._rows[relation]:
-                index.setdefault(tuple([row[p] for p in positions]), []).append(row)
-            self._indexes[relation][positions] = index
-        return index
 
 
 __all__ = ["MemoryBackend"]

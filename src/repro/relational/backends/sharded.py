@@ -40,10 +40,11 @@ those applied.
 from __future__ import annotations
 
 import zlib
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError
-from repro.relational.backends.base import Row, StorageBackend, check_positions
+from repro.relational.backends.base import RelationMap, Row, StorageBackend, check_positions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.instance import AccessStats
@@ -100,8 +101,8 @@ class ShardedBackend(StorageBackend):
         for name, positions in self._key_positions.items():
             rel = schema.relation(name)  # raises for unknown relations
             check_positions(name, rel.arity, positions)
-        for name in schema.names:
-            self._key_positions.setdefault(name, (0,))
+        defaults = {name: (0,) for name in schema.names}
+        self._key_positions = RelationMap(schema, {**defaults, **self._key_positions})
         for _ in range(self.shards):
             child = self._factory()
             scratch = AccessStats()
@@ -193,18 +194,9 @@ class ShardedBackend(StorageBackend):
         rows: Sequence[Row],
         stats: "AccessStats | None" = None,
     ) -> tuple[bool, ...]:
-        self.schema.relation(relation)
         verdict = self._ask(relation, rows, "contains_rows")
         self._charge(stats, tuples=sum(verdict.values()), lookups=len(verdict))
         return tuple(verdict[row] for row in rows)
-
-    def scan(self, relation: str, stats: "AccessStats | None" = None) -> tuple[Row, ...]:
-        self.schema.relation(relation)
-        rows: list[Row] = []
-        for child in self._children:
-            rows.extend(child.iter_rows(relation))
-        self._charge(stats, tuples=len(rows), scans=1)
-        return tuple(rows)
 
     # -- unaccounted primitives ------------------------------------------
 
@@ -216,8 +208,7 @@ class ShardedBackend(StorageBackend):
         return sum(child.count(relation) for child in self._children)
 
     def iter_rows(self, relation: str) -> Iterator[Row]:
-        for child in self._children:
-            yield from child.iter_rows(relation)
+        return chain.from_iterable([child.iter_rows(relation) for child in self._children])
 
     # -- mutations -------------------------------------------------------
 

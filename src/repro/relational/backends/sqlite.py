@@ -264,12 +264,6 @@ class SqliteBackend(StorageBackend):
             stats.indexed_lookups += 1
         return rows
 
-    def scan(self, relation: str, stats: "AccessStats | None" = None) -> tuple[Row, ...]:
-        self._require(relation)
-        rows = tuple(self.iter_rows(relation))
-        self._charge(stats, tuples=len(rows), scans=1)
-        return rows
-
     # -- unaccounted primitives ------------------------------------------
 
     def probe_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
@@ -277,6 +271,7 @@ class SqliteBackend(StorageBackend):
         return [row in present for row in rows]
 
     def count(self, relation: str) -> int:
+        self._require(relation)
         return self._conn.execute(f"SELECT COUNT(*) FROM {self._table(relation)}").fetchone()[0]
 
     def iter_rows(self, relation: str) -> Iterator[Row]:
@@ -350,6 +345,8 @@ class SqliteBackend(StorageBackend):
     # -- internals -------------------------------------------------------
 
     def _require(self, relation: str) -> int:
+        """``relation``'s arity: every primitive's way in, so an unknown
+        relation is the schema's ``SchemaError`` on all of them."""
         arity = self._arity.get(relation)
         if arity is None:
             self._conn  # an unattached store says so, naming its path

@@ -52,7 +52,7 @@ from repro.core.access_schema import (
     FullAccessRule,
     parse_access_schema,
 )
-from repro.core.executor import delta_program
+from repro.core.executor import ExecutionContext, delta_program
 from repro.core.plans import Plan, compile_plan
 from repro.errors import RewritingError, SchemaError
 from repro.logic.ast import Atom
@@ -268,7 +268,7 @@ class ViewState:
         self.watermark = db.change_log.watermark
         self.origin = self.watermark
         self.seeded = self.program.seed({})  # a maintenance plan has no parameters
-        counts = self.program.count(self.seeded, db, AccessStats())
+        counts = self.program.count(ExecutionContext(db), self.seeded)
         rows = intern_rows(counts)  # a backend's reads need not share strings
         self.many = {row: n for row, n in zip(rows, counts.values()) if n > 1}
         self.store = MemoryBackend()
@@ -312,7 +312,7 @@ class ViewState:
             # Nothing below moves before the delta ran to completion: a
             # failed refresh leaves counts, store, ledger and watermark
             # as they were, so a retry starts from consistent state.
-            changes = self.program.join(slice, self.seeded, self.db, AccessStats())
+            changes = self.program.join(ExecutionContext(self.db, delta=slice), self.seeded)
             if self.flat:  # every count is 0 or 1: a change is an answer change
                 net = changes
             else:

@@ -75,6 +75,32 @@ def test_lookup_keys_charges_each_distinct_key_once(backend_factory):
     assert extra == db.stats and db.stats.indexed_lookups == 3
 
 
+#: Every primitive of the waist, called on a relation the schema lacks.
+UNKNOWN = {
+    "lookup_keys": lambda backend: backend.lookup_keys("nope", (0,), [(1,)]),
+    "lookup_keys, no positions": lambda backend: backend.lookup_keys("nope", (), [()]),
+    "contains_rows": lambda backend: backend.contains_rows("nope", [(1, 2)]),
+    "scan": lambda backend: backend.scan("nope"),
+    "probe_rows": lambda backend: backend.probe_rows("nope", [(1, 2)]),
+    "count": lambda backend: backend.count("nope"),
+    "iter_rows": lambda backend: backend.iter_rows("nope"),
+    "insert_rows": lambda backend: backend.insert_rows("nope", [(1, 2)]),
+    "delete_rows": lambda backend: backend.delete_rows("nope", [(1, 2)]),
+    "load_rows": lambda backend: backend.load_rows("nope", [(1, 2)]),
+}
+
+
+@pytest.mark.parametrize("primitive", UNKNOWN)
+def test_an_unknown_relation_is_a_schema_error_on_every_primitive(backend_factory, primitive):
+    backend = backend_factory()
+    db = Database(SCHEMA, DATA, backend=backend)
+    db.reset_stats()
+    with pytest.raises(SchemaError, match="unknown relation 'nope'"):
+        UNKNOWN[primitive](backend)
+    assert sorted(backend.iter_rows("friend")) == DATA["friend"]
+    assert db.stats == AccessStats()
+
+
 def test_empty_positions_share_one_counted_scan(backend_factory):
     db = Database(SCHEMA, DATA, backend=backend_factory())
     db.reset_stats()

@@ -183,7 +183,7 @@ class TestFusion:
             fused = execute_plan(plan, db, values)
             program = delta_program(plan)
             seeded = program.seed(merge_parameter_values(values, {}))
-            unfused = program.count(seeded, db, db.stats)
+            unfused = program.count(ExecutionContext(db), seeded)
             reference = set(execute_per_tuple(plan, db, values))
             assert list(unfused) == list(fused), f"{bundle.name} at pid={pid}"
             assert set(fused) == reference, f"{bundle.name} diverges at pid={pid}"

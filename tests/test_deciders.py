@@ -5,9 +5,12 @@ import pytest
 from repro import (
     Atom,
     ConjunctiveQuery,
+    Database,
+    MemoryBackend,
     UnionOfConjunctiveQueries,
     decide_qdsi,
     decide_qsi,
+    parse_query,
 )
 
 Q1 = ConjunctiveQuery(
@@ -74,3 +77,38 @@ class TestQDSI:
         q = ConjunctiveQuery(["x"], [Atom("friend", [1, "?x"])])
         with pytest.raises(ValueError):
             decide_qdsi(q, social_db, social_access, budget=-1)
+
+
+class Crowded(MemoryBackend):
+    """A store another execution reads at the same time: every keyed read
+    and every scan comes with one more, charged to the database's
+    cumulative counters only -- what a concurrent execute adds."""
+
+    def lookup_keys(self, relation, positions, keys, stats=None):
+        super().lookup_keys(relation, positions, keys)
+        return super().lookup_keys(relation, positions, keys, stats)
+
+    def scan(self, relation, stats=None):
+        super().scan(relation)
+        return super().scan(relation, stats)
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ("Q(y) :- friend(1, y), person(y, n, c)", "plan"),
+        ("Q(y) :- friend(x, y), person(y, n, 'NYC')", "keyed"),
+        ("Q(x, y) :- friend(x, y)", "scan"),
+    ],
+    ids=["plan", "fallback-keyed", "fallback-scan"],
+)
+def test_the_qdsi_count_is_the_deciders_own(social_schema, social_db, social_access, text, path):
+    query = parse_query(text)
+    alone = decide_qdsi(query, social_db, social_access, budget=1000)
+    assert (alone.plan is not None) == (path == "plan") and alone.tuples_accessed > 0
+    rows = {name: list(social_db.backend.iter_rows(name)) for name in social_schema.names}
+    crowded = Database(social_schema, rows, backend=Crowded())
+    beside = decide_qdsi(query, crowded, social_access, budget=alone.tuples_accessed)
+    assert beside and beside.tuples_accessed == alone.tuples_accessed
+    assert beside.answers == alone.answers
+    assert crowded.stats.tuples_accessed == 2 * alone.tuples_accessed  # the other reads happened

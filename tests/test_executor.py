@@ -58,7 +58,7 @@ P = Variable("p")
 def counting(plan, db, values):
     """``plan``'s answers with their derivation counts on ``db``."""
     program = delta_program(plan)
-    return program.count(program.seed(values), db, AccessStats())
+    return program.count(ExecutionContext(db), program.seed(values))
 
 
 class TestPipelineShape:
@@ -390,9 +390,6 @@ class TestExecutionContext:
         assert b.stats.tuples_accessed == 0
         assert a.stats.tuples_accessed == 3
 
-    def test_watermark_defaults_to_the_log(self, social_db):
-        assert ExecutionContext(social_db).watermark == social_db.change_log.watermark
-
     def test_delta_index_groups_by_positions(self, social_db):
         delta = {"friend": {(1, 9): 1, (1, 8): -1, (2, 9): 1}}
         ctx = ExecutionContext(social_db, delta=delta)
@@ -415,6 +412,9 @@ class TestExecutionContext:
         names = set(dir(ExecutionContext))
         assert not names & forwarded
         assert not any(n.endswith("_old") or n.startswith("view_") for n in names)
+        # A context holds only what a run reads; profiling sets ``profile``.
+        assert set(ExecutionContext.__slots__) == {"db", "stats", "slice", "views", "profile"}
+        assert ExecutionContext(None).profile is None
 
 
 class TestOldState:
@@ -500,7 +500,8 @@ class TestDeltaFaces:
         fetch = next(op for op in pipeline_for(plan) if isinstance(op, FetchOp))
         assert fetch.key_positions == ()
         ctx = ExecutionContext(social_db, delta={"friend": {(8, 9): 1, (1, 2): -1}})
-        assert delta_program(plan).run(ctx, {}) == {(8, 9): 1, (1, 2): -1}
+        program = delta_program(plan)
+        assert program.join(ctx, program.seed({})) == {(8, 9): 1, (1, 2): -1}
         assert ctx.stats == AccessStats()  # the slice lives in memory
 
     def test_embedded_fetch_is_rejected_by_both_signed_entry_points(
@@ -534,10 +535,9 @@ class TestDeltaFaces:
         mark = social_db.change_log.watermark
         social_db.delete_many("friend", [(2, 1), (1, 3)])
         social_db.insert_many("friend", [(1, 5)])
-        ctx = ExecutionContext(
-            social_db, watermark=mark, delta=social_db.change_log.net_since(mark)
-        )
-        changes = delta_program(plan).run(ctx, {P: 1})
+        ctx = ExecutionContext(social_db, delta=social_db.change_log.net_since(mark))
+        program = delta_program(plan)
+        changes = program.join(ctx, program.seed({P: 1}))
         # x=2 lost its back edge (probe level), x=3 its out edge (fetch
         # level), x=5 gained both a fresh out edge and an existing back one.
         assert changes == {(2,): -1, (3,): -1, (5,): 1}

@@ -16,13 +16,12 @@ evaluation code with the engine.
   same rows and the same accounting; and the accounting equals the memory
   backend's on every backend.
 * **delta and old faces**: ``DeltaProgram.count`` folded with
-  successive one-shot ``DeltaProgram.run`` results equals a from-scratch
-  count after every batch, within ``delta_fanout_bound``; plans fetching
-  through an embedded rule have no program.
-* **one staged driver**: a one-shot ``run`` equals the two staged
-  halves (``DeltaProgram.seed``, and ``stage`` on the slice) composed by
-  ``DeltaProgram.join``, over a shared and a private slice, profiled or
-  not; twin ``IncrementalResult`` s -- one refreshed with
+  successive ``DeltaProgram.join`` results from fresh seeds equals a
+  from-scratch count after every batch, within ``delta_fanout_bound``;
+  plans fetching through an embedded rule have no program.
+* **one staged driver**: a fresh seed's ``join`` equals a kept seed's
+  (``DeltaProgram.seed`` once, ``stage`` on the slice), over a shared and
+  a private slice, with the context profiled or not; twin ``IncrementalResult`` s -- one refreshed with
   ``analyze=True``, one without -- stay equal in rows, counts, ``stats``,
   ``delta_bound`` and watermark at every step, at two cadences.
 * **a view riding in the slice**: an ``IncrementalResult`` over a
@@ -93,12 +92,13 @@ def counting(plan, db, values):
     ``Database`` or a context carrying view states)."""
     program = delta_program(plan)
     ctx = db if isinstance(db, ExecutionContext) else ExecutionContext(db)
-    return program.count(program.seed(dict(values)), ctx.db, ctx.stats, ctx.store)
+    return program.count(ctx, program.seed(dict(values)))
 
 
-def delta(plan, ctx, values, profiles=None):
-    """The one-shot delta rule for ``plan`` over ``ctx``'s slice."""
-    return delta_program(plan).run(ctx, dict(values), profiles)
+def delta(plan, ctx, values):
+    """The delta rule for ``plan`` over ``ctx``'s slice from a fresh seed."""
+    program = delta_program(plan)
+    return program.join(ctx, program.seed(dict(values)))
 
 
 def budget(max_examples: int) -> settings:
@@ -318,7 +318,7 @@ def test_three_faces_agree_with_naive_evaluation(backend_factory, scenario):
         apply_batch(reference, batch)
         apply_raw(raw, batch)
         net_delta = db.change_log.net_since(mark)
-        ctx = ExecutionContext(db, watermark=mark, delta=net_delta)
+        ctx = ExecutionContext(db, delta=net_delta)
         changes = delta(plan, ctx, values)
         sizes = {name: len(net) for name, net in net_delta.items()}
         assert ctx.stats.tuples_accessed <= delta_fanout_bound(plan, sizes)
@@ -351,13 +351,13 @@ class Consumer:
         log = self.db.change_log
         slice = log.slice_since(self.watermark)
         assert (slice.start, slice.stop) == (self.watermark, log.watermark)
-        ctx = ExecutionContext(self.db, watermark=slice.start, delta=slice)
-        changes = self.program.run(ctx, self.values)
+        ctx = ExecutionContext(self.db, delta=slice)
+        changes = self.program.join(ctx, self.program.seed(self.values))
         assert ctx.stats.tuples_accessed <= delta_fanout_bound(self.plan, slice.sizes)
         if not keyless_fetches(self.plan):
             assert ctx.stats.full_scans == 0
         # A fresh seed on a private context runs the same rule.
-        public = ExecutionContext(self.db, watermark=slice.start, delta=slice)
+        public = ExecutionContext(self.db, delta=slice)
         assert delta(self.plan, public, self.values) == changes
         assert public.stats == ctx.stats
         for row, change in changes.items():
@@ -408,8 +408,8 @@ def held_group_is_current(program, seeded, db):
 @given(scenario=scenarios())
 def test_a_one_shot_delta_run_is_the_staged_halves_composed(backend_factory, scenario):
     """One driver, same changes -- and a *kept* seed of a holding program
-    charges what the one-shot call does minus exactly the level-0 read:
-    the one-shot seeds afresh and, when some level >= 1 changed, fetches
+    charges what a fresh seed's join does minus exactly the level-0 read:
+    the fresh seed holds nothing and, when some level >= 1 changed, fetches
     level 0's group on the new state (its rows, one lookup); the kept seed
     took that group from its hold.  After every batch the held rows are a
     fresh read of the group *as a set*: a row that left and came back
@@ -422,7 +422,7 @@ def test_a_one_shot_delta_run_is_the_staged_halves_composed(backend_factory, sce
     db = Database(schema, rows, backend=backend_factory())
     program = delta_program(plan)
     seeded = program.seed(dict(values))  # once: no slice changes it
-    counts = program.count(seeded, db, AccessStats())
+    counts = program.count(ExecutionContext(db), seeded)
     assert counts == counting(plan, db, values)
     holds = program.holds and seeded is not None
     assert holds == (seeded is not None and seeded.rows is not None)
@@ -430,21 +430,21 @@ def test_a_one_shot_delta_run_is_the_staged_halves_composed(backend_factory, sce
         mark = db.change_log.watermark
         apply_batch(db, batch)
         shared = db.change_log.slice_since(mark)
-        public = ExecutionContext(db, watermark=mark, delta=shared)
+        public = ExecutionContext(db, delta=shared)
         expected = delta(plan, public, values)
-        assert program in shared.staged  # the one-shot call staged on the shared slice
-        stats = AccessStats()
-        assert program.join(shared, seeded, db, stats) == expected
+        assert program in shared.staged  # the fresh seed's join staged on the shared slice
+        kept = ExecutionContext(db, delta=shared)
+        assert program.join(kept, seeded) == expected
         saved = AccessStats()
         if holds:
             held_group_is_current(program, seeded, db)
             if len(shared.staged[program]) > 1:  # some level >= 1 changed
                 saved = AccessStats(len(seeded.rows), 1, 0)
-        assert public.stats.since(stats) == saved
+        assert public.stats.since(kept.stats) == saved
         # A private slice stages privately; a profiled run is the same run.
-        private = ExecutionContext(db, watermark=mark, delta=dict(shared.net))
-        profiles: list = []
-        assert delta(plan, private, values, profiles) == expected
+        private = ExecutionContext(db, delta=dict(shared.net))
+        private.profile = profiles = []
+        assert delta(plan, private, values) == expected
         assert private.slice is not shared and private.stats == public.stats
         assert sum(op.tuples_accessed for op in profiles) == public.stats.tuples_accessed
         for row, change in expected.items():

@@ -8,7 +8,7 @@ mutant must trip over is pinned.
 
 * **twins**: a result refreshed after every batch equals one rebuilt from
   scratch -- rows, derivation counts, watermark -- never reads more than
-  the one-shot delta call (which fetches level 0 afresh), holds a group
+  a fresh seed's delta join (which fetches level 0 afresh), holds a group
   that equals a fresh read and fits its rule's bound, and charges nothing
   when no slice-bound join closure was called;
 * **a view at level 0** holds and patches like a base relation;
@@ -79,9 +79,9 @@ def one_shot(live, db, mark) -> AccessStats:
     """What the span past ``mark`` costs from fresh seeds -- every refresh
     before results held anything: level 0 is fetched whenever a later
     level changed."""
-    ctx = ExecutionContext(db, watermark=mark, delta=db.change_log.slice_since(mark))
+    ctx = ExecutionContext(db, delta=db.change_log.slice_since(mark))
     for program in live._programs:
-        program.run(ctx, live._values)
+        program.join(ctx, program.seed(live._values))
     return ctx.stats
 
 
@@ -363,6 +363,22 @@ def test_an_analysed_refresh_shows_the_held_prefix_as_a_free_line():
     live.refresh(analyze=True)
     assert new_lines() == [(1, 2, 2, 1)] and live.stats.tuples_accessed == 2
     assert holds_of(live)
+
+
+def test_an_unmarked_results_analysed_refresh_records_nothing(monkeypatch):
+    """The profile is the run: a slice that misses the footprint runs no
+    delta pipeline, analysed or not, so there is nothing to record."""
+    engine, db = pinned_engine()
+    prepared = engine.query(CHAIN)
+    plain, analysed = (prepared.execute_incremental(p=1) for _ in range(2))
+    calls = spy_on_joins(monkeypatch)
+    apply_batch(db, [("+", "r", (5, 5)), ("+", "s", (6, 6))])  # levels 0 and 1, elsewhere
+    plain.refresh()
+    analysed.refresh(analyze=True)
+    assert calls == [] and analysed.profiles == () == plain.profiles
+    assert analysed.rows == plain.rows and analysed.stats == plain.stats == AccessStats()
+    assert analysed.watermark == plain.watermark == db.change_log.watermark
+    assert analysed.explain_analyze().profiles == ()
 
 
 # -- an unlogged load under a pinned log -------------------------------------
