@@ -13,7 +13,7 @@ The package is organised as follows:
 * :mod:`repro.relational` -- the relational substrate: schemas (with a
   textual DSL), instances with tuple-access accounting, and pluggable
   storage backends (:mod:`repro.relational.backends`): in-memory hash
-  indexes, an out-of-core SQLite store, and a hash-sharded composite.
+  indexes and an out-of-core SQLite store.
 * :mod:`repro.core` -- the paper's primary contribution: access schemas
   (with a textual rule DSL), controllability, the scale-independent
   planner (:mod:`repro.core.plans`), the batched physical-operator
@@ -70,7 +70,7 @@ from repro.logic.ucq import UnionOfConjunctiveQueries
 from repro.logic.parser import parse_cq, parse_query
 from repro.relational.schema import DatabaseSchema, RelationSchema, parse_schema
 from repro.relational.instance import AccessStats, Database
-from repro.relational.backends import MemoryBackend, ShardedBackend, SqliteBackend
+from repro.relational.backends import MemoryBackend, SqliteBackend
 from repro.core.access_schema import (
     AccessRule,
     AccessSchema,
@@ -124,7 +124,6 @@ __all__ = [
     # storage backends
     "MemoryBackend",
     "SqliteBackend",
-    "ShardedBackend",
     # access schemas
     "AccessRule",
     "EmbeddedAccessRule",

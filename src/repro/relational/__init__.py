@@ -6,13 +6,11 @@ arity/attribute validation; :mod:`repro.relational.instance` provides the
 accounting (the measuring stick for scale independence) and the
 mutation :class:`~repro.relational.instance.ChangeLog` -- over a
 pluggable storage engine from :mod:`repro.relational.backends`
-(in-memory dict indexes by default, out-of-core SQLite, or a
-hash-sharded composite).
+(in-memory dict indexes by default, or out-of-core SQLite).
 """
 
 from repro.relational.backends import (
     MemoryBackend,
-    ShardedBackend,
     SqliteBackend,
     StorageBackend,
 )
@@ -28,5 +26,4 @@ __all__ = [
     "StorageBackend",
     "MemoryBackend",
     "SqliteBackend",
-    "ShardedBackend",
 ]

@@ -2,7 +2,7 @@
 
 The executor's bulk narrow waist -- key-batched lookups, membership
 probes, scans, batched mutations -- extracted into
-:class:`~repro.relational.backends.base.StorageBackend`, with three
+:class:`~repro.relational.backends.base.StorageBackend`, with two
 implementations:
 
 * :class:`~repro.relational.backends.memory.MemoryBackend` -- the
@@ -10,25 +10,20 @@ implementations:
   per-position indexes);
 * :class:`~repro.relational.backends.sqlite.SqliteBackend` -- an
   out-of-core relation-per-table SQLite store with covering indexes and
-  one round trip per bulk call;
-* :class:`~repro.relational.backends.sharded.ShardedBackend` -- a
-  hash-sharded composite fanning each batch's distinct keys out to N
-  child backends.
+  one round trip per bulk call.
 
-All three preserve the paper's tuple-access accounting exactly, so
+Both preserve the paper's tuple-access accounting exactly, so
 scale-independence measurements are comparable across backends.
 """
 
 from repro.relational.backends.base import Row, StorageBackend, check_positions
 from repro.relational.backends.memory import MemoryBackend
-from repro.relational.backends.sharded import ShardedBackend
 from repro.relational.backends.sqlite import SqliteBackend
 
 __all__ = [
     "StorageBackend",
     "MemoryBackend",
     "SqliteBackend",
-    "ShardedBackend",
     "Row",
     "check_positions",
 ]

@@ -15,7 +15,7 @@ The contract, in full:
 :meth:`StorageBackend.attach` binds it to a schema and the database's
 cumulative :class:`~repro.relational.instance.AccessStats`; attaching a
 second time raises.  :meth:`StorageBackend.close` releases what a store
-holds outside the process (a file and its lock; a composite's children).
+holds outside the process (a file and its lock).
 
 **Values.**  The facade validates rows against the schema, unwraps
 :class:`~repro.logic.terms.Constant` and interns strings *before* any
@@ -30,9 +30,7 @@ attached cumulative stats and, when given, a per-execution extra
 *distinct* key (or row) in a batch is resolved and counted **once**,
 however often it recurs; an absent key still counts one indexed lookup;
 an empty position tuple degenerates to one shared, counted-once full
-scan.  A composite backend must preserve these semantics across its
-children (counting a batch's distinct keys once *globally*, not once per
-child).  Mutations and the unaccounted primitives (:meth:`probe_rows`,
+scan.  Mutations and the unaccounted primitives (:meth:`probe_rows`,
 :meth:`count`, :meth:`iter_rows`) charge nothing; :meth:`scan`, one method
 for all, is :meth:`iter_rows` charged as a full scan.  Every primitive
 raises :class:`~repro.errors.SchemaError` for a relation the schema lacks
@@ -57,10 +55,8 @@ the conformance suite (``tests/test_backends.py``) checks this.  On
 failure likewise: a write primitive **applies the batch and returns its
 flags, or raises having applied nothing** -- a half-applied batch is rows
 the log never heard of, which no refresh repairs (the facade rejects
-unhashable values before any call; :meth:`check_rows` refuses a row the
-store cannot keep -- NaN on SQLite -- and a composite asks every child
-before any applies; SQLite rolls back; a composite guarantees the rest
-per child, not across children).
+unhashable values before any call; SQLite refuses a row it cannot keep
+-- NaN -- before applying any, and rolls back any other failure).
 """
 
 from __future__ import annotations
@@ -193,10 +189,6 @@ class StorageBackend(ABC):
         -- the cost-statistics walk)."""
 
     # -- mutations -------------------------------------------------------
-
-    def check_rows(self, relation: str, rows: Sequence[Row]) -> None:
-        """Raise :class:`SchemaError` if this store cannot keep a row of a
-        write batch as given (each write calls it before applying any row)."""
 
     @abstractmethod
     def insert_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:

@@ -41,9 +41,8 @@ change-counter / unlock system calls.  Until ``close()`` no other
 connection can read or write the file (``sqlite3`` / CLI inspection needs
 the store closed) and a second backend on the path raises
 :class:`~repro.errors.SchemaError` at once; afterwards a *new* backend on
-the path reopens the tables -- shard-per-process fits: each process owns
-its shard's file -- and every primitive on the closed one (or before
-``attach``) raises ``SchemaError`` naming the path.
+the path reopens the tables, and every primitive on the closed one (or
+before ``attach``) raises ``SchemaError`` naming the path.
 
 Writes: ``load_rows``, ``insert_rows`` and ``delete_rows`` each run as
 **one transaction** (:meth:`SqliteBackend._batch`, the only way a write
@@ -59,7 +58,7 @@ deduplicates under a UNIQUE index, so ``None``-bearing keys and rows take
 
 Limitations: values must be SQLite-native (int, float, str, bytes or
 ``None``); NaN, which SQLite binds as NULL, is refused by every write
-(:meth:`SqliteBackend.check_rows`); and relation names that differ only by
+(:meth:`SqliteBackend._check_rows`); and relation names that differ only by
 case would collide (SQLite identifiers are case-insensitive).
 """
 
@@ -295,7 +294,7 @@ class SqliteBackend(StorageBackend):
                 conn.execute("ROLLBACK")
             raise
 
-    def check_rows(self, relation: str, rows: Sequence[Row]) -> None:
+    def _check_rows(self, relation: str, rows: Sequence[Row]) -> None:
         """SQLite binds NaN as NULL, so ``(1, nan)`` would be stored, found and
         deduplicated as ``(1, None)``: one C-level pass (``v != v``) refuses it."""
         if any(map(ne, chain.from_iterable(rows), chain.from_iterable(rows))):
@@ -304,7 +303,7 @@ class SqliteBackend(StorageBackend):
 
     def insert_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
         sql = self._insert(relation, "INSERT")
-        self.check_rows(relation, rows)
+        self._check_rows(relation, rows)
         with self._batch() as conn:
             flags, new = self._effective(relation, rows, stored=False)
             conn.executemany(sql, new)
@@ -312,7 +311,7 @@ class SqliteBackend(StorageBackend):
 
     def delete_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
         columns = tuple(range(self._require(relation)))
-        self.check_rows(relation, rows)
+        self._check_rows(relation, rows)
         table = self._table(relation)
         where = " AND ".join(f"c{i} = ?" for i in columns)
         with self._batch() as conn:
@@ -332,7 +331,7 @@ class SqliteBackend(StorageBackend):
         counter.  ``None``-bearing rows are deduped in Python instead --
         the unique index treats NULLs as distinct, so OR IGNORE cannot."""
         sql = self._insert(relation, "INSERT OR IGNORE")
-        self.check_rows(relation, rows)
+        self._check_rows(relation, rows)
         nullish = dict.fromkeys(row for row in rows if None in row)
         with self._batch() as conn:
             before = conn.total_changes

@@ -5,13 +5,12 @@ mutation log; the tuples themselves live in a pluggable
 :class:`~repro.relational.backends.base.StorageBackend` chosen at
 construction (``Database(schema, backend=...)``) -- the in-memory
 dict-index :class:`~repro.relational.backends.memory.MemoryBackend` by
-default, an out-of-core
-:class:`~repro.relational.backends.sqlite.SqliteBackend`, or a
-hash-sharded :class:`~repro.relational.backends.sharded.ShardedBackend`
-composite.  The backend's bulk methods (``lookup_keys``,
-``contains_rows``, ``scan``) are bound directly onto the instance, so
-the executor's compiled closures dispatch straight into the backend with
-no facade frame in between -- swapping backends never recompiles a plan.
+default, or an out-of-core
+:class:`~repro.relational.backends.sqlite.SqliteBackend`.  The backend's
+bulk methods (``lookup_keys``, ``contains_rows``, ``scan``) are bound
+directly onto the instance, so the executor's compiled closures dispatch
+straight into the backend with no facade frame in between -- swapping
+backends never recompiles a plan.
 
 Every read goes through the backend's charged bulk reads --
 ``lookup_keys``, ``contains_rows``, ``scan`` -- or the single-pattern
@@ -377,11 +376,11 @@ def _plain(value: object) -> object:
 class Database:
     """A database instance over a :class:`DatabaseSchema`.
 
-    Tuples are stored with set semantics but preserve insertion order
-    (within a shard, for sharded backends).  Values must be hashable.
-    Storage and index maintenance live in the backend; the facade
-    validates rows, unwraps :class:`Constant`, interns strings, accounts
-    accesses and records every effective mutation in :attr:`change_log`.
+    Tuples are stored with set semantics but preserve insertion order.
+    Values must be hashable.  Storage and index maintenance live in the
+    backend; the facade validates rows, unwraps :class:`Constant`, interns
+    strings, accounts accesses and records every effective mutation in
+    :attr:`change_log`.
 
     The backend's charged bulk reads are bound straight onto the
     instance, so ``db.lookup_keys`` / ``db.contains_rows`` / ``db.scan``

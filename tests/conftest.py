@@ -15,15 +15,13 @@ from repro import (
     DatabaseSchema,
     MemoryBackend,
     RelationSchema,
-    ShardedBackend,
     SqliteBackend,
 )
 
 # The storage-backend axis for conformance testing: every parametrized
-# test runs on the in-memory hash-index store, the out-of-core SQLite
-# store (kept in-memory here -- same code path, no tmp files), and the
-# hash-sharded composite with a child count that forces real partitioning.
-BACKEND_KINDS = ("memory", "sqlite", "sharded")
+# test runs on the in-memory hash-index store and the out-of-core SQLite
+# store (kept in-memory here -- same code path, no tmp files).
+BACKEND_KINDS = ("memory", "sqlite")
 
 
 def make_backend(kind: str):
@@ -32,15 +30,13 @@ def make_backend(kind: str):
         return MemoryBackend()
     if kind == "sqlite":
         return SqliteBackend()
-    if kind == "sharded":
-        return ShardedBackend(3)
     raise ValueError(f"unknown backend kind {kind!r}")
 
 
 @pytest.fixture(params=BACKEND_KINDS)
 def backend_factory(request):
     """A zero-argument factory of fresh backends; parametrizes the test
-    over all three storage implementations."""
+    over both storage implementations."""
     kind = request.param
     return lambda: make_backend(kind)
 

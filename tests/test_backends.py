@@ -7,8 +7,8 @@ of a batch charged once, scans counted once however many groups share
 them), same mutation-flag alignment, and indexes that stay current
 under churn.  The memory backend additionally promises that the live
 index buckets it hands out are never mutated by any caller; the SQLite
-and sharded backends promise the opposite -- returned groups are owned
-and never alias internal storage.
+backend promises the opposite -- returned groups are owned and never
+alias internal storage.
 """
 
 import pytest
@@ -23,7 +23,6 @@ from repro import (
     MemoryBackend,
     RelationSchema,
     SchemaError,
-    ShardedBackend,
     SqliteBackend,
     UpdateError,
     ViewDef,
@@ -219,7 +218,6 @@ def test_attach_is_one_shot(backend_factory):
 def test_live_group_flags_match_implementations():
     assert MemoryBackend.returns_live_groups is True
     assert SqliteBackend.returns_live_groups is False
-    assert ShardedBackend.returns_live_groups is False
 
 
 def test_owned_groups_never_alias_storage(backend_factory):
@@ -332,49 +330,6 @@ def test_refresh_and_views_stay_correct_under_churn(backend_factory):
             db, {bundle.parameters[0]: value}
         )
         assert set(result.rows) == set(naive)
-
-
-def test_sharded_merge_preserves_derivation_counts():
-    persons, seed = 80, 3
-    mem = social_engine(persons, seed=seed).require_database()
-    sharded = social_engine(
-        persons, seed=seed, backend=ShardedBackend(3)
-    ).require_database()
-    mem.reset_stats()
-    sharded.reset_stats()
-
-    # Routed: friend lookups keyed on the shard-key position.
-    keys = [(pid,) for pid in range(persons)] + [(0,), (1,)]
-    for a, b in zip(
-        mem.lookup_keys("friend", (0,), keys),
-        sharded.lookup_keys("friend", (0,), keys),
-    ):
-        assert len(a) == len(b) and set(a) == set(b)
-
-    # Broadcast: visits keyed on url (not the shard key) -- groups are
-    # concatenated across children, and the multiplicity (the delta
-    # rule's derivation count) must survive the merge exactly.
-    urls = list(dict.fromkeys(row[1] for row in sharded.backend.iter_rows("visits")))
-    url_keys = [(u,) for u in urls[:12]]
-    for a, b in zip(
-        mem.lookup_keys("visits", (1,), url_keys),
-        sharded.lookup_keys("visits", (1,), url_keys),
-    ):
-        assert len(a) == len(b) and set(a) == set(b)
-
-    # Global accounting agrees with the memory reference; the per-child
-    # work lives only in the scratch stats, spread over >= 2 shards.
-    assert sharded.stats == mem.stats
-    scratch = sharded.backend.shard_stats()
-    assert sum(s.indexed_lookups for s in scratch) > 0
-    assert sum(1 for s in scratch if s.indexed_lookups) >= 2
-
-
-def test_sharded_rejects_degenerate_configuration():
-    with pytest.raises(SchemaError, match="shards"):
-        ShardedBackend(0)
-    with pytest.raises(SchemaError, match="out of range"):
-        Database(SCHEMA, backend=ShardedBackend(2, key_positions={"friend": (9,)}))
 
 
 def test_sqlite_reopens_by_path(tmp_path):
@@ -699,30 +654,3 @@ def test_bulk_load_dedupes_none_rows(backend_factory):
     db.bulk_load("friend", [(1, None), (1, None), (4, None)])
     assert db.size("friend") == 3
     assert set(db.backend.iter_rows("friend")) == {(1, None), (2, 3), (4, None)}
-
-
-# -- deterministic shard routing ------------------------------------------
-
-
-def test_shard_routing_is_processwide_stable():
-    """Routing uses CRC-32 of the canonicalized key repr, not ``hash()``
-    -- the same row lands on the same shard whatever PYTHONHASHSEED this
-    process was started with."""
-    from repro.relational.backends.sharded import stable_shard_hash
-
-    import zlib
-
-    assert stable_shard_hash((1,)) == zlib.crc32(b"(1,)")
-    assert stable_shard_hash(("alice", 2)) == zlib.crc32(b"('alice', 2)")
-    # Values that compare equal must route identically: True == 1 and
-    # 1.0 == 1, but their reprs differ -- canonicalized before hashing.
-    assert stable_shard_hash((True,)) == stable_shard_hash((1,))
-    assert stable_shard_hash((1.0,)) == stable_shard_hash((1,))
-    assert stable_shard_hash((1.5,)) != stable_shard_hash((1,))
-
-    backend = ShardedBackend(3)
-    Database(SCHEMA, DATA, backend=backend)
-    for row in DATA["friend"]:
-        expected = stable_shard_hash((row[0],)) % 3
-        child = backend._children[expected]
-        assert row in set(child.iter_rows("friend"))

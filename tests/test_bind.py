@@ -12,7 +12,7 @@ values, the seed columns they fill and the pipeline.
   ``MappingProxyType``, two spellings of one variable (the last wins) --
   return, on the first execute and on a bound one, the rows and stats of
   ``execute_plan`` on the query's plan and the SQLite oracle's answers,
-  on memory, SQLite and ``ShardedBackend(3)``, for a CQ, a UCQ and two
+  on memory and SQLite, for a CQ, a UCQ and two
   prefilter queries (``p = 1``, ``p = r``);
 * **writers**: each of the six generation writers makes the next execute
   rebind through the plan cache, with one miss and no hit, as a first

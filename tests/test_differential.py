@@ -6,12 +6,14 @@ path, and naive join evaluation -- and must produce the identical answer
 set for every parameter value, which must also be what SQLite answers
 over the generator's raw rows (``sql_oracle``: no ``repro`` code between
 the rows and the answer).  Separately, every controlled execution must
-stay within the plan's a-priori fanout bound.
+stay within the plan's a-priori fanout bound, and the rows its reads
+returned must answer the query as the whole instance does (``witness``:
+Section 2's ``D_Q``).
 
 Both differential tests are additionally parametrized over every storage
 backend (via the ``backend_factory`` fixture): the executor is
 backend-agnostic, so the answer sets and the bound compliance must be
-identical whether the tuples live in dict indexes, SQLite, or shards.
+identical whether the tuples live in dict indexes or SQLite.
 
 A third test covers the plan cache's sharing: 640 renamed and reordered
 writings of Q1-Q5 execute 26 shared plans, and each must answer like the
@@ -26,7 +28,8 @@ import pytest
 
 from reference_executor import execute_per_tuple
 from sql_oracle import SqlOracle
-from repro import Variable
+from witness import WitnessBackend, check_witness
+from repro import MemoryBackend, Variable
 from repro.core.executor import ExecutionContext, execute_plan
 from repro.logic.parser import parse_query
 from repro.workloads import (
@@ -72,19 +75,45 @@ def test_pipeline_matches_naive_evaluation_on_all_parameters(
 def test_every_controlled_execution_stays_within_fanout_bound(
     bundle, backend_factory
 ):
-    for persons, seed, engine in _engines(backend_factory):
+    """Every execute's witness -- the rows its reads returned -- is at
+    most what it was charged, which is at most the plan's bound, and
+    answers the query as the whole instance does (``witness``)."""
+    for persons, seed, engine in _engines(lambda: WitnessBackend(backend_factory())):
         prepared = bundle.prepare(engine)
-        db = engine.require_database()
+        backend = engine.require_database().backend
+        query = parse_query(bundle.query, schema=engine.schema)
         param = bundle.parameters[0]
+        sql = SqlOracle(engine.schema, generate_social_network(persons, seed=seed))
         for pid in range(persons):
-            result = prepared.execute({param: pid})
+            values = {param: pid}
+            backend.take()
+            result = prepared.execute(values)
             assert result.fanout_bound is not None
-            assert result.stats.tuples_accessed <= result.fanout_bound, (
-                f"{bundle.name} over bound at persons={persons} seed={seed} "
-                f"pid={pid}: {result.stats.tuples_accessed} > "
-                f"{result.fanout_bound}"
-            )
             assert result.stats.full_scans == 0
+            check_witness(engine.schema, query, values, result, backend.take(), sql.answers(query, values))
+
+
+def test_the_witness_check_fails_a_backend_that_under_charges_a_group():
+    """A backend that returns a group but charges the execute nothing for
+    it (the cumulative stats only) fails ``|D_Q| <= tuples_accessed``."""
+
+    class UnderCharging(MemoryBackend):
+        def lookup_keys(self, relation, positions, keys, stats=None):
+            return super().lookup_keys(relation, positions, keys)
+
+    persons, seed = 20, 0
+    engine = social_engine(persons, seed=seed, backend=WitnessBackend(UnderCharging()))
+    backend = engine.require_database().backend
+    bundle = RUNNING_QUERIES[0]
+    query = parse_query(bundle.query, schema=engine.schema)
+    sql = SqlOracle(engine.schema, generate_social_network(persons, seed=seed))
+    values = {bundle.parameters[0]: 1}
+    backend.take()
+    result = bundle.prepare(engine).execute(values)
+    witness = backend.take()
+    assert witness and result.stats.tuples_accessed == 0
+    with pytest.raises(AssertionError, match=r"\|D_Q\| [1-9]"):
+        check_witness(engine.schema, query, values, result, witness, sql.answers(query, values))
 
 
 def test_generated_instances_respect_declared_bounds():

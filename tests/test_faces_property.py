@@ -33,7 +33,7 @@ evaluation code with the engine.
   and a fresh program run on a private context returns exactly what the
   consumer's does.
 
-Every test runs on all three storage backends (``backend_factory``),
+Every test runs on both storage backends (``backend_factory``),
 derandomised, with an example budget sized to keep tier-1 fast.
 """
 

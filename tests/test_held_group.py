@@ -3,7 +3,7 @@
 ``DeltaProgram.count`` keeps level 0's key group on the seed, ``join``
 patches it from the slice and answers a slice that misses it without a
 read.  What is universally quantified is drawn (``test_faces_property``'s
-instances and update streams, on all three backends); what a seeded
+instances and update streams, on both backends); what a seeded
 mutant must trip over is pinned.
 
 * **twins**: a result refreshed after every batch equals one rebuilt from

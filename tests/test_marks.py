@@ -4,7 +4,7 @@ it can change, so a refresh of an unmarked result may skip its join.
 * **generated streams**: CQs and UCQs entered through a parameter --
   one-atom chains (a program that holds nothing) and longer ones (a held
   group), seeds the prefilter rejects, a result reading a view -- stay
-  equal to SQLite over the raw rows after every batch, on all three
+  equal to SQLite over the raw rows after every batch, on both
   backends, including a batch that nets out; a refresh of an unmarked
   result reads nothing and leaves every mark clear;
 * **lifetime**: the registry holds marks, never results, so a dropped

@@ -37,7 +37,6 @@ EXPECTED_EXPORTS = {
     # storage backends
     "MemoryBackend",
     "SqliteBackend",
-    "ShardedBackend",
     # access schemas
     "AccessRule",
     "EmbeddedAccessRule",
@@ -123,7 +122,6 @@ def test_subpackages_import():
         "repro.relational.backends.base",
         "repro.relational.backends.memory",
         "repro.relational.backends.sqlite",
-        "repro.relational.backends.sharded",
         "repro.core",
         "repro.core.executor",
         "repro.api",

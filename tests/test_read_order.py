@@ -14,7 +14,6 @@ file written before the ``_seq`` layout refuses to open:
 """
 
 import sqlite3
-from collections import Counter
 from tempfile import TemporaryDirectory
 
 import pytest
@@ -29,7 +28,6 @@ from repro import (
     Engine,
     MemoryBackend,
     RelationSchema,
-    ShardedBackend,
     SqliteBackend,
 )
 from repro.relational.backends import sqlite as sqlite_module
@@ -101,16 +99,13 @@ def replay(stream, backend):
 
 
 def check_read_order(stream, lookups):
-    """Every group, as a list, on memory, SQLite (a file and ``:memory:``)
-    and three shards over SQLite; the shards only where the read routes
-    (the key holds the shard position 0: a broadcast read concatenates
-    the shards' groups), and as a multiset elsewhere."""
+    """Every group, as a list, on memory and SQLite (a file and
+    ``:memory:``)."""
     with TemporaryDirectory() as folder:
         backends = {
             "memory": MemoryBackend(),
             "sqlite file": SqliteBackend(f"{folder}/store.sqlite3"),
             "sqlite": SqliteBackend(),
-            "sharded": ShardedBackend(3, factory=SqliteBackend),
         }
         try:
             stores = {name: replay(stream, backend) for name, backend in backends.items()}
@@ -126,10 +121,7 @@ def check_read_order(stream, lookups):
                     answers[name] = ([list(group) for group in groups], extra)
                 expected, charged = answers.pop("memory")
                 for name, (groups, stats) in answers.items():
-                    want = expected
-                    if name == "sharded" and 0 not in positions:
-                        want, groups = [Counter(g) for g in want], [Counter(g) for g in groups]
-                    assert groups == want, (name, positions, keys[:6])
+                    assert groups == expected, (name, positions, keys[:6])
                     assert stats == charged, (name, positions)
         finally:
             for backend in backends.values():

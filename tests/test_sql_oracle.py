@@ -3,7 +3,7 @@ why it is independent of the engine.
 
 * **value semantics**: one test per point the ``sql_oracle`` docstring
   lists -- ``True`` stored as 1, ``1 = 1.0``, ``None``, text vs number --
-  each on all three storage backends, with the engine, naive evaluation
+  each on both storage backends, with the engine, naive evaluation
   and SQLite giving one answer set;
 * **safe negation**: the ``NOT EXISTS`` hook answers a negated atom;
 * **mutants**: each seeded mutant sits in code both the engine and naive

@@ -4,10 +4,10 @@ A file-backed ``SqliteBackend`` takes its file at ``attach`` (``PRAGMA
 locking_mode=EXCLUSIVE`` plus one ``BEGIN EXCLUSIVE`` / ``COMMIT``) and
 holds it until ``close()``: no other connection reads or writes it in
 between, a second opener fails at once with a ``SchemaError`` naming the
-path, and ``close()`` -- also through a ``ShardedBackend`` -- is what lets
-the path be opened again.  The change log is the facade's, so a reopened
-store is a *new* ``Database`` with a fresh log: a maintained result
-refreshed against it rebases instead of slicing a log it never read.
+path, and ``close()`` is what lets the path be opened again.  The change
+log is the facade's, so a reopened store is a *new* ``Database`` with a
+fresh log: a maintained result refreshed against it rebases instead of
+slicing a log it never read.
 """
 
 import ast
@@ -23,7 +23,6 @@ from repro import (
     MemoryBackend,
     RelationSchema,
     SchemaError,
-    ShardedBackend,
     SqliteBackend,
 )
 from repro.relational.backends import sqlite as sqlite_module
@@ -160,25 +159,6 @@ def test_close_is_a_no_op_on_a_store_that_holds_nothing_outside_the_process():
     db = Database(SCHEMA, {"friend": ROWS}, backend=MemoryBackend())
     assert db.backend.close() is None
     assert db.contains("friend", (1, 2))
-
-
-def test_closing_a_sharded_store_releases_every_childs_file(tmp_path):
-    paths = [str(tmp_path / f"shard_{n}.sqlite3") for n in range(3)]
-    remaining = iter(paths)
-    backend = ShardedBackend(3, factory=lambda: SqliteBackend(next(remaining)))
-    db = Database(SCHEMA, backend=backend)
-    rows = [(n % 40, n % 7) for n in range(300)]
-    assert db.bulk_load("friend", rows) == len(set(rows))
-    shares = [sorted(child.iter_rows("friend")) for child in backend._children]
-    assert all(shares)
-    with pytest.raises(SchemaError, match="open in another backend"):
-        Database(SCHEMA, backend=SqliteBackend(paths[0]))
-    backend.close()
-    backend.close()  # idempotent, like each child's
-    for shard, share in zip(paths, shares):
-        reopened = Database(SCHEMA, backend=SqliteBackend(shard))
-        assert sorted(reopened.backend.iter_rows("friend")) == share
-        reopened.backend.close()
 
 
 # -- close, reopen, refresh ---------------------------------------------------

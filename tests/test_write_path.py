@@ -25,11 +25,9 @@ from repro import (
     Engine,
     RelationSchema,
     SchemaError,
-    ShardedBackend,
     SqliteBackend,
 )
 from repro.relational.backends import sqlite as sqlite_module
-from repro.relational.backends.sharded import stable_shard_hash
 from repro.workloads import (
     RUNNING_QUERIES,
     generate_churn,
@@ -273,7 +271,6 @@ def test_unhashable_value_in_a_bulk_load_is_a_schema_error(backend_factory):
 NAN_STORES = {
     "sqlite file": lambda folder: SqliteBackend(str(folder / "store.sqlite3")),
     "sqlite": lambda folder: SqliteBackend(),
-    "sharded": lambda folder: ShardedBackend(3, factory=SqliteBackend),
 }
 
 
@@ -282,10 +279,9 @@ NAN_STORES = {
 def test_a_nan_bearing_write_is_refused_on_sqlite_with_nothing_applied(tmp_path, store, write):
     """Stored, ``(1, nan)`` would read back as ``(1, None)`` and deduplicate
     against it; so each write path refuses the whole batch, naming the
-    relation and the row, and every shard applies nothing."""
+    relation and the row, and the store applies nothing."""
     nan = float("nan")
-    # The NaN row on the last of three shards, clean rows on every shard.
-    late = next(k for k in range(100, 200) if stable_shard_hash((k,)) % 3 == 2)
+    late = 150  # the NaN row comes after eleven clean ones
     backend = NAN_STORES[store](tmp_path)
     db = Database(SCHEMA, backend=backend)
     if write != "bulk_load":
@@ -307,8 +303,8 @@ def test_a_nan_bearing_write_is_refused_on_sqlite_with_nothing_applied(tmp_path,
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
 def test_any_failed_write_leaves_refresh_equal_to_recompute(kind):
     """The defined-failure contract end to end: a churn stream whose
-    every third batch fails somewhere (validation, a strict check), on all
-    three backends, with Q1-Q3 maintained throughout."""
+    every third batch fails somewhere (validation, a strict check), on
+    both backends, with Q1-Q3 maintained throughout."""
     persons, seed = 50, 4
     engine = social_engine(persons, seed=seed, backend=make_backend(kind))
     db = engine.require_database()
@@ -332,35 +328,6 @@ def test_any_failed_write_leaves_refresh_equal_to_recompute(kind):
             db.insert_many("friend", [present])  # keep the stream well-formed
         else:
             db.delete_many("friend", rows[:1])
-
-
-# -- the sharded bulk load ----------------------------------------------------
-
-
-@pytest.mark.parametrize("factory", [None, SqliteBackend], ids=["memory", "sqlite"])
-def test_sharded_bulk_load_goes_through_each_childs_load_rows(monkeypatch, factory):
-    backend = ShardedBackend(3, factory=factory)
-    db = Database(SCHEMA, backend=backend)
-    calls = {"load_rows": 0, "insert_rows": 0}
-    for child in backend._children:
-        for name in calls:
-            def spy(relation, rows, _inner=getattr(child, name), _name=name):
-                calls[_name] += 1
-                return _inner(relation, rows)
-            monkeypatch.setattr(child, name, spy)
-    rows = [(n % 40, n % 7) for n in range(300)] + [(None, 1), (None, 1), (3, None)]
-    assert db.bulk_load("friend", rows) == len(set(rows))
-    # One load_rows per child; a memory child's load_rows is the base
-    # default over its insert_rows, a SQLite child flags and probes nothing.
-    assert calls == {"load_rows": 3, "insert_rows": 3 * (factory is None)}
-    assert sorted(map(repr, db.backend.iter_rows("friend"))) == sorted(map(repr, set(rows)))
-    assert db.bulk_load("friend", rows) == 0 and db.bulk_load("friend", []) == 0
-    reference = Database(SCHEMA, {"friend": rows})
-    keys = [(n,) for n in range(40)] + [(None,)]
-    for ours, theirs in zip(
-        db.lookup_keys("friend", (0,), keys), reference.lookup_keys("friend", (0,), keys)
-    ):
-        assert sorted(map(repr, ours)) == sorted(map(repr, theirs))
 
 
 # -- readers beside the single writer -----------------------------------------
