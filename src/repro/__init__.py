@@ -36,17 +36,17 @@ The package is organised as follows:
   running queries Q1/Q2/Q3 (and the view-unlocked Q4/Q5) as ready-made
   bundles, the workload views V1/V2, and seeded churn streams
   (insert/delete batches honoring the degree caps).
-* :mod:`repro.analysis` -- compiler-style static diagnostics (also
-  ``python -m repro.analysis``): stable codes with severities and
-  1-based source spans threaded from the parser, pass families over
-  queries (QRY), access schemas (ACC), compiled plans (PLN) and views
-  (VIW), surfaced as ``prepared.diagnostics()`` / ``engine.analyze()``,
-  a lint CLI with ``--strict`` and certified ``--fix`` rewrites, plan
-  certification (CRT) -- translation validation of every compiled plan
-  under ``Engine(certify=True)`` / ``REPRO_CERTIFY=1`` -- the
-  uncontrollability trace and missing-rule advice read off the
-  planner's walk (:class:`repro.core.controllability.Coverage`), and
-  the CI gate keeping the Q1-Q5 workload bundles warning-clean and
+* :mod:`repro.analysis` -- the engine's static decisions as
+  compiler-style diagnostics (also ``python -m repro.analysis``):
+  stable codes with severities and 1-based source spans threaded from
+  the parser; the uncontrollability trace and missing-rule advice read
+  off the planner's walk (:class:`repro.core.controllability.Coverage`,
+  QRY007 / ACC005), the view advisor (VIW004 / VIW005), the cost model's
+  self-check (CST), the incremental-maintainability classifier (INC)
+  and plan certification (CRT) -- translation validation of every
+  compiled plan under ``Engine(certify=True)`` / ``REPRO_CERTIFY=1`` --
+  surfaced as ``prepared.diagnostics()`` / ``engine.analyze()``, and
+  the CI gate keeping the Q1-Q5 workload bundles error-free and
   certified.
 
 The most frequently used names are re-exported here for convenience.

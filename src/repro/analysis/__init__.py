@@ -1,28 +1,18 @@
 """Static analysis and diagnostics for the scale-independence pipeline.
 
-The paper's premise (Sections 3-4, 6) is that query cost and
-controllability are *statically* decidable from the query, the access
-rules and the view definitions.  This package turns that theory into
-compiler-style tooling: a diagnostic framework
+The paper makes two static decisions -- Section 4's verdict on whether a
+query is controlled and Section 5's on whether a plan can be maintained
+-- and Section 6 adds the views that rescue an uncontrolled query.  This
+package reports them as compiler-style diagnostics: a framework
 (:mod:`repro.analysis.diagnostics` -- stable codes, severities, 1-based
 source spans threaded from the tokenizer through the AST) plus one pass
-family per analyzable object:
+per decision the engine makes:
 
-* :func:`analyze_query` (QRY001-QRY007) -- single-use variables,
-  cartesian products, parameters equated away, duplicate atoms,
-  mismatched union selectivity, unsatisfiability, and the
-  binding-pattern uncontrollability trace -- ``explain()`` of the
-  walk's :class:`~repro.core.controllability.Coverage`, the trace a
-  ``NotControlledError`` carries;
-* :func:`analyze_access` (ACC001-ACC005) -- ruleless relations,
-  shadowed rules, absurd bounds, duplicates, plus the ACC005
-  missing-rule proposal (:func:`advise_missing_rule`, read off that same
-  ``Coverage``) riding along with QRY007;
-* :func:`analyze_plan` (PLN001-PLN003) -- fanout-bound blowups with the
-  multiplicative per-level breakdown, probe-after-embedded-fetch fusion
-  opportunities, dominant steps;
-* :func:`analyze_views` (VIW001-VIW002) -- unmatched and overlapping
-  views;
+* :func:`analyze_query` (QRY007, ACC005) -- the binding-pattern
+  uncontrollability trace, ``explain()`` of the walk's
+  :class:`~repro.core.controllability.Coverage` (the trace a
+  ``NotControlledError`` carries), and the minimal missing access rule
+  (:func:`advise_missing_rule`) read off that same ``Coverage``;
 * :func:`advise_views` / ``engine.views.advise(queries)``
   (VIW004-VIW005, :mod:`repro.analysis.advisor`) -- the one view
   advisor, which also speaks for every uncontrolled query in
@@ -46,31 +36,27 @@ family per analyzable object:
   :mod:`repro.analysis.certify`) -- translation validation: re-derive a
   compiled plan's binding coverage, rule membership, head projection and
   fanout arithmetic independently of the planner (``Engine(certify=True)``
-  / ``REPRO_CERTIFY=1`` gates every compilation on it);
-* :mod:`repro.analysis.fixes` -- certified ``--fix`` rewrites for
-  QRY003/QRY004, each verified by homomorphic equivalence before
-  anything is written.
+  / ``REPRO_CERTIFY=1`` gates every compilation on it).
 
 Three surfaces:
 
 * the API -- ``engine.analyze(queries)`` /
   ``prepared.diagnostics(parameters)`` (thin wrappers over
   :func:`analyze_engine` / :func:`analyze_prepared`, the one driver);
-* the CLI -- ``python -m repro.analysis`` lints query files against an
-  optional schema/access pair (with access rules, each line through
+* the CLI -- ``python -m repro.analysis`` parses query files against an
+  optional schema (SYN001 for each line that does not parse or
+  validate) and, given access rules, runs each line through
   :func:`analyze_prepared` on one engine, so a file reports what
-  ``engine.analyze`` reports) and exits nonzero at the chosen severity
-  floor (``--strict`` fails on warnings);
+  ``engine.analyze`` reports; it exits nonzero on any error;
 * CI -- the workflow runs ``python -m repro.analysis --workload
-  --strict`` so the Q1-Q5 bundles (:func:`workload_report`) stay
-  diagnostic-clean at warning level.
+  --certify --advise`` so the Q1-Q5 bundles (:func:`workload_report`)
+  stay error-free with every plan certified.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.analysis.access import ABSURD_BOUND, analyze_access
 from repro.analysis.advisor import ViewAdvice, _entries, advice_report, advise_views
 from repro.analysis.certify import certify_plan, check_plan
 from repro.analysis.cost import CostStats, certify_selection, check_selection, estimate_plan
@@ -83,10 +69,7 @@ from repro.analysis.diagnostics import (
     register_code,
 )
 from repro.analysis.maintain import classify_incremental
-from repro.analysis.plans import BLOWUP_THRESHOLD, analyze_plan
-from repro.analysis.fixes import fix_query
 from repro.analysis.queries import ADVISED_RULE_BOUND, advise_missing_rule, analyze_query
-from repro.analysis.views import analyze_views
 from repro.core.plans import compile_plan
 from repro.errors import NotControlledError
 from repro.logic.ucq import disjuncts_of
@@ -102,9 +85,6 @@ __all__ = [
     "register_code",
     "diagnostic",
     "analyze_query",
-    "analyze_access",
-    "analyze_plan",
-    "analyze_views",
     "advise_views",
     "advice_report",
     "analyze_prepared",
@@ -119,9 +99,6 @@ __all__ = [
     "CostStats",
     "classify_incremental",
     "advise_missing_rule",
-    "fix_query",
-    "ABSURD_BOUND",
-    "BLOWUP_THRESHOLD",
     "ADVISED_RULE_BOUND",
 ]
 
@@ -132,10 +109,10 @@ def analyze_prepared(
     *,
     source: str | None = None,
 ) -> Report:
-    """Every applicable pass for one prepared query: the QRY passes, then
-    -- when the query compiles under the engine's access schema (views
-    included) -- the PLN passes on each plan, the INC
-    incremental-maintainability classification, and a CST003 note for
+    """Every applicable pass for one prepared query: QRY007 / ACC005
+    when the engine's base access schema cannot control it, then --
+    when the query compiles (views included) -- the INC
+    incremental-maintainability classification and a CST003 note for
     each plan the cost-based selector steered onto a view; when the
     query does not compile, the view advisor's proposals instead."""
     engine = prepared._engine
@@ -150,8 +127,6 @@ def analyze_prepared(
         return report.extend(advice_report(advices))
     if not isinstance(plans, tuple):
         plans = (plans,)
-    for plan in plans:
-        report.extend(analyze_plan(plan, source=source))
     report.extend(classify_incremental(plans).report(source=source))
     # CST003: the selector picked a view-augmented plan although a base
     # plan exists -- worth a note (with the price comparison) because the
@@ -185,26 +160,12 @@ def analyze_engine(
     *,
     source: str | None = None,
 ) -> Report:
-    """The whole-engine report: the ACC passes over the access schema,
-    the VIW passes over the registered views (VIW001 only when
-    ``queries`` describe the workload), and :func:`analyze_prepared` per
-    query.
-
-    Each element of ``queries`` is query text, a query object, a
-    ``PreparedQuery``, a ``(query, parameters)`` pair or a ``(query,
-    parameters, source)`` triple (the source labels that query's
-    findings; ``source`` labels the rest).
-    """
-    report = analyze_access(engine.access, source=source)
-    entries = list(_entries(engine, queries, source))
-    report.extend(
-        analyze_views(
-            engine.views.definitions(),
-            tuple(prepared.query for prepared, _, _ in entries),
-            source=source,
-        )
-    )
-    for prepared, params, entry_source in entries:
+    """:func:`analyze_prepared` per entry of ``queries``: query text, a
+    query object, a ``PreparedQuery``, a ``(query, parameters)`` pair or
+    a ``(query, parameters, source)`` triple (the source labels that
+    query's findings; ``source`` labels the rest)."""
+    report = Report()
+    for prepared, params, entry_source in _entries(engine, queries, source):
         report.extend(analyze_prepared(prepared, params, source=entry_source))
     return report
 
@@ -213,8 +174,8 @@ def workload_report(*, certify: bool | None = None) -> Report:
     """The repo's own gate: :func:`analyze_engine` over the Q1-Q5
     workload bundles (views V1/V2 registered, so Q4/Q5 compile), each
     bundle's findings labelled with its name.  CI runs this via ``python
-    -m repro.analysis --workload --strict --certify`` and fails on any
-    warning; with ``certify`` the engine additionally gates every
+    -m repro.analysis --workload --certify --advise`` and fails on any
+    error; with ``certify`` the engine additionally gates every
     compiled plan (base and view-augmented) on the
     :mod:`repro.analysis.certify` certifier."""
     from repro.workloads import register_workload_views

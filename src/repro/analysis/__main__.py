@@ -1,21 +1,21 @@
 """The ``python -m repro.analysis`` linter.
 
-Lints query files (one query per non-comment line; ``#`` comments and
+Checks query files (one query per non-comment line; ``#`` comments and
 blank lines are skipped) against an optional schema / access-rule pair,
-plus the access rules themselves and the repo's own workload bundles::
+and the repo's own workload bundles::
 
-    # every query in queries.dl, schema-validated and analyzed
+    # every query in queries.dl, parsed and schema-validated (SYN001)
     python -m repro.analysis queries.dl --schema schema.dl
 
     # with access rules, each line is reported exactly as
-    # engine.analyze reports it: plan, INC and CST passes, and advised
-    # views for uncontrolled queries
+    # engine.analyze reports it: the controllability trace, the INC and
+    # CST passes, and advised views for uncontrolled queries
     python -m repro.analysis queries.dl --schema schema.dl \\
         --access "friend(pid1 -> 32)" --params p
 
-    # the CI gate: the Q1-Q5 workload bundles must be warning-clean and
+    # the CI gate: the Q1-Q5 workload bundles must be error-free and
     # every compiled plan must pass independent certification
-    python -m repro.analysis --workload --strict --certify
+    python -m repro.analysis --workload --certify --advise
 
     # machine-readable output (what CI uploads as an artifact)
     python -m repro.analysis --workload --format json
@@ -25,23 +25,17 @@ plus the access rules themselves and the repo's own workload bundles::
     # bundles (JSON output gains an "advice" key)
     python -m repro.analysis --workload --advise --format json
 
-    # apply the certified QRY003/QRY004 rewrites in place (--dry-run:
-    # print the unified diff without writing)
-    python -m repro.analysis queries.dl --fix --params p
-
     # the code table
     python -m repro.analysis --codes
 
-Exit status is 0 when the report stays below the failure floor --
-errors by default, warnings under ``--strict`` -- and 1 otherwise.
-Unparseable input surfaces as **SYN001** (error), so syntax problems
-fail even without ``--strict``.
+Exit status is 1 when the report holds an error -- **SYN001** for input
+that does not parse or validate, or a CRT / CST finding -- and 0
+otherwise: hints inform, they never fail.
 """
 
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import re
 import sys
@@ -52,14 +46,10 @@ from typing import Iterator, Sequence
 from repro.analysis import (
     CODES,
     Report,
-    Severity,
     advice_report,
     advise_views,
-    analyze_access,
     analyze_prepared,
-    analyze_query,
     diagnostic,
-    fix_query,
     workload_advice,
     workload_report,
 )
@@ -86,11 +76,11 @@ def _text_or_path(value: str) -> str:
 def _queries(
     filename: str, schema: DatabaseSchema | None, report: Report
 ) -> Iterator[tuple[int, str, object]]:
-    """Every line of ``filename`` as ``(lineno, line, query)``, each line
-    with its own line ending; ``query`` is None on blank, comment and
-    unparseable lines (each failure a SYN001 in ``report``, as is an
-    unreadable file).  A line is parsed behind ``lineno - 1`` newlines,
-    so spans and parse errors come out in file coordinates."""
+    """Every line of ``filename`` as ``(lineno, line, query)``; ``query``
+    is None on blank, comment and unparseable lines (each failure a
+    SYN001 in ``report``, as is an unreadable file).  A line is parsed
+    behind ``lineno - 1`` newlines, so spans and parse errors come out in
+    file coordinates."""
     try:
         text = Path(filename).read_text()
     except OSError as exc:
@@ -98,11 +88,11 @@ def _queries(
             diagnostic("SYN001", f"cannot read file: {exc}", source=filename)
         )
         return
-    for lineno, line in enumerate(text.splitlines(keepends=True), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         query = None
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
-            padded = "\n" * (lineno - 1) + line.rstrip("\n")
+            padded = "\n" * (lineno - 1) + line
             try:
                 query = parse_query(padded, schema=schema)
             except ParseError as exc:
@@ -137,55 +127,6 @@ def _certification(exc: CertificationError, source: str):
     return [replace(d, source=source) for d in exc.report]
 
 
-def _fix_file(
-    filename: str,
-    lines: Sequence[tuple[int, str, object]],
-    schema: DatabaseSchema | None,
-    params: Sequence[str],
-    *,
-    dry_run: bool,
-) -> None:
-    """Apply the certified QRY003/QRY004 rewrites to ``filename``, whose
-    ``lines`` are :func:`_queries`' triples.
-
-    Each query line is rewritten only when :func:`fix_query` both
-    changed it and verified the rewrite by re-parse + homomorphic
-    equivalence.  Prints a unified diff of any changes; writes the file
-    unless ``dry_run``."""
-    old_lines = [line for _, line, _ in lines]
-    new_lines = list(old_lines)
-    notes: list[str] = []
-    for lineno, line, query in lines:
-        if query is None:
-            continue
-        result = fix_query(query, _usable(params, query), schema=schema)
-        if not result.fixes:
-            continue
-        if not result.verified:
-            notes.append(
-                f"{filename}:{lineno}: fix not applied -- the rewrite "
-                f"failed equivalence verification"
-            )
-            continue
-        # The query text is replaced; indent and line ending stay.
-        new_lines[lineno - 1] = line.replace(line.strip(), str(result.fixed), 1)
-        notes.extend(f"{filename}:{lineno}: {fix}" for fix in result.fixes)
-    sys.stdout.writelines(
-        difflib.unified_diff(
-            old_lines, new_lines, fromfile=filename, tofile=f"{filename} (fixed)"
-        )
-    )
-    for note in notes:
-        print(note)
-    if new_lines == old_lines:
-        return
-    if dry_run:
-        print(f"{filename}: dry run -- no changes written")
-    else:
-        Path(filename).write_text("".join(new_lines))
-        print(f"{filename}: fixes written")
-
-
 def _print_codes() -> None:
     width = max(len(info.title) for info in CODES.values())
     for code in sorted(CODES):
@@ -196,8 +137,8 @@ def _print_codes() -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Statically analyze queries, access schemas and the "
-        "built-in workload bundles.",
+        description="Statically analyze query files and the built-in "
+        "workload bundles.",
     )
     parser.add_argument(
         "files",
@@ -223,11 +164,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="analyze the built-in Q1-Q5 workload bundles (the CI gate)",
     )
     parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on warnings, not just errors",
-    )
-    parser.add_argument(
         "--certify",
         action="store_true",
         help="independently certify every compiled plan (CRT codes); "
@@ -240,17 +176,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "social instance and propose covering views for the "
         "uncontrolled/expensive bundles; with files, advise each query "
         "against --schema/--access (no stats, default bounds)",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply the certified QRY003/QRY004 rewrites to the given "
-        "files (each verified by re-parse + homomorphic equivalence)",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="with --fix: print the unified diff without writing",
     )
     parser.add_argument(
         "--format",
@@ -272,10 +197,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--access requires --schema")
     if not args.files and not args.workload:
         parser.error("nothing to analyze: pass query files or --workload")
-    if args.fix and not args.files:
-        parser.error("--fix needs query files to rewrite")
-    if args.dry_run and not args.fix:
-        parser.error("--dry-run only makes sense with --fix")
     if args.advise and args.files and not args.access:
         parser.error("--advise on files needs --schema and --access")
 
@@ -292,8 +213,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             access = AccessSchema.parse(schema, _text_or_path(args.access))
         except ReproError as exc:
             report.add(diagnostic("SYN001", str(exc), source="--access"))
-        else:
-            report.extend(analyze_access(access, source="--access"))
 
     advices: list = []
     if args.workload:
@@ -312,14 +231,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         engine = Engine(schema, access, certify=args.certify or None)
     entries: list[tuple] = []
     for filename in args.files:
-        lines = list(_queries(filename, schema, report))
-        for lineno, line, query in lines:
-            if query is None:
-                continue
+        for lineno, line, query in _queries(filename, schema, report):
+            if query is None or engine is None:
+                continue  # without access rules a line is only parsed
             usable = _usable(params, query)
-            if engine is None:
-                report.extend(analyze_query(query, None, usable, source=filename))
-                continue
             try:
                 # The line's own parse, not engine.query: its source memo
                 # ignores spans, so two equal lines would share one.
@@ -332,8 +247,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 report.extend(analyze_prepared(prepared, usable, source=filename))
             except CertificationError as exc:
                 report.extend(_certification(exc, filename))
-        if args.fix:
-            _fix_file(filename, lines, schema, params, dry_run=args.dry_run)
     if args.advise and entries:
         # The lint already reported every controllability fix (VIW004);
         # add the cost cuts.  The JSON payload keeps every proposal.
@@ -350,8 +263,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if report:
             print(report.render())
         print(report.summary())
-    fail_on = Severity.WARNING if args.strict else Severity.ERROR
-    return 0 if report.ok(fail_on) else 1
+    return 0 if report.ok() else 1
 
 
 if __name__ == "__main__":

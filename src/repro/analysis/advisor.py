@@ -53,13 +53,13 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 from repro.analysis.cost import CostEstimate, CostStats, estimate_plan
 from repro.analysis.diagnostics import Report, diagnostic
 from repro.analysis.queries import ADVISED_RULE_BOUND
-from repro.analysis.views import _equivalent
 from repro.core.access_schema import AccessRule, AccessSchema, FullAccessRule
 from repro.core.controllability import coverage
 from repro.core.plans import compile_plan
 from repro.errors import NotControlledError, ReproError
 from repro.logic.ast import Atom, Span, _as_variable
 from repro.logic.cq import ConjunctiveQuery
+from repro.logic.homomorphism import body_homomorphisms
 from repro.logic.terms import Variable
 from repro.logic.ucq import disjuncts_of
 from repro.views.definition import ViewCatalog, ViewDef
@@ -300,8 +300,8 @@ def _advise_disjunct(
         if candidate is None:
             continue
         view, key_vars, bound, stats_derived = candidate
-        if _equivalent_to_registered(view, registered):
-            continue
+        if any(_equivalent(view, other) for other in registered):
+            continue  # a registered view already answers for this body
         projected = _price_adoption(query, access, params, view, registered)
         if projected is None:
             continue
@@ -469,12 +469,14 @@ def _observed_access(
     return AccessSchema(access.schema, rules)
 
 
-def _equivalent_to_registered(
-    view: ViewDef, registered: tuple[ViewDef, ...]
-) -> bool:
-    """True when a registered view already has a homomorphically
-    equivalent body: proposing it again is noise (VIW002 territory)."""
-    return any(_equivalent(view, other) for other in registered)
+def _equivalent(view: ViewDef, other: ViewDef) -> bool:
+    """True when the two views' bodies map homomorphically into each
+    other: a candidate equivalent to a registered view is not proposed."""
+    body, obody = (v.query.normalized_body() or v.query.body for v in (view, other))
+    return all(
+        next(body_homomorphisms(s, t), None) is not None
+        for s, t in ((body, obody), (obody, body))
+    )
 
 
 def _price_adoption(

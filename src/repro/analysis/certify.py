@@ -51,7 +51,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.analysis.cost import COST_TOLERANCE, PROBE_COST
-from repro.analysis.diagnostics import Report, Severity, diagnostic
+from repro.analysis.diagnostics import Report, diagnostic
 from repro.core.access_schema import AccessRule, AccessSchema
 from repro.core.controllability import _is_bound
 from repro.core.plans import FetchStep, Plan, ProbeStep
@@ -368,7 +368,7 @@ def check_plan(
     :class:`~repro.errors.CertificationError` (carrying the report)
     otherwise."""
     report = certify_plan(plan, access, views, source=source)
-    if not report.ok(Severity.ERROR):
+    if not report.ok():
         raise CertificationError(
             f"plan for {plan.query} failed certification:\n"
             + report.render(),

@@ -1,14 +1,13 @@
 """The diagnostic framework: stable codes, severities, spanned messages.
 
 A :class:`Diagnostic` is one finding of a static-analysis pass: a stable
-``code`` (``QRY001``, ``ACC002``, ...), a :class:`Severity`, a
+``code`` (``QRY007``, ``CRT001``, ...), a :class:`Severity`, a
 human-readable message and -- when the analyzed object was parsed from
 text -- the 1-based source :class:`~repro.logic.ast.Span` the finding
 points at.  Passes collect diagnostics into a :class:`Report`, which
 renders compiler-style lines (``source:line:col: CODE severity:
-message``) and decides pass/fail for a chosen severity floor
-(:meth:`Report.ok`), which is what ``python -m repro.analysis --strict``
-exits on.
+message``) and decides pass/fail (:meth:`Report.ok`), which is what
+``python -m repro.analysis`` exits on: an error fails, a hint informs.
 
 Every shipped code is registered in :data:`CODES` via
 :func:`register_code`, carrying its default severity and a one-line
@@ -27,10 +26,9 @@ from repro.logic.ast import Span
 
 
 class Severity(IntEnum):
-    """How bad a finding is; ordered so severity floors compare with >=."""
+    """How bad a finding is: a hint informs, an error fails a report."""
 
     HINT = 10
-    WARNING = 20
     ERROR = 30
 
     def __str__(self) -> str:
@@ -155,30 +153,17 @@ class Report:
     def by_code(self, code: str) -> tuple[Diagnostic, ...]:
         return tuple(d for d in self._diagnostics if d.code == code)
 
-    def at_least(self, severity: Severity) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self._diagnostics if d.severity >= severity)
-
     @property
     def errors(self) -> tuple[Diagnostic, ...]:
-        return self.at_least(Severity.ERROR)
-
-    @property
-    def warnings(self) -> tuple[Diagnostic, ...]:
-        return tuple(
-            d for d in self._diagnostics if d.severity == Severity.WARNING
-        )
+        return tuple(d for d in self._diagnostics if d.severity == Severity.ERROR)
 
     @property
     def hints(self) -> tuple[Diagnostic, ...]:
         return tuple(d for d in self._diagnostics if d.severity == Severity.HINT)
 
-    @property
-    def max_severity(self) -> Severity | None:
-        return max((d.severity for d in self._diagnostics), default=None)
-
-    def ok(self, fail_on: Severity = Severity.ERROR) -> bool:
-        """True iff no diagnostic reaches the ``fail_on`` severity floor."""
-        return not self.at_least(fail_on)
+    def ok(self) -> bool:
+        """True iff the report holds no error (a hint informs, never fails)."""
+        return not self.errors
 
     def sorted_diagnostics(self) -> tuple[Diagnostic, ...]:
         """The diagnostics sorted by ``(source, line, column, code)`` --
@@ -199,7 +184,6 @@ class Report:
         return {
             "summary": {
                 "errors": len(self.errors),
-                "warnings": len(self.warnings),
                 "hints": len(self.hints),
                 "total": len(self),
             },
@@ -228,10 +212,9 @@ class Report:
         return json.dumps(self.to_dict(), indent=indent)
 
     def summary(self) -> str:
-        """``"2 errors, 1 warning, 3 hints"`` (zero buckets omitted)."""
+        """``"2 errors, 3 hints"`` (zero buckets omitted)."""
         counts = [
             (len(self.errors), "error"),
-            (len(self.warnings), "warning"),
             (len(self.hints), "hint"),
         ]
         parts = [f"{n} {word}{'s' if n != 1 else ''}" for n, word in counts if n]
@@ -249,30 +232,11 @@ def _sort_key(d: Diagnostic) -> tuple[str, int, int, str]:
 
 # -- the shipped codes ----------------------------------------------------
 
-# Queries (repro.analysis.queries)
-register_code("QRY001", Severity.HINT, "variable used only once")
-register_code("QRY002", Severity.WARNING, "cartesian product between body atoms")
-register_code("QRY003", Severity.WARNING, "parameter equated away by the query")
-register_code("QRY004", Severity.WARNING, "duplicate body atom")
-register_code("QRY005", Severity.WARNING, "union branches with mismatched access cost")
-register_code("QRY006", Severity.WARNING, "query is unsatisfiable")
+# Section 4's verdict (repro.analysis.queries)
 register_code("QRY007", Severity.HINT, "variable can never become bound")
-
-# Access schemas (repro.analysis.access)
-register_code("ACC001", Severity.HINT, "relation has no access rules")
-register_code("ACC002", Severity.WARNING, "access rule shadowed by a cheaper rule")
-register_code("ACC003", Severity.WARNING, "absurdly large cardinality bound")
-register_code("ACC004", Severity.WARNING, "duplicate access rule")
 register_code("ACC005", Severity.HINT, "missing access rule would control the query")
 
-# Plans (repro.analysis.plans)
-register_code("PLN001", Severity.WARNING, "fanout bound blowup")
-register_code("PLN002", Severity.HINT, "probe after embedded fetch is fusable")
-register_code("PLN003", Severity.HINT, "one step dominates the access bound")
-
-# Views (repro.analysis.views / repro.analysis.advisor)
-register_code("VIW001", Severity.WARNING, "view matches no workload query")
-register_code("VIW002", Severity.HINT, "views with equivalent bodies overlap")
+# Section 6's view advisor (repro.analysis.advisor)
 register_code("VIW004", Severity.HINT, "advised view would make the query controlled")
 register_code("VIW005", Severity.HINT, "advised view would cut the plan's access cost")
 

@@ -476,9 +476,10 @@ class PreparedQuery:
 
     def diagnostics(self, parameters: Iterable[object] = ()):
         """Statically analyze this query under the engine's access schema
-        (:mod:`repro.analysis`): the QRY query passes, the PLN / INC /
-        CST passes when the query compiles (views included), and the
-        view advisor's proposals (VIW004) when it does not.  Returns a
+        (:mod:`repro.analysis`): the QRY007 / ACC005 controllability
+        trace under the base access rules, the INC / CST passes when the
+        query compiles (views included), and the view advisor's
+        proposals (VIW004) when it does not.  Returns a
         :class:`repro.analysis.Report`; nothing executes."""
         from repro.analysis import analyze_prepared
 
@@ -692,13 +693,11 @@ class Engine:
         return self.query(query).execute(parameters, **kwargs)
 
     def analyze(self, queries: Iterable[object] = (), *, source: str | None = None):
-        """Statically analyze the engine (:mod:`repro.analysis`): the ACC
-        passes over the access schema, the VIW passes over the
-        registered views, and every query/plan pass per entry of
-        ``queries`` (query text, query objects, ``PreparedQuery``
-        objects, ``(query, parameters)`` pairs or ``(query, parameters,
-        source)`` triples).  Returns a :class:`repro.analysis.Report`;
-        nothing executes."""
+        """Statically analyze the engine (:mod:`repro.analysis`):
+        :meth:`PreparedQuery.diagnostics` per entry of ``queries`` (query
+        text, query objects, ``PreparedQuery`` objects, ``(query,
+        parameters)`` pairs or ``(query, parameters, source)`` triples).
+        Returns a :class:`repro.analysis.Report`; nothing executes."""
         from repro.analysis import analyze_engine
 
         return analyze_engine(self, queries, source=source)

@@ -88,7 +88,7 @@ class StepCost:
     ``branches_in * bound`` for a fetch) and ``branches_out`` the bindings
     leaving it.  Summing ``accesses`` over :meth:`Plan.step_costs` gives
     exactly :attr:`Plan.fanout_bound` -- the per-level multiplicative
-    breakdown :mod:`repro.analysis` renders in blowup diagnostics.
+    breakdown ``explain`` prints and the certifier re-derives (CRT006).
     """
 
     step: Step

@@ -1,5 +1,5 @@
 """Plan certification (translation validation), binding-pattern
-adornments and traces, and the lint autofix.
+adornments and traces, and the report surface.
 
 The certifier removes the planner from the trusted base: every plan the
 workload engines compile -- base, view-augmented and post-churn rebased
@@ -35,7 +35,6 @@ from repro.analysis import (
     certify_plan,
     check_plan,
     diagnostic,
-    fix_query,
     workload_report,
 )
 from repro.analysis.__main__ import main
@@ -43,8 +42,6 @@ from repro.core import plans
 from repro.core.controllability import coverage
 from repro.errors import NotControlledError
 from repro.logic.ast import Span
-from repro.logic.homomorphism import are_equivalent
-from repro.logic.parser import parse_query
 from repro.views import ViewDef, compile_with_views
 from repro.workloads import (
     RUNNING_QUERIES,
@@ -92,7 +89,7 @@ def test_running_query_plans_certify_clean():
         engine = bundle.engine(data)
         plan = bundle.prepare(engine).plan(bundle.parameters)
         report = certify_plan(plan, engine.access, engine.views.definitions())
-        assert report.ok(Severity.ERROR), f"{bundle.name}: {report.render()}"
+        assert report.ok(), f"{bundle.name}: {report.render()}"
         assert not list(report)
 
 
@@ -104,7 +101,7 @@ def test_view_augmented_plans_certify_clean():
         plan = bundle.prepare(engine).plan(bundle.parameters)
         assert plan.view_relations  # the rewrite actually used a view
         report = certify_plan(plan, engine.access, engine.views.definitions())
-        assert report.ok(Severity.ERROR), f"{bundle.name}: {report.render()}"
+        assert report.ok(), f"{bundle.name}: {report.render()}"
 
 
 def test_view_plan_fails_without_its_view_registered():
@@ -148,7 +145,7 @@ def test_rebased_plans_after_churn_certify(monkeypatch):
 
 def test_workload_report_with_certification_stays_hint_only():
     report = workload_report(certify=True)
-    assert report.ok(Severity.WARNING)
+    assert report.hints == report.diagnostics
     assert not any(d.code.startswith("CRT") for d in report)
 
 
@@ -161,7 +158,7 @@ def test_swapped_steps_fail_crt001(q1_plan):
     mutated = clone(plan, steps=tuple(reversed(plan.steps)))
     report = certify_plan(mutated, access)
     assert "CRT001" in codes(report)
-    assert not report.ok(Severity.ERROR)
+    assert not report.ok()
 
 
 def test_forged_rule_bound_fails_crt003(q1_plan):
@@ -291,7 +288,7 @@ def test_check_plan_gates_and_passes_through(q1_plan):
         check_plan(mutated, access)
     assert "failed certification" in str(exc_info.value)
     assert exc_info.value.report is not None
-    assert not exc_info.value.report.ok(Severity.ERROR)
+    assert not exc_info.value.report.ok()
 
 
 def test_engine_gates_compilation_on_certification(monkeypatch, social_db):
@@ -413,88 +410,21 @@ def test_not_controlled_error_carries_dataflow_trace(social_schema, social_acces
 
 
 # --------------------------------------------------------------------------
-# The autofix: certified QRY003/QRY004 rewrites.
-
-
-def test_fix_query_drops_duplicates_and_inlines_constants(social_schema):
-    query = parse_cq(
-        "Q(y) :- friend(p, y), friend(p, y), p = 7", schema=social_schema
-    )
-    result = fix_query(query, ("p",), schema=social_schema)
-    assert result.changed and result.verified
-    assert {f.code for f in result.fixes} == {"QRY003", "QRY004"}
-    expected = parse_cq("Q(y) :- friend(7, y)", schema=social_schema)
-    assert are_equivalent(result.fixed, expected)
-    # Round trip: the rendered fix re-parses to an equivalent query.
-    reparsed = parse_query(str(result.fixed), schema=social_schema)
-    assert are_equivalent(reparsed, query)
-
-
-def test_fix_query_leaves_clean_queries_alone(social_schema):
-    query = parse_cq("Q(y) :- friend(p, y)", schema=social_schema)
-    result = fix_query(query, ("p",), schema=social_schema)
-    assert not result.changed
-    assert result.fixes == ()
-    assert result.fixed is query
-
-
-def test_fix_query_never_inlines_into_the_head(social_schema):
-    # Inlining ?p would put a constant in the head, which a CQ forbids.
-    query = parse_cq("Q(p, y) :- friend(p, y), p = 7", schema=social_schema)
-    result = fix_query(query, ("p",), schema=social_schema)
-    assert "QRY003" not in {f.code for f in result.fixes}
-
-
-def test_cli_fix_rewrites_file(tmp_path, capsys):
-    target = tmp_path / "queries.dl"
-    target.write_text(
-        "# workload\n"
-        "Q(y) :- friend(p, y), friend(p, y), p = 7\n"
-        "Q(y) :- friend(p, y)\n"
-    )
-    schema = "person(pid, name, city); friend(pid1, pid2)"
-    code = main([str(target), "--schema", schema, "--params", "p", "--fix"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "fixes written" in out
-    lines = target.read_text().splitlines()
-    assert lines[0] == "# workload"  # comments untouched
-    assert lines[2] == "Q(y) :- friend(p, y)"  # clean line untouched
-    fixed = parse_query(lines[1], schema=None)
-    original = parse_query(
-        "Q(y) :- friend(p, y), friend(p, y), p = 7", schema=None
-    )
-    assert are_equivalent(fixed, original)
-
-
-def test_cli_fix_dry_run_prints_diff_without_writing(tmp_path, capsys):
-    target = tmp_path / "queries.dl"
-    before = "Q(y) :- friend(p, y), friend(p, y)\n"
-    target.write_text(before)
-    code = main([str(target), "--params", "p", "--fix", "--dry-run"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "--- " in out and "+++ " in out  # a unified diff
-    assert "dry run" in out
-    assert target.read_text() == before
-
-
-# --------------------------------------------------------------------------
 # Report ordering and the JSON surface.
 
 
 def test_report_renders_in_deterministic_source_order():
     report = Report()
-    report.add(diagnostic("QRY002", "late", span=Span(9, 1, 9, 2), source="b.dl"))
-    report.add(diagnostic("QRY004", "tie-break by code", span=Span(2, 5, 2, 6), source="a.dl"))
-    report.add(diagnostic("QRY001", "first", span=Span(2, 5, 2, 6), source="a.dl"))
+    report.add(diagnostic("VIW004", "late", span=Span(9, 1, 9, 2), source="b.dl"))
+    report.add(diagnostic("QRY007", "tie-break by code", span=Span(2, 5, 2, 6), source="a.dl"))
+    report.add(diagnostic("ACC005", "first", span=Span(2, 5, 2, 6), source="a.dl"))
     report.add(diagnostic("SYN001", "no span sorts first", source="a.dl"))
     rendered = report.render().splitlines()
     assert [line.split()[1] for line in rendered] == [
         "SYN001",  # a.dl, no span, sorts before spanned lines
-        "QRY001",  # a.dl:2:5 -- span tie broken by code
-        "QRY004",  # a.dl:2:5
-        "QRY002",  # b.dl:9:1 -- source is the major key
+        "ACC005",  # a.dl:2:5 -- span tie broken by code
+        "QRY007",  # a.dl:2:5
+        "VIW004",  # b.dl:9:1 -- source is the major key
     ]
     # Insertion order is irrelevant: the same diagnostics added in any
     # order render identically.
@@ -507,17 +437,16 @@ def test_report_renders_in_deterministic_source_order():
 def test_report_to_json_round_trips():
     report = Report()
     report.add(
-        diagnostic("QRY001", "unused ?x", span=Span(3, 7, 3, 9), source="q.dl")
+        diagnostic("QRY007", "?x unbound", span=Span(3, 7, 3, 9), source="q.dl")
     )
     payload = json.loads(report.to_json())
     assert payload["summary"] == {
         "errors": 0,
-        "warnings": 0,
         "hints": 1,
         "total": 1,
     }
     (entry,) = payload["diagnostics"]
-    assert entry["code"] == "QRY001"
+    assert entry["code"] == "QRY007"
     assert entry["severity"] == "hint"
     assert entry["source"] == "q.dl"
     assert entry["span"] == {
@@ -533,11 +462,8 @@ def test_cli_json_format(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["errors"] == 0
-    assert {d["code"] for d in payload["diagnostics"]} == {
-        "QRY001",
-        "QRY007",
-        "ACC005",
-    }
+    assert {d["code"] for d in payload["diagnostics"]} == {"QRY007", "ACC005"}
+    assert payload["summary"]["hints"] == payload["summary"]["total"] == 4
 
 
 def test_cli_certify_flag_on_files(tmp_path, capsys):
@@ -554,8 +480,7 @@ def test_cli_certify_flag_on_files(tmp_path, capsys):
             "--params",
             "p",
             "--certify",
-            "--strict",
         ]
     )
-    assert code == 0  # certification found nothing, hints pass --strict
+    assert code == 0  # certification found nothing
     assert "CRT" not in capsys.readouterr().out

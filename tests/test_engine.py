@@ -766,9 +766,11 @@ def test_clear_plan_cache_leaves_the_text_memo_alone(engine, monkeypatch):
 def test_memoised_text_still_reports_source_spans(engine):
     text = "Q(y) :-\n  friend(p, y),\n  person(y, n, 'NYC')"
     for _ in range(2):  # the second round is served from the memo
-        (finding,) = engine.query(text).diagnostics(["p"]).by_code("QRY001")
-        assert "?n" in finding.message
-        assert (finding.span.line, finding.span.column) == (3, 3)
+        # With no parameter nothing binds ?p: QRY007 anchors at the first
+        # atom it cannot read, friend on line 2.
+        (finding,) = engine.query(text).diagnostics([]).by_code("QRY007")
+        assert "?p" in finding.message
+        assert (finding.span.line, finding.span.column) == (2, 3)
     assert engine.text_cache_stats().hits == 1
 
 
@@ -860,8 +862,9 @@ def test_plan_explain_and_diagnostics_speak_the_callers_text(engine):
     assert explained == engine.query(NYC_FRIENDS).explain(["p"]).replace("?y", "?who").replace(
         "?n", "?called"
     )
-    (finding,) = twin.diagnostics(["p"]).by_code("QRY001")
-    assert "?called" in finding.message
+    (finding,) = twin.diagnostics([]).by_code("QRY007")
+    assert "?who" in finding.message and "?called" in finding.message
+    assert "?y" not in finding.message and "?n " not in finding.message
     assert (finding.span.line, finding.span.column) == (1, 11)
     # The plan in the caller's names is a certified-quality plan that
     # executes exactly like the shared one.

@@ -136,11 +136,7 @@ def test_subpackages_import():
         "repro.analysis",
         "repro.analysis.diagnostics",
         "repro.analysis.queries",
-        "repro.analysis.access",
-        "repro.analysis.plans",
-        "repro.analysis.views",
         "repro.analysis.certify",
-        "repro.analysis.fixes",
         "repro.analysis.__main__",
     ):
         importlib.import_module(mod)
