@@ -77,7 +77,7 @@ MAX_CANDIDATES = 32
 
 #: A controlled query whose estimated cost reaches this floor is mined
 #: for cost-cutting views (VIW005) even though it already has a plan.
-EXPENSIVE_COST = 256.0
+EXPENSIVE_COST = 256
 
 #: Full-scan stand-in bound for relations with no observed cardinality.
 _UNKNOWN_SIZE_BOUND = 1 << 30
@@ -101,8 +101,8 @@ class ViewAdvice:
     key: tuple[str, ...]
     atoms: int
     query: str
-    base_cost: float | None
-    projected_cost: float
+    base_cost: int | None
+    projected_cost: int
     stats_derived: bool
     source: str | None = None
     span: Span | None = None
@@ -113,7 +113,7 @@ class ViewAdvice:
         return self.base_cost is None
 
     @property
-    def cost_delta(self) -> float | None:
+    def cost_delta(self) -> int | None:
         """Projected saving (positive is better); None when the base
         plan does not exist to compare against."""
         if self.base_cost is None:
@@ -246,7 +246,7 @@ def advice_report(
 def _rank(advice: ViewAdvice) -> tuple:
     if advice.controlled_after:
         return (0, advice.projected_cost, advice.name)
-    delta = advice.cost_delta or 0.0
+    delta = advice.cost_delta or 0
     return (1, -delta, advice.name)
 
 
@@ -279,7 +279,7 @@ def _advise_disjunct(
     body = query.normalized_body() or query.body
     params = tuple(p for p in params if p in set(query.variables()))
     cov = coverage(query, access, params)
-    base_cost: float | None = None
+    base_cost: int | None = None
     if cov.controlled:
         try:
             base = engine._compiled_for(engine.query(query), frozenset(params)).plans

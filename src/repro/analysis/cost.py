@@ -1,13 +1,14 @@
 """The static cost model behind cost-based plan selection (CST codes).
 
-:func:`estimate_plan` prices a compiled plan from the same fanout
-arithmetic the certifier re-derives: walking the left-deep steps, every
-fetch multiplies the open branches by its per-branch fanout and charges
-that many accesses weighted by the rule's per-lookup ``cost``; every
-probe charges one unit per branch.  With no statistics the per-branch
-fanout is the rule's declared bound, so the total over unit-cost rules
-is exactly :attr:`~repro.core.plans.Plan.fanout_bound` -- the figure
-:attr:`~repro.core.plans.Plan.cost_estimate` memoizes.
+:func:`estimate_plan` prices a compiled plan with the planner's own
+bound arithmetic, :func:`repro.core.plans.step_costs`: walking the
+left-deep steps, every fetch multiplies the open branches by its
+per-branch fanout and charges that many accesses, every probe charges
+one access per branch.  With no statistics the per-branch fanout is the
+rule's declared bound, so the total is exactly
+:attr:`~repro.core.plans.Plan.fanout_bound` (which
+:attr:`~repro.core.plans.Plan.cost_estimate` names for the benchmark's
+calibration; the certifier re-derives both from scratch).
 
 :class:`CostStats` adds the profile-guided refinement, still with zero
 query execution: observed per-relation cardinalities and per-position
@@ -32,18 +33,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.analysis.diagnostics import Report, diagnostic
-from repro.core.plans import FetchStep, Plan, Step
+from repro.core.plans import FetchStep, Plan, StepCost, step_costs
 from repro.errors import CertificationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.instance import Database
-
-#: Per-branch unit charge of a probe step.
-PROBE_COST = 1.0
-
-#: Relative tolerance for comparing re-derived against annotated costs
-#: (floating-point weighted sums).
-COST_TOLERANCE = 1e-9
 
 #: Relations larger than this are priced by cardinality only --
 #: :meth:`CostStats.from_database` skips the per-position fanout
@@ -52,42 +46,20 @@ MAX_PROFILED_ROWS = 250_000
 
 
 @dataclass(frozen=True)
-class StepEstimate:
-    """One step's contribution to a :class:`CostEstimate`.
-
-    Mirrors :class:`~repro.core.plans.StepCost` but carries the weighted
-    ``cost`` and whether observed statistics tightened the fanout below
-    the rule's declared bound (``refined``).
-    """
-
-    step: Step
-    branches_in: int
-    accesses: int
-    branches_out: int
-    cost: float
-    refined: bool = False
-
-
-@dataclass(frozen=True)
 class CostEstimate:
-    """The priced plan: per-step estimates and their weighted ``total``."""
+    """The priced plan: its per-step costs and their sum ``total``;
+    ``refined`` when observed statistics tightened some fetch below its
+    rule's declared bound."""
 
     plan: Plan
-    total: float
-    accesses: int
-    steps: tuple[StepEstimate, ...] = ()
+    total: int
+    steps: tuple[StepCost, ...] = ()
     refined: bool = False
 
     def explain(self) -> str:
         """A per-step rendering of where the cost goes."""
-        lines = []
-        for i, est in enumerate(self.steps, 1):
-            mark = " (refined)" if est.refined else ""
-            lines.append(
-                f"{i}. {est.step}  [<= {est.accesses} tuples, "
-                f"cost {est.cost:g}{mark}]"
-            )
-        lines.append(f"total cost: {self.total:g} ({self.accesses} accesses)")
+        lines = [f"{i}. {c.step}  [<= {c.accesses} tuples]" for i, c in enumerate(self.steps, 1)]
+        lines.append(f"total cost: {self.total}" + (" (refined)" if self.refined else ""))
         return "\n".join(lines)
 
 
@@ -109,13 +81,11 @@ class CostStats:
     )
 
     @classmethod
-    def from_database(
-        cls, db: "Database", *, max_profiled_rows: int = MAX_PROFILED_ROWS
-    ) -> "CostStats":
+    def from_database(cls, db: "Database") -> "CostStats":
         """Collect statistics from ``db`` through unaccounted backend
         primitives (``count`` / ``iter_rows``): relation cardinalities
         always, per-position max group fanouts for relations up to
-        ``max_profiled_rows`` tuples."""
+        :data:`MAX_PROFILED_ROWS` tuples."""
         sizes: dict[str, int] = {}
         fanouts: dict[tuple[str, tuple[int, ...]], int] = {}
         backend = db.backend
@@ -123,7 +93,7 @@ class CostStats:
             size = backend.count(name)
             sizes[name] = size
             arity = db.schema.relation(name).arity
-            if size == 0 or size > max_profiled_rows:
+            if size == 0 or size > MAX_PROFILED_ROWS:
                 continue
             groups: list[dict[object, int]] = [{} for _ in range(arity)]
             for row in backend.iter_rows(name):
@@ -154,46 +124,27 @@ class CostStats:
 
 
 def estimate_plan(plan: Plan, stats: CostStats | None = None) -> CostEstimate:
-    """Price ``plan`` by re-deriving its step arithmetic independently of
-    the plan's own memoized annotations.
+    """Price ``plan`` through :func:`~repro.core.plans.step_costs`.
 
     Without ``stats`` the result's ``total`` equals
-    :attr:`Plan.cost_estimate` and its ``accesses`` equals
-    :attr:`Plan.fanout_bound` -- the property CST002 certifies.  With
-    ``stats``, fetch fanouts against *base* relations are tightened by
-    the observed figures (view relations keep their declared bounds:
-    view stores are maintained to those bounds, not profiled)."""
+    :attr:`Plan.fanout_bound`.  With ``stats``, fetch fanouts against
+    *base* relations are tightened by the observed figures (view
+    relations keep their declared bounds: view stores are maintained to
+    those bounds, not profiled)."""
     if not plan.satisfiable:
-        return CostEstimate(plan, 0.0, 0, (), refined=False)
-    steps: list[StepEstimate] = []
-    branches = 1
-    accesses = 0
-    total = 0.0
-    any_refined = False
-    for step in plan.steps:
-        if not isinstance(step, FetchStep):
-            cost = branches * PROBE_COST
-            steps.append(StepEstimate(step, branches, branches, branches, cost))
-            accesses += branches
-            total += cost
-            continue
-        fanout = step.rule.bound
-        refined = False
-        if stats is not None and step.atom.relation not in plan.view_relations:
-            observed = stats.fanout(step.atom.relation, step.input_positions)
-            if observed is not None and observed < fanout:
-                fanout = observed
-                refined = True
-        fanned = branches * fanout
-        cost = fanned * step.rule.cost
-        steps.append(
-            StepEstimate(step, branches, fanned, fanned, cost, refined)
-        )
-        accesses += fanned
-        total += cost
-        branches = fanned
-        any_refined = any_refined or refined
-    return CostEstimate(plan, total, accesses, tuple(steps), refined=any_refined)
+        return CostEstimate(plan, 0)
+
+    def observed(step: FetchStep) -> int:
+        relation, bound = step.atom.relation, step.rule.bound
+        if relation in plan.view_relations:
+            return bound
+        seen = stats.fanout(relation, step.input_positions)
+        return bound if seen is None else min(bound, seen)
+
+    costs = step_costs(plan.steps, fanout=None if stats is None else observed)
+    total = sum(c.accesses for c in costs)
+    # A fetch tightened below its bound leaves the total below the bound's.
+    return CostEstimate(plan, total, costs, refined=total < plan.fanout_bound)
 
 
 def certify_selection(
@@ -203,21 +154,21 @@ def certify_selection(
     source: str | None = None,
 ) -> Report:
     """The CST001 self-check: the chosen plan's estimate must not exceed
-    any rejected candidate's (beyond floating-point tolerance).  The
-    engine runs this after every cost-based choice; a finding means the
-    selection logic and this independent comparison disagree."""
+    any rejected candidate's.  The engine runs this after every
+    cost-based choice; a finding means the selection logic and this
+    independent comparison disagree."""
     report = Report()
     best = min((est.total for est in rejected), default=None)
     if best is None:
         return report
-    if chosen.total > best * (1.0 + COST_TOLERANCE) + COST_TOLERANCE:
+    if chosen.total > best:
         kind = "view-augmented" if chosen.plan.view_relations else "base"
         report.add(
             diagnostic(
                 "CST001",
                 f"cost-based selection kept the {kind} plan at cost "
-                f"{chosen.total:g} although a rejected candidate costs "
-                f"{best:g}",
+                f"{chosen.total} although a rejected candidate costs "
+                f"{best}",
                 source=source,
             )
         )
@@ -244,10 +195,7 @@ def check_selection(
 
 
 __all__ = [
-    "PROBE_COST",
-    "COST_TOLERANCE",
     "MAX_PROFILED_ROWS",
-    "StepEstimate",
     "CostEstimate",
     "CostStats",
     "estimate_plan",

@@ -1,24 +1,19 @@
-"""Static incremental-maintainability classification (INC codes).
+"""Static incremental-maintainability diagnostics (INC codes).
 
 The Section 5 delta pipeline maintains per-tuple derivation counts so
 deletions can decrement exactly what their insertions contributed.  That
-scheme assumes every fetch goes through a *plain* or *full* access rule:
-an :class:`~repro.core.access_schema.EmbeddedAccessRule` verifies and
-binds in one access, so the delta rule cannot attribute derivations to
-individual tuples without a dedup-aware counting scheme the executor does
-not (yet) implement.  Today that surfaces only when
-``execute_incremental`` is called, as an
-:class:`~repro.errors.IncrementalError` raised mid-materialization.
+scheme assumes every fetch goes through a *plain* or *full* access rule;
+the executor decides which steps block it
+(:func:`~repro.core.executor.delta_blockers`, with the causal trace
+:func:`~repro.core.executor.explain_blocker`), and
+``execute_incremental`` raises the
+:class:`~repro.errors.IncrementalError` that names every one of them
+before materializing anything.
 
-:func:`classify_incremental` decides the same question *statically*, per
-compiled plan, at ``prepare``/``register`` time: walk the steps, collect
-every embedded-rule fetch as a :class:`MaintainBlocker` with a causal
-trace in the QRY007 style (which rule, which relation, which source span,
-and what is missing), and report the verdict as INC001 diagnostics --
-plus INC002 when one disjunct of a union blocks refresh of the whole
-union.  :func:`check_maintainable` is the gating form the incremental
-pipeline now calls before materializing anything, so the error carries
-the full trace instead of naming only the first offending step.
+:func:`classify_incremental` renders that same verdict *statically*,
+per compiled plan, at ``prepare``/``register`` time: one INC001
+diagnostic per blocker, plus INC002 when one disjunct of a union blocks
+refresh of the whole union.
 """
 
 from __future__ import annotations
@@ -27,9 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.analysis.diagnostics import Report, diagnostic
-from repro.core.access_schema import EmbeddedAccessRule
+from repro.core.executor import delta_blockers, explain_blocker
 from repro.core.plans import FetchStep, Plan
-from repro.errors import IncrementalError
 
 
 @dataclass(frozen=True)
@@ -46,21 +40,8 @@ class MaintainBlocker:
         return self.step.atom.relation
 
     def explain(self) -> str:
-        """The causal trace: offending rule, relation, source span, and
-        the missing counting scheme."""
-        atom = self.step.atom
-        where = ""
-        if atom.span is not None:
-            where = f" (at {atom.span.line}:{atom.span.column})"
-        return (
-            f"step {self.index} fetches relation {self.relation!r} through "
-            f"the embedded access rule '{self.step.rule}'{where}; an "
-            f"embedded fetch verifies the atom and binds its outputs in "
-            f"one access, so the delta rule cannot attribute derivation "
-            f"counts to individual tuples without a dedup-aware counting "
-            f"scheme -- declare a plain rule on {self.relation!r} to "
-            f"refresh this query incrementally"
-        )
+        """The causal trace (:func:`~repro.core.executor.explain_blocker`)."""
+        return explain_blocker(self.index, self.step)
 
 
 @dataclass(frozen=True)
@@ -77,10 +58,7 @@ class IncrementalSupport:
 
     @property
     def blocked_plans(self) -> tuple[Plan, ...]:
-        seen: dict[int, Plan] = {}
-        for blocker in self.blockers:
-            seen.setdefault(id(blocker.plan), blocker.plan)
-        return tuple(seen.values())
+        return tuple({id(b.plan): b.plan for b in self.blockers}.values())
 
     def explain(self) -> str:
         """One line per blocker; empty string when supported."""
@@ -93,11 +71,10 @@ class IncrementalSupport:
         held hostage by the blocked ones."""
         report = Report()
         for blocker in self.blockers:
-            query = blocker.plan.query
             report.add(
                 diagnostic(
                     "INC001",
-                    f"query {query} cannot be refreshed incrementally: "
+                    f"query {blocker.plan.query} cannot be refreshed incrementally: "
                     + blocker.explain(),
                     span=blocker.step.atom.span,
                     source=source,
@@ -105,9 +82,7 @@ class IncrementalSupport:
             )
         blocked = self.blocked_plans
         if blocked and len(self.plans) > len(blocked):
-            relations = ", ".join(
-                sorted({b.relation for b in self.blockers})
-            )
+            relations = ", ".join(sorted({b.relation for b in self.blockers}))
             report.add(
                 diagnostic(
                     "INC002",
@@ -126,34 +101,17 @@ class IncrementalSupport:
 def classify_incremental(plans: Plan | Iterable[Plan]) -> IncrementalSupport:
     """Statically classify whether the Section 5 delta pipeline supports
     ``plans`` (a single plan or one per union disjunct)."""
-    if isinstance(plans, Plan):
-        plans = (plans,)
-    plans = tuple(plans)
+    plans = (plans,) if isinstance(plans, Plan) else tuple(plans)
     blockers = tuple(
         MaintainBlocker(plan, index, step)
         for plan in plans
-        for index, step in enumerate(plan.steps, 1)
-        if isinstance(step, FetchStep)
-        and isinstance(step.rule, EmbeddedAccessRule)
+        for index, step in delta_blockers(plan)
     )
     return IncrementalSupport(plans, blockers)
-
-
-def check_maintainable(plans: Plan | Iterable[Plan]) -> IncrementalSupport:
-    """The gating form: return the (supported) classification, or raise
-    :class:`IncrementalError` carrying every blocker's causal trace."""
-    support = classify_incremental(plans)
-    if not support.supported:
-        raise IncrementalError(
-            "incremental (delta) execution supports only plain and full "
-            "access rules:\n" + support.explain()
-        )
-    return support
 
 
 __all__ = [
     "MaintainBlocker",
     "IncrementalSupport",
     "classify_incremental",
-    "check_maintainable",
 ]

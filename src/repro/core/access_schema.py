@@ -79,21 +79,14 @@ def _check_bound(bound: object) -> int:
 class AccessRule:
     """The general access rule ``R(X -> N)``."""
 
-    __slots__ = ("relation", "inputs", "bound", "cost")
+    __slots__ = ("relation", "inputs", "bound")
 
-    def __init__(
-        self,
-        relation: str,
-        inputs: Iterable[str],
-        bound: int,
-        cost: float = 1.0,
-    ):
+    def __init__(self, relation: str, inputs: Iterable[str], bound: int):
         if not relation:
             raise SchemaError("access rule relation name must be non-empty")
         self.relation = relation
         self.inputs = _attribute_tuple(inputs, "input")
         self.bound = _check_bound(bound)
-        self.cost = cost
 
     def _key(self) -> tuple:
         # No type marker: FullAccessRule is only a constructor convenience
@@ -142,8 +135,8 @@ class FullAccessRule(AccessRule):
 
     __slots__ = ()
 
-    def __init__(self, relation: str, bound: int, cost: float = 1.0):
-        super().__init__(relation, (), bound, cost)
+    def __init__(self, relation: str, bound: int):
+        super().__init__(relation, (), bound)
 
 
 class EmbeddedAccessRule(AccessRule):
@@ -158,9 +151,8 @@ class EmbeddedAccessRule(AccessRule):
         inputs: Iterable[str],
         outputs: Iterable[str],
         bound: int,
-        cost: float = 1.0,
     ):
-        super().__init__(relation, inputs, bound, cost)
+        super().__init__(relation, inputs, bound)
         self.outputs = _attribute_tuple(outputs, "output")
         if not self.outputs:
             raise SchemaError("embedded access rule needs at least one output attribute")

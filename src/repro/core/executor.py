@@ -74,11 +74,11 @@ from itertools import repeat
 from sys import intern as _intern
 from time import perf_counter
 from types import SimpleNamespace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.access_schema import AccessRule, EmbeddedAccessRule
 from repro.core.columnar import EMPTY_KEY, SlotTable
-from repro.core.plans import FetchStep, Plan, ProbeStep
+from repro.core.plans import FetchStep, Plan, ProbeStep, step_costs
 from repro.errors import IncrementalError, SchemaError
 from repro.logic.ast import Atom, _as_variable, _variable_from_name
 from repro.logic.terms import Constant, Term, Variable
@@ -1212,7 +1212,7 @@ class DeltaProgram:
     __slots__ = ("plan", "pipe", "levels", "accumulate", "relations", "prefilter", "holds")
 
     def __init__(self, pipe: Pipeline):
-        check_delta_supported(pipe.plan)
+        check_delta_supported((pipe.plan,))
         self.plan = pipe.plan
         self.pipe = pipe
         # An unsatisfiable plan lowers to no levels: it never runs.
@@ -1395,48 +1395,53 @@ def delta_fanout_bound(plan: Plan, delta_sizes: Mapping[str, int]) -> int:
     ``prefix branches x slice rows`` seeds through the remaining rules'
     bounds.  Relations absent from ``delta_sizes`` contribute nothing.
     """
-    if not plan.satisfiable:
-        return 0
-    steps = plan.steps
-    total = 0
-    prefix_access = 0  # accesses to run the levels before i on the new state
-    branches = 1  # how many assignments the prefix can carry
-    for i, step in enumerate(steps):
-        changed = delta_sizes.get(step.atom.relation, 0)
+    total = prefix = 0  # prefix: the accesses of the levels before i
+    for i, cost in enumerate(plan.step_costs()):
+        changed = delta_sizes.get(cost.step.atom.relation, 0)
         if changed:
-            seeds = branches * changed
-            suffix = 0
-            for later in steps[i + 1 :]:
-                if isinstance(later, ProbeStep):
-                    suffix += seeds
-                else:
-                    suffix += seeds * later.rule.bound
-                    seeds *= later.rule.bound
-            total += prefix_access + suffix
-        if isinstance(step, ProbeStep):
-            prefix_access += branches
-        else:
-            prefix_access += branches * step.rule.bound
-            branches *= step.rule.bound
+            suffix = step_costs(plan.steps[i + 1 :], cost.branches_in * changed)
+            total += prefix + sum(c.accesses for c in suffix)
+        prefix += cost.accesses
     return total
 
 
-def check_delta_supported(plan: Plan) -> None:
-    """Raise :class:`~repro.errors.IncrementalError` unless every fetch of
-    ``plan`` goes through a plain or full access rule.  An embedded-rule
-    fetch deduplicates output projections *per source row*, so its
-    derivation count is not a product of per-level multiplicities and
-    signed deltas cannot be exact."""
-    for step in plan.steps:
-        if isinstance(step, FetchStep) and isinstance(step.rule, EmbeddedAccessRule):
-            raise IncrementalError(
-                f"plan step '{step}' fetches relation "
-                f"{step.atom.relation!r} through the embedded access rule "
-                f"'{step.rule}'; incremental (delta) execution supports "
-                f"only plain and full access rules -- declare a plain rule "
-                f"on {step.atom.relation!r} to refresh this query "
-                f"incrementally"
-            )
+def delta_blockers(plan: Plan) -> tuple[tuple[int, FetchStep], ...]:
+    """The steps (1-based index, step) that keep ``plan`` from a delta
+    program: fetches through an embedded access rule.  Such a fetch
+    deduplicates output projections *per source row*, so its derivation
+    count is not a product of per-level multiplicities and signed deltas
+    cannot be exact."""
+    return tuple(
+        (index, step)
+        for index, step in enumerate(plan.steps, 1)
+        if isinstance(step, FetchStep) and isinstance(step.rule, EmbeddedAccessRule)
+    )
+
+
+def explain_blocker(index: int, step: FetchStep) -> str:
+    """The causal trace of one :func:`delta_blockers` entry: offending
+    rule, relation, source span, and the missing counting scheme."""
+    relation, span = step.atom.relation, step.atom.span
+    where = f" (at {span.line}:{span.column})" if span is not None else ""
+    return (
+        f"step {index} fetches relation {relation!r} through the embedded access rule "
+        f"'{step.rule}'{where}; an embedded fetch verifies the atom and binds its "
+        f"outputs in one access, so the delta rule cannot attribute derivation counts "
+        f"to individual tuples without a dedup-aware counting scheme -- declare a "
+        f"plain rule on {relation!r} to refresh this query incrementally"
+    )
+
+
+def check_delta_supported(plans: Iterable[Plan]) -> None:
+    """Raise :class:`~repro.errors.IncrementalError` naming every
+    :func:`delta_blockers` entry of ``plans`` (one per union disjunct),
+    if there is one."""
+    traces = [explain_blocker(*blocker) for plan in plans for blocker in delta_blockers(plan)]
+    if traces:
+        raise IncrementalError(
+            "incremental (delta) execution supports only plain and full "
+            "access rules:\n" + "\n".join(traces)
+        )
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ the walk could not reach and carrying that walk's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NoReturn
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn
 
 from repro.core.access_schema import AccessRule, AccessSchema
 from repro.errors import NotControlledError
@@ -78,14 +78,13 @@ class ProbeStep:
 Step = FetchStep | ProbeStep
 
 
-@dataclass(frozen=True)
-class StepCost:
+class StepCost(NamedTuple):
     """The static worst-case cost estimate of one plan step.
 
     ``branches_in`` is the number of candidate bindings entering the step
-    (the product of the bounds of the fetches above it), ``accesses`` the
+    (the product of the fanouts of the fetches above it), ``accesses`` the
     tuples the step may touch (``branches_in`` for a probe,
-    ``branches_in * bound`` for a fetch) and ``branches_out`` the bindings
+    ``branches_in * fanout`` for a fetch) and ``branches_out`` the bindings
     leaving it.  Summing ``accesses`` over :meth:`Plan.step_costs` gives
     exactly :attr:`Plan.fanout_bound` -- the per-level multiplicative
     breakdown ``explain`` prints and the certifier re-derives (CRT006).
@@ -95,6 +94,26 @@ class StepCost:
     branches_in: int
     accesses: int
     branches_out: int
+
+
+def step_costs(
+    steps: Iterable[Step], branches: int = 1, fanout: Callable[[FetchStep], int] | None = None
+) -> tuple[StepCost, ...]:
+    """The bound arithmetic of Sections 4 and 5, the one copy outside the
+    certifier's reference: ``branches`` bindings enter the first step,
+    every probe touches one tuple per open branch, and every fetch may
+    touch ``fanout(step)`` tuples per branch (default ``step.rule.bound``)
+    and leaves that many branches.  :attr:`Plan.fanout_bound`, the cost
+    model's estimate and the delta bound each read it."""
+    costs: list[StepCost] = []
+    for step in steps:
+        if isinstance(step, ProbeStep):
+            costs.append(StepCost(step, branches, branches, branches))
+            continue
+        fanned = branches * (step.rule.bound if fanout is None else fanout(step))
+        costs.append(StepCost(step, branches, fanned, fanned))
+        branches = fanned
+    return tuple(costs)
 
 
 class Plan:
@@ -117,7 +136,6 @@ class Plan:
         "satisfiable",
         "view_relations",
         "_fanout_bound",
-        "_cost_estimate",
         "_pipeline",
     )
 
@@ -137,7 +155,6 @@ class Plan:
         self.satisfiable = satisfiable
         self.view_relations = frozenset(view_relations)
         self._fanout_bound: int | None = None
-        self._cost_estimate: float | None = None
         self._pipeline = None  # repro.core.executor.pipeline_for's memo
 
     def __repr__(self) -> str:
@@ -150,64 +167,24 @@ class Plan:
     def fanout_bound(self) -> int:
         """An upper bound on the number of tuples the plan can access per
         execution -- a function of the access-rule bounds only, never of
-        the database size.
-
-        The bound is the sum over fetch steps of the product of the bounds
-        of the fetches above them (each branch of the left-deep join can
-        fan out by at most the rule's bound), plus one probe per branch.
+        the database size: the accesses of :meth:`step_costs`, summed.
         """
         bound = self._fanout_bound
         if bound is None:
-            if not self.satisfiable:
-                bound = 0
-            else:
-                bound = sum(cost.accesses for cost in self.step_costs())
-            self._fanout_bound = bound
+            bound = self._fanout_bound = sum(c.accesses for c in self.step_costs())
         return bound
 
     @property
-    def cost_estimate(self) -> float:
-        """The plan's static weighted cost: each fetch charges its
-        worst-case accesses times its rule's per-lookup ``cost``, each
-        probe one unit per open branch.
-
-        With all rule costs at the default 1.0 this equals
-        :attr:`fanout_bound`; non-uniform costs let the optimizer prefer
-        cheap-access relations (e.g. a memory-resident view over a remote
-        base table) at equal fanout.  The certifier re-derives this figure
-        independently (CST002), and :func:`repro.analysis.cost.estimate_plan`
-        refines it with observed statistics without executing anything.
-        """
-        cost = self._cost_estimate
-        if cost is None:
-            cost = 0.0
-            for step_cost in self.step_costs():
-                step = step_cost.step
-                unit = step.rule.cost if isinstance(step, FetchStep) else 1.0
-                cost += step_cost.accesses * unit
-            self._cost_estimate = cost
-        return cost
+    def cost_estimate(self) -> int:
+        """:attr:`fanout_bound` under the name the benchmark's cost
+        calibration reads; the certifier re-derives it independently
+        (CST002)."""
+        return self.fanout_bound
 
     def step_costs(self) -> tuple[StepCost, ...]:
-        """Per-step worst-case cost estimates (see :class:`StepCost`).
-
-        Every fetch multiplies the open branches by its rule's bound and
-        may touch that many tuples; every probe touches one tuple per
-        open branch.  ``sum(c.accesses) == fanout_bound`` by
-        construction.
-        """
-        if not self.satisfiable:
-            return ()
-        costs: list[StepCost] = []
-        branches = 1
-        for step in self.steps:
-            if isinstance(step, ProbeStep):
-                costs.append(StepCost(step, branches, branches, branches))
-                continue
-            fanned = branches * step.rule.bound
-            costs.append(StepCost(step, branches, fanned, fanned))
-            branches = fanned
-        return tuple(costs)
+        """Per-step worst-case cost estimates (:func:`step_costs` over the
+        steps; none for an unsatisfiable plan)."""
+        return step_costs(self.steps) if self.satisfiable else ()
 
     def renamed(
         self, query: ConjunctiveQuery, renaming: Mapping[str, Variable], atoms
@@ -275,7 +252,7 @@ class Plan:
         )
         lines.append(f"project: ({head})")
         lines.append(f"access bound: {self.fanout_bound} tuples")
-        lines.append(f"cost estimate: {self.cost_estimate:g}")
+        lines.append(f"cost estimate: {self.cost_estimate}")
         return "\n".join(lines)
 
 

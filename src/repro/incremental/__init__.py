@@ -60,11 +60,11 @@ plans stay valid, and the refresh stays a delta.
 
 Limitations, by design: plans fetching through an *embedded* access rule
 are rejected with :class:`~repro.errors.IncrementalError` (their
-per-assignment projection dedup has no exact counting semantics; the
-:mod:`repro.analysis.maintain` classifier decides this statically, so the
-error carries the full INC001 causal trace), and mutations are
-single-writer: interleaving them with an in-flight execute or refresh is
-undefined.
+per-assignment projection dedup has no exact counting semantics;
+:func:`~repro.core.executor.check_delta_supported` names every such
+fetch with its causal trace, the text INC001 quotes at prepare time),
+and mutations are single-writer: interleaving them with an in-flight
+execute or refresh is undefined.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ from weakref import finalize
 from repro.core.executor import (
     ExecutionContext,
     PlanProfile,
+    check_delta_supported,
     delta_fanout_bound,
 )
 from repro.relational.instance import AccessStats, LogSlice, Mark
@@ -266,15 +267,9 @@ class IncrementalResult:
         epoch = (db, engine._state[1])  # before compiling: a racing writer rebases us
         prepared, parameters = self._prepared, frozenset(self._values)
         compiled = engine._compiled_for(prepared, parameters)
-        plans = compiled.plans
-        # Classify statically before materializing anything: unlike the
-        # executor's per-plan check, the classifier's error carries every
-        # blocker's causal trace -- read off the plans in the caller's own
-        # atoms, for their source spans.  Imported lazily -- repro.analysis
-        # sits above repro.incremental in the layering.
-        from repro.analysis.maintain import check_maintainable
-
-        check_maintainable(prepared._named(parameters, plans))
+        # Refuse before materializing anything, naming every disjunct's
+        # blockers in the caller's own atoms, for their source spans.
+        check_delta_supported(prepared._named(parameters, compiled.plans))
         # Refresh any views the plans read *before* snapshotting the
         # watermark: the counting pass must see views that agree with the
         # base state at that watermark (mutations are single-writer, so

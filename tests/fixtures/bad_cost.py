@@ -1,8 +1,9 @@
 """Seeded bad-cost fixture for the CI must-fail gate.
 
-Builds a correct plan for the paper's Q1, forges its memoized cost
-annotation (``cost_estimate`` claims 1.0 -- far below what the step
-arithmetic re-derives) and feeds it to the certifier's gating form.
+Builds a correct plan for the paper's Q1, forges its cost annotation
+(``cost_estimate``, the name of ``fanout_bound`` that the benchmark's
+cost calibration reads, claims 1 -- far below what the step arithmetic
+re-derives) and feeds it to the certifier's gating form.
 ``check_plan`` must raise :class:`~repro.errors.CertificationError`
 with a CST002 finding, so this script exiting 0 means the cost model's
 cross-check has gone blind -- CI runs it under ``!``::
@@ -25,11 +26,11 @@ good = compile_plan(query, access, ("p",))
 
 
 class CheapPlan(Plan):
-    """A plan whose memoized cost claims 1.0 regardless of its steps."""
+    """A plan whose cost estimate claims 1 regardless of its steps."""
 
     @property
-    def cost_estimate(self) -> float:
-        return 1.0
+    def cost_estimate(self) -> int:
+        return 1
 
 
 forged = CheapPlan(

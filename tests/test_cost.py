@@ -19,6 +19,7 @@ from repro import (
     IncrementalError,
     Plan,
     compile_plan,
+    delta_fanout_bound,
     parse_cq,
     parse_schema,
 )
@@ -69,7 +70,7 @@ def test_cost_estimate_matches_fanout_bound_at_unit_costs():
     estimate = estimate_plan(plan)
     assert isinstance(estimate, CostEstimate)
     assert estimate.total == plan.cost_estimate
-    assert estimate.accesses == plan.fanout_bound
+    assert estimate.steps == plan.step_costs()
     assert not estimate.refined
     assert "64" in estimate.explain()
 
@@ -100,6 +101,44 @@ def test_unsatisfiable_plan_costs_zero():
     assert not plan.satisfiable
     assert plan.cost_estimate == 0.0
     assert estimate_plan(plan).total == 0.0
+
+
+PINNED_ACCESS = "friend(pid1 -> 32); person(pid -> 1)"
+TWO_HOPS = "Q(n) :- friend(p, y), friend(y, z), person(z, n, 'NYC')"
+MUTUAL = "Q(y) :- friend(p, y), friend(y, p), person(y, n, 'NYC')"  # a probe step
+PINNED_STATS = CostStats(
+    {"friend": 40, "person": 10},
+    {("friend", (0,)): 3, ("friend", (1,)): 5, ("person", (0,)): 1},
+)
+
+
+@pytest.mark.parametrize(
+    "query, given, expected",
+    [
+        (TWO_HOPS, {"friend": 2, "person": 3}, 1280),
+        (TWO_HOPS, {"friend": 2}, 224),
+        (TWO_HOPS, {"person": 3}, 1056),
+        (TWO_HOPS, {"person": 0}, 0),
+        (MUTUAL, {"friend": 2, "person": 3}, 164),
+        (MUTUAL, {"friend": 5}, 202),
+        (TWO_HOPS, PINNED_STATS, 21),
+        (MUTUAL, PINNED_STATS, 9),
+    ],
+)
+def test_the_bound_arithmetic_keeps_its_figures(query, given, expected):
+    """Exact figures of the delta bound (``given`` the changed relations'
+    sizes) and of the stats-refined estimate (``given`` the statistics),
+    so a rewrite of the arithmetic cannot drift while the suite's ``<=``
+    checks still pass."""
+    schema = parse_schema(SCHEMA_TEXT)
+    plan = compile_plan(
+        parse_cq(query, schema=schema), AccessSchema.parse(schema, PINNED_ACCESS), ("p",)
+    )
+    if isinstance(given, CostStats):
+        estimate = estimate_plan(plan, given)
+        assert (estimate.total, estimate.refined) == (expected, True)
+    else:
+        assert delta_fanout_bound(plan, given) == expected
 
 
 # -- cost-based selection -------------------------------------------------
@@ -151,7 +190,7 @@ def test_certify_selection_is_the_must_never_fire_self_check():
     eng = engine()
     plan = one_plan(eng.query(Q1))
     good = estimate_plan(plan)
-    cheap = CostEstimate(plan, total=1.0, accesses=1)
+    cheap = CostEstimate(plan, total=1)
     assert not certify_selection(good, [good]).by_code("CST001")
     report = certify_selection(good, [cheap])
     (d,) = report.by_code("CST001")

@@ -11,7 +11,9 @@ evaluating the query over the raw rows (``sql_oracle``), which shares no
 evaluation code with the engine.
 
 * **new face**: ``execute_plan`` = ``execute_per_tuple`` = naive = SQLite
-  (as sets); tuples accessed stay within ``fanout_bound``; the only scans are
+  (as sets); the rows an execute read are a witness ``D_Q`` (Section 2:
+  they answer the query, and ``|D_Q| <= tuples accessed <= fanout_bound``,
+  ``witness.check_witness``); the only scans are
   the keyless fetches a full rule asks for; ``profile_plan`` reports the
   same rows and the same accounting; and the accounting equals the memory
   backend's on every backend.
@@ -46,6 +48,7 @@ from hypothesis import strategies as st
 
 from reference_executor import execute_per_tuple
 from sql_oracle import SqlOracle
+from witness import WitnessBackend, check_witness
 from repro import (
     AccessRule,
     AccessSchema,
@@ -60,6 +63,7 @@ from repro import (
     IncrementalError,
     NotControlledError,
     RelationSchema,
+    ResultSet,
     Variable,
     compile_plan,
 )
@@ -270,16 +274,21 @@ def embedded(plan) -> bool:
 
 def check_new_face(plan, db, reference, raw, values):
     """The first group of properties, on the current state of ``db``
-    (any backend), of ``reference`` (memory, same contents) and of
-    ``raw`` (the same rows, never stored by ``repro``)."""
+    (any backend, wrapped in a ``WitnessBackend``), of ``reference``
+    (memory, same contents) and of ``raw`` (the same rows, never stored
+    by ``repro``)."""
     ctx = ExecutionContext(db)
+    db.backend.take()
     rows = execute_plan(plan, ctx, dict(values))
+    # Section 2's definition: the rows the execute read answer the query,
+    # and within the bound (check_witness also holds rows to SQLite).
+    result = ResultSet(rows, (), ctx.stats, plan.fanout_bound)
+    answers = SqlOracle(db.schema, raw).answers(plan.query, values)
+    check_witness(db.schema, plan.query, values, result, db.backend.take(), answers)
     naive = set(plan.query.evaluate(reference, values))
     assert set(rows) == naive
-    assert set(rows) == SqlOracle(db.schema, raw).answers(plan.query, values)
     assert len(rows) == len(set(rows))  # deduplicated
     assert set(execute_per_tuple(plan, db, dict(values))) == naive
-    assert ctx.stats.tuples_accessed <= plan.fanout_bound
     assert ctx.stats.full_scans <= keyless_fetches(plan)
     profiled = ExecutionContext(db)
     profile = profile_plan(plan, profiled, dict(values))
@@ -296,7 +305,7 @@ def check_new_face(plan, db, reference, raw, values):
 def test_three_faces_agree_with_naive_evaluation(backend_factory, scenario):
     schema, access, plan, values = build(scenario)
     _, rows, stream, *_ = scenario
-    db = Database(schema, rows, backend=backend_factory())
+    db = Database(schema, rows, backend=WitnessBackend(backend_factory()))
     reference = Database(schema, rows)
     raw = {name: set(rows[name]) for name in RELATIONS}
     check_new_face(plan, db, reference, raw, values)
