@@ -4,10 +4,12 @@
 access schema ``A`` on every database, once the parameter variables are
 supplied.  For conjunctive queries (and unions thereof) this is decided by
 the controllability fixpoint, which is the planner's walk
-(:func:`repro.core.plans.walk`): ``Q`` is scale independent iff every
-disjunct is controlled, iff :func:`repro.core.plans.compile_plan`
-succeeds on it, and each :class:`~repro.core.controllability.Coverage`
-carries the witnessing plan's steps.  A parameter that does not occur in
+(:func:`repro.core.plans.walk`): every disjunct is controlled iff
+:func:`repro.core.plans.compile_plan` succeeds on it, and controlled
+implies scale independent -- each :class:`~repro.core.controllability.Coverage`
+carries the witnessing plan's steps.  The converse fails: ``Q(y) :-
+friend(p, y), friend(z, w)`` is equivalent to ``friend(p, y)`` yet not
+controlled, so a negative verdict means "no plan found", not "unbounded".  A parameter that does not occur in
 a disjunct is a ValueError, as for ``compile_plan``.  For full
 first-order logic the problem is undecidable
 (Fan, Geerts & Libkin 2014, Theorem 3.1), which is why CQ and UCQ are the

@@ -35,11 +35,12 @@ from the log like the counts.  The access schema bounds what a result
 holds as it bounds what a query reads: at most ``rule.bound`` rows per
 disjunct.  A slice that meets neither the group nor the keys it leads to
 at level 1 changes nothing, and the write path says so first: each result
-registers that footprint in the change log, every append marks the
-results its row meets, and an unmarked result's refresh only advances its
-watermark (a result reading views always joins: their changes are not in
-the log).  A slice that changes the group patches it (not re-read: what a
-refresh reads depends on its slice, never on the refreshes before it).
+registers that footprint in the change log, every logged batch marks the
+results its rows meet, and an unmarked result's refresh returns once its
+slice is cut -- no join, no read (a result reading views always joins:
+their changes are not in the log).  A slice that changes the group
+patches it (not re-read: what a refresh reads depends on its slice, never
+on the refreshes before it).
 Only when every plan's join (one per disjunct of a union) succeeded does
 :meth:`IncrementalResult.refresh` fold the signed changes into the counts
 and advance the watermark; when one raises, the result is as it was
@@ -160,7 +161,7 @@ class IncrementalResult:
         watermark, then advance the watermark.  Returns ``self``.
 
         A slice that misses what the result holds costs zero accesses; one
-        no write of which marked the result runs no delta pipeline at all.
+        no write of which marked the result returns once it is cut.
         With ``analyze=True`` the delta pipeline's per-operator row counts
         and accounting are recorded in :attr:`profiles` (rendered by
         :meth:`explain_analyze`) by the context it runs in; the default
@@ -183,6 +184,13 @@ class IncrementalResult:
         joining = self._mark.marked or self._view_names
         self._mark.marked = False  # before the slice is cut: a write after it marks again
         slice = db.change_log.slice_since(self.watermark)
+        if not joining:  # no write met the footprint: no join, no read, zero stats
+            stats = self.stats  # kept while zero: a check costs less than a new one
+            if stats.tuples_accessed or stats.indexed_lookups or stats.full_scans:
+                self.stats = AccessStats()
+            self._delta_sizes, self.watermark, self.profiles = slice.sizes, slice.stop, ()
+            self.last_mode = "delta"
+            return self
         # View-assisted plans: bring the views up to date first, then ride
         # their answer changes in the slice under the view names -- the
         # delta pipeline joins them exactly like base-relation changes.
@@ -203,7 +211,7 @@ class IncrementalResult:
                 slice = LogSlice({**slice.net, **view_delta}, slice.start, slice.stop)
         stats = AccessStats()
         profiles: tuple[PlanProfile, ...] = ()
-        if joining and slice.net:
+        if slice.net:
             # Every disjunct's changes first: a backend error in a later
             # one must leave counts and watermark as they were, so the
             # retry does not apply the earlier ones twice.

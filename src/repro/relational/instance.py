@@ -35,14 +35,14 @@ increments; under heavy cross-thread traffic they are approximate.)
 Mutations go through :meth:`Database.insert_many` and
 :meth:`Database.delete_many` (with :meth:`add` / :meth:`delete` as
 single-tuple conveniences).  The facade validates and interns every row,
-hands the batch to the backend, and appends each *effective* change (an
-insert of a genuinely new tuple, a delete of a genuinely present one) to
-the database's monotonic :class:`ChangeLog` -- the substrate of
+hands the batch to the backend, and logs its *effective* changes (an
+insert of a genuinely new tuple, a delete of a genuinely present one) in
+one :meth:`ChangeLog.extend` of the database's monotonic log -- the substrate of
 incremental scale independence (:mod:`repro.incremental`, Section 5 of
 the paper): a refresh replays only the log suffix past its watermark,
 handed out as one shared :class:`LogSlice` per span.  The log is bounded
 by *pinned compaction*: consumers that hold a watermark pin it, and
-appends drop what lies below the oldest pin (see :class:`ChangeLog` for
+writes drop what lies below the oldest pin (see :class:`ChangeLog` for
 what an un-pinned watermark may rely on).
 :meth:`Database.bulk_load` is the one escape hatch: an *unlogged*
 streaming load for populating an empty database at out-of-core scale,
@@ -180,10 +180,11 @@ class Mark:
 #: coexist.
 SLICE_CACHE_SIZE = 8
 
-#: The compaction trigger: :meth:`ChangeLog.append` looks at the pins once
-#: per this many appends, and drops the dead prefix when it is longer than
-#: this *and* longer than the live suffix (so the copy a truncation costs
-#: is always paid for by the entries it frees).
+#: The compaction trigger: :meth:`ChangeLog.extend` looks at the pins once
+#: per this many logged entries (a longer batch is logged in pieces this
+#: long, so it never holds more), and drops the dead prefix when it is
+#: longer than this *and* longer than the live suffix (so the copy a
+#: truncation costs is always paid for by the entries it frees).
 COMPACT_MIN_DEAD = 1024
 
 
@@ -200,22 +201,22 @@ class ChangeLog:
     holds a watermark across mutations -- an
     :class:`~repro.incremental.IncrementalResult`, a
     :class:`~repro.views.ViewState` -- registers with :meth:`pin` (weakly:
-    dropping the consumer releases the pin).  :meth:`append`, and nothing
+    dropping the consumer releases the pin).  :meth:`extend`, and nothing
     else, occasionally truncates every entry below the oldest live pin
     (all of them when nobody pins), raising :attr:`floor`.  So:
 
     * a pinned consumer can always slice from its own watermark;
     * a raw watermark held *without* a pin stays sliceable only while it
       is at or above the floor -- it survives any number of reads and pin
-      movements (nothing but ``append`` compacts), and may be gone after
-      any append;
+      movements (nothing but ``extend`` compacts), and may be gone after
+      any write;
     * slicing or indexing below the floor raises
       :class:`~repro.errors.CompactedError` -- never a wrong answer.
 
     A *footprint registry* (relation -> key positions -> key -> the
     :class:`Mark` cells :meth:`watch` put there; positions ``()`` watch a
-    whole relation) lets :meth:`append` mark each consumer its row can
-    concern, so one whose mark is clear need not read the log.  It holds
+    whole relation) lets :meth:`extend` mark each consumer a logged row
+    can concern, so one whose mark is clear need not read the log.  It holds
     marks, never consumers: one that goes away leaves it through a
     ``weakref.finalize``, as it releases its pin.
     """
@@ -228,12 +229,12 @@ class ChangeLog:
         self._pins: WeakSet = WeakSet()
         self._watched: dict[str, dict[tuple[int, ...], dict[Row, set[Mark]]]] = {}
         self._check_at = COMPACT_MIN_DEAD  # retained length that triggers a look
-        # Memoized slices keyed by (start, stop): many incremental results
-        # refreshing off one log hit the identical span, and the log is
-        # append-only so a slice can never go stale.  Least-recently-used
-        # eviction past SLICE_CACHE_SIZE -- a reader's hot slice survives
-        # however many cold watermarks other readers probe in between.
-        self._slices: OrderedDict[tuple[int, int], LogSlice] = OrderedDict()
+        # Memoized slices of the spans ending now, keyed by their start:
+        # many incremental results refreshing off one log hit the identical
+        # span.  Least-recently-used eviction past SLICE_CACHE_SIZE -- a
+        # reader's hot slice survives however many cold watermarks other
+        # readers probe in between.
+        self._slices: OrderedDict[int, LogSlice] = OrderedDict()
 
     @property
     def watermark(self) -> int:
@@ -252,7 +253,7 @@ class ChangeLog:
 
     def watch(self, mark: Mark, footprint) -> None:
         """Register ``mark`` under exactly ``footprint``'s ``(relation,
-        positions, key)`` triples: an appended row of ``relation`` holding
+        positions, key)`` triples: a logged row of ``relation`` holding
         ``key`` at ``positions`` sets it.  Only the difference to its last
         footprint moves; an empty one unregisters it."""
         footprint = set(footprint)
@@ -267,31 +268,28 @@ class ChangeLog:
                 del keys[key]
         mark.footprint = footprint
 
-    def append(self, op: str, relation: str, row: Row) -> None:
+    def extend(self, op: str, relation: str, rows: Sequence[Row]) -> None:
+        """Log ``rows`` -- one batch's effective changes of ``relation``, in
+        order -- and mark every consumer one of them concerns."""
         if op not in ("+", "-"):
             raise ValueError(f"change op must be '+' or '-', got {op!r}")
-        entries = self._entries
-        entries.append((op, relation, row))
+        self._slices.clear()  # every memoised span ends at the old watermark
         watched = self._watched.get(relation)
         if watched:
             for positions, keys in watched.items():
-                for mark in keys.get(tuple([row[p] for p in positions]), ()):
-                    mark.marked = True
-        if len(entries) > self._check_at:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every entry below the oldest live pin, if that prefix is
-        long enough to be worth the copy; then schedule the next look."""
+                for row in rows:
+                    for mark in keys.get(tuple([row[p] for p in positions]), ()):
+                        mark.marked = True
         entries = self._entries
-        floor = min([self.watermark, *(pin.watermark for pin in self._pins)])
-        dead = floor - self._base
-        if dead > COMPACT_MIN_DEAD and dead > len(entries) - dead:
-            del entries[:dead]
-            self._base = floor
-            for key in [key for key in self._slices if key[0] < floor]:
-                del self._slices[key]
-        self._check_at = len(entries) + COMPACT_MIN_DEAD
+        for start in range(0, len(rows), COMPACT_MIN_DEAD):
+            entries += [(op, relation, row) for row in rows[start : start + COMPACT_MIN_DEAD]]
+            if len(entries) > self._check_at:  # compact, if the dead prefix is worth the copy
+                floor = min([self.watermark, *(pin.watermark for pin in self._pins)])
+                dead = floor - self._base
+                if dead > COMPACT_MIN_DEAD and dead > len(entries) - dead:
+                    del entries[:dead]
+                    self._base = floor
+                self._check_at = len(entries) + COMPACT_MIN_DEAD
 
     def __len__(self) -> int:
         """The number of *retained* entries (``watermark - floor``)."""
@@ -325,7 +323,7 @@ class ChangeLog:
             raise CompactedError(
                 f"the change log was compacted up to tid {self._base}; entries "
                 f"from {watermark} are gone -- hold a pin (ChangeLog.pin) to "
-                f"keep a watermark sliceable across appends"
+                f"keep a watermark sliceable across writes"
             )
         return watermark - self._base
 
@@ -336,12 +334,12 @@ class ChangeLog:
 
     def slice_since(self, watermark: int) -> LogSlice:
         """The (memoised, shared) :class:`LogSlice` of the span from
-        ``watermark`` to now."""
-        key = (watermark, self._base + len(self._entries))
+        ``watermark`` to now: one probe, since every memoised span ends
+        now (:meth:`extend` forgets them all)."""
         slices = self._slices
-        found = slices.get(key)
+        found = slices.get(watermark)
         if found is not None:
-            slices.move_to_end(key)
+            slices.move_to_end(watermark)
             return found
         net: NetDelta = {}
         for op, relation, row in self._entries[self._offset(watermark) :]:
@@ -351,8 +349,9 @@ class ChangeLog:
                 rows[row] = sign
             else:
                 del rows[row]
-        found = LogSlice({r: rows for r, rows in net.items() if rows}, *key)
-        slices[key] = found
+        found = slices[watermark] = LogSlice(
+            {r: rows for r, rows in net.items() if rows}, watermark, self._base + len(self._entries)
+        )
         if len(slices) > SLICE_CACHE_SIZE:
             slices.popitem(last=False)
         return found
@@ -547,14 +546,9 @@ class Database:
             return 0
         backend = self._backend
         write = backend.insert_rows if op == "+" else backend.delete_rows
-        flags = write(relation, prepared)
-        append = self.change_log.append
-        applied = 0
-        for row, flag in zip(prepared, flags):
-            if flag:
-                append(op, relation, row)
-                applied += 1
-        return applied
+        changed = [row for row, flag in zip(prepared, write(relation, prepared)) if flag]
+        self.change_log.extend(op, relation, changed)
+        return len(changed)
 
     # -- reads (accounted) -----------------------------------------------
     #

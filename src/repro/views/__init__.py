@@ -24,9 +24,9 @@ The package in three pieces:
   so a view is read through the same ``lookup_keys`` / ``contains_rows``
   pair as a base relation, and incremental maintenance by the plan's
   compiled :class:`~repro.core.executor.DeltaProgram` over the database's
-  change-log slice past the view's (pinned) watermark -- a refresh costs
-  O(changes), not O(database), and a single-atom view refreshes without
-  touching stored tuples at all.  Every refresh appends the set-level
+  change-log slice past the view's (pinned) watermark, never a recompute
+  (a one-atom view's refresh is its relation's slice, permuted: no join,
+  no stored tuple read).  Every refresh appends the set-level
   answer change to a ledger, so incremental *query* results can consume
   view deltas exactly like base-relation slices.
 * the rewriter (:mod:`repro.views.rewrite`) -- every view whose body

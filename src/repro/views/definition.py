@@ -22,10 +22,10 @@ end to end:
   it joins -- and runs the maintenance plan's
   :class:`~repro.core.executor.DeltaProgram` (compiled once, when the
   state is built): the standard telescoping delta rule, folding the
-  signed changes into the counts instead of recomputing the join.  For
-  the common single-atom view (an inverted edge index, say) this touches
-  zero stored tuples: the whole refresh is an in-memory join against the
-  slice, whose changes are the answer change as they stand.
+  signed changes into the counts instead of recomputing the join.  A
+  one-atom view over distinct variables, all in its head (an inverted
+  edge index, say), needs no rule: its answer change is its relation's
+  slice with the columns permuted -- no join, no stored tuple read.
 
 Every refresh that changes the answer appends the set-level net (rows
 entering/leaving the view) to the state's *answer ledger*, keyed by the
@@ -239,34 +239,25 @@ class ViewState:
     passes and never to the database's -- it is not a base-table access.
     A :attr:`flat` view (non-projecting, as :meth:`ViewDef.stands_for`
     reads it) has one derivation per row, so its delta join's changes
-    *are* its answer net: no store probe, no count fold.
+    *are* its answer net: no store probe, no count fold.  A :attr:`one_atom`
+    view -- one atom over distinct variables, all in the head -- needs no
+    join either: its answer net is its relation's slice, permuted.
     """
 
     __slots__ = (
-        "view",
-        "db",
-        "plan",
-        "program",
-        "watermark",
-        "origin",
-        "many",
-        "seeded",
-        "store",
-        "flat",
-        "_ledger",
+        "view", "db", "program", "watermark", "origin", "many", "seeded", "store",
+        "flat", "one_atom", "_ledger",
         "__weakref__",  # the change log pins its consumers weakly
     )
 
-    def __init__(self, view: ViewDef, db: Database, plan: Plan | None = None):
+    def __init__(self, view: ViewDef, db: Database):
         self.view = view
         self.db = db
-        self.plan = view.maintenance_plan(db.schema) if plan is None else plan
-        self.program = delta_program(self.plan)
+        self.program = delta_program(view.maintenance_plan(db.schema))
         # Snapshot the watermark before executing: mutations are
         # single-writer by contract, so the counting pass sees exactly
         # the state at this watermark.
-        self.watermark = db.change_log.watermark
-        self.origin = self.watermark
+        self.watermark = self.origin = db.change_log.watermark
         self.seeded = self.program.seed({})  # a maintenance plan has no parameters
         counts = self.program.count(ExecutionContext(db), self.seeded)
         rows = intern_rows(counts)  # a backend's reads need not share strings
@@ -275,6 +266,10 @@ class ViewState:
         self.store.attach(DatabaseSchema([view.relation]), AccessStats())
         self.store.insert_rows(view.name, rows)
         self.flat = bool(view.stands_for(Atom(view.name, view.query.head)))
+        query, terms = view.query, view.query.body[0].terms
+        permutes = len(query.body) == 1 and not query.equalities
+        permutes = permutes and len(set(terms)) == len(terms) == len(query.head)
+        self.one_atom = (query.body[0].relation, tuple(map(terms.index, query.head))) if permutes else None
         self._ledger: list[tuple[int, int, dict[Row, int]]] = []
         db.change_log.pin(self)  # hold the log at our watermark while we live
 
@@ -298,11 +293,12 @@ class ViewState:
     # -- maintenance -----------------------------------------------------
 
     def refresh(self) -> dict[Row, int]:
-        """Bring the materialization up to date with the database's change
-        log by running the delta pipeline over the slice past the view's
-        watermark, and return the set-level net (``row -> +1`` entered,
-        ``-1`` left; empty when the slice changed nothing).  Deeper views
-        pay bounded work per changed level, never a recompute."""
+        """Bring the materialization up to date with the change log past the
+        view's watermark and return the set-level net (``row -> +1``
+        entered, ``-1`` left; empty when the slice changed nothing).  A
+        one-atom view permutes its relation's slice; any other view runs
+        its delta program -- never a recompute, but under full-relation
+        rules, so a change below level 0 may read a whole relation."""
         log = self.db.change_log
         if log.watermark == self.watermark:
             return {}
@@ -312,7 +308,11 @@ class ViewState:
             # Nothing below moves before the delta ran to completion: a
             # failed refresh leaves counts, store, ledger and watermark
             # as they were, so a retry starts from consistent state.
-            changes = self.program.join(ExecutionContext(self.db, delta=slice), self.seeded)
+            if self.one_atom is None:
+                changes = self.program.join(ExecutionContext(self.db, delta=slice), self.seeded)
+            else:  # the answer change is the relation's net change, permuted
+                relation, columns = self.one_atom
+                changes = {tuple([r[c] for c in columns]): s for r, s in slice.rows(relation)}
             if self.flat:  # every count is 0 or 1: a change is an answer change
                 net = changes
             else:
@@ -447,7 +447,6 @@ class ViewSet:
         "schema",
         "_lock",
         "_defs",
-        "_plans",
         "_states",
         "_state_locks",
         "_version",
@@ -461,7 +460,6 @@ class ViewSet:
         self.schema = schema
         self._lock = threading.Lock()
         self._defs: dict[str, ViewDef] = {}
-        self._plans: dict[str, Plan] = {}
         self._states: dict[str, ViewState] = {}
         self._state_locks: dict[str, threading.Lock] = {}
         self._version = 0
@@ -541,9 +539,8 @@ class ViewSet:
         with self._lock:
             if view.name in self._defs:
                 raise SchemaError(f"view {view.name!r} is already registered")
-            plan = view.maintenance_plan(self.schema)
+            view.maintenance_plan(self.schema)  # compiled here, so it can fail here
             self._defs[view.name] = view
-            self._plans[view.name] = plan
             self._version += 1
             self._catalog = None
         if self._owner is not None:
@@ -585,7 +582,6 @@ class ViewSet:
         with self._lock:
             view = self.get(name)
             del self._defs[name]
-            self._plans.pop(name, None)
             self._states.pop(name, None)
             self._state_locks.pop(name, None)
             self._version += 1
@@ -662,20 +658,20 @@ class ViewSet:
         with self._lock:
             if names is None:
                 names = tuple(self._defs)
-            plans: dict[str, tuple[ViewDef, Plan, threading.Lock]] = {}
+            wanted: dict[str, tuple[ViewDef, threading.Lock]] = {}
             for name in names:
                 view = self.get(name)
                 lock = self._state_locks.get(name)
                 if lock is None:
                     lock = self._state_locks[name] = threading.Lock()
-                plans[name] = (view, self._plans[name], lock)
+                wanted[name] = (view, lock)
         states: dict[str, ViewState] = {}
-        for name, (view, plan, lock) in plans.items():
+        for name, (view, lock) in wanted.items():
             with lock:
                 with self._lock:
                     state = self._states.get(name)
                 if state is None or state.db is not db:
-                    state = ViewState(view, db, plan)
+                    state = ViewState(view, db)
                     with self._lock:
                         # A drop that raced the materialization wins: do
                         # not resurrect the state it already discarded.

@@ -17,6 +17,7 @@ mutant must trip over is pinned.
 * **marks**: the keys a result is watched under move with its patched
   group, and a write landing while a refresh reads its slice is seen by
   the next refresh;
+* **the slice memo** never answers for a span a write compacted away;
 * **bulk_load** refuses a log somebody pins at watermark 0;
 * **mutants**: each seeded fault is killed by the property named for it.
 """
@@ -45,10 +46,10 @@ from test_faces_property import (
     values,
 )
 from test_incremental import FaultyBackend
-from repro import Atom, ConjunctiveQuery, Constant, Engine, MemoryBackend, SqliteBackend, UpdateError
+from repro import Atom, CompactedError, ConjunctiveQuery, Constant, Engine, MemoryBackend, SqliteBackend, UpdateError
 from repro.core.executor import DeltaProgram, ExecutionContext, Seeded
 from repro.incremental import IncrementalResult
-from repro.relational.instance import AccessStats, ChangeLog
+from repro.relational.instance import COMPACT_MIN_DEAD, AccessStats, ChangeLog
 
 
 @st.composite
@@ -300,12 +301,29 @@ def a_write_during_a_refresh_is_seen_by_the_next():
     equals_recompute(db, prepared, live)
 
 
+def a_compacted_span_is_never_served():
+    """A span memoised before a write compacted the log past its start
+    raises CompactedError -- the memo never answers for it."""
+    engine, db = pinned_engine()
+    log = db.change_log
+    start = log.watermark
+    assert log.slice_since(start) is log.slice_since(start)  # memoised, pinned by nobody
+    db.insert_many("t", [(100 + i, "z") for i in range(2 * COMPACT_MIN_DEAD)])
+    assert log.floor > start
+    try:
+        served = log.slice_since(start)
+    except CompactedError:
+        return
+    raise AssertionError(f"{served!r} was served from below the floor {log.floor}")
+
+
 PROPERTIES = {
     "the held group is current": over_the_pinned_stream(group_is_current),
     "refresh = recompute": over_the_pinned_stream(equals_recompute),
     "a failed refresh leaves no hold": a_failed_refresh_leaves_no_hold,
     "a patch moves the watched keys": a_patch_moves_the_watched_keys,
     "a write during a refresh is seen by the next": a_write_during_a_refresh_is_seen_by_the_next,
+    "a compacted span is never served": a_compacted_span_is_never_served,
 }
 
 
@@ -466,7 +484,7 @@ MUTANTS = {
         "a patch moves the watched keys",
     ),
     "marking on insert only": (
-        ChangeLog.append,
+        ChangeLog.extend,
         "watched = self._watched.get(relation)",
         "watched = self._watched.get(relation) if op == '+' else None",
         "refresh = recompute",
@@ -477,6 +495,12 @@ MUTANTS = {
         " again\n    slice = db.change_log.slice_since(self.watermark)",
         "slice = db.change_log.slice_since(self.watermark)\n    self._mark.marked = False",
         "a write during a refresh is seen by the next",
+    ),
+    "the last-slice shortcut survives compaction": (
+        ChangeLog.extend,
+        "self._slices.clear()",
+        "pass",
+        "a compacted span is never served",
     ),
 }
 

@@ -241,7 +241,7 @@ class TestChangeLog:
         with pytest.raises(ValueError):
             db.change_log.entries_since(-1)
         with pytest.raises(ValueError):
-            db.change_log.append("x", "friend", (1, 2))
+            db.change_log.extend("x", "friend", [(1, 2)])
 
     def test_a_watermark_past_the_log_is_rejected_and_never_memoised(self, social_schema):
         """Slicing from beyond the log used to hand out -- and memoise -- an
@@ -344,3 +344,26 @@ class TestChangeLog:
         assert len(log) < 10 and log.watermark == 35
         with pytest.raises(UpdateError, match="change log"):
             db.bulk_load("friend", [(50, 51)])
+
+    def test_a_large_batch_is_logged_in_pieces_compaction_can_drop(self, social_schema, monkeypatch):
+        """One ``insert_many`` is one ``ChangeLog.extend``, logged in
+        pieces of ``COMPACT_MIN_DEAD`` with a look at the pins after each:
+        an initial load never holds a whole relation in the log."""
+        from repro.relational import instance
+
+        monkeypatch.setattr(instance, "COMPACT_MIN_DEAD", 8)
+        db = Database(social_schema)
+        log = db.change_log
+        longest = []
+
+        class Entries(list):
+            def __iadd__(self, more):
+                super().__iadd__(more)
+                longest.append(len(self))
+                return self
+
+        log._entries = Entries()
+        assert db.insert_many("friend", [(i, i + 1) for i in range(100)]) == 100
+        assert log.watermark == 100 and db.size("friend") == 100
+        assert len(longest) == 13 and max(longest) <= 2 * 8  # pieces of 8, dropped as they go
+        assert log.floor > 0 and len(log) <= 8
