@@ -82,6 +82,7 @@ from repro.core.plans import FetchStep, Plan, ProbeStep, step_costs
 from repro.errors import IncrementalError, SchemaError
 from repro.logic.ast import Atom, _as_variable, _variable_from_name
 from repro.logic.terms import Constant, Term, Variable
+from repro.relational.backends.base import key_getter
 from repro.relational.instance import AccessStats, LogSlice, NetDelta
 from repro.relational.interning import intern_value
 
@@ -552,7 +553,7 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound: set[int], signed: bool)
                 # "at most N distinct projections" budget is spent by the
                 # fetch, not the join).
                 if seen is not None:
-                    projection = tuple(row[p] for p in dedup)
+                    projection = key_getter(dedup)(row)
                     if projection in seen:
                         continue
                     seen.add(projection)
@@ -596,7 +597,7 @@ def _compile_fetch(op: FetchOp, slots: SlotTable, bound: set[int], signed: bool)
         it, for :meth:`DeltaProgram.join` to patch a held group.  Under a
         keyless fetch (full-relation rule) every slice row joins with
         every source row: the one empty key holds them all."""
-        index = slice.index(relation, spos) if spos else {EMPTY_KEY: slice.rows(relation)}
+        index = slice.index(relation, spos)
         get = index.get
 
         def join(keys, stats, columns, n):
@@ -1270,10 +1271,12 @@ class DeltaProgram:
         through level 0's own step (its checks, its column layout) -- read
         from ``source`` first, one charged (and profiled) call, when
         nothing is held."""
-        profile = ctx.profile if seeded.rows is None else None
         seeded.source = source
         _, step, _, ops = self.levels[0]
-        batch = _measured(profile, ("new", 1, ops[0]), step, seeded, ctx.stats, seeded.columns, 1)
+        if ctx.profile is None or seeded.rows is not None:
+            batch = step(seeded, ctx.stats, seeded.columns, 1)
+        else:
+            batch = _measured(ctx.profile, f"new[1] {ops[0]}", step, seeded, ctx.stats, seeded.columns, 1)
         seeded.prefix, seeded.n = prefix, n = batch
         seeded.next_keys = frozenset(self.levels[1][2].keys(prefix, n)) if n else frozenset()
         return batch
@@ -1314,8 +1317,9 @@ class DeltaProgram:
         is joined with, so a caller that cannot commit a join (it raised,
         or a sibling disjunct's did) forgets it -- ``seeded.rows = None``
         -- and the next join needing the prefix reads it again, charged,
-        within :func:`delta_fanout_bound`.  A served hold is a profile line
-        that read nothing."""
+        within :func:`delta_fanout_bound`.  Each face is measured only
+        under ``ctx.profile`` (a served hold is then a line that read
+        nothing); otherwise it is called directly, no label built."""
         changes: dict[Row, int] = {}
         profile = ctx.profile
         if profile is not None and self.prefilter is not None:
@@ -1343,9 +1347,10 @@ class DeltaProgram:
                     elif profile is not None:
                         profile.append(OperatorProfile(f"new[1] {ops[0]}", 1, seeded.n, 0, 0, 0))
                     prefix, n = seeded.prefix, seeded.n
+                elif profile is None:
+                    prefix, n = step(source, stats, prefix, n)
                 else:
-                    label = ("new", i, ops[0])
-                    prefix, n = _measured(profile, label, step, source, stats, prefix, n)
+                    prefix, n = _measured(profile, f"new[{i}] {ops[0]}", step, source, stats, prefix, n)
                 if not n:
                     break
                 keys = None  # only the first level's keys are the seed's
@@ -1358,15 +1363,20 @@ class DeltaProgram:
                     seeded.rows = [row for row in seeded.rows if net.get(row, 0) >= 0]
                     seeded.rows += [row for row, sign in entries if sign > 0]
                     self._expand(seeded, None, ctx)  # ... and where it leads now
-            label = ("Δ", i + 1, levels[i][3][0])
-            columns, m = _measured(profile, label, join, keys, stats, prefix, n)
+            if profile is None:
+                columns, m = join(keys, stats, prefix, n)
+            else:
+                columns, m = _measured(profile, f"Δ[{i + 1}] {levels[i][3][0]}", join, keys, stats, prefix, n)
             j = i + 1
             while m and j < len(levels):
                 view, step, _, ops = levels[j]
                 j += 1
                 # Not staged: kept on the slice it wraps, it would be a cycle.
                 old = OldState(db if view is None else ctx.store(view), slice)
-                columns, m = _measured(profile, ("old", j, ops[0]), step, old, stats, columns, m)
+                if profile is None:
+                    columns, m = step(old, stats, columns, m)
+                else:
+                    columns, m = _measured(profile, f"old[{j}] {ops[0]}", step, old, stats, columns, m)
             if m:
                 self.accumulate(columns, m, changes)
         if changes:
@@ -1462,15 +1472,11 @@ class OperatorProfile:
     wall_time_s: float = 0.0
 
 
-def _measured(profile: list[OperatorProfile] | None, label, fn, source, stats, columns, n):
-    """Run one compiled closure and, unless ``profile`` is ``None``,
-    append its measurements (rows in and out, the accesses it charged,
-    wall time) under ``label`` -- a string, or a delta face's ``(face,
-    level, operator)``, rendered only when measuring."""
-    if profile is None:
-        return fn(source, stats, columns, n)
-    if type(label) is tuple:
-        label = "{}[{}] {}".format(*label)
+def _measured(profile: list[OperatorProfile], label, fn, source, stats, columns, n):
+    """Run one compiled closure and append its measurements (rows in and
+    out, the accesses it charged, wall time) to ``profile`` under
+    ``label``.  Called only under a profile: an unmeasured run calls
+    ``fn`` itself, with no label built."""
     before = stats.snapshot()
     start = perf_counter()
     out = fn(source, stats, columns, n)

@@ -36,11 +36,12 @@ holds as it bounds what a query reads: at most ``rule.bound`` rows per
 disjunct.  A slice that meets neither the group nor the keys it leads to
 at level 1 changes nothing, and the write path says so first: each result
 registers that footprint in the change log, every logged batch marks the
-results its rows meet, and an unmarked result's refresh returns once its
-slice is cut -- no join, no read (a result reading views always joins:
-their changes are not in the log).  A slice that changes the group
-patches it (not re-read: what a refresh reads depends on its slice, never
-on the refreshes before it).
+results its rows meet, and an unmarked result's refresh reads the log's
+latest slice -- one attribute load, the span cut once per write by the
+first result to refresh -- and returns: no slice call, no join, no read
+(a result reading views always joins: their changes are not in the log).
+A slice that changes the group patches it (not re-read: what a refresh
+reads depends on its slice, never on the refreshes before it).
 Only when every plan's join (one per disjunct of a union) succeeded does
 :meth:`IncrementalResult.refresh` fold the signed changes into the counts
 and advance the watermark; when one raises, the result is as it was
@@ -183,7 +184,9 @@ class IncrementalResult:
             return self._materialize("rebase")
         joining = self._mark.marked or self._view_names
         self._mark.marked = False  # before the slice is cut: a write after it marks again
-        slice = db.change_log.slice_since(self.watermark)
+        slice = db.change_log.latest  # one load: every result refreshing after a write shares it
+        if slice is None or slice.start != self.watermark:
+            slice = db.change_log.slice_since(self.watermark)
         if not joining:  # no write met the footprint: no join, no read, zero stats
             stats = self.stats  # kept while zero: a check costs less than a new one
             if stats.tuples_accessed or stats.indexed_lookups or stats.full_scans:

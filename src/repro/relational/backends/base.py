@@ -62,6 +62,8 @@ unhashable values before any call; SQLite refuses a row it cannot keep
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import lru_cache
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.errors import SchemaError
@@ -96,6 +98,17 @@ def check_positions(relation: str, arity: int, positions: tuple[int, ...]) -> No
                 f"position {p} out of range for relation {relation!r} "
                 f"of arity {arity}"
             )
+
+
+@lru_cache(maxsize=None)
+def key_getter(positions: tuple[int, ...]) -> itemgetter:
+    """``row -> tuple(row[p] for p in positions)`` in C, memoised per
+    ``positions``: one slice for contiguous positions (an empty or
+    one-position key included), else one ``itemgetter``."""
+    first = positions[0] if positions else 0
+    if positions == tuple(range(first, first + len(positions))):
+        return itemgetter(slice(first, first + len(positions)))
+    return itemgetter(*positions)
 
 
 class StorageBackend(ABC):
@@ -238,4 +251,4 @@ class StorageBackend(ABC):
         return [self.scan(relation, stats)] * len(keys)
 
 
-__all__ = ["StorageBackend", "RelationMap", "Row", "check_positions"]
+__all__ = ["StorageBackend", "RelationMap", "Row", "check_positions", "key_getter"]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.relational.backends.base import RelationMap, Row, StorageBackend, check_positions
+from repro.relational.backends.base import RelationMap, Row, StorageBackend, check_positions, key_getter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.instance import AccessStats
@@ -62,9 +62,9 @@ class MemoryBackend(StorageBackend):
         index = indexes.get(positions)
         if index is None:
             check_positions(relation, self.schema.relation(relation).arity, positions)
-            index = {}
+            key_of, index = key_getter(positions), {}
             for row in self._rows[relation]:
-                index.setdefault(tuple([row[p] for p in positions]), []).append(row)
+                index.setdefault(key_of(row), []).append(row)
             indexes[positions] = index
         if len(keys) == 1:
             rows = index.get(keys[0], ())
@@ -147,29 +147,30 @@ class MemoryBackend(StorageBackend):
     def insert_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
         store = self._rows[relation]
         indexes = self._indexes[relation]
+        keyed = list(zip(map(key_getter, indexes), indexes.values()))
         flags: list[bool] = []
         for row in rows:
             if row in store:
                 flags.append(False)
                 continue
             store[row] = None
-            for positions, index in indexes.items():
-                key = tuple([row[p] for p in positions])
-                index.setdefault(key, []).append(row)
+            for key_of, index in keyed:
+                index.setdefault(key_of(row), []).append(row)
             flags.append(True)
         return flags
 
     def delete_rows(self, relation: str, rows: Sequence[Row]) -> list[bool]:
         store = self._rows[relation]
         indexes = self._indexes[relation]
+        keyed = list(zip(map(key_getter, indexes), indexes.values()))
         flags: list[bool] = []
         for row in rows:
             if row not in store:
                 flags.append(False)
                 continue
             del store[row]
-            for positions, index in indexes.items():
-                key = tuple([row[p] for p in positions])
+            for key_of, index in keyed:
+                key = key_of(row)
                 group = index[key]
                 group.remove(row)
                 if not group:

@@ -61,7 +61,7 @@ from weakref import WeakSet
 
 from repro.errors import CompactedError, UpdateError
 from repro.logic.terms import Constant
-from repro.relational.backends.base import StorageBackend
+from repro.relational.backends.base import StorageBackend, key_getter
 from repro.relational.backends.memory import MemoryBackend
 from repro.relational.interning import intern_row
 from repro.relational.schema import DatabaseSchema
@@ -143,10 +143,6 @@ class LogSlice:
     def __repr__(self) -> str:
         return f"LogSlice([{self.start}, {self.stop}), {sum(self.sizes.values())} rows)"
 
-    def rows(self, relation: str) -> tuple[tuple[Row, int], ...]:
-        """The net changes of ``relation`` as ``(row, sign)`` pairs."""
-        return tuple(self.net.get(relation, {}).items())
-
     def index(
         self, relation: str, positions: tuple[int, ...]
     ) -> dict[Row, list[tuple[Row, int]]]:
@@ -157,10 +153,9 @@ class LogSlice:
         key = (relation, positions)
         index = self._index.get(key)
         if index is None:
-            index = {}
-            for entry in self.rows(relation):
-                row = entry[0]
-                index.setdefault(tuple([row[p] for p in positions]), []).append(entry)
+            key_of, index = key_getter(positions), {}
+            for entry in self.net.get(relation, {}).items():
+                index.setdefault(key_of(entry[0]), []).append(entry)
             self._index[key] = index
         return index
 
@@ -218,10 +213,12 @@ class ChangeLog:
     whole relation) lets :meth:`extend` mark each consumer a logged row
     can concern, so one whose mark is clear need not read the log.  It holds
     marks, never consumers: one that goes away leaves it through a
-    ``weakref.finalize``, as it releases its pin.
+    ``weakref.finalize``, as it releases its pin.  Such a consumer finds
+    its span in :attr:`latest` -- the slice :meth:`slice_since` handed
+    out last, ``None`` once a write ended it -- with one attribute load.
     """
 
-    __slots__ = ("_entries", "_base", "_pins", "_check_at", "_slices", "_watched")
+    __slots__ = ("_entries", "_base", "_pins", "_check_at", "_slices", "_watched", "latest")
 
     def __init__(self) -> None:
         self._entries: list[tuple[str, str, Row]] = []  # (op, relation, row)
@@ -235,6 +232,7 @@ class ChangeLog:
         # reader's hot slice survives however many cold watermarks other
         # readers probe in between.
         self._slices: OrderedDict[int, LogSlice] = OrderedDict()
+        self.latest: LogSlice | None = None  # the span handed out last, until a write
 
     @property
     def watermark(self) -> int:
@@ -274,11 +272,12 @@ class ChangeLog:
         if op not in ("+", "-"):
             raise ValueError(f"change op must be '+' or '-', got {op!r}")
         self._slices.clear()  # every memoised span ends at the old watermark
+        self.latest = None
         watched = self._watched.get(relation)
         if watched:
             for positions, keys in watched.items():
-                for row in rows:
-                    for mark in keys.get(tuple([row[p] for p in positions]), ()):
+                for key in map(key_getter(positions), rows):
+                    for mark in keys.get(key, ()):
                         mark.marked = True
         entries = self._entries
         for start in range(0, len(rows), COMPACT_MIN_DEAD):
@@ -335,11 +334,12 @@ class ChangeLog:
     def slice_since(self, watermark: int) -> LogSlice:
         """The (memoised, shared) :class:`LogSlice` of the span from
         ``watermark`` to now: one probe, since every memoised span ends
-        now (:meth:`extend` forgets them all)."""
+        now (:meth:`extend` forgets them all), kept as :attr:`latest`."""
         slices = self._slices
         found = slices.get(watermark)
         if found is not None:
             slices.move_to_end(watermark)
+            self.latest = found
             return found
         net: NetDelta = {}
         for op, relation, row in self._entries[self._offset(watermark) :]:
@@ -349,7 +349,7 @@ class ChangeLog:
                 rows[row] = sign
             else:
                 del rows[row]
-        found = slices[watermark] = LogSlice(
+        found = self.latest = slices[watermark] = LogSlice(
             {r: rows for r, rows in net.items() if rows}, watermark, self._base + len(self._entries)
         )
         if len(slices) > SLICE_CACHE_SIZE:
@@ -387,16 +387,8 @@ class Database:
     facade indirection.
     """
 
-    __slots__ = (
-        "schema",
-        "stats",
-        "change_log",
-        "_backend",
-        # Backend methods bound per instance -- see the class docstring.
-        "lookup_keys",
-        "contains_rows",
-        "scan",
-    )
+    # The last three: backend methods bound per instance -- see the class docstring.
+    __slots__ = ("schema", "stats", "change_log", "_backend", "lookup_keys", "contains_rows", "scan")
 
     def __init__(
         self,

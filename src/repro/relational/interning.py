@@ -40,7 +40,7 @@ def intern_row(row: tuple) -> tuple:
     all-numeric case allocates nothing)."""
     for v in row:
         if type(v) is str:
-            return tuple(_intern(v) if type(v) is str else v for v in row)
+            return tuple([_intern(v) if type(v) is str else v for v in row])
     return row
 
 

@@ -78,7 +78,7 @@ class RelationSchema:
         """Check the arity of ``row`` and that its values are hashable
         (every store indexes by value), and return it as a plain tuple."""
         row = tuple(row)
-        if len(row) != self.arity:
+        if len(row) != len(self.attributes):
             raise SchemaError(
                 f"tuple {row!r} has arity {len(row)}, "
                 f"but relation {self.name!r} has arity {self.arity}"

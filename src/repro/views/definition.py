@@ -59,6 +59,7 @@ from repro.logic.ast import Atom
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_query
 from repro.logic.terms import Term, Variable
+from repro.relational.backends.base import key_getter
 from repro.relational.backends.memory import MemoryBackend
 from repro.relational.instance import AccessStats, Database
 from repro.relational.interning import intern_rows
@@ -300,9 +301,11 @@ class ViewState:
         its delta program -- never a recompute, but under full-relation
         rules, so a change below level 0 may read a whole relation."""
         log = self.db.change_log
-        if log.watermark == self.watermark:
-            return {}
-        slice = log.slice_since(self.watermark)
+        slice = log.latest  # cut by the maintained results refreshing first
+        if slice is None or slice.start != self.watermark:
+            if log.watermark == self.watermark:
+                return {}
+            slice = log.slice_since(self.watermark)
         net: dict[Row, int] = {}
         if slice.net:
             # Nothing below moves before the delta ran to completion: a
@@ -312,7 +315,8 @@ class ViewState:
                 changes = self.program.join(ExecutionContext(self.db, delta=slice), self.seeded)
             else:  # the answer change is the relation's net change, permuted
                 relation, columns = self.one_atom
-                changes = {tuple([r[c] for c in columns]): s for r, s in slice.rows(relation)}
+                rows = slice.net.get(relation, {})
+                changes = dict(zip(map(key_getter(columns), rows), rows.values()))
             if self.flat:  # every count is 0 or 1: a change is an answer change
                 net = changes
             else:
@@ -334,23 +338,18 @@ class ViewState:
                 name = self.view.name
                 self.store.delete_rows(name, [r for r, sign in net.items() if sign < 0])
                 self.store.insert_rows(name, [r for r, sign in net.items() if sign > 0])
-                self._append_ledger(slice.start, slice.stop, net, log.floor)
+                # Ledger the answer net, forgetting the spans that end at or
+                # below the log's floor: every pinned consumer is past them
+                # (one asking anyway falls below ``origin`` and recomputes).
+                ledger, floor, dead = self._ledger, log.floor, 0
+                while dead < len(ledger) and ledger[dead][1] <= floor:
+                    dead += 1
+                if dead:
+                    self.origin = ledger[dead - 1][1]
+                    del ledger[:dead]
+                ledger.append((slice.start, slice.stop, net))
         self.watermark = slice.stop
         return net
-
-    def _append_ledger(self, start: int, stop: int, net: dict[Row, int], floor: int) -> None:
-        """Record one refresh's answer net, and forget the spans that end
-        at or below the change log's ``floor``: every pinned consumer is
-        at or past it, so none can ask for them again (one asking anyway
-        falls below :attr:`origin` and is told to recompute)."""
-        ledger = self._ledger
-        dead = 0
-        while dead < len(ledger) and ledger[dead][1] <= floor:
-            dead += 1
-        if dead:
-            self.origin = ledger[dead - 1][1]
-            del ledger[:dead]
-        ledger.append((start, stop, net))
 
     def changes_since(self, watermark: int) -> dict[Row, int] | None:
         """The view's net answer change between base-log ``watermark`` and
@@ -443,16 +442,7 @@ class ViewSet:
     as everywhere else.
     """
 
-    __slots__ = (
-        "schema",
-        "_lock",
-        "_defs",
-        "_states",
-        "_state_locks",
-        "_version",
-        "_catalog",
-        "_owner",
-    )
+    __slots__ = ("schema", "_lock", "_defs", "_states", "_state_locks", "_version", "_catalog", "_owner")
 
     def __init__(self, schema: DatabaseSchema):
         if not isinstance(schema, DatabaseSchema):
@@ -624,8 +614,8 @@ class ViewSet:
         """Materialized-and-fresh states for ``names`` (default: every
         registered view) against ``db``: views never touched before are
         materialized now; existing states are refreshed from the change
-        log past their watermark; states bound to a *different* database
-        are rebuilt.
+        log past their watermark -- on the lock-free fast path, under their
+        own view's lock; states bound to a *different* database are rebuilt.
 
         Materialization is O(database) work, so it runs under a *per-view*
         lock, never the registry lock: preparing V1 does not block an
@@ -633,25 +623,21 @@ class ViewSet:
         """
         if names is not None:
             # Fast path for the per-execute call: every requested view is
-            # already materialized against ``db``, still registered and
-            # fresh at the current change-log watermark -- serve the
-            # existing states without taking any lock.  Each dict read is
-            # individually atomic, and a racing register/drop/refresh can
-            # only make one of the checks fail (a state's watermark is
-            # advanced *after* its rows, at the end of refresh), which
-            # drops to the locked slow path below.
+            # already materialized against ``db`` and still registered --
+            # serve the states without the registry lock, a stale one
+            # refreshed under its view's lock (a no-op once another caller
+            # brought it up to date).  Each dict read is atomic, and a
+            # racing drop can only fail a check: the locked slow path.
             watermark = db.change_log.watermark
             fresh: dict[str, ViewState] | None = {}
             for name in names:
-                state = self._states.get(name)
-                if (
-                    state is None
-                    or state.db is not db
-                    or state.watermark != watermark
-                    or name not in self._defs
-                ):
+                state, lock = self._states.get(name), self._state_locks.get(name)
+                if state is None or lock is None or state.db is not db or name not in self._defs:
                     fresh = None
                     break
+                if state.watermark != watermark:
+                    with lock:
+                        state.refresh()
                 fresh[name] = state
             if fresh is not None:
                 return fresh

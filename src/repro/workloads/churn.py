@@ -149,17 +149,17 @@ def generate_churn(
                 return row
         return None
 
-    def pick_delete(relation: str, fresh: set[Row]) -> Row | None:
+    def pick_delete(relation: str, fresh: set[Row]) -> int | None:  # a position in the edge list
         rows = edges[relation]
         for _ in range(64):
             if not rows:
                 return None
-            row = rows[rng.randrange(len(rows))]
+            at = rng.randrange(len(rows))
             # Never delete a tuple inserted earlier in the same batch:
             # that keeps deletes-then-inserts equivalent to the
             # sequential stream.
-            if row not in fresh:
-                return row
+            if rows[at] not in fresh:
+                return at
         return None
 
     stream: list[ChurnBatch] = []
@@ -170,20 +170,14 @@ def generate_churn(
         gone: set[Row] = set()
         for _ in range(batch_size):
             relation = CHURN_RELATIONS[rng.randrange(len(CHURN_RELATIONS))]
-            deleting = rng.random() < delete_fraction
-            row = None
-            if deleting:
-                row = pick_delete(relation, fresh)
-            if row is None:
-                row = pick_insert(relation, gone)
-                deleting = False
-            if row is None:
-                row = pick_delete(relation, fresh)
-                deleting = True
-            if row is None:
-                continue  # relation both empty and at capacity: skip
-            if deleting:
-                edges[relation].remove(row)
+            at = pick_delete(relation, fresh) if rng.random() < delete_fraction else None
+            row = pick_insert(relation, gone) if at is None else None
+            if at is None and row is None:
+                at = pick_delete(relation, fresh)
+                if at is None:
+                    continue  # relation both empty and at capacity: skip
+            if at is not None:  # edges hold no duplicate: this is remove(row)
+                row = edges[relation].pop(at)
                 present[relation].remove(row)
                 degree[relation][row[0]] -= 1
                 gone.add(row)

@@ -12,6 +12,8 @@ alias internal storage.
 """
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import BACKEND_KINDS, make_backend
 from mutation import mutate
@@ -29,6 +31,7 @@ from repro import (
     ViewState,
 )
 from repro.logic.parser import parse_query
+from repro.relational.backends.base import key_getter
 from repro.workloads import (
     Q1,
     RUNNING_QUERIES,
@@ -654,3 +657,34 @@ def test_bulk_load_dedupes_none_rows(backend_factory):
     db.bulk_load("friend", [(1, None), (1, None), (4, None)])
     assert db.size("friend") == 3
     assert set(db.backend.iter_rows("friend")) == {(1, None), (2, 3), (4, None)}
+
+
+@st.composite
+def keyed_rows(draw):
+    """A row of ``None``, int and str cells and sorted key positions of one
+    shape: empty, one position, a contiguous run, or a run with a gap."""
+    cells = st.one_of(st.none(), st.integers(), st.text(max_size=3))
+    row = tuple(draw(st.lists(cells, min_size=3, max_size=6)))
+    shape = draw(st.sampled_from(("empty", "one", "contiguous", "gapped")))
+    if shape == "empty":
+        return row, (), shape
+    if shape == "one":
+        return row, (draw(st.integers(0, len(row) - 1)),), shape
+    start = draw(st.integers(0, len(row) - 2))
+    if shape == "contiguous":
+        return row, tuple(range(start, draw(st.integers(start + 1, len(row))))), shape
+    rest = draw(st.sets(st.integers(start + 2, len(row) - 1), min_size=1)) if start + 2 < len(row) else ()
+    return row, (start, *sorted(rest)), shape
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(case=keyed_rows())
+def test_a_key_getter_is_the_tuple_of_its_positions(case):
+    """What every memory index, slice index and footprint mark keys on:
+    ``key_getter(positions)(row) == tuple(row[p] for p in positions)``,
+    a plain tuple, from one memoised getter per position tuple."""
+    row, positions, shape = case
+    assume(shape != "gapped" or len(positions) > 1)
+    key = key_getter(positions)(row)
+    assert key == tuple(row[p] for p in positions) and type(key) is tuple
+    assert key_getter(positions) is key_getter(positions)

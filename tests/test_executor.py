@@ -403,7 +403,7 @@ class TestExecutionContext:
         assert ExecutionContext(social_db).slice is None  # never touched
         ctx = ExecutionContext(social_db, delta={})
         assert ctx.slice.net == {}
-        assert ctx.slice.rows("friend") == ()
+        assert ctx.slice.index("friend", (0,)) == {}
         assert "ExecutionContext" in repr(ctx)
 
     def test_the_only_reads_are_the_backend_pair(self):

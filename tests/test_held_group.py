@@ -17,7 +17,8 @@ mutant must trip over is pinned.
 * **marks**: the keys a result is watched under move with its patched
   group, and a write landing while a refresh reads its slice is seen by
   the next refresh;
-* **the slice memo** never answers for a span a write compacted away;
+* **the slice memo** never answers for a span a write compacted away, and
+  the latest slice never for a span a write has ended;
 * **bulk_load** refuses a log somebody pins at watermark 0;
 * **mutants**: each seeded fault is killed by the property named for it.
 """
@@ -279,26 +280,42 @@ def a_patch_moves_the_watched_keys():
 def a_write_during_a_refresh_is_seen_by_the_next():
     """A write landing right after a refresh cut its slice -- a writer
     beside the refresh -- leaves the result marked, so the next refresh
-    joins it."""
-    engine, db = pinned_engine()
-    prepared = engine.query(CHAIN)
-    live = prepared.execute_incremental(p=1)
-    cut = ChangeLog.slice_since
+    joins it: whether the refresh it lands in was unmarked (it cuts the
+    slice itself) or marked (it joins one)."""
+    for marking in ((), [("+", "t", (9, "q"))]):  # t is watched whole
+        engine, db = pinned_engine()
+        prepared = engine.query(CHAIN)
+        live = prepared.execute_incremental(p=1)
+        apply_batch(db, marking)
+        assert live._mark.marked == bool(marking)
+        cut = ChangeLog.slice_since
 
-    def cut_then_write(log, watermark):
-        ChangeLog.slice_since = cut
-        found = cut(log, watermark)
-        db.delete_many("r", [(1, 2)])  # 'x' loses its only derivation
-        return found
+        def cut_then_write(log, watermark):
+            ChangeLog.slice_since = cut
+            found = cut(log, watermark)
+            db.delete_many("r", [(1, 2)])  # 'x' loses its only derivation
+            return found
 
-    ChangeLog.slice_since = cut_then_write
-    try:
+        ChangeLog.slice_since = cut_then_write
+        try:
+            live.refresh()
+        finally:
+            ChangeLog.slice_since = cut
+        assert ("x",) in live.rows
         live.refresh()
-    finally:
-        ChangeLog.slice_since = cut
-    assert ("x",) in live.rows
+        equals_recompute(db, prepared, live)
+
+
+def an_unmarked_refresh_reaches_the_watermark():
+    """A refresh no write marked still advances to the log's watermark:
+    the latest slice it reads is never one a write has ended."""
+    engine, db = pinned_engine()
+    live = engine.query(CHAIN).execute_incremental(p=1)
+    live.refresh()  # nothing written since: the latest slice is the empty span
+    db.insert_many("r", [(6, 6)])  # misses the footprint
+    assert not live._mark.marked
     live.refresh()
-    equals_recompute(db, prepared, live)
+    assert live.watermark == db.change_log.watermark and live.delta_bound > 0
 
 
 def a_compacted_span_is_never_served():
@@ -324,6 +341,7 @@ PROPERTIES = {
     "a patch moves the watched keys": a_patch_moves_the_watched_keys,
     "a write during a refresh is seen by the next": a_write_during_a_refresh_is_seen_by_the_next,
     "a compacted span is never served": a_compacted_span_is_never_served,
+    "an unmarked refresh reaches the log's watermark": an_unmarked_refresh_reaches_the_watermark,
 }
 
 
@@ -491,9 +509,8 @@ MUTANTS = {
     ),
     "clearing the mark after the slice is read": (
         IncrementalResult.refresh,
-        "self._mark.marked = False  # before the slice is cut: a write after it marks"
-        " again\n    slice = db.change_log.slice_since(self.watermark)",
-        "slice = db.change_log.slice_since(self.watermark)\n    self._mark.marked = False",
+        "        slice = db.change_log.slice_since(self.watermark)\n",
+        "        slice = db.change_log.slice_since(self.watermark)\n    self._mark.marked = False\n",
         "a write during a refresh is seen by the next",
     ),
     "the last-slice shortcut survives compaction": (
@@ -501,6 +518,12 @@ MUTANTS = {
         "self._slices.clear()",
         "pass",
         "a compacted span is never served",
+    ),
+    "the latest slice survives a write": (
+        ChangeLog.extend,
+        "self.latest = None",
+        "pass",
+        "an unmarked refresh reaches the log's watermark",
     ),
 }
 

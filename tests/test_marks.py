@@ -137,3 +137,30 @@ def test_a_rebase_moves_the_registration_to_the_new_log():
     assert live.refresh().last_mode == "rebase" and not registered(old)
     engine.database.insert_many("s", [(4, 6)])
     assert live._mark.marked and set(live.refresh().rows) == {(5,), (6,)}
+
+
+def test_unmarked_results_share_the_latest_slice_without_a_slice_call(monkeypatch):
+    """After a write, the first refresh cuts the span once; every other
+    result over that span -- marked or not -- finds it as the log's
+    latest slice, and a write ends it."""
+    from repro.relational.instance import ChangeLog
+
+    engine = Engine(SCHEMA, ACCESS, {"r": [(1, 2), (2, 3)], "s": [(2, 5)], "t": []})
+    db = engine.require_database()
+    prepared = engine.query("Q(c) :- r(p, b), s(b, c)")
+    live = [prepared.execute_incremental(p=p) for p in (1, 2, 7, 8)]
+    cuts = []
+    cut = ChangeLog.slice_since
+    monkeypatch.setattr(ChangeLog, "slice_since", lambda log, w: cuts.append(w) or cut(log, w))
+    db.insert_many("t", [(9, 9)])  # nobody reads t: no result is marked
+    assert db.change_log.latest is None and not any(result._mark.marked for result in live)
+    for result in live:
+        result.refresh()
+    assert len(cuts) == 1 and db.change_log.latest.stop == db.change_log.watermark
+    assert all(result.watermark == db.change_log.watermark for result in live)
+    assert all(result.stats == AccessStats() for result in live)
+    db.insert_many("r", [(1, 4)])  # marks p=1's result only
+    assert db.change_log.latest is None
+    for result in live:
+        result.refresh()
+    assert len(cuts) == 2 and [set(r.rows) for r in live] == [{(5,)}, set(), set(), set()]

@@ -525,6 +525,59 @@ class TestEngineViews:
         engine.database.delete_many("friend", [(3, 1)])
         assert set(q.execute(p=1).rows) == {(4,)}
 
+    def test_prepare_refreshes_a_stale_view_in_place_without_the_registry_lock(self, engine):
+        """The per-execute fast path: a write makes V1 stale, and the next
+        prepare refreshes the same state under V1's own lock -- the
+        registry lock is never taken -- to what a fresh materialisation
+        holds."""
+        engine.views.register(v1_def())
+        db = engine.require_database()
+        state = engine.views.prepare(db, ("V1",))["V1"]
+        db.insert_many("friend", [(4, 1), (2, 4)])
+        db.delete_many("friend", [(3, 1)])
+        registry = engine.views._lock
+        taken = []
+
+        class Watched:
+            def __enter__(self):
+                taken.append(1)
+                return registry.__enter__()
+
+            def __exit__(self, *exc):
+                return registry.__exit__(*exc)
+
+        engine.views._lock = Watched()
+        try:
+            served = engine.views.prepare(db, ("V1",))
+        finally:
+            engine.views._lock = registry
+        assert served["V1"] is state and not taken
+        assert state.watermark == db.change_log.watermark
+        assert set(state.rows) == set(ViewState(engine.views.get("V1"), db).rows)
+
+    def test_a_dropped_view_is_never_served(self, engine):
+        """Neither after a drop nor while a state outlives it in the
+        registry (a materialisation racing the drop): the name must be
+        registered, or prepare raises."""
+        import threading
+
+        engine.views.register(v1_def())
+        db = engine.require_database()
+        dropped = engine.views.prepare(db, ("V1",))["V1"]
+        engine.views.drop("V1")
+        db.insert_many("friend", [(4, 1)])
+        with pytest.raises(SchemaError, match="unknown view"):
+            engine.views.prepare(db, ("V1",))
+        engine.views._states["V1"] = dropped
+        engine.views._state_locks["V1"] = threading.Lock()
+        with pytest.raises(SchemaError, match="unknown view"):
+            engine.views.prepare(db, ("V1",))
+        del engine.views._states["V1"], engine.views._state_locks["V1"]
+        engine.views.register(v1_def())
+        fresh = engine.views.prepare(db, ("V1",))["V1"]
+        assert fresh is not dropped
+        assert set(fresh.rows) == set(ViewState(engine.views.get("V1"), db).rows)
+
     def test_union_with_view_needing_disjunct(self, engine):
         engine.views.register(v1_def())
         u = engine.query(

@@ -194,6 +194,24 @@ class TestChurn:
         assert str(stream[0]).startswith("churn(")
 
 
+def test_churn_streams_are_pinned():
+    """The generator's output is part of every churn measurement: a fixed
+    stream (and a delete-heavy one) must stay bit-identical, however the
+    generator is implemented -- SHA-256 of the stream's repr."""
+    import hashlib
+
+    from repro.workloads import generate_churn, generate_social_network
+
+    data = generate_social_network(400, seed=5)
+    pinned = {
+        0.5: "ab8077927162bc2f91417a143668e42162949932c548d6b1e2e02ac0418ed60a",
+        0.9: "da189ef7837fc09e2d5a73dd9de3f401c5c056a5d6beb07657b034d43b651d0e",
+    }
+    for fraction, digest in pinned.items():
+        stream = generate_churn(data, batches=40, batch_size=16, seed=7, delete_fraction=fraction)
+        assert hashlib.sha256(repr(stream).encode()).hexdigest() == digest, fraction
+
+
 def test_churn_disjointness_holds_across_many_seeds():
     """The documented invariant -- a batch never both deletes and inserts
     one tuple -- must hold for arbitrary seeds, not just the fixture's."""
