@@ -85,7 +85,6 @@ from repro.core.executor import (
     PlanProfile,
     merge_parameter_values,
     pipeline_for,
-    run_pipeline,
 )
 from repro.core.plans import Plan, compile_plan
 from repro.core.qdsi import QDSIResult, decide_qdsi
@@ -398,9 +397,9 @@ class PreparedQuery:
         ctx = ExecutionContext(database, views=engine._views.prepare(database, names) if names else None)
         if len(seeds) == 1:
             pipe, binding = seeds[0]
-            rows = run_pipeline(pipe, ctx, pipe.seed(values, binding))
+            rows = pipe.run(ctx, pipe.seed(values, binding))
         else:  # each disjunct's rows are distinct; a union's appear once, where first derived
-            runs = [run_pipeline(pipe, ctx, pipe.seed(values, binding)) for pipe, binding in seeds]
+            runs = [pipe.run(ctx, pipe.seed(values, binding)) for pipe, binding in seeds]
             rows = dict.fromkeys(chain(*runs))
         return ResultSet(rows, self.columns, ctx.stats, compiled.fanout_bound)
 
@@ -451,9 +450,10 @@ class PreparedQuery:
         parameters: Mapping[object, object] | None = None,
         **kwargs: object,
     ) -> ExplainAnalyze:
-        """Execute like :meth:`execute` -- the same compiled closures, in
-        the same order -- while recording each step's row counts, access
-        accounting and wall time (:func:`repro.core.executor.profile_plan`).
+        """Execute like :meth:`execute` -- the profiled twin of the same
+        generated code, in the same order -- while recording each step's
+        row counts, access accounting and wall time
+        (:func:`repro.core.executor.profile_plan`).
         Returns an :class:`ExplainAnalyze` whose ``result`` is that run's
         :class:`ResultSet` and whose ``profiles`` hold one
         :class:`~repro.core.executor.PlanProfile` per disjunct -- of the
@@ -468,7 +468,7 @@ class PreparedQuery:
         profiles = []
         for pipe in compiled.pipes:  # profile_plan's run on the entry's pipes: no memo probe
             ctx.profile = []
-            rows = run_pipeline(pipe, ctx, pipe.seed(values))
+            rows = pipe.profiled(ctx, pipe.seed(values))
             profiles.append(PlanProfile(pipe.plan, tuple(rows), tuple(ctx.profile)))
         rows = dict.fromkeys(chain(*[profile.rows for profile in profiles]))
         result = ResultSet(rows, self.columns, ctx.stats, compiled.fanout_bound)

@@ -5,14 +5,14 @@ column-wise: one Python list per *variable slot* -- parallel columns of
 one length -- with ``None`` for a slot that is unbound (not yet fetched)
 or dead (no later operator reads it).  The variable-to-slot mapping is
 compiled once per plan into a :class:`SlotTable` (during pipeline
-lowering, see :func:`repro.core.executor.build_pipeline`), so the
-compiled closures address columns by integer index and never hash a
-variable per row: a fetch builds its key column with one ``zip``, expands
-matches into a ``take`` list of source indices plus fresh columns for
-newly bound variables, and gathers only live columns.  There is no batch
-*class*: the closures thread a bare ``(columns, n)`` pair, and derivation
-signs (+1 gained, -1 lost, for :mod:`repro.incremental`) ride as one more
-column in the trailing slot.
+lowering, see :func:`repro.core.executor.build_pipeline`), so generated
+code names each column by its slot number (a local ``c<slot>``) and never
+hashes a variable per row: a fetch builds its key column in one
+comprehension, expands matches into fresh columns for newly bound
+variables, and gathers only live columns.  There is no batch *class*:
+a signed face takes and returns a bare ``(columns, n)`` pair, and
+derivation signs (+1 gained, -1 lost, for :mod:`repro.incremental`) ride
+as one more column in the trailing slot.
 """
 
 from __future__ import annotations
@@ -21,15 +21,13 @@ from typing import Iterable
 
 from repro.logic.terms import Variable
 
-Row = tuple[object, ...]
-
 __all__ = ["SlotTable"]
 
 
 class SlotTable:
     """An immutable variable -> column-slot mapping, compiled once per
-    plan: the schema every batch of one pipeline shares, so closures
-    resolve a variable to a list index instead of hashing it per row."""
+    plan: the schema every batch of one pipeline shares, so generated code
+    resolves a variable to a list index instead of hashing it per row."""
 
     __slots__ = ("variables", "index")
 
@@ -54,8 +52,3 @@ class SlotTable:
     def __repr__(self) -> str:
         names = ", ".join(f"?{v}" for v in self.variables)
         return f"SlotTable({names})"
-
-
-#: Shared empty-key singleton: a keyless fetch broadcasts one () key per
-#: source row, so the key column is the same object for every batch.
-EMPTY_KEY: Row = ()

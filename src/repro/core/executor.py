@@ -3,29 +3,39 @@
 :mod:`repro.core.plans` is the *planner*: :func:`~repro.core.plans.compile_plan`
 turns a controlled conjunctive query into an ordered sequence of
 fetch/probe steps plus a head projection.  This module is the *executor*,
-and it has exactly one way to run a plan: **one lowering, three faces,
+and it has exactly one way to run a plan: **one emitter, three faces,
 one read source, one context**.
 
-**One lowering.**  :func:`build_pipeline` turns the steps into operator
+**One emitter.**  :func:`build_pipeline` turns the steps into operator
 *descriptions* -- :class:`FilterOp`, :class:`FetchOp`, :class:`ProbeOp`,
 :class:`ProjectDedupOp`: plain data (which positions key the lookup,
 which are residual checks, which bind new variables) with no behaviour of
-their own -- and lowers each description once into *slot closures*.  The
-batch schema at every pipeline position is static, so all variable
-hashing happens here: a closure works on a bare ``(columns, n)`` pair,
-``columns`` being one Python list per variable slot of the plan's
-:class:`~repro.core.columnar.SlotTable` (``None`` for unbound or dead
-slots) plus one trailing *sign* slot.  Constants are interned at lowering
-time (:mod:`repro.relational.interning`), a backward liveness pass drops
-columns no later operator reads, and a trailing fetch-then-project pair
-fuses into one terminal closure that emits head rows straight from the
-fetched row groups.
+their own -- and one emitter writes Python source from them.  Per
+operator it writes the key build, the charged read, the residual,
+consistency and dedup checks and the gather, over batch columns held in
+locals: one list per variable slot of the plan's
+:class:`~repro.core.columnar.SlotTable` plus a trailing *sign* slot.  The
+batch schema at every position is static, so all variable hashing
+happens while writing; constants are interned
+(:mod:`repro.relational.interning`) and a backward liveness pass drops
+columns no later operator reads.  An unsigned pipeline becomes one
+function, every level and the projection in one body (a trailing fetch
+that only expands fused with the projection), plus a profiled twin
+written from the same lines; a held execute is one call into it.
 
-**Three faces.**  Every data operator has the same three faces, generated
-from the same key-builder, check and bind specs:
+**Nothing is spliced in.**  The text holds only identifiers and integers
+the emitter computes; every relation name, positions tuple, interned
+constant and profile label is a bound argument of the factory the text
+defines.  No value in a query can change the code, and the compiled code
+is memoised on the text, so plans differing only in constants share it.
+It compiles under a file name inside this package, registered with
+:mod:`linecache`, so tracebacks show the generated lines.
 
-* *new* -- read the current state (what :func:`execute_plan` runs);
-* *old* -- the very same closure, handed the pre-delta snapshot of its
+**Three faces.**  Under the signed lowering every data operator gets
+three faces, written by the same emitter:
+
+* *new* -- read the current state;
+* *old* -- the very same function, handed the pre-delta snapshot of its
   source (:class:`OldState`: live answers rewound in memory by the change
   slice);
 * *delta* -- join the in-memory change slice of the operator's relation
@@ -44,11 +54,11 @@ result holds.  :meth:`DeltaProgram.count` is the matching initial pass
 (derivation multiplicities: what makes signed deltas composable under
 deletion).  The signed faces are lowered on first counting/delta use.
 
-**One read source.**  A closure reads through exactly two charged calls,
+**One read source.**  Generated code reads through exactly two charged calls,
 the :class:`~repro.relational.backends.base.StorageBackend` pair
 ``lookup_keys(relation, positions, keys, stats)`` /
-``contains_rows(relation, rows, stats)``.  The driver resolves each
-step's source: the database for a base relation, or -- for a relation in
+``contains_rows(relation, rows, stats)``.  Each step reads from
+its source: the database for a base relation, or -- for a relation in
 ``plan.view_relations`` -- the store of the materialized view
 (:mod:`repro.views`), which is itself a backend and is charged to the
 per-execution stats only.  Because the bulk reads resolve each *distinct*
@@ -61,15 +71,19 @@ workloads far fewer than -- the tuples a read per assignment would
 **One context.**  Every run of a plan -- :func:`run_pipeline` and the
 delta driver's :meth:`DeltaProgram.count` / :meth:`DeltaProgram.join` --
 takes one :class:`ExecutionContext`, holding only what a run reads.  A
-profile *is* the run: under a context with a ``profile`` list the same
-closures run, each appending its :class:`OperatorProfile`.
+profile *is* the run: under a context with a ``profile`` list the
+profiled twin runs the same lines, each step appending its
+:class:`OperatorProfile`.
 :func:`execute_plan` and :func:`profile_plan` also accept a raw
 :class:`~repro.relational.instance.Database` (a fresh context is opened).
 """
 
 from __future__ import annotations
 
+import linecache
+import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from sys import intern as _intern
 from time import perf_counter
@@ -77,12 +91,11 @@ from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.access_schema import AccessRule, EmbeddedAccessRule
-from repro.core.columnar import EMPTY_KEY, SlotTable
+from repro.core.columnar import SlotTable
 from repro.core.plans import FetchStep, Plan, ProbeStep, step_costs
 from repro.errors import IncrementalError, SchemaError
 from repro.logic.ast import Atom, _as_variable, _variable_from_name
 from repro.logic.terms import Constant, Term, Variable
-from repro.relational.backends.base import key_getter
 from repro.relational.instance import AccessStats, LogSlice, NetDelta
 from repro.relational.interning import intern_value
 
@@ -258,7 +271,7 @@ def _resolve(term: Term) -> tuple[bool, object]:
 # -- operator descriptions -------------------------------------------------
 #
 # Pure data: what build_pipeline decided about each step.  They carry no
-# run methods -- the _compile_* functions below lower them to closures.
+# run methods -- the emitter below writes their code.
 
 
 @dataclass(frozen=True)
@@ -400,396 +413,201 @@ class ProjectDedupOp:
 Operator = FilterOp | FetchOp | ProbeOp | ProjectDedupOp
 
 
-# -- the lowering ------------------------------------------------------------
+# -- the emitter -------------------------------------------------------------
 #
-# Every closure has the shape ``(source, stats, columns, n) -> (columns,
-# n)`` (terminals return answer rows instead).  ``source`` is whatever
-# answers the two charged reads: the database or a view store for the new
-# face, an OldState around either for the old face, and -- for the delta
-# face, whose rows come from memory -- the LogSlice itself.  ``columns``
-# has one entry per slot plus the trailing sign slot, which a signed
-# lowering gathers like any other live column.  A face that matches
-# nothing returns ``(None, 0)``.
+# The module docstring has the rules ("One emitter", "Nothing is spliced
+# in").  In generated text a batch column is the local ``c<slot>`` (``n``
+# rows) and a value is the factory argument ``a<k>``.
 
 _NO_ROWS = repeat(())  # what a delta join reads for a key the slice does not hold
 
 
-def _delta_face(keys, over):
-    """A level's delta face from the two pieces a DeltaProgram stages apart
-    (kept as attributes): ``keys(columns, n)`` builds a batch's join keys,
-    ``over(slice)`` resolves the slice's index once and returns
-    ``join(keys, stats, columns, n)`` (``keys`` ``None``: build them).
-    Called like any other face, it does both on the spot."""
-
-    def delta(slice, stats, columns, n):
-        return over(slice)(None, stats, columns, n)
-
-    delta.keys, delta.over = keys, over
-    return delta
-
-
-def _slot_specs(items, sidx) -> list[tuple[bool, object]]:
-    """``(is_const, ref)`` items with variables resolved to slot indexes."""
-    return [(True, ref) if is_const else (False, sidx[ref]) for is_const, ref in items]
+def _note(profile, label, rows_in, rows_out, stats, before, start) -> None:
+    """Append a measured step's :class:`OperatorProfile`: its wall time
+    since ``start`` and the accesses charged since the ``before``
+    snapshot of ``stats``.  A tuple ``label`` is the step's operators,
+    named only now (a lowering that is never profiled renders nothing)."""
+    elapsed = perf_counter() - start
+    spent = stats.since(before)
+    if type(label) is tuple:
+        label = "; ".join(map(str, label))
+    profile.append(
+        OperatorProfile(
+            label, rows_in, rows_out, spent.tuples_accessed, spent.indexed_lookups, spent.full_scans, elapsed
+        )
+    )
 
 
-def _compile_row_builder(specs):
-    """A closure building the per-row key/probe/head tuple column from
-    ``specs`` (``(True, constant)`` / ``(False, slot)`` items)."""
-    if not specs:
-        return lambda columns, n: [EMPTY_KEY] * n
-    if len(specs) == 1:
-        is_const, x = specs[0]
-        if is_const:
-            key = (x,)
-            return lambda columns, n: [key] * n
-        return lambda columns, n: [(v,) for v in columns[x]]
-    specs = tuple(specs)
-
-    def rows_fn(columns, n):
-        seqs = [[x] * n if is_const else columns[x] for is_const, x in specs]
-        return list(zip(*seqs))
-
-    return rows_fn
+@lru_cache(maxsize=1024)
+def _factory(source: str):
+    """The ``make`` that ``source`` defines, compiled once per text under a
+    file name inside this package (so its frames count as the package's)
+    whose lines :mod:`linecache` serves to tracebacks.  The name is the
+    text's hash, so a text compiled again after eviction reuses its
+    entry."""
+    name = f"generated_{hash(source) & 0xFFFFFFFFFFFFFFFF:016x}.py"  # never on disk
+    filename = os.path.join(os.path.dirname(__file__), name)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    scope = {"clock": perf_counter, "note": _note, "NO_ROWS": _NO_ROWS, "OperatorProfile": OperatorProfile}
+    exec(compile(source, filename, "exec"), scope)
+    return scope["make"]
 
 
-def _take(columns, gather, rows, width):
-    """The live columns (``gather`` slots) of a batch at row indexes
-    ``rows``; every other slot is dropped."""
-    out = [None] * width
-    for s in gather:
-        col = columns[s]
-        out[s] = [col[i] for i in rows]
-    return out
+class _Writer:
+    """One generated text being written: its ``lines`` (``(depth,
+    lines)`` runs) and the values ``args`` its names ``a0``, ``a1``, ...
+    are bound to."""
+
+    def __init__(self):
+        self.lines: list[tuple[int, tuple[str, ...]]] = []
+        self.args: list[object] = []
+
+    def arg(self, value) -> str:
+        self.args.append(value)
+        return f"a{len(self.args) - 1}"
+
+    def put(self, depth: int, *lines: str) -> None:
+        self.lines.append((depth, lines))  # indented once, by build()
+
+    def build(self) -> tuple[object, str]:
+        """What the text's ``make`` returns, bound to the arguments, and
+        the text itself."""
+        head = f"def make({', '.join(f'a{k}' for k in range(len(self.args)))}):"
+        source = "\n".join([head, *["    " * depth + line for depth, lines in self.lines for line in lines], ""])
+        return _factory(source)(*self.args), source
+
+
+def _tuple(parts: Iterable[str]) -> str:
+    return "(" + "".join(f"{part}, " for part in parts) + ")"
+
+
+def _batch_rows(w: _Writer, items, sidx, one: bool = False) -> str:
+    """A list display of the per-row tuples of ``items`` (``(is_const,
+    ref)`` pairs) over the batch's columns -- ``one`` row long, the seed's,
+    when ``one``."""
+    slots = list(dict.fromkeys(sidx[ref] for is_const, ref in items if not is_const))
+    name = "c{:d}[0]" if one else "v{:d}"
+    row = _tuple(w.arg(ref) if is_const else name.format(sidx[ref]) for is_const, ref in items)
+    if one or not slots:
+        return f"[{row}]" if one else f"[{row}] * n"
+    names, columns = (", ".join(f"{x}{s:d}" for s in slots) for x in "vc")
+    return f"[{row} for {names} in {columns if len(slots) == 1 else f'zip({columns})'}]"
 
 
 def _live_slots(slots: SlotTable, bound: set[int], keep, signed: bool) -> tuple:
     """The bound slots some later operator still reads, plus the sign
     slot under a signed lowering."""
     variables = slots.variables
-    live = tuple(s for s in bound if keep is None or variables[s] in keep)
+    live = tuple(s for s in sorted(bound) if keep is None or variables[s] in keep)
     return live + (len(variables),) if signed else live
 
 
-def _compile_fetch(op: FetchOp, slots: SlotTable, bound: set[int], signed: bool):
-    """Lower a fetch to its faces: ``(step, delta, bound_after)``.  ``step``
-    is the new *and* old face (they differ only in the source they are
-    handed); ``delta`` joins the change slice, multiplying signs in."""
-    sidx = slots.index
-    sign = len(slots.variables)
-    width = sign + 1
-    relation = op.atom.relation
-    spos = op._sorted_positions
-    keys_fn = _compile_row_builder(_slot_specs(op._sorted_key, sidx))
-    checks = tuple(
-        (p, None, ref) if is_const else (p, sidx[ref], None)
-        for p, is_const, ref in op._check_items
+def _expands(op: FetchOp, sidx, bound: set[int]) -> bool:
+    """Whether no residual check, dedup or consistency test can reject a
+    row ``op`` fetches: every fetched row is one output row."""
+    return (
+        not op._check_items
+        and op.dedup_positions is None
+        and all(sidx[term] not in bound and len(ps) == 1 for term, ps in op._bind_groups)
     )
-    dedup = op.dedup_positions
-    keep = op.keep
-    consist: list[tuple[int, tuple[int, ...]]] = []
-    fresh: list[tuple[int | None, tuple[int, ...]]] = []
+
+
+def _level(
+    w: _Writer, op, slots: SlotTable, bound: set[int], signed: bool, depth: int, head=None, paired=False, one=False
+):
+    """Write one data operator over the batch at ``depth`` (``one``: the
+    one-row seed batch): its read from ``src`` -- or, ``paired`` (a delta
+    face), its join with the slice entries ``get`` finds, each row's sign
+    multiplied into the batch -- then the row loop and the gather into the
+    ``c<slot>`` locals and ``n``.  Given the projection's ``head`` items,
+    a fetch that :func:`_expands` leaves the distinct answer rows in
+    ``rows`` instead.  Returns the slots bound after it."""
+    sidx, sign = slots.index, len(slots.variables)
+    gather = _live_slots(slots, bound, op.keep, signed)
+
+    def put(*lines):
+        w.put(depth, *lines)
+
+    if isinstance(op, ProbeOp):
+        rows = _batch_rows(w, op._items, sidx, one)
+        if paired:  # a row stays only if its tuple changed, carrying the change's sign
+            put("take, signs = [], []", f"for i, row in enumerate(keys or {rows}):", "    sg = get(row)")
+            put("    if sg:", "        take.append(i)", "        signs.append(sg)")
+            put("if not take:", "    return None, 0", "n = len(take)")
+            put(*(f"c{s:d} = [c{s:d}[i] for i in take]" for s in gather if s != sign))
+            put(f"c{sign:d} = [c{sign:d}[i] * sg for i, sg in zip(take, signs)]")
+        else:
+            put(f"verdicts = src.contains_rows({w.arg(op.atom.relation)}, {rows}, stats)")
+            put("if not all(verdicts):", "    take = [i for i, ok in enumerate(verdicts) if ok]", "    n = len(take)")
+            put(*(f"    c{s:d} = [c{s:d}[i] for i in take]" for s in gather))
+        return set(gather) - {sign}
+    keys = _batch_rows(w, op._sorted_key, sidx, one)
+    if paired:  # most delta joins match nothing: say so before any gather
+        put(f"groups = list(map(get, keys or {keys}, NO_ROWS))", "if not any(groups):", "    return None, 0")
+    else:
+        relation, positions = w.arg(op.atom.relation), w.arg(op._sorted_positions)
+        put(f"groups = src.lookup_keys({relation}, {positions}, {keys}, stats)")
+    checks = [
+        f"{w.arg(ref) if is_const else f'c{sidx[ref]:d}[i]'} != row[{p:d}]" for p, is_const, ref in op._check_items
+    ]
+    later, fresh = [], {}
     for term, ps in op._bind_groups:
         s = sidx[term]
         if s in bound:
-            consist.append((s, ps))
-        elif keep is None or term in keep:
-            fresh.append((s, ps))
-        elif len(ps) > 1:
-            # Dead but repeated: the within-row consistency check still
-            # filters, only the column is unneeded.
-            fresh.append((None, ps))
-    gather = _live_slots(slots, bound, keep, signed)
-    bound_after = {s for s in gather if s != sign} | {
-        s for s, _ in fresh if s is not None
-    }
-
-    # A pure expansion: no residual check, dedup or consistency test can
-    # reject a fetched row, so every face is a flat gather.
-    pure = (
-        not checks
-        and dedup is None
-        and not consist
-        and all(len(ps) == 1 for _, ps in fresh)
-    )
-
-    def expand(groups, columns, paired):
-        """The join shared by every face: per source row ``i`` and fetched
-        row, apply residual checks, per-source dedup and bind consistency,
-        then record the match.  ``paired`` groups hold ``(row, sign)``
-        slice entries whose signs multiply into the batch's sign column."""
-        if pure:
-            take = [i for i, rows in enumerate(groups) for _ in rows]
-            out = _take(columns, gather, take, width)
-            fetched = [row for rows in groups for row in rows]
-            if paired:
-                out[sign] = [a * entry[1] for a, entry in zip(out[sign], fetched)]
-                fetched = [entry[0] for entry in fetched]
-            for s, ps in fresh:
-                p = ps[0]
-                out[s] = [row[p] for row in fetched]
-            return out, len(take)
-        cks = [(p, None if s is None else columns[s], c) for p, s, c in checks]
-        ccols = [(columns[s], ps) for s, ps in consist]
-        stores = [None if s is None else [] for s, _ in fresh]
-        take: list[int] = []
-        signs: list[int] = []
-        for i, rows in enumerate(groups):
-            if not rows:
-                continue
-            seen = set() if dedup is not None else None
-            for row in rows:
-                if paired:
-                    row, row_sign = row
-                ok = True
-                for p, col, const in cks:
-                    if (const if col is None else col[i]) != row[p]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                # Dedup consumes the projection even when a later
-                # consistency check rejects the row (the embedded rule's
-                # "at most N distinct projections" budget is spent by the
-                # fetch, not the join).
-                if seen is not None:
-                    projection = key_getter(dedup)(row)
-                    if projection in seen:
-                        continue
-                    seen.add(projection)
-                for col, ps in ccols:
-                    v = col[i]
-                    for q in ps:
-                        if row[q] != v:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                for _, ps in fresh:
-                    v = row[ps[0]]
-                    for q in ps[1:]:
-                        if row[q] != v:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                take.append(i)
-                if paired:
-                    signs.append(row_sign)
-                for store, (_, ps) in zip(stores, fresh):
-                    if store is not None:
-                        store.append(row[ps[0]])
-        out = _take(columns, gather, take, width)
-        if paired:
-            out[sign] = [a * b for a, b in zip(out[sign], signs)]
-        for store, (s, _) in zip(stores, fresh):
-            if store is not None:
-                out[s] = store
-        return out, len(take)
-
-    def over(slice):
-        """The delta face bound to ``slice`` (once per stage): the slice
-        index is resolved here, so ``join`` only probes it -- and exposes
-        it, for :meth:`DeltaProgram.join` to patch a held group.  Under a
-        keyless fetch (full-relation rule) every slice row joins with
-        every source row: the one empty key holds them all."""
-        index = slice.index(relation, spos)
-        get = index.get
-
-        def join(keys, stats, columns, n):
-            groups = list(map(get, keys or keys_fn(columns, n), _NO_ROWS))
-            # Most delta joins match nothing: say so before any gather.
-            return expand(groups, columns, True) if any(groups) else (None, 0)
-
-        join.index = index
-        return join
-
-    if pure and len(fresh) == 1:
-        # The planner's common case, specialised: a plain fetch binding
-        # one fresh variable at one position.
-        s_out, (p0,) = fresh[0]
-
-        def step(source, stats, columns, n):
-            groups = source.lookup_keys(relation, spos, keys_fn(columns, n), stats)
-            out = [None] * width
-            if n == 1:
-                rows = groups[0]
-                k = len(rows)
-                if k:
-                    for s in gather:
-                        out[s] = columns[s] * k
-                    out[s_out] = [row[p0] for row in rows]
-                return out, k
-            take = []
-            t_append = take.append
-            store = []
-            s_append = store.append
-            for i, rows in enumerate(groups):
-                for row in rows:
-                    t_append(i)
-                    s_append(row[p0])
-            for s in gather:
-                col = columns[s]
-                out[s] = [col[i] for i in take]
-            out[s_out] = store
-            return out, len(take)
-
-    else:
-
-        def step(source, stats, columns, n):
-            keys = keys_fn(columns, n)
-            groups = source.lookup_keys(relation, spos, keys, stats)
-            return expand(groups, columns, False)
-
-    return step, _delta_face(keys_fn, over), bound_after
-
-
-def _compile_probe(op: ProbeOp, slots: SlotTable, bound: set[int], signed: bool):
-    """Lower a probe to its faces: ``(step, delta, bound_after)``, shaped
-    like :func:`_compile_fetch`'s."""
-    sign = len(slots.variables)
-    width = sign + 1
-    rows_fn = _compile_row_builder(_slot_specs(op._items, slots.index))
-    relation = op.atom.relation
-    gather = _live_slots(slots, bound, op.keep, signed)
-    dead = len(gather) != len(bound) + signed
-
-    def step(source, stats, columns, n):
-        verdicts = source.contains_rows(relation, rows_fn(columns, n), stats)
-        if all(verdicts):
-            if not dead:
-                return columns, n
-            out = [None] * width
-            for s in gather:
-                out[s] = columns[s]
-            return out, n
-        sel = [i for i, present in enumerate(verdicts) if present]
-        return _take(columns, gather, sel, width), len(sel)
-
-    def over(slice):
-        index = slice.net.get(relation, {})
-        get = index.get
-
-        def join(keys, stats, columns, n):
-            # A row survives only if its fully-bound tuple effectively
-            # changed, carrying the change's sign.
-            sel: list[int] = []
-            signs: list[int] = []
-            for i, row in enumerate(keys or rows_fn(columns, n)):
-                row_sign = get(row)
-                if row_sign:
-                    sel.append(i)
-                    signs.append(row_sign)
-            if not sel:
-                return None, 0
-            out = _take(columns, gather, sel, width)
-            out[sign] = [a * b for a, b in zip(out[sign], signs)]
-            return out, len(sel)
-
-        return join
-
-    return step, _delta_face(rows_fn, over), {s for s in gather if s != sign}
-
-
-def _compile_project(op: ProjectDedupOp, slots: SlotTable, signed: bool):
-    """Lower the projection to its terminal: unsigned, the deduplicated
-    head rows (first-derivation order); signed, ``accumulate(columns, n,
-    into)``, folding the signed head rows into a ``row -> count`` dict --
-    derivation multiplicities for the counting pass, signed changes for a
-    delta."""
-    rows_fn = _compile_row_builder(_slot_specs(op._items, slots.index))
-    if not signed:
-        return lambda source, stats, columns, n: list(
-            dict.fromkeys(rows_fn(columns, n))
-        )
-    sign = len(slots.variables)
-
-    def accumulate(columns, n, into):
-        get = into.get
-        for row, row_sign in zip(rows_fn(columns, n), columns[sign]):
-            into[row] = get(row, 0) + row_sign
-
-    return accumulate
-
-
-def _compile_fused(
-    fetch: FetchOp, project: ProjectDedupOp, slots: SlotTable, bound: set[int]
-):
-    """Lower a trailing fetch+project pair into one terminal emitting
-    deduplicated head rows straight from the fetched row groups -- the
-    final batch is never materialized.  Returns ``None`` when the fetch
-    needs the general join loop (residual checks, dedup, consistency);
-    the pair then lowers unfused."""
-    sidx = slots.index
-    if fetch._check_items or fetch.dedup_positions is not None:
-        return None
-    fresh: dict[Variable, int] = {}
-    for term, ps in fetch._bind_groups:
-        if sidx[term] in bound or len(ps) > 1:
-            return None
-        fresh[term] = ps[0]
-    # Each head term lowers to a constant (0), an input column (1), or a
-    # position of the fetched row (2).
-    specs: list[tuple[int, object]] = []
-    for is_const, ref in project._items:
-        if is_const:
-            specs.append((0, ref))
-        elif sidx[ref] in bound:
-            specs.append((1, sidx[ref]))
+            later += [f"row[{q:d}] != c{s:d}[i]" for q in ps]
         else:
-            specs.append((2, fresh[ref]))
-    relation = fetch.atom.relation
-    spos = fetch._sorted_positions
-    keys_fn = _compile_row_builder(_slot_specs(fetch._sorted_key, sidx))
-    kind, x = specs[0] if len(specs) == 1 else (None, None)
-    if kind == 2:
-
-        def terminal(source, stats, columns, n):
-            groups = source.lookup_keys(relation, spos, keys_fn(columns, n), stats)
-            answers: dict[Row, None] = {}
-            setd = answers.setdefault
-            for rows in groups:
-                for row in rows:
-                    setd((row[x],), None)
-            return list(answers)
-
-    elif kind == 1:
-
-        def terminal(source, stats, columns, n):
-            # Same head value for every row of a group: record each
-            # non-empty group once.
-            groups = source.lookup_keys(relation, spos, keys_fn(columns, n), stats)
-            col = columns[x]
-            answers: dict[Row, None] = {}
-            setd = answers.setdefault
-            for i, rows in enumerate(groups):
-                if rows:
-                    setd((col[i],), None)
-            return list(answers)
-
+            later += [f"row[{q:d}] != row[{ps[0]:d}]" for q in ps[1:]]
+            if op.keep is None or term in op.keep:
+                fresh[s] = ps[0]
+    after = {*gather, *fresh} - {sign}
+    if head is not None:  # a fused terminal: every fetched row projects to an answer
+        used = [] if one else list(dict.fromkeys(sidx[r] for c, r in head if not c and sidx[r] in bound))
+        value = {s: f"c{s:d}[0]" if one else f"v{s:d}" for s in bound} | {s: f"row[{p:d}]" for s, p in fresh.items()}
+        row = _tuple(w.arg(ref) if is_const else value[sidx[ref]] for is_const, ref in head)
+        names, columns = (", ".join(f"{x}{s:d}" for s in used) for x in "vc")
+        loop = f"for {names}, rows in zip({columns}, groups)" if used else "for rows in groups"
+        loop += " for row in rows" if "row[" in row else " if rows"  # one answer per non-empty group
+        put(f"rows = list(dict.fromkeys([{row} {'for row in groups[0]' if one and 'row[' in row else loop}]))")
+        return after
+    if not paired and _expands(op, sidx, bound):  # a flat gather
+        if one:
+            put(*(f"c{s:d} = c{s:d} * len(groups[0])" for s in gather))
+            put(*(f"c{s:d} = [row[{p:d}] for row in groups[0]]" for s, p in fresh.items()), "n = len(groups[0])")
+            return after
+        put(*(["take = [i for i, rows in enumerate(groups) for _ in rows]"] if gather else []))
+        put(*(f"c{s:d} = [c{s:d}[i] for i in take]" for s in gather))
+        put(*(f"c{s:d} = [row[{p:d}] for rows in groups for row in rows]" for s, p in fresh.items()))
+        count = "len(take)" if gather else f"len(c{next(iter(fresh)):d})" if fresh else "sum(map(len, groups))"
+        put(f"n = {count}")
+        return after
+    outputs = [*gather, *fresh]
+    if outputs:
+        put(*(f"o{s:d} = []" for s in outputs))
+        store = [f"o{s:d}.append(c{s:d}[i]{' * sg' if paired and s == sign else ''})" for s in gather]
+        store += [f"o{s:d}.append(row[{p:d}])" for s, p in fresh.items()]
     else:
-        specs_t = tuple(specs)
-
-        def terminal(source, stats, columns, n):
-            groups = source.lookup_keys(relation, spos, keys_fn(columns, n), stats)
-            answers: dict[Row, None] = {}
-            setd = answers.setdefault
-            for i, rows in enumerate(groups):
-                for row in rows:
-                    setd(
-                        tuple(
-                            x if kind == 0 else (columns[x][i] if kind == 1 else row[x])
-                            for kind, x in specs_t
-                        ),
-                        None,
-                    )
-            return list(answers)
-
-    return terminal
+        put("n = 0")
+        store = ["n += 1"]
+    indexed = "[i]" in "".join(checks + later + store)
+    put("for i, rows in enumerate(groups):" if indexed else "for rows in groups:")
+    if op.dedup_positions is not None:
+        put("    seen = set()")
+    put("    for row, sg in rows:" if paired else "    for row in rows:")
+    test = []
+    if checks:
+        test += [f"if {' or '.join(checks)}:", "    continue"]
+    if op.dedup_positions is not None:
+        # Dedup consumes the projection even when a later consistency
+        # check rejects the row (the embedded rule's "at most N distinct
+        # projections" budget is spent by the fetch, not the join).
+        key = _tuple(f"row[{p:d}]" for p in op.dedup_positions)
+        test += [f"key = {key}", "if key in seen:", "    continue", "seen.add(key)"]
+    if later:
+        test += [f"if {' or '.join(later)}:", "    continue"]
+    put(*("        " + line for line in test + store))
+    if outputs:
+        put(*(f"c{s:d} = o{s:d}" for s in outputs), f"n = len(o{outputs[0]:d})")
+    return after
 
 
 class Pipeline(tuple):
@@ -809,12 +627,11 @@ class Pipeline(tuple):
       columns built from them: the one way into :func:`run_pipeline`;
     * ``width`` -- the length of each column list: one entry per slot
       plus the trailing sign slot;
-    * ``body`` / ``terminal`` -- what :func:`execute_plan` runs:
-      ``(view, step, delta, ops)`` levels (``view`` names the view store
-      to read, ``None`` for the database; ``delta`` is ``None`` here;
-      ``ops`` are the descriptions the closure was lowered from) and the
-      terminal level whose closure returns answer rows -- a trailing
-      fetch+project pair fused when the fetch is a pure expansion;
+    * ``run`` / ``profiled`` -- what :func:`run_pipeline` calls, ``(ctx,
+      columns) -> answer rows``: the generated function of the whole
+      pipeline and its twin that appends each step's
+      :class:`OperatorProfile` to ``ctx.profile``; ``source`` is their
+      text;
     * :meth:`signed` -- the signed lowering, built on first use (and,
       beside it, :meth:`program`: the plan's :class:`DeltaProgram`).
 
@@ -828,8 +645,7 @@ class Pipeline(tuple):
     width: int
     prefilter: FilterOp | None
     seed_slots: tuple
-    body: tuple
-    terminal: tuple | None
+    source: str
 
     def __new__(
         cls,
@@ -846,13 +662,13 @@ class Pipeline(tuple):
         self.width = len(self.slots.variables) + 1
         self.prefilter = prefilter
         self.seed_slots = tuple(seed_slots)
-        self.body = ()
-        self.terminal = None
         self._signed = None
         self._program = None
         self._bindings = {}
+        self.run = self.profiled = _nothing
+        self.source = ""
         if ops:
-            self.body, self.terminal = _lower(self, signed=False)
+            (self.run, self.profiled), self.source = _lower(self)
         return self
 
     def signed(self) -> tuple[tuple, object]:
@@ -864,7 +680,7 @@ class Pipeline(tuple):
         executed never pays for it."""
         lowered = self._signed
         if lowered is None:
-            lowered = self._signed = _lower(self, signed=True)
+            lowered = self._signed = _lower_signed(self)
         return lowered
 
     def program(self) -> "DeltaProgram":
@@ -933,34 +749,108 @@ class Pipeline(tuple):
         return columns
 
 
-def _lower(pipe: Pipeline, signed: bool):
-    """Lower ``pipe``'s data operators to closures: ``(body, terminal
-    level)`` unsigned -- the trailing fetch fused into the terminal when
-    it can be -- or ``(levels, accumulate)`` signed.  The boundness of
-    every slot at every position is static, so all variable hashing
-    happens here, once per plan."""
-    slots = pipe.slots
+def _nothing(ctx: ExecutionContext, columns) -> tuple:
+    """The run of a plan that lowers to nothing (an unsatisfiable one)."""
+    return ()
+
+
+def _lower(pipe: Pipeline) -> tuple[tuple[object, object], str]:
+    """Write ``pipe``'s unsigned function ``run(ctx, columns)`` -- every
+    level and the projection in one body, a trailing fetch that only
+    expands fused with the projection -- and its profiled twin from the
+    same segments, each segment measured and its :class:`OperatorProfile`
+    appended.  Returns ``((run, profiled), source)``."""
+    w, slots = _Writer(), pipe.slots
     bound = {slot for slot, _ in pipe.seed_slots}
     *data, project = (op for op in pipe if op is not pipe.prefilter)
-    levels = []
-    terminal = None
+    segments = []  # (label, source line, lines, terminal)
     for op in data:
-        view = op.atom.relation if op.view else None
-        if isinstance(op, ProbeOp):
-            step, delta, bound = _compile_probe(op, slots, bound, signed)
-        else:
-            if not signed and op is data[-1]:
-                fused = _compile_fused(op, project, slots, bound)
-                if fused is not None:
-                    terminal = (view, fused, None, (op, project))
-                    break
-            step, delta, bound = _compile_fetch(op, slots, bound, signed)
-        levels.append((view, step, delta if signed else None, (op,)))
-    if signed:
-        return tuple(levels), _compile_project(project, slots, True)
-    if terminal is None:
-        terminal = (None, _compile_project(project, slots, False), None, (project,))
-    return tuple(levels), terminal
+        w.lines = []
+        fused = op is data[-1] and type(op) is FetchOp and _expands(op, slots.index, bound)
+        read = f"src = ctx.store({w.arg(op.atom.relation)})" if op.view else "src = db"
+        bound = _level(w, op, slots, bound, False, 0, project._items if fused else None, one=op is data[0])
+        label = w.arg((op, project) if fused else (op,))
+        segments.append((label, read, w.lines, fused))
+    if not segments or not segments[-1][3]:
+        w.lines = []
+        w.put(0, f"rows = list(dict.fromkeys({_batch_rows(w, project._items, slots.index)}))")
+        segments.append((w.arg((project,)), None, w.lines, True))
+    passed = "1, int(columns is not None), 0, 0, 0"
+    prefilter = pipe.prefilter and f"profile.append(OperatorProfile(str({w.arg(pipe.prefilter)}), {passed}))"
+    seed = [f"c{s:d} = columns[{s:d}]" for s, _ in pipe.seed_slots]
+    w.lines = []
+    for name, profiled in (("run", False), ("profiled", True)):
+        w.put(1, f"def {name}(ctx, columns):")
+        if profiled:
+            w.put(2, "profile = ctx.profile", *([prefilter] if prefilter else []))
+        w.put(2, "if columns is None:", "    return ()", "db = ctx.db", "stats = ctx.stats", *seed, "n = 1")
+        for label, read, lines, terminal in segments:
+            w.put(2, *([read] if read else []))
+            if profiled:
+                w.put(2, "k = n", "before = stats.snapshot()", "start = clock()")
+            w.lines += [(depth + 2, text) for depth, text in lines]
+            if profiled:
+                out = "len(rows)" if terminal else "n"
+                w.put(2, f"note(profile, {label}, k, {out}, stats, before, start)")
+            w.put(2, *(["return rows"] if terminal else ["if not n:", "    return ()"]))
+    w.put(1, "return run, profiled")
+    return w.build()
+
+
+def _lower_signed(pipe: Pipeline) -> tuple[tuple, object]:
+    """Write ``pipe``'s signed faces: per data operator ``step(src,
+    stats, columns, n)`` (the new face, and the old one handed an
+    :class:`OldState`) and the delta face -- ``keys(columns, n)``, the
+    batch's join keys, and ``over(slice)``, the ``join(keys, stats,
+    columns, n)`` bound to the slice's index (kept as ``join.index``);
+    called itself, it does both -- plus the ``accumulate(columns, n,
+    into)`` terminal folding signed head rows into a ``row -> count``
+    dict.  Returns ``(levels, accumulate)``, each level ``(view, step,
+    delta, (op,))``."""
+    w, slots = _Writer(), pipe.slots
+    sign = len(slots.variables)
+    bound = {slot for slot, _ in pipe.seed_slots}
+    *data, project = (op for op in pipe if op is not pipe.prefilter)
+
+    def load(depth, present):
+        w.put(depth, *(f"c{s:d} = columns[{s:d}]" for s in sorted(present | {sign})))
+
+    def store(depth, present):
+        w.put(depth, f"out = [None] * {sign + 1:d}")
+        w.put(depth, *(f"out[{s:d}] = c{s:d}" for s in sorted(present | {sign})), "return out, n")
+
+    for j, op in enumerate(data):
+        w.put(1, f"def step{j:d}(src, stats, columns, n):")
+        load(2, bound)
+        after = _level(w, op, slots, bound, True, 2)
+        store(2, after)
+        w.put(1, f"def keys{j:d}(columns, n):")
+        load(2, bound)
+        items = op._items if type(op) is ProbeOp else op._sorted_key
+        w.put(2, f"return {_batch_rows(w, items, slots.index)}")
+        w.put(1, f"def over{j:d}(slice):")
+        if type(op) is ProbeOp:
+            w.put(2, f"index = slice.net.get({w.arg(op.atom.relation)}, {{}})")
+        else:  # a keyless fetch: every slice row sits under the one empty key
+            relation = w.arg(op.atom.relation)
+            w.put(2, f"index = slice.index({relation}, {w.arg(op._sorted_positions)})")
+        w.put(2, "get = index.get", "def join(keys, stats, columns, n):")
+        load(3, bound)
+        _level(w, op, slots, bound, True, 3, paired=True)
+        store(3, after)
+        w.put(2, "join.index = index", "return join")
+        w.put(1, f"def delta{j:d}(slice, stats, columns, n):")
+        w.put(2, f"return over{j:d}(slice)(None, stats, columns, n)")
+        w.put(1, f"delta{j:d}.keys, delta{j:d}.over = keys{j:d}, over{j:d}")
+        bound = after
+    w.put(1, "def accumulate(columns, n, into):")
+    load(2, bound)
+    w.put(2, "get = into.get", f"for row, sg in zip({_batch_rows(w, project._items, slots.index)}, c{sign:d}):")
+    w.put(2, "    into[row] = get(row, 0) + sg")
+    w.put(1, f"return {_tuple(f'step{j:d}, delta{j:d}' for j in range(len(data)))}, accumulate")
+    (faces, accumulate), _ = w.build()
+    views = [op.atom.relation if op.view else None for op in data]
+    return tuple((views[j], faces[2 * j], faces[2 * j + 1], (op,)) for j, op in enumerate(data)), accumulate
 
 
 def _parameter_constraints(
@@ -1026,7 +916,7 @@ def build_pipeline(plan: Plan) -> Pipeline:
     set of bound variables before each step is known at compile time, so
     every operator's key/check/bind positions, its variable slots and its
     live-column set are all static; the returned :class:`Pipeline` holds
-    the operator descriptions and the closures compiled from them.
+    the operator descriptions and the functions generated from them.
     """
     if not plan.satisfiable:
         return Pipeline(plan)
@@ -1162,28 +1052,9 @@ def run_pipeline(pipe: Pipeline, ctx: ExecutionContext, columns: list | None) ->
     first-derivation order from the seed ``columns`` of
     :meth:`Pipeline.seed` -- which has already validated the parameters
     and decided the prefilter (``None``: no answer).  Under a
-    ``ctx.profile`` list each compiled step appends its :class:`OperatorProfile`."""
-    profile = ctx.profile
-    if profile is not None and pipe.prefilter is not None:
-        profile.append(OperatorProfile(str(pipe.prefilter), 1, int(columns is not None), 0, 0, 0))
-    if columns is None:
-        return ()
-    database = ctx.db
-    stats = ctx.stats
-    n = 1
-    for view, step, _, ops in pipe.body:
-        source = database if view is None else ctx.store(view)
-        if profile is None:
-            columns, n = step(source, stats, columns, n)
-        else:
-            columns, n = _measured(profile, "; ".join(map(str, ops)), step, source, stats, columns, n)
-        if not n:
-            return ()
-    view, terminal, _, ops = pipe.terminal
-    source = database if view is None else ctx.store(view)
-    if profile is None:
-        return terminal(source, stats, columns, n)
-    return _measured(profile, "; ".join(map(str, ops)), terminal, source, stats, columns, n)
+    ``ctx.profile`` list the profiled twin runs, appending each step's
+    :class:`OperatorProfile`."""
+    return (pipe.run if ctx.profile is None else pipe.profiled)(ctx, columns)
 
 
 class DeltaProgram:
@@ -1310,7 +1181,7 @@ class DeltaProgram:
         from the hold, extended level by level and shared by every changed
         level), level ``i`` joins the in-memory slice (zero tuples
         accessed), levels after ``i`` run on the pre-delta snapshot (the
-        same closures over :class:`OldState`) -- each changed row's signed
+        same steps over :class:`OldState`) -- each changed row's signed
         derivation-count change, which folded into :meth:`count`'s counts
         gives the new state's.  A fresh seed holds nothing: it reads level
         0 whenever a later level changed.  A hold moves with the slices it
@@ -1473,26 +1344,14 @@ class OperatorProfile:
 
 
 def _measured(profile: list[OperatorProfile], label, fn, source, stats, columns, n):
-    """Run one compiled closure and append its measurements (rows in and
-    out, the accesses it charged, wall time) to ``profile`` under
-    ``label``.  Called only under a profile: an unmeasured run calls
-    ``fn`` itself, with no label built."""
+    """Run one signed face and append its measurements (rows in and out,
+    the accesses it charged, wall time) to ``profile`` under ``label``.
+    Called only under a profile: an unmeasured run calls ``fn`` itself,
+    with no label built."""
     before = stats.snapshot()
     start = perf_counter()
     out = fn(source, stats, columns, n)
-    elapsed = perf_counter() - start
-    spent = stats.since(before)
-    profile.append(
-        OperatorProfile(
-            label,
-            n,
-            out[1] if type(out) is tuple else len(out),
-            spent.tuples_accessed,
-            spent.indexed_lookups,
-            spent.full_scans,
-            elapsed,
-        )
-    )
+    _note(profile, label, n, out[1], stats, before, start)
     return out
 
 
@@ -1541,10 +1400,10 @@ def profile_plan(
     parameters: Mapping[object, object] | None = None,
     **kwargs: object,
 ) -> PlanProfile:
-    """:func:`execute_plan`, measured: the same compiled closures run in
-    the same order with the same early exit, each one's row counts,
+    """:func:`execute_plan`, measured: the profiled twin runs the same
+    lines in the same order with the same early exit, each step's row counts,
     access-statistics delta and wall time recorded along the way -- one
-    entry per compiled step, so a fused fetch+project tail is one entry
+    entry per generated step, so a fused fetch+project tail is one entry
     naming both operators.  The profile's rows *are* the execution's.
     """
     ctx = _as_context(db)

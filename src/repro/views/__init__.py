@@ -33,7 +33,7 @@ The package in three pieces:
   maps into the query contributes an implied view atom, and the ordinary
   planner compiles the augmented query against the extended schema, told
   what each view atom *stands for* so that an atom a view proves costs
-  no step.  A view step lowers to the same fetch/probe closure as a base
+  no step.  A view step lowers to the same fetch/probe code as a base
   step; only its read source is the view's store, not the database.
 
 Reached through the facade::

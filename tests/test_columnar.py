@@ -103,7 +103,8 @@ class TestSlotCompilation:
         plan = compile_plan(q, social_access, ["p"])
         pipe = build_pipeline(plan)
         assert pipe == ()
-        assert pipe.body == () and pipe.terminal is None
+        assert pipe.source == "" and pipe.run is pipe.profiled  # nothing generated
+        assert run_pipeline(pipe, ExecutionContext(None), pipe.seed({P: 1})) == ()
 
 
 class TestInterningIdentity:
@@ -165,9 +166,17 @@ class TestFusion:
         # The descriptions stay addressable one by one...
         assert isinstance(pipe[-2], FetchOp)
         assert isinstance(pipe[-1], ProjectDedupOp)
-        # ...while the compiled terminal is lowered from the pair.
-        assert pipe.terminal[3] == (pipe[-2], pipe[-1])
-        assert len(pipe.body) == len(pipe) - 2
+        # ...while the generated terminal is written from the pair: the
+        # profile names both in one step, after one step per body level.
+        db = social_engine(60, seed=1).require_database()
+        ctx = ExecutionContext(db)
+        ctx.profile = profile = []
+        rows = run_pipeline(pipe, ctx, pipe.seed({P: 1}))
+        assert tuple(rows) == execute_plan(pipe.plan, db, p=1)
+        assert [line.operator for line in profile] == [
+            *map(str, pipe[:-2]),
+            f"{pipe[-2]}; {pipe[-1]}",
+        ]
 
     @pytest.mark.parametrize("bundle", RUNNING_QUERIES, ids=lambda b: b.name)
     def test_fused_equals_unfused_on_seeded_workload(self, bundle):
@@ -308,9 +317,9 @@ class TestPipelineCache:
     def test_a_lowering_dies_with_its_plan(self, social_access):
         plan = compile_plan(Q1, social_access, ["p"])
         pipe = pipeline_for(plan)
-        # A Pipeline is a tuple subclass (no weak references): watch one
-        # of the closures it compiled instead.
-        closure = weakref.ref(pipe.terminal[1])
+        # A Pipeline is a tuple subclass (no weak references): watch the
+        # function generated for it instead.
+        closure = weakref.ref(pipe.run)
         assert closure() is not None
         del plan, pipe
         gc.collect()

@@ -7,22 +7,31 @@ shape the planner can emit, touch no more tuples than it, and report the
 very run it executes through profile_plan / explain_analyze.
 """
 
+import linecache
+import os
+import traceback
+
 import pytest
 
 from reference_executor import execute_per_tuple
+from sql_oracle import SqlOracle
 from repro import (
     AccessRule,
     AccessSchema,
     AccessStats,
     Atom,
     ConjunctiveQuery,
+    Constant,
     Database,
     DatabaseSchema,
     EmbeddedAccessRule,
+    Engine,
     Equality,
     IncrementalError,
     RelationSchema,
+    SchemaError,
     compile_plan,
+    parse_query,
 )
 from repro.core.executor import (
     ExecutionContext,
@@ -41,6 +50,8 @@ from repro.core.executor import (
 from repro.logic.terms import Variable
 from repro.workloads import (
     RUNNING_QUERIES,
+    SOCIAL_ACCESS,
+    SOCIAL_SCHEMA,
     VIEW_QUERIES,
     generate_social_network,
     register_workload_views,
@@ -106,32 +117,46 @@ class TestPipelineShape:
             assert not any(hasattr(op, name) for name in ("run", "run_delta", "run_old"))
         assert not hasattr(Pipeline, "fused") and not hasattr(pipe, "fused")
 
-    def test_pure_expansion_tail_fuses_into_the_terminal(self, social_access):
+    def test_pure_expansion_tail_fuses_into_the_terminal(self, social_db, social_access):
+        # One profiled step per generated segment: the fetch alone, then
+        # the trailing fetch and the projection as one.
         pipe = build_pipeline(compile_plan(Q1, social_access, ["p"]))
-        assert [ops for _, _, _, ops in pipe.body] == [(pipe[0],)]
-        assert pipe.terminal[3] == (pipe[1], pipe[2])  # fetch + project
+        profile = profile_plan(pipe.plan, social_db, p=1)
+        assert [line.operator for line in profile.operators] == [str(pipe[0]), f"{pipe[1]}; {pipe[2]}"]
+        assert profile.operators[-1].tuples_accessed > 0  # the fused step reads
 
-    def test_checked_tail_lowers_unfused(self, social_schema):
+    def test_checked_tail_lowers_unfused(self, social_db, social_schema):
         # friend(x, x) must bind ?x consistently at both positions: not a
-        # pure expansion, so the fetch stays a body level (the general
-        # join loop) and the terminal is the plain projection.
+        # pure expansion, so the fetch stays a level of its own (the
+        # general join loop) and the projection is a step that reads
+        # nothing.
         access = AccessSchema(social_schema, [AccessRule("friend", [], bound=100)])
         q = ConjunctiveQuery(["x"], [Atom("friend", ["?x", "?x"])])
         pipe = build_pipeline(compile_plan(q, access))
-        assert [ops for _, _, _, ops in pipe.body] == [(pipe[0],)]
         assert isinstance(pipe[0], FetchOp)
-        assert pipe.terminal[3] == (pipe[-1],)
+        social_db.insert_many("friend", [(3, 3), (5, 5)])
+        profile = profile_plan(pipe.plan, social_db)
+        assert [line.operator for line in profile.operators] == [str(pipe[0]), str(pipe[-1])]
+        assert profile.operators[-1].tuples_accessed == 0
+        assert profile.rows == execute_plan(pipe.plan, social_db) == ((3,), (5,))
 
-    def test_signed_faces_are_lowered_on_first_use_only(self, social_db, social_access):
+    def test_signed_faces_are_lowered_on_first_use_only(self, social_db, social_access, monkeypatch):
+        import repro.core.executor as executor
+
+        builds = []
+        lower_signed = executor._lower_signed
+        monkeypatch.setattr(executor, "_lower_signed", lambda pipe: builds.append(pipe) or lower_signed(pipe))
         plan = compile_plan(Q1, social_access, ["p"])
         pipe = pipeline_for(plan)
         execute_plan(plan, social_db, p=1)
-        assert pipe._signed is None  # executing never pays for them
+        profile_plan(plan, social_db, p=1)
+        assert builds == []  # executing and profiling never pay for them
         counting(plan, social_db, {P: 1})
+        counting(plan, social_db, {P: 2})
         levels, _ = pipe.signed()
-        assert pipe.signed() is pipe._signed
+        assert len(builds) == 1 and builds[0] is pipe  # built once, on first counting use
         assert [ops for _, _, _, ops in levels] == [(pipe[0],), (pipe[1],)]
-        assert all(delta is not None for _, _, delta, _ in levels)
+        assert all(callable(delta.keys) and callable(delta.over) for _, _, delta, _ in levels)
 
 
 class TestBatchedMatchesPerTuple:
@@ -582,3 +607,80 @@ class TestDeltaFaces:
             change = folded(delta, ctx.slice, [pid], [1])
             telescoped = {r: old.get(r, 0) + change.get(r, 0) for r in {*old, *change}}
             assert {r: c for r, c in telescoped.items() if c} == new
+
+
+#: Constants a query text can carry that would change generated code if
+#: it were spliced in as text.
+HOSTILE = (
+    "it's",
+    'say "hi"',
+    "back\\slash",
+    "new\nline",
+    '"""',
+    "{} %s",
+    "__import__('os').system('x')",
+)
+SHAPES = (
+    "Q(y) :- friend(p, y), person(y, n, {c})",
+    "Q(z, c) :- friend(p, y), friend(y, z), person(z, n, c), c = {c}",
+)
+
+
+class TestGeneratedCode:
+    """One emitter writes every face as Python source whose values are all
+    bound arguments: the text is a function of the plan's structure."""
+
+    @staticmethod
+    def sources(pipe):
+        """The unsigned pipeline's text and the signed lowering's."""
+        levels, _ = pipe.signed()
+        return pipe.source, "".join(linecache.getlines(levels[0][1].__code__.co_filename))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_no_constant_reaches_the_source(self, shape, backend_factory):
+        schema = DatabaseSchema.parse(SOCIAL_SCHEMA)
+        access = AccessSchema.parse(schema, SOCIAL_ACCESS)
+        cities = ("NYC", *HOSTILE)
+        persons = [(pid, f"n{pid}", cities[pid % len(cities)]) for pid in range(24)]
+        friends = [(a, (a * 7 + k) % 24) for a in range(24) for k in (1, 2, 5)]
+        data = {"person": persons, "friend": friends, "visits": []}
+        engine = Engine(schema, access, data=data, backend=backend_factory())
+        oracle = SqlOracle(schema, data)
+
+        def lowered(city):
+            query = parse_query(shape.format(c=str(Constant(city))), schema)
+            return query, pipeline_for(compile_plan(query, access, ["p"]))
+
+        _, plain = lowered("NYC")
+        for city in HOSTILE:
+            query, pipe = lowered(city)
+            assert self.sources(pipe) == self.sources(plain)
+            assert not any(city in text for text in self.sources(pipe))
+            assert pipe.run.__code__ is plain.run.__code__  # one compile per text
+            prepared = engine.query(query)
+            for pid in range(24):
+                assert set(prepared.execute(p=pid).rows) == oracle.answers(query, {"p": pid})
+
+    def test_generated_frames_count_as_the_package(self, social_access):
+        import repro
+
+        pipe = pipeline_for(compile_plan(Q1, social_access, ["p"]))
+        levels, accumulate = pipe.signed()
+        for function in (pipe.run, pipe.profiled, accumulate, *(face for level in levels for face in level[1:3])):
+            code = function.__code__
+            assert code.co_filename.startswith(os.path.dirname(repro.__file__))
+            assert not code.co_name.startswith("<")
+
+    def test_a_traceback_shows_the_generated_line(self):
+        engine = social_engine(40, seed=1)
+        register_workload_views(engine)
+        plan = VIEW_QUERIES[0].prepare(engine).plan(["p"])  # Q4 reads V1
+        with pytest.raises(SchemaError) as failed:
+            execute_plan(plan, ExecutionContext(engine.require_database()), p=1)
+        assert str(failed.value) == (
+            "plan reads materialized view 'V1' but the execution context carries no "
+            "state for it; execute view-assisted plans through the Engine (or pass "
+            "views= when opening the ExecutionContext)"
+        )
+        text = "".join(traceback.format_exception(failed.value))
+        assert "src = ctx.store(a0)" in text

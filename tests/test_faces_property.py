@@ -300,6 +300,28 @@ def check_new_face(plan, db, reference, raw, values):
     assert on_memory.stats == ctx.stats  # accounting is backend-independent
 
 
+@budget(40)
+@given(scenario=scenarios())
+def test_the_profiled_twin_runs_what_execute_runs(backend_factory, scenario):
+    """A pipeline's generated function and its profiled twin come from one
+    emitter and must not drift apart: on every state of the stream,
+    ``profile_plan``'s rows (in order) and its summed accesses equal
+    ``execute_plan``'s on the same state."""
+    schema, access, plan, values = build(scenario)
+    _, rows, stream, *_ = scenario
+    db = Database(schema, rows, backend=backend_factory())
+    for batch in ((), *stream):
+        apply_batch(db, batch)
+        ctx, profiled = ExecutionContext(db), ExecutionContext(db)
+        plain = execute_plan(plan, ctx, dict(values))
+        profile = profile_plan(plan, profiled, dict(values))
+        assert profile.rows == plain
+        assert profile.tuples_accessed == ctx.stats.tuples_accessed == profiled.stats.tuples_accessed
+        lines = profile.operators
+        assert sum(line.indexed_lookups for line in lines) == ctx.stats.indexed_lookups
+        assert sum(line.full_scans for line in lines) == ctx.stats.full_scans
+
+
 @budget(80)
 @given(scenario=scenarios())
 def test_three_faces_agree_with_naive_evaluation(backend_factory, scenario):

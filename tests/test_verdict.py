@@ -31,6 +31,7 @@ from repro import (
     FullAccessRule,
     NotControlledError,
     RelationSchema,
+    UnionOfConjunctiveQueries,
     Variable,
     compile_plan,
     controlling_sets,
@@ -41,6 +42,8 @@ from repro import (
 from repro.core import controllability, plans
 from repro.core.controllability import coverage
 from repro.workloads import Q4, Q5, SOCIAL_ACCESS, SOCIAL_SCHEMA
+from sql_oracle import SqlOracle
+from witness import WitnessBackend, check_witness
 
 ATTRIBUTES = {"r": ("a0",), "s": ("a0", "a1"), "t": ("a0", "a1", "a2")}
 SCHEMA = DatabaseSchema([RelationSchema(name, attrs) for name, attrs in ATTRIBUTES.items()])
@@ -120,6 +123,74 @@ def test_every_verdict_is_whether_the_plan_compiles(case):
     assert decide_qsi(query, access, params).scale_independent is expected
     assert failed is None or failed.coverage == cover
     assert (params in controlling_sets(query, access, params, minimal_only=False)) is expected
+
+
+#: The values of generated instances and parameters.
+DOMAIN = (0, 1, None)
+
+
+def admitted(access, rows):
+    """``rows`` cut down, in order, to an instance every rule of
+    ``access`` admits -- per value of its inputs at most ``bound`` distinct
+    rows, or distinct outputs under an embedded rule: the instances the
+    paper's bounds speak of."""
+    kept = {name: list(dict.fromkeys(relation_rows)) for name, relation_rows in rows.items()}
+    for rule in access:
+        attributes = ATTRIBUTES[rule.relation]
+        inputs = [attributes.index(a) for a in rule.inputs]
+        outputs = [attributes.index(a) for a in getattr(rule, "outputs", attributes)]
+        groups: dict[tuple, set] = {}
+        admitted_rows = []
+        for row in kept[rule.relation]:
+            group = groups.setdefault(tuple(row[p] for p in inputs), set())
+            output = tuple(row[p] for p in outputs)
+            if output in group or len(group) < rule.bound:
+                group.add(output)
+                admitted_rows.append(row)
+        kept[rule.relation] = admitted_rows
+    return kept
+
+
+@st.composite
+def executes(draw):
+    """A case of :func:`cases` as an engine runs it: the query -- or its
+    union with a twin reading one more atom -- over an instance every rule
+    admits, with parameter values from the same small domain."""
+    query, access, params = draw(cases())
+    if draw(st.booleans()):
+        relation = draw(st.sampled_from(sorted(ATTRIBUTES)))
+        terms = [draw(st.sampled_from(VARIABLES[:3] + CONSTANTS)) for _ in ATTRIBUTES[relation]]
+        twin = ConjunctiveQuery(query.head, [*query.body, Atom(relation, terms)], query.equalities)
+        query = UnionOfConjunctiveQueries([query, twin])
+    row = {name: st.tuples(*[st.sampled_from(DOMAIN)] * len(attrs)) for name, attrs in ATTRIBUTES.items()}
+    rows = {name: draw(st.lists(row[name], min_size=4, max_size=10)) for name in ATTRIBUTES}
+    values = {v: draw(st.sampled_from(DOMAIN)) for v in params}
+    return query, access, admitted(access, rows), values
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(case=executes())
+def test_every_held_execute_has_a_witness(backend_factory, case):
+    """Section 2's definition on the engine's own path: a held
+    ``PreparedQuery.execute`` (its pipelines' generated functions) of every
+    controlled generated CQ and UCQ reads a witness ``D_Q`` within its
+    bound that answers the query as the whole instance does."""
+    query, access, rows, values = case
+    backend = WitnessBackend(backend_factory())
+    prepared = Engine(SCHEMA, access, data=rows, backend=backend).query(query)
+    try:
+        prepared.execute(values)  # the first execute binds; the next is held
+    except NotControlledError:
+        return
+    backend.take()
+    result = prepared.execute(values)
+    check_witness(SCHEMA, query, values, result, backend.take(), SqlOracle(SCHEMA, rows).answers(query, values))
 
 
 def test_coverage_steps_are_the_plan_steps():
