@@ -41,13 +41,12 @@ The package is organised as follows:
   stable codes with severities and 1-based source spans threaded from
   the parser; the uncontrollability trace and missing-rule advice read
   off the planner's walk (:class:`repro.core.controllability.Coverage`,
-  QRY007 / ACC005), the view advisor (VIW004 / VIW005), the cost model's
-  self-check (CST), the incremental-maintainability classifier (INC)
-  and plan certification (CRT) -- translation validation of every
-  compiled plan under ``Engine(certify=True)`` / ``REPRO_CERTIFY=1`` --
-  surfaced as ``prepared.diagnostics()`` / ``engine.analyze()``, and
-  the CI gate keeping the Q1-Q5 workload bundles error-free and
-  certified.
+  QRY007 / ACC005), the cost model's self-check (CST), the
+  incremental-maintainability classifier (INC) and plan certification
+  (CRT) -- translation validation of every compiled plan under
+  ``Engine(certify=True)`` / ``REPRO_CERTIFY=1`` -- surfaced as
+  ``prepared.diagnostics()`` / ``engine.analyze()``, and the CI gate
+  keeping the Q1-Q5 workload bundles error-free and certified.
 
 The most frequently used names are re-exported here for convenience.
 """

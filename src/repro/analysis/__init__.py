@@ -1,9 +1,8 @@
 """Static analysis and diagnostics for the scale-independence pipeline.
 
 The paper makes two static decisions -- Section 4's verdict on whether a
-query is controlled and Section 5's on whether a plan can be maintained
--- and Section 6 adds the views that rescue an uncontrolled query.  This
-package reports them as compiler-style diagnostics: a framework
+query is controlled and Section 5's on whether a plan can be maintained.
+This package reports them as compiler-style diagnostics: a framework
 (:mod:`repro.analysis.diagnostics` -- stable codes, severities, 1-based
 source spans threaded from the tokenizer through the AST) plus one pass
 per decision the engine makes:
@@ -13,12 +12,6 @@ per decision the engine makes:
   :class:`~repro.core.controllability.Coverage` (the trace a
   ``NotControlledError`` carries), and the minimal missing access rule
   (:func:`advise_missing_rule`) read off that same ``Coverage``;
-* :func:`advise_views` / ``engine.views.advise(queries)``
-  (VIW004-VIW005, :mod:`repro.analysis.advisor`) -- the one view
-  advisor, which also speaks for every uncontrolled query in
-  :func:`analyze_prepared`: MiniCon-style bucket search over connected
-  body subsets, stats-derived bounds, and adopted-vs-base pricing
-  through the cost model;
 * :func:`estimate_plan` / :func:`certify_selection` (CST001-CST003,
   :mod:`repro.analysis.cost`) -- the static cost model behind the
   engine's cost-based plan selection, optionally refined by observed
@@ -49,7 +42,7 @@ Three surfaces:
   :func:`analyze_prepared` on one engine, so a file reports what
   ``engine.analyze`` reports; it exits nonzero on any error;
 * CI -- the workflow runs ``python -m repro.analysis --workload
-  --certify --advise`` so the Q1-Q5 bundles (:func:`workload_report`)
+  --certify`` so the Q1-Q5 bundles (:func:`workload_report`)
   stay error-free with every plan certified.
 """
 
@@ -57,7 +50,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.analysis.advisor import ViewAdvice, _entries, advice_report, advise_views
 from repro.analysis.certify import certify_plan, check_plan
 from repro.analysis.cost import CostStats, certify_selection, check_selection, estimate_plan
 from repro.analysis.diagnostics import (
@@ -85,12 +77,9 @@ __all__ = [
     "register_code",
     "diagnostic",
     "analyze_query",
-    "advise_views",
-    "advice_report",
     "analyze_prepared",
     "analyze_engine",
     "workload_report",
-    "workload_advice",
     "certify_plan",
     "check_plan",
     "estimate_plan",
@@ -113,8 +102,8 @@ def analyze_prepared(
     when the engine's base access schema cannot control it, then --
     when the query compiles (views included) -- the INC
     incremental-maintainability classification and a CST003 note for
-    each plan the cost-based selector steered onto a view; when the
-    query does not compile, the view advisor's proposals instead."""
+    each plan the cost-based selector steered onto a view.  A query
+    that does not compile reports the QRY007 / ACC005 findings alone."""
     engine = prepared._engine
     parameters = tuple(parameters)
     report = analyze_query(
@@ -123,8 +112,7 @@ def analyze_prepared(
     try:
         plans = prepared.plan(parameters)
     except NotControlledError:
-        advices = advise_views(engine, [(prepared, parameters)], source=source)
-        return report.extend(advice_report(advices))
+        return report
     if not isinstance(plans, tuple):
         plans = (plans,)
     report.extend(classify_incremental(plans).report(source=source))
@@ -165,7 +153,15 @@ def analyze_engine(
     a ``(query, parameters, source)`` triple (the source labels that
     query's findings; ``source`` labels the rest)."""
     report = Report()
-    for prepared, params, entry_source in _entries(engine, queries, source):
+    for entry in queries:
+        params: Iterable[object] = ()
+        entry_source = source
+        if isinstance(entry, tuple):
+            if len(entry) == 3:
+                entry, params, entry_source = entry
+            else:
+                entry, params = entry
+        prepared = entry if hasattr(entry, "diagnostics") else engine.query(entry)
         report.extend(analyze_prepared(prepared, params, source=entry_source))
     return report
 
@@ -174,39 +170,14 @@ def workload_report(*, certify: bool | None = None) -> Report:
     """The repo's own gate: :func:`analyze_engine` over the Q1-Q5
     workload bundles (views V1/V2 registered, so Q4/Q5 compile), each
     bundle's findings labelled with its name.  CI runs this via ``python
-    -m repro.analysis --workload --certify --advise`` and fails on any
+    -m repro.analysis --workload --certify`` and fails on any
     error; with ``certify`` the engine additionally gates every
     compiled plan (base and view-augmented) on the
     :mod:`repro.analysis.certify` certifier."""
-    from repro.workloads import register_workload_views
-
-    engine, entries = _workload(certify=certify)
-    register_workload_views(engine)
-    return analyze_engine(engine, entries, source="social")
-
-
-def workload_advice(
-    *, persons: int = 400, seed: int = 0
-) -> tuple[tuple[ViewAdvice, ...], Report]:
-    """The advisor's run over the Q1-Q5 bundles: seed a social instance,
-    refresh cost statistics from it, and advise with *no* workload views
-    registered -- so Q4/Q5 are uncontrolled and yield multi-atom
-    proposals, and any expensive controlled bundle yields cost cuts.
-    Returns the ranked advice plus its VIW004/VIW005 report (the
-    ``python -m repro.analysis --workload --advise`` payload)."""
-    from repro.workloads import generate_social_network
-
-    engine, entries = _workload(generate_social_network(persons, seed=seed))
-    engine.refresh_cost_stats()
-    advices = advise_views(engine, entries)
-    return advices, advice_report(advices)
-
-
-def _workload(data=None, **engine_kwargs) -> tuple["Engine", list[tuple]]:
-    """A fresh engine over the Q1-Q5 bundles' schema and access rules,
-    and the bundles as ``(query, parameters, name)`` entries."""
-    from repro.workloads import RUNNING_QUERIES, VIEW_QUERIES
+    from repro.workloads import RUNNING_QUERIES, VIEW_QUERIES, register_workload_views
 
     bundles = RUNNING_QUERIES + VIEW_QUERIES
+    engine = bundles[0].engine(certify=certify)
+    register_workload_views(engine)
     entries = [(b.query, b.parameters, b.name) for b in bundles]
-    return bundles[0].engine(data, **engine_kwargs), entries
+    return analyze_engine(engine, entries, source="social")

@@ -9,21 +9,16 @@ and the repo's own workload bundles::
 
     # with access rules, each line is reported exactly as
     # engine.analyze reports it: the controllability trace, the INC and
-    # CST passes, and advised views for uncontrolled queries
+    # CST passes
     python -m repro.analysis queries.dl --schema schema.dl \\
         --access "friend(pid1 -> 32)" --params p
 
     # the CI gate: the Q1-Q5 workload bundles must be error-free and
     # every compiled plan must pass independent certification
-    python -m repro.analysis --workload --certify --advise
+    python -m repro.analysis --workload --certify
 
     # machine-readable output (what CI uploads as an artifact)
     python -m repro.analysis --workload --format json
-
-    # the multi-atom view advisor: seed a social instance, refresh cost
-    # stats, and propose covering views for the uncontrolled/expensive
-    # bundles (JSON output gains an "advice" key)
-    python -m repro.analysis --workload --advise --format json
 
     # the code table
     python -m repro.analysis --codes
@@ -46,11 +41,8 @@ from typing import Iterator, Sequence
 from repro.analysis import (
     CODES,
     Report,
-    advice_report,
-    advise_views,
     analyze_prepared,
     diagnostic,
-    workload_advice,
     workload_report,
 )
 from repro.api.engine import Engine, PreparedQuery
@@ -170,14 +162,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "with --workload, gate the bundles' engine on certification",
     )
     parser.add_argument(
-        "--advise",
-        action="store_true",
-        help="run the multi-atom view advisor: with --workload, seed a "
-        "social instance and propose covering views for the "
-        "uncontrolled/expensive bundles; with files, advise each query "
-        "against --schema/--access (no stats, default bounds)",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -197,8 +181,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--access requires --schema")
     if not args.files and not args.workload:
         parser.error("nothing to analyze: pass query files or --workload")
-    if args.advise and args.files and not args.access:
-        parser.error("--advise on files needs --schema and --access")
 
     report = Report()
     schema: DatabaseSchema | None = None
@@ -214,14 +196,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ReproError as exc:
             report.add(diagnostic("SYN001", str(exc), source="--access"))
 
-    advices: list = []
     if args.workload:
         try:
             report.extend(workload_report(certify=args.certify or None))
-            if args.advise:
-                workload_advices, advice_diags = workload_advice()
-                advices.extend(workload_advices)
-                report.extend(advice_diags)
         except CertificationError as exc:
             report.extend(_certification(exc, "--workload"))
 
@@ -229,7 +206,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     engine = None
     if access is not None:
         engine = Engine(schema, access, certify=args.certify or None)
-    entries: list[tuple] = []
     for filename in args.files:
         for lineno, line, query in _queries(filename, schema, report):
             if query is None or engine is None:
@@ -242,23 +218,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             except ValueError as exc:  # a union whose heads disagree
                 report.add(_line_error(str(exc), lineno, line, filename))
                 continue
-            entries.append((prepared, usable, filename))
             try:
                 report.extend(analyze_prepared(prepared, usable, source=filename))
             except CertificationError as exc:
                 report.extend(_certification(exc, filename))
-    if args.advise and entries:
-        # The lint already reported every controllability fix (VIW004);
-        # add the cost cuts.  The JSON payload keeps every proposal.
-        file_advices = advise_views(engine, entries)
-        advices.extend(file_advices)
-        report.extend(advice_report(a for a in file_advices if not a.controlled_after))
 
     if args.format == "json":
-        payload = report.to_dict()
-        if args.advise:
-            payload["advice"] = [advice.to_dict() for advice in advices]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report.to_dict(), indent=2))
     else:
         if report:
             print(report.render())

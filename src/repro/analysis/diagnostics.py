@@ -236,10 +236,6 @@ def _sort_key(d: Diagnostic) -> tuple[str, int, int, str]:
 register_code("QRY007", Severity.HINT, "variable can never become bound")
 register_code("ACC005", Severity.HINT, "missing access rule would control the query")
 
-# Section 6's view advisor (repro.analysis.advisor)
-register_code("VIW004", Severity.HINT, "advised view would make the query controlled")
-register_code("VIW005", Severity.HINT, "advised view would cut the plan's access cost")
-
 # Cost model (repro.analysis.cost) -- CST001/CST002 are errors: either
 # means the optimizer and an independent re-derivation disagree.
 register_code("CST001", Severity.ERROR, "cost-based selection kept a costlier plan")

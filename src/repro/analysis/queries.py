@@ -36,9 +36,8 @@ from repro.logic.ucq import UnionOfConjunctiveQueries, disjuncts_of
 
 Query = ConjunctiveQuery | UnionOfConjunctiveQueries
 
-#: The cardinality bound ACC005 proposals carry, and the view advisor's
-#: rules when no statistics size them -- a placeholder for a measured
-#: bound.
+#: The cardinality bound ACC005 proposals carry -- a placeholder for a
+#: measured bound.
 ADVISED_RULE_BOUND = 64
 
 

@@ -477,9 +477,8 @@ class PreparedQuery:
     def diagnostics(self, parameters: Iterable[object] = ()):
         """Statically analyze this query under the engine's access schema
         (:mod:`repro.analysis`): the QRY007 / ACC005 controllability
-        trace under the base access rules, the INC / CST passes when the
-        query compiles (views included), and the view advisor's
-        proposals (VIW004) when it does not.  Returns a
+        trace under the base access rules, and the INC / CST passes when
+        the query compiles (views included).  Returns a
         :class:`repro.analysis.Report`; nothing executes."""
         from repro.analysis import analyze_prepared
 
@@ -542,7 +541,7 @@ class Engine:
         self._cache = PlanCache(plan_cache_size)
         self._texts = PlanCache(plan_cache_size)  # text or query -> PreparedQuery
         self._views = ViewSet(schema)
-        self._views._owner = self  # back-reference for advise() and _advance()
+        self._views._owner = self  # register/drop call _advance()
         # (generation, (access schema, view catalog), CostStats | None): one
         # slot, so a reader gets a generation and the state it names in one
         # load.  The middle pair is a plan's *basis* (what its validity

@@ -454,8 +454,8 @@ class ViewSet:
         self._state_locks: dict[str, threading.Lock] = {}
         self._version = 0
         self._catalog: ViewCatalog | None = None
-        # Back-reference set by the owning Engine: advise() needs its access
-        # schema and cost statistics, register/drop advance its generation.
+        # Back-reference set by the owning Engine: register/drop advance
+        # its generation.
         self._owner = None
 
     @property
@@ -536,34 +536,6 @@ class ViewSet:
         if self._owner is not None:
             self._owner._advance()
         return view
-
-    def advise(self, queries: Iterable[object] = ()):
-        """Mine ``queries`` for covering-view opportunities
-        (:func:`repro.analysis.advisor.advise_views`): ranked
-        :class:`~repro.analysis.advisor.ViewAdvice` proposals -- possibly
-        multi-atom -- that would make an uncontrolled query controlled
-        (VIW004) or cut a controlled query's estimated cost (VIW005),
-        each priced with the cost model and sized from observed
-        statistics when available.  Each entry of ``queries`` is query
-        text, a query object, a ``PreparedQuery`` or a
-        ``(query, parameters)`` pair.  Nothing is registered: feed a
-        proposal to :meth:`adopt` to act on it."""
-        engine = self._owner
-        if engine is None:
-            raise SchemaError(
-                "advise() needs a ViewSet owned by an Engine (construct "
-                "the engine first and use engine.views.advise(...))"
-            )
-        # Imported lazily: repro.analysis sits above repro.views.
-        from repro.analysis.advisor import advise_views
-
-        return advise_views(engine, queries)
-
-    def adopt(self, advice) -> ViewDef:
-        """Register the view a :class:`~repro.analysis.advisor.ViewAdvice`
-        proposes (its definition text under its derived access rule) and
-        return the resulting :class:`ViewDef`."""
-        return self.register(advice.name, advice.definition, advice.rule)
 
     def drop(self, name: str) -> ViewDef:
         """Unregister ``name`` and discard its materialization.  Plans

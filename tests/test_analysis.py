@@ -156,11 +156,6 @@ def test_prepared_diagnostics():
     assert (finding.span.line, finding.span.column) == (1, 9)
 
 
-def test_engine_analyze_advises_views_for_uncontrolled_queries():
-    report = engine().analyze([("Q(f) :- friend(f, p)", ("p",))])
-    assert report.by_code("VIW004")
-
-
 def test_workload_is_warning_clean_with_exactly_the_known_hints():
     report = workload_report()
     assert report.ok()
@@ -184,14 +179,14 @@ def test_workload_certifies_clean():
 def test_cli_flags_the_bad_fixture(capsys):
     fixture = str(FIXTURES / "bad_queries.dl")
     exit_code = main([fixture, "--schema", SCHEMA_TEXT, "--access", ACCESS_TEXT,
-                      "--params", "p", "--advise"])
+                      "--params", "p"])
     out = capsys.readouterr().out
     assert exit_code == 1  # the SYN001 on the last line is an error
     # Every query line trips a kept code, at its file coordinates.
     for anchor in ("2:12: QRY007", "2:12: ACC005", "3:9: QRY007", "3:9: ACC005",
-                   "3:9: VIW004", "4:26: QRY007", "4:26: ACC005", "5:21: SYN001"):
+                   "4:26: QRY007", "4:26: ACC005", "5:21: SYN001"):
         assert f"bad_queries.dl:{anchor}" in out
-    assert "1 error, 8 hints" in out
+    assert "1 error, 6 hints" in out
     # Without access rules a line is only parsed: the SYN001 alone.
     assert main([fixture, "--schema", SCHEMA_TEXT]) == 1
     out = capsys.readouterr().out
@@ -214,20 +209,12 @@ def test_cli_workload_gate_is_clean(capsys):
     assert capsys.readouterr().out.endswith("\n4 hints\n")
 
 
-def test_cli_advises_views_for_uncontrolled_file_queries(tmp_path, capsys):
-    f = tmp_path / "uncontrolled.dl"
-    f.write_text("Q(f) :- friend(f, p)\n")
-    main([str(f), "--schema", SCHEMA_TEXT, "--access", ACCESS_TEXT,
-          "--params", "p"])
-    assert "VIW004" in capsys.readouterr().out
-
-
 def test_cli_codes_table_lists_every_code(capsys):
     assert main(["--codes"]) == 0
     out = capsys.readouterr().out
     for code in CODES:
         assert code in out
-    assert len(CODES) == 17  # QRY 1, ACC 1, VIW 2, CST 3, INC 2, CRT 7, SYN 1
+    assert len(CODES) == 15  # QRY 1, ACC 1, CST 3, INC 2, CRT 7, SYN 1
     # No code warns: a finding informs (hint) or fails the run (error).
     assert {info.severity for info in CODES.values()} == {Severity.HINT, Severity.ERROR}
 
@@ -262,7 +249,7 @@ ONE_DRIVER_CASES = [
     ),
     # An embedded-rule fetch: INC001 (the linter once missed it).
     ("Q(u) :- friend(p, y), visits(y, u)", EMBEDDED_ACCESS),
-    # Uncontrolled: the advisor's VIW004.
+    # Uncontrolled: the QRY007 trace and the ACC005 missing rule.
     ("Q(f) :- friend(f, p)", ACCESS_TEXT),
 ]
 
@@ -283,16 +270,6 @@ def test_cli_reports_what_engine_analyze_reports(text, access_text, tmp_path, ca
         )
 
     assert findings(cli) == findings(api)
-
-
-def test_cli_advise_anchors_one_proposal_at_its_own_line(tmp_path, capsys):
-    f = tmp_path / "q3.dl"
-    f.write_text("# header\n\nQ(f) :- friend(f, p)\n")
-    main([str(f), "--schema", SCHEMA_TEXT, "--access", ACCESS_TEXT,
-          "--params", "p", "--advise"])
-    out = capsys.readouterr().out
-    (proposal,) = [line for line in out.splitlines() if " VIW" in line]
-    assert proposal.startswith(f"{f}:3:9: VIW004 hint:")
 
 
 def test_cli_union_the_engine_cannot_prepare_is_a_syntax_error(tmp_path, capsys):

@@ -415,7 +415,7 @@ def test_not_controlled_error_carries_dataflow_trace(social_schema, social_acces
 
 def test_report_renders_in_deterministic_source_order():
     report = Report()
-    report.add(diagnostic("VIW004", "late", span=Span(9, 1, 9, 2), source="b.dl"))
+    report.add(diagnostic("CST003", "late", span=Span(9, 1, 9, 2), source="b.dl"))
     report.add(diagnostic("QRY007", "tie-break by code", span=Span(2, 5, 2, 6), source="a.dl"))
     report.add(diagnostic("ACC005", "first", span=Span(2, 5, 2, 6), source="a.dl"))
     report.add(diagnostic("SYN001", "no span sorts first", source="a.dl"))
@@ -424,7 +424,7 @@ def test_report_renders_in_deterministic_source_order():
         "SYN001",  # a.dl, no span, sorts before spanned lines
         "ACC005",  # a.dl:2:5 -- span tie broken by code
         "QRY007",  # a.dl:2:5
-        "VIW004",  # b.dl:9:1 -- source is the major key
+        "CST003",  # b.dl:9:1 -- source is the major key
     ]
     # Insertion order is irrelevant: the same diagnostics added in any
     # order render identically.

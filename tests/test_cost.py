@@ -1,5 +1,5 @@
 """The static cost model, cost-based plan selection, the
-incremental-maintainability classifier and the multi-atom view advisor.
+incremental-maintainability classifier and the linter's JSON artifact.
 
 The cost model must agree with the certifier's fanout arithmetic at
 unit costs, refine (never inflate) under observed statistics, and the
@@ -25,14 +25,11 @@ from repro import (
 )
 from repro.analysis import (
     CostStats,
-    advise_views,
-    advice_report,
     certify_plan,
     certify_selection,
     check_selection,
     classify_incremental,
     estimate_plan,
-    workload_advice,
 )
 from repro.analysis.__main__ import main
 from repro.analysis.cost import CostEstimate
@@ -273,128 +270,19 @@ def test_partially_blocked_union_reports_inc002():
     assert "1 of 2 union disjuncts" in d.message
 
 
-# -- the multi-atom view advisor ------------------------------------------
+# -- the CI artifact ------------------------------------------------------
 
 
-def test_advisor_proposes_a_multi_atom_view_for_an_uncontrolled_query():
-    eng = engine()
-    eng.refresh_cost_stats()
-    # Q4's shape: keyed on ?p through friend's *second* position, which
-    # no access rule reaches -- uncontrolled until a view inverts it.
-    q4 = "Q(f) :- friend(f, p), person(f, n, 'NYC')"
-    advices = eng.views.advise([(q4, ("p",))])
-    assert advices, "the advisor found nothing for an uncontrolled query"
-    assert all(a.controlled_after for a in advices)
-    multi = [a for a in advices if a.atoms >= 2]
-    assert multi, "no multi-atom proposal"
-    advice = multi[0]
-    assert advice.stats_derived  # bound sized from the observed data
-    assert advice.key == ("p",)
-    assert advice.projected_cost > 0
-    # Adoption makes the query controlled, answers included.
-    view = eng.views.adopt(advice)
-    assert view.name == advice.name
-    rows = eng.execute(q4, {"p": 3}).rows
-    assert rows == ((1,),)  # friends of 3 living in NYC: person 1
-    report = advice_report(advices, source="Q4")
-    assert report.by_code("VIW004")
-    assert report.ok()  # hints, not warnings
-
-
-def test_advisor_prices_cost_cuts_for_expensive_controlled_queries():
-    eng = engine()
-    eng.refresh_cost_stats()
-    q = "Q(z) :- friend(p, y), friend(y, z), person(z, n, 'NYC')"
-    # Base cost 32 + 1024 + 1024 = 2080 at declared bounds: expensive.
-    # The observed friend fanout is 3, so a chain view keyed on ?p gets
-    # a stats-derived bound of 9 and cuts the certifiable cost.
-    advices = advise_views(eng, [(q, ("p",))])
-    assert advices
-    advice = advices[0]
-    assert not advice.controlled_after
-    assert advice.base_cost == 2080
-    assert advice.stats_derived
-    assert advice.projected_cost < advice.base_cost
-    assert advice.cost_delta > 0
-    (d,) = advice_report([advice]).by_code("VIW005")
-    assert "2080" in d.message
-
-
-def test_advisor_skips_cheap_controlled_queries_and_registered_views():
-    eng = engine()
-    eng.refresh_cost_stats()
-    assert advise_views(eng, [(Q1, ("p",))]) == ()  # cost 64 < 256
-    q = "Q(z) :- friend(p, y), friend(y, z), person(z, n, 'NYC')"
-    advices = advise_views(eng, [(q, ("p",))])
-    assert advices
-    eng.views.adopt(advices[0])
-    # Re-advising proposes nothing equivalent to what is now registered.
-    adopted_body = advices[0].definition.split(" :- ", 1)[1]
-    second = advise_views(eng, [(q, ("p",))])
-    assert all(
-        a.definition.split(" :- ", 1)[1] != adopted_body for a in second
-    )
-
-
-def test_advisor_skips_a_candidate_equivalent_to_a_registered_view():
-    # A renamed copy of the candidate's body, keyed where nothing binds:
-    # the query stays uncontrolled, and the two-way body homomorphism
-    # keeps the advisor from proposing the same view again.
-    eng = engine()
-    q = "Q(f) :- friend(f, p)"
-    (advice,) = advise_views(eng, [(q, ("p",))])
-    assert advice.definition == "V_friend(?p, ?f) :- friend(?f, ?p)"
-    eng.views.register("V", "V(a, b) :- friend(b, a)", "V(b -> 8)")
-    assert advise_views(eng, [(q, ("p",))]) == ()
-
-
-def test_workload_advice_meets_the_acceptance_bar():
-    advices, report = workload_advice(persons=120)
-    q4_multi = [
-        a
-        for a in advices
-        if a.source == "Q4" and a.atoms >= 2 and a.controlled_after
-    ]
-    assert q4_multi, "no multi-atom proposal for the uncontrolled Q4"
-    assert q4_multi[0].stats_derived
-    assert report.by_code("VIW004")
-    assert report.ok()
-
-
-def test_cli_advise_emits_the_json_advice_artifact(capsys):
-    assert main(["--workload", "--advise", "--format", "json"]) == 0
+def test_cli_workload_json_is_the_four_workload_hints(capsys):
+    # The JSON report CI uploads: Q4 and Q5, which only the views
+    # control, are the only findings -- a QRY007 trace and an ACC005
+    # missing rule each under the base access rules.
+    assert main(["--workload", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["advice"], "no advice in the JSON artifact"
-    entry = payload["advice"][0]
-    assert {"definition", "rule", "bound", "projected_cost"} <= set(entry)
-    codes = {d["code"] for d in payload["diagnostics"]}
-    assert "VIW004" in codes
-
-
-def test_cli_advise_on_files_needs_access(tmp_path, capsys):
-    queries = tmp_path / "q.dl"
-    queries.write_text("Q(y) :- friend(p, y)\n")
-    with pytest.raises(SystemExit):
-        main([str(queries), "--advise", "--schema", SCHEMA_TEXT])
-    capsys.readouterr()
-    assert (
-        main(
-            [
-                str(queries),
-                "--advise",
-                "--schema",
-                SCHEMA_TEXT,
-                "--access",
-                ACCESS_TEXT,
-                "--params",
-                "p",
-                "--format",
-                "json",
-            ]
-        )
-        == 0
-    )
-    json.loads(capsys.readouterr().out)
+    assert "advice" not in payload
+    codes = sorted(d["code"] for d in payload["diagnostics"])
+    assert codes == ["ACC005", "ACC005", "QRY007", "QRY007"]
+    assert {d["severity"] for d in payload["diagnostics"]} == {"hint"}
 
 
 # -- the workload invariant stays put -------------------------------------
