@@ -104,9 +104,6 @@ class CostStats:
                 fanouts[(name, (position,))] = max(counts.values(), default=0)
         return cls(sizes, fanouts)
 
-    def size(self, relation: str) -> int | None:
-        return self.relation_sizes.get(relation)
-
     def fanout(self, relation: str, positions: tuple[int, ...]) -> int | None:
         """The observed max group size for a lookup keyed on
         ``positions`` -- the minimum over the measured single-position

@@ -75,7 +75,7 @@ def test_cost_estimate_matches_fanout_bound_at_unit_costs():
 def test_stats_refine_but_never_inflate():
     eng = engine()
     stats = CostStats.from_database(eng.require_database())
-    assert stats.size("friend") == 4
+    assert stats.relation_sizes["friend"] == 4
     # Observed max fanout of friend on pid1 is 3 (person 1 has 3 edges).
     assert stats.fanout("friend", (0,)) == 3
     plan = one_plan(eng.query(Q1))
