@@ -6,7 +6,7 @@ conjunctive queries.  Atoms and equalities live in :mod:`repro.logic.ast`,
 conjunctive queries in :mod:`repro.logic.cq`, unions in
 :mod:`repro.logic.ucq`, and naive evaluation (the oracle the engine is
 checked against) in :mod:`repro.logic.evaluation`.  Homomorphism-based
-reasoning (containment, equivalence, minimisation, witnesses) is in
+reasoning (containment, equivalence, witnesses) is in
 :mod:`repro.logic.homomorphism`; the renaming- and reordering-invariant
 form plans are cached by is in :mod:`repro.logic.canonical`.  The
 Datalog-style concrete syntax (``Q(x) :- Person(x, 'NYC')``) is parsed by

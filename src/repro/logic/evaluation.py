@@ -21,14 +21,6 @@ from repro.logic.terms import Constant, Variable
 Assignment = dict[Variable, object]
 
 
-def _term_value(term, assignment: Mapping[Variable, object]):
-    """The value of ``term`` under ``assignment``, or a KeyError if it is an
-    unassigned variable."""
-    if isinstance(term, Constant):
-        return term.value
-    return assignment[term]
-
-
 def _bound_pattern(atom: Atom, assignment: Mapping[Variable, object]) -> dict[int, object]:
     """The positions of ``atom`` whose value is already determined, mapped to
     that value."""

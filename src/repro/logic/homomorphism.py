@@ -4,7 +4,7 @@ Containment of CQs is characterised by homomorphisms (Chandra & Merlin's
 classic theorem): ``Q1`` is contained in ``Q2`` iff there is a homomorphism
 from ``Q2`` into the canonical database of ``Q1`` mapping head to head.
 This module implements the backtracking homomorphism search and the derived
-notions: containment, equivalence and minimisation (the core of a CQ).
+notions: containment and equivalence.
 
 :func:`body_homomorphisms` exposes the body-to-body search on its own
 (no head constraint): it enumerates every way one atom list maps into
@@ -139,23 +139,3 @@ def is_contained_in(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
 def are_equivalent(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     """True iff the two queries have the same answers on every database."""
     return is_contained_in(q1, q2) and is_contained_in(q2, q1)
-
-
-def minimize(query: ConjunctiveQuery) -> ConjunctiveQuery:
-    """An equivalent query with a minimal body (the core), obtained by
-    greedily dropping redundant atoms."""
-    body = list(query.body)
-    changed = True
-    while changed and len(body) > 1:
-        changed = False
-        for i in range(len(body)):
-            candidate_body = body[:i] + body[i + 1 :]
-            try:
-                candidate = ConjunctiveQuery(query.head, candidate_body, query.equalities)
-            except ValueError:
-                continue  # dropping this atom would make the head unsafe
-            if are_equivalent(candidate, query):
-                body = candidate_body
-                changed = True
-                break
-    return ConjunctiveQuery(query.head, body, query.equalities)

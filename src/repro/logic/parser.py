@@ -39,13 +39,18 @@ of :class:`~repro.logic.terms.Constant` accepts.  (A NaN constant built
 elsewhere does not equal it, so the round trip above does not extend to
 it.)
 
-A text is scanned once into parallel lists -- kind, text, offset, value --
-and one cursor type (:class:`TokenStream`) walks them: for this grammar,
-which indexes the lists, and for the schema and access DSLs
-(:meth:`~repro.relational.schema.DatabaseSchema.parse`,
+A query takes one of two paths.  A *plain rule* -- one line
+``Q(x) :- R(x, 'NYC'), S(x, y)`` of ASCII names (no keyword or lone ``_``)
+and escape-free single-quoted strings, spaced as here -- is read by regex:
+one ``fullmatch``, one match per atom, one ``findall`` per term list.  Any
+other text, and a plain rule the schema or the safety check rejects, takes
+the token path, which words and places every error: one scan into parallel
+lists -- kind, text, offset, value -- that one cursor type
+(:class:`TokenStream`) walks, for this grammar and for the schema and
+access DSLs (:meth:`~repro.relational.schema.DatabaseSchema.parse`,
 :meth:`~repro.core.access_schema.AccessSchema.parse`), which ask it for
-:class:`Token` objects -- made on demand, also by error paths and
-:func:`tokenize`: a well-formed query costs its lexemes, not an object each.
+:class:`Token` objects, made on demand (also by error paths and
+:func:`tokenize`).
 """
 
 from __future__ import annotations
@@ -258,11 +263,8 @@ class TokenStream:
     def span(self, first: int, last: int) -> Span:
         """The source range from token ``first``'s first character to token
         ``last``'s last (for a multi-line string literal, its closing quote)."""
-        source, start = self.source, self.offsets[first]
         end = self.offsets[last] + max(len(self.texts[last]), 1) - 1
-        if "\n" not in source:  # the usual case: no line to count
-            return Span(1, start + 1, 1, end + 1)
-        return Span(*_position(source, start), *_position(source, end))
+        return Span(*_position(self.source, self.offsets[first]), *_position(self.source, end))
 
 
 def tokenize(text: str) -> tuple[Token, ...]:
@@ -387,6 +389,32 @@ class _QueryParser:
         return terms, index + 1
 
 
+# A plain rule (module docstring); within one, each atom (the head first) and term.
+_PLAIN_NAME = r"(?:\?[A-Za-z_]\w*|(?!(?:True|False|None|inf|nan|_)[,)])[A-Za-z_]\w*)"
+_PLAIN_LIST = r"[A-Za-z_]\w*\((?:{0}(?:, {0})*)?\)"  # a head or an atom, each term a {0}
+_PLAIN_ATOM = _PLAIN_LIST.format(rf"(?:{_PLAIN_NAME}|'[^'\\\n\r\0\ud800-\udfff]*')")
+_PLAIN_RULE = re.compile(rf"{_PLAIN_LIST.format(_PLAIN_NAME)} :- {_PLAIN_ATOM}(?:, {_PLAIN_ATOM})*", re.ASCII)
+_ATOMS = re.compile(r"(\w+)\(([^')]*(?:'[^']*'[^')]*)*)\)").finditer
+_TERMS = re.compile(r"'([^']*)'|([^ ,]+)").findall
+
+
+def _plain_rule(text: str, schema) -> ConjunctiveQuery | None:
+    """``text`` as a plain rule, or None: the token parser's to read or reject."""
+    if _PLAIN_RULE.fullmatch(text) is None:
+        return None
+    head, *atoms = _ATOMS(text)
+    body = []
+    for m in atoms:
+        relation, terms = m[1], tuple([_variable_from_name(n) if n else Constant(s) for s, n in _TERMS(m[2])])
+        if schema is not None and schema.arities.get(relation) != len(terms):
+            return None
+        body.append(Atom._trusted(relation, terms, Span(1, m.start() + 1, 1, m.end())))
+    try:
+        return ConjunctiveQuery([_variable_from_name(name) for _, name in _TERMS(head[2])], body)
+    except ValueError:  # an unsafe head
+        return None
+
+
 def parse_query(text: str, schema=None) -> ConjunctiveQuery | UnionOfConjunctiveQueries:
     """Parse Datalog-style ``text`` into a CQ (one rule) or a UCQ (several
     rules separated by ``;`` or ``UNION``).
@@ -395,7 +423,7 @@ def parse_query(text: str, schema=None) -> ConjunctiveQuery | UnionOfConjunctive
     every atom is checked against it during the parse, so an unknown
     relation or a wrong arity is reported with the exact source position.
     """
-    return _QueryParser(TokenStream(text), schema).parse()
+    return _plain_rule(text, schema) or _QueryParser(TokenStream(text), schema).parse()
 
 
 def parse_cq(text: str, schema=None) -> ConjunctiveQuery:

@@ -24,8 +24,16 @@ from repro.core.executor import (
     pipeline_for,
 )
 from repro.core.plans import Plan, ProbeStep
-from repro.logic.evaluation import _bound_pattern, _extend, _term_value, row_matches
+from repro.logic.evaluation import _bound_pattern, _extend, row_matches
 from repro.logic.terms import Constant
+
+
+def _term_value(term, assignment: Mapping[object, object]):
+    """The value of ``term`` under ``assignment``, or a KeyError if it is an
+    unassigned variable."""
+    if isinstance(term, Constant):
+        return term.value
+    return assignment[term]
 
 
 def execute_per_tuple(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mutation import mutate
 from repro import (
     AccessRule,
     AccessSchema,
@@ -979,3 +980,120 @@ def test_generated_wildcards_are_fresh_and_round_trip(query):
         parsed.equalities,
     )
     assert renamed == query
+
+
+# -- plain rules: the fast path parses as the token parser does ------------
+
+PLAIN_SCHEMA = parse_schema("r(a); s(a, b); person(pid, name, city)")
+PLAIN_TERMS = ["x", "y", "?x", "?y1", "x1", "_y", "Truex", "UNION", "'NYC'", "''", "'a, b) c('", "'é ?x #'"]
+OFF_TERMS = ["1", "-2", "2.5", "1e3", "True", "False", "None", "inf", "-inf", "nan", "_", '"NYC"', "'a\\'b'",
+             "'\\n'", "?", "? x", "x y", "x = y"]
+OFF_PIECES = {
+    "head": ["'a'", "1", "_", "True", "nan"],  # a constant or a wildcard in the head
+    "arrow": [" <- ", ":-", " :-  ", "  :- ", " :-\n", " :- # c\n"],
+    "separator": [",", " ,", ",  ", ",\n", " , ", ",\t"],
+    "tail": [" # c", "\n", " ", ";", ")", ", x = y", ", x = 'a'", "; Q(x) :- r(x)", " UNION Q(y) :- r(y)"],
+}
+
+
+@st.composite
+def one_line_rules(draw):
+    """``(text, schema)``: a one-line rule on the plain pattern -- each term
+    an ASCII name or a plain single-quoted string, one space around ':-'
+    and after each ',' -- or, for most draws, one piece off it.  The schema
+    is None or one that knows ``r``, ``s`` and ``person`` (not ``nope``)."""
+
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    relations = draw(st.lists(st.sampled_from(["r", "s", "person", "nope"]), min_size=1, max_size=3))
+    atoms = [[pick(PLAIN_TERMS) for _ in range(PLAIN_SCHEMA.arities.get(r, 1))] for r in relations]
+    head = draw(st.lists(st.sampled_from(["x", "?x", "y", "z"]), max_size=2))  # 'z' is never bound
+    pieces = {"arrow": " :- ", "separator": ", ", "tail": ""}
+    off = pick(["on", "on", "term", "arity", *OFF_PIECES])
+    i = draw(st.integers(0, len(atoms) - 1))
+    if off == "term":
+        atoms[i][draw(st.integers(0, len(atoms[i]) - 1))] = pick(OFF_TERMS)
+    elif off == "arity":  # a term too many or too few
+        atoms[i] = atoms[i][1:] if draw(st.booleans()) else [*atoms[i], pick(PLAIN_TERMS)]
+    elif off == "head":
+        head.insert(draw(st.integers(0, len(head))), pick(OFF_PIECES["head"]))
+    elif off != "on":
+        pieces[off] = pick(OFF_PIECES[off])
+    separator = pieces["separator"]
+    body = separator.join(f"{r}({separator.join(terms)})" for r, terms in zip(relations, atoms))
+    text = f"{pick(['Q', 'V1', 'True'])}({separator.join(head)}){pieces['arrow']}{body}{pieces['tail']}"
+    return text, draw(st.sampled_from([None, PLAIN_SCHEMA]))
+
+
+def parsed(parse, text, schema):
+    """What ``parse`` makes of ``text``: the query and every atom's and
+    equality's span, or the ParseError's text and position."""
+    try:
+        query = parse(text, schema)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+    disjuncts = query.disjuncts if isinstance(query, UnionOfConjunctiveQueries) else [query]
+    return query, [node.span for q in disjuncts for node in (*q.body, *q.equalities)]
+
+
+def token_parse(text, schema):
+    return parser._QueryParser(parser.TokenStream(text), schema).parse()
+
+
+@settings(max_examples=1_000, derandomize=True, deadline=None, database=None)
+@given(one_line_rules())
+def test_plain_rules_parse_as_the_token_parser(case):
+    assert parsed(parse_query, *case) == parsed(token_parse, *case), case
+
+
+@pytest.mark.parametrize(
+    "text, plain",
+    [
+        ("Q(y) :- friend(p, y), person(y, n, 'NYC')", True),
+        ("Q(?x) :- R(?x, 'a, b) c(', ''), S(x1)", True),
+        ("Q() :- R()", True),
+        ("Q(x) :- R(x, 1)", False),
+        ("Q(x) :- R(x, True)", False),
+        ("Q(x) :- R(x, _)", False),
+        ("Q(x) <- R(x)", False),
+        ("Q(x) :- R(x,y)", False),
+        ("Q(x) :- R(x) # c", False),
+        ("Q(x) :- R(x), x = y", False),
+        ("Q(x) :- R(x); Q(x) :- S(x)", False),
+        ("Q('a') :- R(x)", False),
+        ("Q(z) :- R(x)", False),  # unsafe
+        ("Q(x) :- nope(x)", False),  # with the schema below
+        ("Q(x) :- R(x, \"a\")", False),
+    ],
+)
+def test_which_texts_are_plain_rules(text, plain):
+    schema = parse_schema("R(a, b, c); S(a); friend(a, b); person(a, b, c)") if "nope" in text else None
+    assert (parser._plain_rule(text, schema) is not None) is plain
+    assert parsed(parse_query, text, schema) == parsed(token_parse, text, schema)
+
+
+def keyword_read_as_a_name(monkeypatch):
+    pattern = parser._PLAIN_RULE.pattern
+    assert "True|" in pattern, "mutation site moved"
+    monkeypatch.setattr(parser, "_PLAIN_RULE", re.compile(pattern.replace("True|", ""), re.ASCII))
+
+
+#: name -> (the code to break in ``_plain_rule``, what to break it into), or
+#: a function that installs the mutant
+PLAIN_MUTANTS = {
+    "terms read without the whole-text match": ("_PLAIN_RULE.fullmatch(text) is None", "not text"),
+    "an atom's arity not checked": ("schema.arities.get(relation) != len(terms)", "relation not in schema.arities"),
+    "a keyword read as a name": keyword_read_as_a_name,
+}
+
+
+@pytest.mark.parametrize("name", PLAIN_MUTANTS)
+def test_plain_rule_mutants_fail_the_differential_property(monkeypatch, name):
+    mutant = PLAIN_MUTANTS[name]
+    if callable(mutant):
+        mutant(monkeypatch)
+    else:
+        mutate(monkeypatch, parser, "_plain_rule", *mutant, name)
+    with pytest.raises(AssertionError):
+        test_plain_rules_parse_as_the_token_parser()

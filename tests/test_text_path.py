@@ -12,9 +12,15 @@ is the plain tuple one canonical walk encodes.
   the equality-resolving check;
 * **a plain key**: ``canonical_key`` returns a hashable tuple, and the
   plan cache files its entry under that tuple unchanged;
-* **mutants**: an arity check skipped, the no-equality safety check
-  skipped, one ``Variable`` handed to two names and a constant encoded
-  without its type are each killed by the check named for them.
+* **mutants**: an arity check skipped (the token parser's or the plain
+  rule's), the no-equality safety check skipped, one ``Variable`` handed
+  to two names and a constant encoded without its type are each killed by
+  the check named for them.
+
+A plain rule (:mod:`repro.logic.parser`) skips the token parser, and so
+its mutants: the token parser's are killed by texts that reach it -- a
+plain rule the schema rejects falls back to it, and ``shared_variables``
+parses each text in both spellings, ``:-`` and ``<-``.
 """
 
 import pytest
@@ -33,7 +39,7 @@ from repro import (
     parse_query,
     parse_schema,
 )
-from repro.logic import canonical
+from repro.logic import canonical, parser
 from repro.logic.canonical import canonical_key
 from repro.logic.cq import resolve_equalities
 from repro.logic.parser import _QueryParser
@@ -148,13 +154,14 @@ def schema_checks():
 
 
 def shared_variables():
-    text = "Q(abc, abd) :- r(abc, abd, ab, ?abc)"
-    first, second = parse_query(text), parse_query(text)
-    assert first.body[0].terms == tuple(map(Variable, ("abc", "abd", "ab", "abc")))
-    assert first.head == (Variable("abc"), Variable("abd"))
-    # one object per spelling of a name, shared by every parse
-    assert first.head[0] is first.body[0].terms[0]
-    assert all(a is b for a, b in zip(first.body[0].terms, second.body[0].terms))
+    for arrow in (":-", "<-"):  # a plain rule, then the token parser
+        text = f"Q(abc, abd) {arrow} r(abc, abd, ab, ?abc)"
+        first, second = parse_query(text), parse_query(text)
+        assert first.body[0].terms == tuple(map(Variable, ("abc", "abd", "ab", "abc")))
+        assert first.head == (Variable("abc"), Variable("abd"))
+        # one object per spelling of a name, shared by every parse
+        assert first.head[0] is first.body[0].terms[0]
+        assert all(a is b for a, b in zip(first.body[0].terms, second.body[0].terms))
 
 
 def typed_keys():
@@ -196,6 +203,13 @@ MUTANTS = {
         "_rule",
         "arities.get(relation) != len(terms)",
         "relation not in arities",
+        "schema",
+    ),
+    "a plain rule's arity not checked": (
+        parser,
+        "_plain_rule",
+        "schema.arities.get(relation) != len(terms)",
+        "relation not in schema.arities",
         "schema",
     ),
     "no safety check without equalities": (

@@ -181,22 +181,28 @@ def owned_file():
     bounded read on it pays no lock / change-counter / unlock system calls
     and costs what it costs on an in-memory SQLite database (20,000 one-key
     ``lookup_keys`` at 10,000 persons, file / memory).  Fifteen runs on PR 23
-    read 0.97-1.06; a lock per read (its parent) read 2.08-2.14."""
+    read 0.97-1.06; a lock per read (its parent) read 2.08-2.14.  Timed side
+    after side (best of five each), one run in six read 1.729: a slow host
+    phase had met the file's rounds only.  The sides now alternate, best of
+    fifteen rounds each: twelve runs read 0.984-1.028 on a 2-vCPU host, and
+    six under a forced load there (two busy processes, 0.7 s on, 0.7 s off)
+    1.001-1.007, where side after side read 0.684-2.047 under that load."""
 
-    def best_us(backend):
-        read, keys = backend.lookup_keys, [(7,)]
-
-        def run():
-            for _ in range(20_000):
-                read("friend", (0,), keys)
-
-        return _best_us(run, 20_000)
+    def rounds(*backends):
+        best, keys = [float("inf")] * 2, [(7,)]
+        for i in range(15):  # alternating, so a slow phase meets both sides
+            for side in (0, 1) if i % 2 else (1, 0):
+                read, start = backends[side].lookup_keys, time.perf_counter()
+                for _ in range(20_000):
+                    read("friend", (0,), keys)
+                best[side] = min(best[side], time.perf_counter() - start)
+        return [seconds / 20_000 * 1e6 for seconds in best]
 
     with tempfile.TemporaryDirectory() as tmp:
         on_file, in_memory = SqliteBackend(os.path.join(tmp, "store.sqlite3")), SqliteBackend()
         for backend in (on_file, in_memory):
             social_engine(10_000, seed=1, backend=backend)
-        file_us, memory_us = best_us(on_file), best_us(in_memory)
+        file_us, memory_us = rounds(on_file, in_memory)
         on_file.close()
     print("file:", round(file_us, 2), "us  memory:", round(memory_us, 2), "us  ratio:", round(file_us / memory_us, 3))
     return file_us / memory_us <= 1.35
@@ -209,7 +215,9 @@ def new_text():
     bound once (a cheaper denominator) 9.46-11.91, so the gate moved from 9.5
     to 14.  Term lists read 6.72-9.27 over fifteen runs (three slow-phase runs
     11.99-12.33), the call-per-term parent 9.08-10.48: no threshold parts
-    them, so it stays at 14, which compiling per text (30.9-35.5) still fails."""
+    them, so it stays at 14, which compiling per text (30.9-35.5) still fails.
+    A plain rule read by regex: six runs interleaved with the token parser's
+    read 8.34-8.83 against 10.64-11.28; still gated at 14."""
     engine = social_engine(10_000, seed=1)
     pids = sample_pids(10_000, 4_000, seed=1)
     texts = [f"Q(y{i}) :- friend(p, y{i}), person(y{i}, n{i}, 'NYC')" for i in range(4_000)]
@@ -396,13 +404,14 @@ def churn_cycle_calls():
 
 
 def new_text_calls():
-    """A never-seen text costs its tokens (one scan, one routine per term
-    list, one arity lookup per atom, one Variable per name, a safety check by
-    name, one canonical walk to a tuple key, one probe of the compiled shape).
-    Named calls per engine.execute of 2,000 ``new_text`` texts at 2,000
-    persons, each result's rows and tuples a held query's, no memo hit, one
-    compile: 39.0; 42.0 through the closure lowering; 80.0 with a call per
-    term, a schema lookup per atom and a ShapeKey per text."""
+    """A never-seen text costs its atoms (a plain rule: one whole-text match,
+    one match and one arity lookup per atom, one Variable per name, a safety
+    check by name, one canonical walk to a tuple key, one probe of the
+    compiled shape).  Named calls per engine.execute of 2,000 ``new_text``
+    texts at 2,000 persons, each result's rows and tuples a held query's, no
+    memo hit, one compile: 30.0; 39.0 through the token parser (one scan, one
+    routine per term list); 42.0 through the closure lowering; 80.0 with a
+    call per term, a schema lookup per atom and a ShapeKey per text."""
     engine = social_engine(2_000, seed=1)
     pids = sample_pids(2_000, 2_000, seed=1)
     texts = [f"Q(y{i}) :- friend(p, y{i}), person(y{i}, n{i}, 'NYC')" for i in range(2_000)]
@@ -418,7 +427,7 @@ def new_text_calls():
     per_text = sum(calls.named.values()) / len(texts)
     print("named repro calls per never-seen text:", per_text, " results unlike the held query:", wrong,
           " memo hits:", memo.hits, " compilations:", plans.misses)
-    return wrong == 0 and memo.hits == 0 and plans.misses == 1 and per_text <= 45
+    return wrong == 0 and memo.hits == 0 and plans.misses == 1 and per_text <= 30
 
 
 #: Every gate, in the order CI runs them; every public function here is one.
