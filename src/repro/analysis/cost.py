@@ -127,7 +127,7 @@ def estimate_plan(plan: Plan, stats: CostStats | None = None) -> CostEstimate:
     :attr:`Plan.fanout_bound`.  With ``stats``, fetch fanouts against
     *base* relations are tightened by the observed figures (view
     relations keep their declared bounds: view stores are maintained to
-    those bounds, not profiled)."""
+    those bounds, not measured)."""
     if not plan.satisfiable:
         return CostEstimate(plan, 0)
 

@@ -181,15 +181,16 @@ class ResultSet:
 
 
 class ExplainAnalyze:
-    """The payload of ``explain_analyze``: the executed :class:`ResultSet`
-    plus one :class:`~repro.core.executor.PlanProfile` per disjunct --
-    measured row counts, access accounting and wall time of each compiled
-    step of that very execution (the per-step accounting sums to
-    ``result.stats``).
+    """The payload of ``explain_analyze``: the :class:`ResultSet` of the
+    run plus one :class:`~repro.core.executor.PlanProfile` per disjunct --
+    measured row counts, access accounting and wall time of each operator
+    of the plan's counting pass, which reads what an execute reads and
+    derives the same rows in the same order (the per-operator accounting
+    sums to ``result.stats``).
 
     Also the payload of
     :meth:`~repro.incremental.IncrementalResult.explain_analyze`, where
-    the profiled steps are the faces the refresh applied (``Δ[level]``
+    the measured steps are the faces the refresh applied (``Δ[level]``
     slice joins, ``new[level]`` prefix fetches, ``old[level]`` snapshot
     fetches)."""
 
@@ -450,9 +451,9 @@ class PreparedQuery:
         parameters: Mapping[object, object] | None = None,
         **kwargs: object,
     ) -> ExplainAnalyze:
-        """Execute like :meth:`execute` -- the profiled twin of the same
-        generated code, in the same order -- while recording each step's
-        row counts, access accounting and wall time
+        """Execute like :meth:`execute`, as the counting pass of the same
+        plan -- same reads, same rows, same order -- while recording each
+        operator's row counts, access accounting and wall time
         (:func:`repro.core.executor.profile_plan`).
         Returns an :class:`ExplainAnalyze` whose ``result`` is that run's
         :class:`ResultSet` and whose ``profiles`` hold one
@@ -466,10 +467,11 @@ class PreparedQuery:
         names = compiled.view_names
         ctx = ExecutionContext(database, views=engine._views.prepare(database, names) if names else None)
         profiles = []
-        for pipe in compiled.pipes:  # profile_plan's run on the entry's pipes: no memo probe
-            ctx.profile = []
-            rows = pipe.profiled(ctx, pipe.seed(values))
-            profiles.append(PlanProfile(pipe.plan, tuple(rows), tuple(ctx.profile)))
+        for pipe in compiled.pipes:  # profile_plan's pass on the entry's pipes: no memo probe
+            program = pipe.program()
+            ctx.profile = profile = PlanProfile(pipe.plan)
+            profile.rows = tuple(program.count(ctx, program.seed(values)))
+            profiles.append(profile)
         rows = dict.fromkeys(chain(*[profile.rows for profile in profiles]))
         result = ResultSet(rows, self.columns, ctx.stats, compiled.fanout_bound)
         return ExplainAnalyze(result, tuple(profiles))

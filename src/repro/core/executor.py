@@ -20,14 +20,14 @@ happens while writing; constants are interned
 (:mod:`repro.relational.interning`) and a backward liveness pass drops
 columns no later operator reads.  An unsigned pipeline becomes one
 function, every level and the projection in one body (a trailing fetch
-that only expands fused with the projection), plus a profiled twin
-written from the same lines; a held execute is one call into it.
+that only expands fused with the projection); a held execute is one call
+into it.
 
 **Nothing is spliced in.**  The text holds only identifiers and integers
-the emitter computes; every relation name, positions tuple, interned
-constant and profile label is a bound argument of the factory the text
-defines.  No value in a query can change the code, and the compiled code
-is memoised on the text, so plans differing only in constants share it.
+the emitter computes; every relation name, positions tuple and interned
+constant is a bound argument of the factory the text defines.  No value
+in a query can change the code, and the compiled code is memoised on the
+text, so plans differing only in constants share it.
 It compiles under a file name inside this package, registered with
 :mod:`linecache`, so tracebacks show the generated lines.
 
@@ -68,12 +68,12 @@ workloads far fewer than -- the tuples a read per assignment would
 ``tests/reference_executor.py``); both stay within the plan's
 :attr:`~repro.core.plans.Plan.fanout_bound`.
 
-**One context.**  Every run of a plan -- :func:`run_pipeline` and the
+**One context.**  Every run of a plan -- a pipeline's ``run`` and the
 delta driver's :meth:`DeltaProgram.count` / :meth:`DeltaProgram.join` --
 takes one :class:`ExecutionContext`, holding only what a run reads.  A
-profile *is* the run: under a context with a ``profile`` list the
-profiled twin runs the same lines, each step appending its
-:class:`OperatorProfile`.
+profile is the counting pass, measured: the new faces read the keys
+``run`` reads, in order, with its early exits, each measured by the
+:class:`PlanProfile` set as ``ctx.profile``.
 :func:`execute_plan` and :func:`profile_plan` also accept a raw
 :class:`~repro.relational.instance.Database` (a fresh context is opened).
 """
@@ -131,8 +131,8 @@ class ExecutionContext:
     private slice).  View answer changes ride in it under the view name,
     exactly like a base relation's.
 
-    :attr:`profile` is ``None``, or the list a profiled run appends its
-    :class:`OperatorProfile` lines to (the profiling entry points set it).
+    :attr:`profile` is ``None``, or the :class:`PlanProfile` each face a
+    counting or delta run applies is measured by (profiling sets it).
     """
 
     __slots__ = ("db", "stats", "slice", "views", "profile")
@@ -150,7 +150,7 @@ class ExecutionContext:
             delta = LogSlice(delta)
         self.slice = delta
         self.views = views
-        self.profile: list[OperatorProfile] | None = None
+        self.profile: PlanProfile | None = None
 
     def __repr__(self) -> str:
         delta = sum(self.slice.sizes.values()) if self.slice is not None else 0
@@ -422,22 +422,6 @@ Operator = FilterOp | FetchOp | ProbeOp | ProjectDedupOp
 _NO_ROWS = repeat(())  # what a delta join reads for a key the slice does not hold
 
 
-def _note(profile, label, rows_in, rows_out, stats, before, start) -> None:
-    """Append a measured step's :class:`OperatorProfile`: its wall time
-    since ``start`` and the accesses charged since the ``before``
-    snapshot of ``stats``.  A tuple ``label`` is the step's operators,
-    named only now (a lowering that is never profiled renders nothing)."""
-    elapsed = perf_counter() - start
-    spent = stats.since(before)
-    if type(label) is tuple:
-        label = "; ".join(map(str, label))
-    profile.append(
-        OperatorProfile(
-            label, rows_in, rows_out, spent.tuples_accessed, spent.indexed_lookups, spent.full_scans, elapsed
-        )
-    )
-
-
 @lru_cache(maxsize=1024)
 def _factory(source: str):
     """The ``make`` that ``source`` defines, compiled once per text under a
@@ -448,7 +432,7 @@ def _factory(source: str):
     name = f"generated_{hash(source) & 0xFFFFFFFFFFFFFFFF:016x}.py"  # never on disk
     filename = os.path.join(os.path.dirname(__file__), name)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    scope = {"clock": perf_counter, "note": _note, "NO_ROWS": _NO_ROWS, "OperatorProfile": OperatorProfile}
+    scope = {"NO_ROWS": _NO_ROWS}
     exec(compile(source, filename, "exec"), scope)
     return scope["make"]
 
@@ -624,14 +608,11 @@ class Pipeline(tuple):
     * ``seed_slots`` -- the ``(slot, variable)`` parameter assignments;
     * :meth:`binding` / :meth:`seed` -- where the values of one order of
       parameter names go (worked out once per order), and the seed
-      columns built from them: the one way into :func:`run_pipeline`;
+      columns built from them: the one way into :attr:`run`;
     * ``width`` -- the length of each column list: one entry per slot
       plus the trailing sign slot;
-    * ``run`` / ``profiled`` -- what :func:`run_pipeline` calls, ``(ctx,
-      columns) -> answer rows``: the generated function of the whole
-      pipeline and its twin that appends each step's
-      :class:`OperatorProfile` to ``ctx.profile``; ``source`` is their
-      text;
+    * ``run`` -- ``(ctx, columns) -> answer rows``, the generated
+      function of the whole pipeline; ``source`` is its text;
     * :meth:`signed` -- the signed lowering, built on first use (and,
       beside it, :meth:`program`: the plan's :class:`DeltaProgram`).
 
@@ -665,10 +646,9 @@ class Pipeline(tuple):
         self._signed = None
         self._program = None
         self._bindings = {}
-        self.run = self.profiled = _nothing
-        self.source = ""
+        self.run, self.source = _nothing, ""
         if ops:
-            (self.run, self.profiled), self.source = _lower(self)
+            self.run, self.source = _lower(self)
         return self
 
     def signed(self) -> tuple[tuple, object]:
@@ -685,9 +665,8 @@ class Pipeline(tuple):
 
     def program(self) -> "DeltaProgram":
         """The plan's :class:`DeltaProgram`, built on first use like
-        :meth:`signed`.  Raises :class:`~repro.errors.IncrementalError`
-        (eagerly, whatever the data) for plans that fetch through an
-        embedded access rule (:func:`check_delta_supported`)."""
+        :meth:`signed`; :func:`delta_program` says which plans have no
+        delta."""
         program = self._program
         if program is None:
             program = self._program = DeltaProgram(self)
@@ -754,46 +733,26 @@ def _nothing(ctx: ExecutionContext, columns) -> tuple:
     return ()
 
 
-def _lower(pipe: Pipeline) -> tuple[tuple[object, object], str]:
-    """Write ``pipe``'s unsigned function ``run(ctx, columns)`` -- every
-    level and the projection in one body, a trailing fetch that only
-    expands fused with the projection -- and its profiled twin from the
-    same segments, each segment measured and its :class:`OperatorProfile`
-    appended.  Returns ``((run, profiled), source)``."""
+def _lower(pipe: Pipeline) -> tuple[object, str]:
+    """Write ``pipe``'s unsigned function ``run(ctx, columns)``: every level
+    and the projection in one body, a trailing fetch that only expands fused
+    with the projection.  Returns ``(run, source)``."""
     w, slots = _Writer(), pipe.slots
     bound = {slot for slot, _ in pipe.seed_slots}
     *data, project = (op for op in pipe if op is not pipe.prefilter)
-    segments = []  # (label, source line, lines, terminal)
-    for op in data:
-        w.lines = []
-        fused = op is data[-1] and type(op) is FetchOp and _expands(op, slots.index, bound)
-        read = f"src = ctx.store({w.arg(op.atom.relation)})" if op.view else "src = db"
-        bound = _level(w, op, slots, bound, False, 0, project._items if fused else None, one=op is data[0])
-        label = w.arg((op, project) if fused else (op,))
-        segments.append((label, read, w.lines, fused))
-    if not segments or not segments[-1][3]:
-        w.lines = []
-        w.put(0, f"rows = list(dict.fromkeys({_batch_rows(w, project._items, slots.index)}))")
-        segments.append((w.arg((project,)), None, w.lines, True))
-    passed = "1, int(columns is not None), 0, 0, 0"
-    prefilter = pipe.prefilter and f"profile.append(OperatorProfile(str({w.arg(pipe.prefilter)}), {passed}))"
     seed = [f"c{s:d} = columns[{s:d}]" for s, _ in pipe.seed_slots]
-    w.lines = []
-    for name, profiled in (("run", False), ("profiled", True)):
-        w.put(1, f"def {name}(ctx, columns):")
-        if profiled:
-            w.put(2, "profile = ctx.profile", *([prefilter] if prefilter else []))
-        w.put(2, "if columns is None:", "    return ()", "db = ctx.db", "stats = ctx.stats", *seed, "n = 1")
-        for label, read, lines, terminal in segments:
-            w.put(2, *([read] if read else []))
-            if profiled:
-                w.put(2, "k = n", "before = stats.snapshot()", "start = clock()")
-            w.lines += [(depth + 2, text) for depth, text in lines]
-            if profiled:
-                out = "len(rows)" if terminal else "n"
-                w.put(2, f"note(profile, {label}, k, {out}, stats, before, start)")
-            w.put(2, *(["return rows"] if terminal else ["if not n:", "    return ()"]))
-    w.put(1, "return run, profiled")
+    w.put(1, "def run(ctx, columns):")
+    w.put(2, "if columns is None:", "    return ()", "db = ctx.db", "stats = ctx.stats", *seed, "n = 1")
+    fused = False
+    for op in data:
+        fused = op is data[-1] and type(op) is FetchOp and _expands(op, slots.index, bound)
+        w.put(2, f"src = ctx.store({w.arg(op.atom.relation)})" if op.view else "src = db")
+        bound = _level(w, op, slots, bound, False, 2, project._items if fused else None, one=op is data[0])
+        w.put(2, *([] if fused else ["if not n:", "    return ()"]))
+    if not fused:
+        w.put(2, f"rows = list(dict.fromkeys({_batch_rows(w, project._items, slots.index)}))")
+    w.put(2, "return rows")
+    w.put(1, "return run")
     return w.build()
 
 
@@ -1042,19 +1001,7 @@ def execute_plan(
     """
     pipe = pipeline_for(plan)
     values = merge_parameter_values(parameters, kwargs)
-    return tuple(run_pipeline(pipe, _as_context(db), pipe.seed(values)))
-
-
-def run_pipeline(pipe: Pipeline, ctx: ExecutionContext, columns: list | None) -> Sequence[Row]:
-    """The one pipeline runner, behind :func:`execute_plan`,
-    :func:`profile_plan` and the Engine facade (whose plan-cache entries
-    hold the pipelines): ``pipe``'s distinct answer rows in
-    first-derivation order from the seed ``columns`` of
-    :meth:`Pipeline.seed` -- which has already validated the parameters
-    and decided the prefilter (``None``: no answer).  Under a
-    ``ctx.profile`` list the profiled twin runs, appending each step's
-    :class:`OperatorProfile`."""
-    return (pipe.run if ctx.profile is None else pipe.profiled)(ctx, columns)
+    return tuple(pipe.run(_as_context(db), pipe.seed(values)))
 
 
 class DeltaProgram:
@@ -1062,8 +1009,7 @@ class DeltaProgram:
     *Per plan* (built once, here): the signed :attr:`levels` and
     :attr:`accumulate` terminal of the plan's pipeline, the
     :attr:`relations` the levels read, the seed :attr:`prefilter`, whether
-    the program :attr:`holds` -- and the fact that the plan passed
-    :func:`check_delta_supported`.  *Per (program, slice)*: :meth:`stage`,
+    the program :attr:`holds`.  *Per (program, slice)*: :meth:`stage`,
     memoised on the :class:`~repro.relational.instance.LogSlice`, so
     shared by every result over the span.  *Per (program, seed)*:
     :meth:`seed`, kept by whoever ran the counting pass (:meth:`count`).
@@ -1084,7 +1030,6 @@ class DeltaProgram:
     __slots__ = ("plan", "pipe", "levels", "accumulate", "relations", "prefilter", "holds")
 
     def __init__(self, pipe: Pipeline):
-        check_delta_supported((pipe.plan,))
         self.plan = pipe.plan
         self.pipe = pipe
         # An unsatisfiable plan lowers to no levels: it never runs.
@@ -1137,17 +1082,17 @@ class DeltaProgram:
             *((relation, (), ()) for relation in relations[2:]),
         ]
 
-    def _expand(self, seeded: Seeded, source, ctx: ExecutionContext):
+    def _expand(self, seeded: Seeded, source, ctx: ExecutionContext, label: str = ""):
         """Level 0's new-state batch, kept on ``seeded``: its held group
         through level 0's own step (its checks, its column layout) -- read
-        from ``source`` first, one charged (and profiled) call, when
-        nothing is held."""
+        from ``source`` first, one charged call, when nothing is held (under
+        ``ctx.profile``, measured as ``label`` and the operator)."""
         seeded.source = source
         _, step, _, ops = self.levels[0]
         if ctx.profile is None or seeded.rows is not None:
             batch = step(seeded, ctx.stats, seeded.columns, 1)
         else:
-            batch = _measured(ctx.profile, f"new[1] {ops[0]}", step, seeded, ctx.stats, seeded.columns, 1)
+            batch = ctx.profile.measure(f"{label}{ops[0]}", step, seeded, ctx.stats, seeded.columns, 1)
         seeded.prefix, seeded.n = prefix, n = batch
         seeded.next_keys = frozenset(self.levels[1][2].keys(prefix, n)) if n else frozenset()
         return batch
@@ -1157,8 +1102,12 @@ class DeltaProgram:
         order from a :meth:`seed` -- :func:`execute_plan`'s rows, each with
         its count (a row is an answer exactly while its count is positive):
         the new faces of the signed lowering, every sign ``+1``; a holding
-        program keeps the group level 0 reads."""
+        program keeps the group level 0 reads.  Under ``ctx.profile``, each
+        face is measured under its operator's name: :func:`profile_plan`."""
         counts: dict[Row, int] = {}
+        profile = ctx.profile
+        if profile is not None and self.prefilter is not None:
+            profile.note(self.prefilter, 1, int(seeded is not None))
         if seeded is None:  # a rejected seed, or an unsatisfiable plan
             return counts
         db, stats = ctx.db, ctx.stats
@@ -1166,12 +1115,18 @@ class DeltaProgram:
         if self.holds:  # this pass reads level 0, whatever was held
             view, levels, seeded.rows = levels[0][0], levels[1:], None
             columns, n = self._expand(seeded, db if view is None else ctx.store(view), ctx)
-        for view, step, _, _ in levels:
+        for view, step, _, ops in levels:
             if not n:
                 return counts
-            columns, n = step(db if view is None else ctx.store(view), stats, columns, n)
+            source = db if view is None else ctx.store(view)
+            if profile is None:
+                columns, n = step(source, stats, columns, n)
+            else:
+                columns, n = profile.measure(ops[0], step, source, stats, columns, n)
         if n:
             self.accumulate(columns, n, counts)
+            if profile is not None:
+                profile.note(self.pipe[-1], n, len(counts))
         return counts
 
     def join(self, ctx: ExecutionContext, seeded: Seeded | None) -> dict[Row, int]:
@@ -1194,8 +1149,7 @@ class DeltaProgram:
         changes: dict[Row, int] = {}
         profile = ctx.profile
         if profile is not None and self.prefilter is not None:
-            passed = int(seeded is not None)
-            profile.append(OperatorProfile(str(self.prefilter), 1, passed, 0, 0, 0))
+            profile.note(self.prefilter, 1, int(seeded is not None))
         if seeded is None:
             return changes
         slice = ctx.slice
@@ -1214,14 +1168,14 @@ class DeltaProgram:
                 source = db if view is None else ctx.store(view)
                 if i == 1 and self.holds:  # from the hold: read only if forgotten
                     if seeded.rows is None:
-                        self._expand(seeded, source, ctx)
+                        self._expand(seeded, source, ctx, "new[1] ")
                     elif profile is not None:
-                        profile.append(OperatorProfile(f"new[1] {ops[0]}", 1, seeded.n, 0, 0, 0))
+                        profile.note(f"new[1] {ops[0]}", 1, seeded.n)
                     prefix, n = seeded.prefix, seeded.n
                 elif profile is None:
                     prefix, n = step(source, stats, prefix, n)
                 else:
-                    prefix, n = _measured(profile, f"new[{i}] {ops[0]}", step, source, stats, prefix, n)
+                    prefix, n = profile.measure(f"new[{i}] {ops[0]}", step, source, stats, prefix, n)
                 if not n:
                     break
                 keys = None  # only the first level's keys are the seed's
@@ -1237,7 +1191,7 @@ class DeltaProgram:
             if profile is None:
                 columns, m = join(keys, stats, prefix, n)
             else:
-                columns, m = _measured(profile, f"Δ[{i + 1}] {levels[i][3][0]}", join, keys, stats, prefix, n)
+                columns, m = profile.measure(f"Δ[{i + 1}] {levels[i][3][0]}", join, keys, stats, prefix, n)
             j = i + 1
             while m and j < len(levels):
                 view, step, _, ops = levels[j]
@@ -1247,19 +1201,22 @@ class DeltaProgram:
                 if profile is None:
                     columns, m = step(old, stats, columns, m)
                 else:
-                    columns, m = _measured(profile, f"old[{j}] {ops[0]}", step, old, stats, columns, m)
+                    columns, m = profile.measure(f"old[{j}] {ops[0]}", step, old, stats, columns, m)
             if m:
                 self.accumulate(columns, m, changes)
         if changes:
             changes = {row: change for row, change in changes.items() if change}
         if profile is not None:
-            profile.append(OperatorProfile(str(self.pipe[-1]), len(changes), len(changes), 0, 0, 0))
+            profile.note(self.pipe[-1], len(changes), len(changes))
         return changes
 
 
 def delta_program(plan: Plan) -> DeltaProgram:
     """``plan``'s :class:`DeltaProgram`, kept on its pipeline
-    (:meth:`Pipeline.program`, which also says which plans have none)."""
+    (:meth:`Pipeline.program`), or an :class:`~repro.errors.IncrementalError`
+    for one that fetches through an embedded rule (its pass counts, its
+    delta would not be exact: :func:`check_delta_supported`)."""
+    check_delta_supported((plan,))
     return pipeline_for(plan).program()
 
 
@@ -1330,9 +1287,8 @@ class OperatorProfile:
     """Measured behaviour of one compiled step during one execution.
 
     ``wall_time_s`` is the step's measured wall-clock time (seconds); it
-    is ``0.0`` on lines that account rows without timing (the seed filter,
-    a held group served without a read, and the pure-bookkeeping
-    projection line of the delta driver)."""
+    is ``0.0`` on lines that account rows without reading (the seed
+    filter, a held group served without a read, and the projection)."""
 
     operator: str
     rows_in: int
@@ -1343,26 +1299,34 @@ class OperatorProfile:
     wall_time_s: float = 0.0
 
 
-def _measured(profile: list[OperatorProfile], label, fn, source, stats, columns, n):
-    """Run one signed face and append its measurements (rows in and out,
-    the accesses it charged, wall time) to ``profile`` under ``label``.
-    Called only under a profile: an unmeasured run calls ``fn`` itself,
-    with no label built."""
-    before = stats.snapshot()
-    start = perf_counter()
-    out = fn(source, stats, columns, n)
-    _note(profile, label, n, out[1], stats, before, start)
-    return out
-
-
-@dataclass(frozen=True)
 class PlanProfile:
-    """One plan execution's answers plus per-step row counts, access
-    accounting and wall time (the payload of ``explain_analyze``)."""
+    """One plan run's answers plus per-step row counts, access accounting
+    and wall time (the payload of ``explain_analyze``), and their one
+    recorder: set as ``ctx.profile``, it takes a line per face the counting
+    pass or the delta driver runs (:meth:`measure`) and per line that reads
+    nothing (:meth:`note`); whoever set it fills in :attr:`rows`."""
 
-    plan: Plan
-    rows: tuple[Row, ...]
-    operators: tuple[OperatorProfile, ...]
+    __slots__ = ("plan", "rows", "operators")
+
+    def __init__(self, plan: Plan):
+        self.plan = plan
+        self.rows: tuple[Row, ...] = ()
+        self.operators: list[OperatorProfile] = []
+
+    def measure(self, label, face, source, stats, columns, n):
+        """Run the signed face ``face(source, stats, columns, n)`` and record
+        it under ``label``: rows in and out, the accesses it charged to
+        ``stats``, its wall time.  An unmeasured run calls the face itself."""
+        before, start = stats.snapshot(), perf_counter()
+        out = face(source, stats, columns, n)
+        elapsed, spent = perf_counter() - start, stats.since(before)
+        accesses = (spent.tuples_accessed, spent.indexed_lookups, spent.full_scans)
+        self.operators.append(OperatorProfile(str(label), n, out[1], *accesses, elapsed))
+        return out
+
+    def note(self, label, rows_in: int, rows_out: int) -> None:
+        """Record a line under ``label`` that reads nothing."""
+        self.operators.append(OperatorProfile(str(label), rows_in, rows_out, 0, 0, 0))
 
     @property
     def tuples_accessed(self) -> int:
@@ -1400,13 +1364,13 @@ def profile_plan(
     parameters: Mapping[object, object] | None = None,
     **kwargs: object,
 ) -> PlanProfile:
-    """:func:`execute_plan`, measured: the profiled twin runs the same
-    lines in the same order with the same early exit, each step's row counts,
-    access-statistics delta and wall time recorded along the way -- one
-    entry per generated step, so a fused fetch+project tail is one entry
-    naming both operators.  The profile's rows *are* the execution's.
-    """
+    """:func:`execute_plan`, measured: the plan's counting pass
+    (:meth:`DeltaProgram.count`) -- same reads, same rows, same order --
+    with each operator's row counts, access-statistics delta and wall time
+    recorded along the way."""
+    program = pipeline_for(plan).program()
     ctx = _as_context(db)
-    ctx.profile = profile = []
-    rows = execute_plan(plan, ctx, parameters, **kwargs)
-    return PlanProfile(plan, rows, tuple(profile))
+    ctx.profile = profile = PlanProfile(plan)
+    profile.rows = tuple(program.count(ctx, program.seed(merge_parameter_values(parameters, kwargs))))
+    ctx.profile = None  # a later run on a caller's context records nothing here
+    return profile

@@ -222,7 +222,7 @@ class IncrementalResult:
             changes, measured = [], []
             try:
                 for program, seeded in zip(self._programs, self._seeds):
-                    ctx.profile = [] if analyze else None
+                    ctx.profile = PlanProfile(program.plan) if analyze else None
                     changes.append(program.join(ctx, seeded))
                     measured.append(ctx.profile)
             except BaseException:
@@ -257,10 +257,9 @@ class IncrementalResult:
                         order.pop(row, None)
             if analyze:
                 rows = self.rows
-                profiles = tuple(
-                    PlanProfile(program.plan, rows, tuple(ops))
-                    for program, ops in zip(self._programs, measured)
-                )
+                for profile in measured:
+                    profile.rows = rows
+                profiles = tuple(measured)
         self._delta_sizes = slice.sizes
         self.watermark = slice.stop
         self.stats = stats

@@ -30,6 +30,7 @@ from repro.core.executor import (
     ExecutionContext,
     FetchOp,
     OldState,
+    PlanProfile,
     ProjectDedupOp,
     build_pipeline,
     delta_program,
@@ -37,7 +38,6 @@ from repro.core.executor import (
     merge_parameter_values,
     pipeline_cache_stats,
     pipeline_for,
-    run_pipeline,
 )
 from repro.logic.terms import Constant, Variable
 from repro.relational.interning import intern_row, intern_rows, intern_value
@@ -103,8 +103,8 @@ class TestSlotCompilation:
         plan = compile_plan(q, social_access, ["p"])
         pipe = build_pipeline(plan)
         assert pipe == ()
-        assert pipe.source == "" and pipe.run is pipe.profiled  # nothing generated
-        assert run_pipeline(pipe, ExecutionContext(None), pipe.seed({P: 1})) == ()
+        assert pipe.source == ""  # nothing generated
+        assert pipe.run(ExecutionContext(None), pipe.seed({P: 1})) == ()
 
 
 class TestInterningIdentity:
@@ -167,16 +167,21 @@ class TestFusion:
         assert isinstance(pipe[-2], FetchOp)
         assert isinstance(pipe[-1], ProjectDedupOp)
         # ...while the generated terminal is written from the pair: the
-        # profile names both in one step, after one step per body level.
+        # last fetch builds the answer rows inside its loop over the groups
+        # it read, with no projection statement of its own.
+        lines = [line.strip() for line in pipe.source.splitlines()]
+        read, terminal = lines[lines.index("return rows") - 2 : lines.index("return rows")]
+        assert read.startswith("groups = src.lookup_keys(")
+        assert terminal.startswith("rows = list(dict.fromkeys([") and "groups" in terminal
+        # The counting pass a profile measures runs the pair unfused: one
+        # line per operator, the same rows in the same order.
         db = social_engine(60, seed=1).require_database()
         ctx = ExecutionContext(db)
-        ctx.profile = profile = []
-        rows = run_pipeline(pipe, ctx, pipe.seed({P: 1}))
-        assert tuple(rows) == execute_plan(pipe.plan, db, p=1)
-        assert [line.operator for line in profile] == [
-            *map(str, pipe[:-2]),
-            f"{pipe[-2]}; {pipe[-1]}",
-        ]
+        ctx.profile = profile = PlanProfile(pipe.plan)
+        program = pipe.program()
+        counts = program.count(ctx, program.seed({P: 1}))
+        assert tuple(counts) == execute_plan(pipe.plan, db, p=1)
+        assert [line.operator for line in profile.operators] == list(map(str, pipe))
 
     @pytest.mark.parametrize("bundle", RUNNING_QUERIES, ids=lambda b: b.name)
     def test_fused_equals_unfused_on_seeded_workload(self, bundle):
@@ -333,7 +338,7 @@ class TestPipelineCache:
         def lower_and_run():
             start.wait()
             pipe = pipeline_for(plan)
-            answers.append(tuple(run_pipeline(pipe, ExecutionContext(social_db), pipe.seed({P: 1}))))
+            answers.append(tuple(pipe.run(ExecutionContext(social_db), pipe.seed({P: 1}))))
 
         threads = [threading.Thread(target=lower_and_run) for _ in range(8)]
         for thread in threads:

@@ -3,8 +3,9 @@ lowering of operator descriptions into slot closures, run by every entry
 point -- execute, counting, delta, profile -- over one read source.
 
 The pipeline must agree with the per-tuple reference path on every query
-shape the planner can emit, touch no more tuples than it, and report the
-very run it executes through profile_plan / explain_analyze.
+shape the planner can emit and touch no more tuples than it; profile_plan /
+explain_analyze measure the plan's counting pass, which reads what the
+execute reads and derives the same rows in the same order.
 """
 
 import linecache
@@ -118,22 +119,28 @@ class TestPipelineShape:
         assert not hasattr(Pipeline, "fused") and not hasattr(pipe, "fused")
 
     def test_pure_expansion_tail_fuses_into_the_terminal(self, social_db, social_access):
-        # One profiled step per generated segment: the fetch alone, then
-        # the trailing fetch and the projection as one.
+        # The trailing fetch builds the answer rows inside its own loop
+        # over the groups it read: the projection has no statement of its
+        # own.
         pipe = build_pipeline(compile_plan(Q1, social_access, ["p"]))
-        profile = profile_plan(pipe.plan, social_db, p=1)
-        assert [line.operator for line in profile.operators] == [str(pipe[0]), f"{pipe[1]}; {pipe[2]}"]
-        assert profile.operators[-1].tuples_accessed > 0  # the fused step reads
+        lines = [line.strip() for line in pipe.source.splitlines()]
+        read, terminal = lines[lines.index("return rows") - 2 : lines.index("return rows")]
+        assert read.startswith("groups = src.lookup_keys(")
+        assert terminal.startswith("rows = list(dict.fromkeys([") and "groups" in terminal
+        assert execute_plan(pipe.plan, social_db, p=1) == ((2,),)
 
     def test_checked_tail_lowers_unfused(self, social_db, social_schema):
         # friend(x, x) must bind ?x consistently at both positions: not a
         # pure expansion, so the fetch stays a level of its own (the
-        # general join loop) and the projection is a step that reads
-        # nothing.
+        # general join loop) and the projection is a statement of its own
+        # that reads nothing.
         access = AccessSchema(social_schema, [AccessRule("friend", [], bound=100)])
         q = ConjunctiveQuery(["x"], [Atom("friend", ["?x", "?x"])])
         pipe = build_pipeline(compile_plan(q, access))
         assert isinstance(pipe[0], FetchOp)
+        lines = [line.strip() for line in pipe.source.splitlines()]
+        exit, terminal = lines[lines.index("return rows") - 2 : lines.index("return rows")]
+        assert exit == "return ()" and "groups" not in terminal
         social_db.insert_many("friend", [(3, 3), (5, 5)])
         profile = profile_plan(pipe.plan, social_db)
         assert [line.operator for line in profile.operators] == [str(pipe[0]), str(pipe[-1])]
@@ -149,12 +156,13 @@ class TestPipelineShape:
         plan = compile_plan(Q1, social_access, ["p"])
         pipe = pipeline_for(plan)
         execute_plan(plan, social_db, p=1)
+        execute_plan(plan, social_db, p=2)
+        assert builds == []  # executing never pays for them
         profile_plan(plan, social_db, p=1)
-        assert builds == []  # executing and profiling never pay for them
         counting(plan, social_db, {P: 1})
         counting(plan, social_db, {P: 2})
         levels, _ = pipe.signed()
-        assert len(builds) == 1 and builds[0] is pipe  # built once, on first counting use
+        assert len(builds) == 1 and builds[0] is pipe  # built once, on first (profiling) use
         assert [ops for _, _, _, ops in levels] == [(pipe[0],), (pipe[1],)]
         assert all(callable(delta.keys) and callable(delta.over) for _, _, delta, _ in levels)
 
@@ -287,14 +295,25 @@ class TestProfile:
         plan = compile_plan(Q1, social_access, ["p"])
         profile = profile_plan(plan, social_db, p=1)
         assert profile.rows == execute_plan(plan, social_db, p=1)
-        first, fused = profile.operators  # one entry per compiled step
+        first, second, project = profile.operators  # one entry per operator
         assert first.operator.startswith("fetch friend")
         assert first.rows_in == 1  # the seed assignment
         assert first.rows_out == 2  # person 1 has two friends
-        assert "fetch person" in fused.operator and "project/dedup" in fused.operator
-        assert (fused.rows_in, fused.rows_out) == (2, len(profile.rows))
+        assert second.operator.startswith("fetch person") and second.rows_in == 2
+        assert second.tuples_accessed == 1  # of persons 2 and 3 only 2 is in NYC
+        assert project.operator.startswith("project/dedup")
+        assert (project.rows_in, project.rows_out) == (second.rows_out, len(profile.rows))
+        assert (project.tuples_accessed, project.indexed_lookups, project.wall_time_s) == (0, 0, 0.0)
         assert profile.tuples_accessed <= plan.fanout_bound
         assert "fetch" in str(profile)
+
+    def test_a_returned_profile_records_no_later_run(self, social_db, social_access):
+        plan = compile_plan(Q1, social_access, ["p"])
+        ctx = ExecutionContext(social_db)
+        profile = profile_plan(plan, ctx, p=1)
+        program = delta_program(plan)
+        program.count(ctx, program.seed({P: 2}))
+        assert ctx.profile is None and len(profile.operators) == 3
 
     def test_profile_row_counts_chain_and_stop_early(self, social_db, social_access):
         q = ConjunctiveQuery(
@@ -340,8 +359,9 @@ def _workload_cases():
 
 
 class TestExplainAnalyzeObservesTheRun:
-    """explain_analyze reports the run it performs: the same closures, the
-    same rows, and per-operator accounting that sums to the execution's."""
+    """explain_analyze measures the counting pass of the plan an execute
+    runs: the same reads, the same rows in the same order, and
+    per-operator accounting that sums to the execution's."""
 
     def test_q1_to_q5_rows_and_stats_match_execute(self):
         for engine, bundle, parameter_sets in _workload_cases():
@@ -541,11 +561,14 @@ class TestDeltaFaces:
         )
         plan = compile_plan(Q1, access, ["p"])
         # Eagerly: before any data is read or any slice is looked at --
-        # there is no program for counting or delta runs to use.
+        # there is no delta program for counting or delta runs to use.
         with pytest.raises(IncrementalError, match="embedded"):
-            counting(plan, social_db, {P: 1})
+            delta_program(plan)
+        engine = Engine(social_schema, access, {})
         with pytest.raises(IncrementalError, match="embedded"):
-            pipeline_for(plan).program()
+            engine.query(Q1).execute_incremental(p=1)
+        # ... while its counting pass still profiles the execute.
+        assert profile_plan(plan, social_db, p=1).rows == execute_plan(plan, social_db, p=1)
 
     def test_probe_delta_carries_the_change_sign(self, social_db, social_access):
         # "mutual friends of ?p": the second atom is fully bound -> a probe.
@@ -666,7 +689,7 @@ class TestGeneratedCode:
 
         pipe = pipeline_for(compile_plan(Q1, social_access, ["p"]))
         levels, accumulate = pipe.signed()
-        for function in (pipe.run, pipe.profiled, accumulate, *(face for level in levels for face in level[1:3])):
+        for function in (pipe.run, accumulate, *(face for level in levels for face in level[1:3])):
             code = function.__code__
             assert code.co_filename.startswith(os.path.dirname(repro.__file__))
             assert not code.co_name.startswith("<")

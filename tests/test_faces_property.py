@@ -14,13 +14,14 @@ evaluation code with the engine.
   (as sets); the rows an execute read are a witness ``D_Q`` (Section 2:
   they answer the query, and ``|D_Q| <= tuples accessed <= fanout_bound``,
   ``witness.check_witness``); the only scans are
-  the keyless fetches a full rule asks for; ``profile_plan`` reports the
-  same rows and the same accounting; and the accounting equals the memory
+  the keyless fetches a full rule asks for; ``profile_plan`` (the
+  counting pass, measured) reports the same rows in the same order and
+  the same accounting; and the accounting equals the memory
   backend's on every backend.
 * **delta and old faces**: ``DeltaProgram.count`` folded with
   successive ``DeltaProgram.join`` results from fresh seeds equals a
   from-scratch count after every batch, within ``delta_fanout_bound``;
-  plans fetching through an embedded rule have no program.
+  plans fetching through an embedded rule have no delta program.
 * **one staged driver**: a fresh seed's ``join`` equals a kept seed's
   (``DeltaProgram.seed`` once, ``stage`` on the slice), over a shared and
   a private slice, with the context profiled or not; twin ``IncrementalResult`` s -- one refreshed with
@@ -71,6 +72,7 @@ from repro.analysis import certify_plan
 from repro.core.executor import (
     ExecutionContext,
     FetchOp,
+    PlanProfile,
     delta_fanout_bound,
     delta_program,
     execute_plan,
@@ -302,11 +304,12 @@ def check_new_face(plan, db, reference, raw, values):
 
 @budget(40)
 @given(scenario=scenarios())
-def test_the_profiled_twin_runs_what_execute_runs(backend_factory, scenario):
-    """A pipeline's generated function and its profiled twin come from one
-    emitter and must not drift apart: on every state of the stream,
-    ``profile_plan``'s rows (in order) and its summed accesses equal
-    ``execute_plan``'s on the same state."""
+def test_a_profile_is_the_counting_pass_of_what_execute_runs(backend_factory, scenario):
+    """A profile measures the plan's counting pass, not the generated
+    function an execute calls, so the two must not drift apart: on every
+    state of the stream, embedded rules included, ``profile_plan``'s rows
+    (in order) and its summed accesses equal ``execute_plan``'s on the
+    same state."""
     schema, access, plan, values = build(scenario)
     _, rows, stream, *_ = scenario
     db = Database(schema, rows, backend=backend_factory())
@@ -474,10 +477,10 @@ def test_a_one_shot_delta_run_is_the_staged_halves_composed(backend_factory, sce
         assert public.stats.since(kept.stats) == saved
         # A private slice stages privately; a profiled run is the same run.
         private = ExecutionContext(db, delta=dict(shared.net))
-        private.profile = profiles = []
+        private.profile = profile = PlanProfile(plan)
         assert delta(plan, private, values) == expected
         assert private.slice is not shared and private.stats == public.stats
-        assert sum(op.tuples_accessed for op in profiles) == public.stats.tuples_accessed
+        assert profile.tuples_accessed == public.stats.tuples_accessed
         for row, change in expected.items():
             counts[row] = counts.get(row, 0) + change
         counts = {row: count for row, count in counts.items() if count}
