@@ -38,8 +38,10 @@ at level 1 changes nothing, and the write path says so first: each result
 registers that footprint in the change log, every logged batch marks the
 results its rows meet, and an unmarked result's refresh reads the log's
 latest slice -- one attribute load, the span cut once per write by the
-first result to refresh -- and returns: no slice call, no join, no read
-(a result reading views always joins: their changes are not in the log).
+first result to refresh -- and returns: no slice call, no join, no read.
+A view's changes are not in the log: a view refresh that changes its
+answer hands the net to the results reading it (``ViewState.readers``),
+pending until their next refresh joins it, and marks them.
 A slice that changes the group patches it (not re-read: what a refresh
 reads depends on its slice, never on the refreshes before it).
 Only when every plan's join (one per disjunct of a union) succeeded does
@@ -97,8 +99,8 @@ class IncrementalResult:
 
     __slots__ = (
         "columns", "watermark", "stats", "fanout_bound", "last_mode", "profiles",
-        "_engine", "_prepared", "_values", "_programs", "_seeds", "_view_names",
-        "_epoch", "_counts", "_order", "_delta_sizes", "_mark", "_held", "_unwatch",
+        "_engine", "_prepared", "_values", "_programs", "_seeds", "_views", "_pending",
+        "_epoch", "_counts", "_delta_sizes", "_mark", "_held", "_unwatch",
         "__weakref__",  # the change log pins its consumers weakly
     )
 
@@ -107,7 +109,7 @@ class IncrementalResult:
         self._prepared = prepared
         self._values = dict(values)
         self.columns = columns
-        self._unwatch = None
+        self._unwatch, self._views = None, {}
         self._materialize("initial")
 
     # -- sequence behaviour ---------------------------------------------
@@ -116,32 +118,32 @@ class IncrementalResult:
     def rows(self) -> tuple[Row, ...]:
         """The current answer rows (first-derivation order; rows gained by
         a refresh are appended, rows lost are dropped in place)."""
-        return tuple(self._order)
+        return tuple(self._counts)
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self._order)
+        return iter(self._counts)
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._counts)
 
     def __getitem__(self, index):
         return self.rows[index]
 
     def __contains__(self, row: object) -> bool:
-        return tuple(row) in self._order if isinstance(row, (list, tuple)) else False
+        return tuple(row) in self._counts if isinstance(row, (list, tuple)) else False
 
     def __bool__(self) -> bool:
-        return bool(self._order)
+        return bool(self._counts)
 
     def __repr__(self) -> str:
         return (
-            f"IncrementalResult({len(self._order)} rows, "
+            f"IncrementalResult({len(self._counts)} rows, "
             f"watermark={self.watermark}, last={self.last_mode!r})"
         )
 
     def to_dicts(self) -> list[dict[str, object]]:
         """The rows as dictionaries keyed by the head variable names."""
-        return [dict(zip(self.columns, row)) for row in self._order]
+        return [dict(zip(self.columns, row)) for row in self._counts]
 
     @property
     def delta_bound(self) -> int | None:
@@ -182,43 +184,34 @@ class IncrementalResult:
             # access schema or views changed and the plans are stale: rebase
             # (new cost statistics or a cleared plan cache leave the basis).
             return self._materialize("rebase")
-        joining = self._mark.marked or self._view_names
+        views = self._views
+        if views and engine.views.prepare(db, views) != views:
+            # A view state rebuilt for another database and back: it never
+            # handed us its changes.  (Every other rebuild moves the epoch.)
+            return self._materialize("rebase")
+        # After the views' refreshes: one that changed a view marked us.
+        joining = self._mark.marked
         self._mark.marked = False  # before the slice is cut: a write after it marks again
         slice = db.change_log.latest  # one load: every result refreshing after a write shares it
         if slice is None or slice.start != self.watermark:
             slice = db.change_log.slice_since(self.watermark)
-        if not joining:  # no write met the footprint: no join, no read, zero stats
+        if not joining:  # no write met the footprint, no view changed: no join, no read, zero stats
             stats = self.stats  # kept while zero: a check costs less than a new one
             if stats.tuples_accessed or stats.indexed_lookups or stats.full_scans:
                 self.stats = AccessStats()
             self._delta_sizes, self.watermark, self.profiles = slice.sizes, slice.stop, ()
             self.last_mode = "delta"
             return self
-        # View-assisted plans: bring the views up to date first, then ride
-        # their answer changes in the slice under the view names -- the
-        # delta pipeline joins them exactly like base-relation changes.
-        states = None
-        if self._view_names:
-            states = engine.views.prepare(db, self._view_names)
-            view_delta: dict[str, dict[Row, int]] = {}
-            for name in self._view_names:
-                net = states[name].changes_since(self.watermark)
-                if net is None:
-                    # The view cannot replay its answer changes back to
-                    # our watermark (re-materialized, or the span does not
-                    # align); recompute rather than guess.
-                    return self._materialize("rebase")
-                if net:
-                    view_delta[name] = net
-            if view_delta:  # a private slice, so privately staged
-                slice = LogSlice({**slice.net, **view_delta}, slice.start, slice.stop)
+        pending = self._pending
+        if pending:  # the views' answer changes ride in a private slice, so privately staged
+            slice = LogSlice({**slice.net, **pending}, slice.start, slice.stop)
         stats = AccessStats()
         profiles: tuple[PlanProfile, ...] = ()
         if slice.net:
             # Every disjunct's changes first: a backend error in a later
             # one must leave counts and watermark as they were, so the
             # retry does not apply the earlier ones twice.
-            ctx = ExecutionContext(db, stats, slice, states)
+            ctx = ExecutionContext(db, stats, slice, views)
             changes, measured = [], []
             try:
                 for program, seeded in zip(self._programs, self._seeds):
@@ -235,31 +228,26 @@ class IncrementalResult:
             if self._holds() != self._held:
                 self._watch(db.change_log)  # a patch moved the level-1 keys
             if any(changes):
-                alive = self._counts  # a count is kept only while it is positive
-                crossed = []
-                for counts, changed in zip(alive, changes):
+                # One count per row, over every disjunct: a row keeps its
+                # place while any plan derives it, and a new one is appended
+                # in plan/derivation order.
+                summed: dict[Row, int] = {}
+                for changed in changes:
                     for row, change in changed.items():
-                        before = counts.get(row, 0)
-                        count = before + change
-                        if count > 0:
-                            counts[row] = count
-                        else:
-                            counts.pop(row, None)
-                        if (before > 0) != (count > 0):
-                            crossed.append(row)
-                # Surviving rows keep their place: a row no plan derives any
-                # more leaves it, a new one is appended in plan/derivation order.
-                order = self._order
-                for row in crossed:
-                    if any(row in counts for counts in alive):
-                        order.setdefault(row)
+                        summed[row] = summed.get(row, 0) + change
+                counts = self._counts  # a count is kept only while it is positive
+                for row, change in summed.items():
+                    count = counts.get(row, 0) + change
+                    if count > 0:
+                        counts[row] = count
                     else:
-                        order.pop(row, None)
+                        counts.pop(row, None)
             if analyze:
                 rows = self.rows
                 for profile in measured:
                     profile.rows = rows
                 profiles = tuple(measured)
+        pending.clear()  # committed: the views' changes are in the counts
         self._delta_sizes = slice.sizes
         self.watermark = slice.stop
         self.stats = stats
@@ -285,26 +273,31 @@ class IncrementalResult:
         # base state at that watermark (mutations are single-writer, so
         # nothing moves in between).
         names = compiled.view_names
-        states = engine.views.prepare(db, names) if names else None
+        views = engine.views.prepare(db, names) if names else {}
         log = db.change_log
         watermark = log.watermark
-        ctx = ExecutionContext(db, views=states)
+        ctx = ExecutionContext(db, views=views)
         # What every refresh needs and no slice changes: the compiled delta
         # programs, what each makes of its seed (every plan was compiled for
         # exactly the names in ``_values``) and the views read.
         programs = tuple(pipe.program() for pipe in compiled.pipes)
         seeds = tuple(program.seed(self._values) for program in programs)
-        counts = [
-            program.count(ctx, seeded)
-            for program, seeded in zip(programs, seeds)
-        ]
+        counts: dict[Row, int] = {}
+        for program, seeded in zip(programs, seeds):
+            for row, n in program.count(ctx, seeded).items():
+                counts[row] = counts.get(row, 0) + n
         self._delta_sizes = None
         self._programs = programs
         self._seeds = seeds
-        self._view_names = tuple(sorted(names))
         self._epoch = epoch
         self._counts = counts
-        self._order = dict.fromkeys(row for plan_counts in counts for row in plan_counts)
+        # The views hand their answer changes to the results reading them:
+        # from now on, and only to ours (a rebase leaves the others).
+        for state in self._views.values():
+            state.readers.discard(self)
+        for state in views.values():
+            state.readers.add(self)
+        self._views, self._pending = views, {}
         self.watermark = watermark
         log.pin(self)  # hold the log at our watermark while we live
         if self._unwatch is not None:

@@ -26,8 +26,8 @@ The package in three pieces:
   compiled :class:`~repro.core.executor.DeltaProgram` over the database's
   change-log slice past the view's (pinned) watermark, never a recompute
   (a one-atom view's refresh is its relation's slice, permuted: no join,
-  no stored tuple read).  Every refresh appends the set-level
-  answer change to a ledger, so incremental *query* results can consume
+  no stored tuple read).  A refresh that changes the answer hands its
+  net to the incremental *query* results reading the view, so they join
   view deltas exactly like base-relation slices.
 * the rewriter (:mod:`repro.views.rewrite`) -- every view whose body
   maps into the query contributes an implied view atom, and the ordinary

@@ -27,23 +27,21 @@ end to end:
   edge index, say), needs no rule: its answer change is its relation's
   slice with the columns permuted -- no join, no stored tuple read.
 
-Every refresh that changes the answer appends the set-level net (rows
-entering/leaving the view) to the state's *answer ledger*, keyed by the
-base change-log watermarks it spans.  :meth:`ViewState.changes_since`
-replays that ledger so incremental query results over view-assisted
-plans can treat a view exactly like a base relation: its answer delta
-rides in the execution context's change slice under the view's name.
-A state pins its watermark in the database's
-:class:`~repro.relational.instance.ChangeLog`, and its ledger is bounded
-by the same floor: spans ending at or below the oldest pin are dropped
-(no pinned consumer can ask for them), and a reader from below that
-point is told to recompute.
+Every refresh that changes the answer hands its set-level net (rows
+entering/leaving the view) to the state's :attr:`ViewState.readers`, the
+incremental results whose plans read the view: it is folded into their
+pending changes and marks them, so a reader joins a view's answer change
+exactly like a base relation's -- it rides in the reader's change slice
+under the view's name -- and a reader no write or view change concerns
+joins nothing.  A state pins its watermark in the database's
+:class:`~repro.relational.instance.ChangeLog`.
 """
 
 from __future__ import annotations
 
 import threading
 from typing import Iterable, Iterator
+from weakref import WeakSet
 
 from repro.core.access_schema import (
     AccessRule,
@@ -228,7 +226,8 @@ class ViewState:
     """One view's materialization against one database: the answer rows,
     the derivation count of each row that has more than one (:attr:`many`;
     empty for a non-projecting view, so the row set is held once), the
-    watermark the answers are valid at, and the answer ledger.
+    watermark the answers are valid at, and the :attr:`readers` its answer
+    changes go to.
 
     The rows live in :attr:`store`, a private
     :class:`~repro.relational.backends.memory.MemoryBackend` over the
@@ -246,8 +245,7 @@ class ViewState:
     """
 
     __slots__ = (
-        "view", "db", "program", "watermark", "origin", "many", "seeded", "store",
-        "flat", "one_atom", "_ledger",
+        "view", "db", "program", "watermark", "many", "seeded", "store", "flat", "one_atom", "readers",
         "__weakref__",  # the change log pins its consumers weakly
     )
 
@@ -258,7 +256,7 @@ class ViewState:
         # Snapshot the watermark before executing: mutations are
         # single-writer by contract, so the counting pass sees exactly
         # the state at this watermark.
-        self.watermark = self.origin = db.change_log.watermark
+        self.watermark = db.change_log.watermark
         self.seeded = self.program.seed({})  # a maintenance plan has no parameters
         counts = self.program.count(ExecutionContext(db), self.seeded)
         rows = intern_rows(counts)  # a backend's reads need not share strings
@@ -271,7 +269,7 @@ class ViewState:
         permutes = len(query.body) == 1 and not query.equalities
         permutes = permutes and len(set(terms)) == len(terms) == len(query.head)
         self.one_atom = (query.body[0].relation, tuple(map(terms.index, query.head))) if permutes else None
-        self._ledger: list[tuple[int, int, dict[Row, int]]] = []
+        self.readers: WeakSet = WeakSet()  # the IncrementalResults reading the view
         db.change_log.pin(self)  # hold the log at our watermark while we live
 
     def __repr__(self) -> str:
@@ -309,7 +307,7 @@ class ViewState:
         net: dict[Row, int] = {}
         if slice.net:
             # Nothing below moves before the delta ran to completion: a
-            # failed refresh leaves counts, store, ledger and watermark
+            # failed refresh leaves counts, store, readers and watermark
             # as they were, so a retry starts from consistent state.
             if self.one_atom is None:
                 changes = self.program.join(ExecutionContext(self.db, delta=slice), self.seeded)
@@ -338,42 +336,18 @@ class ViewState:
                 name = self.view.name
                 self.store.delete_rows(name, [r for r, sign in net.items() if sign < 0])
                 self.store.insert_rows(name, [r for r, sign in net.items() if sign > 0])
-                # Ledger the answer net, forgetting the spans that end at or
-                # below the log's floor: every pinned consumer is past them
-                # (one asking anyway falls below ``origin`` and recomputes).
-                ledger, floor, dead = self._ledger, log.floor, 0
-                while dead < len(ledger) and ledger[dead][1] <= floor:
-                    dead += 1
-                if dead:
-                    self.origin = ledger[dead - 1][1]
-                    del ledger[:dead]
-                ledger.append((slice.start, slice.stop, net))
+                # Each reader joins the net on its next refresh: before the
+                # watermark moves, so a state ``prepare`` serves as fresh
+                # has handed its change to every reader.
+                for reader in self.readers:
+                    pending = reader._pending.setdefault(name, {})
+                    for row, sign in net.items():
+                        if pending.pop(row, 0) + sign:  # a row back where it was drops out
+                            pending[row] = sign
+                    if not pending:
+                        del reader._pending[name]
+                    reader._mark.marked = True
         self.watermark = slice.stop
-        return net
-
-    def changes_since(self, watermark: int) -> dict[Row, int] | None:
-        """The view's net answer change between base-log ``watermark`` and
-        the view's current watermark, replayed from the answer ledger --
-        or None when the ledger cannot answer (the watermark predates the
-        materialization, postdates it, or falls strictly inside one
-        refresh's span), in which case the caller must recompute."""
-        if watermark == self.watermark:
-            return {}
-        if watermark < self.origin or watermark > self.watermark:
-            return None
-        net: dict[Row, int] = {}
-        for from_w, to_w, entry in self._ledger:
-            if from_w >= watermark:
-                for row, sign in entry.items():
-                    merged = net.get(row, 0) + sign
-                    if merged:
-                        net[row] = merged
-                    else:
-                        net.pop(row, None)
-            elif to_w > watermark:
-                # The requested watermark falls inside this refresh's
-                # span: its net cannot be split after the fact.
-                return None
         return net
 
 

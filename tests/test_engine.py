@@ -453,7 +453,12 @@ def test_concurrent_cold_start_compiles_once(engine, monkeypatch):
 
     def slow_counted_compile(*args, **kwargs):
         calls.append(args)
-        time.sleep(0.05)  # hold the flight open so every thread piles up
+        # Hold the flight open until every other thread waits on it: one
+        # arriving after it landed is served by the held entry, no probe.
+        (flight,) = engine._cache._inflight.values()
+        deadline = time.monotonic() + 10
+        while flight.waiting < workers - 1 and time.monotonic() < deadline:
+            time.sleep(0.005)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(engine_module, "compile_plan", slow_counted_compile)

@@ -769,7 +769,7 @@ def test_view_assisted_answers_are_the_base_answers(backend_factory, scenario, m
         if live is not None:
             live.refresh()
             assert live.last_mode == "delta" and set(live.rows) == set(naive)
-            assert dict(live._counts[0]) == naive
+            assert live._counts == naive
             assert live.stats.tuples_accessed <= live.delta_bound
 
 

@@ -16,8 +16,10 @@ import weakref
 import pytest
 
 from reference_executor import execute_per_tuple
+from sql_oracle import SqlOracle
 from repro import (
     CompactedError,
+    Database,
     Engine,
     IncrementalError,
     IncrementalResult,
@@ -33,6 +35,7 @@ from repro.workloads import (
     RUNNING_QUERIES,
     SOCIAL_ACCESS,
     SOCIAL_SCHEMA,
+    VIEW_QUERIES,
     ChurnBatch,
     generate_churn,
     generate_social_network,
@@ -476,18 +479,109 @@ def test_view_refresh_that_fails_moves_nothing():
     db = engine.require_database()
     engine.views.register("FoF", "FoF(a, c) :- friend(a, b), friend(b, c)")
     state = engine.views.prepare(db, ["FoF"])["FoF"]
-    before = (state.rows, dict(state.counts), state.watermark, list(state._ledger))
+    before = (state.rows, dict(state.counts), state.watermark)
     source, target = next(iter(db.scan("friend")))
     db.insert_many("friend", [(target, 29), (29, source)])
     backend.fuse = 0  # the delta joins the slice, then reads old state
     with pytest.raises(OSError, match="injected"):
         state.refresh()
     backend.fuse = None
-    assert (state.rows, state.counts, state.watermark, state._ledger) == before
+    assert (state.rows, state.counts, state.watermark) == before
     assert state.refresh()
     assert state.watermark == db.change_log.watermark
     rebuilt = ViewState(state.view, db)
     assert state.counts == rebuilt.counts and set(state.rows) == set(rebuilt.rows)
+
+
+# -- results reading views: a view hands its answer change to its readers ---
+
+
+def view_readers(backend=None):
+    """A social engine with V1/V2, Q4 (reads V1 and person, never friend)
+    prepared on it, and a pid with one NYC person who does not follow it."""
+    engine = social_engine(200, seed=1, backend=backend)
+    register_workload_views(engine)
+    db = engine.require_database()
+    p = sample_pids(200, 1, seed=1)[0]
+    followers = {f for f, q in db.scan("friend") if q == p}
+    outsider = next(
+        pid for pid, _, city in db.scan("person") if city == "NYC" and pid not in followers | {p}
+    )
+    return engine, db, VIEW_QUERIES[0].prepare(engine), p, outsider
+
+
+def test_view_readers_join_nothing_after_a_write_their_views_do_not_see(monkeypatch):
+    engine, db, prepared, _, _ = view_readers()
+    pids = list(dict.fromkeys(sample_pids(200, 8, seed=1)))[:4]
+    live = [prepared.execute_incremental(p=pid) for pid in pids]
+    assert len(live) == 4 and prepared.plan(["p"]).view_relations == {"V1"}
+    joins, join = [], DeltaProgram.join
+    monkeypatch.setattr(DeltaProgram, "join", lambda self, *args: joins.append(self) or join(self, *args))
+    db.insert_many("visits", [(pids[0], "url-new"), (pids[1], "url-new")])
+    for result in live:
+        assert result.refresh().last_mode == "delta" and result.stats.tuples_accessed == 0
+    assert joins == []
+
+
+def test_a_view_change_at_a_readers_key_marks_it():
+    engine, db, prepared, p, outsider = view_readers()
+    live = prepared.execute_incremental(p=p)
+    assert all(relation != "friend" for relation, _, _ in live._mark.footprint)
+    db.insert_many("friend", [(outsider, p)])
+    assert not live._mark.marked  # the write met no footprint of the reader ...
+    engine.views.prepare(db, ["V1"])
+    assert live._mark.marked  # ... the view it changed hands the change on
+    assert live._pending == {"V1": {(p, outsider): 1}}
+    live.refresh()
+    raw = {name: set(db.scan(name)) for name in engine.schema.names}
+    assert (outsider,) in live.rows and live._pending == {}
+    assert set(live.rows) == SqlOracle(engine.schema, raw).answers(prepared.query, {"p": p})
+
+
+def test_a_view_reader_whose_join_fails_keeps_its_pending_change():
+    backend = FaultyBackend()
+    engine, db, prepared, p, outsider = view_readers(backend=backend)
+    live = prepared.execute_incremental(p=p)
+    before = (live.rows, copy.deepcopy(live._counts), live.watermark)
+    db.insert_many("friend", [(outsider, p)])
+    backend.fuse = 0  # V1 refreshes without a read; the reader's person lookup fails
+    with pytest.raises(OSError, match="injected"):
+        live.refresh()
+    backend.fuse = None
+    assert (live.rows, live._counts, live.watermark) == before
+    assert live._mark.marked and live._pending == {"V1": {(p, outsider): 1}}
+    assert live.refresh().last_mode == "delta" and live._pending == {}
+    assert live._counts == prepared.execute_incremental(p=p)._counts
+    assert set(live.rows) == set(prepared.execute(p=p).rows) and (outsider,) in live.rows
+
+
+def test_a_view_reader_rebases_over_a_view_state_rebuilt_behind_it():
+    """Another Database and back, without a refresh between: the view state
+    rebuilt for ours never had the reader, so the reader rebases."""
+    engine, db, prepared, p, outsider = view_readers()
+    live = prepared.execute_incremental(p=p)
+    engine.database = Database(engine.schema)
+    prepared.execute(p=p)  # V1 rebuilt for the empty database
+    engine.database = db
+    db.insert_many("friend", [(outsider, p)])
+    prepared.execute(p=p)  # ... and for ours, past the write
+    assert live.refresh().last_mode == "rebase" and (outsider,) in live.rows
+    db.delete_many("friend", [(outsider, p)])
+    assert live.refresh().last_mode == "delta" and (outsider,) not in live.rows
+
+
+def test_a_rebase_leaves_the_readers_of_views_its_plans_no_longer_read():
+    engine, db, prepared, p, outsider = view_readers()
+    live = prepared.execute_incremental(p=p)
+    state = engine.views.state("V1")
+    assert live in state.readers
+    engine.access = f"{SOCIAL_ACCESS}; friend(pid2 -> 64)"  # Q4 reads friend itself now
+    assert live.refresh().last_mode == "rebase" and live._views == {}
+    assert live not in state.readers
+    db.insert_many("friend", [(outsider, p)])
+    engine.views.prepare(db, ["V1"])  # V1 changes at p, no longer ours to join
+    assert live._pending == {}
+    assert set(live.refresh().rows) == set(prepared.execute(p=p).rows)
 
 
 def test_a_retry_after_a_fault_reuses_the_staged_slice_and_equals_a_recompute(monkeypatch):
@@ -499,7 +593,7 @@ def test_a_retry_after_a_fault_reuses_the_staged_slice_and_equals_a_recompute(mo
     db = engine.require_database()
     prepared = RUNNING_QUERIES[2].prepare(engine)  # Q3: two changed levels
     live = prepared.execute_incremental(p=1)
-    friend = next(iter(live._counts[0]), (2,))[0]
+    friend = next(iter(live._counts), (2,))[0]
     db.insert_many("friend", [(1, 39), (39, friend), (friend, 38)])
     db.delete_many("friend", db.lookup("friend", {0: 1})[:1])
     staged, _ = count_stage_work(monkeypatch)
@@ -535,26 +629,28 @@ def test_a_loaded_database_nobody_refreshes_retains_almost_nothing():
 
 def test_sustained_churn_holds_a_steady_state_log_and_ledgers():
     """200k effective mutations in 16-row batches, every consumer
-    refreshed every batch: the log and the view ledgers stay under a
-    constant however long the run; a lagging result holds the floor until
-    it is dropped."""
+    refreshed every batch: the log stays under a constant however long
+    the run, and a result reading a view holds no view change past its
+    refresh; a lagging result holds the floor until it is dropped."""
     persons, seed, batch_size = 300, 2, 16
     data = generate_social_network(persons, seed=seed)
     engine = Engine(SOCIAL_SCHEMA, SOCIAL_ACCESS, data)
     register_workload_views(engine)
     db = engine.require_database()
     log = db.change_log
-    states = engine.views.refresh(db)
+    engine.views.refresh(db)
     forward = generate_churn(data, batches=64, batch_size=batch_size, seed=seed)
     # Replaying the inverses last-first walks back to the initial state,
     # so the period can repeat for ever with every operation effective.
     period = [*forward, *(ChurnBatch(b.inserts, b.deletes) for b in reversed(forward))]
     maintained = [
         (bundle.prepare(engine), pid)
-        for bundle in RUNNING_QUERIES
+        for bundle in (*RUNNING_QUERIES, VIEW_QUERIES[0])
         for pid in sample_pids(persons, 2, seed=seed)
     ]
     live = [prepared.execute_incremental(p=pid) for prepared, pid in maintained]
+    readers = [result for result in live if result._views]
+    assert len(readers) == 2
 
     def churn(batches: int) -> int:
         """Run ``batches`` batches, everything refreshed after each one;
@@ -565,6 +661,7 @@ def test_sustained_churn_holds_a_steady_state_log_and_ledgers():
             for result in live:
                 result.refresh()
             engine.views.refresh(db)
+            assert all(reader._pending == {} for reader in readers)
             most = max(most, len(log))
         return most
 
@@ -572,7 +669,6 @@ def test_sustained_churn_holds_a_steady_state_log_and_ledgers():
     limit = 4 * COMPACT_MIN_DEAD
     assert churn(len(period) * 98) < limit
     assert log.watermark - start >= 200_000
-    assert all(len(state._ledger) < limit // batch_size for state in states.values())
     for (prepared, pid), result in zip(maintained, live):
         assert result.last_mode == "delta"
         assert set(result.rows) == set(prepared.execute(p=pid).rows)

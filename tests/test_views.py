@@ -246,25 +246,18 @@ class TestViewState:
         late = state.store.lookup_keys("V1", (0, 1), list(rows))
         assert [list(g) for g in late] == [[row] for row in rows]
 
-    def test_len_rows_order_and_changes_since(self, engine):
+    def test_len_rows_and_order(self, engine):
         engine.views.register(v1_def())
         db = engine.require_database()
         state = engine.views.prepare(db, ["V1"])["V1"]
-        origin = state.watermark
         assert len(state) == 4 and state.rows[0] == (1, 2)
         db.delete_many("friend", [(2, 1)])
         state.refresh()
-        middle = state.watermark
         db.insert_many("friend", [(2, 1), (4, 1)])
         state.refresh()
         # First-derivation order; a re-entered row queues up like a new one.
         assert state.rows == ((1, 3), (2, 1), (3, 4), (1, 2), (1, 4))
         assert len(state) == 5
-        assert state.changes_since(origin) == {(1, 4): 1}
-        assert state.changes_since(middle) == {(1, 2): 1, (1, 4): 1}
-        assert state.changes_since(state.watermark) == {}
-        assert state.changes_since(middle + 1) is None  # inside a refresh's span
-        assert state.changes_since(origin - 1) is None  # predates the state
         assert "ViewState('V1', 5 rows" in repr(state)
 
     def test_multi_atom_view_materializes_and_refreshes(self, engine):
@@ -313,24 +306,6 @@ class TestViewState:
             assert v1.many == {}
             assert f.many == {row: n for row, n in f.counts.items() if n > 1}
         assert f.many == {(2,): 2} and f.rows[-1] == (2,)
-
-    def test_ledger_changes_since(self, engine):
-        engine.views.register(v1_def())
-        db = engine.require_database()
-        state = engine.views.prepare(db, ["V1"])["V1"]
-        w0 = state.watermark
-        db.insert_many("friend", [(4, 1)])
-        state.refresh()
-        w1 = state.watermark
-        db.delete_many("friend", [(4, 1)])
-        db.insert_many("friend", [(3, 2)])
-        state.refresh()
-        assert state.changes_since(state.watermark) == {}
-        assert state.changes_since(w1) == {(1, 4): -1, (2, 3): 1}
-        # Merging across both refreshes: the (1, 4) add/remove cancels.
-        assert state.changes_since(w0) == {(2, 3): 1}
-        # Watermarks the ledger cannot answer for: recompute.
-        assert state.changes_since(w0 + 1) is None or w0 + 1 in (w1,)
 
     def test_unsatisfiable_view_is_empty(self, engine):
         view = ViewDef("EMPTY", "EMPTY(a) :- friend(a, b), b = 1, b = 2")
@@ -840,7 +815,7 @@ def test_an_incremental_result_over_an_unread_view_refreshes_to_a_recompute():
     db = engine.require_database()
     q = engine.query(TWO_VIEWS)
     live = q.execute_incremental(p=1)
-    assert live._view_names == ("V1",)
+    assert list(live._views) == ["V1"]
     batches = (
         ("friend", db.insert_many, [(4, 1), (1, 1)]),
         ("visits", db.insert_many, [(4, "url3"), (2, "url2")]),
