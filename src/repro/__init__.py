@@ -41,8 +41,8 @@ The package is organised as follows:
   stable codes with severities and 1-based source spans threaded from
   the parser; the uncontrollability trace and missing-rule advice read
   off the planner's walk (:class:`repro.core.controllability.Coverage`,
-  QRY007 / ACC005), the cost model's self-check (CST), the
-  incremental-maintainability classifier (INC) and plan certification
+  QRY007 / ACC005), the cost model's self-check (CST), the executor's
+  incremental-maintainability verdict (INC) and plan certification
   (CRT) -- translation validation of every compiled plan under
   ``Engine(certify=True)`` / ``REPRO_CERTIFY=1`` -- surfaced as
   ``prepared.diagnostics()`` / ``engine.analyze()``, and the CI gate

@@ -19,12 +19,12 @@ per decision the engine makes:
   is no costlier than any rejected candidate (CST002, in the certifier,
   catches plans whose ``cost_estimate`` annotation disagrees with an
   independent re-derivation);
-* :func:`classify_incremental` (INC001-INC002,
-  :mod:`repro.analysis.maintain`) -- static
-  incremental-maintainability classification: which plans the Section 5
-  delta pipeline can refresh, with causal traces for embedded-rule
-  fetches, decided at prepare/register time instead of failing at
-  ``execute_incremental`` time;
+* :func:`analyze_prepared`'s INC001-INC002 -- Section 5's
+  maintainability verdict, rendered where the executor decides it
+  (:func:`~repro.core.executor.delta_blockers`, with the causal trace
+  :func:`~repro.core.executor.explain_blocker`): which plans the delta
+  pipeline can refresh, reported at prepare/register time instead of
+  failing at ``execute_incremental`` time;
 * :func:`certify_plan` / :func:`check_plan` (CRT001-CRT007,
   :mod:`repro.analysis.certify`) -- translation validation: re-derive a
   compiled plan's binding coverage, rule membership, head projection and
@@ -60,8 +60,8 @@ from repro.analysis.diagnostics import (
     diagnostic,
     register_code,
 )
-from repro.analysis.maintain import classify_incremental
 from repro.analysis.queries import ADVISED_RULE_BOUND, advise_missing_rule, analyze_query
+from repro.core.executor import delta_blockers, explain_blocker
 from repro.core.plans import compile_plan
 from repro.errors import NotControlledError
 from repro.logic.ucq import disjuncts_of
@@ -86,7 +86,6 @@ __all__ = [
     "certify_selection",
     "check_selection",
     "CostStats",
-    "classify_incremental",
     "advise_missing_rule",
     "ADVISED_RULE_BOUND",
 ]
@@ -115,7 +114,23 @@ def analyze_prepared(
         return report
     if not isinstance(plans, tuple):
         plans = (plans,)
-    report.extend(classify_incremental(plans).report(source=source))
+    # INC001 per step that keeps a plan from a delta program; INC002 once
+    # when only *some* disjuncts of a union are blocked -- the delta
+    # pipeline refreshes all disjunct counts or none.
+    blockers = [(plan, index, step) for plan in plans for index, step in delta_blockers(plan)]
+    for plan, index, step in blockers:
+        message = f"query {plan.query} cannot be refreshed incrementally: "
+        message += explain_blocker(index, step)
+        report.add(diagnostic("INC001", message, span=step.atom.span, source=source))
+    blocked = len({id(plan) for plan, _, _ in blockers})
+    if blocked and blocked < len(plans):
+        relations = ", ".join(sorted({step.atom.relation for _, _, step in blockers}))
+        message = (
+            f"{blocked} of {len(plans)} union disjuncts fetch through embedded rules "
+            f"(on {relations}), blocking incremental refresh of the whole union: the "
+            f"delta pipeline refreshes all disjunct counts or none"
+        )
+        report.add(diagnostic("INC002", message, span=blockers[0][2].atom.span, source=source))
     # CST003: the selector picked a view-augmented plan although a base
     # plan exists -- worth a note (with the price comparison) because the
     # answers now depend on view freshness.

@@ -71,8 +71,9 @@ def _queries(
     """Every line of ``filename`` as ``(lineno, line, query)``; ``query``
     is None on blank, comment and unparseable lines (each failure a
     SYN001 in ``report``, as is an unreadable file).  A line is parsed
-    behind ``lineno - 1`` newlines, so spans and parse errors come out in
-    file coordinates."""
+    alone (so a plain rule takes the parser's plain path), then its spans
+    move down ``lineno - 1`` lines into file coordinates -- before any
+    pass reads them, since INC001's trace quotes its atom's span."""
     try:
         text = Path(filename).read_text()
     except OSError as exc:
@@ -84,9 +85,8 @@ def _queries(
         query = None
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
-            padded = "\n" * (lineno - 1) + line
             try:
-                query = parse_query(padded, schema=schema)
+                query = _moved_down(parse_query(line, schema=schema), lineno - 1)
             except ParseError as exc:
                 column = exc.column or 1
                 span = Span(lineno, column, lineno, column)
@@ -97,6 +97,15 @@ def _queries(
             except ReproError as exc:  # schema validation (SchemaError, ...)
                 report.add(_line_error(str(exc), lineno, line, filename))
         yield lineno, line, query
+
+
+def _moved_down(query, lines: int):
+    """``query`` with its atoms' and equalities' spans moved down ``lines``."""
+    for disjunct in disjuncts_of(query):
+        for node in (*disjunct.body, *disjunct.equalities):
+            span = node.span
+            node.span = Span(span.line + lines, span.column, span.end_line + lines, span.end_column)
+    return query
 
 
 def _line_error(message: str, lineno: int, line: str, filename: str):

@@ -242,7 +242,7 @@ register_code("CST001", Severity.ERROR, "cost-based selection kept a costlier pl
 register_code("CST002", Severity.ERROR, "plan cost estimate disagrees with re-derivation")
 register_code("CST003", Severity.HINT, "cost-based selection chose a view-augmented plan")
 
-# Incremental maintainability (repro.analysis.maintain)
+# Incremental maintainability (analyze_prepared renders delta_blockers)
 register_code("INC001", Severity.HINT, "plan cannot be refreshed incrementally")
 register_code("INC002", Severity.HINT, "union disjunct blocks incremental refresh")
 

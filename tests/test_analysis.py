@@ -237,6 +237,45 @@ def test_cli_bad_schema_text_is_reported(capsys):
     assert "--schema: SYN001" in out
 
 
+def test_cli_parses_each_line_alone(monkeypatch, tmp_path, capsys):
+    # Each line reaches the parser on its own, so a plain rule takes the
+    # plain path on any line; its spans (and INC001's quoted "(at L:C)")
+    # still come out in file coordinates.
+    import repro.analysis.__main__ as cli
+    import repro.logic.parser as parser
+
+    texts, plain = [], []
+
+    def spy_parse(text, schema=None):
+        texts.append(text)
+        return parse_query(text, schema)
+
+    def spy_plain(text, schema):
+        query = plain_rule(text, schema)
+        plain.append(query is not None)
+        return query
+
+    plain_rule = parser._plain_rule
+    monkeypatch.setattr(cli, "parse_query", spy_parse)
+    monkeypatch.setattr(parser, "_plain_rule", spy_plain)
+    f = tmp_path / "q.dl"
+    f.write_text(
+        "Q(y) :- friend(p, y) ; Q(y) :- person(p, y, c)\n"
+        "# a comment\n"
+        "Q(u) :- friend(p, y), visits(y, u)\n"
+        "Q(y) :- friend(p, y), person(y, n, 'NYC')\n"
+    )
+    main([str(f), "--schema", SCHEMA_TEXT, "--params", "p", "--access",
+          "person(pid -> 1); friend(pid1 -> pid2, 32); visits(pid -> 8)"])
+    out = capsys.readouterr().out
+    assert len(texts) == 3 and not any("\n" in text for text in texts)
+    assert plain == [False, True, True]  # a union is the token parser's
+    assert f"{f}:1:9: INC002" in out
+    for line in (3, 4):
+        assert f"{f}:{line}:9: INC001" in out
+        assert f"(at {line}:9)" in out
+
+
 # -- the CLI reports what the engine reports ------------------------------
 
 EMBEDDED_ACCESS = "person(pid -> 1); friend(pid1 -> 32); visits(pid -> url, 8)"

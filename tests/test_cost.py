@@ -1,5 +1,5 @@
 """The static cost model, cost-based plan selection, the
-incremental-maintainability classifier and the linter's JSON artifact.
+incremental-maintainability diagnostics and the linter's JSON artifact.
 
 The cost model must agree with the certifier's fanout arithmetic at
 unit costs, refine (never inflate) under observed statistics, and the
@@ -25,14 +25,15 @@ from repro import (
 )
 from repro.analysis import (
     CostStats,
+    analyze_prepared,
     certify_plan,
     certify_selection,
     check_selection,
-    classify_incremental,
     estimate_plan,
 )
 from repro.analysis.__main__ import main
 from repro.analysis.cost import CostEstimate
+from repro.core.executor import delta_blockers, explain_blocker
 
 SCHEMA_TEXT = "person(pid, name, city); friend(pid1, pid2); visits(pid, url)"
 ACCESS_TEXT = "person(pid -> 1); friend(pid1 -> 32); visits(pid -> 8)"
@@ -219,33 +220,39 @@ def test_certifier_catches_a_forged_cost_estimate():
     assert "CST002" in {d.code for d in certify_plan(forged, access)}
 
 
-# -- the incremental-maintainability classifier ---------------------------
+# -- the incremental-maintainability diagnostics -------------------------
 
 
 EMBEDDED_ACCESS = "person(pid -> 1); friend(pid1 -> pid2, 32); visits(pid -> 8)"
 
 
+def inc_counts(report):
+    return len(report.by_code("INC001")), len(report.by_code("INC002"))
+
+
 def test_classifier_accepts_plain_rule_plans():
-    eng = engine()
-    support = classify_incremental(one_plan(eng.query(Q1)))
-    assert support.supported
-    assert support.report().ok()
-    assert support.explain() == ""
+    report = engine().query(Q1).diagnostics(("p",))
+    assert inc_counts(report) == (0, 0)
+    assert report.ok()
 
 
 def test_classifier_traces_embedded_rule_blockers():
     eng = Engine(SCHEMA_TEXT, EMBEDDED_ACCESS, DATA)
     prep = eng.query(Q1)
-    support = classify_incremental(one_plan(prep))
-    assert not support.supported
-    (blocker,) = support.blockers
-    assert blocker.relation == "friend"
-    trace = blocker.explain()
-    assert "friend(pid1 -> pid2, 32)" in trace
-    assert "dedup-aware counting scheme" in trace
-    assert "(at 1:9)" in trace  # the offending atom's source span
-    report = support.report(source="Q1")
+    report = analyze_prepared(prep, ("p",), source="Q1")
+    assert inc_counts(report) == (1, 0)
     (d,) = report.by_code("INC001")
+    # The executor's one trace, after the query it blocks.
+    plan = one_plan(prep)
+    (blocker,) = delta_blockers(plan)
+    assert d.message == (
+        f"query {plan.query} cannot be refreshed incrementally: "
+        + explain_blocker(*blocker)
+    )
+    assert "'friend'" in d.message
+    assert "friend(pid1 -> pid2, 32)" in d.message
+    assert "dedup-aware counting scheme" in d.message
+    assert "(at 1:9)" in d.message  # the offending atom's source span
     assert d.span is not None and d.source == "Q1"
     # The same verdict surfaces in the prepared query's diagnostics --
     # at prepare time, not at execute_incremental time.
@@ -260,14 +267,24 @@ def test_classifier_traces_embedded_rule_blockers():
 def test_partially_blocked_union_reports_inc002():
     eng = Engine(SCHEMA_TEXT, EMBEDDED_ACCESS, DATA)
     union = "Q(y) :- friend(p, y) ; Q(y) :- person(p, y, c)"
-    plans = eng.query(union).plan(("p",))
-    support = classify_incremental(plans)
-    assert len(support.plans) == 2
-    assert len(support.blocked_plans) == 1
-    report = support.report()
-    assert report.by_code("INC001")
+    report = eng.query(union).diagnostics(("p",))
+    assert inc_counts(report) == (1, 1)
+    (blocker,) = report.by_code("INC001")
     (d,) = report.by_code("INC002")
     assert "1 of 2 union disjuncts" in d.message
+    assert "(on friend)" in d.message
+    assert d.span == blocker.span  # anchored at the first blocker
+
+
+def test_fully_blocked_union_reports_no_inc002():
+    # Every disjunct fetches through the embedded friend rule: one INC001
+    # each, and no disjunct is held hostage by another.
+    eng = Engine(SCHEMA_TEXT, EMBEDDED_ACCESS, DATA)
+    union = "Q(y) :- friend(p, y) ; Q(y) :- friend(p, y), person(y, n, 'NYC')"
+    report = eng.query(union).diagnostics(("p",))
+    assert inc_counts(report) == (1 + 1, 0)
+    spans = [(d.span.line, d.span.column) for d in report.by_code("INC001")]
+    assert spans == [(1, 9), (1, 32)]
 
 
 # -- the CI artifact ------------------------------------------------------
