@@ -29,6 +29,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
+_MISSING = object()  # PlanCache.get_or_compute: no entry (a value may be None)
+
 
 @dataclass(frozen=True)
 class CacheStats:
@@ -93,24 +95,22 @@ class PlanCache:
         for a fresh attempt later.
         """
         with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                flight = self._inflight.get(key)
-                if flight is not None:
-                    flight.waiting += 1
-                    while not flight.done:
-                        self._landed.wait()
-                    if flight.error is not None:
-                        raise flight.error
-                    self._hits += 1
-                    return flight.value
-                flight = self._inflight[key] = _InFlight()
-                self._misses += 1
-            else:
+            value = self._entries.get(key, _MISSING)
+            if value is not _MISSING:
                 self._entries.move_to_end(key)
                 self._hits += 1
                 return value
+            flight = self._inflight.get(key)
+            if flight is not None:
+                flight.waiting += 1
+                while not flight.done:
+                    self._landed.wait()
+                if flight.error is not None:
+                    raise flight.error
+                self._hits += 1
+                return flight.value
+            flight = self._inflight[key] = _InFlight()
+            self._misses += 1
         try:
             flight.value = compute()
         except BaseException as exc:

@@ -93,7 +93,7 @@ from repro.errors import NotControlledError, SchemaError
 from repro.logic.ast import _as_variable
 from repro.logic.canonical import Query, canonical_form, canonical_key
 from repro.logic.cq import ConjunctiveQuery
-from repro.logic.parser import parse_query
+from repro.logic.parser import _plain_rule, parse_query
 from repro.logic.terms import Constant, Variable
 from repro.logic.ucq import UnionOfConjunctiveQueries, disjuncts_of
 from repro.relational.backends.base import StorageBackend
@@ -266,13 +266,14 @@ class PreparedQuery:
     :class:`~repro.logic.terms.Variable` objects.
     """
 
-    __slots__ = ("query", "text", "columns", "_engine", "_shapes", "_binds")
+    __slots__ = ("query", "text", "columns", "_engine", "_shapes", "_binds", "_read_keys")
 
-    def __init__(self, engine: "Engine", query: Query, text: str | None = None):
+    def __init__(self, engine: "Engine", query: Query, text: str | None = None, read_keys=None):
         self._engine = engine
         self.query = query
         self.text = text if text is not None else str(query)
         self._shapes: dict[frozenset[Variable], _Shape] = {}
+        self._read_keys = read_keys or {}  # parameters -> the shape key the reader made under them
         self._binds: dict[tuple, tuple] = {}
         if isinstance(query, UnionOfConjunctiveQueries):
             # The answer columns are named after the head variables, so a
@@ -280,14 +281,9 @@ class PreparedQuery:
             # mislabel to_dicts(); reject it at prepare time.
             heads = {tuple(v.name for v in d.head) for d in query.disjuncts}
             if len(heads) > 1:
-                raise ValueError(
-                    "union disjuncts disagree on head variable names: "
-                    + " vs ".join(
-                        "(" + ", ".join(h) + ")" for h in sorted(heads)
-                    )
-                    + "; rename the heads consistently so answer columns "
-                    "are well-defined"
-                )
+                written = " vs ".join("(" + ", ".join(h) + ")" for h in sorted(heads))
+                raise ValueError(f"union disjuncts disagree on head variable names: {written}; "
+                                 "rename the heads consistently so answer columns are well-defined")
             query = query.disjuncts[0]
         # The answer columns: the head variables (a union's disjunct heads
         # agree on them -- enforced above).
@@ -667,22 +663,10 @@ class Engine:
         distinct source is parsed or validated once (single-flight under
         concurrency) and later calls may return the same object; a source
         that raises is not remembered, so it raises identically every time."""
-        if isinstance(query, str):
-            return self._texts.get_or_compute(
-                query,
-                lambda: PreparedQuery(self, parse_query(query, schema=self._schema), query),
-            )
-        if not isinstance(query, (ConjunctiveQuery, UnionOfConjunctiveQueries)):
-            raise TypeError(
-                f"expected query text, a ConjunctiveQuery or a "
-                f"UnionOfConjunctiveQueries, got {type(query).__name__}"
-            )
-
-        def prepare() -> PreparedQuery:
-            self._schema.validate_query(query)
-            return PreparedQuery(self, query)
-
-        return self._texts.get_or_compute(query, prepare)
+        if not isinstance(query, (str, ConjunctiveQuery, UnionOfConjunctiveQueries)):
+            expected = "query text, a ConjunctiveQuery or a UnionOfConjunctiveQueries"
+            raise TypeError(f"expected {expected}, got {type(query).__name__}")
+        return self._texts.get_or_compute(query, lambda: self._prepare(query))
 
     def execute(
         self,
@@ -690,8 +674,28 @@ class Engine:
         parameters: Mapping[object, object] | None = None,
         **kwargs: object,
     ) -> ResultSet:
-        """One-shot convenience: ``engine.query(q).execute(...)``."""
-        return self.query(query).execute(parameters, **kwargs)
+        """One-shot convenience: ``engine.query(q).execute(...)``.  A text the
+        memo has not seen is read under these parameter names, so a plain rule
+        (:mod:`repro.logic.parser`) comes with its shape key: its first execute
+        skips the canonical walk."""
+        if not isinstance(query, str):
+            return self.query(query).execute(parameters, **kwargs)
+        keys = (*(parameters or ()), *kwargs)  # the names a never-seen text is read under
+        prepared = self._texts.get_or_compute(query, lambda: self._prepare(query, keys))
+        return prepared.execute(parameters, **kwargs)
+
+    def _prepare(self, source: str | Query, keys: tuple | None = None) -> PreparedQuery:
+        """A memo miss: ``source`` parsed or schema-validated, prepared.  Read
+        under an execute's parameter ``keys``, a plain rule brings its shape key."""
+        if not isinstance(source, str):
+            self._schema.validate_query(source)
+            return PreparedQuery(self, source)
+        if keys is not None:
+            names = _parameter_order(keys)[1]
+            plain = _plain_rule(source, self._schema, {v.name for v in names})
+            if plain is not None:
+                return PreparedQuery(self, plain[0], source, {names: plain[1]})
+        return PreparedQuery(self, parse_query(source, schema=self._schema), source)
 
     def analyze(self, queries: Iterable[object] = (), *, source: str | None = None):
         """Statically analyze the engine (:mod:`repro.analysis`):
@@ -774,7 +778,7 @@ class Engine:
         generation, basis, cost_stats = self._state  # one load: a key never served again if stale
         shape = prepared._shapes.get(parameters)
         if shape is None:  # ... and not remembered yet: a parameter set that fails never is
-            shape = _Shape(canonical_key(prepared.query, parameters))
+            shape = _Shape(prepared._read_keys.get(parameters) or canonical_key(prepared.query, parameters))
         else:
             held, compiled = shape.held
             if held == generation:

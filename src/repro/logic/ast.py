@@ -3,12 +3,12 @@
 A CQ or UCQ body is made of relational atoms (:class:`Atom`) and
 equalities (:class:`Equality`): immutable, hashable nodes that share the
 :class:`Formula` base, which gives them field-wise equality, hashing and
-``repr`` and this interface:
+``repr``.  Each implements this interface:
 
-* :meth:`Formula.free_variables` -- the variables, in first-occurrence
-  order and without duplicates;
-* :meth:`Formula.substitute` -- replacement of variables by terms; and
-* :meth:`Formula.constants` -- the constants occurring in the node.
+* ``free_variables`` -- the variables, in first-occurrence order, once each;
+* ``substitute`` -- replacement of variables by terms (other mapped values
+  are coerced with :func:`~repro.logic.terms.make_term`); and
+* ``constants`` -- the constants occurring in the node.
 
 There are no connectives or quantifiers: QSI is undecidable for
 first-order queries (Fan, Geerts & Libkin 2014, Theorem 3.1), so CQ and
@@ -17,9 +17,8 @@ UCQ are the languages the engine plans and runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from repro.logic.terms import (
     Constant,
@@ -31,8 +30,7 @@ from repro.logic.terms import (
 )
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A 1-based source range: where a parsed node came from.
 
     ``line``/``column`` address the first character and ``end_line``/
@@ -93,22 +91,6 @@ class Formula:
     def __repr__(self) -> str:
         args = ", ".join(repr(getattr(self, f)) for f in self._fields)
         return f"{type(self).__name__}({args})"
-
-    def free_variables(self) -> tuple[Variable, ...]:
-        """The variables of the node, in first-occurrence order."""
-        raise NotImplementedError
-
-    def substitute(self, mapping: Mapping[Variable, Term]) -> "Formula":
-        """Replace variables according to ``mapping``.
-
-        Mapping values may be :class:`Variable` or :class:`Constant` (other
-        values are coerced with :func:`make_term`).
-        """
-        raise NotImplementedError
-
-    def constants(self) -> tuple[Constant, ...]:
-        """The constants occurring in the node, without duplicates."""
-        raise NotImplementedError
 
 
 def _coerce_mapping(mapping: Mapping[Variable, object]) -> dict[Variable, Term]:

@@ -15,17 +15,18 @@ written order, so two writings of a highly symmetric query may get two
 forms -- a cache miss, never a wrong plan.
 
 One walk over the sorted body (:func:`_walk`), a single pass over each
-disjunct's terms, has two readers.  The cache key, :func:`canonical_key`, is the canonical query *flattened to
-primitives*: per sorted atom its relation, its arity and per term a tag
-and a payload -- ``0, type(value), value`` for a constant, ``1, name`` for
-a parameter, ``2, index`` for a plain variable (its first-occurrence
-index, which is what its canonical name counts) -- then ``None``, the
-equalities' terms, ``None``, the head's terms, and one more ``None`` after
-each disjunct of a union.  Read left to right every position has one
-meaning (a relation announces its arity, a tag its payload's width, the
-separators count the sections), so the encoding is injective: equal keys
-are equal canonical queries.  The key is that plain tuple, hashed and
-compared at C speed.  :func:`canonical_form`
+disjunct's terms (:func:`_encode`, which the plain-rule reader of
+:mod:`repro.logic.parser` shares), has two readers.  The cache key,
+:func:`canonical_key`, is the canonical query *flattened to primitives*: per
+sorted atom its relation, its arity and per term a tag and a payload --
+``0, type(value), value`` for a constant, ``1, name`` for a parameter,
+``2, index`` for a plain variable (its first-occurrence index, which is what
+its canonical name counts) -- then ``None``, the equalities' terms, ``None``,
+the head's terms, and one more ``None`` after each disjunct of a union.  Read
+left to right every position has one meaning (a relation announces its
+arity, a tag its payload's width, the separators count the sections), so the
+encoding is injective: equal keys are equal canonical queries.  The key is
+that plain tuple, hashed and compared at C speed.  :func:`canonical_form`
 builds the query and the way back from the same walk, where they are read.
 """
 
@@ -105,9 +106,6 @@ def _walk(query: Query, parameters: AbstractSet[Variable]):
             # Stable: atoms the signatures leave tied keep their written order.
             order = sorted(range(len(body)), key=signatures.__getitem__)
             body = tuple([body[i] for i in order])
-        # The disjunct's sections in reading order, encoded in one pass: a
-        # term becomes its tag and payload, while a relation, an arity and
-        # a section's end (None) stand for themselves.
         items: list[object] = []
         for atom in body:
             items += (atom.relation, len(atom.terms), *atom.terms)
@@ -119,21 +117,28 @@ def _walk(query: Query, parameters: AbstractSet[Variable]):
         if union:
             items.append(None)
         index: dict[str, int] = {}
-        for item in items:
-            kind = type(item)
-            if kind is Variable:
-                name = item.name
-                if name in names:
-                    flat += (1, name)
-                else:
-                    flat += (2, index.setdefault(name, len(index)))
-            elif kind is Constant:
-                value = item.value
-                flat += (0, type(value), value)
-            else:
-                flat.append(item)
+        _encode(items, names, flat, index)
         tables.append((disjunct, body, index))
     return names, flat, tables
+
+
+def _encode(items: list, names: AbstractSet[str], flat: list, index: dict[str, int]) -> None:
+    """Append one disjunct's sections in reading order, ``items``, to ``flat``:
+    a term becomes its tag and payload (``index`` numbers plain variables),
+    while a relation, an arity and a section's end (None) stand for themselves."""
+    for item in items:
+        kind = type(item)
+        if kind is Variable:
+            name = item.name
+            if name in names:
+                flat += (1, name)
+            else:
+                flat += (2, index.setdefault(name, len(index)))
+        elif kind is Constant:
+            value = item.value
+            flat += (0, type(value), value)
+        else:
+            flat.append(item)
 
 
 def canonical_key(query: Query, parameters: AbstractSet[Variable] = frozenset()) -> tuple:

@@ -42,7 +42,8 @@ it.)
 A query takes one of two paths.  A *plain rule* -- one line
 ``Q(x) :- R(x, 'NYC'), S(x, y)`` of ASCII names (no keyword or lone ``_``)
 and escape-free single-quoted strings, spaced as here -- is read by regex:
-one ``fullmatch``, one match per atom, one ``findall`` per term list.  Any
+one ``fullmatch``, one match per atom, one ``findall`` per term list; read
+for an execute, its canonical key comes with it (:func:`_plain_rule`).  Any
 other text, and a plain rule the schema or the safety check rejects, takes
 the token path, which words and places every error: one scan into parallel
 lists -- kind, text, offset, value -- that one cursor type
@@ -57,9 +58,11 @@ from __future__ import annotations
 
 import ast as _pyast
 import re
+from functools import lru_cache
 
 from repro.errors import ParseError
 from repro.logic.ast import Atom, Equality, Span, _variable_from_name
+from repro.logic.canonical import _encode
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Constant, Term, Variable
 from repro.logic.ucq import UnionOfConjunctiveQueries
@@ -398,21 +401,46 @@ _ATOMS = re.compile(r"(\w+)\(([^')]*(?:'[^']*'[^')]*)*)\)").finditer
 _TERMS = re.compile(r"'([^']*)'|([^ ,]+)").findall
 
 
-def _plain_rule(text: str, schema) -> ConjunctiveQuery | None:
-    """``text`` as a plain rule, or None: the token parser's to read or reject."""
+#: One Constant per quoted text (a str: 1, 1.0 and True would share one key).
+_constant_from_text = lru_cache(maxsize=4096)(Constant)
+
+
+def _plain_rule(text: str, schema, parameters=None) -> tuple[ConjunctiveQuery, tuple | None] | None:
+    """``text`` as a plain rule, ``(query, key)``, or None: the token parser's
+    to read or reject.  Given an execute's ``parameters`` (names), ``key`` is
+    ``canonical_key(query, parameters)``: each atom's first-round signature
+    grows beside its terms, and the body sorted by them is encoded once.  It
+    is None otherwise, or on a tie (the canonical walk refines those)."""
     if _PLAIN_RULE.fullmatch(text) is None:
         return None
     head, *atoms = _ATOMS(text)
-    body = []
+    head = tuple([_variable_from_name(name) for _, name in _TERMS(head[2])])
+    heads: dict[str, tuple[int, ...]] = {}
+    for position, variable in enumerate(head):
+        heads[variable.name] = heads.get(variable.name, ()) + (position,)
+    given, body, signatures, named = parameters or (), [], [], set()
     for m in atoms:
-        relation, terms = m[1], tuple([_variable_from_name(n) if n else Constant(s) for s, n in _TERMS(m[2])])
+        relation, terms, signature = m[1], [], [m[1]]
+        for s, n in _TERMS(m[2]):
+            if n:
+                terms.append(variable := _variable_from_name(n))
+                named.add(name := variable.name)
+                signature += (1, name) if name in given else (2, heads.get(name, ()))
+            else:
+                terms.append(_constant_from_text(s))
+                signature += (0, s)  # a str Constant orders as its value
         if schema is not None and schema.arities.get(relation) != len(terms):
             return None
-        body.append(Atom._trusted(relation, terms, Span(1, m.start() + 1, 1, m.end())))
-    try:
-        return ConjunctiveQuery([_variable_from_name(name) for _, name in _TERMS(head[2])], body)
-    except ValueError:  # an unsafe head
+        body.append(Atom._trusted(relation, tuple(terms), Span(1, m.start() + 1, 1, m.end())))
+        signatures.append(tuple(signature))
+    if not named.issuperset(heads):  # an unsafe head
         return None
+    query = ConjunctiveQuery._trusted(head, tuple(body), ())
+    if parameters is None or len(set(signatures)) < len(signatures):
+        return query, None
+    items = [x for _, a in sorted(zip(signatures, body)) for x in (a.relation, len(a.terms), *a.terms)]
+    _encode([*items, None, None, *head], parameters, flat := [], {})  # distinct: no atom was compared
+    return query, tuple(flat)
 
 
 def parse_query(text: str, schema=None) -> ConjunctiveQuery | UnionOfConjunctiveQueries:
@@ -423,7 +451,8 @@ def parse_query(text: str, schema=None) -> ConjunctiveQuery | UnionOfConjunctive
     every atom is checked against it during the parse, so an unknown
     relation or a wrong arity is reported with the exact source position.
     """
-    return _plain_rule(text, schema) or _QueryParser(TokenStream(text), schema).parse()
+    plain = _plain_rule(text, schema)
+    return plain[0] if plain else _QueryParser(TokenStream(text), schema).parse()
 
 
 def parse_cq(text: str, schema=None) -> ConjunctiveQuery:

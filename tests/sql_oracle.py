@@ -69,7 +69,9 @@ class SqlOracle:
 def _select(cq, given: Mapping[Variable, object], args: list[object]) -> str:
     """One ``SELECT DISTINCT`` for ``cq``; appends its bound values to
     ``args``.  A leading constant column keeps a zero-arity head legal."""
-    column: dict[Variable, str] = {}  # a variable -> the SQL that holds its value
+    # a variable -> the SQL column that holds its value, or the term an
+    # equality gave it (bound only where used: an unused one binds nothing)
+    column: dict[Variable, object] = {}
     where: list[str] = []
 
     def bind(value: object) -> str:
@@ -82,7 +84,10 @@ def _select(cq, given: Mapping[Variable, object], args: list[object]) -> str:
     def sql(term) -> str:
         if isinstance(term, Constant):
             return bind(term.value)
-        return column[term] if term in column else bind(given[term])
+        if term not in column:
+            return bind(given[term])
+        held = column[term]
+        return held if isinstance(held, str) else sql(held)
 
     for i, atom in enumerate(cq.body):
         for j, term in enumerate(atom.terms):
@@ -104,7 +109,7 @@ def _select(cq, given: Mapping[Variable, object], args: list[object]) -> str:
                 where.append(f"{sql(left)} IS {sql(right)}")
             elif known(left) or known(right):
                 source, target = (left, right) if known(left) else (right, left)
-                column[target] = sql(source)
+                column[target] = source
             else:
                 continue
             pending.remove(eq)

@@ -444,8 +444,8 @@ MUTANTS = {
         "flat",
     ),
     "parameter numbered like a plain variable in the key": (
-        "if name in names:\n                    flat += (1, name)",
-        "if False:\n                    flat += (1, name)",
+        "if name in names:\n                flat += (1, name)",
+        "if False:\n                flat += (1, name)",
         "key sound",
     ),
     "variable index taken from written order": (

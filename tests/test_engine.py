@@ -648,8 +648,22 @@ def counting_parse(monkeypatch, delay=0.0):
     return calls
 
 
+def counting_reads(monkeypatch):
+    """The texts ``engine.execute`` hands the plain-rule reader, which reads
+    a never-seen text once, with its shape key."""
+    calls = []
+    real = engine_module._plain_rule
+
+    def wrapper(text, schema, parameters=None):
+        calls.append(text)
+        return real(text, schema, parameters)
+
+    monkeypatch.setattr(engine_module, "_plain_rule", wrapper)
+    return calls
+
+
 def test_repeated_texts_are_parsed_once_each(engine, monkeypatch):
-    calls = counting_parse(monkeypatch)
+    calls = counting_reads(monkeypatch)
     texts = [f"Q(y{i}) :- friend(p, y{i}), person(y{i}, n, 'NYC')" for i in range(40)]
     for i in range(4096):
         assert engine.execute(texts[i % 40], p=1).rows == ((2,),)
@@ -761,7 +775,7 @@ def test_memoised_text_never_serves_a_stale_plan():
 
 
 def test_clear_plan_cache_leaves_the_text_memo_alone(engine, monkeypatch):
-    parses, compiles = counting_parse(monkeypatch), counting_compile(monkeypatch)
+    parses, compiles = counting_reads(monkeypatch), counting_compile(monkeypatch)
     engine.execute(NYC_FRIENDS, p=1)
     engine.clear_plan_cache()
     engine.execute(NYC_FRIENDS, p=1)
@@ -1092,6 +1106,38 @@ def test_union_whose_disjuncts_bind_through_parameter_equalities_executes(engine
     u = engine.query("Q(y) :- friend(x, y), x = p ; Q(y) :- friend(y, x), x = p")
     assert u.execute(p=1).rows == ((2,), (3,), (5,))
     assert u.explain_analyze(p=1).result.rows == ((2,), (3,), (5,))
+
+
+# -- a never-seen text is keyed as it is read --------------------------------
+
+
+def test_an_executed_plain_text_brings_its_shape_key(engine, monkeypatch):
+    walks = []
+    real = engine_module.canonical_key
+    monkeypatch.setattr(engine_module, "canonical_key", lambda *args: walks.append(args) or real(*args))
+    p = frozenset({engine_module.Variable("p")})
+    assert engine.execute(NYC_FRIENDS, p=1).rows == ((2,),) and walks == []
+    first = engine.query(NYC_FRIENDS)
+    assert first._read_keys[p] == first._shapes[p].key == real(first.query, p)
+    # Read by query() first, a text has no key: its first execute walks.
+    twin = engine.query("Q(x) :- friend(p, x), person(x, m, 'NYC')")
+    assert twin.execute(p=1).rows == ((2,),) and len(walks) == 1
+    # So do a token-path text, a tie (friend(p, z) and friend(p, w) sign
+    # alike), and a parameter set other than the one the text was read under.
+    for text in ("Q(y) <- friend(?p, y), person(y, n, 'NYC')", "Q(y) :- friend(p, y), friend(p, z), friend(p, w)"):
+        engine.execute(text, p=1)
+    assert engine.query(NYC_FRIENDS).execute(p=1, n="bob").rows == ((2,),)
+    # The twin and the token-path text share NYC_FRIENDS's shape.
+    assert len(walks) == 4 and engine.cache_stats().misses == 3
+
+
+def test_a_read_key_that_fails_to_compile_is_not_remembered(engine):
+    text = "Q(x) :- person(x, n, c)"  # nothing bounds ?x under ?n
+    for _ in range(2):
+        with pytest.raises(NotControlledError):
+            engine.execute(text, n="ann")
+    q = engine.query(text)
+    assert q._read_keys and q._shapes == {}
 
 
 # -- a parameter set that fails is not remembered ---------------------------

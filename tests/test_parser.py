@@ -1073,6 +1073,125 @@ def test_which_texts_are_plain_rules(text, plain):
     assert parsed(parse_query, text, schema) == parsed(token_parse, text, schema)
 
 
+#: A plain rule's reader keys it for an execute: ``(head, atoms, marks,
+#: targets, order)`` drawn by :func:`keyed_rules`.
+KEY_RELATIONS = {"r": 1, "s": 2, "t": 3}
+KEY_NAMES = ("x", "y", "z", "w")
+#: Quoted constants, one holding the ', ' and ')' the term regexes split on.
+KEY_CONSTANTS = ("'NYC'", "'a, b) c('", "''")
+
+
+@st.composite
+def keyed_rules(draw):
+    """A safe plain rule over ``KEY_RELATIONS`` -- self-joins, constants,
+    a head that may repeat a variable -- with a spelling per written name
+    (``?`` or not), a renaming of every name onto ``a``-``d`` and an atom
+    order for its twin."""
+    relations = draw(st.lists(st.sampled_from(sorted(KEY_RELATIONS)), min_size=1, max_size=4))
+    term = st.sampled_from(KEY_NAMES + KEY_CONSTANTS)
+    atoms = [(r, [draw(term) for _ in range(KEY_RELATIONS[r])]) for r in relations]
+    used = sorted({t for _, terms in atoms for t in terms if t in KEY_NAMES})
+    head = draw(st.lists(st.sampled_from(used), max_size=3)) if used else []
+    marks = draw(st.lists(st.booleans(), min_size=16, max_size=16))
+    order = draw(st.permutations(range(len(atoms))))
+    return head, atoms, marks, dict(zip(KEY_NAMES, draw(st.permutations("abcd")))), order
+
+
+def keyed_text(head, atoms, marks, renaming=None, order=None):
+    """The rule written out: names through ``renaming``, atoms in ``order``,
+    the i-th written name ``?``-prefixed when ``marks[i]`` (cyclically)."""
+    count = iter(range(1_000))
+
+    def name(term):
+        if term.startswith("'"):
+            return term
+        return "?" * marks[next(count) % len(marks)] + (renaming or {}).get(term, term)
+
+    body = [atoms[i] for i in order] if order is not None else atoms
+    atoms_text = ", ".join(f"{r}({', '.join(map(name, terms))})" for r, terms in body)
+    return f"Q({', '.join(map(name, head))}) :- {atoms_text}"
+
+
+def first_round_tie(query, parameters) -> bool:
+    """Whether two atoms of ``query`` look alike: same relation and, term by
+    term, the same constant, the same parameter, or plain variables feeding
+    the same head positions."""
+    heads = {}
+    for position, variable in enumerate(query.head):
+        heads.setdefault(variable.name, []).append(position)
+
+    def look(term):
+        if isinstance(term, Constant):
+            return 0, term.value
+        return (1, term.name) if term.name in parameters else (2, tuple(heads.get(term.name, ())))
+
+    signatures = [(atom.relation, *map(look, atom.terms)) for atom in query.body]
+    return len(set(signatures)) < len(signatures)
+
+
+def check_read_keys(case):
+    """Per subset of the rule's names as parameters, the reader's key is
+    the token-parsed query's ``canonical_key`` -- None exactly when two
+    atoms tie on first-round signatures -- and its renamed, reordered
+    twin's (the parameters keep their names) is the same key."""
+    from itertools import combinations
+
+    from repro.logic.canonical import canonical_key
+
+    head, atoms, marks, targets, order = case
+    text = keyed_text(head, atoms, marks)
+    query = token_parse(text, None)
+    names = sorted({t for _, terms in atoms for t in terms if t in KEY_NAMES})
+    for size in range(len(names) + 1):
+        for chosen in map(set, combinations(names, size)):
+            tie = first_round_tie(query, chosen)
+            read, key = parser._plain_rule(text, None, chosen)
+            assert read == query, text
+            assert key == (None if tie else canonical_key(query, frozenset(map(Variable, chosen)))), (text, chosen)
+            renaming = {n: t for n, t in targets.items() if n not in chosen}
+            twin = keyed_text(head, atoms, marks, renaming, order)
+            assert parser._plain_rule(twin, None, chosen)[1] == key, (text, twin, chosen)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(keyed_rules())
+def test_a_plain_rule_is_keyed_as_it_is_read(case):
+    check_read_keys(case)
+
+
+#: s(x, y), s(y, x): tied unless a parameter tells the two atoms apart.
+TIED_UNLESS_TAGGED = ([], [("s", ["x", "y"]), ("s", ["y", "x"])], [False], {}, [1, 0])
+READ_KEY_CASES = [
+    TIED_UNLESS_TAGGED,
+    (["y", "y"], [("s", ["x", "y"]), ("t", ["x", "'a, b) c('", "z"])], [True, False], dict(zip("xyz", "abc")), [1, 0]),
+    (["z"], [("s", ["x", "z"]), ("s", ["x", "w"]), ("r", ["x"])], [False], dict(zip("xzw", "bca")), [2, 1, 0]),
+    (["x"], [("t", ["x", "'NYC'", "y"]), ("t", ["x", "''", "y"])], [False, True], dict(zip("xy", "dc")), [1, 0]),
+]
+
+
+def test_pinned_rules_are_keyed_as_read():
+    for case in READ_KEY_CASES:
+        check_read_keys(case)
+
+
+#: name -> (the code to break in ``_plain_rule``, what to break it into)
+READ_KEY_MUTANTS = {
+    "a parameter signed as a plain variable": ("(1, name) if name in given else ", ""),
+    "a head position left out of the signature": ("heads.get(name, ())", "()"),
+    "a constant's text left out of the signature": ("signature += (0, s)", "signature += (0, '')"),
+    "the head left out of the key": ("[*items, None, None, *head]", "[*items, None, None]"),
+}
+
+
+@pytest.mark.parametrize("name", READ_KEY_MUTANTS)
+def test_read_key_mutants_fail_the_key_property(monkeypatch, name):
+    mutate(monkeypatch, parser, "_plain_rule", *READ_KEY_MUTANTS[name], name)
+    with pytest.raises(AssertionError):
+        test_pinned_rules_are_keyed_as_read()
+    with pytest.raises(AssertionError):
+        test_a_plain_rule_is_keyed_as_it_is_read()
+
+
 def keyword_read_as_a_name(monkeypatch):
     pattern = parser._PLAIN_RULE.pattern
     assert "True|" in pattern, "mutation site moved"

@@ -228,7 +228,7 @@ MUTANTS = {
     ),
     "a constant encoded without its type": (
         canonical,
-        "_walk",
+        "_encode",
         "(0, type(value), value)",
         "(0, value)",
         "typed key",

@@ -193,6 +193,56 @@ def test_every_held_execute_has_a_witness(backend_factory, case):
     check_witness(SCHEMA, query, values, result, backend.take(), SqlOracle(SCHEMA, rows).answers(query, values))
 
 
+def written(query, renaming, orders) -> str:
+    """``query`` as a text never seen before: its variables renamed by
+    ``renaming``, each disjunct's atoms in its order from ``orders``."""
+
+    def terms(ts):
+        return ", ".join(renaming.get(t.name, t.name) if isinstance(t, Variable) else str(t) for t in ts)
+
+    rules = []
+    for disjunct, order in zip(query.disjuncts if isinstance(query, UnionOfConjunctiveQueries) else [query], orders):
+        conjuncts = [f"{disjunct.body[i].relation}({terms(disjunct.body[i].terms)})" for i in order]
+        conjuncts += [f"{terms([e.left])} = {terms([e.right])}" for e in disjunct.equalities]
+        rules.append(f"Q({terms(disjunct.head)}) :- {', '.join(conjuncts)}")
+    return " ; ".join(rules)
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(case=executes(), data=st.data())
+def test_every_never_seen_text_has_the_held_witness(backend_factory, case, data):
+    """The ad hoc half of the definition: each controlled case, written as a
+    renamed and reordered text (a plain rule when it has neither constants
+    nor equalities), runs through ``engine.execute(text, values)`` -- its
+    first execute, read and keyed on the way -- to a witness, and to the
+    held query's rows and tuples."""
+    query, access, rows, values = case
+    backend = WitnessBackend(backend_factory())
+    engine = Engine(SCHEMA, access, data=rows, backend=backend)
+    held = engine.query(query)
+    try:
+        held.execute(values)
+    except NotControlledError:
+        return
+    backend.take()
+    expected = held.execute(values)
+    backend.take()
+    plain = sorted(v.name for v in query.variables() if v not in values)
+    renaming = dict(zip(plain, data.draw(st.permutations("abcde"))))
+    disjuncts = query.disjuncts if isinstance(query, UnionOfConjunctiveQueries) else [query]
+    orders = [data.draw(st.permutations(range(len(d.body)))) for d in disjuncts]
+    result = engine.execute(written(query, renaming, orders), values)
+    check_witness(SCHEMA, query, values, result, backend.take(), SqlOracle(SCHEMA, rows).answers(query, values))
+    assert result.rows == expected.rows
+    assert result.stats.tuples_accessed == expected.stats.tuples_accessed
+
+
 def test_coverage_steps_are_the_plan_steps():
     access = AccessSchema.parse(SOCIAL_SCHEMA, SOCIAL_ACCESS)
     query = parse_query("Q(y) :- friend(p, y), person(y, n, 'NYC')", DatabaseSchema.parse(SOCIAL_SCHEMA))

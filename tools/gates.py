@@ -30,8 +30,9 @@ Q1 = "Q(y) :- friend(p, y), person(y, n, 'NYC')"
 
 #: The line budget only moves down: min(previous budget, figure reached).
 #: 10,781 before a view handed its answer changes to its readers; 10,748
-#: before the maintainability verdict was rendered where it is decided.
-BUDGET = 10_655
+#: before the maintainability verdict was rendered where it is decided; 10,655
+#: before a plain rule was keyed as it is read (ROADMAP item 28's cap: +20).
+BUDGET = 10_675
 
 #: Deleted code that must not come back, one regular expression each: the
 #: pipeline LRU (a plan owns its lowering); the VIW003 guess and the view advisor
@@ -426,11 +427,12 @@ def churn_cycle_calls():
 
 def new_text_calls():
     """A never-seen text costs its atoms (a plain rule: one whole-text match,
-    one match and one arity lookup per atom, one Variable per name, a safety
-    check by name, one canonical walk to a tuple key, one probe of the
-    compiled shape).  Named calls per engine.execute of 2,000 ``new_text``
-    texts at 2,000 persons, each result's rows and tuples a held query's, no
-    memo hit, one compile: 30.0; 39.0 through the token parser (one scan, one
+    one match and one arity lookup per atom, one Variable per name and one
+    Constant per quoted text, a safety check by name, its shape key encoded
+    as it is read, one probe of the compiled shape).  Named calls per
+    engine.execute of 2,000 ``new_text`` texts at 2,000 persons, each result's
+    rows and tuples a held query's, no memo hit, one compile: 25.0; 30.0 with a
+    canonical walk per text; 39.0 through the token parser (one scan, one
     routine per term list); 42.0 through the closure lowering; 80.0 with a
     call per term, a schema lookup per atom and a ShapeKey per text."""
     engine = social_engine(2_000, seed=1)
@@ -448,7 +450,7 @@ def new_text_calls():
     per_text = sum(calls.named.values()) / len(texts)
     print("named repro calls per never-seen text:", per_text, " results unlike the held query:", wrong,
           " memo hits:", memo.hits, " compilations:", plans.misses)
-    return wrong == 0 and memo.hits == 0 and plans.misses == 1 and per_text <= 30
+    return wrong == 0 and memo.hits == 0 and plans.misses == 1 and per_text <= 25
 
 
 #: Every gate, in the order CI runs them; every public function here is one.
