@@ -93,7 +93,7 @@ from repro.errors import NotControlledError, SchemaError
 from repro.logic.ast import _as_variable
 from repro.logic.canonical import Query, canonical_form, canonical_key
 from repro.logic.cq import ConjunctiveQuery
-from repro.logic.parser import _plain_rule, parse_query
+from repro.logic.parser import TokenStream, _plain_rule, _QueryParser
 from repro.logic.terms import Constant, Variable
 from repro.logic.ucq import UnionOfConjunctiveQueries, disjuncts_of
 from repro.relational.backends.base import StorageBackend
@@ -685,17 +685,17 @@ class Engine:
         return prepared.execute(parameters, **kwargs)
 
     def _prepare(self, source: str | Query, keys: tuple | None = None) -> PreparedQuery:
-        """A memo miss: ``source`` parsed or schema-validated, prepared.  Read
-        under an execute's parameter ``keys``, a plain rule brings its shape key."""
+        """A memo miss, prepared: a text matched as a plain rule once, else read by
+        the token parser (a plain rule read under an execute's parameter
+        ``keys`` brings its shape key); a query object schema-validated."""
         if not isinstance(source, str):
             self._schema.validate_query(source)
             return PreparedQuery(self, source)
-        if keys is not None:
-            names = _parameter_order(keys)[1]
-            plain = _plain_rule(source, self._schema, {v.name for v in names})
-            if plain is not None:
-                return PreparedQuery(self, plain[0], source, {names: plain[1]})
-        return PreparedQuery(self, parse_query(source, schema=self._schema), source)
+        names = None if keys is None else _parameter_order(keys)[1]
+        plain = _plain_rule(source, self._schema, None if names is None else {v.name for v in names})
+        if plain is None:
+            return PreparedQuery(self, _QueryParser(TokenStream(source), self._schema).parse(), source)
+        return PreparedQuery(self, plain[0], source, None if names is None else {names: plain[1]})
 
     def analyze(self, queries: Iterable[object] = (), *, source: str | None = None):
         """Statically analyze the engine (:mod:`repro.analysis`):

@@ -1211,6 +1211,34 @@ class DeltaProgram:
         return changes
 
 
+def fold(counts: dict[Row, int], changes: Sequence[Mapping[Row, int]]) -> dict[Row, int]:
+    """Section 5's counting rule (Gupta, Mumick & Subrahmanian 1993): fold
+    ``changes``, one signed mapping per plan (:meth:`DeltaProgram.join`'s, or
+    :meth:`DeltaProgram.count`'s into ``{}``), into ``counts``; return the net,
+    ``+1`` per row that entered, ``-1`` per row that left.  Summed first, so a
+    row moving between a union's disjuncts keeps its place; a row is kept
+    while its count is positive, a new one appended.  It never raises."""
+    if len(changes) == 1:
+        (summed,) = changes
+    else:
+        summed = {}
+        for changed in changes:
+            for row, change in changed.items():
+                summed[row] = summed.get(row, 0) + change
+    net = {}
+    for row, change in summed.items():
+        old = counts.get(row, 0)
+        new = old + change
+        if new > 0:
+            counts[row] = new
+            if old <= 0:
+                net[row] = 1
+        elif old > 0:
+            del counts[row]
+            net[row] = -1
+    return net
+
+
 def delta_program(plan: Plan) -> DeltaProgram:
     """``plan``'s :class:`DeltaProgram`, kept on its pipeline
     (:meth:`Pipeline.program`), or an :class:`~repro.errors.IncrementalError`

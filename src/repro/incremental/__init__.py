@@ -46,11 +46,12 @@ A slice that changes the group patches it (not re-read: what a refresh
 reads depends on its slice, never on the refreshes before it).
 Only when every plan's join (one per disjunct of a union) succeeded does
 :meth:`IncrementalResult.refresh` fold the signed changes into the counts
-and advance the watermark; when one raises, the result is as it was
-*minus its holds*, and marked -- a group patched towards a state the
-result never reached is forgotten and read again by the next refresh that
-needs it.  :func:`~repro.core.executor.delta_fanout_bound` bounds what a
-refresh reads by its slice and the rule bounds, never the database size.
+(:func:`~repro.core.executor.fold`) and advance the watermark; when one
+raises, the result is as it was *minus its holds*, and marked -- a group
+patched towards a state the result never reached is forgotten and read
+again by the next refresh that needs it.
+:func:`~repro.core.executor.delta_fanout_bound` bounds what a refresh
+reads by its slice and the rule bounds, never the database size.
 
 Obtain results through the facade:
 ``engine.query(q).execute_incremental(p=1)``, then ``result.refresh()``
@@ -81,6 +82,7 @@ from repro.core.executor import (
     PlanProfile,
     check_delta_supported,
     delta_fanout_bound,
+    fold,
 )
 from repro.relational.instance import AccessStats, LogSlice, Mark
 
@@ -225,23 +227,10 @@ class IncrementalResult:
                         seeded.rows = None
                 self._mark.marked = True
                 raise
-            if self._holds() != self._held:
+            if [s is not None and s.rows is not None and s.next_keys for s in self._seeds] != self._held:
                 self._watch(db.change_log)  # a patch moved the level-1 keys
-            if any(changes):
-                # One count per row, over every disjunct: a row keeps its
-                # place while any plan derives it, and a new one is appended
-                # in plan/derivation order.
-                summed: dict[Row, int] = {}
-                for changed in changes:
-                    for row, change in changed.items():
-                        summed[row] = summed.get(row, 0) + change
-                counts = self._counts  # a count is kept only while it is positive
-                for row, change in summed.items():
-                    count = counts.get(row, 0) + change
-                    if count > 0:
-                        counts[row] = count
-                    else:
-                        counts.pop(row, None)
+            if any(changes):  # one count per row, over every disjunct
+                fold(self._counts, changes)
             if analyze:
                 rows = self.rows
                 for profile in measured:
@@ -283,9 +272,7 @@ class IncrementalResult:
         programs = tuple(pipe.program() for pipe in compiled.pipes)
         seeds = tuple(program.seed(self._values) for program in programs)
         counts: dict[Row, int] = {}
-        for program, seeded in zip(programs, seeds):
-            for row, n in program.count(ctx, seeded).items():
-                counts[row] = counts.get(row, 0) + n
+        fold(counts, [program.count(ctx, seeded) for program, seeded in zip(programs, seeds)])
         self._delta_sizes = None
         self._programs = programs
         self._seeds = seeds
@@ -311,13 +298,9 @@ class IncrementalResult:
         self.last_mode = mode
         return self
 
-    def _holds(self) -> list:
-        """Each disjunct's held level-1 keys: what its footprint follows."""
-        return [s is not None and s.rows is not None and s.next_keys for s in self._seeds]
-
     def _watch(self, log) -> None:
-        """(Re-)register the result's footprint in ``log``'s registry."""
-        self._held = self._holds()
+        """(Re-)register the footprint, and the held level-1 keys it follows."""
+        self._held = [s is not None and s.rows is not None and s.next_keys for s in self._seeds]
         pairs = zip(self._programs, self._seeds)
         log.watch(self._mark, [entry for p, s in pairs for entry in p.footprint(s)])
 

@@ -18,8 +18,8 @@ The package in three pieces:
   eagerly: unknown relations, name collisions and repeated head
   variables fail at ``register`` time, never at first execute.
 * :class:`ViewState` -- one view's materialization: answer rows (plus a
-  derivation count for each row derived more than once, so a
-  non-projecting view holds its row set once), held in a private
+  derivation count per row when the view projects; a non-projecting
+  view holds its row set once), held in a private
   :class:`~repro.relational.backends.memory.MemoryBackend` (``state.store``)
   so a view is read through the same ``lookup_keys`` / ``contains_rows``
   pair as a base relation, and incremental maintenance by the plan's

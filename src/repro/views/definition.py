@@ -50,7 +50,7 @@ from repro.core.access_schema import (
     FullAccessRule,
     parse_access_schema,
 )
-from repro.core.executor import ExecutionContext, delta_program
+from repro.core.executor import ExecutionContext, delta_program, fold
 from repro.core.plans import Plan, compile_plan
 from repro.errors import RewritingError, SchemaError
 from repro.logic.ast import Atom
@@ -224,10 +224,8 @@ class ViewDef:
 
 class ViewState:
     """One view's materialization against one database: the answer rows,
-    the derivation count of each row that has more than one (:attr:`many`;
-    empty for a non-projecting view, so the row set is held once), the
-    watermark the answers are valid at, and the :attr:`readers` its answer
-    changes go to.
+    their derivation :attr:`counts`, the watermark the answers are valid
+    at, and the :attr:`readers` its answer changes go to.
 
     The rows live in :attr:`store`, a private
     :class:`~repro.relational.backends.memory.MemoryBackend` over the
@@ -238,14 +236,16 @@ class ViewState:
     are its own: a view read is charged to the stats object the caller
     passes and never to the database's -- it is not a base-table access.
     A :attr:`flat` view (non-projecting, as :meth:`ViewDef.stands_for`
-    reads it) has one derivation per row, so its delta join's changes
-    *are* its answer net: no store probe, no count fold.  A :attr:`one_atom`
+    reads it) has one derivation per row, so it keeps no counts and its
+    delta join's changes *are* its answer net; a projecting view keeps one
+    count per row and folds its changes like a maintained result
+    (:func:`~repro.core.executor.fold`).  A :attr:`one_atom`
     view -- one atom over distinct variables, all in the head -- needs no
     join either: its answer net is its relation's slice, permuted.
     """
 
     __slots__ = (
-        "view", "db", "program", "watermark", "many", "seeded", "store", "flat", "one_atom", "readers",
+        "view", "db", "program", "watermark", "_counts", "seeded", "store", "flat", "one_atom", "readers",
         "__weakref__",  # the change log pins its consumers weakly
     )
 
@@ -260,11 +260,11 @@ class ViewState:
         self.seeded = self.program.seed({})  # a maintenance plan has no parameters
         counts = self.program.count(ExecutionContext(db), self.seeded)
         rows = intern_rows(counts)  # a backend's reads need not share strings
-        self.many = {row: n for row, n in zip(rows, counts.values()) if n > 1}
         self.store = MemoryBackend()
         self.store.attach(DatabaseSchema([view.relation]), AccessStats())
         self.store.insert_rows(view.name, rows)
         self.flat = bool(view.stands_for(Atom(view.name, view.query.head)))
+        self._counts = None if self.flat else dict(zip(rows, counts.values()))
         query, terms = view.query, view.query.body[0].terms
         permutes = len(query.body) == 1 and not query.equalities
         permutes = permutes and len(set(terms)) == len(terms) == len(query.head)
@@ -280,8 +280,8 @@ class ViewState:
 
     @property
     def counts(self) -> dict[Row, int]:
-        """Every answer row's derivation count (built on request)."""
-        return {row: self.many.get(row, 1) for row in self.rows}
+        """Every answer row's derivation count (a copy)."""
+        return dict.fromkeys(self.rows, 1) if self.flat else dict(self._counts)
 
     @property
     def rows(self) -> tuple[Row, ...]:
@@ -315,22 +315,8 @@ class ViewState:
                 relation, columns = self.one_atom
                 rows = slice.net.get(relation, {})
                 changes = dict(zip(map(key_getter(columns), rows), rows.values()))
-            if self.flat:  # every count is 0 or 1: a change is an answer change
-                net = changes
-            else:
-                many = self.many
-                held = self.store.contains_rows(self.view.name, list(changes))
-                for (row, change), had in zip(changes.items(), held):
-                    old = many.get(row, 1) if had else 0
-                    new = old + change
-                    if new > 1:
-                        many[row] = new
-                    else:
-                        many.pop(row, None)
-                    if old <= 0 < new:
-                        net[row] = 1
-                    elif new <= 0 < old:
-                        net[row] = -1
+            # A flat view's every count is 0 or 1: a change is an answer change.
+            net = changes if self.flat else fold(self._counts, (changes,))
             if net:
                 # The backend maintains every index it has built, in place.
                 name = self.view.name

@@ -16,6 +16,7 @@ from repro import (
     SchemaError,
 )
 import repro.api.engine as engine_module
+import repro.logic.parser as parser_module
 
 SCHEMA_TEXT = "person(pid, name, city); friend(pid1, pid2)"
 ACCESS_TEXT = "friend(pid1 -> 5000); friend(pid2 -> 5000); person(pid -> 1)"
@@ -633,33 +634,36 @@ class TestPerExecutionStatsIsolation:
 # -- the text memo ---------------------------------------------------------
 
 
-def counting_parse(monkeypatch, delay=0.0):
+def counting_reads(monkeypatch, delay=0.0):
+    """The texts ``engine.query`` and ``engine.execute`` hand the plain-rule
+    reader, which matches a never-seen text once (an execute's with its
+    shape key) before the token parser reads what is no plain rule."""
     import time
 
     calls = []
-    real = engine_module.parse_query
-
-    def wrapper(text, schema=None):
-        calls.append(text)
-        time.sleep(delay)
-        return real(text, schema)
-
-    monkeypatch.setattr(engine_module, "parse_query", wrapper)
-    return calls
-
-
-def counting_reads(monkeypatch):
-    """The texts ``engine.execute`` hands the plain-rule reader, which reads
-    a never-seen text once, with its shape key."""
-    calls = []
-    real = engine_module._plain_rule
+    real = parser_module._plain_rule
 
     def wrapper(text, schema, parameters=None):
         calls.append(text)
+        time.sleep(delay)
         return real(text, schema, parameters)
 
     monkeypatch.setattr(engine_module, "_plain_rule", wrapper)
+    monkeypatch.setattr(parser_module, "_plain_rule", wrapper)
     return calls
+
+
+@pytest.mark.parametrize("text", ["Q(y) :- friend(1, y)", "Q(y) :- friend(p, y), p = 1"])
+def test_a_text_no_plain_rule_meets_the_plain_reader_once(monkeypatch, text):
+    """A number or an equality makes a text no plain rule: it is matched
+    once and then read by the token parser, through either entry point."""
+    calls = counting_reads(monkeypatch)
+    answers = []
+    for entry in (lambda engine: engine.query(text).execute(), lambda engine: engine.execute(text)):
+        calls.clear()
+        answers.append(entry(Engine(SCHEMA_TEXT, ACCESS_TEXT, data=DATA)).rows)
+        assert calls == [text]
+    assert answers[0] == answers[1] == ((2,), (3,))
 
 
 def test_repeated_texts_are_parsed_once_each(engine, monkeypatch):
@@ -677,7 +681,7 @@ def test_repeated_texts_are_parsed_once_each(engine, monkeypatch):
 
 def test_text_memo_is_bounded_by_plan_cache_size_and_evicts_lru(monkeypatch):
     engine = Engine(SCHEMA_TEXT, ACCESS_TEXT, data=DATA, plan_cache_size=2)
-    calls = counting_parse(monkeypatch)
+    calls = counting_reads(monkeypatch)
     a, b, c = ("Q(y) :- friend(p, y)", "Q(x) :- friend(p, x)", "Q(z) :- friend(p, z)")
     first_a = engine.query(a)
     engine.query(b)
@@ -692,7 +696,7 @@ def test_text_memo_is_bounded_by_plan_cache_size_and_evicts_lru(monkeypatch):
 
 def test_plan_cache_size_zero_disables_the_text_memo(monkeypatch):
     engine = Engine(SCHEMA_TEXT, ACCESS_TEXT, data=DATA, plan_cache_size=0)
-    calls = counting_parse(monkeypatch)
+    calls = counting_reads(monkeypatch)
     first, second = engine.query(NYC_FRIENDS), engine.query(NYC_FRIENDS)
     assert first is not second and first.query == second.query
     assert calls == [NYC_FRIENDS, NYC_FRIENDS]
@@ -710,7 +714,7 @@ def test_plan_cache_size_zero_disables_the_text_memo(monkeypatch):
     ],
 )
 def test_failing_texts_are_never_memoised(engine, monkeypatch, text, error, position):
-    calls = counting_parse(monkeypatch)
+    calls = counting_reads(monkeypatch)
     messages = []
     for _ in range(2):
         with pytest.raises(error) as excinfo:
@@ -726,7 +730,7 @@ def test_failing_texts_are_never_memoised(engine, monkeypatch, text, error, posi
 def test_concurrent_first_sight_of_a_text_parses_once(engine, monkeypatch):
     import threading
 
-    calls = counting_parse(monkeypatch, delay=0.05)
+    calls = counting_reads(monkeypatch, delay=0.05)
     barrier = threading.Barrier(8)
     prepared = []
 

@@ -5,6 +5,7 @@ engine wiring, and differential correctness of view-assisted plans."""
 import pytest
 
 from reference_executor import execute_per_tuple
+from sql_oracle import SqlOracle
 from repro import (
     Atom,
     Constant,
@@ -279,33 +280,41 @@ class TestViewState:
         state.refresh()
         assert set(state.rows) == set(view.query.evaluate(db))
 
-    def test_only_rows_derived_more_than_once_keep_a_count(self, engine):
-        """A non-projecting view's rows have one derivation each, so the
-        state holds its row set once (``many`` stays empty); a projecting
-        view keeps a count exactly for the rows derived more than once,
-        through every 0 <-> 1 <-> 2 crossing."""
+    def test_a_projecting_view_keeps_one_count_per_row(self, engine):
+        """A non-projecting view's rows have one derivation each, so it keeps
+        no counts (each reads 1); a projecting view keeps one count per row,
+        in answer order, through every 0 <-> 1 <-> 2 crossing, and its
+        ``counts`` is a copy."""
         engine.views.register(v1_def())
         engine.views.register(ViewDef("F", "F(pid) :- friend(pid, y)", "F(pid -> 1)"))
         db = engine.require_database()
         states = engine.views.prepare(db, ["V1", "F"])
         v1, f = states["V1"], states["F"]
-        assert f.many == {} and f.counts == {(2,): 1, (3,): 1, (1,): 1, (4,): 1}
-        for write, rows in (
-            (db.insert_many, [(2, 3), (2, 4), (5, 1)]),  # (2,) 1 -> 3, (5,) enters
-            (db.delete_many, [(2, 1), (2, 3)]),  # (2,) 3 -> 1: its count is dropped
-            (db.delete_many, [(2, 4), (5, 1)]),  # (2,) and (5,) leave
-            (db.insert_many, [(2, 1), (2, 3)]),  # (2,) re-enters at 2
+        assert (v1.flat, f.flat) == (True, False)
+        assert f.counts == {(2,): 1, (3,): 1, (1,): 1, (4,): 1}
+        for write, rows, net, counts in (
+            # (2,) 1 -> 3, (5,) enters last
+            (db.insert_many, [(2, 3), (2, 4), (5, 1)], {(5,): 1}, [(2, 3), (3, 1), (1, 1), (4, 1), (5, 1)]),
+            # (2,) 3 -> 1 in place: no answer change
+            (db.delete_many, [(2, 1), (2, 3)], {}, [(2, 1), (3, 1), (1, 1), (4, 1), (5, 1)]),
+            # (2,) and (5,) leave
+            (db.delete_many, [(2, 4), (5, 1)], {(2,): -1, (5,): -1}, [(3, 1), (1, 1), (4, 1)]),
+            # (2,) re-enters at 2, last
+            (db.insert_many, [(2, 1), (2, 3)], {(2,): 1}, [(3, 1), (1, 1), (4, 1), (2, 2)]),
         ):
             write("friend", rows)
             for state in (v1, f):
-                net = state.refresh()
+                changed = state.refresh()
                 rebuilt = ViewState(state.view, db)
                 assert state.counts == rebuilt.counts
                 assert set(state.rows) == set(rebuilt.rows) == set(state.counts)
-                assert all(sign in (1, -1) for sign in net.values())
-            assert v1.many == {}
-            assert f.many == {row: n for row, n in f.counts.items() if n > 1}
-        assert f.many == {(2,): 2} and f.rows[-1] == (2,)
+                assert all(sign in (1, -1) for sign in changed.values())
+            assert set(v1.counts.values()) == {1}
+            assert f.refresh() == {} and changed == net
+            assert list(f.counts.items()) == [((pid,), n) for pid, n in counts]
+            assert f.rows == tuple(f.counts)
+        f.counts[(2,)] = 99
+        assert f.counts[(2,)] == 2
 
     def test_unsatisfiable_view_is_empty(self, engine):
         view = ViewDef("EMPTY", "EMPTY(a) :- friend(a, b), b = 1, b = 2")
@@ -341,16 +350,18 @@ def churned_views(backend):
             rebuilt = ViewState(state.view, db)
             assert set(state.rows) == set(rebuilt.rows) and state.counts == rebuilt.counts
             assert all(sign in (1, -1) for sign in net.values())
-    assert states["FOF3"].many == {} and states["FOF2"].many
+    # The churn drove the projecting view's fold past a count of 1.
+    assert any(n > 1 for n in states["FOF2"].counts.values())
 
 
 def test_flat_and_projecting_views_refresh_to_their_rematerialisation(backend_factory):
     assert sum(1 for _ in churned_views(backend_factory())) == 16
 
 
-def test_a_flat_view_refresh_asks_its_store_nothing(monkeypatch):
-    """The projecting view asks its store which changed rows it held; the
-    flat one applies its join's changes as they stand."""
+def test_no_view_refresh_asks_its_store(monkeypatch):
+    """The projecting view folds its join's changes into its own counts and
+    the flat one applies them as they stand: neither asks its store which
+    changed rows it held."""
     asked: list = []
     contains_rows = MemoryBackend.contains_rows
 
@@ -359,11 +370,33 @@ def test_a_flat_view_refresh_asks_its_store_nothing(monkeypatch):
         return contains_rows(self, relation, rows, stats)
 
     monkeypatch.setattr(MemoryBackend, "contains_rows", spied)
-    calls = {"FOF3": 0, "FOF2": 0}
-    for state in churned_views(MemoryBackend()):
-        calls[state.view.name] += asked.count(state.view.name)
-        asked.clear()
-    assert calls["FOF3"] == 0 and calls["FOF2"] > 0
+    refreshed = [state.view.name for state in churned_views(MemoryBackend())]
+    assert sorted(set(refreshed)) == sorted(FLAT_AND_PROJECTING) and len(refreshed) == 16
+    assert not set(asked) & set(FLAT_AND_PROJECTING)
+
+
+def test_a_result_reading_a_projecting_view_follows_its_count_crossings(backend_factory):
+    """``Q(x) :- friend(x, y)`` is answered from the projecting view F: a
+    row leaves the maintained result only when F's count for it reaches 0,
+    through every 0 <-> 1 <-> 2 crossing, on both backends."""
+    engine = Engine(SCHEMA_TEXT, ACCESS_TEXT, DATA, backend=backend_factory())
+    engine.views.register("F", "F(pid) :- friend(pid, y)", "F({} -> 16)")
+    db = engine.require_database()
+    prepared = engine.query("Q(x) :- friend(x, y)")
+    live = prepared.execute_incremental()
+    assert prepared.plan([]).view_relations == {"F"}
+    raw = {name: set(rows) for name, rows in DATA.items()}
+    for inserted, rows in (
+        (True, [(2, 3), (2, 4), (5, 1)]),  # F(2) 1 -> 3, F(5) enters
+        (False, [(2, 1), (2, 3)]),  # F(2) 3 -> 1
+        (False, [(2, 4), (5, 1)]),  # F(2) and F(5) leave
+        (True, [(2, 1), (2, 3)]),  # F(2) re-enters at 2
+    ):
+        (db.insert_many if inserted else db.delete_many)("friend", rows)
+        (raw["friend"].update if inserted else raw["friend"].difference_update)(rows)
+        assert live.refresh().last_mode == "delta"
+        oracle = SqlOracle(engine.schema, raw).answers(prepared.query)
+        assert set(live.rows) == set(prepared.execute().rows) == oracle
 
 
 # -- rewriting -------------------------------------------------------------
